@@ -44,32 +44,52 @@ _TINY = dict(
     seed=7,
 )
 
-#: One tiny end-to-end case per system flavour: the plain baseline, the
-#: power-gated improved baseline and one Morpheus variant with cache-mode
-#: SMs, a predictor and both optimizations active.
+_MORPHEUS_ALL = MorpheusConfig(enable_compression=True, enable_indirect_mov_isa=True)
+
+_MORPHEUS_SPLIT = dict(
+    num_compute_sms=34,
+    num_cache_sms=24,
+    power_gate_unused=True,
+    **_TINY,
+)
+
+#: One tiny end-to-end case per system flavour, as ``(application, config)``:
+#: the plain baseline, the power-gated improved baseline and Morpheus with
+#: cache-mode SMs.  The Morpheus cases cover both variants' store paths,
+#: every hit/miss predictor branch of the controller, and a store- and
+#: atomic-heavy application (histo) next to the load-dominated kmeans.
 GOLDEN_CASES = {
-    "BL": SimulationConfig(
+    "BL": ("kmeans", SimulationConfig(
         num_compute_sms=68,
         power_gate_unused=False,
         system_name="BL",
         **_TINY,
-    ),
-    "IBL": SimulationConfig(
+    )),
+    "IBL": ("kmeans", SimulationConfig(
         num_compute_sms=34,
         power_gate_unused=True,
         system_name="IBL",
         **_TINY,
-    ),
-    "Morpheus-ALL": SimulationConfig(
-        morpheus=MorpheusConfig(
-            enable_compression=True, enable_indirect_mov_isa=True
-        ),
-        num_compute_sms=34,
-        num_cache_sms=24,
-        power_gate_unused=True,
-        system_name="Morpheus-ALL",
-        **_TINY,
-    ),
+    )),
+    "Morpheus-ALL": ("kmeans", SimulationConfig(
+        morpheus=_MORPHEUS_ALL, system_name="Morpheus-ALL", **_MORPHEUS_SPLIT
+    )),
+    "Morpheus-Basic": ("kmeans", SimulationConfig(
+        morpheus=MorpheusConfig(), system_name="Morpheus-Basic", **_MORPHEUS_SPLIT
+    )),
+    "Morpheus-ALL-predictor-none": ("kmeans", SimulationConfig(
+        morpheus=_MORPHEUS_ALL.with_predictor("none"),
+        system_name="Morpheus-ALL(none)",
+        **_MORPHEUS_SPLIT,
+    )),
+    "Morpheus-ALL-predictor-perfect": ("kmeans", SimulationConfig(
+        morpheus=_MORPHEUS_ALL.with_predictor("perfect"),
+        system_name="Morpheus-ALL(perfect)",
+        **_MORPHEUS_SPLIT,
+    )),
+    "Morpheus-ALL-histo": ("histo", SimulationConfig(
+        morpheus=_MORPHEUS_ALL, system_name="Morpheus-ALL", **_MORPHEUS_SPLIT
+    )),
 }
 
 SCHEMA_HINT = (
@@ -86,7 +106,8 @@ def _simulate(system: str):
     runner = ExperimentRunner(
         max_workers=0, use_disk_cache=False, energy_model=EnergyModel()
     )
-    stats = runner.simulate(get_application("kmeans"), GOLDEN_CASES[system])
+    application, config = GOLDEN_CASES[system]
+    stats = runner.simulate(get_application(application), config)
     # JSON round-trip, so fixture comparison sees exactly what json stores
     # (e.g. dict keys stringified, tuples as lists).
     return json.loads(json.dumps(dataclasses.asdict(stats), sort_keys=True))
