@@ -11,8 +11,9 @@ each store's capacity.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 
 @dataclass(frozen=True)
@@ -22,6 +23,18 @@ class SeparationDecision:
     target: str            # "conventional" or "extended"
     extended_set: int = -1  # extended LLC set index when target == "extended"
     cache_sm_slot: int = -1  # which cache-mode SM slot owns that set
+
+
+_CONVENTIONAL = SeparationDecision(target="conventional")
+
+
+@functools.lru_cache(maxsize=16)
+def _extended_decisions(num_extended_sets: int) -> Tuple[SeparationDecision, ...]:
+    """The (immutable) decision for each extended set, shared by separators."""
+    return tuple(
+        SeparationDecision(target="extended", extended_set=index, cache_sm_slot=index)
+        for index in range(num_extended_sets)
+    )
 
 
 class AddressSeparator:
@@ -83,6 +96,8 @@ class AddressSeparator:
         if extended_capacity_bytes == 0:
             self._conventional_units = 1
             self._extended_units = 0
+        self._period = self._conventional_units + self._extended_units
+        self._extended_decisions = _extended_decisions(num_extended_sets)
 
     def _total_units(self, total_bytes: int) -> int:
         """Number of granularity units in the interleaving period (>= 2)."""
@@ -94,33 +109,29 @@ class AddressSeparator:
     @property
     def extended_fraction(self) -> float:
         """Fraction of the address space routed to the extended LLC."""
-        period = self._conventional_units + self._extended_units
-        return self._extended_units / period if period else 0.0
+        return self._extended_units / self._period
 
     def route(self, address: int) -> SeparationDecision:
         """Decide which LLC serves the block containing ``address``."""
         if address < 0:
             raise ValueError("address must be non-negative")
         if self._extended_units == 0:
-            return SeparationDecision(target="conventional")
+            return _CONVENTIONAL
 
         block_index = address // self.block_size
-        unit_index = block_index // self.granularity_blocks
-        period = self._conventional_units + self._extended_units
-        position = unit_index % period
+        position = (block_index // self.granularity_blocks) % self._period
         if position < self._conventional_units:
-            return SeparationDecision(target="conventional")
-
-        extended_set = block_index % self.num_extended_sets
-        return SeparationDecision(
-            target="extended",
-            extended_set=extended_set,
-            cache_sm_slot=extended_set,
-        )
+            return _CONVENTIONAL
+        return self._extended_decisions[block_index % self.num_extended_sets]
 
     def is_extended(self, address: int) -> bool:
         """Convenience wrapper: True when ``address`` belongs to the extended LLC."""
         return self.route(address).target == "extended"
+
+
+#: Blocks in one period of :func:`proportional_split`: the split depends only
+#: on a block's position within it.
+SPLIT_PERIOD = 64
 
 
 def proportional_split(
@@ -145,14 +156,26 @@ def proportional_split(
     if not live:
         raise ValueError("at least one region must have non-zero capacity")
     total = sum(cap for _, cap in live)
-    block_index = address // block_size
-    # Use 64 slots of the period for reasonable resolution.
-    period = 64
-    position = block_index % period
+    position = (address // block_size) % SPLIT_PERIOD
     cursor = 0
     for name, cap in live:
-        share = max(1, round(cap / total * period))
+        share = max(1, round(cap / total * SPLIT_PERIOD))
         cursor += share
         if position < cursor:
             return name
     return live[-1][0]
+
+
+@functools.lru_cache(maxsize=16)
+def proportional_split_table(
+    capacities: Tuple[Tuple[str, int], ...], block_size: int = 128
+) -> Tuple[str, ...]:
+    """:func:`proportional_split` for every position of its period.
+
+    The block at ``address`` goes to
+    ``table[(address // block_size) % SPLIT_PERIOD]``.
+    """
+    return tuple(
+        proportional_split(capacities, position * block_size, block_size)
+        for position in range(SPLIT_PERIOD)
+    )

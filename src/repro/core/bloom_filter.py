@@ -8,8 +8,27 @@ alternately (§4.1.2).
 
 from __future__ import annotations
 
+import functools
 import hashlib
-from typing import Iterable, List
+from typing import Iterable
+
+
+@functools.lru_cache(maxsize=8)
+def _key_mask(key: int, num_bits: int, num_hashes: int) -> int:
+    """The filter bits of ``key``: double hashing over a blake2 digest.
+
+    One access queries and then inserts the same key into the two filters
+    of its set, so a small cache computes the digest once per access.
+    """
+    digest = hashlib.blake2b(
+        int(key).to_bytes(16, "little", signed=False), digest_size=16
+    ).digest()
+    h1 = int.from_bytes(digest[:8], "little")
+    h2 = int.from_bytes(digest[8:], "little") | 1
+    mask = 0
+    for i in range(num_hashes):
+        mask |= 1 << ((h1 + i * h2) % num_bits)
+    return mask
 
 
 class BloomFilter:
@@ -31,28 +50,19 @@ class BloomFilter:
         self._bits = 0
         self._insertions = 0
 
-    def _hash_positions(self, key: int) -> List[int]:
-        """Bit positions for ``key`` using double hashing over a blake2 digest."""
-        digest = hashlib.blake2b(
-            int(key).to_bytes(16, "little", signed=False), digest_size=16
-        ).digest()
-        h1 = int.from_bytes(digest[:8], "little")
-        h2 = int.from_bytes(digest[8:], "little") | 1
-        return [(h1 + i * h2) % self.num_bits for i in range(self.num_hashes)]
-
     def insert(self, key: int) -> None:
         """Insert ``key`` into the filter."""
         if key < 0:
             raise ValueError("keys must be non-negative")
-        for pos in self._hash_positions(key):
-            self._bits |= 1 << pos
+        self._bits |= _key_mask(key, self.num_bits, self.num_hashes)
         self._insertions += 1
 
     def query(self, key: int) -> bool:
         """Return True if ``key`` *may* be in the set (never a false negative)."""
         if key < 0:
             raise ValueError("keys must be non-negative")
-        return all(self._bits >> pos & 1 for pos in self._hash_positions(key))
+        mask = _key_mask(key, self.num_bits, self.num_hashes)
+        return (self._bits & mask) == mask
 
     def insert_all(self, keys: Iterable[int]) -> None:
         """Insert every key in ``keys``."""

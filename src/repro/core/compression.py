@@ -34,12 +34,19 @@ class CompressionLevel(enum.Enum):
     @property
     def compressed_size(self) -> int:
         """Stored size in bytes of a 128-byte block at this level."""
-        return {CompressionLevel.HIGH: 32, CompressionLevel.LOW: 64, CompressionLevel.UNCOMPRESSED: 128}[self]
+        return _COMPRESSED_SIZE[self]
 
     @property
     def ratio(self) -> float:
         """Compression ratio (original / stored)."""
         return 128 / self.compressed_size
+
+
+_COMPRESSED_SIZE = {
+    CompressionLevel.HIGH: 32,
+    CompressionLevel.LOW: 64,
+    CompressionLevel.UNCOMPRESSED: 128,
+}
 
 
 @dataclass(frozen=True)

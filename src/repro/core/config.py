@@ -139,6 +139,8 @@ class MorpheusConfig:
             raise ValueError("max_cache_mode_fraction must be in (0, 1]")
         if self.extended_llc_associativity <= 0:
             raise ValueError("extended_llc_associativity must be positive")
+        if self.max_extended_sets_per_partition <= 0:
+            raise ValueError("max_extended_sets_per_partition must be positive")
         if self.block_size <= 0 or self.block_size & (self.block_size - 1):
             raise ValueError("block_size must be a positive power of two")
 

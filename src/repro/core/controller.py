@@ -76,7 +76,7 @@ class ControllerStats:
         return self.llc_hits / self.requests
 
 
-@dataclass
+@dataclass(slots=True)
 class AccessOutcome:
     """Result of one LLC request processed by the Morpheus controller."""
 
@@ -128,23 +128,27 @@ class MorpheusController:
         )
         num_partitions = self.partition.config.num_partitions
         per_partition_extended = extended_capacity // num_partitions if num_partitions else 0
+        extended_sets = self.extended_sets_per_partition()
         self.separator = AddressSeparator(
             conventional_capacity_bytes=self.partition.cache.capacity_bytes,
             extended_capacity_bytes=per_partition_extended,
             block_size=self.config.block_size,
-            num_extended_sets=max(1, self.extended_sets_per_partition()),
+            num_extended_sets=extended_sets,
         )
         self.predictor = HitMissPredictor(
-            num_sets=max(1, self.extended_sets_per_partition()),
+            num_sets=extended_sets,
             associativity=self.config.extended_llc_associativity,
             filter_bytes=self.config.bloom_filter_bytes,
         )
         self.query_logic = ExtendedLLCQueryLogic(
-            num_sets=max(1, self.extended_sets_per_partition()),
+            num_sets=extended_sets,
             block_size=self.config.block_size,
         )
-        self._dram_access = dram_access
-        self._noc_round_trip = noc_round_trip
+        # Each partition's controller owns a disjoint slice of the extended
+        # LLC sets, so the full extended capacity is used across partitions.
+        self._global_set_base = self.partition.partition_id * extended_sets
+        self._dram_access = dram_access or self._default_dram_latency
+        self._noc_round_trip = noc_round_trip or self._default_noc_round_trip
         self.stats = ControllerStats()
 
     # -- helpers --------------------------------------------------------------
@@ -169,13 +173,8 @@ class MorpheusController:
         return self._ns_to_cycles(2.0 * self.config.timing.noc_one_way_ns)
 
     def _dram(self, request: MemoryRequest, at_cycle: float) -> float:
-        fn = self._dram_access or self._default_dram_latency
         self.stats.dram_accesses += 1
-        return fn(request, at_cycle)
-
-    def _noc(self, size_bytes: int, at_cycle: float) -> float:
-        fn = self._noc_round_trip or self._default_noc_round_trip
-        return fn(size_bytes, at_cycle)
+        return self._dram_access(request, at_cycle)
 
     # -- the LLC lookup procedure (Figure 3 / Figure 6a) ------------------------------
 
@@ -191,9 +190,10 @@ class MorpheusController:
     def _access_conventional(self, request: MemoryRequest, now_cycle: float) -> AccessOutcome:
         self.stats.conventional_requests += 1
         hit, latency, writeback = self.partition.access(request, now_cycle)
-        writebacks = [writeback] if writeback is not None else []
-        if writebacks:
-            self.stats.writebacks += len(writebacks)
+        writebacks = []
+        if writeback is not None:
+            writebacks.append(writeback)
+            self.stats.writebacks += 1
         if hit:
             self.stats.conventional_hits += 1
             return AccessOutcome(
@@ -215,21 +215,13 @@ class MorpheusController:
             return self.extended_llc.resident(global_set, address)
         return self.predictor.predict(set_index, tag)
 
-    def _global_set(self, set_index: int) -> int:
-        """Map this partition's local extended set index onto the global extended LLC.
-
-        Each partition's controller owns a disjoint slice of the extended LLC
-        sets so that the full extended capacity is used across partitions.
-        """
-        return self.partition.partition_id * self.extended_sets_per_partition() + set_index
-
     def _access_extended(
         self, request: MemoryRequest, now_cycle: float, set_index: int
     ) -> AccessOutcome:
         assert self.extended_llc is not None
         self.stats.extended_requests += 1
         tag = request.address // self.config.block_size
-        global_set = self._global_set(set_index)
+        global_set = self._global_set_base + set_index
 
         # The request is buffered by the query logic; the controller's own
         # pipeline latency is folded into the timing model's dispatch term.
@@ -249,26 +241,25 @@ class MorpheusController:
             dram_latency = self._dram(request, now_cycle)
             fill = self.extended_llc.fill(global_set, request.address, dirty=request.is_write)
             self.predictor.record_access(set_index, tag)
-            writebacks = list(fill.writebacks)
-            if writebacks:
-                self.stats.writebacks += len(writebacks)
+            self.stats.writebacks += len(fill.writebacks)
             latency = self.partition.config.hit_latency_cycles * 0.25 + dram_latency
             return AccessOutcome(
                 hit_level="dram",
                 latency_cycles=latency,
                 predicted_miss=True,
-                writebacks=writebacks,
+                writebacks=fill.writebacks,
                 store_kind=fill.store_kind,
             )
 
         # Predicted hit: pay the NoC round trip to the cache-mode SM and run
         # the extended LLC kernel's lookup there.
-        dispatched = self.query_logic.dispatch(set_index % self.query_logic.warp_status.num_rows)
-        noc_latency = self._noc(request.size_bytes, now_cycle)
+        row = set_index % self.query_logic.warp_status.num_rows
+        dispatched = self.query_logic.dispatch(row)
+        noc_latency = self._noc_round_trip(request.size_bytes, now_cycle)
         result = self.extended_llc.access(global_set, request.address, is_write=request.is_write)
         service_latency = self._ns_to_cycles(result.service_latency_ns)
         if dispatched is not None:
-            self.query_logic.complete(set_index % self.query_logic.warp_status.num_rows, result.hit)
+            self.query_logic.complete(row, result.hit)
 
         if result.hit:
             self.stats.extended_hits += 1
@@ -288,14 +279,12 @@ class MorpheusController:
         dram_latency = self._dram(request, now_cycle + noc_latency + service_latency)
         fill = self.extended_llc.fill(global_set, request.address, dirty=request.is_write)
         self.predictor.record_access(set_index, tag)
-        writebacks = list(fill.writebacks)
-        if writebacks:
-            self.stats.writebacks += len(writebacks)
+        self.stats.writebacks += len(fill.writebacks)
         return AccessOutcome(
             hit_level="dram",
             latency_cycles=noc_latency + service_latency + dram_latency,
             false_positive=True,
-            writebacks=writebacks,
+            writebacks=fill.writebacks,
             store_kind=fill.store_kind,
         )
 

@@ -18,12 +18,12 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
-from repro.core.address_separation import proportional_split
+from repro.core.address_separation import SPLIT_PERIOD, proportional_split_table
 from repro.core.compression import CompressionLevel, effective_capacity_factor
 from repro.core.config import MorpheusConfig
-from repro.core.indirect_mov import IndirectMovImplementation, IndirectMovModel
+from repro.core.indirect_mov import IndirectMovModel
 from repro.core.l1_store import L1Store
 from repro.core.register_file_store import RegisterFileStore
 from repro.core.shared_memory_store import SharedMemoryStore
@@ -58,7 +58,20 @@ class Compressibility:
         return CompressionLevel.UNCOMPRESSED
 
 
-@dataclass
+@dataclass(frozen=True)
+class _StoreRoute:
+    """One store of a kernel with its access timings, fixed at construction."""
+
+    kind: str
+    store: ExtendedLLCStore
+    #: Whether blocks routed here are BDI-compressed.
+    compresses: bool
+    #: Service latency of a block stored uncompressed / compressed.
+    latency_ns: float
+    compressed_latency_ns: float
+
+
+@dataclass(slots=True)
 class ExtendedAccessResult:
     """Outcome of one extended LLC access on a cache-mode SM."""
 
@@ -129,6 +142,15 @@ class ExtendedLLCKernel:
         if not self.stores:
             raise ValueError("the extended LLC kernel needs at least one store")
 
+        # The store capacities never change, so the proportional split is
+        # resolved once per position of its period instead of on every access.
+        capacities = tuple((name, store.data_capacity_bytes()) for name, store in self.stores.items())
+        routes = {name: self._route(name, store) for name, store in self.stores.items()}
+        self._block_size = config.block_size
+        self._routes: List[_StoreRoute] = [
+            routes[name] for name in proportional_split_table(capacities, config.block_size)
+        ]
+
     # -- capacity ------------------------------------------------------------------
 
     @property
@@ -151,20 +173,22 @@ class ExtendedLLCKernel:
 
     # -- request servicing ------------------------------------------------------------
 
-    def _store_for(self, address: int) -> Tuple[str, ExtendedLLCStore]:
-        """Pick the store responsible for ``address`` (proportional split, §4.2 task 3)."""
-        capacities = [(name, store.data_capacity_bytes()) for name, store in self.stores.items()]
-        name = proportional_split(capacities, address, self.config.block_size)
-        return name, self.stores[name]
-
-    def _local_set(self, store: ExtendedLLCStore, set_index: int) -> int:
-        return set_index % store.num_warps
-
-    def _access_latency_ns(self, store_kind: str, compressed: bool) -> float:
-        impl_hw = self.config.enable_indirect_mov_isa
-        return self.config.timing.access_latency_ns(
-            store_kind, indirect_mov_hardware=impl_hw, compressed=compressed
+    def _route(self, name: str, store: ExtendedLLCStore) -> _StoreRoute:
+        timing = self.config.timing
+        hardware = self.config.enable_indirect_mov_isa
+        return _StoreRoute(
+            kind=name,
+            store=store,
+            compresses=self.config.enable_compression and store.supports_compression,
+            latency_ns=timing.access_latency_ns(name, indirect_mov_hardware=hardware),
+            compressed_latency_ns=timing.access_latency_ns(
+                name, indirect_mov_hardware=hardware, compressed=True
+            ),
         )
+
+    def _store_for(self, address: int) -> _StoreRoute:
+        """The store responsible for ``address`` (proportional split, §4.2 task 3)."""
+        return self._routes[(address // self._block_size) % SPLIT_PERIOD]
 
     def access(self, set_index: int, address: int, is_write: bool = False) -> ExtendedAccessResult:
         """Serve one extended LLC request on this SM.
@@ -176,26 +200,21 @@ class ExtendedLLCKernel:
         decides whether to fill after fetching the block from DRAM
         (:meth:`fill`).
         """
-        store_kind, store = self._store_for(address)
-        local_set = self._local_set(store, set_index)
-        tag = address // self.config.block_size
+        route = self._store_for(address)
+        store = route.store
+        local_set = set_index % store.num_warps
+        tag = address // self._block_size
         hit = store.access(local_set, tag, is_write=is_write)
 
-        compressed = False
-        if hit and self.config.enable_compression and store.supports_compression:
-            meta = store.set_for(local_set).metadata(tag)
-            compressed = meta is not None and meta.compression != CompressionLevel.UNCOMPRESSED
-
-        latency = self._access_latency_ns(store_kind, compressed)
+        compression = CompressionLevel.UNCOMPRESSED
+        if hit:
+            compression = store.set_for(local_set).metadata(tag).compression
+        compressed = route.compresses and compression is not CompressionLevel.UNCOMPRESSED
         return ExtendedAccessResult(
             hit=hit,
-            store_kind=store_kind,
-            service_latency_ns=latency,
-            compression=(
-                store.set_for(local_set).metadata(tag).compression
-                if hit and store.set_for(local_set).metadata(tag) is not None
-                else CompressionLevel.UNCOMPRESSED
-            ),
+            store_kind=route.kind,
+            service_latency_ns=route.compressed_latency_ns if compressed else route.latency_ns,
+            compression=compression,
         )
 
     def fill(self, set_index: int, address: int, dirty: bool = False) -> ExtendedAccessResult:
@@ -205,23 +224,26 @@ class ExtendedLLCKernel:
         store) and installed with LRU replacement; dirty victims are returned
         as writeback addresses.
         """
-        store_kind, store = self._store_for(address)
-        local_set = self._local_set(store, set_index)
-        tag = address // self.config.block_size
+        route = self._store_for(address)
+        store = route.store
+        tag = address // self._block_size
 
         level = CompressionLevel.UNCOMPRESSED
-        if self.config.enable_compression and store.supports_compression:
+        if route.compresses:
             level = self.compressibility.level_for_tag(tag)
 
-        evicted = store.fill(local_set, tag, dirty=dirty, compression=level)
-        writebacks = [victim_tag * self.config.block_size for victim_tag, was_dirty in evicted if was_dirty]
+        evicted = store.fill(set_index % store.num_warps, tag, dirty=dirty, compression=level)
+        writebacks = [victim_tag * self._block_size for victim_tag, was_dirty in evicted if was_dirty]
 
-        latency = self._access_latency_ns(store_kind, level != CompressionLevel.UNCOMPRESSED)
-        if self.config.enable_compression and store.supports_compression:
+        if level is CompressionLevel.UNCOMPRESSED:
+            latency = route.latency_ns
+        else:
+            latency = route.compressed_latency_ns
+        if route.compresses:
             latency += self.config.timing.compression_overhead_ns
         return ExtendedAccessResult(
             hit=False,
-            store_kind=store_kind,
+            store_kind=route.kind,
             service_latency_ns=latency,
             writebacks=writebacks,
             compression=level,
@@ -229,9 +251,8 @@ class ExtendedLLCKernel:
 
     def resident(self, set_index: int, address: int) -> bool:
         """Whether the block containing ``address`` currently resides on this SM."""
-        _, store = self._store_for(address)
-        local_set = self._local_set(store, set_index)
-        return store.set_for(local_set).lookup(address // self.config.block_size)
+        store = self._store_for(address).store
+        return store.set_for(set_index % store.num_warps).lookup(address // self._block_size)
 
     def reset(self) -> None:
         """Drop all cached blocks."""
@@ -260,6 +281,8 @@ class ExtendedLLC:
     ) -> None:
         self.config = config
         self.cache_sm_ids = list(cache_sm_ids)
+        if len(set(self.cache_sm_ids)) != len(self.cache_sm_ids):
+            raise ValueError(f"cache_sm_ids must be distinct, got {self.cache_sm_ids}")
         self.kernels: Dict[int, ExtendedLLCKernel] = {
             sm_id: ExtendedLLCKernel(
                 sm_id,
@@ -270,6 +293,13 @@ class ExtendedLLC:
             )
             for sm_id in self.cache_sm_ids
         }
+        # Global set index -> (sm_id, kernel, local set): the cache-mode SMs'
+        # sets laid end to end in ``cache_sm_ids`` order.
+        self._set_owners: List[Tuple[int, ExtendedLLCKernel, int]] = [
+            (sm_id, kernel, local_set)
+            for sm_id, kernel in self.kernels.items()
+            for local_set in range(kernel.num_sets)
+        ]
 
     @property
     def enabled(self) -> bool:
@@ -279,7 +309,7 @@ class ExtendedLLC:
     @property
     def total_sets(self) -> int:
         """Total extended LLC sets across all cache-mode SMs."""
-        return sum(kernel.num_sets for kernel in self.kernels.values())
+        return len(self._set_owners)
 
     def physical_capacity_bytes(self) -> int:
         """Raw extended LLC capacity (no compression gain)."""
@@ -291,19 +321,11 @@ class ExtendedLLC:
 
     def owner_of_set(self, global_set_index: int) -> Tuple[int, ExtendedLLCKernel, int]:
         """Map a global extended set index to ``(sm_id, kernel, local_set_index)``."""
-        if not self.kernels:
+        if not self._set_owners:
             raise RuntimeError("the extended LLC has no cache-mode SMs")
         if global_set_index < 0:
             raise ValueError("global_set_index must be non-negative")
-        ordered = [self.kernels[sm_id] for sm_id in self.cache_sm_ids]
-        index = global_set_index % self.total_sets
-        for kernel in ordered:
-            if index < kernel.num_sets:
-                return kernel.sm_id, kernel, index
-            index -= kernel.num_sets
-        # Unreachable given the modulo above.
-        kernel = ordered[-1]
-        return kernel.sm_id, kernel, kernel.num_sets - 1
+        return self._set_owners[global_set_index % len(self._set_owners)]
 
     def access(self, global_set_index: int, address: int, is_write: bool = False) -> ExtendedAccessResult:
         """Serve an extended LLC request on the owning cache-mode SM."""

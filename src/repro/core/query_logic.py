@@ -20,9 +20,9 @@ from __future__ import annotations
 import enum
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional
+from typing import Deque, Dict, Optional
 
-from repro.memory.request import MemoryRequest
+from repro.memory.request import AccessType, MemoryRequest
 
 
 class WarpOp(enum.Enum):
@@ -56,19 +56,25 @@ class WarpStatusRow:
 
 
 class WarpStatusTable:
-    """The warp status table: one row per extended LLC set in this partition."""
+    """The warp status table: one row per extended LLC set in this partition.
+
+    Rows are materialized on first use; a row never used is idle.
+    """
 
     def __init__(self, num_rows: int = 256) -> None:
         if num_rows <= 0:
             raise ValueError("num_rows must be positive")
         self.num_rows = num_rows
-        self._rows: List[WarpStatusRow] = [WarpStatusRow(set_index=i) for i in range(num_rows)]
+        self._rows: Dict[int, WarpStatusRow] = {}
 
     def row(self, set_index: int) -> WarpStatusRow:
         """Row for ``set_index``."""
         if not 0 <= set_index < self.num_rows:
             raise ValueError(f"set_index {set_index} out of range [0, {self.num_rows})")
-        return self._rows[set_index]
+        row = self._rows.get(set_index)
+        if row is None:
+            row = self._rows[set_index] = WarpStatusRow(set_index=set_index)
+        return row
 
     def is_busy(self, set_index: int) -> bool:
         """Whether the warp assigned to ``set_index`` is serving a request."""
@@ -82,7 +88,7 @@ class WarpStatusTable:
         row.busy = True
         row.tag = request.address
         row.origin_sm = request.sm_id
-        if request.access_type.name == "ATOMIC":
+        if request.access_type is AccessType.ATOMIC:
             row.op = WarpOp.ATOMIC
         elif request.is_write:
             row.op = WarpOp.WRITE
@@ -104,11 +110,11 @@ class WarpStatusTable:
 
     def busy_count(self) -> int:
         """Number of rows currently serving a request."""
-        return sum(1 for row in self._rows if row.busy)
+        return sum(1 for row in self._rows.values() if row.busy)
 
     def reset(self) -> None:
         """Clear all rows."""
-        self._rows = [WarpStatusRow(set_index=i) for i in range(self.num_rows)]
+        self._rows.clear()
 
 
 class DataBuffer:
@@ -216,6 +222,10 @@ class ExtendedLLCQueryLogic:
         self.write_buffer = DataBuffer(buffer_entries, block_size)
         self.block_size = block_size
 
+    def _data_buffer(self, writes: bool) -> DataBuffer:
+        """Stores and atomics carry a block to the extended LLC; loads fetch one."""
+        return self.write_buffer if writes else self.read_buffer
+
     def admit(self, request: MemoryRequest) -> bool:
         """Buffer an incoming extended LLC request (returns False on back-pressure)."""
         return self.request_queue.enqueue(request)
@@ -235,8 +245,7 @@ class ExtendedLLCQueryLogic:
             return None
         request = self.request_queue.dequeue()
         assert request is not None
-        buffer = self.write_buffer if request.is_write else self.read_buffer
-        slot = buffer.allocate(request.address)
+        slot = self._data_buffer(request.is_write).allocate(request.address)
         self.warp_status.begin(set_index, request, data_buffer_index=slot if slot is not None else -1)
         return request
 
@@ -244,11 +253,8 @@ class ExtendedLLCQueryLogic:
         """Finish the request being served by ``set_index``'s warp and free its buffer."""
         row = self.warp_status.complete(set_index, hit)
         if row.data_buffer_index >= 0:
-            buffer = self.write_buffer if row.op == WarpOp.WRITE else self.read_buffer
-            try:
-                buffer.release(row.data_buffer_index)
-            except ValueError:
-                pass
+            self._data_buffer(row.op is not WarpOp.READ).release(row.data_buffer_index)
+            row.data_buffer_index = -1
 
     def storage_bytes(self) -> int:
         """Approximate on-chip storage of the query logic unit (≈5 KiB)."""

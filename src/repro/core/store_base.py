@@ -13,8 +13,9 @@ bandwidth and whether compression applies, which the concrete store classes
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from collections import OrderedDict
+from dataclasses import dataclass
+from typing import List, Optional, Tuple
 
 from repro.core.compression import BDICompressor, CompressionLevel
 
@@ -23,15 +24,15 @@ from repro.core.compression import BDICompressor, CompressionLevel
 class ExtendedBlockMetadata:
     """Metadata block for one extended LLC block (Figure 8, item 4).
 
-    Holds the tag, valid bit, dirty bit and LRU counter that the extended LLC
-    kernel keeps coalesced in the per-set metadata register, plus the block's
-    compression level when compression is enabled.
+    Holds the tag, valid bit and dirty bit that the extended LLC kernel keeps
+    coalesced in the per-set metadata register, plus the block's compression
+    level when compression is enabled.  The per-block LRU counters of that
+    register are modelled by the recency order of :class:`ExtendedLLCSet`.
     """
 
     tag: int = -1
     valid: bool = False
     dirty: bool = False
-    lru_counter: int = 0
     compression: CompressionLevel = CompressionLevel.UNCOMPRESSED
 
 
@@ -74,16 +75,11 @@ class ExtendedLLCSet:
         self.compression_enabled = compression_enabled
         self.block_size = block_size
         self.physical_bytes = base_ways * block_size
-        self._blocks: Dict[int, ExtendedBlockMetadata] = {}
-        self._lru_clock = 0
+        # Resident blocks in recency order, least recently used first.
+        self._blocks: "OrderedDict[int, ExtendedBlockMetadata]" = OrderedDict()
+        self._stored_bytes = 0
 
     # -- capacity accounting ----------------------------------------------------
-
-    def _stored_bytes(self) -> int:
-        return sum(
-            meta.compression.compressed_size if self.compression_enabled else self.block_size
-            for meta in self._blocks.values()
-        )
 
     def _bytes_for(self, level: CompressionLevel) -> int:
         return level.compressed_size if self.compression_enabled else self.block_size
@@ -94,7 +90,7 @@ class ExtendedLLCSet:
 
     def occupancy_bytes(self) -> int:
         """Physical bytes consumed by resident blocks."""
-        return self._stored_bytes()
+        return self._stored_bytes
 
     # -- Algorithm 1: tag lookup --------------------------------------------------
 
@@ -108,8 +104,7 @@ class ExtendedLLCSet:
         meta = self._blocks.get(tag)
         if meta is None or not meta.valid:
             return False
-        self._lru_clock += 1
-        meta.lru_counter = self._lru_clock
+        self._blocks.move_to_end(tag)
         if is_write:
             meta.dirty = True
         return True
@@ -127,38 +122,37 @@ class ExtendedLLCSet:
         Returns a list of ``(victim_tag, was_dirty)`` pairs for every evicted
         block (empty when nothing had to be evicted).
         """
-        if tag in self._blocks:
-            meta = self._blocks[tag]
+        meta = self._blocks.get(tag)
+        if meta is not None:
             meta.valid = True
             meta.dirty = meta.dirty or dirty
+            self._stored_bytes += self._bytes_for(compression) - self._bytes_for(meta.compression)
             meta.compression = compression
-            self._lru_clock += 1
-            meta.lru_counter = self._lru_clock
+            self._blocks.move_to_end(tag)
             return []
 
         needed = self._bytes_for(compression)
         evicted: List[Tuple[int, bool]] = []
-        while self._stored_bytes() + needed > self.physical_bytes and self._blocks:
-            victim_tag = min(self._blocks, key=lambda t: self._blocks[t].lru_counter)
-            victim = self._blocks.pop(victim_tag)
+        while self._stored_bytes + needed > self.physical_bytes and self._blocks:
+            victim_tag, victim = self._blocks.popitem(last=False)
+            self._stored_bytes -= self._bytes_for(victim.compression)
             evicted.append((victim_tag, victim.dirty))
 
-        self._lru_clock += 1
         self._blocks[tag] = ExtendedBlockMetadata(
-            tag=tag,
-            valid=True,
-            dirty=dirty,
-            lru_counter=self._lru_clock,
-            compression=compression,
+            tag=tag, valid=True, dirty=dirty, compression=compression
         )
+        self._stored_bytes += needed
         return evicted
 
     def invalidate(self, tag: int) -> Optional[ExtendedBlockMetadata]:
         """Remove ``tag`` from the set, returning its metadata if present."""
-        return self._blocks.pop(tag, None)
+        meta = self._blocks.pop(tag, None)
+        if meta is not None:
+            self._stored_bytes -= self._bytes_for(meta.compression)
+        return meta
 
     def tags(self) -> List[int]:
-        """Tags of all resident blocks."""
+        """Tags of all resident blocks, least recently used first."""
         return list(self._blocks)
 
     def metadata(self, tag: int) -> Optional[ExtendedBlockMetadata]:
@@ -237,8 +231,9 @@ class ExtendedLLCStore:
             compression = CompressionLevel.UNCOMPRESSED
         evicted = self.set_for(set_index).fill(tag, dirty=dirty, compression=compression)
         self.stats.fills += 1
-        self.stats.evictions += len(evicted)
-        self.stats.dirty_evictions += sum(1 for _, was_dirty in evicted if was_dirty)
+        if evicted:
+            self.stats.evictions += len(evicted)
+            self.stats.dirty_evictions += sum(1 for _, was_dirty in evicted if was_dirty)
         return evicted
 
     def occupancy_blocks(self) -> int:

@@ -71,35 +71,36 @@ class CacheStats:
 
 
 class CacheSet:
-    """One set of a set-associative cache."""
+    """One set of a set-associative cache.
+
+    Every block held in a way is valid: invalidation empties the way.  A
+    tag -> way index answers lookups without scanning the ways.
+    """
 
     def __init__(self, associativity: int, policy: str = "lru") -> None:
         if associativity <= 0:
             raise ValueError("associativity must be positive")
         self.associativity = associativity
         self._ways: List[Optional[CacheBlock]] = [None] * associativity
+        self._way_of: Dict[int, int] = {}
+        self._all_ways = range(associativity)
         self._policy: ReplacementPolicy = make_replacement_policy(policy, associativity)
 
     def lookup(self, tag: int) -> Optional[int]:
         """Return the way holding ``tag`` or ``None`` on a miss (no side effects)."""
-        for way, block in enumerate(self._ways):
-            if block is not None and block.valid and block.tag == tag:
-                return way
-        return None
+        return self._way_of.get(tag)
 
     def access(self, tag: int, is_write: bool) -> bool:
         """Perform a lookup, updating replacement and dirty state on a hit.
 
         Returns ``True`` on a hit.
         """
-        way = self.lookup(tag)
+        way = self._way_of.get(tag)
         if way is None:
             return False
         self._policy.on_access(way)
         if is_write:
-            block = self._ways[way]
-            assert block is not None
-            block.dirty = True
+            self._ways[way].dirty = True
         return True
 
     def fill(self, tag: int, dirty: bool = False) -> Optional[CacheBlock]:
@@ -108,30 +109,30 @@ class CacheSet:
         If the tag is already present the existing block is refreshed in
         place and ``None`` is returned.
         """
-        existing = self.lookup(tag)
-        if existing is not None:
-            block = self._ways[existing]
-            assert block is not None
+        way = self._way_of.get(tag)
+        if way is not None:
+            block = self._ways[way]
             block.dirty = block.dirty or dirty
-            self._policy.on_access(existing)
+            self._policy.on_access(way)
             return None
 
         victim_block: Optional[CacheBlock] = None
-        free_way = next((w for w, blk in enumerate(self._ways) if blk is None or not blk.valid), None)
-        if free_way is None:
-            valid_ways = [w for w, blk in enumerate(self._ways) if blk is not None and blk.valid]
-            victim_way = self._policy.victim(valid_ways)
-            victim_block = self._ways[victim_way]
-            self._policy.on_invalidate(victim_way)
-            free_way = victim_way
+        if len(self._way_of) < self.associativity:
+            way = self._ways.index(None)
+        else:
+            way = self._policy.victim(self._all_ways)
+            victim_block = self._ways[way]
+            del self._way_of[victim_block.tag]
+            self._policy.on_invalidate(way)
 
-        self._ways[free_way] = CacheBlock(tag=tag, valid=True, dirty=dirty)
-        self._policy.on_insert(free_way)
+        self._ways[way] = CacheBlock(tag=tag, dirty=dirty)
+        self._way_of[tag] = way
+        self._policy.on_insert(way)
         return victim_block
 
     def invalidate(self, tag: int) -> Optional[CacheBlock]:
         """Remove ``tag`` from the set, returning the invalidated block if present."""
-        way = self.lookup(tag)
+        way = self._way_of.pop(tag, None)
         if way is None:
             return None
         block = self._ways[way]
@@ -141,11 +142,11 @@ class CacheSet:
 
     def occupancy(self) -> int:
         """Number of valid blocks currently in the set."""
-        return sum(1 for blk in self._ways if blk is not None and blk.valid)
+        return len(self._way_of)
 
     def tags(self) -> List[int]:
         """Tags of all valid blocks in the set (arbitrary order)."""
-        return [blk.tag for blk in self._ways if blk is not None and blk.valid]
+        return list(self._way_of)
 
 
 class SetAssociativeCache:

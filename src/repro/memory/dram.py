@@ -106,6 +106,8 @@ class DRAMModel:
         self.total_accesses = 0
         self.total_bytes = 0
         self._row_toggle = 0
+        self._row_hit_threshold = int(round(self.config.row_buffer_hit_rate * 100))
+        self._bytes_per_cycle = self.config.bytes_per_cycle_per_channel
 
     def channel_of(self, address: int) -> int:
         """Channel serving ``address`` (block-interleaved)."""
@@ -117,8 +119,7 @@ class DRAMModel:
         Returns the latency in cycles from ``now_cycle`` until the data is
         available (including any queueing delay on the channel).
         """
-        channel_id = self.channel_of(request.address)
-        channel = self._channels[channel_id]
+        channel = self._channels[self.channel_of(request.address)]
 
         start = max(now_cycle, channel.busy_until_cycle)
         queue_delay = start - now_cycle
@@ -127,11 +128,10 @@ class DRAMModel:
         # Deterministic row-buffer locality: a fixed fraction of accesses hit
         # the open row and pay a reduced latency.
         self._row_toggle += 1
-        hit_threshold = int(round(self.config.row_buffer_hit_rate * 100))
-        if (self._row_toggle * 37) % 100 < hit_threshold:
+        if (self._row_toggle * 37) % 100 < self._row_hit_threshold:
             core_latency *= self.config.row_buffer_hit_latency_factor
 
-        transfer_cycles = request.size_bytes / self.config.bytes_per_cycle_per_channel
+        transfer_cycles = request.size_bytes / self._bytes_per_cycle
         channel.busy_until_cycle = start + transfer_cycles
         channel.bytes_served += request.size_bytes
         channel.accesses += 1

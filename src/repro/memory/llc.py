@@ -90,6 +90,7 @@ class LLCPartition:
             name=f"llc-partition-{partition_id}",
         )
         self.mshrs = MSHRFile(num_entries=config.mshr_entries)
+        self._bytes_per_cycle = config.bytes_per_cycle_per_partition
         self._busy_until_cycle = 0.0
         self.bytes_served = 0
         self.requests_served = 0
@@ -106,7 +107,7 @@ class LLCPartition:
 
         hit, writeback = self.cache.access(request.address, is_write=request.is_write)
 
-        service_cycles = request.size_bytes / self.config.bytes_per_cycle_per_partition
+        service_cycles = request.size_bytes / self._bytes_per_cycle
         self._busy_until_cycle = start + service_cycles
         self.bytes_served += request.size_bytes
         self.requests_served += 1

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import abc
 import random
-from typing import Dict, Iterable, List, Optional
+from collections import OrderedDict
+from typing import Dict, Iterable
 
 
 class ReplacementPolicy(abc.ABC):
@@ -52,35 +53,44 @@ class LRUPolicy(ReplacementPolicy):
 
     Mirrors the paper's extended LLC kernel behaviour: each block carries an
     LRU counter which is reset on a hit while all other counters decrement
-    (Algorithm 1, lines 8-12).  Here we keep an equivalent recency timestamp.
+    (Algorithm 1, lines 8-12).  Here the ways are kept in recency order
+    instead, least recently used first.
     """
 
     def __init__(self, associativity: int) -> None:
         super().__init__(associativity)
-        self._clock = 0
-        self._last_use: Dict[int, int] = {}
+        self._order: "OrderedDict[int, None]" = OrderedDict()
 
     def _touch(self, way: int) -> None:
-        self._clock += 1
-        self._last_use[way] = self._clock
+        self._check_way(way)
+        self._order[way] = None
+        self._order.move_to_end(way)
 
     def on_insert(self, way: int) -> None:
-        self._check_way(way)
         self._touch(way)
 
     def on_access(self, way: int) -> None:
-        self._check_way(way)
         self._touch(way)
 
     def on_invalidate(self, way: int) -> None:
         self._check_way(way)
-        self._last_use.pop(way, None)
+        self._order.pop(way, None)
 
     def victim(self, valid_ways: Iterable[int]) -> int:
         candidates = list(valid_ways)
         if not candidates:
             raise ValueError("victim() called with no valid ways")
-        return min(candidates, key=lambda way: self._last_use.get(way, -1))
+        order = self._order
+        # A way not used since its last invalidation is older than any used
+        # one; while every way of the set is in use, there is none.
+        if len(order) < self.associativity:
+            for way in candidates:
+                if way not in order:
+                    return way
+        for way in order:
+            if way in candidates:
+                return way
+        return candidates[0]  # only ways outside the set, none ever used
 
 
 class FIFOPolicy(ReplacementPolicy):

@@ -24,10 +24,9 @@ class AccessType(enum.Enum):
     STORE = "store"
     ATOMIC = "atomic"
 
-    @property
-    def is_write(self) -> bool:
-        """Whether the access modifies memory (stores and atomics do)."""
-        return self in (AccessType.STORE, AccessType.ATOMIC)
+    def __init__(self, value: str) -> None:
+        #: Whether the access modifies memory (stores and atomics do).
+        self.is_write = value != "load"
 
 
 class RequestOrigin(enum.Enum):
@@ -44,7 +43,7 @@ class RequestOrigin(enum.Enum):
     L1_WRITEBACK = "l1_writeback"
 
 
-@dataclass
+@dataclass(slots=True)
 class MemoryRequest:
     """A single cache-block-granularity memory request.
 

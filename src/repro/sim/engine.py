@@ -183,27 +183,33 @@ class MemoryHierarchyEngine:
     def run(self, trace: MemoryTrace) -> HierarchyCounters:
         """Replay ``trace`` and return the accumulated counters."""
         block = self.gpu.block_size
+        interval = self.request_interval_cycles
+        start_cycle = self._start_cycle
+        counters = self.counters
+        partition_of = self.llc.mapping.partition_of
+        traverse = self.network.traverse
+        controllers = self.controllers
         for index, entry in enumerate(trace):
             # Time continues across run() calls so warm-up and measurement
             # share one continuous timeline (queue occupancies stay valid).
-            now = self._start_cycle + index * self.request_interval_cycles
+            now = start_cycle + index * interval
             self._now = now
             request = entry.to_request(issue_cycle=int(now), block_size=block)
 
             # The SM -> LLC partition hop (all LLC traffic pays this).
-            partition_id = self.llc.mapping.partition_of(request.address)
-            noc_latency = self.network.traverse(
+            partition_id = partition_of(request.address)
+            noc_latency = traverse(
                 partition_id, 32, now, response_bytes=block, elapsed_cycles=max(1.0, now)
             )
-            self.counters.noc_bytes += 32 + block
+            counters.noc_bytes += 32 + block
 
-            if self.controllers:
-                outcome = self.controllers[partition_id].access(request, now)
+            if controllers:
+                outcome = controllers[partition_id].access(request, now)
                 self._account_morpheus(outcome, request, noc_latency)
             else:
                 self._access_baseline(request, partition_id, now, noc_latency)
 
-            self.counters.llc_accesses += 1
+            counters.llc_accesses += 1
         self._start_cycle += len(trace) * self.request_interval_cycles
         self.counters.elapsed_cycles = max(
             1.0, self.counters.elapsed_cycles + len(trace) * self.request_interval_cycles
@@ -213,45 +219,46 @@ class MemoryHierarchyEngine:
     def _access_baseline(
         self, request: MemoryRequest, partition_id: int, now: float, noc_latency: float
     ) -> None:
+        counters = self.counters
         hit, latency, writeback = self.llc.partitions[partition_id].access(request, now)
         total = noc_latency + latency
         if hit:
-            self.counters.conventional_hits += 1
-            self.counters.conventional_bytes += request.size_bytes
+            counters.conventional_hits += 1
         else:
-            dram_latency = self._dram_access(request, now + latency)
-            total += dram_latency
-            self.counters.conventional_bytes += request.size_bytes
+            total += self._dram_access(request, now + latency)
+        counters.conventional_bytes += request.size_bytes
         if writeback is not None:
             # An evicted dirty block always moves one full cache block to
             # DRAM, regardless of the triggering request's size.
-            self.counters.writebacks += 1
-            self.counters.dram_bytes += self.gpu.block_size
-        self.counters.total_latency_cycles += total
+            counters.writebacks += 1
+            counters.dram_bytes += self.gpu.block_size
+        counters.total_latency_cycles += total
 
     def _account_morpheus(
         self, outcome: AccessOutcome, request: MemoryRequest, noc_latency: float
     ) -> None:
+        counters = self.counters
         if outcome.hit_level == "llc":
-            self.counters.conventional_hits += 1
-            self.counters.conventional_bytes += request.size_bytes
+            counters.conventional_hits += 1
+            counters.conventional_bytes += request.size_bytes
         elif outcome.hit_level == "extended_llc":
-            self.counters.extended_hits += 1
-            self.counters.extended_requests += 1
-            self.counters.extended_bytes += request.size_bytes
+            counters.extended_hits += 1
+            counters.extended_requests += 1
+            counters.extended_bytes += request.size_bytes
         else:  # served by DRAM
             if outcome.predicted_miss or outcome.false_positive:
-                self.counters.extended_requests += 1
+                counters.extended_requests += 1
             else:
-                self.counters.conventional_bytes += request.size_bytes
+                counters.conventional_bytes += request.size_bytes
             if outcome.predicted_miss:
-                self.counters.predicted_misses += 1
+                counters.predicted_misses += 1
             if outcome.false_positive:
-                self.counters.false_positive_trips += 1
-        self.counters.writebacks += len(outcome.writebacks)
-        # Each evicted dirty block writes one full cache block back to DRAM.
-        self.counters.dram_bytes += len(outcome.writebacks) * self.gpu.block_size
-        self.counters.total_latency_cycles += noc_latency + outcome.latency_cycles
+                counters.false_positive_trips += 1
+        if outcome.writebacks:
+            counters.writebacks += len(outcome.writebacks)
+            # Each evicted dirty block writes one full cache block back to DRAM.
+            counters.dram_bytes += len(outcome.writebacks) * self.gpu.block_size
+        counters.total_latency_cycles += noc_latency + outcome.latency_cycles
 
     # -- derived metrics -----------------------------------------------------------------
 

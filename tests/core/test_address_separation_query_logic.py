@@ -169,6 +169,21 @@ class TestExtendedLLCQueryLogic:
         logic.complete(1, hit=False)
         assert logic.dispatch(1) is not None
 
+    def test_atomics_release_the_write_buffer_slot_they_took(self):
+        logic = ExtendedLLCQueryLogic(num_sets=4, buffer_entries=4)
+        # A load holds a read-buffer slot while atomics come and go.
+        logic.admit(MemoryRequest(address=0))
+        assert logic.dispatch(0) is not None
+        for i in range(6):
+            logic.admit(MemoryRequest(address=128 * (i + 1), access_type=AccessType.ATOMIC))
+            assert logic.dispatch(1) is not None
+            assert logic.write_buffer.available == 3
+            logic.complete(1, hit=True)
+        assert logic.write_buffer.available == 4
+        assert logic.read_buffer.available == 3
+        logic.complete(0, hit=True)
+        assert logic.read_buffer.available == 4
+
     def test_storage_is_about_5_kib(self):
         logic = ExtendedLLCQueryLogic(num_sets=256)
         assert 4 * 1024 <= logic.storage_bytes() <= 8 * 1024

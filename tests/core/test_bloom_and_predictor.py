@@ -1,5 +1,6 @@
 """Tests for the Bloom filter and the dual-filter hit/miss predictor."""
 
+import hashlib
 import random
 
 import pytest
@@ -61,6 +62,38 @@ class TestBloomFilter:
         bloom = BloomFilter(size_bytes=64)
         bloom.insert_all(keys)
         assert all(bloom.query(key) for key in keys)
+
+
+def _reference_positions(key, num_bits, num_hashes):
+    """The per-bit version: double hashing over a blake2 digest of the key."""
+    digest = hashlib.blake2b(int(key).to_bytes(16, "little"), digest_size=16).digest()
+    h1 = int.from_bytes(digest[:8], "little")
+    h2 = int.from_bytes(digest[8:], "little") | 1
+    return [(h1 + i * h2) % num_bits for i in range(num_hashes)]
+
+
+class TestBloomFilterMatchesReference:
+    @given(
+        st.integers(min_value=1, max_value=64),
+        st.integers(min_value=1, max_value=8),
+        st.lists(
+            st.tuples(st.booleans(), st.integers(min_value=0, max_value=1 << 40)),
+            min_size=1,
+            max_size=150,
+        ),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_query_and_insert_match_per_bit_version(self, size_bytes, num_hashes, operations):
+        bloom = BloomFilter(size_bytes=size_bytes, num_hashes=num_hashes)
+        bits = set()
+        for insert, key in operations:
+            positions = _reference_positions(key, size_bytes * 8, num_hashes)
+            if insert:
+                bloom.insert(key)
+                bits.update(positions)
+            else:
+                assert bloom.query(key) == all(pos in bits for pos in positions)
+            assert bloom.fill_ratio == len(bits) / (size_bytes * 8)
 
 
 class TestHitMissPredictor:

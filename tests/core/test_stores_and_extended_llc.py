@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.address_separation import proportional_split
 from repro.core.compression import CompressionLevel
 from repro.core.config import MorpheusConfig
 from repro.core.extended_llc import Compressibility, ExtendedLLC, ExtendedLLCKernel
@@ -55,6 +56,86 @@ class TestExtendedLLCSet:
         for tag in tags:
             llc_set.fill(tag, dirty=tag % 3 == 0, compression=levels[tag % 3])
         assert llc_set.occupancy_bytes() <= llc_set.physical_bytes
+
+
+class _ReferenceExtendedSet:
+    """The straightforward model of an extended LLC set, kept as the reference.
+
+    Every touch stamps the block with a fresh LRU counter; a fill re-sums
+    the stored bytes and evicts the smallest counter until the block fits.
+    """
+
+    def __init__(self, base_ways, compression_enabled, block_size=128):
+        self.physical_bytes = base_ways * block_size
+        self.compression_enabled = compression_enabled
+        self.block_size = block_size
+        self.blocks = {}  # tag -> [dirty, lru_counter, level]
+        self.clock = 0
+
+    def _bytes(self, level):
+        return level.compressed_size if self.compression_enabled else self.block_size
+
+    def stored_bytes(self):
+        return sum(self._bytes(level) for _, _, level in self.blocks.values())
+
+    def access(self, tag, is_write):
+        block = self.blocks.get(tag)
+        if block is None:
+            return False
+        self.clock += 1
+        block[1] = self.clock
+        block[0] = block[0] or is_write
+        return True
+
+    def fill(self, tag, dirty, level):
+        self.clock += 1
+        if tag in self.blocks:
+            block = self.blocks[tag]
+            block[0], block[1], block[2] = block[0] or dirty, self.clock, level
+            return []
+        evicted = []
+        while self.stored_bytes() + self._bytes(level) > self.physical_bytes and self.blocks:
+            victim = min(self.blocks, key=lambda t: self.blocks[t][1])
+            evicted.append((victim, self.blocks.pop(victim)[0]))
+        self.blocks[tag] = [dirty, self.clock, level]
+        return evicted
+
+
+class TestExtendedLLCSetMatchesReference:
+    @given(
+        st.integers(min_value=1, max_value=6),
+        st.booleans(),
+        st.lists(
+            st.tuples(
+                st.sampled_from(("access", "fill", "invalidate")),
+                st.integers(min_value=0, max_value=15),
+                st.booleans(),
+                st.sampled_from(list(CompressionLevel)),
+            ),
+            min_size=1,
+            max_size=200,
+        ),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_same_evictions_and_occupancy(self, base_ways, compression, operations):
+        llc_set = ExtendedLLCSet(base_ways, compression_enabled=compression)
+        reference = _ReferenceExtendedSet(base_ways, compression)
+        for operation, tag, flag, level in operations:
+            if operation == "access":
+                assert llc_set.access(tag, is_write=flag) == reference.access(tag, flag)
+            elif operation == "fill":
+                assert llc_set.fill(tag, dirty=flag, compression=level) == reference.fill(
+                    tag, flag, level
+                )
+            else:
+                meta = llc_set.invalidate(tag)
+                expected = reference.blocks.pop(tag, None)
+                assert (meta and (meta.dirty, meta.compression)) == (
+                    expected and (expected[0], expected[2])
+                )
+            assert llc_set.occupancy_bytes() == reference.stored_bytes()
+            assert llc_set.occupancy() == len(reference.blocks)
+            assert llc_set.lookup(tag) == (tag in reference.blocks)
 
 
 class TestRegisterFileStore:
@@ -151,6 +232,67 @@ class TestExtendedLLCKernel:
     def test_needs_at_least_one_store(self):
         with pytest.raises(ValueError):
             MorpheusConfig(rf_warps=0, l1_warps=0, shared_memory_warps=0)
+
+
+_WARP_SPLITS = st.tuples(
+    st.integers(min_value=0, max_value=12),
+    st.integers(min_value=0, max_value=12),
+    st.integers(min_value=0, max_value=12),
+).filter(lambda warps: sum(warps) > 0)
+
+
+def _small_config(warps):
+    rf_warps, l1_warps, shared_memory_warps = warps
+    return MorpheusConfig(
+        rf_warps=rf_warps, l1_warps=l1_warps, shared_memory_warps=shared_memory_warps
+    )
+
+
+class TestSetOwnershipAndRoutingMatchReference:
+    @given(
+        _WARP_SPLITS,
+        st.lists(st.integers(min_value=0, max_value=80), min_size=1, max_size=6, unique=True),
+        st.lists(st.integers(min_value=0, max_value=10_000), min_size=1, max_size=40),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_owner_of_set_matches_linear_walk(self, warps, cache_sm_ids, global_sets):
+        extended = ExtendedLLC(
+            cache_sm_ids, _small_config(warps), register_file_bytes=16 * 1024,
+            l1_shared_bytes=8 * 1024,
+        )
+        ordered = [extended.kernels[sm_id] for sm_id in cache_sm_ids]
+        assert extended.total_sets == sum(kernel.num_sets for kernel in ordered)
+        for global_set in global_sets:
+            index = global_set % extended.total_sets
+            for kernel in ordered:
+                if index < kernel.num_sets:
+                    break
+                index -= kernel.num_sets
+            assert extended.owner_of_set(global_set) == (kernel.sm_id, kernel, index)
+
+    @given(
+        _WARP_SPLITS,
+        st.integers(min_value=1, max_value=64).map(lambda kib: kib * 1024),
+        st.integers(min_value=1, max_value=32).map(lambda kib: kib * 1024),
+        st.lists(st.integers(min_value=0, max_value=1 << 32), min_size=1, max_size=40),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_store_routing_matches_proportional_split(
+        self, warps, register_file_bytes, l1_shared_bytes, addresses
+    ):
+        config = _small_config(warps)
+        kernel = ExtendedLLCKernel(
+            0, config, register_file_bytes=register_file_bytes, l1_shared_bytes=l1_shared_bytes
+        )
+        capacities = [(name, store.data_capacity_bytes()) for name, store in kernel.stores.items()]
+        for address in addresses:
+            route = kernel._store_for(address)
+            assert route.kind == proportional_split(capacities, address, config.block_size)
+            assert route.store is kernel.stores[route.kind]
+
+    def test_duplicate_cache_sms_rejected(self):
+        with pytest.raises(ValueError):
+            ExtendedLLC(cache_sm_ids=[1, 2, 1], config=MorpheusConfig())
 
 
 class TestExtendedLLC:

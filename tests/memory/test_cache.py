@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.memory.cache import CacheSet, CacheStats, SetAssociativeCache
+from repro.memory.replacement import LRUPolicy
 
 
 class TestCacheStats:
@@ -57,6 +58,131 @@ class TestCacheSet:
         assert cache_set.invalidate(7) is not None
         assert cache_set.invalidate(7) is None
         assert cache_set.occupancy() == 0
+
+
+class _ReferenceLRUSet:
+    """The straightforward model of an LRU set, kept as the reference.
+
+    Lookups scan the ways in order, a fill takes the first empty way, and a
+    full set evicts the way with the smallest last-use stamp (never-used
+    ways count as -1).
+    """
+
+    def __init__(self, associativity):
+        self.ways = [None] * associativity  # [tag, dirty] or None
+        self.last_use = {}
+        self.clock = 0
+
+    def _touch(self, way):
+        self.clock += 1
+        self.last_use[way] = self.clock
+
+    def lookup(self, tag):
+        return next(
+            (way for way, block in enumerate(self.ways) if block is not None and block[0] == tag),
+            None,
+        )
+
+    def access(self, tag, is_write):
+        way = self.lookup(tag)
+        if way is None:
+            return False
+        self._touch(way)
+        if is_write:
+            self.ways[way][1] = True
+        return True
+
+    def fill(self, tag, dirty):
+        way = self.lookup(tag)
+        if way is not None:
+            self.ways[way][1] = self.ways[way][1] or dirty
+            self._touch(way)
+            return None
+        victim = None
+        way = next((way for way, block in enumerate(self.ways) if block is None), None)
+        if way is None:
+            way = min(range(len(self.ways)), key=lambda w: self.last_use.get(w, -1))
+            victim = tuple(self.ways[way])
+            self.last_use.pop(way, None)
+        self.ways[way] = [tag, dirty]
+        self._touch(way)
+        return victim
+
+    def invalidate(self, tag):
+        way = self.lookup(tag)
+        if way is None:
+            return None
+        block = tuple(self.ways[way])
+        self.ways[way] = None
+        self.last_use.pop(way, None)
+        return block
+
+
+_SET_OPERATIONS = st.lists(
+    st.tuples(
+        st.sampled_from(("access", "fill", "invalidate")),
+        st.integers(min_value=0, max_value=11),
+        st.booleans(),
+    ),
+    min_size=1,
+    max_size=200,
+)
+
+
+class TestCacheSetMatchesReference:
+    @given(st.integers(min_value=1, max_value=6), _SET_OPERATIONS)
+    @settings(max_examples=200, deadline=None)
+    def test_same_hits_ways_and_victims(self, associativity, operations):
+        cache_set = CacheSet(associativity)
+        reference = _ReferenceLRUSet(associativity)
+        for operation, tag, flag in operations:
+            assert cache_set.lookup(tag) == reference.lookup(tag)
+            if operation == "access":
+                assert cache_set.access(tag, is_write=flag) == reference.access(tag, flag)
+            elif operation == "fill":
+                victim = cache_set.fill(tag, dirty=flag)
+                expected = reference.fill(tag, flag)
+                assert (victim and (victim.tag, victim.dirty)) == expected
+            else:
+                block = cache_set.invalidate(tag)
+                assert (block and (block.tag, block.dirty)) == reference.invalidate(tag)
+            assert sorted(cache_set.tags()) == sorted(b[0] for b in reference.ways if b)
+            assert cache_set.occupancy() == sum(1 for b in reference.ways if b)
+
+
+class TestLRUPolicyMatchesReference:
+    @given(
+        st.integers(min_value=1, max_value=8),
+        st.lists(
+            st.tuples(
+                st.sampled_from(("insert", "access", "invalidate", "victim")),
+                st.integers(min_value=0, max_value=7),
+                st.permutations(range(8)),
+                st.integers(min_value=1, max_value=8),
+            ),
+            min_size=1,
+            max_size=100,
+        ),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_victim_is_smallest_last_use_stamp(self, associativity, operations):
+        policy = LRUPolicy(associativity)
+        last_use, clock = {}, 0
+        for operation, way, order, count in operations:
+            way %= associativity
+            if operation in ("insert", "access"):
+                getattr(policy, f"on_{operation}")(way)
+                clock += 1
+                last_use[way] = clock
+            elif operation == "invalidate":
+                policy.on_invalidate(way)
+                last_use.pop(way, None)
+            else:
+                # Any subset of the ways, in any order: never-used ways tie
+                # at -1 and the first of them in candidate order wins.
+                candidates = [w for w in order if w < associativity][:count]
+                expected = min(candidates, key=lambda w: last_use.get(w, -1))
+                assert policy.victim(candidates) == expected
 
 
 class TestSetAssociativeCache:
