@@ -147,6 +147,9 @@ class MorpheusController:
         # Each partition's controller owns a disjoint slice of the extended
         # LLC sets, so the full extended capacity is used across partitions.
         self._global_set_base = self.partition.partition_id * extended_sets
+        # A predicted miss skips the extended LLC and pays a quarter of the
+        # conventional tag lookup before going to DRAM.
+        self._predicted_miss_latency = self.partition.config.hit_latency_cycles * 0.25
         self._dram_access = dram_access or self._default_dram_latency
         self._noc_round_trip = noc_round_trip or self._default_noc_round_trip
         self.stats = ControllerStats()
@@ -242,10 +245,9 @@ class MorpheusController:
             fill = self.extended_llc.fill(global_set, request.address, dirty=request.is_write)
             self.predictor.record_access(set_index, tag)
             self.stats.writebacks += len(fill.writebacks)
-            latency = self.partition.config.hit_latency_cycles * 0.25 + dram_latency
             return AccessOutcome(
                 hit_level="dram",
-                latency_cycles=latency,
+                latency_cycles=self._predicted_miss_latency + dram_latency,
                 predicted_miss=True,
                 writebacks=fill.writebacks,
                 store_kind=fill.store_kind,

@@ -144,7 +144,9 @@ class ExtendedLLCKernel:
 
         # The store capacities never change, so the proportional split is
         # resolved once per position of its period instead of on every access.
-        capacities = tuple((name, store.data_capacity_bytes()) for name, store in self.stores.items())
+        capacities = tuple(
+            (name, store.data_capacity_bytes()) for name, store in self.stores.items()
+        )
         routes = {name: self._route(name, store) for name, store in self.stores.items()}
         self._block_size = config.block_size
         self._routes: List[_StoreRoute] = [
@@ -233,7 +235,9 @@ class ExtendedLLCKernel:
             level = self.compressibility.level_for_tag(tag)
 
         evicted = store.fill(set_index % store.num_warps, tag, dirty=dirty, compression=level)
-        writebacks = [victim_tag * self._block_size for victim_tag, was_dirty in evicted if was_dirty]
+        writebacks = [
+            victim_tag * self._block_size for victim_tag, was_dirty in evicted if was_dirty
+        ]
 
         if level is CompressionLevel.UNCOMPRESSED:
             latency = route.latency_ns

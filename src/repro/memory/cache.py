@@ -186,6 +186,7 @@ class SetAssociativeCache:
         self.write_allocate = write_allocate
         self.name = name
         self.num_sets = capacity_bytes // (block_size * associativity)
+        self._set_span_bytes = block_size * self.num_sets
         self._sets = [CacheSet(associativity, policy) for _ in range(self.num_sets)]
         self.stats = CacheStats()
 
@@ -197,7 +198,7 @@ class SetAssociativeCache:
 
     def tag_for(self, address: int) -> int:
         """Tag for a byte address."""
-        return address // (self.block_size * self.num_sets)
+        return address // self._set_span_bytes
 
     def block_address(self, address: int) -> int:
         """Align ``address`` down to the containing cache block."""
