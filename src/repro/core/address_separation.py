@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 
 @dataclass(frozen=True)

@@ -18,12 +18,12 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.address_separation import SPLIT_PERIOD, proportional_split_table
 from repro.core.compression import CompressionLevel, effective_capacity_factor
 from repro.core.config import MorpheusConfig
-from repro.core.indirect_mov import IndirectMovModel
+from repro.core.indirect_mov import IndirectMovImplementation, IndirectMovModel
 from repro.core.l1_store import L1Store
 from repro.core.register_file_store import RegisterFileStore
 from repro.core.shared_memory_store import SharedMemoryStore

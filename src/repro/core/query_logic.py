@@ -254,7 +254,6 @@ class ExtendedLLCQueryLogic:
         row = self.warp_status.complete(set_index, hit)
         if row.data_buffer_index >= 0:
             self._data_buffer(row.op is not WarpOp.READ).release(row.data_buffer_index)
-            row.data_buffer_index = -1
 
     def storage_bytes(self) -> int:
         """Approximate on-chip storage of the query logic unit (≈5 KiB)."""

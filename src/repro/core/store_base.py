@@ -14,7 +14,7 @@ bandwidth and whether compression applies, which the concrete store classes
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 from repro.core.compression import BDICompressor, CompressionLevel

@@ -86,8 +86,6 @@ class InterconnectNetwork:
             CrossbarSwitch(self.config.bytes_per_cycle_per_port, self.config.one_way_latency_cycles)
             for _ in range(self.config.num_partitions)
         ]
-        self._knee = self.config.congestion_knee
-        self._headroom = 1.0 - self.config.congestion_knee
         self.stats = NetworkStats()
 
     def _congestion_penalty(self, port: CrossbarSwitch, elapsed_cycles: float) -> float:
@@ -95,9 +93,9 @@ class InterconnectNetwork:
         if elapsed_cycles <= 0:
             return 1.0
         utilization = port.request_link.utilization(elapsed_cycles)
-        if utilization <= self._knee:
+        if utilization <= self.config.congestion_knee:
             return 1.0
-        over = (utilization - self._knee) / self._headroom
+        over = (utilization - self.config.congestion_knee) / (1.0 - self.config.congestion_knee)
         return 1.0 + over * self.config.max_congestion_penalty
 
     def traverse(
@@ -113,7 +111,7 @@ class InterconnectNetwork:
         Returns the combined round-trip latency in cycles.  ``elapsed_cycles``
         (total simulated time so far) feeds the congestion model.
         """
-        if not 0 <= partition_id < len(self._ports):
+        if not 0 <= partition_id < self.config.num_partitions:
             raise ValueError(f"partition_id {partition_id} out of range")
         port = self._ports[partition_id]
         penalty = self._congestion_penalty(port, elapsed_cycles)
@@ -121,11 +119,10 @@ class InterconnectNetwork:
         response_latency = port.send_response(response_bytes, now_cycle + request_latency) * penalty
 
         total = request_latency + response_latency
-        stats = self.stats
-        stats.flits_injected += 2
-        stats.bytes_injected += size_bytes + response_bytes
-        stats.total_latency_cycles += total
-        stats.traversals += 1
+        self.stats.flits_injected += 2
+        self.stats.bytes_injected += size_bytes + response_bytes
+        self.stats.total_latency_cycles += total
+        self.stats.traversals += 1
         return total
 
     def one_way(self, partition_id: int, size_bytes: int, now_cycle: float) -> float:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import abc
 import random
 from collections import OrderedDict
-from typing import Dict, Iterable
+from typing import Dict, Iterable, List, Optional
 
 
 class ReplacementPolicy(abc.ABC):
