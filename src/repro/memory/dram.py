@@ -119,7 +119,8 @@ class DRAMModel:
         Returns the latency in cycles from ``now_cycle`` until the data is
         available (including any queueing delay on the channel).
         """
-        channel = self._channels[self.channel_of(request.address)]
+        channel_id = self.channel_of(request.address)
+        channel = self._channels[channel_id]
 
         start = max(now_cycle, channel.busy_until_cycle)
         queue_delay = start - now_cycle
