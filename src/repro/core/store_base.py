@@ -13,9 +13,8 @@ bandwidth and whether compression applies, which the concrete store classes
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.compression import BDICompressor, CompressionLevel
 
@@ -75,8 +74,9 @@ class ExtendedLLCSet:
         self.compression_enabled = compression_enabled
         self.block_size = block_size
         self.physical_bytes = base_ways * block_size
-        # Resident blocks in recency order, least recently used first.
-        self._blocks: "OrderedDict[int, ExtendedBlockMetadata]" = OrderedDict()
+        # Resident blocks in recency order, least recently used first: a dict
+        # keeps insertion order, and a touched block is re-inserted.
+        self._blocks: Dict[int, ExtendedBlockMetadata] = {}
         self._stored_bytes = 0
 
     # -- capacity accounting ----------------------------------------------------
@@ -104,7 +104,8 @@ class ExtendedLLCSet:
         meta = self._blocks.get(tag)
         if meta is None or not meta.valid:
             return False
-        self._blocks.move_to_end(tag)
+        del self._blocks[tag]
+        self._blocks[tag] = meta
         if is_write:
             meta.dirty = True
         return True
@@ -128,13 +129,15 @@ class ExtendedLLCSet:
             meta.dirty = meta.dirty or dirty
             self._stored_bytes += self._bytes_for(compression) - self._bytes_for(meta.compression)
             meta.compression = compression
-            self._blocks.move_to_end(tag)
+            del self._blocks[tag]
+            self._blocks[tag] = meta
             return []
 
         needed = self._bytes_for(compression)
         evicted: List[Tuple[int, bool]] = []
         while self._stored_bytes + needed > self.physical_bytes and self._blocks:
-            victim_tag, victim = self._blocks.popitem(last=False)
+            victim_tag = next(iter(self._blocks))
+            victim = self._blocks.pop(victim_tag)
             self._stored_bytes -= self._bytes_for(victim.compression)
             evicted.append((victim_tag, victim.dirty))
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import abc
 import random
-from collections import OrderedDict
 from typing import Dict, Iterable, List, Optional
 
 
@@ -53,18 +52,19 @@ class LRUPolicy(ReplacementPolicy):
 
     Mirrors the paper's extended LLC kernel behaviour: each block carries an
     LRU counter which is reset on a hit while all other counters decrement
-    (Algorithm 1, lines 8-12).  Here the ways are kept in recency order
-    instead, least recently used first.
+    (Algorithm 1, lines 8-12).  Here the used ways are kept in recency order
+    instead, least recently used first: a dict keeps insertion order, and a
+    touched way is re-inserted.
     """
 
     def __init__(self, associativity: int) -> None:
         super().__init__(associativity)
-        self._order: "OrderedDict[int, None]" = OrderedDict()
+        self._order: Dict[int, None] = {}
 
     def _touch(self, way: int) -> None:
         self._check_way(way)
+        self._order.pop(way, None)
         self._order[way] = None
-        self._order.move_to_end(way)
 
     def on_insert(self, way: int) -> None:
         self._touch(way)
