@@ -129,6 +129,13 @@ def _diff(expected, actual, path=""):
             else:
                 mismatches.extend(_diff(expected[key], actual[key], f"{path}.{key}"))
         return mismatches
+    if isinstance(expected, list) and isinstance(actual, list):
+        if len(expected) != len(actual):
+            return [f"{path}: {len(expected)} items -> {len(actual)}"]
+        mismatches = []
+        for index, (want, got) in enumerate(zip(expected, actual)):
+            mismatches.extend(_diff(want, got, f"{path}[{index}]"))
+        return mismatches
     if isinstance(expected, (int, float)) and isinstance(actual, (int, float)) \
             and not isinstance(expected, bool) and not isinstance(actual, bool):
         if actual != pytest.approx(expected, rel=REL_TOL, abs=1e-12):
