@@ -47,7 +47,7 @@ import os
 import tempfile
 import time
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.energy.model import EnergyBreakdown
 from repro.sim.performance_model import ReplayMeasurement
@@ -80,52 +80,78 @@ def stats_from_jsonable(payload: Dict) -> SimulationStats:
     return stats
 
 
+def _scenario_result(payload: Dict) -> Dict:
+    """The aggregate inside a scenario-tier entry (it must be a JSON object)."""
+    result = payload["result"]
+    if not isinstance(result, dict):
+        raise ValueError("scenario entry holds no aggregate object")
+    return result
+
+
 class _JsonTier:
     """One directory of content-addressed JSON entries (sharded by key prefix).
 
     ``name`` labels the tier in live telemetry: every load/store publishes
-    ``cache.<name>.{hits,misses,stores,bytes_read,bytes_written}`` counters
-    when telemetry is enabled (the plain ``hits``/``misses``/``stores``
-    attributes stay authoritative either way).
+    ``cache.<name>.{hits,misses,corrupt,stores,bytes_read,bytes_written}``
+    counters when telemetry is enabled (the plain ``hits``/``misses``/
+    ``corrupt``/``stores`` attributes stay authoritative either way).
     """
+
+    #: What makes an entry corrupt: unreadable or unparsable text, a
+    #: non-object payload, a missing field or a decoder rejecting a value.
+    CORRUPT_ERRORS = (AttributeError, KeyError, OSError, TypeError, ValueError)
 
     def __init__(self, directory: Path, name: str = "") -> None:
         self.directory = directory
         self.name = name or directory.name
         self.hits = 0
         self.misses = 0
+        self.corrupt = 0
         self.stores = 0
 
     def path_for(self, key: str) -> Path:
         """File path of the entry addressed by ``key``."""
         return self.directory / key[:2] / f"{key}.json"
 
-    def load_payload(self, key: str) -> Optional[Dict]:
-        """The JSON payload stored under ``key``, or ``None`` on a miss."""
+    def load_payload(
+        self, key: str, decode: Optional[Callable[[Dict], Any]] = None
+    ) -> Optional[Any]:
+        """The entry stored under ``key`` (through ``decode``), or ``None`` on a miss.
+
+        The lookup is counted once, after decoding.  An entry whose stored
+        ``key`` differs from ``key``, or that cannot be read, parsed or
+        decoded, is a miss that also counts as ``corrupt``; the fresh
+        result will overwrite it.
+        """
         try:
             with self.path_for(key).open("r", encoding="utf-8") as handle:
                 text = handle.read()
             payload = json.loads(text)
+            if payload["key"] != key:
+                raise ValueError(f"entry stores key {payload['key']!r}")
+            value = payload if decode is None else decode(payload)
         except FileNotFoundError:
-            self.misses += 1
-            tel = telemetry()
-            if tel.enabled:
-                tel.count(f"cache.{self.name}.misses")
+            self._count_miss(corrupt=False)
             return None
-        except (OSError, ValueError):
-            # A truncated or unreadable entry is treated as a miss; the
-            # fresh result will overwrite it.
-            self.misses += 1
-            tel = telemetry()
-            if tel.enabled:
-                tel.count(f"cache.{self.name}.misses")
+        except self.CORRUPT_ERRORS:
+            self._count_miss(corrupt=True)
             return None
         self.hits += 1
         tel = telemetry()
         if tel.enabled:
             tel.count(f"cache.{self.name}.hits")
             tel.count(f"cache.{self.name}.bytes_read", len(text))
-        return payload
+        return value
+
+    def _count_miss(self, corrupt: bool) -> None:
+        self.misses += 1
+        if corrupt:
+            self.corrupt += 1
+        tel = telemetry()
+        if tel.enabled:
+            tel.count(f"cache.{self.name}.misses")
+            if corrupt:
+                tel.count(f"cache.{self.name}.corrupt")
 
     def store_payload(self, key: str, payload: Dict) -> None:
         """Atomically persist ``payload`` under ``key``.
@@ -231,15 +257,9 @@ class ResultCache:
 
     def load(self, key: str) -> Optional[SimulationStats]:
         """The cached scored result for score key ``key``, or ``None`` on a miss."""
-        payload = self._stats.load_payload(key)
-        if payload is None:
-            return None
-        try:
-            return stats_from_jsonable(payload["stats"])
-        except (KeyError, TypeError, ValueError):
-            self._stats.hits -= 1
-            self._stats.misses += 1
-            return None
+        return self._stats.load_payload(
+            key, lambda payload: stats_from_jsonable(payload["stats"])
+        )
 
     def store(self, key: str, stats: SimulationStats) -> None:
         """Atomically persist scored ``stats`` under score key ``key``."""
@@ -268,15 +288,9 @@ class ResultCache:
 
     def load_measurement(self, key: str) -> Optional[ReplayMeasurement]:
         """The cached measurement for replay key ``key``, or ``None`` on a miss."""
-        payload = self._measurements.load_payload(key)
-        if payload is None:
-            return None
-        try:
-            return ReplayMeasurement.from_jsonable(payload["measurement"])
-        except (KeyError, TypeError, ValueError):
-            self._measurements.hits -= 1
-            self._measurements.misses += 1
-            return None
+        return self._measurements.load_payload(
+            key, lambda payload: ReplayMeasurement.from_jsonable(payload["measurement"])
+        )
 
     def store_measurement(
         self, key: str, measurement: ReplayMeasurement, mode: str = "replay"
@@ -340,15 +354,7 @@ class ResultCache:
         schema (its run key embeds every schema version involved, so a
         stale layout is simply never addressed).
         """
-        payload = self._scenarios.load_payload(key)
-        if payload is None:
-            return None
-        result = payload.get("result")
-        if not isinstance(result, dict):
-            self._scenarios.hits -= 1
-            self._scenarios.misses += 1
-            return None
-        return result
+        return self._scenarios.load_payload(key, _scenario_result)
 
     def store_scenario(self, key: str, result: Dict) -> None:
         """Atomically persist the scenario-aggregate payload under ``key``."""
@@ -357,7 +363,7 @@ class ResultCache:
     # -- cross-process counter folding -------------------------------------------------
 
     def tier_counters(self) -> Dict[str, int]:
-        """All three tiers' hit/miss/store counters as a plain dict.
+        """All three tiers' hit/miss/corrupt/store counters as a plain dict.
 
         Worker processes of a parallel plan ship these back so the parent
         runner's cache counters stay truthful (see :func:`absorb_counters`).
@@ -365,12 +371,15 @@ class ResultCache:
         return {
             "hits": self._stats.hits,
             "misses": self._stats.misses,
+            "corrupt": self._stats.corrupt,
             "stores": self._stats.stores,
             "replay_hits": self._measurements.hits,
             "replay_misses": self._measurements.misses,
+            "replay_corrupt": self._measurements.corrupt,
             "replay_stores": self._measurements.stores,
             "scenario_hits": self._scenarios.hits,
             "scenario_misses": self._scenarios.misses,
+            "scenario_corrupt": self._scenarios.corrupt,
             "scenario_stores": self._scenarios.stores,
         }
 
@@ -378,12 +387,15 @@ class ResultCache:
         """Fold another process's :meth:`tier_counters` into this cache's."""
         self._stats.hits += counters.get("hits", 0)
         self._stats.misses += counters.get("misses", 0)
+        self._stats.corrupt += counters.get("corrupt", 0)
         self._stats.stores += counters.get("stores", 0)
         self._measurements.hits += counters.get("replay_hits", 0)
         self._measurements.misses += counters.get("replay_misses", 0)
+        self._measurements.corrupt += counters.get("replay_corrupt", 0)
         self._measurements.stores += counters.get("replay_stores", 0)
         self._scenarios.hits += counters.get("scenario_hits", 0)
         self._scenarios.misses += counters.get("scenario_misses", 0)
+        self._scenarios.corrupt += counters.get("scenario_corrupt", 0)
         self._scenarios.stores += counters.get("scenario_stores", 0)
 
     # -- maintenance ------------------------------------------------------------------

@@ -22,6 +22,8 @@ from repro.runner.cache import ResultCache
 from repro.runner.cache import main as cache_cli
 from repro.sim.performance_model import PerformanceModel, ReplayMeasurement
 from repro.sim.simulator import GPUSimulator
+from repro.telemetry import Telemetry
+from repro.telemetry.report import summarize
 from runner_test_utils import TINY_FIDELITY, tiny_config
 
 
@@ -69,6 +71,33 @@ class TestMeasurementRoundTrip:
         cache.measurement_path_for("deadbeef").write_text("{not json")
         assert cache.load_measurement("deadbeef") is None
         assert cache.replay_misses == 1
+
+    def test_corrupt_entries_count_as_misses_in_telemetry_too(
+        self, tmp_path, kmeans_profile
+    ):
+        stats = GPUSimulator(tiny_config()).run(kmeans_profile)
+        cache = ResultCache(tmp_path / "cache")
+        undecodable, wrong_key, other = "aa" * 32, "bb" * 32, "cc" * 32
+        # Valid JSON under the right key, but the stats lack their fields.
+        cache.store(undecodable, stats)
+        cache.path_for(undecodable).write_text(
+            json.dumps({"key": undecodable, "stats": {"ipc": 1.0}})
+        )
+        # A well-formed entry of another key, sitting under this one.
+        cache.store(other, stats)
+        cache.path_for(wrong_key).parent.mkdir(parents=True, exist_ok=True)
+        cache.path_for(wrong_key).write_text(cache.path_for(other).read_text())
+
+        trace_dir = tmp_path / "trace"
+        fresh = ResultCache(tmp_path / "cache")
+        with Telemetry(directory=trace_dir, enabled=True):
+            assert fresh.load(undecodable) is None
+            assert fresh.load(wrong_key) is None
+        published = summarize(trace_dir)["cache"]["stats"]
+        counters = fresh.tier_counters()
+        assert published.get("hits", 0) == counters["hits"] == 0
+        assert published["misses"] == counters["misses"] == 2
+        assert published["corrupt"] == counters["corrupt"] == 2
 
 
 class TestReplayTierReuse:
