@@ -1,14 +1,11 @@
-"""Batch vs scalar scoring: the analytic-sweep hot path.
+"""Scoring: the analytic-sweep hot path.
 
 Analytic sweeps (envelope/MLP/peak-IPC/energy grids) and the co-run
-contention fixed point spend their time in
-:meth:`~repro.sim.performance_model.PerformanceModel.score`.  These
-benchmarks time the two implementations of that work over one warm
-measurement — the per-point scalar loop and the vectorized
-:meth:`~repro.sim.performance_model.PerformanceModel.score_batch` — plus
-the full warm-cache sweep (scoring + key derivation + cache plumbing) that
-experiment campaigns actually pay.  ``scripts/bench_report.py`` distills
-the same comparison into ``BENCH_scoring.json``.
+contention fixed point spend their time in the roofline of
+:class:`~repro.sim.vector_model.MeasurementScorer`.  These benchmarks time
+:meth:`~repro.sim.performance_model.PerformanceModel.score_batch` over one
+warm measurement, plus the full warm-cache sweep (scoring + key derivation
++ cache plumbing) that experiment campaigns actually pay.
 """
 
 from __future__ import annotations
@@ -56,8 +53,8 @@ def _variants():
     ]
 
 
-def test_scoring_batch_vectorized(benchmark):
-    """Time the vectorized pass over a 128-point envelope grid (pure scoring)."""
+def test_score_batch_grid(benchmark):
+    """Time scoring a 128-point envelope grid over one measurement (pure scoring)."""
     runner = active_runner()
     profile = get_application("kmeans")
     measurement = runner.measurement_for(profile, BASE_CONFIG)
@@ -69,24 +66,8 @@ def test_scoring_batch_vectorized(benchmark):
     )
 
     assert len(batched) == GRID_POINTS
-    # Spot-check bit-identity against the scalar reference path.
-    scalar = model.score(profile, variants[0], measurement)
-    assert dataclasses.asdict(batched[0]) == dataclasses.asdict(scalar)
-
-
-def test_scoring_scalar_reference(benchmark):
-    """The per-point scalar loop over the same grid — the pre-PR-6 cost."""
-    runner = active_runner()
-    profile = get_application("kmeans")
-    measurement = runner.measurement_for(profile, BASE_CONFIG)
-    model = PerformanceModel()
-    variants = _variants()
-
-    scored = benchmark(
-        lambda: [model.score(profile, config, measurement) for config in variants]
-    )
-
-    assert len(scored) == GRID_POINTS
+    single = model.score(profile, variants[0], measurement)
+    assert dataclasses.asdict(batched[0]) == dataclasses.asdict(single)
 
 
 def test_envelope_sweep_warm_cache(benchmark):

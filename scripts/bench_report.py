@@ -1,12 +1,9 @@
-"""Machine-readable performance benchmarks: scoring and the runner service.
+"""Machine-readable performance benchmarks: design-space search and the runner service.
 
-``--benchmark scoring`` (the default) times the two implementations of
-analytic re-scoring over one warm replay measurement — the per-point scalar
-:meth:`~repro.sim.performance_model.PerformanceModel.score` loop and the
-vectorized :meth:`~repro.sim.performance_model.PerformanceModel.score_batch`
-pass — across a dense envelope grid, asserts the two are **bit-identical**,
-and times the co-run contention fixed point with and without the
-precomputed-scorer fast path.  Results land in ``BENCH_scoring.json``.
+``--benchmark search`` (the default) times a fixed-seed warm design-space
+search (``repro.search``) over the scenario tier — steps/sec plus the
+scenario and in-loop memo hit rates, with the zero-replay-miss contract
+asserted — and writes ``BENCH_search.json``.
 
 ``--benchmark runner`` times cold-plan leaf throughput through the
 distributed experiment service at 1 worker vs ``--workers`` workers (fresh
@@ -16,26 +13,14 @@ is bit-identical to a serial one with zero duplicate replays, and writes
 speedup is physically bounded by the host's cores (a 1-CPU container
 honestly reports ~1.0x; CI's multi-core runners show the real scaling).
 
-``--benchmark search`` times a fixed-seed warm design-space search
-(``repro.search``) over the scenario tier — steps/sec plus the scenario
-and in-loop memo hit rates, with the zero-replay-miss contract asserted —
-and writes ``BENCH_search.json``.
-
-``--benchmark scenarios`` times a 5,000-phase ``fleet`` timeline through
-the scenario engine with phase-signature dedup on and off (fresh cache per
-mode): cold and warm wall-clock, the dedup hit rate, per-mode peak traced
-memory of a warm run plus process peak RSS, with per-phase bit-identity
-between the two modes asserted.  Results land in ``BENCH_scenarios.json``.
-
 Usage::
 
     PYTHONPATH=src python scripts/bench_report.py
-        [--benchmark scoring|runner|search|scenarios] [--smoke] [--points N]
-        [--workers N] [--repeats N] [--steps N] [--phases N] [--output FILE]
+        [--benchmark search|runner] [--smoke] [--workers N] [--repeats N]
+        [--steps N] [--output FILE]
 
 ``--smoke`` shrinks the trace and repeat counts so the whole script runs in
-a few seconds (the CI configuration); the scoring grid keeps >= 64 points
-either way so the measured speedup stays representative.
+a few seconds (the CI configuration).
 """
 
 from __future__ import annotations
@@ -52,16 +37,11 @@ import time
 from pathlib import Path
 
 from repro.runner import ExperimentRunner
-from repro.scenarios import ContentionModel
-from repro.scenarios.contention import solve_phase_contention
-from repro.sim.performance_model import PerformanceModel, ResourceEnvelope
 from repro.sim.simulator import SimulationConfig
-from repro.sim.vector_model import have_numpy
 from repro.systems.fidelity import FAST_FIDELITY, Fidelity
 from repro.workloads.applications import get_application
 
-#: Tiny replay sizing for ``--smoke`` (scoring cost is trace-length
-#: independent; only the one-off warm-up replay shrinks).
+#: Tiny replay sizing for ``--smoke``.
 SMOKE_FIDELITY = Fidelity(
     capacity_scale=1.0 / 64.0,
     trace_accesses=800,
@@ -83,17 +63,6 @@ def _config(fidelity: Fidelity, **kwargs) -> SimulationConfig:
     )
     defaults.update(kwargs)
     return SimulationConfig(**defaults)
-
-
-def _envelopes(count: int):
-    return [
-        ResourceEnvelope(
-            dram_bandwidth_share=0.1 + 0.9 * ((index * 37 % count) + 1) / count,
-            llc_bandwidth_share=0.1 + 0.9 * ((index * 59 % count) + 1) / count,
-            noc_bandwidth_share=0.1 + 0.9 * ((index * 83 % count) + 1) / count,
-        )
-        for index in range(count)
-    ]
 
 
 def _paired_speedup(func_a, func_b, repeats: int, rounds: int = 1):
@@ -128,91 +97,6 @@ def _paired_speedup(func_a, func_b, repeats: int, rounds: int = 1):
     stats_a = {"min": min(samples_a), "median": statistics.median(samples_a)}
     stats_b = {"min": min(samples_b), "median": statistics.median(samples_b)}
     return stats_a, stats_b, speedup
-
-
-def benchmark_batch_scoring(
-    runner, fidelity: Fidelity, points: int, repeats: int, rounds: int = 1
-):
-    """The tentpole numbers: scalar loop vs vectorized batch, bit-identity."""
-    profile = get_application("kmeans")
-    config = _config(fidelity)
-    measurement = runner.measurement_for(profile, config)
-    model = PerformanceModel()
-    variants = [
-        dataclasses.replace(config, envelope=envelope)
-        for envelope in _envelopes(points)
-    ]
-
-    scalar = [model.score(profile, variant, measurement) for variant in variants]
-    batched = model.score_batch(profile, variants, measurement, validate=False)
-    mismatches = sum(
-        dataclasses.asdict(a) != dataclasses.asdict(b)
-        for a, b in zip(batched, scalar)
-    )
-    if mismatches:
-        raise AssertionError(
-            f"score_batch diverged from scalar score on {mismatches}/{points} "
-            "points — the bit-identity contract is broken"
-        )
-
-    scalar_stats, batch_stats, speedup = _paired_speedup(
-        lambda: [model.score(profile, v, measurement) for v in variants],
-        lambda: model.score_batch(profile, variants, measurement, validate=False),
-        repeats,
-        rounds,
-    )
-    return {
-        "points": points,
-        "scalar_seconds": scalar_stats["min"],
-        "scalar_seconds_median": scalar_stats["median"],
-        "batch_seconds": batch_stats["min"],
-        "batch_seconds_median": batch_stats["median"],
-        "speedup": speedup,
-        "bit_identical": True,
-    }
-
-
-def benchmark_contention_solve(
-    runner, fidelity: Fidelity, repeats: int, rounds: int = 1
-):
-    """Warm contention fixed point: precomputed scorers vs per-call scoring."""
-    leaves = [
-        (
-            get_application(app),
-            _config(fidelity, num_compute_sms=sms, system_name=app),
-        )
-        for app, sms in (("spmv", 28), ("cfd", 24))
-    ]
-    uncontended = runner.run_leaves(leaves)
-    gpu = leaves[0][1].gpu
-    model = ContentionModel()
-
-    def solve(fast_scoring: bool):
-        return solve_phase_contention(
-            runner, gpu, leaves, uncontended, model, fast_scoring=fast_scoring
-        )
-
-    fast = solve(True)
-    legacy = solve(False)
-    for fast_stats, legacy_stats in zip(fast.stats, legacy.stats):
-        if dataclasses.asdict(fast_stats) != dataclasses.asdict(legacy_stats):
-            raise AssertionError(
-                "fast-scoring contention solution diverged from the legacy path"
-            )
-
-    legacy_stats, fast_stats, speedup = _paired_speedup(
-        lambda: solve(False), lambda: solve(True), repeats, rounds
-    )
-    return {
-        "residents": len(leaves),
-        "iterations": fast.iterations,
-        "fast_seconds": fast_stats["min"],
-        "fast_seconds_median": fast_stats["median"],
-        "legacy_seconds": legacy_stats["min"],
-        "legacy_seconds_median": legacy_stats["median"],
-        "speedup": speedup,
-        "bit_identical": True,
-    }
 
 
 def benchmark_runner_service(
@@ -347,145 +231,18 @@ def benchmark_search(fidelity: Fidelity, steps: int, seed: int, agent_name: str)
     }
 
 
-def benchmark_scenarios(fidelity: Fidelity, phases: int, warm_repeats: int):
-    """Fleet-scale scenario engine: phase-signature dedup on vs off.
-
-    A seeded ``fleet`` timeline of ``phases`` phases runs through the
-    scenario engine twice — once with ``phase_dedup=False`` (the per-phase
-    reference path) and once with the signature-dedup path — each in its
-    own fresh cache directory.  For each mode the cold run and ``warm_repeats``
-    warm runs (fresh runner sharing the cache, zero replay-tier traffic
-    asserted) are timed, and one extra untimed warm run is traced with
-    ``tracemalloc`` to capture the peak allocated memory of loading the
-    timeline plus folding it through the streaming
-    :class:`~repro.analysis.scenarios.ScenarioAccumulator`.  Bit-identity of
-    every per-phase execution across the two modes is asserted before any
-    number is reported.
-    """
-    import hashlib
-    import resource
-    import tracemalloc
-
-    from repro.analysis.scenarios import ScenarioAccumulator
-    from repro.scenarios import ScenarioEngine, fleet
-
-    scenario = fleet(num_phases=phases, seed=7)
-    system = "Morpheus-Basic"
-
-    def phase_digest(result):
-        hasher = hashlib.sha256()
-        for execution in result.phases:
-            hasher.update(repr(dataclasses.asdict(execution)).encode("utf-8"))
-        return hasher.hexdigest()
-
-    def run_mode(dedup: bool):
-        with tempfile.TemporaryDirectory(prefix="repro-bench-scen-") as cache_dir:
-            started = time.perf_counter()
-            runner = ExperimentRunner(cache_dir=cache_dir, max_workers=0)
-            engine = ScenarioEngine(
-                runner=runner, fidelity=fidelity, phase_dedup=dedup
-            )
-            cold_result = engine.run(scenario, system)
-            cold_seconds = time.perf_counter() - started
-
-            warm_samples = []
-            for _ in range(warm_repeats):
-                runner = ExperimentRunner(cache_dir=cache_dir, max_workers=0)
-                engine = ScenarioEngine(
-                    runner=runner, fidelity=fidelity, phase_dedup=dedup
-                )
-                started = time.perf_counter()
-                warm_result = engine.run(scenario, system)
-                warm_samples.append(time.perf_counter() - started)
-                if runner.replays or runner.disk_cache.replay_misses:
-                    raise AssertionError(
-                        f"warm scenario run (dedup={dedup}) touched the replay "
-                        f"tier ({runner.replays} replays, "
-                        f"{runner.disk_cache.replay_misses} misses)"
-                    )
-
-            # Peak allocated memory of the steady-state consumer path: load
-            # the warm timeline and fold it straight into running aggregates.
-            runner = ExperimentRunner(cache_dir=cache_dir, max_workers=0)
-            engine = ScenarioEngine(
-                runner=runner, fidelity=fidelity, phase_dedup=dedup
-            )
-            tracemalloc.start()
-            traced_result = engine.run(scenario, system)
-            aggregates = ScenarioAccumulator.from_result(traced_result).aggregates()
-            _, peak_bytes = tracemalloc.get_traced_memory()
-            tracemalloc.stop()
-
-        digest = phase_digest(warm_result)
-        if phase_digest(cold_result) != digest:
-            raise AssertionError(
-                f"warm scenario reload (dedup={dedup}) diverged from the cold "
-                "run — the persistence round-trip is not bit-identical"
-            )
-        return {
-            "cold_result": cold_result,
-            "aggregates": aggregates,
-            "digest": digest,
-            "stats": {
-                "cold_seconds": cold_seconds,
-                "warm_seconds": min(warm_samples),
-                "warm_seconds_median": statistics.median(warm_samples),
-                "warm_peak_traced_mib": peak_bytes / (1024.0 * 1024.0),
-            },
-        }
-
-    per_phase = run_mode(False)
-    dedup = run_mode(True)
-
-    if per_phase["digest"] != dedup["digest"]:
-        raise AssertionError(
-            "signature-dedup timeline diverged from the per-phase reference "
-            "path — the bit-identity contract is broken"
-        )
-    if per_phase["aggregates"] != dedup["aggregates"]:
-        raise AssertionError(
-            "streaming aggregates diverged between the dedup and per-phase "
-            "modes — the bit-identity contract is broken"
-        )
-
-    signatures = len(dedup["cold_result"].signatures)
-    dedup_hits = dedup["cold_result"].dedup_hits
-    per_phase_stats = per_phase["stats"]
-    dedup_stats = dedup["stats"]
-    return {
-        "phases": phases,
-        "signatures": signatures,
-        "dedup_hits": dedup_hits,
-        "dedup_hit_rate": dedup_hits / phases,
-        "warm_repeats": warm_repeats,
-        "per_phase": per_phase_stats,
-        "dedup": dedup_stats,
-        "cold_speedup": per_phase_stats["cold_seconds"] / dedup_stats["cold_seconds"],
-        "warm_speedup": per_phase_stats["warm_seconds"] / dedup_stats["warm_seconds"],
-        "peak_rss_mib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
-        "bit_identical": True,
-        "replay_misses_warm": 0,
-    }
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "--benchmark",
-        choices=("scoring", "runner", "search", "scenarios"),
-        default="scoring",
-        help="which benchmark to run (default: scoring)",
+        choices=("search", "runner"),
+        default="search",
+        help="which benchmark to run (default: search)",
     )
     parser.add_argument(
         "--smoke",
         action="store_true",
         help="tiny traces and few repeats (CI mode; seconds, not minutes)",
-    )
-    parser.add_argument(
-        "--points",
-        type=int,
-        default=1024,
-        help="scoring: envelope grid width (acceptance floor is 64; default 1024)",
     )
     parser.add_argument(
         "--workers",
@@ -500,19 +257,16 @@ def main(argv=None) -> int:
         help="runner: cold leaves per timed run (default 16; 6 with --smoke)",
     )
     parser.add_argument(
-        "--repeats", type=int, default=None, help="timing repeats (matched pairs; median ratio reported)"
+        "--repeats",
+        type=int,
+        default=None,
+        help="runner: timing repeats (matched pairs; median ratio reported)",
     )
     parser.add_argument(
         "--steps",
         type=int,
         default=None,
         help="search: steps in the timed search (default 200; 40 with --smoke)",
-    )
-    parser.add_argument(
-        "--phases",
-        type=int,
-        default=None,
-        help="scenarios: fleet timeline length (default 5000; 600 with --smoke)",
     )
     parser.add_argument(
         "--output",
@@ -526,7 +280,7 @@ def main(argv=None) -> int:
         "--rounds",
         type=int,
         default=None,
-        help="sleep-separated sampling bursts the repeats are spread over",
+        help="runner: sleep-separated sampling bursts the repeats are spread over",
     )
     parser.add_argument(
         "--trace",
@@ -542,8 +296,6 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
 
-    if args.points < 64:
-        parser.error("--points must be >= 64 (the acceptance grid floor)")
     if args.workers < 2:
         parser.error("--workers must be >= 2 (it is compared against 1 worker)")
     fidelity = SMOKE_FIDELITY if args.smoke else FAST_FIDELITY
@@ -571,19 +323,7 @@ def main(argv=None) -> int:
                     fidelity, steps, seed=7, agent_name="genetic"
                 ),
             }
-        elif args.benchmark == "scenarios":
-            phases = args.phases if args.phases is not None else (600 if args.smoke else 5000)
-            if phases < 1:
-                parser.error("--phases must be >= 1")
-            warm_repeats = args.repeats if args.repeats is not None else (2 if args.smoke else 3)
-            report = {
-                "benchmark": "scenarios",
-                "smoke": args.smoke,
-                "fleet_dedup": benchmark_scenarios(
-                    fidelity, phases, max(1, warm_repeats)
-                ),
-            }
-        elif args.benchmark == "runner":
+        else:
             repeats = args.repeats if args.repeats is not None else (3 if args.smoke else 15)
             rounds = args.rounds if args.rounds is not None else (1 if args.smoke else 3)
             leaves = args.leaves if args.leaves is not None else (6 if args.smoke else 16)
@@ -596,30 +336,6 @@ def main(argv=None) -> int:
                     fidelity, leaves, args.workers, repeats, rounds
                 ),
             }
-        else:
-            repeats = args.repeats if args.repeats is not None else (5 if args.smoke else 60)
-            rounds = args.rounds if args.rounds is not None else (1 if args.smoke else 6)
-            if not have_numpy():
-                print(
-                    "FAIL: numpy is unavailable — the vectorized path under test "
-                    "cannot run (scalar fallback only)",
-                    file=sys.stderr,
-                )
-                return 1
-            with tempfile.TemporaryDirectory(prefix="repro-bench-scoring-") as cache_dir:
-                runner = ExperimentRunner(cache_dir=cache_dir, max_workers=0)
-                report = {
-                    "benchmark": "scoring",
-                    "smoke": args.smoke,
-                    "repeats": repeats,
-                    "rounds": rounds,
-                    "batch_scoring": benchmark_batch_scoring(
-                        runner, fidelity, args.points, repeats, rounds
-                    ),
-                    "contention_solve": benchmark_contention_solve(
-                        runner, fidelity, repeats, rounds
-                    ),
-                }
 
     if trace_dir is not None:
         from repro.telemetry.report import summarize
@@ -647,17 +363,7 @@ def main(argv=None) -> int:
             f"{warm['memo_hit_rate']:.2%}, zero replay misses)",
             file=sys.stderr,
         )
-    elif args.benchmark == "scenarios":
-        fleet_report = report["fleet_dedup"]
-        print(
-            f"\nfleet dedup: {fleet_report['warm_speedup']:.1f}x warm over the "
-            f"per-phase path ({fleet_report['phases']} phases -> "
-            f"{fleet_report['signatures']} signatures, "
-            f"{fleet_report['dedup_hit_rate']:.2%} dedup hit rate, "
-            f"cold {fleet_report['cold_speedup']:.2f}x, bit-identical)",
-            file=sys.stderr,
-        )
-    elif args.benchmark == "runner":
+    else:
         cold = report["cold_plan_throughput"]
         print(
             f"\ncold plan through the service: {cold['speedup']:.2f}x at "
@@ -665,15 +371,6 @@ def main(argv=None) -> int:
             f"({cold['multi_worker_leaves_per_second']:.1f} vs "
             f"{cold['single_worker_leaves_per_second']:.1f} leaves/s on a "
             f"{cold['cpu_count']}-CPU host)",
-            file=sys.stderr,
-        )
-    else:
-        batch = report["batch_scoring"]["speedup"]
-        solve = report["contention_solve"]["speedup"]
-        print(
-            f"\nbatch scoring: {batch:.1f}x over scalar "
-            f"({report['batch_scoring']['points']} points); "
-            f"contention solve: {solve:.2f}x with precomputed scorers",
             file=sys.stderr,
         )
     return 0

@@ -101,7 +101,7 @@ def main() -> int:
         cold_runner, cold_result = run_pass(cache_dir)
         warm_runner, warm_result = run_pass(cache_dir)
 
-    signatures = len(cold_result.signatures or ())
+    signatures = len(cold_result.signatures)
     print(
         f"cold pass: {len(cold_result)} phases -> {signatures} signatures "
         f"({cold_result.dedup_hits} dedup hits), {cold_runner.replays} replays"
@@ -136,11 +136,6 @@ def main() -> int:
         failures.append(
             f"warm pass loaded {warm_tiers['scenario_hits']} scenario-tier "
             "payloads — the whole timeline should be one aggregate"
-        )
-    if warm_result.signatures is None:
-        failures.append(
-            "warm result lost its signatures — the persisted payload is not "
-            "the signature-keyed layout"
         )
     if snapshot(cold_result) != snapshot(warm_result):
         failures.append("fleet timeline differs between cold and warm passes")

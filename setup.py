@@ -1,8 +1,7 @@
 """Packaging metadata for the Morpheus reproduction.
 
-numpy backs the vectorized batch-scoring path (``repro.sim.vector_model``);
-the code degrades to the bit-identical scalar loop when it is missing, but
-installs declare it so every deployment gets the fast path.
+The simulator runs on the Python standard library alone; the ``test``
+extra installs what the test suite and its benchmarks import.
 """
 
 from setuptools import find_packages, setup
@@ -17,8 +16,7 @@ setup(
     package_dir={"": "src"},
     packages=find_packages(where="src"),
     python_requires=">=3.10",
-    install_requires=["numpy"],
     extras_require={
-        "test": ["pytest", "pytest-benchmark", "pytest-cov"],
+        "test": ["hypothesis", "pytest", "pytest-benchmark", "pytest-cov"],
     },
 )

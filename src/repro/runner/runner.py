@@ -463,9 +463,9 @@ class ExperimentRunner:
         For callers that score one measurement under many score-tier
         variants in-process (the contention solver's per-iteration
         envelopes): the replay-side invariants are hoisted once, and
-        :meth:`~repro.sim.vector_model.MeasurementScorer.score_envelope` /
-        :meth:`~repro.sim.vector_model.MeasurementScorer.score_batch`
-        results are bit-identical to :meth:`score_measurement`.
+        :meth:`~repro.sim.vector_model.MeasurementScorer.score_envelope`
+        results equal what :meth:`score_measurement` returns for the same
+        config.
         """
         return self._performance_model.scorer(profile, config, measurement)
 
@@ -649,26 +649,19 @@ class ExperimentRunner:
                 )
                 measurements[key] = measurement
 
-            # Score each replay group in one batch: same key ⇒ same replay
-            # parameters and profile content, so per-config validation is
-            # redundant and one vectorized pass covers the whole group.
+            # Score each replay group through one scorer: same key ⇒ same
+            # replay parameters and profile content, so per-config
+            # validation is redundant.
             with telemetry().span(
                 "runner.score", groups=len(by_replay), leaves=len(pending)
             ):
                 for key, indices in by_replay.items():
-                    measurement = measurements[key]
-                    if len(indices) == 1:
-                        index = indices[0]
-                        profile, config = leaves[index]
-                        scored = [self._score(profile, config, measurement)]
-                    else:
-                        profile = leaves[indices[0]][0]
-                        scored = self._performance_model.score_batch(
-                            profile,
-                            [leaves[index][1] for index in indices],
-                            measurement,
-                            validate=False,
-                        )
+                    scored = self._performance_model.score_batch(
+                        leaves[indices[0]][0],
+                        [leaves[index][1] for index in indices],
+                        measurements[key],
+                        validate=False,
+                    )
                     for index, stats in zip(indices, scored):
                         self._store(score_keys[index], stats)
                         results[index] = stats

@@ -46,7 +46,6 @@ from repro.runner.spec import content_hash
 from repro.scenarios.contention import (
     ContentionModel,
     PhaseContentionSolution,
-    solve_phase_contention,
     solve_scenario_contention,
 )
 from repro.scenarios.policy import (
@@ -65,7 +64,7 @@ from repro.scenarios.spec import (
     ScenarioSpec,
 )
 from repro.sim.performance_model import DEFAULT_ENVELOPE, ResourceEnvelope
-from repro.telemetry import telemetry
+from repro.telemetry import get_logger, telemetry
 from repro.sim.simulator import SimulationConfig
 from repro.sim.stats import SimulationStats
 from repro.systems.fidelity import Fidelity, STANDARD_FIDELITY, get_fidelity
@@ -76,6 +75,16 @@ from repro.workloads.applications import ApplicationProfile, get_application
 _MORPHEUS_VARIANTS: Dict[str, MorpheusVariant] = {
     variant.value: variant for variant in MorpheusVariant
 }
+
+logger = get_logger(__name__)
+
+
+def _report_recompute(key: str, reason: object) -> None:
+    """Count and log one scenario-tier payload that is recomputed."""
+    tel = telemetry()
+    if tel.enabled:
+        tel.count("scenario.aggregate.recomputed")
+    logger.warning("recomputing the scenario aggregate under %s: %s", key, reason)
 
 
 @dataclass(frozen=True)
@@ -234,8 +243,7 @@ class SignaturePhases(SequenceABC):
     distinct :class:`SignatureExecution` records, the interned transition
     costs, and two int id arrays mapping each phase to its signature and
     transition.  ``__getitem__`` materializes a ``PhaseExecution`` on
-    demand (bit-identical to what the per-phase path would have built);
-    iterating never holds more than one phase at a time, so streaming
+    demand; iterating never holds more than one phase at a time, so streaming
     consumers keep peak memory bounded by signatures, not phases.
     """
 
@@ -306,11 +314,9 @@ class SignaturePhases(SequenceABC):
 class ScenarioRunResult:
     """The full outcome of one (scenario, system, policy) timeline run.
 
-    ``phases`` is a sequence of per-phase executions: a materialized tuple
-    on the per-phase path, or a lazy :class:`SignaturePhases` view on the
-    deduplicated path (same elements, O(signatures) memory).  When the run
-    was deduplicated, ``signatures`` additionally exposes the distinct
-    :class:`SignatureExecution` records (``None`` otherwise).
+    ``signatures`` holds the distinct :class:`SignatureExecution` records
+    of the run; ``phases`` is the lazy per-phase :class:`SignaturePhases`
+    view over them (O(signatures) memory).
     """
 
     scenario: ScenarioSpec
@@ -318,8 +324,8 @@ class ScenarioRunResult:
     policy_name: str
     phases: Sequence[PhaseExecution]
     run_key: str
+    signatures: Tuple[SignatureExecution, ...]
     elapsed_seconds: float = 0.0
-    signatures: Optional[Tuple[SignatureExecution, ...]] = None
 
     def __len__(self) -> int:
         return len(self.phases)
@@ -348,9 +354,7 @@ class ScenarioRunResult:
 
     @property
     def dedup_hits(self) -> int:
-        """Phases served by an already-solved signature (0 on the per-phase path)."""
-        if self.signatures is None:
-            return 0
+        """Phases served by an already-solved signature."""
         return len(self.phases) - len(self.signatures)
 
 
@@ -368,13 +372,6 @@ class ScenarioEngine:
         contention: Shared-bandwidth fixed-point solver knobs for co-run
             phases (see :class:`~repro.scenarios.contention.ContentionModel`);
             ``None`` uses the defaults.
-        phase_dedup: Deduplicate phases by :class:`PhaseSignature` on the
-            cold path, solving each distinct signature once (the default).
-            ``False`` keeps the per-phase path — same results, O(phases)
-            work and memory.  The flag is an execution-plan choice, not a
-            semantic one, so it is deliberately **not** part of
-            :meth:`run_key`: both modes read and write the same cache
-            entries and produce bit-identical executions.
     """
 
     def __init__(
@@ -386,7 +383,6 @@ class ScenarioEngine:
         transition_model: Optional[TransitionCostModel] = None,
         predictor: str = "bloom",
         contention: Optional[ContentionModel] = None,
-        phase_dedup: bool = True,
     ) -> None:
         self.runner = runner
         self.gpu = gpu
@@ -395,7 +391,6 @@ class ScenarioEngine:
         self.transition_model = transition_model or TransitionCostModel()
         self.predictor = predictor
         self.contention = contention or ContentionModel()
-        self.phase_dedup = phase_dedup
         self._solo_reference_memo: Dict[str, Dict[str, float]] = {}
 
     def _runner(self) -> ExperimentRunner:
@@ -617,10 +612,11 @@ class ScenarioEngine:
                     payload,
                     elapsed_seconds=time.perf_counter() - start,
                 )
-            except (KeyError, TypeError, ValueError):
-                # A malformed aggregate (e.g. a hand-edited entry) is
-                # recomputed and overwritten rather than trusted.
-                pass
+            except (KeyError, TypeError, ValueError) as error:
+                # A malformed aggregate (a hand-edited entry, or one in a
+                # layout this engine no longer writes) is recomputed and
+                # overwritten rather than trusted.
+                _report_recompute(run_key, error)
         with telemetry().span(
             "scenario.run", system=system, phases=len(scenario.phases)
         ):
@@ -636,20 +632,7 @@ class ScenarioEngine:
         run_key: str,
         start: float,
     ) -> ScenarioRunResult:
-        """The cold path of :meth:`run`: lower, execute, arbitrate, persist."""
-        if self.phase_dedup:
-            return self._run_cold_dedup(scenario, system, policy, run_key, start)
-        return self._run_cold_phases(scenario, system, policy, run_key, start)
-
-    def _run_cold_dedup(
-        self,
-        scenario: ScenarioSpec,
-        system: str,
-        policy: Optional[CapacityPolicy],
-        run_key: str,
-        start: float,
-    ) -> ScenarioRunResult:
-        """Signature-deduplicated cold path: solve per distinct signature.
+        """The cold path of :meth:`run`: solve once per distinct signature.
 
         Phases are canonicalized to :class:`PhaseSignature` *after*
         planning (dynamic policies are history-dependent — hysteresis can
@@ -657,9 +640,7 @@ class ScenarioEngine:
         from the decisions, not the raw phases).  Each distinct signature
         lowers once, enters the leaf batch once, solves contention once and
         builds its :class:`ResidentExecution` tuple once; the per-phase
-        view is reconstructed lazily.  Every computed float goes through
-        exactly the arithmetic of the per-phase path on the same inputs, so
-        the executions are bit-identical.
+        view is reconstructed lazily.
         """
         runner = self._runner()
         self._validate_demands(scenario)
@@ -717,9 +698,8 @@ class ScenarioEngine:
             tel.count("scenario.dedup.hits", len(signature_ids) - len(signatures))
             tel.count("scenario.dedup.misses", len(signatures))
 
-        # One replay-pooled leaf batch over the distinct signatures' leaves
-        # (phase-order first-seen, exactly the order the per-phase path
-        # discovers them in).
+        # One replay-pooled leaf batch over the distinct signatures' leaves,
+        # in phase-order first-seen order.
         unique: List[Tuple[str, SimulationConfig]] = []
         seen = set()
         for leaves in signature_leaves:
@@ -842,161 +822,7 @@ class ScenarioEngine:
         )
         return result
 
-    def _run_cold_phases(
-        self,
-        scenario: ScenarioSpec,
-        system: str,
-        policy: Optional[CapacityPolicy],
-        run_key: str,
-        start: float,
-    ) -> ScenarioRunResult:
-        """The per-phase cold path (``phase_dedup=False``): one solve per phase.
-
-        Kept as the reference implementation the deduplicated path is
-        benchmarked and bit-identity-tested against.
-        """
-        runner = self._runner()
-        lowered = self.lower(scenario, system, policy)
-        profiles = self._profiles(scenario)
-
-        unique: List[Tuple[str, SimulationConfig]] = []
-        seen = set()
-        for phase in lowered:
-            for leaf in phase.leaves:
-                key = (leaf.application, leaf.config)
-                if key not in seen:
-                    seen.add(key)
-                    unique.append(key)
-        batch = runner.run_leaves(
-            [(profiles[application], config) for application, config in unique]
-        )
-        stats_by_leaf: Dict[Tuple[str, SimulationConfig], SimulationStats] = dict(
-            zip(unique, batch)
-        )
-
-        # Solve shared-bandwidth contention once per *distinct* co-run
-        # leaf set: repeated phases (e.g. every full/dip round of an
-        # overlap timeline) share one fixed point, exactly as they share
-        # one replay.
-        solutions: Dict[
-            Tuple[Tuple[str, SimulationConfig], ...], PhaseContentionSolution
-        ] = {}
-        with telemetry().span("scenario.arbitrate", system=system) as arbitrate_span:
-            for phase in lowered:
-                keys = tuple(
-                    (leaf.application, leaf.config) for leaf in phase.leaves
-                )
-                if len(keys) > 1 and keys not in solutions:
-                    solutions[keys] = solve_phase_contention(
-                        runner,
-                        self.gpu,
-                        [
-                            (profiles[application], config)
-                            for application, config in keys
-                        ],
-                        [stats_by_leaf[key] for key in keys],
-                        self.contention,
-                    )
-            arbitrate_span.set(corun_sets=len(solutions))
-
-        executions = []
-        tel = telemetry()
-        for phase in lowered:
-            keys = tuple((leaf.application, leaf.config) for leaf in phase.leaves)
-            uncontended = [stats_by_leaf[key] for key in keys]
-            if len(keys) > 1:
-                solution = solutions[keys]
-                leaf_stats: Sequence[SimulationStats] = solution.stats
-                envelopes: Sequence[ResourceEnvelope] = solution.envelopes
-            else:
-                leaf_stats = uncontended
-                envelopes = (DEFAULT_ENVELOPE,) * len(keys)
-            instructions = (
-                phase.phase.duration_weight * scenario.instructions_per_weight
-            )
-            aggregate_ipc = sum(stats.ipc for stats in leaf_stats)
-            compute_cycles = instructions / max(aggregate_ipc, 1e-9)
-            executions.append(
-                PhaseExecution(
-                    index=phase.index,
-                    phase=phase.phase,
-                    decision=phase.decision,
-                    residents=tuple(
-                        ResidentExecution(
-                            grant=leaf.grant,
-                            stats=stats,
-                            instructions=stats.ipc * compute_cycles,
-                            envelope=envelope,
-                            uncontended_ipc=base.ipc,
-                        )
-                        for leaf, stats, envelope, base in zip(
-                            phase.leaves, leaf_stats, envelopes, uncontended
-                        )
-                    ),
-                    instructions=instructions,
-                    compute_cycles=compute_cycles,
-                )
-            )
-            if tel.enabled:
-                tel.event(
-                    "scenario.phase",
-                    index=phase.index,
-                    system=system,
-                    residents=len(keys),
-                    corun=len(keys) > 1,
-                    compute_cycles=compute_cycles,
-                    flush_cycles=phase.decision.transition.flush_cycles,
-                    warmup_cycles=phase.decision.transition.warmup_cycles,
-                )
-        result = ScenarioRunResult(
-            scenario=scenario,
-            system=system,
-            policy_name=self._policy_name(system, policy),
-            phases=tuple(executions),
-            run_key=run_key,
-            elapsed_seconds=time.perf_counter() - start,
-        )
-        runner.store_scenario_payload(run_key, self._result_to_payload(result))
-        return result
-
     # -- scenario-aggregate persistence --------------------------------------------------
-
-    @staticmethod
-    def _result_to_payload(result: ScenarioRunResult) -> Dict[str, Any]:
-        """Serialize one run's aggregate for the cache's scenario tier.
-
-        The scenario spec itself is *not* stored: the aggregate is loaded
-        by a caller holding the same spec (the run key proves it), so the
-        payload only carries what the run computed.  Floats survive JSON
-        via repr, so a reloaded result is bit-identical to the stored one.
-        """
-        return {
-            "policy_name": result.policy_name,
-            "phases": [
-                {
-                    "index": execution.index,
-                    "split": dataclasses.asdict(execution.decision.split),
-                    "transition": dataclasses.asdict(execution.decision.transition),
-                    "grants": [
-                        dataclasses.asdict(grant)
-                        for grant in execution.decision.grants
-                    ],
-                    "residents": [
-                        {
-                            "grant": dataclasses.asdict(resident.grant),
-                            "stats": stats_to_jsonable(resident.stats),
-                            "instructions": resident.instructions,
-                            "envelope": dataclasses.asdict(resident.envelope),
-                            "uncontended_ipc": resident.uncontended_ipc,
-                        }
-                        for resident in execution.residents
-                    ],
-                    "instructions": execution.instructions,
-                    "compute_cycles": execution.compute_cycles,
-                }
-                for execution in result.phases
-            ],
-        }
 
     @staticmethod
     def _signature_payload(
@@ -1006,13 +832,16 @@ class ScenarioEngine:
         transitions: Sequence[TransitionCost],
         transition_ids: Sequence[int],
     ) -> Dict[str, Any]:
-        """Serialize a deduplicated run in the signature-keyed layout.
+        """Serialize one run's aggregate for the cache's scenario tier.
 
         O(signatures) payload for an O(phases) timeline: the distinct
         signature executions and interned transitions are stored once, and
         each phase contributes one ``[signature_id, transition_id]`` pair.
-        This layout is what :data:`SCENARIO_SCHEMA_VERSION` 4 names; the
-        legacy per-phase layout remains readable.
+        This layout is what :data:`SCENARIO_SCHEMA_VERSION` 4 names.  The
+        scenario spec itself is *not* stored: the aggregate is loaded by a
+        caller holding the same spec (the run key proves it).  Floats
+        survive JSON via repr, so a reloaded result is bit-identical to the
+        stored one.
         """
         return {
             "layout": "signatures",
@@ -1057,14 +886,23 @@ class ScenarioEngine:
         }
 
     @staticmethod
-    def _result_from_signature_payload(
+    def _result_from_payload(
         scenario: ScenarioSpec,
         system: str,
         run_key: str,
         payload: Mapping[str, Any],
         elapsed_seconds: float,
     ) -> ScenarioRunResult:
-        """Rebuild a deduplicated run from :meth:`_signature_payload`."""
+        """Rebuild a :class:`ScenarioRunResult` from :meth:`_signature_payload`.
+
+        Raises :class:`KeyError`, :class:`TypeError` or :class:`ValueError`
+        on a payload that is not a well-formed signature-layout aggregate
+        of ``scenario``; :meth:`run` then recomputes it.
+        """
+        if payload.get("layout") != "signatures":
+            raise ValueError(
+                f"aggregate layout {payload.get('layout')!r} is not 'signatures'"
+            )
         entries = payload["phases"]
         if len(entries) != len(scenario.phases):
             raise ValueError(
@@ -1141,72 +979,6 @@ class ScenarioEngine:
         )
 
     @staticmethod
-    def _result_from_payload(
-        scenario: ScenarioSpec,
-        system: str,
-        run_key: str,
-        payload: Mapping[str, Any],
-        elapsed_seconds: float,
-    ) -> ScenarioRunResult:
-        """Rebuild a :class:`ScenarioRunResult` from a stored aggregate.
-
-        Dispatches on the payload's ``layout``: the signature-keyed layout
-        written by the deduplicating engine, or the legacy per-phase layout
-        (the ``phase_dedup=False`` path still writes it, and pre-bump
-        entries used it exclusively).  Both reconstruct the same phases.
-        """
-        if payload.get("layout", "phases") == "signatures":
-            return ScenarioEngine._result_from_signature_payload(
-                scenario, system, run_key, payload, elapsed_seconds
-            )
-        executions = []
-        if len(payload["phases"]) != len(scenario.phases):
-            raise ValueError(
-                f"aggregate has {len(payload['phases'])} phases for a "
-                f"{len(scenario.phases)}-phase scenario"
-            )
-        for entry in payload["phases"]:
-            index = entry["index"]
-            if not 0 <= index < len(scenario.phases):
-                # Guard the scenario.phases[index] below: a corrupt entry
-                # must fall into the caller's recompute path, not raise
-                # IndexError (or silently attach a negatively-indexed phase).
-                raise ValueError(f"aggregate phase index {index} out of range")
-            decision = PhaseDecision(
-                split=MorpheusOperatingPoint(**entry["split"]),
-                transition=TransitionCost(**entry["transition"]),
-                grants=tuple(ResidentGrant(**grant) for grant in entry["grants"]),
-            )
-            residents = tuple(
-                ResidentExecution(
-                    grant=ResidentGrant(**resident["grant"]),
-                    stats=stats_from_jsonable(resident["stats"]),
-                    instructions=resident["instructions"],
-                    envelope=ResourceEnvelope(**resident["envelope"]),
-                    uncontended_ipc=resident["uncontended_ipc"],
-                )
-                for resident in entry["residents"]
-            )
-            executions.append(
-                PhaseExecution(
-                    index=index,
-                    phase=scenario.phases[index],
-                    decision=decision,
-                    residents=residents,
-                    instructions=entry["instructions"],
-                    compute_cycles=entry["compute_cycles"],
-                )
-            )
-        return ScenarioRunResult(
-            scenario=scenario,
-            system=system,
-            policy_name=payload["policy_name"],
-            phases=tuple(executions),
-            run_key=run_key,
-            elapsed_seconds=elapsed_seconds,
-        )
-
-    @staticmethod
     def _policy_name(system: str, policy: Optional[CapacityPolicy]) -> str:
         """The label a run records for its capacity policy."""
         if system == "BL":
@@ -1273,11 +1045,14 @@ class ScenarioEngine:
                     str(name): float(value)
                     for name, value in payload["references"].items()
                 }
-            except (AttributeError, KeyError, TypeError, ValueError):
-                references = None
-            if references is not None and set(references) == set(
-                scenario.applications
-            ):
+                if set(references) != set(scenario.applications):
+                    raise ValueError(
+                        f"references cover {sorted(references)}, not "
+                        f"{sorted(scenario.applications)}"
+                    )
+            except (AttributeError, KeyError, TypeError, ValueError) as error:
+                _report_recompute(references_key, error)
+            else:
                 self._solo_reference_memo[memo_key] = dict(references)
                 return references
         # Cold: plan each solo timeline, dedup the leaves across every

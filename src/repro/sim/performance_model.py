@@ -19,13 +19,13 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 from repro.energy.model import EnergyModel
 from repro.sim.engine import HierarchyCounters
 from repro.sim.stats import SimulationStats
+from repro.sim.vector_model import MeasurementScorer
 from repro.workloads.applications import ApplicationProfile
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.hit_miss_predictor import PredictorStats
     from repro.gpu.config import GPUConfig
     from repro.sim.simulator import SimulationConfig
-    from repro.sim.vector_model import MeasurementScorer
 
 
 @dataclass(frozen=True)
@@ -179,22 +179,14 @@ class ReplayMeasurement:
 
 
 class PerformanceModel:
-    """Scores one replay measurement into :class:`SimulationStats`.
+    """Scores replay measurements into :class:`SimulationStats`.
 
-    IPC is the minimum of the compute limit, the DRAM bandwidth limit, the
-    conventional/extended LLC bandwidth limits, the interconnect limit and
-    the latency/MLP limit.  The shared-channel capacities (DRAM,
-    conventional LLC, NoC) are granted through the config's
-    :class:`ResourceEnvelope` — the default whole-GPU envelope reproduces
-    the historical numbers bit-for-bit, while fractional shares model a
-    co-resident tenant's slice of the memory system.  Execution time,
-    energy and performance/watt follow from the modelled IPC and the
-    per-level traffic extrapolated to the application's full instruction
-    count.
-
-    The model is pure: ``score`` depends only on its arguments and the
-    energy-model constants, so one replay can be re-scored under different
-    analytic parameters without re-replaying the trace.
+    The roofline itself lives in
+    :class:`~repro.sim.vector_model.MeasurementScorer`; this class binds it
+    to one set of energy constants.  The model is pure: ``score`` depends
+    only on its arguments and the energy-model constants, so one replay can
+    be re-scored under different analytic parameters without re-replaying
+    the trace.
     """
 
     def __init__(self, energy_model: EnergyModel | None = None) -> None:
@@ -207,168 +199,21 @@ class PerformanceModel:
         measurement: ReplayMeasurement,
     ) -> SimulationStats:
         """Turn ``measurement`` into full statistics for ``profile`` under ``config``."""
-        cfg = config
-        gpu = cfg.gpu
-        counters = measurement.counters
-
-        l1_hit = profile.l1_hit_rate_for_capacity(gpu.l1_shared_bytes_per_sm)
-        apki_l1 = profile.l1_apki
-        apki_llc = profile.llc_apki(l1_hit)
-        block = gpu.block_size
-
-        accesses = max(1, counters.llc_accesses)
-        dram_demand_fraction = counters.dram_access_fraction
-        llc_mpki = apki_llc * (1.0 - counters.llc_hit_rate)
-        dram_apki = apki_llc * dram_demand_fraction
-
-        # Bytes moved per kilo-instruction at each level (measured per LLC
-        # access, scaled by the application's LLC access intensity).
-        conv_bytes_per_ki = counters.conventional_bytes / accesses * apki_llc
-        ext_bytes_per_ki = counters.extended_bytes / accesses * apki_llc
-        dram_bytes_per_ki = counters.dram_bytes / accesses * apki_llc
-        noc_bytes_per_ki = counters.noc_bytes / accesses * apki_llc
-        l1_bytes_per_ki = apki_l1 * block
-
-        # --- IPC limits -------------------------------------------------------------
-        limits: Dict[str, float] = {}
-        limits["compute"] = (
-            cfg.num_compute_sms * cfg.peak_warp_ipc_per_sm * profile.compute_efficiency
-        )
-
-        def bandwidth_limit(bytes_per_cycle: float, bytes_per_ki: float) -> float:
-            if bytes_per_ki <= 1e-9:
-                return float("inf")
-            return bytes_per_cycle / (bytes_per_ki / 1000.0)
-
-        # Shared-channel capacities are granted through the config's resource
-        # envelope; the default envelope multiplies by exactly 1.0, so
-        # single-tenant scoring is bit-identical to the pre-envelope model.
-        envelope = cfg.envelope
-        capacities = shared_bandwidth_capacities(gpu)
-
-        dram_bpc = capacities["dram"] * envelope.dram_bandwidth_share
-        limits["dram_bandwidth"] = bandwidth_limit(dram_bpc, dram_bytes_per_ki)
-
-        llc_bpc = capacities["llc"] * envelope.llc_bandwidth_share
-        limits["llc_bandwidth"] = bandwidth_limit(llc_bpc, conv_bytes_per_ki)
-
-        if cfg.num_cache_sms > 0 and cfg.morpheus is not None:
-            ext_bpc = (
-                cfg.morpheus.timing.per_sm_extended_bandwidth_gbps
-                / gpu.core_clock_ghz
-                * cfg.num_cache_sms
-            )
-            limits["extended_llc_bandwidth"] = bandwidth_limit(ext_bpc, ext_bytes_per_ki)
-
-        noc_bpc = capacities["noc"] * envelope.noc_bandwidth_share
-        limits["noc_bandwidth"] = bandwidth_limit(noc_bpc, noc_bytes_per_ki)
-
-        avg_latency = max(1.0, counters.average_latency_cycles)
-        if apki_llc > 1e-9:
-            limits["latency"] = (
-                cfg.num_compute_sms * cfg.mlp_per_sm / avg_latency * (1000.0 / apki_llc)
-            )
-        else:
-            limits["latency"] = float("inf")
-
-        ipc = min(limits.values())
-        bottleneck = min(limits, key=limits.get)
-
-        instructions = float(profile.instructions)
-        execution_cycles = instructions / max(ipc, 1e-9)
-
-        # --- energy -----------------------------------------------------------------
-        kilo_instructions = instructions / 1000.0
-        num_gated = 0
-        num_active_extra = gpu.num_sms - cfg.num_compute_sms - cfg.num_cache_sms
-        if cfg.power_gate_unused:
-            num_gated = num_active_extra
-            num_active_extra = 0
-        breakdown = self.energy_model.compute(
-            execution_cycles=execution_cycles,
-            instructions=instructions,
-            dram_bytes=dram_bytes_per_ki * kilo_instructions,
-            llc_bytes=conv_bytes_per_ki * kilo_instructions,
-            extended_llc_bytes=ext_bytes_per_ki * kilo_instructions,
-            l1_bytes=l1_bytes_per_ki * kilo_instructions,
-            noc_bytes=noc_bytes_per_ki * kilo_instructions,
-            num_compute_sms=cfg.num_compute_sms + num_active_extra,
-            num_cache_sms=cfg.num_cache_sms,
-            num_gated_sms=num_gated,
-            morpheus_enabled=cfg.morpheus is not None and cfg.num_cache_sms > 0,
-        )
-        perf_per_watt = self.energy_model.performance_per_watt(ipc, breakdown, execution_cycles)
-        avg_power = self.energy_model.average_power_watts(breakdown, execution_cycles)
-
-        predictor = measurement.predictor
-
-        # Achieved throughputs at the modelled IPC (GB/s).
-        seconds_per_ki = (1000.0 / max(ipc, 1e-9)) / (gpu.core_clock_ghz * 1e9)
-
-        def throughput_gbps(bytes_per_ki: float) -> float:
-            if seconds_per_ki <= 0:
-                return 0.0
-            return bytes_per_ki / seconds_per_ki / 1e9
-
-        return SimulationStats(
-            application=profile.name,
-            system=cfg.system_name,
-            num_compute_sms=cfg.num_compute_sms,
-            num_cache_sms=cfg.num_cache_sms,
-            num_gated_sms=num_gated,
-            ipc=ipc,
-            execution_cycles=execution_cycles,
-            instructions=instructions,
-            l1_hit_rate=l1_hit,
-            llc_hit_rate=counters.llc_hit_rate,
-            conventional_llc_hit_rate=counters.conventional_hit_rate,
-            extended_llc_hit_rate=counters.extended_hit_rate,
-            extended_fraction=counters.extended_fraction,
-            llc_mpki=llc_mpki,
-            llc_apki=apki_llc,
-            dram_accesses_per_ki=dram_apki,
-            dram_bytes=dram_bytes_per_ki * kilo_instructions,
-            dram_bandwidth_utilization=min(
-                1.0, throughput_gbps(dram_bytes_per_ki) / max(1e-9, gpu.dram.total_bandwidth_gbps)
-            ),
-            llc_throughput_gbps=throughput_gbps(conv_bytes_per_ki + ext_bytes_per_ki),
-            extended_llc_throughput_gbps=throughput_gbps(ext_bytes_per_ki),
-            noc_bytes=noc_bytes_per_ki * kilo_instructions,
-            noc_injection_bytes_per_cycle=noc_bytes_per_ki / 1000.0 * ipc,
-            noc_average_latency_cycles=measurement.noc_average_latency_cycles,
-            average_memory_latency_cycles=avg_latency,
-            bottleneck=bottleneck,
-            limits=limits,
-            predictor_false_positive_rate=(
-                predictor.false_positive_rate if predictor is not None else 0.0
-            ),
-            predictor_false_negatives=(
-                predictor.false_negatives if predictor is not None else 0
-            ),
-            predicted_miss_fraction=(
-                counters.predicted_misses / accesses if accesses else 0.0
-            ),
-            energy=breakdown,
-            average_power_watts=avg_power,
-            performance_per_watt=perf_per_watt,
-        )
+        return self.scorer(profile, config, measurement).score_config(config)
 
     def scorer(
         self,
         profile: ApplicationProfile,
         config: "SimulationConfig",
         measurement: ReplayMeasurement,
-    ) -> "MeasurementScorer":
+    ) -> MeasurementScorer:
         """A :class:`~repro.sim.vector_model.MeasurementScorer` over ``measurement``.
 
         The scorer hoists every replay-side invariant once; use it to score
         the same measurement under many score-tier parameter variants
         (batch sweeps, per-iteration contention envelopes) without paying
-        the full :meth:`score` preamble per point.  Results are
-        bit-identical to :meth:`score`.
+        that preamble per point.
         """
-        from repro.sim.vector_model import MeasurementScorer
-
         return MeasurementScorer(
             profile, config, measurement, energy_model=self.energy_model
         )
@@ -380,7 +225,7 @@ class PerformanceModel:
         measurement: ReplayMeasurement,
         validate: bool = True,
     ) -> List[SimulationStats]:
-        """Score ``measurement`` under every config in one vectorized pass.
+        """Score ``measurement`` under every config through one scorer.
 
         All configs must share the replay parameters the measurement was
         produced under (they may differ in any
@@ -389,9 +234,7 @@ class PerformanceModel:
         mismatch raises :class:`ValueError`.  Callers that group configs by
         ``replay_key`` (e.g. the runner) may pass ``validate=False``.
 
-        Bit-identical to calling :meth:`score` per config; transparently
-        falls back to the scalar loop when numpy is unavailable or the
-        batch is tiny.
+        Bit-identical to calling :meth:`score` per config.
         """
         if not configs:
             return []

@@ -23,12 +23,10 @@ SHAPES = sorted(name for name in SCENARIO_LIBRARY if name != "diurnal")
 SHAPE_KWARGS = {"fleet": {"num_phases": 60, "seed": 2}}
 
 
-def run_shape(tmp_path, name, dedup=True):
+def run_shape(tmp_path, name):
     scenario = get_scenario(name, **SHAPE_KWARGS.get(name, {}))
     runner = ExperimentRunner(cache_dir=tmp_path / f"cache-{name}", max_workers=0)
-    engine = ScenarioEngine(
-        runner=runner, fidelity=TINY_FIDELITY, phase_dedup=dedup
-    )
+    engine = ScenarioEngine(runner=runner, fidelity=TINY_FIDELITY)
     return engine.run(scenario, SYSTEM)
 
 
@@ -90,14 +88,6 @@ class TestAccumulatorBitIdentity:
             application: slowdown_stats(application, pairs)
             for application, pairs in phase_slowdowns(result).items()
         }
-
-    def test_same_aggregates_for_dedup_and_per_phase_runs(self, tmp_path):
-        dedup = run_shape(tmp_path / "dedup", "corun_overlap", dedup=True)
-        naive = run_shape(tmp_path / "naive", "corun_overlap", dedup=False)
-        assert (
-            ScenarioAccumulator.from_result(dedup).aggregates()
-            == ScenarioAccumulator.from_result(naive).aggregates()
-        )
 
     def test_incremental_add_equals_from_result(self, tmp_path):
         result = run_shape(tmp_path, "bursty")

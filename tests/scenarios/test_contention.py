@@ -16,14 +16,18 @@ The load-bearing contracts:
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import json
+import logging
 
 import pytest
 
 from repro.analysis.rescoring import envelope_sweep
 from repro.analysis.scenarios import contention_breakdown, corun_table, per_app_timelines
 from repro.runner import ExperimentRunner, using_runner
-from repro.runner.cache import main as cache_cli
+from repro.runner.cache import ResultCache, main as cache_cli
+from repro.runner.spec import content_hash
 from repro.scenarios import (
     ContentionModel,
     Residency,
@@ -39,6 +43,8 @@ from repro.sim.performance_model import (
     shared_bandwidth_capacities,
     shared_bandwidth_demand,
 )
+from repro.telemetry import Telemetry
+from repro.telemetry.report import summarize
 from repro.workloads.applications import get_application
 from scenario_test_utils import TINY_FIDELITY
 
@@ -56,6 +62,20 @@ SATURATING = ScenarioSpec(
 def _engine(tmp_path, workers=0, **kwargs) -> ScenarioEngine:
     runner = ExperimentRunner(cache_dir=tmp_path / "cache", max_workers=workers)
     return ScenarioEngine(runner=runner, fidelity=TINY_FIDELITY, **kwargs)
+
+
+@contextlib.contextmanager
+def _warnings(name):
+    """Collect the WARNING records logged to logger ``name`` in the block."""
+    records = []
+    handler = logging.Handler(logging.WARNING)
+    handler.emit = records.append
+    logger = logging.getLogger(name)
+    logger.addHandler(handler)
+    try:
+        yield records
+    finally:
+        logger.removeHandler(handler)
 
 
 def _snapshot(result):
@@ -230,35 +250,6 @@ class TestFixedPoint:
         shares = [r.envelope.dram_bandwidth_share for r in residents]
         assert sum(shares) == pytest.approx(1.0, rel=1e-6)
 
-    def test_fast_scoring_matches_the_legacy_per_call_path(self, tmp_path):
-        from repro.scenarios.contention import solve_phase_contention
-
-        runner = ExperimentRunner(cache_dir=tmp_path / "cache", max_workers=0)
-        gpu = _leaf_config(tmp_path).gpu
-        leaves = [
-            (
-                get_application(app),
-                dataclasses.replace(
-                    _leaf_config(tmp_path), num_compute_sms=sms, system_name=app
-                ),
-            )
-            for app, sms in (("spmv", 28), ("cfd", 24))
-        ]
-        uncontended = runner.run_leaves(leaves)
-        fast = solve_phase_contention(
-            runner, gpu, leaves, uncontended, ContentionModel(), fast_scoring=True
-        )
-        legacy = solve_phase_contention(
-            runner, gpu, leaves, uncontended, ContentionModel(), fast_scoring=False
-        )
-        # The precomputed-scorer fast path is an optimization, not a model
-        # change: solutions must be bit-identical to per-call scoring.
-        assert fast.iterations == legacy.iterations
-        assert fast.converged == legacy.converged
-        assert fast.envelopes == legacy.envelopes
-        for fast_stats, legacy_stats in zip(fast.stats, legacy.stats):
-            assert dataclasses.asdict(fast_stats) == dataclasses.asdict(legacy_stats)
-
     def test_solver_is_deterministic_across_worker_counts(self, tmp_path):
         serial = _engine(tmp_path / "serial", workers=0)
         parallel = _engine(tmp_path / "parallel", workers=2)
@@ -409,10 +400,11 @@ class TestScenarioAggregateStore:
     @pytest.mark.parametrize(
         "corruption",
         [
-            {"policy_name": "x"},  # missing phases entirely
-            "out_of_range_index",  # phases[0].index beyond the scenario
-            "negative_index",  # would silently attach the wrong phase
+            {"layout": "signatures", "policy_name": "x"},  # no phases at all
+            "out_of_range_index",  # a phase's signature id past the table
+            "negative_index",  # would silently pick the last signature
             "extra_phase",  # phase count disagrees with the scenario
+            "missing_layout",  # not the signature layout
         ],
     )
     def test_malformed_aggregate_is_recomputed(self, tmp_path, corruption):
@@ -420,15 +412,17 @@ class TestScenarioAggregateStore:
         with using_runner(engine.runner):
             result = engine.run(SATURATING, "Morpheus-Basic")
         # Corrupt the stored aggregate, then re-run through a fresh runner.
+        payload = json.loads(
+            json.dumps(engine.runner.load_scenario_payload(result.run_key))
+        )
         if corruption == "out_of_range_index":
-            payload = ScenarioEngine._result_to_payload(result)
-            payload["phases"][0]["index"] = 99
+            payload["phases"][0][0] = len(payload["signatures"])
         elif corruption == "negative_index":
-            payload = ScenarioEngine._result_to_payload(result)
-            payload["phases"][0]["index"] = -1
+            payload["phases"][0][0] = -1
         elif corruption == "extra_phase":
-            payload = ScenarioEngine._result_to_payload(result)
             payload["phases"].append(payload["phases"][0])
+        elif corruption == "missing_layout":
+            del payload["layout"]
         else:
             payload = corruption
         engine.runner.disk_cache.store_scenario(result.run_key, payload)
@@ -436,6 +430,70 @@ class TestScenarioAggregateStore:
         with using_runner(fresh.runner):
             recomputed = fresh.run(SATURATING, "Morpheus-Basic")
         assert _snapshot(recomputed) == _snapshot(result)
+
+    def test_per_phase_layout_payload_is_recomputed_and_reported(self, tmp_path):
+        engine = _engine(tmp_path)
+        with using_runner(engine.runner):
+            result = engine.run(SATURATING, "Morpheus-Basic")
+        payload = engine.runner.load_scenario_payload(result.run_key)
+        signature = payload["signatures"][0]
+        # The per-phase layout earlier engines wrote: one full entry per
+        # phase and no "layout" tag.
+        stale = {
+            "policy_name": payload["policy_name"],
+            "phases": [
+                {
+                    "index": 0,
+                    "split": signature["split"],
+                    "transition": payload["transitions"][0],
+                    "grants": signature["grants"],
+                    "residents": signature["residents"],
+                    "instructions": signature["instructions"],
+                    "compute_cycles": signature["compute_cycles"],
+                }
+            ],
+        }
+        engine.runner.disk_cache.store_scenario(result.run_key, stale)
+
+        fresh = _engine(tmp_path)
+        trace_dir = tmp_path / "trace"
+        with _warnings("repro.scenarios.engine") as records:
+            with Telemetry(directory=trace_dir, enabled=True):
+                with using_runner(fresh.runner):
+                    recomputed = fresh.run(SATURATING, "Morpheus-Basic")
+        assert _snapshot(recomputed) == _snapshot(result)
+        # Overwritten in the signature layout, counted once, logged once.
+        assert fresh.runner.disk_cache.scenario_stores == 1
+        assert (
+            ResultCache(tmp_path / "cache").load_scenario(result.run_key)["layout"]
+            == "signatures"
+        )
+        assert summarize(trace_dir)["counters"]["scenario.aggregate.recomputed"] == 1
+        assert len(records) == 1
+        assert result.run_key in records[0].getMessage()
+
+    def test_malformed_solo_references_are_recomputed_and_reported(self, tmp_path):
+        engine = _engine(tmp_path)
+        scenario = corun_overlap(rounds=1)
+        with using_runner(engine.runner):
+            references = engine.solo_reference_ipcs(scenario, "Morpheus-Basic")
+        references_key = content_hash(
+            {"solo_references": engine.run_key(scenario, "Morpheus-Basic")}
+        )
+        engine.runner.disk_cache.store_scenario(
+            references_key, {"references": {"spmv": 1.0}}
+        )
+
+        fresh = _engine(tmp_path)
+        trace_dir = tmp_path / "trace"
+        with _warnings("repro.scenarios.engine") as records:
+            with Telemetry(directory=trace_dir, enabled=True):
+                with using_runner(fresh.runner):
+                    recomputed = fresh.solo_reference_ipcs(scenario, "Morpheus-Basic")
+        assert recomputed == references
+        assert summarize(trace_dir)["counters"]["scenario.aggregate.recomputed"] == 1
+        assert len(records) == 1
+        assert references_key in records[0].getMessage()
 
     def test_cache_cli_reports_the_scenario_tier(self, tmp_path, capsys):
         engine = _engine(tmp_path)

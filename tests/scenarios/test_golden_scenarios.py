@@ -25,12 +25,22 @@ from pathlib import Path
 import pytest
 
 from repro.runner import ExperimentRunner
-from repro.scenarios import ScenarioEngine
+from repro.scenarios import SCENARIO_LIBRARY, ScenarioEngine, get_scenario
 from scenario_test_utils import TINY_FIDELITY
 from test_golden_stats import REGEN_ENV, _diff
-from test_phase_dedup import SHAPES, SYSTEM, build
 
 GOLDEN_DIR = Path(__file__).resolve().parents[1] / "fixtures" / "golden_scenarios"
+
+SYSTEM = "Morpheus-Basic"
+
+#: Library shapes under test ("diurnal" is an alias of "ramp"); the fleet
+#: shape is shrunk so the fixtures stay small.
+SHAPES = sorted(name for name in SCENARIO_LIBRARY if name != "diurnal")
+SHAPE_KWARGS = {"fleet": {"num_phases": 60, "seed": 2}}
+
+
+def build(name):
+    return get_scenario(name, **SHAPE_KWARGS.get(name, {}))
 
 
 def _persisted_payload(tmp_path, name):

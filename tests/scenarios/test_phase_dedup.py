@@ -1,40 +1,27 @@
-"""Phase-signature dedup: bit-identity with the per-phase path, at fleet scale.
+"""Phase-signature dedup at fleet scale.
 
-The dedup execution plan (``phase_dedup=True``, the default) must be an
-invisible optimisation: identical per-phase results, identical cache keys,
-and payloads readable by either mode.  The fleet-scale test then pins the
-whole point — thousands of phases collapse to tens of signatures, every
-phase is accounted for by the dedup counters, and a warm re-run touches
-exactly one scenario-tier payload.
+Thousands of phases collapse to tens of signatures, every phase is
+accounted for by the dedup counters, and a warm re-run touches exactly one
+scenario-tier payload.  The per-shape executions themselves are pinned by
+the golden scenario fixtures (``test_golden_scenarios.py``).
 """
 
 from __future__ import annotations
 
 import dataclasses
 
-import pytest
-
 from repro.runner import ExperimentRunner
-from repro.scenarios import SCENARIO_LIBRARY, ScenarioEngine, fleet, get_scenario
+from repro.scenarios import ScenarioEngine, fleet
 from repro.telemetry import Telemetry
 from repro.telemetry.report import summarize
 from scenario_test_utils import TINY_FIDELITY
 
 SYSTEM = "Morpheus-Basic"
 
-#: Library shapes under test ("diurnal" is an alias of "ramp"); the fleet
-#: shape is shrunk so the full matrix stays fast.
-SHAPES = sorted(name for name in SCENARIO_LIBRARY if name != "diurnal")
-SHAPE_KWARGS = {"fleet": {"num_phases": 60, "seed": 2}}
 
-
-def build(name):
-    return get_scenario(name, **SHAPE_KWARGS.get(name, {}))
-
-
-def engine_for(tmp_path, subdir, dedup):
+def engine_for(tmp_path, subdir):
     runner = ExperimentRunner(cache_dir=tmp_path / subdir, max_workers=0)
-    return ScenarioEngine(runner=runner, fidelity=TINY_FIDELITY, phase_dedup=dedup)
+    return ScenarioEngine(runner=runner, fidelity=TINY_FIDELITY)
 
 
 def snapshot(result) -> list:
@@ -52,53 +39,14 @@ def snapshot(result) -> list:
     ]
 
 
-class TestDedupBitIdentity:
-    @pytest.mark.parametrize("name", SHAPES)
-    def test_matches_per_phase_path_on_every_library_shape(self, tmp_path, name):
-        scenario = build(name)
-        dedup_engine = engine_for(tmp_path, "dedup", True)
-        naive_engine = engine_for(tmp_path, "naive", False)
-
-        # Same cache key: dedup is an execution plan, not a result change.
-        assert dedup_engine.run_key(scenario, SYSTEM) == naive_engine.run_key(
-            scenario, SYSTEM
-        )
-
-        dedup_run = dedup_engine.run(scenario, SYSTEM)
-        naive_run = naive_engine.run(scenario, SYSTEM)
-        assert snapshot(dedup_run) == snapshot(naive_run)
-        assert dedup_run.signatures is not None
-        assert naive_run.signatures is None
-        assert dedup_run.dedup_hits == len(scenario.phases) - len(dedup_run.signatures)
-
-    def test_modes_share_persisted_payloads_both_ways(self, tmp_path):
-        scenario = build("corun_overlap")
-
-        # Dedup writes the signature layout; the per-phase mode loads it.
-        cold = engine_for(tmp_path, "shared-a", True).run(scenario, SYSTEM)
-        naive_engine = engine_for(tmp_path, "shared-a", False)
-        warm = naive_engine.run(scenario, SYSTEM)
-        assert naive_engine.runner.replays == 0
-        assert warm.signatures is not None  # layout survives the round trip
-        assert snapshot(warm) == snapshot(cold)
-
-        # The per-phase mode writes the legacy layout; dedup loads it.
-        cold = engine_for(tmp_path, "shared-b", False).run(scenario, SYSTEM)
-        dedup_engine = engine_for(tmp_path, "shared-b", True)
-        warm = dedup_engine.run(scenario, SYSTEM)
-        assert dedup_engine.runner.replays == 0
-        assert warm.signatures is None
-        assert snapshot(warm) == snapshot(cold)
-
-
 class TestFleetScale:
     def test_5k_phase_fleet_dedups_and_reloads_one_payload(self, tmp_path):
         scenario = fleet(num_phases=5000, seed=7)
         trace_dir = tmp_path / "trace"
         with Telemetry(directory=trace_dir, enabled=True):
-            cold_engine = engine_for(tmp_path, "cache", True)
+            cold_engine = engine_for(tmp_path, "cache")
             cold = cold_engine.run(scenario, SYSTEM)
-            warm_engine = engine_for(tmp_path, "cache", True)
+            warm_engine = engine_for(tmp_path, "cache")
             warm = warm_engine.run(scenario, SYSTEM)
 
         # Thousands of phases, tens of signatures.
@@ -112,7 +60,7 @@ class TestFleetScale:
         assert warm_engine.runner.replays == 0
         assert warm_cache.replay_misses == 0
         assert warm_cache.tier_counters()["scenario_hits"] == 1
-        assert warm.signatures is not None
+        assert len(warm.signatures) == signatures
         assert snapshot(warm) == snapshot(cold)
 
         # Only the cold pass lowers phases, and its counters account for
