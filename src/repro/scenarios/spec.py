@@ -51,10 +51,10 @@ from repro.runner.spec import (
 #: :meth:`~repro.scenarios.engine.ScenarioEngine.run_key`.
 #: Version 4: persisted scenario aggregates use the signature-keyed layout
 #: (distinct phase signatures plus per-phase signature/transition ids)
-#: written by the deduplicating engine; the legacy per-phase layout is still
-#: readable, but the layout change invalidates prior scenario-tier entries.
-#: Dedup itself is execution-plan-only — leaf replay/score keys and the
-#: computed per-phase results are unchanged.
+#: written by the deduplicating engine; the layout change invalidates prior
+#: scenario-tier entries, and an entry in any other layout is recomputed.
+#: Dedup itself changed no computed result — leaf replay/score keys and the
+#: per-phase results are unchanged.
 SCENARIO_SCHEMA_VERSION = 4
 
 
