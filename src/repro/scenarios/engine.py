@@ -79,7 +79,7 @@ _MORPHEUS_VARIANTS: Dict[str, MorpheusVariant] = {
 logger = get_logger(__name__)
 
 
-def _report_recompute(key: str, reason: object) -> None:
+def _report_recompute(key: str, reason: Exception) -> None:
     """Count and log one scenario-tier payload that is recomputed."""
     tel = telemetry()
     if tel.enabled:

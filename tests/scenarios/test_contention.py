@@ -429,6 +429,7 @@ class TestScenarioAggregateStore:
         fresh = _engine(tmp_path)
         with using_runner(fresh.runner):
             recomputed = fresh.run(SATURATING, "Morpheus-Basic")
+        assert fresh.runner.disk_cache.scenario_stores == 1  # not trusted
         assert _snapshot(recomputed) == _snapshot(result)
 
     def test_per_phase_layout_payload_is_recomputed_and_reported(self, tmp_path):
