@@ -1,17 +1,17 @@
-"""Machine-readable performance benchmarks: design-space search and the runner service.
+"""Machine-readable performance benchmarks: design-space search and the runner pool.
 
 ``--benchmark search`` (the default) times a fixed-seed warm design-space
 search (``repro.search``) over the scenario tier — steps/sec plus the
 scenario and in-loop memo hit rates, with the zero-replay-miss contract
 asserted — and writes ``BENCH_search.json``.
 
-``--benchmark runner`` times cold-plan leaf throughput through the
-distributed experiment service at 1 worker vs ``--workers`` workers (fresh
-cache per timed run, matched pairs, median ratio), asserts the service run
-is bit-identical to a serial one with zero duplicate replays, and writes
-``BENCH_runner.json`` — including ``cpu_count``, because the measured
-speedup is physically bounded by the host's cores (a 1-CPU container
-honestly reports ~1.0x; CI's multi-core runners show the real scaling).
+``--benchmark runner`` times a cold batch of kmeans leaves on
+``ExperimentRunner`` at 1 worker (in-process) vs ``--workers`` pool workers
+(fresh cache and fresh pool per timed run, matched pairs), asserts the
+pooled run is bit-identical to a serial one with zero duplicate replays,
+and writes ``BENCH_runner.json`` with each side's median and quartiles.
+It records ``cpu_count``, because the pool never runs more workers than
+the host has cores.
 
 Usage::
 
@@ -65,6 +65,12 @@ def _config(fidelity: Fidelity, **kwargs) -> SimulationConfig:
     return SimulationConfig(**defaults)
 
 
+def _quartiles(samples):
+    """``{"q1", "median", "q3"}`` of ``samples`` (seconds)."""
+    q1, median, q3 = statistics.quantiles(samples, n=4)
+    return {"q1": q1, "median": median, "q3": q3}
+
+
 def _paired_speedup(func_a, func_b, repeats: int, rounds: int = 1):
     """Time two rivals as matched pairs (A, B, A, B, ...).
 
@@ -75,9 +81,8 @@ def _paired_speedup(func_a, func_b, repeats: int, rounds: int = 1):
     is the robust matched-pairs estimate of the true speedup.  The pairs
     are spread over ``rounds`` sleep-separated bursts so a transient host
     excursion (shared-tenant pressure on a virtualized box) cannot cover
-    the whole sampling window.  Returns ``(stats_a, stats_b, speedup)``
-    where each stats dict carries the min (the ``timeit``-style lower
-    bound) and the median of the raw seconds for transparency.
+    the whole sampling window.  Returns ``(quartiles_a, quartiles_b,
+    speedup)`` over the raw seconds.
     """
     samples_a, samples_b = [], []
     per_round = max(1, repeats // max(1, rounds))
@@ -94,40 +99,32 @@ def _paired_speedup(func_a, func_b, repeats: int, rounds: int = 1):
     speedup = statistics.median(
         a / b for a, b in zip(samples_a, samples_b)
     )
-    stats_a = {"min": min(samples_a), "median": statistics.median(samples_a)}
-    stats_b = {"min": min(samples_b), "median": statistics.median(samples_b)}
-    return stats_a, stats_b, speedup
+    return _quartiles(samples_a), _quartiles(samples_b), speedup
 
 
-def benchmark_runner_service(
+def benchmark_runner_pool(
     fidelity: Fidelity, leaves_count: int, workers: int, repeats: int, rounds: int = 1
 ):
-    """Cold-plan leaf throughput through the service: 1 worker vs ``workers``.
+    """Cold-batch leaf throughput: 1 worker vs ``workers`` pool workers.
 
     Every timed run starts from a fresh cache directory (cold by
-    construction) and spawns its own worker daemons, so the measurement
-    covers the full distributed path: registration, claim-by-rename,
-    replay execution in workers, publication to the shared cache, and the
-    coordinator's warm re-derivation.  Bit-identity against a serial run
-    and the zero-duplicate-replay invariant are asserted before timing.
+    construction) and a fresh runner, so the multi-worker side pays for
+    starting its pool, shipping each missing replay to a worker, and
+    storing the measurements the workers send back.  With one worker the
+    runner replays in-process.  Bit-identity against a serial run and the
+    zero-duplicate-replay invariant are asserted before timing.
     """
     profile = get_application("kmeans")
     configs = [_config(fidelity, seed=seed) for seed in range(1, leaves_count + 1)]
 
     def cold_run(num_workers: int):
         with tempfile.TemporaryDirectory(prefix="repro-bench-runner-") as cache_dir:
-            runner = ExperimentRunner(
-                cache_dir=cache_dir, max_workers=num_workers, backend="service"
-            )
-            try:
+            with ExperimentRunner(cache_dir=cache_dir, max_workers=num_workers) as runner:
                 stats = runner.run_configs(profile, configs)
-                replays = runner.replays
-            finally:
-                runner.close()
-        return stats, replays
+        return stats, runner.replays
 
     with tempfile.TemporaryDirectory(prefix="repro-bench-serial-") as cache_dir:
-        serial = ExperimentRunner(cache_dir=cache_dir, max_workers=0, backend="local")
+        serial = ExperimentRunner(cache_dir=cache_dir, max_workers=0)
         expected = serial.run_configs(profile, configs)
     actual, replays = cold_run(workers)
     mismatches = sum(
@@ -136,16 +133,16 @@ def benchmark_runner_service(
     )
     if mismatches:
         raise AssertionError(
-            f"service run diverged from serial on {mismatches}/{leaves_count} "
+            f"pooled run diverged from serial on {mismatches}/{leaves_count} "
             "leaves — the bit-identity contract is broken"
         )
     if replays != leaves_count:
         raise AssertionError(
-            f"service run performed {replays} replays for {leaves_count} distinct "
+            f"pooled run performed {replays} replays for {leaves_count} distinct "
             "replay keys — the zero-duplicate-replay contract is broken"
         )
 
-    single_stats, multi_stats, speedup = _paired_speedup(
+    single, multi, speedup = _paired_speedup(
         lambda: cold_run(1), lambda: cold_run(workers), repeats, rounds
     )
     cpu_count = os.cpu_count() or 1
@@ -153,21 +150,18 @@ def benchmark_runner_service(
         "leaves": leaves_count,
         "workers": workers,
         "cpu_count": cpu_count,
-        "single_worker_seconds": single_stats["min"],
-        "single_worker_seconds_median": single_stats["median"],
-        "multi_worker_seconds": multi_stats["min"],
-        "multi_worker_seconds_median": multi_stats["median"],
-        "single_worker_leaves_per_second": leaves_count / single_stats["median"],
-        "multi_worker_leaves_per_second": leaves_count / multi_stats["median"],
+        "single_worker_seconds": single,
+        "multi_worker_seconds": multi,
+        "single_worker_leaves_per_second": leaves_count / single["median"],
+        "multi_worker_leaves_per_second": leaves_count / multi["median"],
         "speedup": speedup,
         "bit_identical": True,
         "duplicate_replays": 0,
     }
     if cpu_count < workers:
         report["note"] = (
-            f"host has {cpu_count} CPU(s); a {workers}-worker speedup is "
-            f"physically capped near {min(cpu_count, workers)}.0x here — run on "
-            f">= {workers} cores for the representative number"
+            f"host has {cpu_count} CPU(s); the pool runs at most {cpu_count} "
+            f"of the {workers} requested workers"
         )
     return report
 
@@ -247,8 +241,8 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--workers",
         type=int,
-        default=4,
-        help="runner: service worker daemons on the multi-worker side (default 4)",
+        default=max(2, os.cpu_count() or 1),
+        help="runner: pool workers on the multi-worker side (default: CPU count, min 2)",
     )
     parser.add_argument(
         "--leaves",
@@ -332,7 +326,7 @@ def main(argv=None) -> int:
                 "smoke": args.smoke,
                 "repeats": repeats,
                 "rounds": rounds,
-                "cold_plan_throughput": benchmark_runner_service(
+                "cold_batch_throughput": benchmark_runner_pool(
                     fidelity, leaves, args.workers, repeats, rounds
                 ),
             }
@@ -364,9 +358,9 @@ def main(argv=None) -> int:
             file=sys.stderr,
         )
     else:
-        cold = report["cold_plan_throughput"]
+        cold = report["cold_batch_throughput"]
         print(
-            f"\ncold plan through the service: {cold['speedup']:.2f}x at "
+            f"\ncold batch on the pool: {cold['speedup']:.2f}x at "
             f"{cold['workers']} workers over 1 "
             f"({cold['multi_worker_leaves_per_second']:.1f} vs "
             f"{cold['single_worker_leaves_per_second']:.1f} leaves/s on a "

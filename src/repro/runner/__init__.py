@@ -3,38 +3,25 @@
 This package is the single execution path for every simulation in the
 repository.  Describe a run matrix with :class:`ExperimentSpec`, expand it
 to an :class:`ExperimentPlan` of content-hash-keyed cells, and execute it
-with an :class:`ExperimentRunner` — worker processes share one
-content-addressed on-disk cache with two tiers: raw replay measurements
-(keyed by :meth:`RunSpec.replay_key`) and scored results (keyed by
-:meth:`RunSpec.score_key`).  Re-running a plan (or any figure script that
-overlaps one) costs only JSON loads, and re-scoring under different
-analytic parameters (MLP, peak IPC, energy constants — e.g. via
-``ExperimentRunner.score_many`` or :mod:`repro.analysis.rescoring`) hits
-the measurement tier and never re-replays a trace.
-
-Batches can also execute through the distributed experiment service
-(``REPRO_RUNNER_BACKEND=service``): leaves become jobs on a
-:class:`JobQueue` drained by work-stealing worker daemons
-(``python -m repro.runner serve``) into the same shared cache — see
-:mod:`repro.runner.service`.
+with an :class:`ExperimentRunner` — the workers of its persistent process
+pool share one content-addressed on-disk cache with two tiers: raw replay
+measurements (keyed by :meth:`RunSpec.replay_key`) and scored results
+(keyed by :meth:`RunSpec.score_key`).  Re-running a plan (or any figure
+script that overlaps one) costs only JSON loads, a run restarted after a
+crash resumes from the entries its predecessor stored, and re-scoring
+under different analytic parameters (MLP, peak IPC, energy constants —
+e.g. via ``ExperimentRunner.score_many`` or :mod:`repro.analysis.rescoring`)
+hits the measurement tier and never re-replays a trace.
 """
 
 from repro.runner.cache import DEFAULT_CACHE_DIR, ResultCache
 from repro.runner.runner import (
-    BACKEND_ENV,
     CACHE_MAX_BYTES_ENV,
     ExperimentResult,
     ExperimentRunner,
     active_runner,
     set_active_runner,
     using_runner,
-)
-from repro.runner.queue import FileQueue, InProcessQueue, Job, JobQueue, JobStatus
-from repro.runner.service import (
-    DistributedBackend,
-    ExperimentService,
-    ServiceReport,
-    TaskOutcome,
 )
 from repro.runner.spec import (
     REPLAY_SCHEMA_VERSION,
@@ -47,27 +34,17 @@ from repro.runner.spec import (
 )
 
 __all__ = [
-    "BACKEND_ENV",
     "CACHE_MAX_BYTES_ENV",
     "DEFAULT_CACHE_DIR",
-    "DistributedBackend",
     "ExperimentCell",
     "ExperimentPlan",
     "ExperimentResult",
     "ExperimentRunner",
-    "ExperimentService",
     "ExperimentSpec",
-    "FileQueue",
-    "InProcessQueue",
-    "Job",
-    "JobQueue",
-    "JobStatus",
     "REPLAY_SCHEMA_VERSION",
     "ResultCache",
     "RunSpec",
     "SCORE_SCHEMA_VERSION",
-    "ServiceReport",
-    "TaskOutcome",
     "active_runner",
     "content_hash",
     "set_active_runner",

@@ -1,27 +1,12 @@
-"""``python -m repro.runner`` — cache maintenance CLI and worker daemon.
+"""``python -m repro.runner`` — alias of the cache maintenance CLI.
 
-``python -m repro.runner serve ...`` runs one work-stealing worker daemon of
-the distributed experiment service (:func:`repro.runner.service.serve_main`);
-every other invocation is the cache maintenance CLI
-(:func:`repro.runner.cache.main` — ``stats``/``prune``).
-
-This module exists so neither submodule is executed twice by runpy (the
-package ``__init__`` imports them, so running a submodule directly with
-``-m`` would run its body twice with a ``RuntimeWarning``).
+Runs :func:`repro.runner.cache.main` (``stats``/``prune``).  This module
+exists so the cache submodule is not executed twice by runpy (the package
+``__init__`` imports it, so running it directly with ``-m`` would run its
+body twice with a ``RuntimeWarning``).
 """
 
-import sys
-
-
-def main() -> int:
-    if len(sys.argv) > 1 and sys.argv[1] == "serve":
-        from repro.runner.service import serve_main
-
-        return serve_main(sys.argv[2:])
-    from repro.runner.cache import main as cache_main
-
-    return cache_main()
-
+from repro.runner.cache import main
 
 if __name__ == "__main__":
     raise SystemExit(main())

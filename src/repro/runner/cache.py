@@ -157,7 +157,7 @@ class _JsonTier:
         """Atomically persist ``payload`` under ``key``.
 
         Safe under any number of concurrent writer *processes* sharing the
-        directory (the distributed service's workers all publish here):
+        directory (the runner's pool workers all publish here):
 
         * Each writer serializes into its own ``mkstemp`` temp file and
           commits with ``os.replace`` — one atomic rename.  Readers

@@ -41,7 +41,7 @@ import warnings
 import weakref
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
@@ -61,15 +61,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 #: Environment variable setting the default worker count (0 = serial).
 WORKERS_ENV = "REPRO_RUNNER_WORKERS"
-
-#: Environment variable selecting the execution backend: ``local`` (in-process
-#: worker pools, the default) or ``service`` (the distributed experiment
-#: service of :mod:`repro.runner.service` — replay/cell batches are registered
-#: on a job queue and drained by work-stealing worker daemons).
-BACKEND_ENV = "REPRO_RUNNER_BACKEND"
-
-#: The backends :class:`ExperimentRunner` accepts.
-BACKENDS = ("local", "service")
 
 #: Environment variable disabling the on-disk cache when set to ``0``.
 DISK_CACHE_ENV = "REPRO_DISK_CACHE"
@@ -155,10 +146,9 @@ class ExperimentRunner:
         use_disk_cache: Persist results to disk (``$REPRO_DISK_CACHE=0``
             disables the default).
         energy_model: Energy model shared by all runs.
-        backend: ``"local"`` (in-process worker pools) or ``"service"``
-            (distributed execution through the job queue of
-            :mod:`repro.runner.service`).  ``None`` reads
-            ``$REPRO_RUNNER_BACKEND`` (default ``"local"``).
+        backend: Accepted for existing callers; only ``"local"`` (the
+            persistent process pool) exists.  Any other value raises
+            ``ValueError``.
     """
 
     def __init__(
@@ -167,40 +157,32 @@ class ExperimentRunner:
         max_workers: Optional[int] = None,
         use_disk_cache: Optional[bool] = None,
         energy_model: Optional[EnergyModel] = None,
-        backend: Optional[str] = None,
+        backend: str = "local",
     ) -> None:
+        if backend != "local":
+            raise ValueError(
+                f"unknown runner backend {backend!r}: the experiment service "
+                "was removed; the local process pool is the only backend"
+            )
         if max_workers is None:
             max_workers = int(os.environ.get(WORKERS_ENV, "0") or 0)
         if use_disk_cache is None:
             use_disk_cache = os.environ.get(DISK_CACHE_ENV, "1") != "0"
-        if backend is None:
-            backend = os.environ.get(BACKEND_ENV, "").strip() or "local"
-        if backend not in BACKENDS:
-            raise ValueError(
-                f"unknown runner backend {backend!r}; expected one of {BACKENDS}"
-            )
         self.max_workers = max_workers
         self.use_disk_cache = use_disk_cache
-        self.backend = backend
         self.disk_cache = ResultCache(cache_dir)
         self._energy_model = energy_model
         self.memory_hits = 0
         self.measurement_memory_hits = 0
-        #: Trace replays actually executed on behalf of this runner (serial,
-        #: via worker pools, or — folded back from per-task accounting — via
-        #: service workers).  A warm-cache or analytic re-scoring pass keeps
-        #: this at zero.
+        #: Trace replays actually executed on behalf of this runner (serially
+        #: or in pool workers).  A warm-cache or analytic re-scoring pass
+        #: keeps this at zero.
         self.replays = 0
-        #: Per-batch :class:`~repro.runner.service.ServiceReport` accounting
-        #: when the ``service`` backend executed work for this runner.
-        self.service_reports: List = []
         self._memory: Dict[str, SimulationStats] = {}
         self._measurement_memory: Dict[str, ReplayMeasurement] = {}
         self._scenario_memory: Dict[str, Dict] = {}
         self._performance_model = PerformanceModel(energy_model)
         self._cache_suspended = False
-        self._service = None
-        self._service_finalizer = None
         self._pool: Optional[ProcessPoolExecutor] = None
         self._pool_finalizer = None
 
@@ -235,7 +217,6 @@ class ExperimentRunner:
             max_workers=self.max_workers,
             use_disk_cache=self.use_disk_cache,
             energy_model=energy_model,
-            backend=self.backend,
         )
         sibling.disk_cache = self.disk_cache
         sibling._memory = self._memory
@@ -272,7 +253,7 @@ class ExperimentRunner:
         Called after each completed plan or scenario run, so long-lived
         experiment campaigns keep the cache bounded without anyone having to
         schedule ``python -m repro.runner prune`` manually.  Evicts
-        least-recently-modified entries first (both tiers); returns the
+        least-recently-modified entries first (all three tiers); returns the
         number of files removed (0 when the variable is unset, unparsable
         or the disk cache is disabled).
         """
@@ -609,28 +590,6 @@ class ExperimentRunner:
                 else:
                     missing.append(key)
 
-            if missing and parallel and self._service_enabled():
-                # Distributed backend: one replay job per missing key; the
-                # workers publish measurements to the shared cache and the
-                # batch is re-read below through the ordinary serial path
-                # (bit-identity by construction).  Any key the service could
-                # not materialize falls through to local execution.
-                self._service_backend().run_replays(
-                    self,
-                    [
-                        (leaves[by_replay[key][0]][0], leaves[by_replay[key][0]][1], key)
-                        for key in missing
-                    ],
-                )
-                still_missing: List[str] = []
-                for key in missing:
-                    loaded = self._lookup_measurement(key)
-                    if loaded is not None:
-                        measurements[key] = loaded
-                    else:  # pragma: no cover - defensive
-                        still_missing.append(key)
-                missing = still_missing
-
             if span is not None:
                 span.set(pending=len(pending), replay_misses=len(missing))
             workers = self._effective_workers(len(missing)) if parallel else 1
@@ -690,9 +649,7 @@ class ExperimentRunner:
         if isinstance(plan, ExperimentSpec):
             plan = plan.expand()
         start = time.perf_counter()
-        with telemetry().span(
-            "runner.run_plan", cells=len(plan.cells), backend=self.backend
-        ):
+        with telemetry().span("runner.run_plan", cells=len(plan.cells)):
             results = self._run_plan_cells(plan)
         self.maybe_auto_prune()
         return ExperimentResult(
@@ -706,16 +663,16 @@ class ExperimentRunner:
     ) -> Dict[ExperimentCell, SimulationStats]:
         workers = self._effective_workers(len(plan.cells))
         computed: Optional[List[SimulationStats]] = None
-        if self._service_enabled() and plan.cells:
-            # Distributed backend: every cell becomes a service job; workers
-            # publish all leaf results to the shared cache and the plan is
-            # then re-executed serially over the warm cache — pure cache
-            # hits, bit-identical to a serial run by construction.
-            self._service_backend().run_plan_cells(self, plan)
-            computed = [self._execute_cell(cell, plan.spec) for cell in plan.cells]
-        if computed is None and workers > 1:
+        if workers > 1:
             jobs = [
-                (cell, plan.spec, self.cache_dir, self.use_disk_cache, self.energy_model)
+                (
+                    cell,
+                    plan.spec,
+                    self.cache_dir,
+                    self.use_disk_cache,
+                    self.energy_model,
+                    self._cache_suspended,
+                )
                 for cell in plan.cells
             ]
             pooled = self._pool_map(_cell_worker, jobs, workers)
@@ -765,50 +722,6 @@ class ExperimentRunner:
                 seed=cell.seed,
                 predictor=cell.predictor,
             )
-
-    # -- service backend --------------------------------------------------------------
-
-    def _service_enabled(self) -> bool:
-        """Whether batches should route through the distributed service.
-
-        The service publishes results through the shared on-disk cache, so
-        it is only usable when that cache is on and not bypassed; otherwise
-        the runner silently uses the local backend (results are identical).
-        """
-        return (
-            self.backend == "service"
-            and self.use_disk_cache
-            and not self._cache_suspended
-        )
-
-    def _service_backend(self):
-        """The lazily created :class:`~repro.runner.service.DistributedBackend`.
-
-        Created on first use (the first batch with actual cache misses), so
-        warm-cache runs under ``REPRO_RUNNER_BACKEND=service`` never touch
-        the queue or spawn a worker.  Worker count: ``$REPRO_SERVICE_WORKERS``
-        or this runner's ``max_workers`` (min 1 — the service parallelizes
-        across daemons, not in-process pools).
-        """
-        if self._service is None:
-            # Imported lazily: the service module imports this one.
-            from repro.runner.service import (
-                SERVICE_WORKERS_ENV,
-                DistributedBackend,
-                ExperimentService,
-            )
-
-            env_workers = int(os.environ.get(SERVICE_WORKERS_ENV, "0") or 0)
-            service = ExperimentService(
-                cache_dir=self.cache_dir,
-                num_workers=env_workers if env_workers > 0 else max(1, self.max_workers),
-                use_disk_cache=self.use_disk_cache,
-            )
-            self._service = DistributedBackend(service)
-            # Spawned worker daemons outlive one batch (they idle-exit or
-            # wait for more work); stop them when this runner is dropped.
-            self._service_finalizer = weakref.finalize(self, service.stop)
-        return self._service
 
     # -- worker-pool plumbing ---------------------------------------------------------
 
@@ -888,18 +801,14 @@ class ExperimentRunner:
     # -- lifecycle --------------------------------------------------------------------
 
     def close(self) -> None:
-        """Release pooled resources: worker processes, service daemons.
+        """Shut the worker pool down.
 
-        Idempotent, and optional — both resources are also reclaimed when
-        the runner is garbage-collected (and are created lazily, so a
-        runner that never pooled work holds nothing).  The on-disk cache
-        needs no closing.
+        Idempotent, and optional — the pool is also reclaimed when the
+        runner is garbage-collected (and is created lazily, so a runner
+        that never pooled work holds nothing).  The on-disk cache needs no
+        closing.
         """
         self._teardown_pool()
-        self._service = None
-        finalizer, self._service_finalizer = self._service_finalizer, None
-        if finalizer is not None:
-            finalizer()
 
     def __enter__(self) -> "ExperimentRunner":
         return self
@@ -948,27 +857,29 @@ def _replay_worker(
 
 
 def _cell_worker(
-    job: Tuple[ExperimentCell, ExperimentSpec, str, bool, Optional[EnergyModel]]
+    job: Tuple[ExperimentCell, ExperimentSpec, str, bool, Optional[EnergyModel], bool]
 ) -> Tuple[SimulationStats, int, Dict[str, int]]:
     """Worker-process entry point for one plan cell.
 
     Each worker installs its own serial runner pointed at the shared cache
     directory, so the leaf simulations behind a system evaluation (including
-    SM-count searches) land in the same on-disk cache as the parent's.
-    Returns the cell's stats plus the worker's trace-replay count and cache
-    tier counters, which the parent folds into its own ``replays`` and
-    ``disk_cache`` counters.
+    SM-count searches) land in the same on-disk cache as the parent's.  A
+    parent inside :meth:`ExperimentRunner.cache_bypassed` passes
+    ``cache_suspended``, and the worker recomputes the cell as the serial
+    path would.  Returns the cell's stats plus the worker's trace-replay
+    count and cache tier counters, which the parent folds into its own
+    ``replays`` and ``disk_cache`` counters.
     """
-    cell, spec, cache_dir, use_disk_cache, energy_model = job
+    cell, spec, cache_dir, use_disk_cache, energy_model, cache_suspended = job
     runner = ExperimentRunner(
         cache_dir=cache_dir,
         max_workers=0,
         use_disk_cache=use_disk_cache,
         energy_model=energy_model,
-        backend="local",
     )
     set_active_runner(runner)
-    with telemetry().span(
+    bypass = runner.cache_bypassed() if cache_suspended else nullcontext()
+    with bypass, telemetry().span(
         "runner.cell", system=cell.system, app=cell.application
     ):
         stats = runner._execute_cell(cell, spec)

@@ -20,7 +20,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     subparsers = parser.add_subparsers(dest="command", required=True)
 
     report_parser = subparsers.add_parser(
-        "report", help="summarize a trace directory (stages, cache, queue)"
+        "report", help="summarize a trace directory (stages, cache, slowest replays)"
     )
     report_parser.add_argument("directory", type=Path, help="trace directory")
     report_parser.add_argument(

@@ -3,10 +3,9 @@
 One :class:`Telemetry` instance owns a per-process event buffer and metrics
 registry, flushed to a JSON-lines sink file under the trace directory
 (``events-<pid>-<nonce>.jsonl``).  Every process participating in a run —
-the coordinator, pool workers, service worker daemons — writes its **own**
-file, so no cross-process synchronization is ever needed; the report CLI
-(:mod:`repro.telemetry.report`) merges the files and stitches cross-process
-job lifecycles by ``job_id``.
+the parent runner and its pool workers — writes its **own** file, so no
+cross-process synchronization is ever needed; the report CLI
+(:mod:`repro.telemetry.report`) merges the files.
 
 Three instrument families:
 
@@ -31,10 +30,9 @@ feeds a cache key: enabling tracing cannot change a ``replay_key``, a
 ``score_key``, a scenario ``run_key`` or any emitted stat
 (``tests/telemetry/test_inertness.py`` asserts it bit-for-bit).
 
-Fork safety: a forked child (worker pools, spawned service daemons) resets
-the active instance's buffer, registry and sink file, so inherited parent
-events are never re-emitted and inherited counter values never
-double-count.
+Fork safety: a forked child (a pool worker) resets the active instance's
+buffer, registry and sink file, so inherited parent events are never
+re-emitted and inherited counter values never double-count.
 """
 
 from __future__ import annotations
@@ -228,7 +226,7 @@ class Telemetry:
         return Span(self, name, attrs)
 
     def event(self, name: str, **attrs: Any) -> None:
-        """Record one discrete event (job lifecycle edges, phase markers)."""
+        """Record one discrete event (a marker such as a phase signature)."""
         if not self.enabled:
             return
         self._emit(

@@ -1,15 +1,15 @@
 """One logging configuration for the whole package.
 
-Runner, service and scenario modules get their loggers from
-:func:`get_logger` instead of calling :mod:`logging` directly, so every
-component shares one handler, one format and one level knob:
+Package modules get their loggers from :func:`get_logger` instead of
+calling :mod:`logging` directly, so every component shares one handler,
+one format and one level knob:
 
 * ``REPRO_LOG_LEVEL`` — ``DEBUG`` / ``INFO`` / ``WARNING`` / ``ERROR``
   (default ``WARNING``, so normal runs stay silent).
 
 The handler writes to stderr with the process id in the format, because
-service mode runs several daemons at once and interleaved lines are
-useless without knowing who said what.
+pool workers log concurrently and interleaved lines are useless without
+knowing who said what.
 """
 
 from __future__ import annotations
@@ -72,8 +72,8 @@ def configure(level: Optional[int] = None, *, force: bool = False) -> logging.Lo
 def get_logger(name: str) -> logging.Logger:
     """A logger under the shared ``repro`` hierarchy (configuring it lazily).
 
-    ``name`` may be a module ``__name__`` (``repro.runner.service``) or a
-    bare suffix (``runner.service``); both land under :data:`ROOT_LOGGER`.
+    ``name`` may be a module ``__name__`` (``repro.scenarios.engine``) or a
+    bare suffix (``scenarios.engine``); both land under :data:`ROOT_LOGGER`.
     """
     configure()
     if name == ROOT_LOGGER or name.startswith(ROOT_LOGGER + "."):

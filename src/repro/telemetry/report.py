@@ -8,10 +8,6 @@
   processes (counters summed, gauges last-write-wins by snapshot time).
 * ``histograms`` — merged raw-value histograms with p50/p95/p99.
 * ``cache`` — per-tier hit/miss/store/byte counters folded into hit rates.
-* ``queue`` — service-mode job lifecycles stitched across processes by
-  ``job_id`` (submit → claim = queue wait, claim → complete = execution),
-  with wait-latency percentiles.  Wall-clock timestamps are comparable
-  across processes because every sink records ``time.time``.
 * ``slowest`` — the slowest replay spans, the leaves a search should
   look at first.
 
@@ -176,65 +172,6 @@ def _scenario_summary(
     }
 
 
-def _queue_summary(events: List[Dict[str, Any]]) -> Dict[str, Any]:
-    jobs: Dict[str, Dict[str, float]] = {}
-    lifecycle = {
-        "job.submit": "submit",
-        "job.claim": "claim",
-        "job.complete": "complete",
-    }
-    expiries = 0
-    for event in events:
-        name = event.get("name", "")
-        if name == "job.lease_expired":
-            expiries += 1
-        edge = lifecycle.get(name)
-        if edge is None:
-            continue
-        job_id = event.get("attrs", {}).get("job_id")
-        if not job_id:
-            continue
-        # Keep the earliest submit/claim and the latest complete, so a
-        # requeued job measures first-wait and final completion.
-        record = jobs.setdefault(job_id, {})
-        ts = event.get("ts", 0.0)
-        if edge == "complete":
-            record[edge] = max(record.get(edge, ts), ts)
-        else:
-            record[edge] = min(record.get(edge, ts), ts)
-    waits = [
-        record["claim"] - record["submit"]
-        for record in jobs.values()
-        if "claim" in record and "submit" in record
-    ]
-    executions = [
-        record["complete"] - record["claim"]
-        for record in jobs.values()
-        if "complete" in record and "claim" in record
-    ]
-    return {
-        "jobs": len(jobs),
-        "completed": sum(1 for record in jobs.values() if "complete" in record),
-        "lease_expiries": expiries,
-        "wait_seconds": {
-            "count": len(waits),
-            "mean": sum(waits) / len(waits) if waits else 0.0,
-            "p50": percentile(waits, 0.50),
-            "p95": percentile(waits, 0.95),
-            "p99": percentile(waits, 0.99),
-            "max": max(waits) if waits else 0.0,
-        },
-        "execute_seconds": {
-            "count": len(executions),
-            "mean": sum(executions) / len(executions) if executions else 0.0,
-            "p50": percentile(executions, 0.50),
-            "p95": percentile(executions, 0.95),
-            "p99": percentile(executions, 0.99),
-            "max": max(executions) if executions else 0.0,
-        },
-    }
-
-
 def _slowest(spans: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
     replays = [span for span in spans if span["name"] == REPLAY_SPAN]
     replays.sort(key=lambda span: span["dur"], reverse=True)
@@ -270,7 +207,6 @@ def summarize(directory: Path) -> Dict[str, Any]:
         "histograms": histograms,
         "cache": _cache_summary(counters),
         "scenario": _scenario_summary(counters, histograms),
-        "queue": _queue_summary(events),
         "slowest": _slowest(spans),
     }
 
@@ -341,27 +277,6 @@ def render(summary: Dict[str, Any]) -> str:
                 f"p99 {_fmt_seconds(solve['p99'])}  "
                 f"max {_fmt_seconds(solve['max'])}"
             )
-
-    queue = summary["queue"]
-    if queue["jobs"]:
-        wait = queue["wait_seconds"]
-        execute = queue["execute_seconds"]
-        lines.append("")
-        lines.append("service queue")
-        lines.append(
-            f"  jobs: {queue['jobs']}  completed: {queue['completed']}  "
-            f"lease expiries: {queue['lease_expiries']}"
-        )
-        lines.append(
-            f"  queue wait    p50 {_fmt_seconds(wait['p50'])}  "
-            f"p95 {_fmt_seconds(wait['p95'])}  p99 {_fmt_seconds(wait['p99'])}  "
-            f"max {_fmt_seconds(wait['max'])}"
-        )
-        lines.append(
-            f"  execution     p50 {_fmt_seconds(execute['p50'])}  "
-            f"p95 {_fmt_seconds(execute['p95'])}  p99 {_fmt_seconds(execute['p99'])}  "
-            f"max {_fmt_seconds(execute['max'])}"
-        )
 
     histograms = summary["histograms"]
     if histograms:

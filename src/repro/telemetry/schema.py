@@ -14,7 +14,7 @@ participating process.  Four record types, discriminated by ``type``:
     ``thread``, ``span_id``, ``parent_id`` (may be null), ``attrs``.
 
 ``event``
-    A discrete marker (job lifecycle edges, scenario phases): ``name``,
+    A discrete marker (a scenario's phase signatures): ``name``,
     ``ts``, ``pid``, ``attrs``.
 
 ``metrics``

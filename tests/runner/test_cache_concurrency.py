@@ -5,9 +5,9 @@
 cache: N worker processes may hammer the same keys and readers must never
 observe a torn entry, no stale ``.tmp-`` files may leak from completed
 writes, and per-process counters must stay consistent when folded back
-through ``absorb_counters``.  The distributed experiment service leans on
-exactly this (every worker publishes into one cache directory), so the
-contract is exercised here with real processes, not threads.
+through ``absorb_counters``.  The runner's process pool leans on exactly
+this (every worker publishes into one cache directory), so the contract is
+exercised here with real processes, not threads.
 """
 
 from __future__ import annotations
@@ -85,7 +85,7 @@ class TestConcurrentWriters:
             assert tier.load_payload(key) == _payload(key)
 
         # Folding the per-process counters back through absorb_counters
-        # yields the exact totals (the coordinator-side accounting path).
+        # yields the exact totals (the parent runner's accounting path).
         cache = ResultCache(tmp_path)
         for report in reports:
             cache.absorb_counters(

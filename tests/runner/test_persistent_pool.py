@@ -4,18 +4,21 @@ One ``ProcessPoolExecutor`` serves every batch for the life of the runner
 (worker startup is paid once, not per ``run_leaves``/``run_plan`` call); it
 is torn down by ``close()``/garbage collection, recreated after a
 ``BrokenProcessPool``, and never created at all for serial runners — with a
-serial fallback identical in results to pooled execution.
+serial fallback identical in results to pooled execution.  Pooled plans
+honour ``cache_bypassed()`` like serial ones, and a pooled run restarted on
+the same cache resumes from what its predecessor stored.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import os
+from pathlib import Path
 
 import pytest
 
-from repro.runner import ExperimentRunner
-from runner_test_utils import tiny_config
+from repro.runner import ExperimentRunner, ExperimentSpec
+from runner_test_utils import TINY_FIDELITY, tiny_config
 
 
 def _square(value: int) -> int:
@@ -104,3 +107,56 @@ class TestPersistentPool:
             assert pooled.replays == serial.replays == 4
         finally:
             pooled.close()
+
+
+def _stats_dicts(stats_list):
+    return [dataclasses.asdict(stats) for stats in stats_list]
+
+
+class TestPooledCacheBypass:
+    @pytest.mark.parametrize("max_workers", [0, 2])
+    def test_bypassed_plan_recomputes_every_cell(
+        self, tmp_path, monkeypatch, max_workers
+    ):
+        # Pool workers build their own runners; a bypassed parent must make
+        # them recompute too, instead of replaying the cells from disk.
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        spec = ExperimentSpec(
+            systems=("BL", "IBL"),
+            applications=("kmeans",),
+            seeds=(1, 2),
+            sm_counts=(34, 68),
+            fidelity=TINY_FIDELITY,
+        )
+        with ExperimentRunner(
+            cache_dir=tmp_path / "cache", max_workers=max_workers
+        ) as runner:
+            cold = runner.run_plan(spec)
+            cold_replays = runner.replays
+            with runner.cache_bypassed():
+                again = runner.run_plan(spec)
+        assert len(cold) == 8
+        assert runner.replays - cold_replays == 8
+        assert _stats_dicts(stats for _, stats in again) == _stats_dicts(
+            stats for _, stats in cold
+        )
+
+
+class TestResumeFromCache:
+    def test_restarted_runner_resumes_from_cache(
+        self, tmp_path, kmeans_profile, monkeypatch
+    ):
+        # A pooled run stopped half way, then restarted on the same cache,
+        # replays only the leaves its predecessor never stored.
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        configs = [tiny_config(seed=seed) for seed in (1, 2, 3, 4)]
+        with ExperimentRunner(cache_dir=tmp_path / "cache", max_workers=2) as first:
+            first.run_configs(kmeans_profile, configs[:2])
+        with ExperimentRunner(cache_dir=tmp_path / "cache", max_workers=2) as second:
+            resumed = second.run_configs(kmeans_profile, configs)
+        serial = ExperimentRunner(cache_dir=tmp_path / "serial", max_workers=0)
+        expected = serial.run_configs(kmeans_profile, configs)
+        assert second.replays == 2
+        measurements = Path(second.cache_dir) / "measurements"
+        assert len(list(measurements.rglob("*.json"))) == 4
+        assert _stats_dicts(resumed) == _stats_dicts(expected)

@@ -137,6 +137,11 @@ class TestRunnerCaching:
         assert runner.disk_cache.stores == 2
         assert runner.memory_hits == 0
 
+    def test_only_the_local_backend_exists(self, tmp_path):
+        ExperimentRunner(cache_dir=tmp_path / "cache", backend="local")
+        with pytest.raises(ValueError, match="service was removed"):
+            ExperimentRunner(cache_dir=tmp_path / "cache", backend="service")
+
     def test_disk_cache_can_be_disabled(self, tmp_path, kmeans_profile):
         runner = ExperimentRunner(
             cache_dir=tmp_path / "cache", max_workers=0, use_disk_cache=False

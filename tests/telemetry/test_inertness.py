@@ -3,7 +3,7 @@
 The acceptance property of the observability layer: enabling
 ``REPRO_TELEMETRY=1`` (or an active :class:`~repro.telemetry.Telemetry`)
 must not change any ``replay_key``/``score_key``/``run_key`` or any emitted
-stat bit-for-bit — across plan mode, scenario mode and service mode.  Each
+stat bit-for-bit — across serial and pooled plans and scenario mode.  Each
 test runs the same workload twice into separate caches, once untraced and
 once traced, and asserts identical stats *and* identical cache entry sets
 (the file names are the content keys, so equal sets prove no telemetry
@@ -13,11 +13,12 @@ knob entered a key).
 from __future__ import annotations
 
 import dataclasses
+import os
 from pathlib import Path
 
+import pytest
+
 from repro.runner import ExperimentRunner, ExperimentSpec, using_runner
-from repro.runner.queue import InProcessQueue
-from repro.runner.service import DistributedBackend, ExperimentService
 from repro.scenarios import ScenarioEngine, corun_pair
 from repro.telemetry import Telemetry
 from fidelity_utils import TINY_FIDELITY
@@ -51,12 +52,7 @@ def _scenario_snapshot(result):
 
 
 def _cache_entries(cache_dir) -> list:
-    """Every cache tier file's relative path — the content keys on disk.
-
-    Only the result tiers are compared: a FileQueue under
-    ``<cache_dir>/queue`` (the env-selected service backend) is transport,
-    not keyed results.
-    """
+    """Every cache tier file's relative path — the content keys on disk."""
     root = Path(cache_dir)
     return sorted(
         str(p.relative_to(root))
@@ -66,21 +62,14 @@ def _cache_entries(cache_dir) -> list:
     )
 
 
-def _service_runner(cache_dir) -> ExperimentRunner:
-    """A service-backend runner draining an in-process queue inline."""
-    runner = ExperimentRunner(cache_dir=cache_dir, max_workers=2, backend="service")
-    service = ExperimentService(
-        cache_dir=runner.cache_dir,
-        queue=InProcessQueue(),
-        spawn_workers=False,
-        num_workers=2,
-    )
-    runner._service = DistributedBackend(service)
-    return runner
-
-
 class TestPlanInertness:
-    def test_traced_plan_is_bit_identical_to_untraced(self, tmp_path):
+    @pytest.mark.parametrize("max_workers", [0, 2])
+    def test_traced_plan_is_bit_identical_to_untraced(
+        self, tmp_path, monkeypatch, max_workers
+    ):
+        # On a 1-CPU host the runner would degrade 2 workers to serial;
+        # pretend there are cores so the traced plan really runs pooled.
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
         # Explicitly scope telemetry off (CI runs the suite with
         # REPRO_TELEMETRY=1, and this run must really be untraced).
         with Telemetry(enabled=False):
@@ -89,8 +78,10 @@ class TestPlanInertness:
 
         trace_dir = tmp_path / "trace"
         with Telemetry(directory=trace_dir, enabled=True):
-            traced_runner = ExperimentRunner(cache_dir=tmp_path / "on", max_workers=0)
-            traced = traced_runner.run_plan(SPEC)
+            with ExperimentRunner(
+                cache_dir=tmp_path / "on", max_workers=max_workers
+            ) as traced_runner:
+                traced = traced_runner.run_plan(SPEC)
 
         assert _plan_snapshot(untraced) == _plan_snapshot(traced)
         assert _cache_entries(tmp_path / "off") == _cache_entries(tmp_path / "on")
@@ -126,21 +117,3 @@ class TestScenarioInertness:
         assert untraced.run_key == traced.run_key
         assert _scenario_snapshot(untraced) == _scenario_snapshot(traced)
         assert _cache_entries(tmp_path / "off") == _cache_entries(tmp_path / "on")
-
-
-class TestServiceInertness:
-    def test_traced_service_run_matches_untraced_serial(self, tmp_path):
-        with Telemetry(enabled=False):
-            serial = ExperimentRunner(cache_dir=tmp_path / "serial", max_workers=0)
-            untraced = serial.run_plan(SPEC)
-
-        with Telemetry(directory=tmp_path / "trace", enabled=True):
-            service = _service_runner(tmp_path / "service")
-            traced = service.run_plan(SPEC)
-
-        assert _plan_snapshot(untraced) == _plan_snapshot(traced)
-        assert _cache_entries(tmp_path / "serial") == _cache_entries(
-            tmp_path / "service"
-        )
-        # The service path traced its job lifecycle.
-        assert list((tmp_path / "trace").glob("events-*.jsonl"))

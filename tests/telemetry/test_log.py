@@ -3,21 +3,19 @@
 from __future__ import annotations
 
 import logging
-from unittest import mock
 
-from repro.runner.service import _LeaseHeartbeat
 from repro.telemetry import LOG_LEVEL_ENV, configure, get_logger
 from repro.telemetry.log import ROOT_LOGGER
 
 
 class TestGetLogger:
     def test_module_name_lands_under_repro(self):
-        logger = get_logger("repro.runner.service")
-        assert logger.name == "repro.runner.service"
+        logger = get_logger("repro.scenarios.engine")
+        assert logger.name == "repro.scenarios.engine"
 
     def test_bare_suffix_lands_under_repro(self):
-        logger = get_logger("runner.service")
-        assert logger.name == "repro.runner.service"
+        logger = get_logger("scenarios.engine")
+        assert logger.name == "repro.scenarios.engine"
 
     def test_root_name_is_the_root(self):
         assert get_logger(ROOT_LOGGER).name == ROOT_LOGGER
@@ -50,23 +48,3 @@ class TestConfigure:
         tagged = [h for h in root.handlers if getattr(h, "_repro_handler", False)]
         assert len(tagged) == 1
         assert root.propagate is False
-
-
-class TestHeartbeatLogging:
-    def test_unexpected_heartbeat_exception_is_logged_not_silent(self):
-        queue = mock.Mock()
-        queue.heartbeat.side_effect = RuntimeError("queue backend gone")
-        thread = _LeaseHeartbeat(queue, "job-1", "worker-1", interval=0.05)
-        with mock.patch("repro.runner.service.logger") as logger:
-            thread.run()
-        assert logger.exception.called
-        message = logger.exception.call_args[0][0]
-        assert "heartbeat" in message
-
-    def test_lost_lease_exits_quietly(self):
-        queue = mock.Mock()
-        queue.heartbeat.return_value = False
-        thread = _LeaseHeartbeat(queue, "job-1", "worker-1", interval=0.05)
-        with mock.patch("repro.runner.service.logger") as logger:
-            thread.run()
-        assert not logger.exception.called

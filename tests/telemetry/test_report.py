@@ -1,23 +1,23 @@
-"""The report pipeline on a real 16-leaf service-mode trace (acceptance run).
+"""The report pipeline on a real 16-leaf pooled trace (acceptance run).
 
 One module-scoped fixture runs the acceptance-criterion workload — a
-16-cell plan through the service backend under an active
+16-cell plan on a runner with two pool workers under an active
 :class:`~repro.telemetry.Telemetry` — and the tests assert the report
-shows per-stage time, per-tier cache hit rates and queue-latency
-percentiles, that the emitted JSONL passes schema validation, and that the
-CLIs (``python -m repro.telemetry report/validate`` and
-``python -m repro.runner.cache stats --json``) work end to end.
+shows per-stage time (parent and worker processes merged), per-tier cache
+hit rates and the slowest replays, that the emitted JSONL passes schema
+validation, and that the CLIs (``python -m repro.telemetry
+report/validate`` and ``python -m repro.runner.cache stats --json``) work
+end to end.
 """
 
 from __future__ import annotations
 
 import json
+import os
 
 import pytest
 
 from repro.runner import ExperimentRunner, ExperimentSpec
-from repro.runner.queue import InProcessQueue
-from repro.runner.service import DistributedBackend, ExperimentService
 from repro.telemetry import Telemetry
 from repro.telemetry.__main__ import main as telemetry_main
 from repro.telemetry.report import percentile, render, summarize
@@ -35,20 +35,19 @@ SPEC = ExperimentSpec(
 
 @pytest.fixture(scope="module")
 def traced_run(tmp_path_factory):
-    """(trace_dir, cache_dir, results) of a traced 16-leaf service-mode plan."""
+    """(trace_dir, cache_dir, results) of a traced 16-leaf pooled plan."""
     base = tmp_path_factory.mktemp("accept")
     trace_dir = base / "trace"
     cache_dir = base / "cache"
-    with Telemetry(directory=trace_dir, enabled=True):
-        runner = ExperimentRunner(cache_dir=cache_dir, max_workers=2, backend="service")
-        service = ExperimentService(
-            cache_dir=runner.cache_dir,
-            queue=InProcessQueue(),
-            spawn_workers=False,
-            num_workers=2,
-        )
-        runner._service = DistributedBackend(service)
-        results = runner.run_plan(SPEC)
+    with pytest.MonkeyPatch.context() as patch:
+        # On a 1-CPU host the runner would degrade 2 workers to serial;
+        # pretend there are cores so the plan really runs in the pool.
+        patch.setattr(os, "cpu_count", lambda: 2)
+        with Telemetry(directory=trace_dir, enabled=True):
+            with ExperimentRunner(cache_dir=cache_dir, max_workers=2) as runner:
+                if runner._ensure_pool() is None:
+                    pytest.skip("multiprocessing unavailable in this sandbox")
+                results = runner.run_plan(SPEC)
     return trace_dir, cache_dir, results
 
 
@@ -61,7 +60,12 @@ class TestAcceptanceReport:
         trace_dir, _, _ = traced_run
         summary = summarize(trace_dir)
         stages = summary["stages"]
-        for stage in ("runner.run_plan", "job.execute", "runner.replay", "service.drain"):
+        for stage in (
+            "runner.run_plan",
+            "runner.pool_dispatch",
+            "runner.cell",
+            "runner.replay",
+        ):
             assert stage in stages, f"missing stage {stage}"
             assert stages[stage]["count"] >= 1
             assert stages[stage]["total"] >= stages[stage]["max"] >= 0.0
@@ -74,17 +78,6 @@ class TestAcceptanceReport:
             assert 0.0 <= cache[tier]["hit_rate"] <= 1.0
             assert cache[tier].get("stores", 0) > 0
             assert cache[tier].get("bytes_written", 0) > 0
-
-    def test_queue_latency_percentiles(self, traced_run):
-        trace_dir, _, _ = traced_run
-        queue = summarize(trace_dir)["queue"]
-        assert queue["jobs"] == 16
-        assert queue["completed"] == 16
-        assert queue["lease_expiries"] == 0
-        wait = queue["wait_seconds"]
-        assert wait["count"] == 16
-        assert 0.0 <= wait["p50"] <= wait["p95"] <= wait["p99"] <= wait["max"]
-        assert queue["execute_seconds"]["count"] == 16
 
     def test_slowest_replays_listed_with_app(self, traced_run):
         trace_dir, _, _ = traced_run
@@ -101,11 +94,9 @@ class TestAcceptanceReport:
         for section in (
             "time by stage",
             "cache effectiveness",
-            "service queue",
             "slowest replays",
         ):
             assert section in text
-        assert "queue wait" in text and "p95" in text
 
     def test_report_cli_text_and_json(self, traced_run, capsys):
         trace_dir, _, _ = traced_run
@@ -113,7 +104,7 @@ class TestAcceptanceReport:
         assert "time by stage" in capsys.readouterr().out
         assert telemetry_main(["report", str(trace_dir), "--json"]) == 0
         summary = json.loads(capsys.readouterr().out)
-        assert summary["queue"]["jobs"] == 16
+        assert summary["stages"]["runner.cell"]["count"] == 16
 
     def test_validate_cli_accepts_the_trace(self, traced_run, capsys):
         trace_dir, _, _ = traced_run
