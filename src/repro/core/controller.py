@@ -122,6 +122,10 @@ class MorpheusController:
         self.config = config or MorpheusConfig()
         self.core_clock_ghz = core_clock_ghz
         self.predictor_mode = PredictorMode(self.config.predictor)
+        # Resolved once: the Bloom filters predict, the perfect predictor
+        # knows residency, and no predictor forwards every request.
+        self._bloom = self.predictor_mode is PredictorMode.BLOOM
+        self._perfect = self.predictor_mode is PredictorMode.PERFECT
 
         extended_capacity = (
             int(self.extended_llc.effective_capacity_bytes()) if self.extended_llc else 0
@@ -147,6 +151,7 @@ class MorpheusController:
         # Each partition's controller owns a disjoint slice of the extended
         # LLC sets, so the full extended capacity is used across partitions.
         self._global_set_base = self.partition.partition_id * extended_sets
+        self._block_size = self.config.block_size
         # A predicted miss skips the extended LLC and pays a quarter of the
         # conventional tag lookup before going to DRAM.
         self._predicted_miss_latency = self.partition.config.hit_latency_cycles * 0.25
@@ -175,10 +180,6 @@ class MorpheusController:
     def _default_noc_round_trip(self, size_bytes: int, at_cycle: float) -> float:
         return self._ns_to_cycles(2.0 * self.config.timing.noc_one_way_ns)
 
-    def _dram(self, request: MemoryRequest, at_cycle: float) -> float:
-        self.stats.dram_accesses += 1
-        return self._dram_access(request, at_cycle)
-
     # -- the LLC lookup procedure (Figure 3 / Figure 6a) ------------------------------
 
     def access(self, request: MemoryRequest, now_cycle: float = 0.0) -> AccessOutcome:
@@ -191,63 +192,59 @@ class MorpheusController:
         return self._access_extended(request, now_cycle, decision.extended_set)
 
     def _access_conventional(self, request: MemoryRequest, now_cycle: float) -> AccessOutcome:
-        self.stats.conventional_requests += 1
+        stats = self.stats
+        stats.conventional_requests += 1
         hit, latency, writeback = self.partition.access(request, now_cycle)
         writebacks = []
         if writeback is not None:
             writebacks.append(writeback)
-            self.stats.writebacks += 1
+            stats.writebacks += 1
         if hit:
-            self.stats.conventional_hits += 1
-            return AccessOutcome(
-                hit_level="llc", latency_cycles=latency, writebacks=writebacks
-            )
-        dram_latency = self._dram(request, now_cycle + latency)
-        return AccessOutcome(
-            hit_level="dram",
-            latency_cycles=latency + dram_latency,
-            writebacks=writebacks,
-        )
-
-    def _predict(self, set_index: int, global_set: int, tag: int, address: int) -> bool:
-        """Predict whether the extended LLC holds ``address`` (True = hit)."""
-        if self.predictor_mode == PredictorMode.NONE:
-            return True  # always forward: equivalent to predicting a hit
-        if self.predictor_mode == PredictorMode.PERFECT:
-            assert self.extended_llc is not None
-            return self.extended_llc.resident(global_set, address)
-        return self.predictor.predict(set_index, tag)
+            stats.conventional_hits += 1
+            return AccessOutcome("llc", latency, writebacks=writebacks)
+        stats.dram_accesses += 1
+        dram_latency = self._dram_access(request, now_cycle + latency)
+        return AccessOutcome("dram", latency + dram_latency, writebacks=writebacks)
 
     def _access_extended(
         self, request: MemoryRequest, now_cycle: float, set_index: int
     ) -> AccessOutcome:
         assert self.extended_llc is not None
-        self.stats.extended_requests += 1
-        tag = request.address // self.config.block_size
-        global_set = self._global_set_base + set_index
+        stats = self.stats
+        stats.extended_requests += 1
+        address = request.address
+        tag = address // self._block_size
+        # The cache-mode SM kernel and local set that own this set, and the
+        # set's predictor unit, found once for the whole access.
+        _, kernel, local_set = self.extended_llc.owner_of_set(self._global_set_base + set_index)
+        unit = self.predictor.unit(set_index)
 
         # The request is buffered by the query logic; the controller's own
         # pipeline latency is folded into the timing model's dispatch term.
         self.query_logic.admit(request)
 
-        predicted_hit = self._predict(set_index, global_set, tag, request.address)
-        actual_resident = self.extended_llc.resident(global_set, request.address)
-        if self.predictor_mode == PredictorMode.BLOOM:
+        actual_resident = kernel.resident(local_set, address)
+        if self._bloom:
+            predicted_hit = unit.predict(tag)
             self.predictor.record_outcome(predicted_hit, actual_resident)
+        else:
+            # Without a predictor every request is forwarded, as on a hit.
+            predicted_hit = actual_resident if self._perfect else True
 
         if not predicted_hit:
             # Predicted miss: go straight to DRAM (as fast as a conventional miss),
             # then install the block in the extended LLC.
-            self.stats.predicted_misses += 1
-            self.stats.extended_misses += 1
+            stats.predicted_misses += 1
+            stats.extended_misses += 1
             self.query_logic.request_queue.dequeue()
-            dram_latency = self._dram(request, now_cycle)
-            fill = self.extended_llc.fill(global_set, request.address, dirty=request.is_write)
-            self.predictor.record_access(set_index, tag)
-            self.stats.writebacks += len(fill.writebacks)
+            stats.dram_accesses += 1
+            dram_latency = self._dram_access(request, now_cycle)
+            fill = kernel.fill(local_set, address, request.is_write)
+            unit.record_access(tag)
+            stats.writebacks += len(fill.writebacks)
             return AccessOutcome(
-                hit_level="dram",
-                latency_cycles=self._predicted_miss_latency + dram_latency,
+                "dram",
+                self._predicted_miss_latency + dram_latency,
                 predicted_miss=True,
                 writebacks=fill.writebacks,
                 store_kind=fill.store_kind,
@@ -258,33 +255,34 @@ class MorpheusController:
         row = set_index % self.query_logic.warp_status.num_rows
         dispatched = self.query_logic.dispatch(row)
         noc_latency = self._noc_round_trip(request.size_bytes, now_cycle)
-        result = self.extended_llc.access(global_set, request.address, is_write=request.is_write)
-        service_latency = self._ns_to_cycles(result.service_latency_ns)
+        result = kernel.access(local_set, address, request.is_write)
+        service_latency = result.service_latency_ns * self.core_clock_ghz
         if dispatched is not None:
             self.query_logic.complete(row, result.hit)
 
         if result.hit:
-            self.stats.extended_hits += 1
-            self.predictor.record_access(set_index, tag)
+            stats.extended_hits += 1
+            unit.record_access(tag)
             return AccessOutcome(
-                hit_level="extended_llc",
-                latency_cycles=noc_latency + service_latency,
+                "extended_llc",
+                noc_latency + service_latency,
                 served_by_extended_llc=True,
                 store_kind=result.store_kind,
             )
 
         # False positive (or no-prediction miss): the round trip was wasted;
         # fetch from DRAM and fill the extended LLC.
-        self.stats.extended_misses += 1
-        if self.predictor_mode != PredictorMode.PERFECT:
-            self.stats.false_positive_trips += 1
-        dram_latency = self._dram(request, now_cycle + noc_latency + service_latency)
-        fill = self.extended_llc.fill(global_set, request.address, dirty=request.is_write)
-        self.predictor.record_access(set_index, tag)
-        self.stats.writebacks += len(fill.writebacks)
+        stats.extended_misses += 1
+        if not self._perfect:
+            stats.false_positive_trips += 1
+        stats.dram_accesses += 1
+        dram_latency = self._dram_access(request, now_cycle + noc_latency + service_latency)
+        fill = kernel.fill(local_set, address, request.is_write)
+        unit.record_access(tag)
+        stats.writebacks += len(fill.writebacks)
         return AccessOutcome(
-            hit_level="dram",
-            latency_cycles=noc_latency + service_latency + dram_latency,
+            "dram",
+            noc_latency + service_latency + dram_latency,
             false_positive=True,
             writebacks=fill.writebacks,
             store_kind=fill.store_kind,

@@ -143,7 +143,8 @@ class ExtendedLLCKernel:
             raise ValueError("the extended LLC kernel needs at least one store")
 
         # The store capacities never change, so the proportional split is
-        # resolved once per position of its period instead of on every access.
+        # resolved once per position of its period instead of on every access:
+        # block ``tag`` goes to ``_routes[tag % SPLIT_PERIOD]`` (§4.2 task 3).
         capacities = tuple(
             (name, store.data_capacity_bytes()) for name, store in self.stores.items()
         )
@@ -188,10 +189,6 @@ class ExtendedLLCKernel:
             ),
         )
 
-    def _store_for(self, address: int) -> _StoreRoute:
-        """The store responsible for ``address`` (proportional split, §4.2 task 3)."""
-        return self._routes[(address // self._block_size) % SPLIT_PERIOD]
-
     def access(self, set_index: int, address: int, is_write: bool = False) -> ExtendedAccessResult:
         """Serve one extended LLC request on this SM.
 
@@ -202,15 +199,15 @@ class ExtendedLLCKernel:
         decides whether to fill after fetching the block from DRAM
         (:meth:`fill`).
         """
-        route = self._store_for(address)
+        tag = address // self._block_size
+        route = self._routes[tag % SPLIT_PERIOD]
         store = route.store
         local_set = set_index % store.num_warps
-        tag = address // self._block_size
-        hit = store.access(local_set, tag, is_write=is_write)
+        hit = store.access(local_set, tag, is_write)
 
         compression = CompressionLevel.UNCOMPRESSED
         if hit:
-            compression = store.set_for(local_set).metadata(tag).compression
+            compression = store.sets[local_set].metadata(tag).compression
         compressed = route.compresses and compression is not CompressionLevel.UNCOMPRESSED
         return ExtendedAccessResult(
             hit=hit,
@@ -226,9 +223,9 @@ class ExtendedLLCKernel:
         store) and installed with LRU replacement; dirty victims are returned
         as writeback addresses.
         """
-        route = self._store_for(address)
-        store = route.store
         tag = address // self._block_size
+        route = self._routes[tag % SPLIT_PERIOD]
+        store = route.store
 
         level = CompressionLevel.UNCOMPRESSED
         if route.compresses:
@@ -255,8 +252,9 @@ class ExtendedLLCKernel:
 
     def resident(self, set_index: int, address: int) -> bool:
         """Whether the block containing ``address`` currently resides on this SM."""
-        store = self._store_for(address).store
-        return store.set_for(set_index % store.num_warps).lookup(address // self._block_size)
+        tag = address // self._block_size
+        store = self._routes[tag % SPLIT_PERIOD].store
+        return store.sets[set_index % store.num_warps].lookup(tag)
 
     def reset(self) -> None:
         """Drop all cached blocks."""

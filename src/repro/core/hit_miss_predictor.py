@@ -64,20 +64,32 @@ class PredictorStats:
         return cls(**payload)
 
 
-class _SetPredictor:
-    """Dual Bloom filter state for a single extended LLC set."""
+class SetPredictor:
+    """Dual Bloom filter state for a single extended LLC set.
 
-    def __init__(self, associativity: int, filter_bytes: int, num_hashes: int) -> None:
-        self.associativity = associativity
-        self.bf1 = BloomFilter(filter_bytes, num_hashes)
-        self.bf2 = BloomFilter(filter_bytes, num_hashes)
+    Counts its predictions and filter swaps in the owning
+    :class:`HitMissPredictor`'s :attr:`~HitMissPredictor.stats`.
+    """
+
+    def __init__(self, owner: "HitMissPredictor") -> None:
+        self._owner = owner
+        self.associativity = owner.associativity
+        self.bf1 = BloomFilter(owner.filter_bytes, owner.num_hashes)
+        self.bf2 = BloomFilter(owner.filter_bytes, owner.num_hashes)
         # Tags known to be in BF2 since its last clear; len() is the paper's n.
         self._bf2_tags: Set[int] = set()
         self.swaps = 0
 
-    def predict_hit(self, tag: int) -> bool:
+    def predict(self, tag: int) -> bool:
         """Predict whether ``tag`` currently resides in the set (query BF1)."""
-        return self.bf1.query(tag)
+        hit = self.bf1.query(tag)
+        stats = self._owner.stats
+        stats.predictions += 1
+        if hit:
+            stats.predicted_hits += 1
+        else:
+            stats.predicted_misses += 1
+        return hit
 
     def record_access(self, tag: int) -> None:
         """Update both filters on an access (insert or reuse) of ``tag``.
@@ -93,6 +105,7 @@ class _SetPredictor:
             self.bf1, self.bf2 = self.bf2, self.bf1
             self._bf2_tags.clear()
             self.swaps += 1
+            self._owner.stats.swaps += 1
 
 
 class HitMissPredictor:
@@ -120,29 +133,22 @@ class HitMissPredictor:
         self.num_sets = num_sets
         self.associativity = associativity
         self.filter_bytes = filter_bytes
-        self._sets: Dict[int, _SetPredictor] = {}
-        self._num_hashes = num_hashes
+        self.num_hashes = num_hashes
+        self._sets: Dict[int, SetPredictor] = {}
         self.stats = PredictorStats()
 
-    def _set_predictor(self, set_index: int) -> _SetPredictor:
-        if not 0 <= set_index < self.num_sets:
-            raise ValueError(f"set_index {set_index} out of range [0, {self.num_sets})")
+    def unit(self, set_index: int) -> SetPredictor:
+        """The dual-filter unit of ``set_index`` (created on first use)."""
         predictor = self._sets.get(set_index)
         if predictor is None:
-            predictor = _SetPredictor(self.associativity, self.filter_bytes, self._num_hashes)
-            self._sets[set_index] = predictor
+            if not 0 <= set_index < self.num_sets:
+                raise ValueError(f"set_index {set_index} out of range [0, {self.num_sets})")
+            predictor = self._sets[set_index] = SetPredictor(self)
         return predictor
 
     def predict(self, set_index: int, tag: int) -> bool:
         """Predict a hit (True) or miss (False) for ``tag`` in ``set_index``."""
-        predictor = self._set_predictor(set_index)
-        hit = predictor.predict_hit(tag)
-        self.stats.predictions += 1
-        if hit:
-            self.stats.predicted_hits += 1
-        else:
-            self.stats.predicted_misses += 1
-        return hit
+        return self.unit(set_index).predict(tag)
 
     def record_outcome(self, predicted_hit: bool, actual_hit: bool) -> None:
         """Record ground truth so false-positive/negative rates can be audited."""
@@ -153,11 +159,7 @@ class HitMissPredictor:
 
     def record_access(self, set_index: int, tag: int) -> None:
         """Inform the predictor that ``tag`` was inserted into / reused in its set."""
-        predictor = self._set_predictor(set_index)
-        before = predictor.swaps
-        predictor.record_access(tag)
-        if predictor.swaps != before:
-            self.stats.swaps += 1
+        self.unit(set_index).record_access(tag)
 
     def storage_bytes(self) -> int:
         """Total Bloom filter storage provisioned by this predictor."""

@@ -10,12 +10,13 @@ The Morpheus evaluation cares about three interconnect effects:
   latency by a few percent without saturating the network.
 
 :class:`CrossbarLink` models one direction of one port with a bandwidth
-account, and :class:`CrossbarSwitch` groups the links of a port pair.
+account; :class:`~repro.interconnect.network.InterconnectNetwork` gives each
+LLC partition's port a request link and a response link.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass
@@ -46,7 +47,10 @@ class CrossbarLink:
         """
         if size_bytes <= 0:
             raise ValueError("size_bytes must be positive")
-        start = max(now_cycle, self.busy_until_cycle)
+        # max(now_cycle, busy), spelled out: the builtin costs several times
+        # more than the comparison, and this runs twice per NoC traversal.
+        busy = self.busy_until_cycle
+        start = busy if busy > now_cycle else now_cycle
         queue_delay = start - now_cycle
         serialization = size_bytes / self.bytes_per_cycle
         self.busy_until_cycle = start + serialization
@@ -65,28 +69,3 @@ class CrossbarLink:
         self.busy_until_cycle = 0.0
         self.bytes_transferred = 0
         self.flits_transferred = 0
-
-
-class CrossbarSwitch:
-    """A pair of request/response links attached to one network endpoint."""
-
-    def __init__(self, bytes_per_cycle: float, base_latency_cycles: float) -> None:
-        self.request_link = CrossbarLink(bytes_per_cycle, base_latency_cycles)
-        self.response_link = CrossbarLink(bytes_per_cycle, base_latency_cycles)
-
-    def send_request(self, size_bytes: int, now_cycle: float) -> float:
-        """Forward a request flit; returns latency in cycles."""
-        return self.request_link.transfer(size_bytes, now_cycle)
-
-    def send_response(self, size_bytes: int, now_cycle: float) -> float:
-        """Forward a response flit; returns latency in cycles."""
-        return self.response_link.transfer(size_bytes, now_cycle)
-
-    def total_bytes(self) -> int:
-        """Bytes moved in both directions."""
-        return self.request_link.bytes_transferred + self.response_link.bytes_transferred
-
-    def reset(self) -> None:
-        """Reset both directions."""
-        self.request_link.reset()
-        self.response_link.reset()

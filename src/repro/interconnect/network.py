@@ -1,8 +1,9 @@
 """The SM <-> LLC-partition interconnection network.
 
 The network connects every SM to every LLC partition.  We model it as one
-:class:`~repro.interconnect.crossbar.CrossbarSwitch` per LLC partition (the
-partition side is the bandwidth bottleneck in GPUs) plus a load-dependent
+port per LLC partition (the partition side is the bandwidth bottleneck in
+GPUs): a request link and a response link, each a
+:class:`~repro.interconnect.crossbar.CrossbarLink`, plus a load-dependent
 latency term, and we track the statistics the paper reports in §7.4:
 injection rate, throughput, and average latency.
 """
@@ -10,9 +11,9 @@ injection rate, throughput, and average latency.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import List, Tuple
 
-from repro.interconnect.crossbar import CrossbarSwitch
+from repro.interconnect.crossbar import CrossbarLink
 
 
 @dataclass(frozen=True)
@@ -82,21 +83,18 @@ class InterconnectNetwork:
 
     def __init__(self, config: InterconnectConfig | None = None) -> None:
         self.config = config or InterconnectConfig()
-        self._ports: List[CrossbarSwitch] = [
-            CrossbarSwitch(self.config.bytes_per_cycle_per_port, self.config.one_way_latency_cycles)
+        bytes_per_cycle = self.config.bytes_per_cycle_per_port
+        latency = self.config.one_way_latency_cycles
+        #: ``(request link, response link)`` of each partition's port.
+        self.ports: List[Tuple[CrossbarLink, CrossbarLink]] = [
+            (CrossbarLink(bytes_per_cycle, latency), CrossbarLink(bytes_per_cycle, latency))
             for _ in range(self.config.num_partitions)
         ]
         self.stats = NetworkStats()
-
-    def _congestion_penalty(self, port: CrossbarSwitch, elapsed_cycles: float) -> float:
-        """Latency multiplier (>= 1.0) from port utilization beyond the knee."""
-        if elapsed_cycles <= 0:
-            return 1.0
-        utilization = port.request_link.utilization(elapsed_cycles)
-        if utilization <= self.config.congestion_knee:
-            return 1.0
-        over = (utilization - self.config.congestion_knee) / (1.0 - self.config.congestion_knee)
-        return 1.0 + over * self.config.max_congestion_penalty
+        self._bytes_per_cycle = bytes_per_cycle
+        self._knee = self.config.congestion_knee
+        self._knee_span = 1.0 - self._knee
+        self._max_penalty = self.config.max_congestion_penalty
 
     def traverse(
         self,
@@ -109,28 +107,43 @@ class InterconnectNetwork:
         """Send a request to ``partition_id`` and its response back.
 
         Returns the combined round-trip latency in cycles.  ``elapsed_cycles``
-        (total simulated time so far) feeds the congestion model.
+        (total simulated time so far) feeds the congestion model: when the
+        port's request link has carried more than ``congestion_knee`` of its
+        capacity over ``elapsed_cycles``, both directions' latencies are
+        scaled by ``1 + (utilization - knee) / (1 - knee) * max_congestion_penalty``.
         """
-        if not 0 <= partition_id < self.config.num_partitions:
+        if not 0 <= partition_id < len(self.ports):
             raise ValueError(f"partition_id {partition_id} out of range")
-        port = self._ports[partition_id]
-        penalty = self._congestion_penalty(port, elapsed_cycles)
-        request_latency = port.send_request(size_bytes, now_cycle) * penalty
-        response_latency = port.send_response(response_bytes, now_cycle + request_latency) * penalty
+        request_link, response_link = self.ports[partition_id]
+        penalty = 1.0
+        if elapsed_cycles > 0:
+            utilization = request_link.bytes_transferred / (
+                self._bytes_per_cycle * elapsed_cycles
+            )
+            if utilization > 1.0:
+                utilization = 1.0
+            if utilization > self._knee:
+                over = (utilization - self._knee) / self._knee_span
+                penalty = 1.0 + over * self._max_penalty
+        request_latency = request_link.transfer(size_bytes, now_cycle) * penalty
+        response_latency = (
+            response_link.transfer(response_bytes, now_cycle + request_latency) * penalty
+        )
 
         total = request_latency + response_latency
-        self.stats.flits_injected += 2
-        self.stats.bytes_injected += size_bytes + response_bytes
-        self.stats.total_latency_cycles += total
-        self.stats.traversals += 1
+        stats = self.stats
+        stats.flits_injected += 2
+        stats.bytes_injected += size_bytes + response_bytes
+        stats.total_latency_cycles += total
+        stats.traversals += 1
         return total
 
     def one_way(self, partition_id: int, size_bytes: int, now_cycle: float) -> float:
         """Send a single one-way flit (e.g. a writeback that needs no response)."""
-        if not 0 <= partition_id < self.config.num_partitions:
+        if not 0 <= partition_id < len(self.ports):
             raise ValueError(f"partition_id {partition_id} out of range")
-        port = self._ports[partition_id]
-        latency = port.send_request(size_bytes, now_cycle)
+        request_link, _ = self.ports[partition_id]
+        latency = request_link.transfer(size_bytes, now_cycle)
         self.stats.flits_injected += 1
         self.stats.bytes_injected += size_bytes
         self.stats.total_latency_cycles += latency
@@ -139,10 +152,14 @@ class InterconnectNetwork:
 
     def total_load_bytes(self) -> int:
         """Total payload carried by the network in both directions."""
-        return sum(port.total_bytes() for port in self._ports)
+        return sum(
+            request_link.bytes_transferred + response_link.bytes_transferred
+            for request_link, response_link in self.ports
+        )
 
     def reset(self) -> None:
         """Clear all ports and statistics."""
-        for port in self._ports:
-            port.reset()
+        for request_link, response_link in self.ports:
+            request_link.reset()
+            response_link.reset()
         self.stats = NetworkStats()

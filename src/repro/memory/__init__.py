@@ -3,11 +3,10 @@
 This subpackage provides the building blocks of the baseline GPU memory
 hierarchy that Morpheus extends:
 
-* :mod:`repro.memory.request` -- memory request/response records that flow
+* :mod:`repro.memory.request` -- the memory request record that flows
   through every component of the simulated hierarchy.
-* :mod:`repro.memory.replacement` -- replacement policies (LRU and friends).
-* :mod:`repro.memory.cache` -- a generic set-associative cache model used for
-  the per-SM L1 caches and the conventional LLC slices.
+* :mod:`repro.memory.cache` -- a generic set-associative LRU cache model used
+  for the per-SM L1 caches and the conventional LLC slices.
 * :mod:`repro.memory.mshr` -- miss status holding registers used to merge
   outstanding misses.
 * :mod:`repro.memory.address_mapping` -- static address interleaving across
@@ -17,37 +16,22 @@ hierarchy that Morpheus extends:
 """
 
 from repro.memory.address_mapping import AddressMapping
-from repro.memory.cache import CacheBlock, CacheSet, CacheStats, SetAssociativeCache
+from repro.memory.cache import CacheSet, CacheStats, SetAssociativeCache
 from repro.memory.dram import DRAMConfig, DRAMModel
 from repro.memory.llc import LLCPartition, BankedLLC
 from repro.memory.mshr import MSHRFile
-from repro.memory.replacement import (
-    FIFOPolicy,
-    LRUPolicy,
-    RandomPolicy,
-    ReplacementPolicy,
-    make_replacement_policy,
-)
-from repro.memory.request import AccessType, MemoryRequest, MemoryResponse, RequestOrigin
+from repro.memory.request import AccessType, MemoryRequest
 
 __all__ = [
     "AccessType",
     "AddressMapping",
     "BankedLLC",
-    "CacheBlock",
     "CacheSet",
     "CacheStats",
     "DRAMConfig",
     "DRAMModel",
-    "FIFOPolicy",
     "LLCPartition",
-    "LRUPolicy",
     "MSHRFile",
     "MemoryRequest",
-    "MemoryResponse",
-    "RandomPolicy",
-    "ReplacementPolicy",
-    "RequestOrigin",
     "SetAssociativeCache",
-    "make_replacement_policy",
 ]

@@ -1,31 +1,16 @@
 """A generic set-associative cache model.
 
 This is the workhorse structure behind both the per-SM L1 caches and the
-conventional LLC slices.  It is a *functional* model: it tracks tags, valid
-and dirty bits and replacement state, and reports hits, misses and dirty
-evictions.  Timing is layered on top by the components that own a cache
+conventional LLC slices.  It is a *functional* model: it tracks tags, dirty
+bits and LRU order, and reports hits, misses and dirty evictions.  Timing
+is layered on top by the components that own a cache
 (:mod:`repro.memory.llc`, :mod:`repro.gpu.sm`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
-
-from repro.memory.replacement import ReplacementPolicy, make_replacement_policy
-
-
-@dataclass
-class CacheBlock:
-    """One cache block: tag plus valid/dirty metadata."""
-
-    tag: int
-    valid: bool = True
-    dirty: bool = False
-
-    def __post_init__(self) -> None:
-        if self.tag < 0:
-            raise ValueError("tag must be non-negative")
 
 
 @dataclass
@@ -71,82 +56,65 @@ class CacheStats:
 
 
 class CacheSet:
-    """One set of a set-associative cache.
+    """One LRU set of a set-associative cache.
 
-    Every block held in a way is valid: invalidation empties the way.  A
-    tag -> way index answers lookups without scanning the ways.
+    The resident blocks are kept in recency order, least recently used
+    first: a dict maps each tag to its dirty bit, and a touched block is
+    re-inserted.  A full set evicts the first block of the dict.
     """
 
-    def __init__(self, associativity: int, policy: str = "lru") -> None:
+    def __init__(self, associativity: int) -> None:
         if associativity <= 0:
             raise ValueError("associativity must be positive")
         self.associativity = associativity
-        self._ways: List[Optional[CacheBlock]] = [None] * associativity
-        self._way_of: Dict[int, int] = {}
-        self._all_ways = range(associativity)
-        self._policy: ReplacementPolicy = make_replacement_policy(policy, associativity)
+        self._blocks: Dict[int, bool] = {}
 
-    def lookup(self, tag: int) -> Optional[int]:
-        """Return the way holding ``tag`` or ``None`` on a miss (no side effects)."""
-        return self._way_of.get(tag)
+    def lookup(self, tag: int) -> bool:
+        """Whether ``tag`` is resident (no side effects)."""
+        return tag in self._blocks
 
     def access(self, tag: int, is_write: bool) -> bool:
-        """Perform a lookup, updating replacement and dirty state on a hit.
+        """Perform a lookup, updating LRU order and dirty state on a hit.
 
         Returns ``True`` on a hit.
         """
-        way = self._way_of.get(tag)
-        if way is None:
+        blocks = self._blocks
+        dirty = blocks.pop(tag, None)
+        if dirty is None:
             return False
-        self._policy.on_access(way)
-        if is_write:
-            self._ways[way].dirty = True
+        blocks[tag] = dirty or is_write
         return True
 
-    def fill(self, tag: int, dirty: bool = False) -> Optional[CacheBlock]:
-        """Install ``tag`` into the set, returning the evicted block if any.
+    def fill(self, tag: int, dirty: bool = False) -> Optional[Tuple[int, bool]]:
+        """Install ``tag`` into the set, returning the evicted ``(tag, dirty)`` if any.
 
         If the tag is already present the existing block is refreshed in
         place and ``None`` is returned.
         """
-        way = self._way_of.get(tag)
-        if way is not None:
-            block = self._ways[way]
-            block.dirty = block.dirty or dirty
-            self._policy.on_access(way)
+        blocks = self._blocks
+        was_dirty = blocks.pop(tag, None)
+        if was_dirty is not None:
+            blocks[tag] = was_dirty or dirty
             return None
+        victim = None
+        if len(blocks) >= self.associativity:
+            victim_tag = next(iter(blocks))
+            victim = (victim_tag, blocks.pop(victim_tag))
+        blocks[tag] = dirty
+        return victim
 
-        victim_block: Optional[CacheBlock] = None
-        if len(self._way_of) < self.associativity:
-            way = self._ways.index(None)
-        else:
-            way = self._policy.victim(self._all_ways)
-            victim_block = self._ways[way]
-            del self._way_of[victim_block.tag]
-            self._policy.on_invalidate(way)
-
-        self._ways[way] = CacheBlock(tag=tag, dirty=dirty)
-        self._way_of[tag] = way
-        self._policy.on_insert(way)
-        return victim_block
-
-    def invalidate(self, tag: int) -> Optional[CacheBlock]:
-        """Remove ``tag`` from the set, returning the invalidated block if present."""
-        way = self._way_of.pop(tag, None)
-        if way is None:
-            return None
-        block = self._ways[way]
-        self._ways[way] = None
-        self._policy.on_invalidate(way)
-        return block
+    def invalidate(self, tag: int) -> Optional[Tuple[int, bool]]:
+        """Remove ``tag`` from the set, returning its ``(tag, dirty)`` if present."""
+        dirty = self._blocks.pop(tag, None)
+        return None if dirty is None else (tag, dirty)
 
     def occupancy(self) -> int:
         """Number of valid blocks currently in the set."""
-        return len(self._way_of)
+        return len(self._blocks)
 
     def tags(self) -> List[int]:
-        """Tags of all valid blocks in the set (arbitrary order)."""
-        return list(self._way_of)
+        """Tags of all valid blocks in the set, least recently used first."""
+        return list(self._blocks)
 
 
 class SetAssociativeCache:
@@ -156,7 +124,6 @@ class SetAssociativeCache:
         capacity_bytes: Total data capacity.
         block_size: Cache block (line) size in bytes; must be a power of two.
         associativity: Number of ways per set.
-        policy: Replacement policy name (``"lru"``, ``"fifo"``, ``"random"``).
         write_allocate: Whether write misses allocate a block (GPU L2s do).
         name: Optional label for diagnostics.
     """
@@ -166,7 +133,6 @@ class SetAssociativeCache:
         capacity_bytes: int,
         block_size: int = 128,
         associativity: int = 16,
-        policy: str = "lru",
         write_allocate: bool = True,
         name: str = "cache",
     ) -> None:
@@ -182,12 +148,11 @@ class SetAssociativeCache:
         self.capacity_bytes = capacity_bytes
         self.block_size = block_size
         self.associativity = associativity
-        self.policy_name = policy
         self.write_allocate = write_allocate
         self.name = name
         self.num_sets = capacity_bytes // (block_size * associativity)
         self._set_span_bytes = block_size * self.num_sets
-        self._sets = [CacheSet(associativity, policy) for _ in range(self.num_sets)]
+        self._sets = [CacheSet(associativity) for _ in range(self.num_sets)]
         self.stats = CacheStats()
 
     # -- address helpers ---------------------------------------------------
@@ -211,40 +176,42 @@ class SetAssociativeCache:
 
     def probe(self, address: int) -> bool:
         """Check for presence without updating any state."""
-        set_index = self.set_index(address)
-        return self._sets[set_index].lookup(self.tag_for(address)) is not None
+        return self._sets[self.set_index(address)].lookup(self.tag_for(address))
 
     def access(self, address: int, is_write: bool = False) -> Tuple[bool, Optional[int]]:
         """Access the cache for a load or store.
 
-        On a hit, replacement state is updated (and the block is marked dirty
-        for writes) and ``(True, None)`` is returned.  On a miss the block is
+        On a hit, LRU order is updated (and the block is marked dirty for
+        writes) and ``(True, None)`` is returned.  On a miss the block is
         filled (for reads, and for writes when ``write_allocate`` is set) and
         ``(False, writeback_address)`` is returned where ``writeback_address``
         is the block address of a dirty victim that must be written back, or
         ``None`` when no dirty eviction occurred.
         """
-        set_index = self.set_index(address)
-        tag = self.tag_for(address)
+        # set_index() and tag_for(), inline: this runs once per LLC access.
+        set_index = (address // self.block_size) % self.num_sets
+        tag = address // self._set_span_bytes
         cache_set = self._sets[set_index]
+        stats = self.stats
 
         if is_write:
-            self.stats.writes += 1
+            stats.writes += 1
 
         if cache_set.access(tag, is_write):
-            self.stats.hits += 1
+            stats.hits += 1
             return True, None
 
-        self.stats.misses += 1
+        stats.misses += 1
         writeback: Optional[int] = None
         if not is_write or self.write_allocate:
-            victim = cache_set.fill(tag, dirty=is_write)
-            self.stats.fills += 1
+            victim = cache_set.fill(tag, is_write)
+            stats.fills += 1
             if victim is not None:
-                self.stats.evictions += 1
-                if victim.dirty:
-                    self.stats.dirty_evictions += 1
-                    writeback = self._rebuild_address(victim.tag, set_index)
+                stats.evictions += 1
+                victim_tag, victim_dirty = victim
+                if victim_dirty:
+                    stats.dirty_evictions += 1
+                    writeback = self._rebuild_address(victim_tag, set_index)
         return False, writeback
 
     def fill(self, address: int, dirty: bool = False) -> Optional[int]:
@@ -259,9 +226,10 @@ class SetAssociativeCache:
         if victim is None:
             return None
         self.stats.evictions += 1
-        if victim.dirty:
+        victim_tag, victim_dirty = victim
+        if victim_dirty:
             self.stats.dirty_evictions += 1
-            return self._rebuild_address(victim.tag, set_index)
+            return self._rebuild_address(victim_tag, set_index)
         return None
 
     def invalidate(self, address: int) -> bool:
@@ -273,10 +241,9 @@ class SetAssociativeCache:
         """Invalidate every block.  Returns the number of dirty blocks dropped."""
         dirty = 0
         for cache_set in self._sets:
-            for tag in list(cache_set.tags()):
-                block = cache_set.invalidate(tag)
-                if block is not None and block.dirty:
-                    dirty += 1
+            for tag in cache_set.tags():
+                _, was_dirty = cache_set.invalidate(tag)
+                dirty += was_dirty
         return dirty
 
     def occupancy(self) -> int:

@@ -108,6 +108,10 @@ class DRAMModel:
         self._row_toggle = 0
         self._row_hit_threshold = int(round(self.config.row_buffer_hit_rate * 100))
         self._bytes_per_cycle = self.config.bytes_per_cycle_per_channel
+        self._block_size = self.config.block_size
+        self._num_channels = self.config.num_channels
+        self._access_latency_cycles = self.config.access_latency_cycles
+        self._row_hit_latency_factor = self.config.row_buffer_hit_latency_factor
 
     def channel_of(self, address: int) -> int:
         """Channel serving ``address`` (block-interleaved)."""
@@ -119,26 +123,28 @@ class DRAMModel:
         Returns the latency in cycles from ``now_cycle`` until the data is
         available (including any queueing delay on the channel).
         """
-        channel_id = self.channel_of(request.address)
-        channel = self._channels[channel_id]
+        # channel_of(), inline: this runs once per DRAM access.
+        channel = self._channels[(request.address // self._block_size) % self._num_channels]
 
-        start = max(now_cycle, channel.busy_until_cycle)
+        busy = channel.busy_until_cycle
+        start = busy if busy > now_cycle else now_cycle  # max(), without the builtin call
         queue_delay = start - now_cycle
 
-        core_latency = self.config.access_latency_cycles
+        core_latency = self._access_latency_cycles
         # Deterministic row-buffer locality: a fixed fraction of accesses hit
         # the open row and pay a reduced latency.
         self._row_toggle += 1
         if (self._row_toggle * 37) % 100 < self._row_hit_threshold:
-            core_latency *= self.config.row_buffer_hit_latency_factor
+            core_latency *= self._row_hit_latency_factor
 
-        transfer_cycles = request.size_bytes / self._bytes_per_cycle
+        size_bytes = request.size_bytes
+        transfer_cycles = size_bytes / self._bytes_per_cycle
         channel.busy_until_cycle = start + transfer_cycles
-        channel.bytes_served += request.size_bytes
+        channel.bytes_served += size_bytes
         channel.accesses += 1
 
         self.total_accesses += 1
-        self.total_bytes += request.size_bytes
+        self.total_bytes += size_bytes
 
         return queue_delay + core_latency + transfer_cycles
 

@@ -91,6 +91,7 @@ class LLCPartition:
         )
         self.mshrs = MSHRFile(num_entries=config.mshr_entries)
         self._bytes_per_cycle = config.bytes_per_cycle_per_partition
+        self._hit_latency_cycles = config.hit_latency_cycles
         self._busy_until_cycle = 0.0
         self.bytes_served = 0
         self.requests_served = 0
@@ -102,18 +103,18 @@ class LLCPartition:
         includes the partition queueing delay and ``writeback_address`` is a
         dirty victim needing writeback to DRAM (or ``None``).
         """
-        start = max(now_cycle, self._busy_until_cycle)
+        busy = self._busy_until_cycle
+        start = busy if busy > now_cycle else now_cycle  # max(), without the builtin call
         queue_delay = start - now_cycle
 
-        hit, writeback = self.cache.access(request.address, is_write=request.is_write)
+        hit, writeback = self.cache.access(request.address, request.is_write)
 
-        service_cycles = request.size_bytes / self._bytes_per_cycle
-        self._busy_until_cycle = start + service_cycles
-        self.bytes_served += request.size_bytes
+        size_bytes = request.size_bytes
+        self._busy_until_cycle = start + size_bytes / self._bytes_per_cycle
+        self.bytes_served += size_bytes
         self.requests_served += 1
 
-        latency = queue_delay + self.config.hit_latency_cycles
-        return hit, latency, writeback
+        return hit, queue_delay + self._hit_latency_cycles, writeback
 
     def throughput_gbps(self, elapsed_cycles: float) -> float:
         """Achieved throughput of this partition in GB/s over ``elapsed_cycles``."""

@@ -2,7 +2,7 @@
 
 The engine owns the banked conventional LLC, the optional Morpheus
 controllers (one per partition, sharing one aggregate extended LLC), the
-interconnect and the DRAM model.  It replays a trace of LLC-level accesses
+interconnect and the DRAM model.  It replays a trace of LLC-level requests
 and collects the counts the performance model needs: hit rates per level,
 average access latency, per-level bytes, interconnect load and DRAM traffic.
 """
@@ -10,11 +10,11 @@ average access latency, per-level bytes, interconnect load and DRAM traffic.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.core.config import MorpheusConfig
-from repro.core.controller import AccessOutcome, MorpheusController
+from repro.core.controller import MorpheusController
 from repro.core.extended_llc import Compressibility, ExtendedLLC
 from repro.gpu.config import GPUConfig
 from repro.interconnect.network import InterconnectNetwork
@@ -22,6 +22,9 @@ from repro.memory.dram import DRAMModel
 from repro.memory.llc import BankedLLC
 from repro.memory.request import MemoryRequest
 from repro.workloads.trace import MemoryTrace
+
+#: Bytes an SM sends to an LLC partition per request (one block comes back).
+REQUEST_BYTES = 32
 
 
 @dataclass
@@ -100,8 +103,8 @@ class MemoryHierarchyEngine:
             match a downscaled trace footprint (keeps hit rates representative
             while traces stay short).
         request_interval_cycles: Modelled gap between consecutive trace
-            entries entering the memory system; sets the offered load for the
-            bandwidth/queueing models.
+            requests entering the memory system; sets the offered load for
+            the bandwidth/queueing models.
     """
 
     def __init__(
@@ -159,6 +162,10 @@ class MemoryHierarchyEngine:
         self.counters = HierarchyCounters()
         self._now = 0.0
         self._start_cycle = 0.0
+        # Per-access constants of the replay loop.
+        self._block_size = gpu.block_size
+        self._num_partitions = self.llc.mapping.num_partitions
+        self._partition_block_size = self.llc.mapping.block_size
 
     # -- callbacks injected into the Morpheus controllers --------------------------
 
@@ -170,51 +177,85 @@ class MemoryHierarchyEngine:
 
     def _extended_noc_round_trip(self, size_bytes: int, at_cycle: float) -> float:
         # The extra hop to the cache-mode SM uses the same network; pick the
-        # port of the SM-side partition pseudo-randomly by size/time.
-        partition_id = int(at_cycle) % self.gpu.interconnect.num_partitions
+        # port of the SM-side partition pseudo-randomly by size/time.  The
+        # response carries one block back.
+        block = self._block_size
+        now = self._now
         latency = self.network.traverse(
-            partition_id, size_bytes, at_cycle, elapsed_cycles=max(1.0, self._now)
+            int(at_cycle) % self._num_partitions, size_bytes, at_cycle, block,
+            now if now > 1.0 else 1.0,
         )
-        self.counters.noc_bytes += size_bytes + self.gpu.block_size
+        self.counters.noc_bytes += size_bytes + block
         return latency
 
     # -- trace replay ------------------------------------------------------------------
 
     def run(self, trace: MemoryTrace) -> HierarchyCounters:
-        """Replay ``trace`` and return the accumulated counters."""
-        block = self.gpu.block_size
+        """Replay ``trace`` and return the accumulated counters.
+
+        Raises:
+            ValueError: if the trace's block size is not the GPU's.
+        """
+        block = self._block_size
+        if trace.block_size != block:
+            raise ValueError(
+                f"trace {trace.name!r} has {trace.block_size}-byte blocks, "
+                f"the GPU has {block}-byte blocks"
+            )
         interval = self.request_interval_cycles
         start_cycle = self._start_cycle
         counters = self.counters
-        partition_of = self.llc.mapping.partition_of
+        partition_block = self._partition_block_size
+        num_partitions = self._num_partitions
         traverse = self.network.traverse
         controllers = self.controllers
-        for index, entry in enumerate(trace):
+        for index, request in enumerate(trace):
             # Time continues across run() calls so warm-up and measurement
             # share one continuous timeline (queue occupancies stay valid).
             now = start_cycle + index * interval
             self._now = now
-            request = entry.to_request(issue_cycle=int(now), block_size=block)
 
             # The SM -> LLC partition hop (all LLC traffic pays this).
-            partition_id = partition_of(request.address)
+            partition_id = (request.address // partition_block) % num_partitions
+            # max(1.0, now) as elapsed time, without the builtin call.
             noc_latency = traverse(
-                partition_id, 32, now, response_bytes=block, elapsed_cycles=max(1.0, now)
+                partition_id, REQUEST_BYTES, now, block, now if now > 1.0 else 1.0
             )
-            counters.noc_bytes += 32 + block
 
-            if controllers:
-                outcome = controllers[partition_id].access(request, now)
-                self._account_morpheus(outcome, request, noc_latency)
-            else:
+            if not controllers:
                 self._access_baseline(request, partition_id, now, noc_latency)
+                continue
 
-            counters.llc_accesses += 1
-        self._start_cycle += len(trace) * self.request_interval_cycles
-        self.counters.elapsed_cycles = max(
-            1.0, self.counters.elapsed_cycles + len(trace) * self.request_interval_cycles
-        )
-        return self.counters
+            outcome = controllers[partition_id].access(request, now)
+            hit_level = outcome.hit_level
+            if hit_level == "llc":
+                counters.conventional_hits += 1
+                counters.conventional_bytes += request.size_bytes
+            elif hit_level == "extended_llc":
+                counters.extended_hits += 1
+                counters.extended_requests += 1
+                counters.extended_bytes += request.size_bytes
+            else:  # served by DRAM
+                if outcome.predicted_miss or outcome.false_positive:
+                    counters.extended_requests += 1
+                else:
+                    counters.conventional_bytes += request.size_bytes
+                if outcome.predicted_miss:
+                    counters.predicted_misses += 1
+                if outcome.false_positive:
+                    counters.false_positive_trips += 1
+            writebacks = outcome.writebacks
+            if writebacks:
+                counters.writebacks += len(writebacks)
+                # Each evicted dirty block writes one full cache block back to DRAM.
+                counters.dram_bytes += len(writebacks) * block
+            counters.total_latency_cycles += noc_latency + outcome.latency_cycles
+        # Every request's partition hop carried its request out and one block back.
+        counters.noc_bytes += len(trace) * (REQUEST_BYTES + block)
+        counters.llc_accesses += len(trace)
+        self._start_cycle += len(trace) * interval
+        counters.elapsed_cycles = max(1.0, counters.elapsed_cycles + len(trace) * interval)
+        return counters
 
     def _access_baseline(
         self, request: MemoryRequest, partition_id: int, now: float, noc_latency: float
@@ -231,34 +272,8 @@ class MemoryHierarchyEngine:
             # An evicted dirty block always moves one full cache block to
             # DRAM, regardless of the triggering request's size.
             counters.writebacks += 1
-            counters.dram_bytes += self.gpu.block_size
+            counters.dram_bytes += self._block_size
         counters.total_latency_cycles += total
-
-    def _account_morpheus(
-        self, outcome: AccessOutcome, request: MemoryRequest, noc_latency: float
-    ) -> None:
-        counters = self.counters
-        if outcome.hit_level == "llc":
-            counters.conventional_hits += 1
-            counters.conventional_bytes += request.size_bytes
-        elif outcome.hit_level == "extended_llc":
-            counters.extended_hits += 1
-            counters.extended_requests += 1
-            counters.extended_bytes += request.size_bytes
-        else:  # served by DRAM
-            if outcome.predicted_miss or outcome.false_positive:
-                counters.extended_requests += 1
-            else:
-                counters.conventional_bytes += request.size_bytes
-            if outcome.predicted_miss:
-                counters.predicted_misses += 1
-            if outcome.false_positive:
-                counters.false_positive_trips += 1
-        if outcome.writebacks:
-            counters.writebacks += len(outcome.writebacks)
-            # Each evicted dirty block writes one full cache block back to DRAM.
-            counters.dram_bytes += len(outcome.writebacks) * self.gpu.block_size
-        counters.total_latency_cycles += noc_latency + outcome.latency_cycles
 
     # -- derived metrics -----------------------------------------------------------------
 

@@ -234,6 +234,7 @@ class GPUSimulator:
             seed=cfg.seed,
             warmup_accesses=cfg.warmup_accesses,
             trace_accesses=cfg.trace_accesses,
+            block_size=cfg.gpu.block_size,
         )
         if len(warmup):
             engine.run(warmup)

@@ -1,9 +1,9 @@
 """Trace generation from application profiles.
 
 The :class:`TraceGenerator` turns an :class:`~repro.workloads.applications.ApplicationProfile`
-into an LLC-level memory trace: the stream of requests that miss in the
-per-SM L1 caches and reach the LLC partitions.  The generator composes three
-components according to the profile:
+into an LLC-level memory trace: the stream of block-aligned requests that
+miss in the per-SM L1 caches and reach the LLC partitions.  The generator
+composes three components according to the profile:
 
 * a **hot region** (``hot_fraction`` of the footprint) receiving
   ``hot_probability`` of the reuse accesses,
@@ -23,12 +23,11 @@ import hashlib
 import random
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Iterator, List, Tuple
+from typing import List, Tuple
 
+from repro.memory.request import AccessType, MemoryRequest
 from repro.workloads.applications import ApplicationProfile
-from repro.workloads.trace import MemoryTrace, TraceEntry
-
-BLOCK = 128
+from repro.workloads.trace import MemoryTrace
 
 
 def _stable_seed(seed: int, name: str, num_compute_sms: int) -> int:
@@ -65,6 +64,8 @@ class TraceGenerator:
         scale: Downscaling factor applied to the footprint (must match the
             capacity scaling used by the simulator).
         seed: Seed for the deterministic random generator.
+        block_size: Cache block size of the generated requests (the
+            replaying GPU's ``block_size``).
     """
 
     def __init__(
@@ -73,15 +74,19 @@ class TraceGenerator:
         num_compute_sms: int,
         scale: float = 1.0,
         seed: int = 0,
+        block_size: int = 128,
     ) -> None:
         if num_compute_sms <= 0:
             raise ValueError("num_compute_sms must be positive")
         if not 0.0 < scale <= 1.0:
             raise ValueError("scale must be in (0, 1]")
+        if block_size <= 0 or block_size & (block_size - 1):
+            raise ValueError("block_size must be a positive power of two")
         self.profile = profile
         self.num_compute_sms = num_compute_sms
         self.scale = scale
         self.seed = seed
+        self.block_size = block_size
         # The streaming component never reuses addresses, so its cursor must
         # persist across generate() calls: otherwise a warm-up trace would
         # pre-load the "fresh" addresses of the measurement trace and large
@@ -91,7 +96,7 @@ class TraceGenerator:
     def parameters(self, num_accesses: int) -> TraceParameters:
         """Resolve the footprint and region sizes for a trace of ``num_accesses``."""
         footprint_bytes = self.profile.footprint_bytes(self.num_compute_sms) * self.scale
-        footprint_blocks = max(16, int(footprint_bytes / BLOCK))
+        footprint_blocks = max(16, int(footprint_bytes / self.block_size))
         hot_blocks = max(1, int(footprint_blocks * self.profile.hot_fraction))
         return TraceParameters(
             footprint_blocks=footprint_blocks,
@@ -108,53 +113,56 @@ class TraceGenerator:
         params = self.parameters(num_accesses)
         profile = self.profile
         rng = random.Random(_stable_seed(self.seed, profile.name, self.num_compute_sms))
+        draw = rng.random
+        randrange = rng.randrange
+        streaming_fraction = profile.streaming_fraction
+        hot_probability = profile.hot_probability
+        atomic_fraction = profile.atomic_fraction
+        write_fraction = profile.write_fraction
+        hot_blocks = params.hot_blocks
+        cold_blocks = max(1, params.footprint_blocks - hot_blocks)
+        block_size = self.block_size
+        num_sms = self.num_compute_sms
 
-        entries: List[TraceEntry] = []
+        requests: List[MemoryRequest] = []
+        append = requests.append
         if self._streaming_cursor is None:
             # The streaming region sits past the reuse footprint.
             self._streaming_cursor = params.footprint_blocks
         for index in range(num_accesses):
-            draw = rng.random()
-            if draw < profile.streaming_fraction:
+            if draw() < streaming_fraction:
                 block = self._streaming_cursor
                 self._streaming_cursor += 1
+            elif draw() < hot_probability:
+                block = randrange(hot_blocks)
             else:
-                if rng.random() < profile.hot_probability:
-                    block = rng.randrange(params.hot_blocks)
-                else:
-                    cold_blocks = max(1, params.footprint_blocks - params.hot_blocks)
-                    block = params.hot_blocks + rng.randrange(cold_blocks)
+                block = hot_blocks + randrange(cold_blocks)
 
-            atomic = rng.random() < profile.atomic_fraction
-            write = (not atomic) and rng.random() < profile.write_fraction
-            sm_id = index % self.num_compute_sms
-            entries.append(
-                TraceEntry(
-                    address=block * BLOCK,
-                    is_write=write,
-                    is_atomic=atomic,
-                    sm_id=sm_id,
-                )
-            )
-        return MemoryTrace(entries, name=f"{profile.name}-{self.num_compute_sms}sm")
-
-    def iter_entries(self, num_accesses: int) -> Iterator[TraceEntry]:
-        """Generate entries lazily (for very long traces)."""
-        yield from self.generate(num_accesses)
+            if draw() < atomic_fraction:
+                access_type = AccessType.ATOMIC
+            elif draw() < write_fraction:
+                access_type = AccessType.STORE
+            else:
+                access_type = AccessType.LOAD
+            append(MemoryRequest(block * block_size, access_type, index % num_sms, block_size))
+        return MemoryTrace(
+            requests, name=f"{profile.name}-{num_sms}sm", block_size=block_size
+        )
 
 
 #: Key of one (warm-up, measurement) trace pair in the :class:`TraceCache`.
-_TraceKey = Tuple[ApplicationProfile, int, float, int, int, int]
+_TraceKey = Tuple[ApplicationProfile, int, float, int, int, int, int]
 
 
 class TraceCache:
     """LRU cache of generated (warm-up, measurement) trace pairs.
 
     Different evaluated systems replay the *same* trace whenever they share
-    the (profile, compute-SM count, scale, seed, trace length) tuple — e.g.
-    BL vs. Morpheus at the same operating point, or repeated best-SM-count
-    searches across systems.  Generating traces is a visible fraction of a
-    short simulation, so the cache returns the previously generated pair.
+    the (profile, compute-SM count, scale, seed, trace lengths, block size)
+    tuple — e.g. BL vs. Morpheus at the same operating point, or repeated
+    best-SM-count searches across systems.  Generating traces is a visible
+    fraction of a short simulation, so the cache returns the previously
+    generated pair.
 
     The warm-up and measurement traces are generated back to back by one
     generator and cached together because the streaming cursor persists
@@ -180,10 +188,11 @@ class TraceCache:
         seed: int,
         warmup_accesses: int,
         trace_accesses: int,
+        block_size: int = 128,
     ) -> Tuple[MemoryTrace, MemoryTrace]:
         """Return the (warm-up, measurement) pair, generating it on a miss."""
         key: _TraceKey = (
-            profile, num_compute_sms, scale, seed, warmup_accesses, trace_accesses,
+            profile, num_compute_sms, scale, seed, warmup_accesses, trace_accesses, block_size,
         )
         cached = self._entries.get(key)
         if cached is not None:
@@ -193,7 +202,8 @@ class TraceCache:
 
         self.misses += 1
         generator = TraceGenerator(
-            profile, num_compute_sms=num_compute_sms, scale=scale, seed=seed
+            profile, num_compute_sms=num_compute_sms, scale=scale, seed=seed,
+            block_size=block_size,
         )
         warmup = generator.generate(warmup_accesses)
         measurement = generator.generate(trace_accesses)

@@ -4,17 +4,24 @@ These helpers produce simple, well-understood access patterns used by unit
 tests, examples and the characterization microbenchmarks: uniform random
 accesses, sequential/strided streams, hot/cold mixtures and Zipfian-skewed
 accesses.  The application models in :mod:`repro.workloads.generator` compose
-the same primitives.
+the same primitives.  Every trace holds block-aligned loads and stores from
+SM 0.
 """
 
 from __future__ import annotations
 
 import random
-from typing import List, Optional
+from typing import List
 
-from repro.workloads.trace import MemoryTrace, TraceEntry
+from repro.memory.request import AccessType, MemoryRequest
+from repro.workloads.trace import MemoryTrace
 
 BLOCK = 128
+
+
+def _request(block: int, is_write: bool, block_size: int) -> MemoryRequest:
+    access_type = AccessType.STORE if is_write else AccessType.LOAD
+    return MemoryRequest(block * block_size, access_type, size_bytes=block_size)
 
 
 def uniform_random_trace(
@@ -34,14 +41,11 @@ def uniform_random_trace(
         raise ValueError("write_fraction must be in [0, 1]")
     rng = random.Random(seed)
     num_blocks = max(1, footprint_bytes // block_size)
-    entries = [
-        TraceEntry(
-            address=rng.randrange(num_blocks) * block_size,
-            is_write=rng.random() < write_fraction,
-        )
+    requests = [
+        _request(rng.randrange(num_blocks), rng.random() < write_fraction, block_size)
         for _ in range(num_accesses)
     ]
-    return MemoryTrace(entries, name=name)
+    return MemoryTrace(requests, name=name, block_size=block_size)
 
 
 def strided_trace(
@@ -58,17 +62,14 @@ def strided_trace(
         raise ValueError("stride_blocks must be positive")
     rng = random.Random(seed)
     num_blocks = max(1, footprint_bytes // block_size)
-    entries = []
+    requests: List[MemoryRequest] = []
     position = 0
     for _ in range(num_accesses):
-        entries.append(
-            TraceEntry(
-                address=(position % num_blocks) * block_size,
-                is_write=rng.random() < write_fraction,
-            )
+        requests.append(
+            _request(position % num_blocks, rng.random() < write_fraction, block_size)
         )
         position += stride_blocks
-    return MemoryTrace(entries, name=name)
+    return MemoryTrace(requests, name=name, block_size=block_size)
 
 
 def hot_cold_trace(
@@ -89,16 +90,14 @@ def hot_cold_trace(
     rng = random.Random(seed)
     num_blocks = max(2, footprint_bytes // block_size)
     hot_blocks = max(1, int(num_blocks * hot_fraction))
-    entries = []
+    requests: List[MemoryRequest] = []
     for _ in range(num_accesses):
         if rng.random() < hot_access_probability:
             block = rng.randrange(hot_blocks)
         else:
             block = hot_blocks + rng.randrange(max(1, num_blocks - hot_blocks))
-        entries.append(
-            TraceEntry(address=block * block_size, is_write=rng.random() < write_fraction)
-        )
-    return MemoryTrace(entries, name=name)
+        requests.append(_request(block, rng.random() < write_fraction, block_size))
+    return MemoryTrace(requests, name=name, block_size=block_size)
 
 
 def zipfian_trace(
@@ -125,7 +124,7 @@ def zipfian_trace(
         acc += weight / total
         cumulative.append(acc)
 
-    entries = []
+    requests: List[MemoryRequest] = []
     for _ in range(num_accesses):
         draw = rng.random()
         # Binary search over the CDF.
@@ -138,7 +137,5 @@ def zipfian_trace(
                 hi = mid
         # Spread ranks over the whole footprint deterministically.
         block = (lo * 2654435761) % num_blocks
-        entries.append(
-            TraceEntry(address=block * block_size, is_write=rng.random() < write_fraction)
-        )
-    return MemoryTrace(entries, name=name)
+        requests.append(_request(block, rng.random() < write_fraction, block_size))
+    return MemoryTrace(requests, name=name, block_size=block_size)

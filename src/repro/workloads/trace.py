@@ -1,108 +1,90 @@
 """Memory trace containers.
 
-A :class:`MemoryTrace` is an ordered sequence of LLC-level accesses (the
+A :class:`MemoryTrace` is an ordered list of LLC-level accesses (the
 requests that miss in the per-SM L1 caches and travel to the LLC partitions),
-each tagged with the issuing SM and the access type.  Traces are the bridge
-between the workload models and the memory-hierarchy simulation.
+each a block-aligned :class:`~repro.memory.request.MemoryRequest` carrying
+the issuing SM and the access type.  Traces are the bridge between the
+workload models and the memory-hierarchy simulation: the engine replays the
+requests as they are, so every replay of one trace shares its requests.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Sequence
 
 from repro.memory.request import AccessType, MemoryRequest
 
 
-@dataclass(frozen=True)
-class TraceEntry:
-    """One LLC-level access in a trace."""
-
-    address: int
-    is_write: bool = False
-    is_atomic: bool = False
-    sm_id: int = 0
-
-    def __post_init__(self) -> None:
-        if self.address < 0:
-            raise ValueError("address must be non-negative")
-        if self.sm_id < 0:
-            raise ValueError("sm_id must be non-negative")
-
-    @property
-    def access_type(self) -> AccessType:
-        """Access type of this entry."""
-        if self.is_atomic:
-            return AccessType.ATOMIC
-        return AccessType.STORE if self.is_write else AccessType.LOAD
-
-    def to_request(self, issue_cycle: int = 0, block_size: int = 128) -> MemoryRequest:
-        """Convert the entry into a :class:`~repro.memory.request.MemoryRequest`."""
-        return MemoryRequest(
-            address=(self.address // block_size) * block_size,
-            access_type=self.access_type,
-            sm_id=self.sm_id,
-            issue_cycle=issue_cycle,
-            size_bytes=block_size,
-        )
-
-
 class MemoryTrace:
-    """An ordered collection of :class:`TraceEntry` objects."""
+    """An ordered list of block-aligned :class:`MemoryRequest` objects.
 
-    def __init__(self, entries: Sequence[TraceEntry] | None = None, name: str = "trace") -> None:
-        self._entries: List[TraceEntry] = list(entries) if entries else []
+    Args:
+        requests: The accesses in issue order.  Each is aligned to
+            ``block_size`` and moves one block (``size_bytes == block_size``);
+            the trace generators guarantee it.
+        name: Label for diagnostics.
+        block_size: Cache block size the requests are aligned to.  A trace
+            replays only on a GPU with the same block size.
+    """
+
+    def __init__(
+        self,
+        requests: Sequence[MemoryRequest] | None = None,
+        name: str = "trace",
+        block_size: int = 128,
+    ) -> None:
+        if block_size <= 0 or block_size & (block_size - 1):
+            raise ValueError(f"block_size must be a positive power of two, got {block_size}")
+        self._requests: List[MemoryRequest] = list(requests) if requests else []
         self.name = name
+        self.block_size = block_size
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._requests)
 
-    def __iter__(self) -> Iterator[TraceEntry]:
-        return iter(self._entries)
+    def __iter__(self) -> Iterator[MemoryRequest]:
+        return iter(self._requests)
 
-    def __getitem__(self, index: int) -> TraceEntry:
-        return self._entries[index]
+    def __getitem__(self, index: int) -> MemoryRequest:
+        return self._requests[index]
 
-    def append(self, entry: TraceEntry) -> None:
+    def append(self, request: MemoryRequest) -> None:
         """Append one access to the trace."""
-        self._entries.append(entry)
+        self._requests.append(request)
 
-    def extend(self, entries: Iterable[TraceEntry]) -> None:
+    def extend(self, requests: Iterable[MemoryRequest]) -> None:
         """Append many accesses to the trace."""
-        self._entries.extend(entries)
+        self._requests.extend(requests)
 
     def addresses(self) -> List[int]:
-        """Raw addresses in issue order."""
-        return [entry.address for entry in self._entries]
+        """Addresses in issue order."""
+        return [request.address for request in self._requests]
 
-    def unique_blocks(self, block_size: int = 128) -> int:
+    def unique_blocks(self) -> int:
         """Number of distinct cache blocks touched by the trace (its footprint)."""
-        return len({entry.address // block_size for entry in self._entries})
+        block_size = self.block_size
+        return len({request.address // block_size for request in self._requests})
 
-    def footprint_bytes(self, block_size: int = 128) -> int:
+    def footprint_bytes(self) -> int:
         """Footprint of the trace in bytes."""
-        return self.unique_blocks(block_size) * block_size
+        return self.unique_blocks() * self.block_size
 
     def write_fraction(self) -> float:
         """Fraction of accesses that are writes or atomics."""
-        if not self._entries:
+        if not self._requests:
             return 0.0
-        writes = sum(1 for entry in self._entries if entry.is_write or entry.is_atomic)
-        return writes / len(self._entries)
+        return sum(1 for request in self._requests if request.is_write) / len(self._requests)
 
     def atomic_fraction(self) -> float:
         """Fraction of accesses that are atomics."""
-        if not self._entries:
+        if not self._requests:
             return 0.0
-        return sum(1 for entry in self._entries if entry.is_atomic) / len(self._entries)
+        atomics = sum(1 for request in self._requests if request.access_type is AccessType.ATOMIC)
+        return atomics / len(self._requests)
 
-    def split_by_sm(self) -> dict:
-        """Group entries by issuing SM."""
-        groups: dict = {}
-        for entry in self._entries:
-            groups.setdefault(entry.sm_id, []).append(entry)
+    def split_by_sm(self) -> Dict[int, List[MemoryRequest]]:
+        """Group accesses by issuing SM."""
+        groups: Dict[int, List[MemoryRequest]] = {}
+        for request in self._requests:
+            groups.setdefault(request.sm_id, []).append(request)
         return groups
-
-    def to_requests(self, block_size: int = 128) -> List[MemoryRequest]:
-        """Materialize the whole trace as memory requests."""
-        return [entry.to_request(issue_cycle=i, block_size=block_size) for i, entry in enumerate(self._entries)]

@@ -146,6 +146,19 @@ class TestHitMissPredictor:
         assert predictor.stats.predictions == 2
         assert predictor.stats.predicted_misses == 2
 
+    def test_set_units_count_into_the_predictor_stats(self):
+        predictor = HitMissPredictor(num_sets=2, associativity=2)
+        unit = predictor.unit(1)
+        assert predictor.unit(1) is unit
+        unit.predict(7)
+        unit.record_access(7)
+        unit.record_access(8)
+        assert (predictor.stats.predictions, predictor.stats.swaps) == (1, 1)
+        predictor.reset()
+        assert predictor.unit(1) is not unit
+        predictor.unit(1).predict(7)
+        assert (predictor.stats.predictions, predictor.stats.swaps) == (1, 0)
+
     def test_storage_matches_paper(self):
         predictor = HitMissPredictor(num_sets=256, filter_bytes=32)
         assert predictor.storage_bytes() == 16 * 1024

@@ -286,9 +286,10 @@ class TestSetOwnershipAndRoutingMatchReference:
         )
         capacities = [(name, store.data_capacity_bytes()) for name, store in kernel.stores.items()]
         for address in addresses:
-            route = kernel._store_for(address)
-            assert route.kind == proportional_split(capacities, address, config.block_size)
-            assert route.store is kernel.stores[route.kind]
+            kind = proportional_split(capacities, address, config.block_size)
+            assert kernel.fill(0, address).store_kind == kind
+            assert kernel.stores[kind].sets[0].lookup(address // config.block_size)
+            assert kernel.access(0, address).store_kind == kind
 
     def test_duplicate_cache_sms_rejected(self):
         with pytest.raises(ValueError):

@@ -1,13 +1,14 @@
 """Tests for the GPU substrate (config, warps, SMs, schedulers) and the interconnect."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.gpu.config import GPUConfig, RTX3080_CONFIG
 from repro.gpu.kernel import KernelLaunch, ThreadBlock
 from repro.gpu.scheduler import CTAScheduler, TwoLevelWarpScheduler
 from repro.gpu.sm import CoreMode, StreamingMultiprocessor
 from repro.gpu.warp import Warp, WarpState
-from repro.interconnect.crossbar import CrossbarLink, CrossbarSwitch
+from repro.interconnect.crossbar import CrossbarLink
 from repro.interconnect.network import InterconnectConfig, InterconnectNetwork
 from repro.memory.request import AccessType, MemoryRequest
 
@@ -159,6 +160,69 @@ class TestStreamingMultiprocessor:
         assert sm.unified_l1_shared_bytes() == 128 * 1024
 
 
+class _ReferenceLink:
+    """One link as a straight-line model: FIFO serialization behind earlier transfers."""
+
+    def __init__(self, bytes_per_cycle, base_latency_cycles):
+        self.bytes_per_cycle = bytes_per_cycle
+        self.base_latency_cycles = base_latency_cycles
+        self.busy_until_cycle = 0.0
+        self.bytes_transferred = 0
+
+    def send(self, size_bytes, now_cycle):
+        start = max(now_cycle, self.busy_until_cycle)
+        serialization = size_bytes / self.bytes_per_cycle
+        self.busy_until_cycle = start + serialization
+        self.bytes_transferred += size_bytes
+        return (start - now_cycle) + self.base_latency_cycles + serialization
+
+
+def _reference_traverse(config, links, size_bytes, now_cycle, response_bytes, elapsed_cycles):
+    """Two links plus the congestion formula: the round trip of one port."""
+    request_link, response_link = links
+    penalty = 1.0
+    if elapsed_cycles > 0:
+        capacity = config.bytes_per_cycle_per_port * elapsed_cycles
+        utilization = min(1.0, request_link.bytes_transferred / capacity)
+        if utilization > config.congestion_knee:
+            over = (utilization - config.congestion_knee) / (1.0 - config.congestion_knee)
+            penalty = 1.0 + over * config.max_congestion_penalty
+    request_latency = request_link.send(size_bytes, now_cycle) * penalty
+    response_latency = response_link.send(response_bytes, now_cycle + request_latency) * penalty
+    return request_latency + response_latency
+
+
+_FLOATS = dict(allow_nan=False, allow_infinity=False)
+
+_NOC_CONFIGS = st.builds(
+    InterconnectConfig,
+    num_partitions=st.integers(min_value=1, max_value=4),
+    one_way_latency_cycles=st.floats(min_value=0.0, max_value=100.0, **_FLOATS),
+    bytes_per_cycle_per_port=st.floats(min_value=0.5, max_value=64.0, **_FLOATS),
+    congestion_knee=st.floats(min_value=0.05, max_value=1.0, **_FLOATS),
+    max_congestion_penalty=st.floats(min_value=0.0, max_value=2.0, **_FLOATS),
+)
+
+#: (partition, request bytes, now, response bytes, elapsed cycles) per hop.
+#: Short elapsed times drive the request link above the congestion knee; an
+#: elapsed time of zero turns the congestion model off.
+_HOPS = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=3),
+        st.integers(min_value=1, max_value=256),
+        st.floats(min_value=0.0, max_value=5_000.0, **_FLOATS),
+        st.integers(min_value=1, max_value=256),
+        st.one_of(
+            st.just(0.0),
+            st.floats(min_value=0.001, max_value=50.0, **_FLOATS),
+            st.floats(min_value=0.001, max_value=50_000.0, **_FLOATS),
+        ),
+    ),
+    min_size=1,
+    max_size=60,
+)
+
+
 class TestInterconnect:
     def test_link_serialization_and_queueing(self):
         link = CrossbarLink(bytes_per_cycle=64, base_latency_cycles=10)
@@ -166,11 +230,36 @@ class TestInterconnect:
         second = link.transfer(128, now_cycle=0.0)
         assert second > first  # the second transfer queues behind the first
 
-    def test_switch_tracks_bytes(self):
-        switch = CrossbarSwitch(bytes_per_cycle=64, base_latency_cycles=5)
-        switch.send_request(32, 0.0)
-        switch.send_response(128, 0.0)
-        assert switch.total_bytes() == 160
+    @given(_NOC_CONFIGS, _HOPS)
+    @settings(max_examples=200, deadline=None)
+    def test_traverse_matches_two_link_reference(self, config, hops):
+        network = InterconnectNetwork(config)
+        reference = [
+            tuple(
+                _ReferenceLink(config.bytes_per_cycle_per_port, config.one_way_latency_cycles)
+                for _ in range(2)
+            )
+            for _ in range(config.num_partitions)
+        ]
+        total_latency = 0.0
+        for partition, size_bytes, now, response_bytes, elapsed in hops:
+            partition %= config.num_partitions
+            expected = _reference_traverse(
+                config, reference[partition], size_bytes, now, response_bytes, elapsed
+            )
+            latency = network.traverse(partition, size_bytes, now, response_bytes, elapsed)
+            assert latency == expected
+            total_latency += expected
+        stats = network.stats
+        assert stats.traversals == len(hops)
+        assert stats.flits_injected == 2 * len(hops)
+        assert stats.bytes_injected == sum(hop[1] + hop[3] for hop in hops)
+        assert stats.total_latency_cycles == total_latency
+        for links, expected_links in zip(network.ports, reference):
+            for link, expected_link in zip(links, expected_links):
+                assert link.busy_until_cycle == expected_link.busy_until_cycle
+                assert link.bytes_transferred == expected_link.bytes_transferred
+        assert network.total_load_bytes() == stats.bytes_injected
 
     def test_network_round_trip_latency(self):
         network = InterconnectNetwork()

@@ -5,17 +5,24 @@ they check qualitative behaviour — who wins and in which direction — rather
 than exact figures.
 """
 
+import collections
+import dataclasses
+
 import pytest
 
-from repro.core.config import MorpheusConfig
+from repro.core.config import MORPHEUS_ALL, MorpheusConfig
+from repro.memory.dram import DRAMConfig
+from repro.memory.llc import LLCConfig
+from repro.memory.request import MemoryRequest
 from repro.sim.engine import MemoryHierarchyEngine
 from repro.sim.simulator import GPUSimulator, SimulationConfig, simulate
-from repro.gpu.config import RTX3080_CONFIG
+from repro.gpu.config import GPUConfig, RTX3080_CONFIG
 from repro.systems.fidelity import FAST_FIDELITY
 from repro.systems.morpheus_system import MorpheusSystem, MorpheusVariant
 from repro.systems.registry import evaluate_application
 from repro.workloads.applications import get_application
 from repro.workloads.generator import TraceGenerator
+from repro.workloads.trace import MemoryTrace
 
 FAST_KWARGS = dict(
     capacity_scale=FAST_FIDELITY.capacity_scale,
@@ -51,6 +58,48 @@ class TestEngine:
         counters = engine.run(trace)
         assert counters.extended_requests > 0
         assert counters.extended_hits > 0
+
+    def test_requests_reach_their_mapped_partition(self):
+        profile = get_application("cfd")
+        engine = MemoryHierarchyEngine(RTX3080_CONFIG, capacity_scale=1 / 32)
+        trace = TraceGenerator(profile, 20, scale=1 / 32, seed=1).generate(2000)
+        engine.run(trace)
+        partitions = range(RTX3080_CONFIG.llc.num_partitions)
+        mapped = collections.Counter(engine.llc.mapping.partition_of(r.address) for r in trace)
+        served = [partition.requests_served for partition in engine.llc.partitions]
+        assert served == [mapped[index] for index in partitions]
+        # Each request's hop to its partition sends 32 bytes on that port.
+        sent = [request_link.bytes_transferred for request_link, _ in engine.network.ports]
+        assert sent == [32 * mapped[index] for index in partitions]
+
+    def test_trace_of_another_block_size_rejected(self):
+        engine = MemoryHierarchyEngine(RTX3080_CONFIG, capacity_scale=1 / 32)
+        trace = MemoryTrace([MemoryRequest(address=64, size_bytes=64)], block_size=64)
+        with pytest.raises(ValueError, match="64-byte blocks"):
+            engine.run(trace)
+        assert engine.counters.llc_accesses == 0
+
+    @pytest.mark.parametrize("block_size", [128, 64])
+    def test_noc_bytes_match_network_injection(self, block_size):
+        # Every byte the counters charge to the NoC was injected into it:
+        # the extended round trip's response is one block of the GPU's size.
+        gpu = GPUConfig(
+            block_size=block_size,
+            llc=LLCConfig(block_size=block_size),
+            dram=DRAMConfig(block_size=block_size),
+        )
+        morpheus = dataclasses.replace(MORPHEUS_ALL, block_size=block_size)
+        engine = MemoryHierarchyEngine(
+            gpu, morpheus=morpheus, cache_sm_ids=list(range(24, 68)), capacity_scale=1 / 32
+        )
+        generator = TraceGenerator(
+            get_application("kmeans"), 24, scale=1 / 32, seed=1, block_size=block_size
+        )
+        engine.run(generator.generate(1000))
+        engine.reset_counters()
+        counters = engine.run(generator.generate(4000))
+        assert counters.extended_requests > counters.extended_hits > 0
+        assert counters.noc_bytes == engine.network.stats.bytes_injected
 
     def test_reset_counters_preserves_cache_contents(self):
         profile = get_application("cfd")

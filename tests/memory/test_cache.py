@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.memory.cache import CacheSet, CacheStats, SetAssociativeCache
-from repro.memory.replacement import LRUPolicy
 
 
 class TestCacheStats:
@@ -38,24 +37,20 @@ class TestCacheSet:
         cache_set.fill(1)
         cache_set.fill(2)
         cache_set.access(1, is_write=False)  # 2 becomes LRU
-        victim = cache_set.fill(3)
-        assert victim is not None
-        assert victim.tag == 2
+        assert cache_set.fill(3) == (2, False)
 
     def test_dirty_bit_set_on_write_hit(self):
         cache_set = CacheSet(associativity=2)
         cache_set.fill(1)
         cache_set.access(1, is_write=True)
-        victim = None
         cache_set.fill(2)
-        victim = cache_set.fill(3)
-        # One of the fills evicted tag 1 or 2; tag 1 must have been dirty when evicted.
-        assert victim is not None
+        # Tag 1 is the least recently used block and was written.
+        assert cache_set.fill(3) == (1, True)
 
     def test_invalidate(self):
         cache_set = CacheSet(associativity=2)
         cache_set.fill(7)
-        assert cache_set.invalidate(7) is not None
+        assert cache_set.invalidate(7) == (7, False)
         assert cache_set.invalidate(7) is None
         assert cache_set.occupancy() == 0
 
@@ -117,6 +112,14 @@ class _ReferenceLRUSet:
         self.last_use.pop(way, None)
         return block
 
+    def tags_by_recency(self):
+        """Resident tags, least recently used first."""
+        ways = sorted(
+            (way for way, block in enumerate(self.ways) if block is not None),
+            key=lambda way: self.last_use[way],
+        )
+        return [self.ways[way][0] for way in ways]
+
 
 _SET_OPERATIONS = st.lists(
     st.tuples(
@@ -132,57 +135,19 @@ _SET_OPERATIONS = st.lists(
 class TestCacheSetMatchesReference:
     @given(st.integers(min_value=1, max_value=6), _SET_OPERATIONS)
     @settings(max_examples=200, deadline=None)
-    def test_same_hits_ways_and_victims(self, associativity, operations):
+    def test_same_hits_victims_and_tags(self, associativity, operations):
         cache_set = CacheSet(associativity)
         reference = _ReferenceLRUSet(associativity)
         for operation, tag, flag in operations:
-            assert cache_set.lookup(tag) == reference.lookup(tag)
+            assert cache_set.lookup(tag) == (reference.lookup(tag) is not None)
             if operation == "access":
                 assert cache_set.access(tag, is_write=flag) == reference.access(tag, flag)
             elif operation == "fill":
-                victim = cache_set.fill(tag, dirty=flag)
-                expected = reference.fill(tag, flag)
-                assert (victim and (victim.tag, victim.dirty)) == expected
+                assert cache_set.fill(tag, dirty=flag) == reference.fill(tag, flag)
             else:
-                block = cache_set.invalidate(tag)
-                assert (block and (block.tag, block.dirty)) == reference.invalidate(tag)
-            assert sorted(cache_set.tags()) == sorted(b[0] for b in reference.ways if b)
+                assert cache_set.invalidate(tag) == reference.invalidate(tag)
+            assert cache_set.tags() == reference.tags_by_recency()
             assert cache_set.occupancy() == sum(1 for b in reference.ways if b)
-
-
-class TestLRUPolicyMatchesReference:
-    @given(
-        st.integers(min_value=1, max_value=8),
-        st.lists(
-            st.tuples(
-                st.sampled_from(("insert", "access", "invalidate", "victim")),
-                st.integers(min_value=0, max_value=7),
-                st.permutations(range(8)),
-                st.integers(min_value=1, max_value=8),
-            ),
-            min_size=1,
-            max_size=100,
-        ),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_victim_is_smallest_last_use_stamp(self, associativity, operations):
-        policy = LRUPolicy(associativity)
-        last_use, clock = {}, 0
-        for operation, way, order, count in operations:
-            way %= associativity
-            if operation in ("insert", "access"):
-                getattr(policy, f"on_{operation}")(way)
-                clock += 1
-                last_use[way] = clock
-            elif operation == "invalidate":
-                policy.on_invalidate(way)
-                last_use.pop(way, None)
-            else:
-                # Any subset of the ways, in any order: never-used ways tie
-                # at -1 and the first of them in candidate order wins.
-                candidates = [w for w in order if w < associativity][:count]
-                expected = min(candidates, key=lambda w: last_use.get(w, -1))
-                assert policy.victim(candidates) == expected
 
 
 class TestSetAssociativeCache:

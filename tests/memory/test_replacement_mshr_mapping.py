@@ -1,79 +1,37 @@
-"""Tests for replacement policies, MSHRs and address mapping."""
+"""Tests for LRU replacement, MSHRs and address mapping."""
 
 import pytest
 
 from repro.memory.address_mapping import AddressMapping
+from repro.memory.cache import CacheSet
 from repro.memory.mshr import MSHRFile
-from repro.memory.replacement import FIFOPolicy, LRUPolicy, RandomPolicy, make_replacement_policy
 from repro.memory.request import MemoryRequest
 
 
 class TestLRUPolicy:
+    """LRU replacement as a :class:`CacheSet` applies it."""
+
     def test_victim_is_least_recently_used(self):
-        policy = LRUPolicy(4)
-        for way in range(4):
-            policy.on_insert(way)
-        policy.on_access(0)
-        assert policy.victim(range(4)) == 1
+        cache_set = CacheSet(4)
+        for tag in range(4):
+            cache_set.fill(tag)
+        cache_set.access(0, is_write=False)
+        assert cache_set.fill(4) == (1, False)
 
     def test_insert_counts_as_use(self):
-        policy = LRUPolicy(2)
-        policy.on_insert(0)
-        policy.on_insert(1)
-        assert policy.victim([0, 1]) == 0
+        cache_set = CacheSet(2)
+        cache_set.fill(0)
+        cache_set.fill(1)
+        assert cache_set.fill(2) == (0, False)
 
     def test_invalidate_makes_way_preferred_victim(self):
-        policy = LRUPolicy(2)
-        policy.on_insert(0)
-        policy.on_insert(1)
-        policy.on_invalidate(1)
-        assert policy.victim([0, 1]) == 1
-
-    def test_out_of_range_way_rejected(self):
-        policy = LRUPolicy(2)
-        with pytest.raises(ValueError):
-            policy.on_access(5)
-
-    def test_empty_victim_rejected(self):
-        policy = LRUPolicy(2)
-        with pytest.raises(ValueError):
-            policy.victim([])
-
-
-class TestFIFOPolicy:
-    def test_victim_is_oldest_insertion(self):
-        policy = FIFOPolicy(3)
-        policy.on_insert(2)
-        policy.on_insert(0)
-        policy.on_insert(1)
-        policy.on_access(2)  # access must not change FIFO order
-        assert policy.victim([0, 1, 2]) == 2
-
-
-class TestRandomPolicy:
-    def test_victim_among_candidates(self):
-        policy = RandomPolicy(8, seed=3)
-        for way in range(8):
-            policy.on_insert(way)
-        assert policy.victim([2, 5]) in (2, 5)
-
-    def test_deterministic_with_seed(self):
-        first = RandomPolicy(8, seed=9)
-        second = RandomPolicy(8, seed=9)
-        picks_a = [first.victim(range(8)) for _ in range(10)]
-        picks_b = [second.victim(range(8)) for _ in range(10)]
-        assert picks_a == picks_b
-
-
-class TestFactory:
-    def test_known_policies(self):
-        assert isinstance(make_replacement_policy("lru", 4), LRUPolicy)
-        assert isinstance(make_replacement_policy("fifo", 4), FIFOPolicy)
-        assert isinstance(make_replacement_policy("random", 4), RandomPolicy)
-
-    def test_unknown_policy(self):
-        with pytest.raises(ValueError):
-            make_replacement_policy("plru", 4)
+        cache_set = CacheSet(2)
+        cache_set.fill(0)
+        cache_set.fill(1)
+        cache_set.invalidate(1)
+        # The invalidated block's way takes the fill: nothing is evicted.
+        assert cache_set.fill(2) is None
+        assert cache_set.tags() == [0, 2]
 
 
 class TestMSHRFile:

@@ -1,8 +1,8 @@
-"""Tests for memory requests and responses."""
+"""Tests for memory requests."""
 
 import pytest
 
-from repro.memory.request import AccessType, MemoryRequest, MemoryResponse, reset_request_ids
+from repro.memory.request import AccessType, MemoryRequest
 
 
 class TestAccessType:
@@ -27,6 +27,10 @@ class TestMemoryRequest:
         with pytest.raises(ValueError):
             MemoryRequest(address=-1)
 
+    def test_negative_sm_id_rejected(self):
+        with pytest.raises(ValueError):
+            MemoryRequest(address=0, sm_id=-1)
+
     def test_non_positive_size_rejected(self):
         with pytest.raises(ValueError):
             MemoryRequest(address=0, size_bytes=0)
@@ -40,42 +44,7 @@ class TestMemoryRequest:
         with pytest.raises(ValueError):
             request.block_address(100)
 
-    def test_request_ids_are_unique(self):
-        first = MemoryRequest(address=0)
-        second = MemoryRequest(address=0)
-        assert first.request_id != second.request_id
-
-    def test_reset_request_ids(self):
-        reset_request_ids(100)
-        request = MemoryRequest(address=0)
-        assert request.request_id == 100
-
-    def test_copy_for_block_preserves_metadata(self):
-        request = MemoryRequest(address=1000, access_type=AccessType.STORE, sm_id=5, warp_id=3)
-        copy = request.copy_for_block(2048)
-        assert copy.address == 2048
-        assert copy.access_type is AccessType.STORE
-        assert copy.sm_id == 5
-        assert copy.warp_id == 3
-        assert copy.request_id != request.request_id
-
     def test_store_is_write(self):
         request = MemoryRequest(address=0, access_type=AccessType.STORE)
         assert request.is_write
 
-
-class TestMemoryResponse:
-    def test_offchip_detection(self):
-        request = MemoryRequest(address=0)
-        response = MemoryResponse(request=request, latency_cycles=100.0, hit_level="dram")
-        assert response.is_offchip
-
-    def test_llc_hit_is_not_offchip(self):
-        request = MemoryRequest(address=0)
-        response = MemoryResponse(request=request, latency_cycles=100.0, hit_level="llc")
-        assert not response.is_offchip
-
-    def test_negative_latency_rejected(self):
-        request = MemoryRequest(address=0)
-        with pytest.raises(ValueError):
-            MemoryResponse(request=request, latency_cycles=-1.0, hit_level="llc")

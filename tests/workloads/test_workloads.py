@@ -11,9 +11,10 @@ from repro.workloads.applications import (
     WorkloadClass,
     get_application,
 )
+from repro.memory.request import AccessType, MemoryRequest
 from repro.workloads.generator import TraceGenerator
 from repro.workloads.synthetic import hot_cold_trace, strided_trace, uniform_random_trace, zipfian_trace
-from repro.workloads.trace import MemoryTrace, TraceEntry
+from repro.workloads.trace import MemoryTrace
 
 
 class TestApplications:
@@ -67,29 +68,36 @@ class TestApplications:
 
 
 class TestTrace:
-    def test_entry_to_request(self):
-        entry = TraceEntry(address=1000, is_write=True, sm_id=3)
-        request = entry.to_request(issue_cycle=7)
-        assert request.address == 896
-        assert request.is_write
-        assert request.sm_id == 3
-
     def test_footprint(self):
-        trace = MemoryTrace([TraceEntry(address=i * 128) for i in range(10)])
+        trace = MemoryTrace([MemoryRequest(address=i * 128) for i in range(10)])
         assert trace.unique_blocks() == 10
         assert trace.footprint_bytes() == 1280
 
+    def test_footprint_counts_blocks_of_the_trace_block_size(self):
+        requests = [MemoryRequest(address=i * 64, size_bytes=64) for i in range(10)]
+        trace = MemoryTrace(requests, block_size=64)
+        assert trace.unique_blocks() == 10
+        assert trace.footprint_bytes() == 640
+
     def test_write_and_atomic_fractions(self):
-        entries = [TraceEntry(address=0, is_write=True), TraceEntry(address=0), TraceEntry(address=0, is_atomic=True)]
-        trace = MemoryTrace(entries)
+        requests = [
+            MemoryRequest(address=0, access_type=AccessType.STORE),
+            MemoryRequest(address=0),
+            MemoryRequest(address=0, access_type=AccessType.ATOMIC),
+        ]
+        trace = MemoryTrace(requests)
         assert trace.write_fraction() == pytest.approx(2 / 3)
         assert trace.atomic_fraction() == pytest.approx(1 / 3)
 
     def test_split_by_sm(self):
-        trace = MemoryTrace([TraceEntry(address=0, sm_id=i % 2) for i in range(10)])
+        trace = MemoryTrace([MemoryRequest(address=0, sm_id=i % 2) for i in range(10)])
         groups = trace.split_by_sm()
         assert len(groups[0]) == 5
         assert len(groups[1]) == 5
+
+    def test_block_size_must_be_a_power_of_two(self):
+        with pytest.raises(ValueError):
+            MemoryTrace(block_size=96)
 
 
 class TestTraceGenerator:
@@ -98,6 +106,16 @@ class TestTraceGenerator:
         first = TraceGenerator(profile, 20, scale=1 / 32, seed=3).generate(500)
         second = TraceGenerator(profile, 20, scale=1 / 32, seed=3).generate(500)
         assert first.addresses() == second.addresses()
+
+    @pytest.mark.parametrize("block_size", [128, 64])
+    def test_emits_block_aligned_requests(self, block_size):
+        profile = get_application("histo")  # stores and atomics next to loads
+        trace = TraceGenerator(profile, 20, scale=1 / 32, seed=3, block_size=block_size).generate(500)
+        assert trace.block_size == block_size
+        assert all(request.address % block_size == 0 for request in trace)
+        assert all(request.size_bytes == block_size for request in trace)
+        assert [request.sm_id for request in trace] == [index % 20 for index in range(500)]
+        assert {request.access_type for request in trace} == set(AccessType)
 
     def test_different_seeds_differ(self):
         profile = get_application("cfd")
@@ -168,4 +186,4 @@ class TestSyntheticTraces:
     def test_uniform_trace_length_property(self, accesses, footprint_kib):
         trace = uniform_random_trace(accesses, footprint_bytes=footprint_kib * 1024)
         assert len(trace) == accesses
-        assert all(entry.address % 128 == 0 for entry in trace)
+        assert all(request.address % 128 == 0 for request in trace)
