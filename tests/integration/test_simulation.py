@@ -14,7 +14,7 @@ from repro.core.config import MORPHEUS_ALL, MorpheusConfig
 from repro.memory.dram import DRAMConfig
 from repro.memory.llc import LLCConfig
 from repro.memory.request import MemoryRequest
-from repro.sim.engine import MemoryHierarchyEngine
+from repro.sim.engine import REQUEST_BYTES, MemoryHierarchyEngine
 from repro.sim.simulator import GPUSimulator, SimulationConfig, simulate
 from repro.gpu.config import GPUConfig, RTX3080_CONFIG
 from repro.systems.fidelity import FAST_FIDELITY
@@ -68,9 +68,9 @@ class TestEngine:
         mapped = collections.Counter(engine.llc.mapping.partition_of(r.address) for r in trace)
         served = [partition.requests_served for partition in engine.llc.partitions]
         assert served == [mapped[index] for index in partitions]
-        # Each request's hop to its partition sends 32 bytes on that port.
+        # Each request's hop to its partition sends its request on that port.
         sent = [request_link.bytes_transferred for request_link, _ in engine.network.ports]
-        assert sent == [32 * mapped[index] for index in partitions]
+        assert sent == [REQUEST_BYTES * mapped[index] for index in partitions]
 
     def test_trace_of_another_block_size_rejected(self):
         engine = MemoryHierarchyEngine(RTX3080_CONFIG, capacity_scale=1 / 32)
