@@ -3,10 +3,10 @@
 This subpackage implements both halves of the hardware/software co-design:
 
 * **Hardware** — the per-LLC-partition :class:`~repro.core.controller.MorpheusController`
-  with its :class:`~repro.core.address_separation.AddressSeparator`,
-  dual-Bloom-filter :class:`~repro.core.hit_miss_predictor.HitMissPredictor`
-  and :class:`~repro.core.query_logic.ExtendedLLCQueryLogic` (request queue,
-  warp status table, read/write data buffers).
+  with its :class:`~repro.core.address_separation.AddressSeparator` and
+  dual-Bloom-filter :class:`~repro.core.hit_miss_predictor.HitMissPredictor`.
+  The query logic's storage (§4.1.3) counts in the overheads, but the
+  replay never queues a request, so the logic itself is not modelled.
 * **Software** — the extended LLC kernel
   (:class:`~repro.core.extended_llc.ExtendedLLCKernel`) that lays the extended
   LLC tag/data arrays out in the register file
@@ -28,11 +28,6 @@ from repro.core.extended_llc import ExtendedLLC, ExtendedLLCKernel
 from repro.core.hit_miss_predictor import HitMissPredictor
 from repro.core.indirect_mov import IndirectMovImplementation, IndirectMovModel
 from repro.core.l1_store import L1Store
-from repro.core.query_logic import (
-    ExtendedLLCQueryLogic,
-    RequestQueue,
-    WarpStatusTable,
-)
 from repro.core.register_file_store import RegisterFileStore
 from repro.core.shared_memory_store import SharedMemoryStore
 
@@ -44,7 +39,6 @@ __all__ = [
     "CompressionLevelAllocator",
     "ExtendedLLC",
     "ExtendedLLCKernel",
-    "ExtendedLLCQueryLogic",
     "ExtendedLLCTiming",
     "HitMissPredictor",
     "IndirectMovImplementation",
@@ -54,7 +48,5 @@ __all__ = [
     "MorpheusController",
     "PredictorMode",
     "RegisterFileStore",
-    "RequestQueue",
     "SharedMemoryStore",
-    "WarpStatusTable",
 ]

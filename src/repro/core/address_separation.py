@@ -22,7 +22,6 @@ class SeparationDecision:
 
     target: str            # "conventional" or "extended"
     extended_set: int = -1  # extended LLC set index when target == "extended"
-    cache_sm_slot: int = -1  # which cache-mode SM slot owns that set
 
 
 _CONVENTIONAL = SeparationDecision(target="conventional")
@@ -32,7 +31,7 @@ _CONVENTIONAL = SeparationDecision(target="conventional")
 def _extended_decisions(num_extended_sets: int) -> Tuple[SeparationDecision, ...]:
     """The (immutable) decision for each extended set, shared by separators."""
     return tuple(
-        SeparationDecision(target="extended", extended_set=index, cache_sm_slot=index)
+        SeparationDecision(target="extended", extended_set=index)
         for index in range(num_extended_sets)
     )
 
@@ -56,7 +55,7 @@ class AddressSeparator:
             partition (0 disables the extended LLC).
         block_size: Cache block size in bytes.
         num_extended_sets: Extended LLC sets behind this partition; used to
-            map an extended-bound block to its set and owning cache-SM slot.
+            map an extended-bound block to its set.
         granularity_blocks: Size of one share unit, in blocks.  The default
             (64 blocks = 8 KiB) keeps the interleaving fine enough that both
             LLCs observe every access pattern.

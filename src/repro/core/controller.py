@@ -4,11 +4,12 @@ The controller performs the three tasks the paper assigns it:
 
 1. **Address separation** between the conventional LLC slice and the extended
    LLC (:class:`~repro.core.address_separation.AddressSeparator`).
-2. **Communication** with the extended LLC: outstanding requests are tracked
-   in the :class:`~repro.core.query_logic.ExtendedLLCQueryLogic` (request
-   queue, warp status table, read/write data buffers), and extended-LLC
-   traffic pays an extra interconnect round trip to reach the owning
-   cache-mode SM.
+2. **Communication** with the extended LLC: extended-LLC traffic pays an
+   extra interconnect round trip to reach the owning cache-mode SM.  The
+   paper's query logic (request queue, warp status table, read/write data
+   buffers) is not modelled: the replay never queues a request, so it
+   would add no delay.  Its storage still counts in §7.5's overheads
+   (:attr:`~repro.core.config.MorpheusConfig.query_logic_storage_bytes`).
 3. **Hit/miss prediction** with the dual Bloom filter scheme
    (:class:`~repro.core.hit_miss_predictor.HitMissPredictor`), so that
    predicted extended-LLC misses go straight to DRAM and cost no more than a
@@ -19,18 +20,26 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from typing import Any, Callable, List, Optional
 
 from repro.core.address_separation import AddressSeparator
 from repro.core.config import MorpheusConfig
 from repro.core.extended_llc import ExtendedLLC
 from repro.core.hit_miss_predictor import HitMissPredictor
-from repro.core.query_logic import ExtendedLLCQueryLogic
 from repro.memory.llc import LLCPartition
 from repro.memory.request import MemoryRequest
 
 DramAccessFn = Callable[[MemoryRequest, float], float]
 NocRoundTripFn = Callable[[int, float], float]
+
+
+def _constant(latency: float) -> Callable[..., float]:
+    """A callback that returns ``latency`` whatever it is called with."""
+
+    def callback(*_: Any) -> float:
+        return latency
+
+    return callback
 
 
 class PredictorMode(enum.Enum):
@@ -82,11 +91,9 @@ class AccessOutcome:
 
     hit_level: str                      # "llc", "extended_llc" or "dram"
     latency_cycles: float
-    served_by_extended_llc: bool = False
     predicted_miss: bool = False
     false_positive: bool = False
     writebacks: List[int] = field(default_factory=list)
-    store_kind: str = ""
 
 
 class MorpheusController:
@@ -101,11 +108,15 @@ class MorpheusController:
         core_clock_ghz: GPU core clock, used to convert the timing model's
             nanoseconds into cycles.
         dram_access: Callback ``(request, at_cycle) -> latency_cycles`` used
-            to fetch blocks from DRAM.  A constant-latency default is used
-            when the simulator does not inject one.
+            to fetch blocks from DRAM.  A constant ~600 ns is used when the
+            simulator does not inject one.
         noc_round_trip: Callback ``(size_bytes, at_cycle) -> latency_cycles``
             for the extra controller <-> cache-mode-SM round trip.  Defaults
             to twice the timing model's one-way latency.
+
+    Neither callback may hold a reference back to whatever owns this
+    controller: that would make a reference cycle, which only the cyclic
+    garbage collector frees.
     """
 
     def __init__(
@@ -144,10 +155,6 @@ class MorpheusController:
             associativity=self.config.extended_llc_associativity,
             filter_bytes=self.config.bloom_filter_bytes,
         )
-        self.query_logic = ExtendedLLCQueryLogic(
-            num_sets=extended_sets,
-            block_size=self.config.block_size,
-        )
         # Each partition's controller owns a disjoint slice of the extended
         # LLC sets, so the full extended capacity is used across partitions.
         self._global_set_base = self.partition.partition_id * extended_sets
@@ -155,8 +162,10 @@ class MorpheusController:
         # A predicted miss skips the extended LLC and pays a quarter of the
         # conventional tag lookup before going to DRAM.
         self._predicted_miss_latency = self.partition.config.hit_latency_cycles * 0.25
-        self._dram_access = dram_access or self._default_dram_latency
-        self._noc_round_trip = noc_round_trip or self._default_noc_round_trip
+        self._dram_access = dram_access or _constant(600.0 * core_clock_ghz)
+        self._noc_round_trip = noc_round_trip or _constant(
+            2.0 * self.config.timing.noc_one_way_ns * core_clock_ghz
+        )
         self.stats = ControllerStats()
 
     # -- helpers --------------------------------------------------------------
@@ -168,17 +177,6 @@ class MorpheusController:
         total = self.extended_llc.total_sets
         per_partition = total // self.partition.config.num_partitions
         return min(self.config.max_extended_sets_per_partition, max(1, per_partition))
-
-    def _ns_to_cycles(self, ns: float) -> float:
-        return ns * self.core_clock_ghz
-
-    def _default_dram_latency(self, request: MemoryRequest, at_cycle: float) -> float:
-        # ~600 ns at the core clock; the simulator normally injects the real
-        # DRAM model which adds queueing on top.
-        return 600.0 * self.core_clock_ghz
-
-    def _default_noc_round_trip(self, size_bytes: int, at_cycle: float) -> float:
-        return self._ns_to_cycles(2.0 * self.config.timing.noc_one_way_ns)
 
     # -- the LLC lookup procedure (Figure 3 / Figure 6a) ------------------------------
 
@@ -219,10 +217,6 @@ class MorpheusController:
         _, kernel, local_set = self.extended_llc.owner_of_set(self._global_set_base + set_index)
         unit = self.predictor.unit(set_index)
 
-        # The request is buffered by the query logic; the controller's own
-        # pipeline latency is folded into the timing model's dispatch term.
-        self.query_logic.admit(request)
-
         actual_resident = kernel.resident(local_set, address)
         if self._bloom:
             predicted_hit = unit.predict(tag)
@@ -236,7 +230,6 @@ class MorpheusController:
             # then install the block in the extended LLC.
             stats.predicted_misses += 1
             stats.extended_misses += 1
-            self.query_logic.request_queue.dequeue()
             stats.dram_accesses += 1
             dram_latency = self._dram_access(request, now_cycle)
             fill = kernel.fill(local_set, address, request.is_write)
@@ -247,28 +240,18 @@ class MorpheusController:
                 self._predicted_miss_latency + dram_latency,
                 predicted_miss=True,
                 writebacks=fill.writebacks,
-                store_kind=fill.store_kind,
             )
 
         # Predicted hit: pay the NoC round trip to the cache-mode SM and run
         # the extended LLC kernel's lookup there.
-        row = set_index % self.query_logic.warp_status.num_rows
-        dispatched = self.query_logic.dispatch(row)
         noc_latency = self._noc_round_trip(request.size_bytes, now_cycle)
         result = kernel.access(local_set, address, request.is_write)
         service_latency = result.service_latency_ns * self.core_clock_ghz
-        if dispatched is not None:
-            self.query_logic.complete(row, result.hit)
 
         if result.hit:
             stats.extended_hits += 1
             unit.record_access(tag)
-            return AccessOutcome(
-                "extended_llc",
-                noc_latency + service_latency,
-                served_by_extended_llc=True,
-                store_kind=result.store_kind,
-            )
+            return AccessOutcome("extended_llc", noc_latency + service_latency)
 
         # False positive (or no-prediction miss): the round trip was wasted;
         # fetch from DRAM and fill the extended LLC.
@@ -285,7 +268,6 @@ class MorpheusController:
             noc_latency + service_latency + dram_latency,
             false_positive=True,
             writebacks=fill.writebacks,
-            store_kind=fill.store_kind,
         )
 
     # -- overhead reporting (§7.5) ---------------------------------------------------
@@ -298,7 +280,6 @@ class MorpheusController:
         )
 
     def reset(self) -> None:
-        """Reset predictor, query logic and statistics (LLC contents preserved)."""
+        """Reset predictor and statistics (LLC contents preserved)."""
         self.predictor.reset()
-        self.query_logic.reset()
         self.stats = ControllerStats()

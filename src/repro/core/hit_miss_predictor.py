@@ -67,15 +67,19 @@ class PredictorStats:
 class SetPredictor:
     """Dual Bloom filter state for a single extended LLC set.
 
-    Counts its predictions and filter swaps in the owning
-    :class:`HitMissPredictor`'s :attr:`~HitMissPredictor.stats`.
+    Counts its predictions and filter swaps in ``stats``, its
+    :class:`HitMissPredictor`'s :attr:`~HitMissPredictor.stats`.  It holds
+    those stats rather than the predictor, which holds it: a unit pointing
+    back at its predictor would make every predictor a reference cycle.
     """
 
-    def __init__(self, owner: "HitMissPredictor") -> None:
-        self._owner = owner
-        self.associativity = owner.associativity
-        self.bf1 = BloomFilter(owner.filter_bytes, owner.num_hashes)
-        self.bf2 = BloomFilter(owner.filter_bytes, owner.num_hashes)
+    def __init__(
+        self, stats: PredictorStats, associativity: int, filter_bytes: int, num_hashes: int
+    ) -> None:
+        self._stats = stats
+        self.associativity = associativity
+        self.bf1 = BloomFilter(filter_bytes, num_hashes)
+        self.bf2 = BloomFilter(filter_bytes, num_hashes)
         # Tags known to be in BF2 since its last clear; len() is the paper's n.
         self._bf2_tags: Set[int] = set()
         self.swaps = 0
@@ -83,7 +87,7 @@ class SetPredictor:
     def predict(self, tag: int) -> bool:
         """Predict whether ``tag`` currently resides in the set (query BF1)."""
         hit = self.bf1.query(tag)
-        stats = self._owner.stats
+        stats = self._stats
         stats.predictions += 1
         if hit:
             stats.predicted_hits += 1
@@ -105,7 +109,7 @@ class SetPredictor:
             self.bf1, self.bf2 = self.bf2, self.bf1
             self._bf2_tags.clear()
             self.swaps += 1
-            self._owner.stats.swaps += 1
+            self._stats.swaps += 1
 
 
 class HitMissPredictor:
@@ -135,6 +139,8 @@ class HitMissPredictor:
         self.filter_bytes = filter_bytes
         self.num_hashes = num_hashes
         self._sets: Dict[int, SetPredictor] = {}
+        # The set units count into this object: zero it in place or call
+        # reset(), never rebind it alone.
         self.stats = PredictorStats()
 
     def unit(self, set_index: int) -> SetPredictor:
@@ -143,7 +149,9 @@ class HitMissPredictor:
         if predictor is None:
             if not 0 <= set_index < self.num_sets:
                 raise ValueError(f"set_index {set_index} out of range [0, {self.num_sets})")
-            predictor = self._sets[set_index] = SetPredictor(self)
+            predictor = self._sets[set_index] = SetPredictor(
+                self.stats, self.associativity, self.filter_bytes, self.num_hashes
+            )
         return predictor
 
     def predict(self, set_index: int, tag: int) -> bool:

@@ -2,9 +2,9 @@
 
 The RTX 3080 baseline has a 5 MiB LLC distributed over 10 partitions, each
 colocated with a memory controller.  Each :class:`LLCPartition` owns one
-set-associative slice plus an MSHR file and a simple bandwidth model
-(~300 GB/s per partition per the paper's §5 discussion).  The
-:class:`BankedLLC` stitches partitions together using the block-interleaved
+set-associative slice plus a simple bandwidth model (~300 GB/s per
+partition per the paper's §5 discussion).  The :class:`BankedLLC`
+stitches partitions together using the block-interleaved
 :class:`~repro.memory.address_mapping.AddressMapping`.
 """
 
@@ -15,13 +15,17 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.memory.address_mapping import AddressMapping
 from repro.memory.cache import CacheStats, SetAssociativeCache
-from repro.memory.mshr import MSHRFile
 from repro.memory.request import MemoryRequest
 
 
 @dataclass(frozen=True)
 class LLCConfig:
-    """Configuration for the conventional LLC."""
+    """Configuration for the conventional LLC.
+
+    Nothing reads ``mshr_entries``: the replay models no MSHRs.  It stays
+    because :class:`~repro.gpu.config.GPUConfig` carries it into every
+    replay key, so removing it changes every key.
+    """
 
     capacity_bytes: int = 5 * 1024 * 1024
     num_partitions: int = 10
@@ -75,7 +79,7 @@ class LLCConfig:
 
 
 class LLCPartition:
-    """One LLC partition: a cache slice, MSHRs and a bandwidth account."""
+    """One LLC partition: a cache slice and a bandwidth account."""
 
     def __init__(self, partition_id: int, config: LLCConfig) -> None:
         self.partition_id = partition_id
@@ -89,12 +93,10 @@ class LLCPartition:
             associativity=config.associativity,
             name=f"llc-partition-{partition_id}",
         )
-        self.mshrs = MSHRFile(num_entries=config.mshr_entries)
         self._bytes_per_cycle = config.bytes_per_cycle_per_partition
         self._hit_latency_cycles = config.hit_latency_cycles
         self._busy_until_cycle = 0.0
         self.bytes_served = 0
-        self.requests_served = 0
 
     def access(self, request: MemoryRequest, now_cycle: float) -> Tuple[bool, float, Optional[int]]:
         """Look up ``request`` in this partition's slice.
@@ -112,7 +114,6 @@ class LLCPartition:
         size_bytes = request.size_bytes
         self._busy_until_cycle = start + size_bytes / self._bytes_per_cycle
         self.bytes_served += size_bytes
-        self.requests_served += 1
 
         return hit, queue_delay + self._hit_latency_cycles, writeback
 
@@ -124,13 +125,11 @@ class LLCPartition:
         return bytes_per_cycle * self.config.core_clock_ghz
 
     def reset(self) -> None:
-        """Clear contents, MSHRs and counters."""
+        """Clear contents and counters."""
         self.cache.flush()
         self.cache.reset_stats()
-        self.mshrs.reset()
         self._busy_until_cycle = 0.0
         self.bytes_served = 0
-        self.requests_served = 0
 
 
 class BankedLLC:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.core.config import MorpheusConfig
-from repro.core.controller import MorpheusController
+from repro.core.controller import MorpheusController, NocRoundTripFn
 from repro.core.extended_llc import Compressibility, ExtendedLLC
 from repro.gpu.config import GPUConfig
 from repro.interconnect.network import InterconnectNetwork
@@ -25,6 +25,25 @@ from repro.workloads.trace import MemoryTrace
 
 #: Bytes an SM sends to an LLC partition per request (one block comes back).
 REQUEST_BYTES = 32
+
+
+def _extended_round_trip(
+    network: InterconnectNetwork, num_partitions: int, block_size: int
+) -> NocRoundTripFn:
+    """The controllers' extra hop to a cache-mode SM, on ``network``.
+
+    The hop uses the port of a partition picked pseudo-randomly by time,
+    and its response carries one block back.
+    """
+
+    def round_trip(size_bytes: int, at_cycle: float) -> float:
+        # max(1.0, at_cycle) as elapsed time, without the builtin call.
+        return network.traverse(
+            int(at_cycle) % num_partitions, size_bytes, at_cycle, block_size,
+            at_cycle if at_cycle > 1.0 else 1.0,
+        )
+
+    return round_trip
 
 
 @dataclass
@@ -148,45 +167,30 @@ class MemoryHierarchyEngine:
                 l1_shared_bytes=max(morpheus.block_size * 4, l1_bytes),
                 compressibility=compressibility,
             )
+            # The controllers reach DRAM and the NoC directly, not through
+            # the engine, and the engine counts that traffic from each
+            # outcome: no controller points back at the engine, so reference
+            # counting frees it as soon as a replay drops it.
+            round_trip = _extended_round_trip(
+                self.network, self.llc.mapping.num_partitions, gpu.block_size
+            )
             self.controllers = [
                 MorpheusController(
                     partition,
                     self.extended_llc,
                     morpheus,
                     core_clock_ghz=gpu.core_clock_ghz,
-                    dram_access=self._dram_access,
-                    noc_round_trip=self._extended_noc_round_trip,
+                    dram_access=self.dram.access,
+                    noc_round_trip=round_trip,
                 )
                 for partition in self.llc.partitions
             ]
         self.counters = HierarchyCounters()
-        self._now = 0.0
         self._start_cycle = 0.0
         # Per-access constants of the replay loop.
         self._block_size = gpu.block_size
         self._num_partitions = self.llc.mapping.num_partitions
         self._partition_block_size = self.llc.mapping.block_size
-
-    # -- callbacks injected into the Morpheus controllers --------------------------
-
-    def _dram_access(self, request: MemoryRequest, at_cycle: float) -> float:
-        latency = self.dram.access(request, at_cycle)
-        self.counters.dram_accesses += 1
-        self.counters.dram_bytes += request.size_bytes
-        return latency
-
-    def _extended_noc_round_trip(self, size_bytes: int, at_cycle: float) -> float:
-        # The extra hop to the cache-mode SM uses the same network; pick the
-        # port of the SM-side partition pseudo-randomly by size/time.  The
-        # response carries one block back.
-        block = self._block_size
-        now = self._now
-        latency = self.network.traverse(
-            int(at_cycle) % self._num_partitions, size_bytes, at_cycle, block,
-            now if now > 1.0 else 1.0,
-        )
-        self.counters.noc_bytes += size_bytes + block
-        return latency
 
     # -- trace replay ------------------------------------------------------------------
 
@@ -213,7 +217,6 @@ class MemoryHierarchyEngine:
             # Time continues across run() calls so warm-up and measurement
             # share one continuous timeline (queue occupancies stay valid).
             now = start_cycle + index * interval
-            self._now = now
 
             # The SM -> LLC partition hop (all LLC traffic pays this).
             partition_id = (request.address // partition_block) % num_partitions
@@ -228,22 +231,28 @@ class MemoryHierarchyEngine:
 
             outcome = controllers[partition_id].access(request, now)
             hit_level = outcome.hit_level
+            size = request.size_bytes
             if hit_level == "llc":
                 counters.conventional_hits += 1
-                counters.conventional_bytes += request.size_bytes
+                counters.conventional_bytes += size
             elif hit_level == "extended_llc":
                 counters.extended_hits += 1
                 counters.extended_requests += 1
-                counters.extended_bytes += request.size_bytes
+                counters.extended_bytes += size
+                # The round trip to the cache-mode SM: the request out, one block back.
+                counters.noc_bytes += size + block
             else:  # served by DRAM
-                if outcome.predicted_miss or outcome.false_positive:
-                    counters.extended_requests += 1
-                else:
-                    counters.conventional_bytes += request.size_bytes
+                counters.dram_accesses += 1
+                counters.dram_bytes += size
                 if outcome.predicted_miss:
+                    counters.extended_requests += 1
                     counters.predicted_misses += 1
-                if outcome.false_positive:
+                elif outcome.false_positive:
+                    counters.extended_requests += 1
                     counters.false_positive_trips += 1
+                    counters.noc_bytes += size + block  # the wasted round trip
+                else:
+                    counters.conventional_bytes += size
             writebacks = outcome.writebacks
             if writebacks:
                 counters.writebacks += len(writebacks)
@@ -266,7 +275,9 @@ class MemoryHierarchyEngine:
         if hit:
             counters.conventional_hits += 1
         else:
-            total += self._dram_access(request, now + latency)
+            total += self.dram.access(request, now + latency)
+            counters.dram_accesses += 1
+            counters.dram_bytes += request.size_bytes
         counters.conventional_bytes += request.size_bytes
         if writeback is not None:
             # An evicted dirty block always moves one full cache block to
@@ -311,7 +322,6 @@ class MemoryHierarchyEngine:
         for partition in self.llc.partitions:
             partition.cache.reset_stats()
             partition.bytes_served = 0
-            partition.requests_served = 0
         for controller in self.controllers:
             controller.stats.__init__()
 
@@ -325,5 +335,4 @@ class MemoryHierarchyEngine:
         for controller in self.controllers:
             controller.reset()
         self.counters = HierarchyCounters()
-        self._now = 0.0
         self._start_cycle = 0.0

@@ -1,4 +1,4 @@
-"""Workload models: the paper's 17 applications and synthetic trace generators."""
+"""Workload models: the paper's 17 applications and their trace generator."""
 
 from repro.workloads.applications import (
     APPLICATIONS,
@@ -9,12 +9,6 @@ from repro.workloads.applications import (
     get_application,
 )
 from repro.workloads.generator import SHARED_TRACE_CACHE, TraceCache, TraceGenerator
-from repro.workloads.synthetic import (
-    hot_cold_trace,
-    strided_trace,
-    uniform_random_trace,
-    zipfian_trace,
-)
 from repro.workloads.trace import MemoryTrace
 
 __all__ = [
@@ -28,8 +22,4 @@ __all__ = [
     "TraceGenerator",
     "WorkloadClass",
     "get_application",
-    "hot_cold_trace",
-    "strided_trace",
-    "uniform_random_trace",
-    "zipfian_trace",
 ]

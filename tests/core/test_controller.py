@@ -54,7 +54,6 @@ class TestControllerRouting:
         second = controller.access(MemoryRequest(address=address), 100.0)
         assert first.hit_level == "dram"
         assert second.hit_level == "extended_llc"
-        assert second.served_by_extended_llc
 
     def test_conventional_hit_latency_below_miss_latency(self):
         controller = make_controller()

@@ -66,7 +66,7 @@ class TestEngine:
         engine.run(trace)
         partitions = range(RTX3080_CONFIG.llc.num_partitions)
         mapped = collections.Counter(engine.llc.mapping.partition_of(r.address) for r in trace)
-        served = [partition.requests_served for partition in engine.llc.partitions]
+        served = [partition.cache.stats.accesses for partition in engine.llc.partitions]
         assert served == [mapped[index] for index in partitions]
         # Each request's hop to its partition sends its request on that port.
         sent = [request_link.bytes_transferred for request_link, _ in engine.network.ports]
@@ -100,6 +100,24 @@ class TestEngine:
         counters = engine.run(generator.generate(4000))
         assert counters.extended_requests > counters.extended_hits > 0
         assert counters.noc_bytes == engine.network.stats.bytes_injected
+
+    def test_counters_returned_before_a_reset_stay_fixed(self):
+        # The engine counts DRAM and NoC traffic into the counters of the
+        # current run only: a reset leaves the warm-up's counters as they were.
+        engine = MemoryHierarchyEngine(
+            RTX3080_CONFIG,
+            morpheus=MORPHEUS_ALL,
+            cache_sm_ids=list(range(24, 68)),
+            capacity_scale=1 / 32,
+        )
+        generator = TraceGenerator(get_application("kmeans"), 24, scale=1 / 32, seed=1)
+        warmup = engine.run(generator.generate(1000))
+        before = warmup.to_jsonable()
+        engine.reset_counters()
+        measured = engine.run(generator.generate(1000))
+        assert measured is not warmup
+        assert measured.dram_accesses > 0 and measured.noc_bytes > 0
+        assert warmup.to_jsonable() == before
 
     def test_reset_counters_preserves_cache_contents(self):
         profile = get_application("cfd")

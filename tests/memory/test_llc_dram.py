@@ -55,7 +55,6 @@ class TestLLCPartition:
         partition.access(MemoryRequest(address=0), 0.0)
         partition.reset()
         assert partition.cache.stats.accesses == 0
-        assert partition.requests_served == 0
 
 
 class TestBankedLLC:

@@ -1,15 +1,17 @@
-"""Per-access call budget of the hierarchy replay.
+"""Per-access call budget and cyclic garbage of the hierarchy replay.
 
 Counts the Python function calls one leaf replay makes per simulated access
 (warm-up included) under ``sys.setprofile``.  The count is deterministic and
 free of host noise, so it pins the per-layer cost of the replay loop: a
 change that adds calls to every access shows up here before it shows up in
-a timed benchmark.  The leaves use the benchmark sizing (kmeans at 1/32
-scale, 3,000 warm-up and 8,000 measured accesses, seed 1).
+a timed benchmark.  The same leaves must leave no garbage that only the
+cyclic collector can free.  The leaves use the benchmark sizing (kmeans at
+1/32 scale, 3,000 warm-up and 8,000 measured accesses, seed 1).
 """
 
 from __future__ import annotations
 
+import gc
 import sys
 
 import pytest
@@ -22,10 +24,10 @@ from repro.workloads.generator import TraceCache
 _SIZING = dict(capacity_scale=1.0 / 32.0, trace_accesses=8_000, warmup_accesses=3_000, seed=1)
 
 #: (config, Python calls per simulated access allowed).  Each budget is the
-#: replay's own count plus under 10%: BL makes 9.86 calls per access and
-#: Morpheus-ALL 34.44.
+#: replay's own count plus under 10%: BL makes 8.98 calls per access and
+#: Morpheus-ALL 24.98.
 BUDGETS = {
-    "BL": (SimulationConfig(num_compute_sms=68, system_name="BL", **_SIZING), 10.8),
+    "BL": (SimulationConfig(num_compute_sms=68, system_name="BL", **_SIZING), 9.8),
     "Morpheus-ALL": (
         SimulationConfig(
             morpheus=MORPHEUS_ALL,
@@ -34,17 +36,15 @@ BUDGETS = {
             system_name="Morpheus-ALL",
             **_SIZING,
         ),
-        37.8,
+        27.4,
     ),
 }
 
 
-def calls_per_access(config: SimulationConfig) -> float:
-    """Python calls one replay of ``config`` makes per simulated access."""
+def leaf(config: SimulationConfig):
+    """``(simulator, profile)`` of a kmeans leaf whose traces are already made."""
     profile = get_application("kmeans")
     trace_cache = TraceCache()
-    simulator = GPUSimulator(config, trace_cache=trace_cache)
-    # Generate the traces first: the budget covers the replay only.
     trace_cache.traces(
         profile,
         config.num_compute_sms,
@@ -53,6 +53,13 @@ def calls_per_access(config: SimulationConfig) -> float:
         config.warmup_accesses,
         config.trace_accesses,
     )
+    return GPUSimulator(config, trace_cache=trace_cache), profile
+
+
+def calls_per_access(config: SimulationConfig) -> float:
+    """Python calls one replay of ``config`` makes per simulated access."""
+    # The traces are made first: the budget covers the replay only.
+    simulator, profile = leaf(config)
     calls = 0
 
     def count(frame, event, arg):
@@ -77,3 +84,21 @@ def test_replay_stays_within_call_budget(system):
         f"{system} replay makes {measured:.2f} Python calls per simulated access, "
         f"over its budget of {budget}"
     )
+
+
+@pytest.mark.parametrize("system", sorted(BUDGETS))
+def test_replay_leaves_no_cyclic_garbage(system):
+    # With the collector off, what the collector then finds is garbage only
+    # it can free: a replay's engine whose parts point back at each other
+    # would keep its whole object graph in the heap until a full collection.
+    simulator, profile = leaf(BUDGETS[system][0])
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        simulator.replay(profile)
+        garbage = gc.collect()
+    finally:
+        if enabled:
+            gc.enable()
+    assert garbage == 0, f"{system} replay left {garbage} objects in reference cycles"

@@ -1,7 +1,6 @@
-"""Tests for workload profiles, trace generation and synthetic traces."""
+"""Tests for workload profiles, traces and trace generation."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.workloads.applications import (
     APPLICATIONS,
@@ -13,7 +12,6 @@ from repro.workloads.applications import (
 )
 from repro.memory.request import AccessType, MemoryRequest
 from repro.workloads.generator import TraceGenerator
-from repro.workloads.synthetic import hot_cold_trace, strided_trace, uniform_random_trace, zipfian_trace
 from repro.workloads.trace import MemoryTrace
 
 
@@ -150,40 +148,3 @@ class TestTraceGenerator:
             TraceGenerator(profile, 0)
         with pytest.raises(ValueError):
             TraceGenerator(profile, 10, scale=2.0)
-
-
-class TestSyntheticTraces:
-    def test_uniform_random_footprint_bounded(self):
-        trace = uniform_random_trace(1000, footprint_bytes=64 * 1024, seed=1)
-        assert trace.footprint_bytes() <= 64 * 1024
-
-    def test_strided_covers_footprint(self):
-        trace = strided_trace(512, footprint_bytes=512 * 128, stride_blocks=1)
-        assert trace.unique_blocks() == 512
-
-    def test_hot_cold_skews_to_hot_region(self):
-        trace = hot_cold_trace(5000, footprint_bytes=1024 * 128, hot_fraction=0.1, hot_access_probability=0.9, seed=2)
-        hot_blocks = int(1024 * 0.1)
-        hot_accesses = sum(1 for a in trace.addresses() if a // 128 < hot_blocks)
-        assert hot_accesses / len(trace) > 0.8
-
-    def test_zipfian_is_skewed(self):
-        trace = zipfian_trace(5000, footprint_bytes=4096 * 128, alpha=1.0, seed=3)
-        counts = {}
-        for address in trace.addresses():
-            counts[address] = counts.get(address, 0) + 1
-        top = sorted(counts.values(), reverse=True)[:10]
-        assert sum(top) / len(trace) > 0.15
-
-    def test_invalid_parameters(self):
-        with pytest.raises(ValueError):
-            uniform_random_trace(10, footprint_bytes=0)
-        with pytest.raises(ValueError):
-            hot_cold_trace(10, 1024, hot_fraction=0.0)
-
-    @given(st.integers(min_value=1, max_value=500), st.integers(min_value=1, max_value=64))
-    @settings(max_examples=20, deadline=None)
-    def test_uniform_trace_length_property(self, accesses, footprint_kib):
-        trace = uniform_random_trace(accesses, footprint_bytes=footprint_kib * 1024)
-        assert len(trace) == accesses
-        assert all(request.address % 128 == 0 for request in trace)
