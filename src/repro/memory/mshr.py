@@ -3,8 +3,8 @@
 An MSHR file tracks outstanding misses per cache so that multiple requests to
 the same in-flight block are merged instead of generating duplicate off-chip
 traffic.  The number of MSHR entries bounds the memory-level parallelism a
-cache can sustain, which is one of the inputs to the bottleneck performance
-model in :mod:`repro.sim.simulator`.
+cache can sustain.  Only the SM model's L1 (:mod:`repro.gpu.sm`) owns an
+MSHR file; the replayed LLC models none.
 """
 
 from __future__ import annotations

@@ -1,9 +1,11 @@
-"""Tests for LRU replacement and address mapping."""
+"""Tests for LRU replacement, MSHRs and address mapping."""
 
 import pytest
 
 from repro.memory.address_mapping import AddressMapping
 from repro.memory.cache import CacheSet
+from repro.memory.mshr import MSHRFile
+from repro.memory.request import MemoryRequest
 
 
 class TestLRUPolicy:
@@ -30,6 +32,44 @@ class TestLRUPolicy:
         # The invalidated block's way takes the fill: nothing is evicted.
         assert cache_set.fill(2) is None
         assert cache_set.tags() == [0, 2]
+
+
+class TestMSHRFile:
+    def test_allocate_and_release(self):
+        mshrs = MSHRFile(num_entries=2)
+        request = MemoryRequest(address=0)
+        entry = mshrs.allocate(request, block_address=0)
+        assert entry is not None
+        waiting = mshrs.release(0)
+        assert waiting == [request]
+        assert len(mshrs) == 0
+
+    def test_merge_same_block(self):
+        mshrs = MSHRFile(num_entries=2)
+        first = MemoryRequest(address=0)
+        second = MemoryRequest(address=64)
+        mshrs.allocate(first, block_address=0)
+        entry = mshrs.allocate(second, block_address=0)
+        assert entry is not None
+        assert entry.request_count == 2
+        assert mshrs.merges == 1
+        assert len(mshrs) == 1
+
+    def test_full_file_stalls(self):
+        mshrs = MSHRFile(num_entries=1)
+        mshrs.allocate(MemoryRequest(address=0), block_address=0)
+        assert mshrs.allocate(MemoryRequest(address=128), block_address=128) is None
+        assert mshrs.stalls == 1
+
+    def test_merge_limit_stalls(self):
+        mshrs = MSHRFile(num_entries=4, max_merged_per_entry=1)
+        mshrs.allocate(MemoryRequest(address=0), block_address=0)
+        assert mshrs.allocate(MemoryRequest(address=0), block_address=0) is not None
+        assert mshrs.allocate(MemoryRequest(address=0), block_address=0) is None
+
+    def test_release_unknown_block(self):
+        mshrs = MSHRFile()
+        assert mshrs.release(1234) == []
 
 
 class TestAddressMapping:
