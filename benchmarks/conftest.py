@@ -1,26 +1,17 @@
-"""Shared configuration for the benchmark harness.
+"""Shared configuration for the figure checks.
 
-Every benchmark regenerates one of the paper's tables or figures and prints
-the corresponding rows/series.  Trace replays are expensive but
-deterministic, while the analytic scoring step is cheap and is what model
-changes actually perturb — so benchmarks time the *scoring path*:
+Every check regenerates one of the paper's tables or figures, prints the
+corresponding rows/series and asserts the paper's orderings:
 
-* the first (untimed) pass fills both cache tiers — replay measurements and
-  scored stats;
-* the timed rounds (:func:`run_scoring`, multiple rounds so regressions are
-  statistically detectable) drop the scored-stats layers before each round
-  and re-derive every result from the warm measurement tier.  A slowdown in
-  :class:`~repro.sim.performance_model.PerformanceModel` or the cache's JSON
-  plumbing therefore shows up directly, without replay noise;
 * every simulation flows through one session-wide
   :class:`~repro.runner.runner.ExperimentRunner`, whose content-addressed
   on-disk cache is shared between figures that overlap (Fig. 12
-  top/bottom, Table 3, §7.4) *and* between benchmark sessions.  Because
-  the timed rounds prune the scored-stats tier, the benchmark cache lives
-  in its own directory (``.repro_cache-bench/`` by default,
-  ``REPRO_BENCH_CACHE_DIR`` to move it) so a user's warm cache — the
-  default ``.repro_cache/`` or wherever ``REPRO_CACHE_DIR`` points — is
-  never touched;
+  top/bottom, Table 3, §7.4) *and* between sessions, so a warm re-run
+  replays nothing;
+* that cache lives in its own directory (``.repro_cache-bench/`` by
+  default, ``REPRO_BENCH_CACHE_DIR`` to move it), so the benchmark-fidelity
+  entries stay out of a user's cache — the default ``.repro_cache/`` or
+  wherever ``REPRO_CACHE_DIR`` points — and can be deleted on their own;
 * by default a representative subset of applications is used.  Set
   ``REPRO_BENCH_FULL=1`` to sweep all 17 applications (slower).
 """
@@ -31,16 +22,12 @@ import os
 
 import pytest
 
-from repro.runner import ExperimentRunner, active_runner, set_active_runner
+from repro.runner import ExperimentRunner, set_active_runner
 from repro.systems.fidelity import Fidelity
 from repro.workloads.applications import COMPUTE_BOUND_APPS, MEMORY_BOUND_APPS
 
-#: Timed rounds per benchmark (after the untimed cache-warming pass).
-BENCH_ROUNDS = int(os.environ.get("REPRO_BENCH_ROUNDS", "3"))
-
-#: Benchmark-owned cache directory (the timed rounds prune its stats tier,
-#: so it must never resolve to the user's shared cache — deliberately NOT
-#: ``REPRO_CACHE_DIR``, which users export for normal runs).
+#: Benchmark-owned cache directory (deliberately NOT ``REPRO_CACHE_DIR``,
+#: which users export for normal runs).
 BENCH_CACHE_DIR = os.environ.get("REPRO_BENCH_CACHE_DIR", ".repro_cache-bench")
 
 #: Fidelity used by the benchmark harness (kept modest so the whole suite
@@ -77,39 +64,3 @@ def bench_runner():
     yield runner
     set_active_runner(previous)
 
-
-@pytest.fixture(scope="session")
-def bench_fidelity() -> Fidelity:
-    """Fidelity preset shared by all benchmarks."""
-    return BENCH_FIDELITY
-
-
-def run_scoring(benchmark, func, rounds: int = BENCH_ROUNDS):
-    """Warm the measurement tier once, then time ``func``'s scoring path.
-
-    The first call runs ``func`` untimed, filling both cache tiers (this is
-    where any trace replays happen).  Each timed round then drops the
-    scored-stats layers — the in-process stats dict and the on-disk
-    ``stats/`` tier — so ``func`` re-derives every result from cached
-    measurements:
-    pure analytic scoring plus cache plumbing, no replays.  Rounds run
-    serially (workers restored afterwards) so process-pool startup noise
-    cannot mask a model-speed regression.  Returns the warm-up pass result.
-    """
-    result = func()
-    runner = active_runner()
-    saved_workers = runner.max_workers
-    try:
-        runner.max_workers = 0
-        benchmark.pedantic(
-            func,
-            # Keeps measurements (in memory and on disk) so the timed call
-            # never replays — it re-scores, even with REPRO_DISK_CACHE=0.
-            setup=runner.clear_scored_stats,
-            rounds=rounds,
-            iterations=1,
-            warmup_rounds=0,
-        )
-    finally:
-        runner.max_workers = saved_workers
-    return result

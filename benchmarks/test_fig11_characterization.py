@@ -1,7 +1,5 @@
 """Figure 11: characterization of the extended LLC kernel on the real GPU (§5)."""
 
-from conftest import run_scoring
-
 from repro.analysis.report import format_table
 from repro.characterization.extended_llc_kernel import (
     ExtendedLLCCharacterization,
@@ -10,10 +8,10 @@ from repro.characterization.extended_llc_kernel import (
 )
 
 
-def test_fig11_characterization(benchmark):
+def test_fig11_characterization():
     """Regenerate Figure 11(a-d): capacity, latency, bandwidth and energy/byte."""
     model = ExtendedLLCCharacterization()
-    points = run_scoring(benchmark, model.figure11)
+    points = model.figure11()
 
     rows = [
         [p.store, p.num_warps, p.capacity_kib, p.latency_ns, p.bandwidth_gbps, p.energy_pj_per_byte]
@@ -42,9 +40,9 @@ def test_fig11_characterization(benchmark):
     assert combined["capacity_kib"] > 300.0
 
 
-def test_fig11_ideal_interconnect(benchmark):
+def test_fig11_ideal_interconnect():
     """The paper's ideal-interconnect study: 290/106/97 GB/s at 48 warps."""
     model = ExtendedLLCCharacterization()
-    ideal = run_scoring(benchmark, lambda: model.ideal_interconnect_bandwidths(48))
+    ideal = model.ideal_interconnect_bandwidths(48)
     assert ideal["register_file"] > ideal["shared_memory"] > ideal["l1"]
     assert ideal["register_file"] / model.bandwidth_gbps("register_file", 48) > 5.0

@@ -1,6 +1,6 @@
 """Figure 12: execution time (top) and performance/watt (bottom) of the evaluated systems."""
 
-from conftest import BENCH_ALL_APPS, BENCH_FIDELITY, BENCH_MEMORY_BOUND, run_scoring
+from conftest import BENCH_ALL_APPS, BENCH_FIDELITY, BENCH_MEMORY_BOUND
 
 from repro.analysis.metrics import geometric_mean
 from repro.analysis.report import format_table
@@ -29,9 +29,9 @@ def _collect():
     return results
 
 
-def test_fig12_execution_time_and_perf_per_watt(benchmark):
+def test_fig12_execution_time_and_perf_per_watt():
     """Regenerate Figure 12: Morpheus improves memory-bound apps, matches 4x-LLC."""
-    results = run_scoring(benchmark, _collect)
+    results = _collect()
 
     time_rows, power_rows = [], []
     norm_time = {system: [] for system in SYSTEMS}

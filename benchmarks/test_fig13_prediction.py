@@ -1,6 +1,6 @@
 """Figure 13: effect of hit/miss prediction on Morpheus-Basic execution time."""
 
-from conftest import BENCH_FIDELITY, BENCH_MEMORY_BOUND, run_scoring
+from conftest import BENCH_FIDELITY, BENCH_MEMORY_BOUND
 
 from repro.analysis.metrics import geometric_mean
 from repro.analysis.report import format_table
@@ -10,7 +10,7 @@ PREDICTORS = ["none", "bloom", "perfect"]
 LABELS = {"none": "No-Prediction", "bloom": "Bloom-Filter", "perfect": "Perfect-Prediction"}
 
 
-def test_fig13_hit_miss_prediction(benchmark):
+def test_fig13_hit_miss_prediction():
     """Regenerate Figure 13: Bloom-filter prediction is close to perfect prediction."""
 
     def build():
@@ -24,7 +24,7 @@ def test_fig13_hit_miss_prediction(benchmark):
                 rows[app][predictor] = stats.normalized_execution_time(base)
         return rows
 
-    rows = run_scoring(benchmark, build)
+    rows = build()
 
     table = [[app, row["none"], row["bloom"], row["perfect"]] for app, row in rows.items()]
     gmeans = {p: geometric_mean([row[p] for row in rows.values()]) for p in PREDICTORS}

@@ -1,6 +1,6 @@
 """Figure 1: normalized IPC as the number of SMs scales from 10 to 68."""
 
-from conftest import BENCH_ALL_APPS, BENCH_FIDELITY, run_scoring
+from conftest import BENCH_ALL_APPS, BENCH_FIDELITY
 
 from repro.analysis.report import format_series
 from repro.analysis.sweep import normalized_ipc_curve, sm_count_sweep
@@ -8,7 +8,7 @@ from repro.analysis.sweep import normalized_ipc_curve, sm_count_sweep
 SM_COUNTS = (10, 20, 34, 50, 68)
 
 
-def test_fig1_sm_scaling(benchmark):
+def test_fig1_sm_scaling():
     """Regenerate the Figure 1 curves: memory-bound apps saturate, compute-bound scale."""
 
     def build():
@@ -18,7 +18,7 @@ def test_fig1_sm_scaling(benchmark):
             curves[app] = normalized_ipc_curve(sweep)
         return curves
 
-    curves = run_scoring(benchmark, build)
+    curves = build()
 
     print("\n[Figure 1] Normalized IPC vs number of SMs (normalized to 10 SMs)")
     for app, curve in curves.items():

@@ -1,6 +1,6 @@
 """Figure 2: effect of 2x and 4x conventional LLC sizes on memory-bound applications."""
 
-from conftest import BENCH_FIDELITY, BENCH_MEMORY_BOUND, run_scoring
+from conftest import BENCH_FIDELITY, BENCH_MEMORY_BOUND
 
 from repro.analysis.metrics import geometric_mean
 from repro.analysis.report import format_table
@@ -9,7 +9,7 @@ from repro.analysis.sweep import llc_scaling_speedups, llc_scaling_sweep
 SM_CANDIDATES = (10, 20, 34, 50, 68)
 
 
-def test_fig2_llc_scaling(benchmark):
+def test_fig2_llc_scaling():
     """Regenerate Figure 2: every memory-bound app gains from a larger LLC."""
 
     def build():
@@ -22,7 +22,7 @@ def test_fig2_llc_scaling(benchmark):
             rows[app] = llc_scaling_speedups(sweep)
         return rows
 
-    rows = run_scoring(benchmark, build)
+    rows = build()
 
     table_rows = [[app, row[1.0], row[2.0], row[4.0]] for app, row in rows.items()]
     gmean_2x = geometric_mean([row[2.0] for row in rows.values()])

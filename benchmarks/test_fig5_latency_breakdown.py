@@ -1,14 +1,12 @@
 """Figure 5: latency timelines of conventional and extended LLC hits and misses."""
 
-from conftest import run_scoring
-
 from repro.analysis.latency_breakdown import llc_latency_timelines
 from repro.analysis.report import format_table
 
 
-def test_fig5_latency_timelines(benchmark):
+def test_fig5_latency_timelines():
     """Regenerate the Figure 5 latency breakdown."""
-    timelines = run_scoring(benchmark, llc_latency_timelines)
+    timelines = llc_latency_timelines()
 
     rows = [
         [name, breakdown.total_ns, " + ".join(f"{label}:{ns:.0f}" for label, ns in breakdown.segments)]

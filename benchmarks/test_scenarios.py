@@ -1,19 +1,16 @@
-"""Scenario engine: phase-lowering hot path and warm timeline aggregation.
+"""Scenario engine: phase lowering, timeline runs and the contention solve.
 
-Unlike the figure benchmarks, the interesting cost here is not the (cached)
-leaf simulations but the scenario bookkeeping itself: policy planning plus
-config construction (``ScenarioEngine.lower``) runs once per (timeline,
-system, policy) and scales with the phase count, so a large fleet of
-timeline experiments pays it constantly.  The second benchmark times a full
-warm-cache timeline run — lowering plus cache lookups plus aggregation —
-which is what a re-scored scenario study costs per timeline.
+Unlike the figure checks, these exercise the scenario bookkeeping itself:
+policy planning plus config construction (``ScenarioEngine.lower``), a
+full timeline run (lowering plus cache lookups plus aggregation) and the
+co-run shared-bandwidth fixed point.
 """
 
 from __future__ import annotations
 
 import dataclasses
 
-from conftest import BENCH_FIDELITY, run_scoring
+from conftest import BENCH_FIDELITY
 
 from repro.analysis.scenarios import time_weighted_ipc, transition_overheads
 from repro.runner import active_runner
@@ -31,19 +28,19 @@ from repro.workloads.applications import get_application
 #: A long diurnal timeline (2 * 24 - 1 = 47 phases) stresses per-phase work.
 LOWERING_SCENARIO = ramp(application="kmeans", low_sms=10, high_sms=60, steps=24)
 
-#: A short timeline for the end-to-end warm-run benchmark.
+#: A short timeline for the end-to-end run.
 RUN_SCENARIO = ramp(application="kmeans", low_sms=24, high_sms=60, steps=3)
 
-#: A contended overlapping co-run for the fixed-point solver benchmark.
+#: A contended overlapping co-run for the fixed-point solver.
 CORUN_SCENARIO = corun_overlap(rounds=2)
 
 
-def test_scenario_phase_lowering(benchmark):
-    """Time lowering a 47-phase diurnal timeline to leaf configs (pure)."""
+def test_scenario_phase_lowering():
+    """Lower a 47-phase diurnal timeline to leaf configs (pure)."""
     engine = ScenarioEngine(fidelity=BENCH_FIDELITY)
     policy = DynamicCapacityManager(hysteresis_sms=2)
 
-    lowered = benchmark(lambda: engine.lower(LOWERING_SCENARIO, "Morpheus-ALL", policy))
+    lowered = engine.lower(LOWERING_SCENARIO, "Morpheus-ALL", policy)
 
     assert len(lowered) == len(LOWERING_SCENARIO)
     # The ramp hands capacity back on every ascending step: the dynamic
@@ -51,34 +48,26 @@ def test_scenario_phase_lowering(benchmark):
     assert any(not leaf.decision.transition.is_zero for leaf in lowered)
 
 
-def test_scenario_warm_timeline_run(benchmark):
-    """Time a warm-cache timeline run (lowering + scoring path + aggregation)."""
+def test_scenario_warm_timeline_run():
+    """A timeline run (lowering + scoring path + aggregation)."""
     engine = ScenarioEngine(fidelity=BENCH_FIDELITY)
 
-    result = run_scoring(
-        benchmark, lambda: engine.run(RUN_SCENARIO, "Morpheus-Basic")
-    )
+    result = engine.run(RUN_SCENARIO, "Morpheus-Basic")
 
     assert len(result) == len(RUN_SCENARIO)
     assert time_weighted_ipc(result) > 0
     assert transition_overheads(result).transitions > 0
 
 
-def test_corun_contention_solve(benchmark):
-    """Time the co-run shared-bandwidth fixed point over warm measurements.
+def test_corun_contention_solve():
+    """The co-run shared-bandwidth fixed point over a contended timeline.
 
-    Each timed round drops the scored-stats layers *and* the persisted
-    scenario aggregates, then re-runs the whole contended timeline:
-    lowering, the uncontended batch and the proportional-pressure
-    fixed-point solve — all pure scoring over the warm measurement tier.
-    A regression in the solver's iteration count or per-iteration scoring
-    cost shows up directly, with zero replay noise.
+    The run covers lowering, the uncontended batch and the
+    proportional-pressure fixed-point solve.
     """
     engine = ScenarioEngine(fidelity=BENCH_FIDELITY)
 
-    result = run_scoring(
-        benchmark, lambda: engine.run(CORUN_SCENARIO, "Morpheus-ALL")
-    )
+    result = engine.run(CORUN_SCENARIO, "Morpheus-ALL")
 
     assert len(result) == len(CORUN_SCENARIO)
     for execution in result.phases:
@@ -106,18 +95,16 @@ def _corun_leaves():
     ]
 
 
-def test_contention_fixed_point_kernel(benchmark):
-    """Time the raw fixed-point solve of one co-run phase over warm measurements."""
+def test_contention_fixed_point_kernel():
+    """The raw fixed-point solve of one co-run phase over warm measurements."""
     runner = active_runner()
     leaves = _corun_leaves()
     uncontended = runner.run_leaves(leaves)
     gpu = leaves[0][1].gpu
 
-    solution = benchmark(
-        lambda: solve_scenario_contention(
-            runner, gpu, [(leaves, uncontended)], ContentionModel()
-        )[0]
-    )
+    solution = solve_scenario_contention(
+        runner, gpu, [(leaves, uncontended)], ContentionModel()
+    )[0]
 
     assert solution.converged
     assert all(stats.ipc > 0 for stats in solution.stats)

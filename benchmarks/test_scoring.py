@@ -1,18 +1,18 @@
-"""Scoring: the analytic-sweep hot path.
+"""Scoring: the analytic-sweep path.
 
 Analytic sweeps (envelope/MLP/peak-IPC/energy grids) and the co-run
 contention fixed point spend their time in the roofline of
-:class:`~repro.sim.vector_model.MeasurementScorer`.  These benchmarks time
+:class:`~repro.sim.vector_model.MeasurementScorer`.  These checks run
 :meth:`~repro.sim.performance_model.PerformanceModel.score_batch` over one
-warm measurement, plus the full warm-cache sweep (scoring + key derivation
-+ cache plumbing) that experiment campaigns actually pay.
+measurement, plus the full envelope sweep (scoring + key derivation +
+cache plumbing) that experiment campaigns actually pay.
 """
 
 from __future__ import annotations
 
 import dataclasses
 
-from conftest import BENCH_FIDELITY, run_scoring
+from conftest import BENCH_FIDELITY
 
 from repro.analysis.rescoring import envelope_sweep
 from repro.runner import active_runner
@@ -53,46 +53,25 @@ def _variants():
     ]
 
 
-def test_score_batch_grid(benchmark):
-    """Time scoring a 128-point envelope grid over one measurement (pure scoring)."""
+def test_score_batch_grid():
+    """Score a 128-point envelope grid over one measurement (pure scoring)."""
     runner = active_runner()
     profile = get_application("kmeans")
     measurement = runner.measurement_for(profile, BASE_CONFIG)
     model = PerformanceModel()
     variants = _variants()
 
-    batched = benchmark(
-        lambda: model.score_batch(profile, variants, measurement, validate=False)
-    )
+    batched = model.score_batch(profile, variants, measurement, validate=False)
 
     assert len(batched) == GRID_POINTS
     single = model.score(profile, variants[0], measurement)
     assert dataclasses.asdict(batched[0]) == dataclasses.asdict(single)
 
 
-def test_envelope_sweep_warm_cache(benchmark):
-    """The full warm-cache envelope sweep: scoring plus keys plus cache I/O."""
-    envelopes = _envelopes()
-
-    result = run_scoring(
-        benchmark,
-        lambda: envelope_sweep("kmeans", BASE_CONFIG, envelopes),
-    )
+def test_envelope_sweep_warm_cache():
+    """The full envelope sweep: scoring plus keys plus cache I/O."""
+    result = envelope_sweep("kmeans", BASE_CONFIG, _envelopes())
 
     assert len(result) == GRID_POINTS
     assert all(stats.ipc > 0 for stats in result.values())
 
-
-def test_analytic_tier_sweep(benchmark):
-    """The same sweep at ``fidelity="analytic"`` — no trace ever replayed."""
-    analytic_config = dataclasses.replace(
-        BASE_CONFIG, replay_mode="analytic", system_name="bench-scoring-analytic"
-    )
-    envelopes = _envelopes()
-
-    result = run_scoring(
-        benchmark,
-        lambda: envelope_sweep("kmeans", analytic_config, envelopes),
-    )
-
-    assert len(result) == GRID_POINTS

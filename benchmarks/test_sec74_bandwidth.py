@@ -1,13 +1,13 @@
 """§7.4: LLC throughput, interconnect load and off-chip bandwidth analysis."""
 
-from conftest import BENCH_FIDELITY, BENCH_MEMORY_BOUND, run_scoring
+from conftest import BENCH_FIDELITY, BENCH_MEMORY_BOUND
 
 from repro.analysis.metrics import geometric_mean
 from repro.analysis.report import format_table
 from repro.systems.registry import evaluate_application
 
 
-def test_sec74_llc_throughput_noc_and_offchip(benchmark):
+def test_sec74_llc_throughput_noc_and_offchip():
     """Regenerate the §7.4 analysis: Morpheus raises LLC throughput and NoC load,
     and cuts off-chip traffic and MPKI relative to IBL."""
 
@@ -20,7 +20,7 @@ def test_sec74_llc_throughput_noc_and_offchip(benchmark):
             }
         return rows
 
-    rows = run_scoring(benchmark, build)
+    rows = build()
 
     table = []
     llc_gain, noc_gain, dram_reduction, mpki_reduction = [], [], [], []

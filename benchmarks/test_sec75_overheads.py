@@ -1,14 +1,12 @@
 """§7.5: storage and power overheads of the Morpheus controller."""
 
-from conftest import run_scoring
-
 from repro.analysis.overheads import compute_overheads
 from repro.analysis.report import format_table
 
 
-def test_sec75_storage_and_power_overheads(benchmark):
+def test_sec75_storage_and_power_overheads():
     """Regenerate the §7.5 overhead accounting (21 KiB per partition, <1 % power)."""
-    overheads = run_scoring(benchmark, compute_overheads)
+    overheads = compute_overheads()
 
     rows = [
         ["Bloom filters / partition (KiB)", overheads.bloom_filter_bytes_per_partition / 1024],

@@ -1,12 +1,12 @@
 """Table 3: number of GPU cores executing application threads per evaluated system."""
 
-from conftest import BENCH_FIDELITY, BENCH_MEMORY_BOUND, run_scoring
+from conftest import BENCH_FIDELITY, BENCH_MEMORY_BOUND
 
 from repro.analysis.report import format_table
 from repro.systems.registry import evaluate_application
 
 
-def test_table3_compute_mode_core_counts(benchmark):
+def test_table3_compute_mode_core_counts():
     """Regenerate Table 3: IBL, Morpheus-Basic and Morpheus-ALL compute-SM counts."""
 
     def build():
@@ -23,7 +23,7 @@ def test_table3_compute_mode_core_counts(benchmark):
             }
         return rows
 
-    rows = run_scoring(benchmark, build)
+    rows = build()
 
     table = [[app, row["IBL"], row["Morpheus-Basic"], row["Morpheus-ALL"]] for app, row in rows.items()]
     print("\n" + format_table(

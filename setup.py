@@ -17,6 +17,6 @@ setup(
     packages=find_packages(where="src"),
     python_requires=">=3.10",
     extras_require={
-        "test": ["hypothesis", "pytest", "pytest-benchmark", "pytest-cov"],
+        "test": ["hypothesis", "pytest", "pytest-cov"],
     },
 )

@@ -105,22 +105,15 @@ class GPUConfig:
         """
         if factor <= 0:
             raise ValueError("factor must be positive")
-        boosted_llc = LLCConfig(
-            capacity_bytes=self.llc.capacity_bytes,
-            num_partitions=self.llc.num_partitions,
-            block_size=self.llc.block_size,
-            associativity=self.llc.associativity,
+        boosted_llc = replace(
+            self.llc,
             hit_latency_cycles=self.llc.hit_latency_cycles / factor,
             bandwidth_gbps_per_partition=self.llc.bandwidth_gbps_per_partition * factor,
-            core_clock_ghz=self.llc.core_clock_ghz,
-            mshr_entries=self.llc.mshr_entries,
         )
-        boosted_noc = InterconnectConfig(
-            num_partitions=self.interconnect.num_partitions,
+        boosted_noc = replace(
+            self.interconnect,
             one_way_latency_cycles=self.interconnect.one_way_latency_cycles / factor,
             bytes_per_cycle_per_port=self.interconnect.bytes_per_cycle_per_port * factor,
-            congestion_knee=self.interconnect.congestion_knee,
-            max_congestion_penalty=self.interconnect.max_congestion_penalty,
         )
         return replace(
             self,

@@ -10,7 +10,7 @@ stitches partitions together using the block-interleaved
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
 from repro.memory.address_mapping import AddressMapping
@@ -20,12 +20,7 @@ from repro.memory.request import MemoryRequest
 
 @dataclass(frozen=True)
 class LLCConfig:
-    """Configuration for the conventional LLC.
-
-    Nothing reads ``mshr_entries``: the replay models no MSHRs.  It stays
-    because :class:`~repro.gpu.config.GPUConfig` carries it into every
-    replay key, so removing it changes every key.
-    """
+    """Configuration for the conventional LLC."""
 
     capacity_bytes: int = 5 * 1024 * 1024
     num_partitions: int = 10
@@ -34,7 +29,6 @@ class LLCConfig:
     hit_latency_cycles: float = 230.0       # ~160 ns at 1.44 GHz
     bandwidth_gbps_per_partition: float = 300.0
     core_clock_ghz: float = 1.44
-    mshr_entries: int = 64
 
     def __post_init__(self) -> None:
         if self.capacity_bytes <= 0:
@@ -56,16 +50,7 @@ class LLCConfig:
 
     def with_capacity(self, capacity_bytes: int) -> "LLCConfig":
         """Return a copy with a different total capacity (same banking)."""
-        return LLCConfig(
-            capacity_bytes=capacity_bytes,
-            num_partitions=self.num_partitions,
-            block_size=self.block_size,
-            associativity=self.associativity,
-            hit_latency_cycles=self.hit_latency_cycles,
-            bandwidth_gbps_per_partition=self.bandwidth_gbps_per_partition,
-            core_clock_ghz=self.core_clock_ghz,
-            mshr_entries=self.mshr_entries,
-        )
+        return replace(self, capacity_bytes=capacity_bytes)
 
     def scaled_capacity(self, factor: float) -> "LLCConfig":
         """Return a copy with capacity scaled by ``factor`` (e.g. the 4x-LLC baseline)."""

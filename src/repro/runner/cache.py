@@ -292,39 +292,11 @@ class ResultCache:
             key, lambda payload: ReplayMeasurement.from_jsonable(payload["measurement"])
         )
 
-    def store_measurement(
-        self, key: str, measurement: ReplayMeasurement, mode: str = "replay"
-    ) -> None:
-        """Atomically persist ``measurement`` under replay key ``key``.
-
-        ``mode`` records how the measurement was produced (the config's
-        ``replay_mode`` — ``"replay"`` or ``"analytic"``).  Both modes share
-        the ``measurements/`` tier: the mode is part of the replay key, so
-        their entries can never collide, and the stored tag exists purely so
-        :meth:`measurement_mode_counts` (and the ``stats`` CLI) can report
-        the tiers' composition.
-        """
+    def store_measurement(self, key: str, measurement: ReplayMeasurement) -> None:
+        """Atomically persist ``measurement`` under replay key ``key``."""
         self._measurements.store_payload(
-            key,
-            {"key": key, "mode": mode, "measurement": measurement.to_jsonable()},
+            key, {"key": key, "measurement": measurement.to_jsonable()}
         )
-
-    def measurement_mode_counts(self) -> Dict[str, int]:
-        """On-disk measurement entries per production mode.
-
-        Entries written before the mode tag existed count as ``"replay"``
-        (the only mode that existed then); unreadable entries are skipped.
-        """
-        counts: Dict[str, int] = {}
-        for path in self._measurements.entries():
-            try:
-                with path.open("r", encoding="utf-8") as handle:
-                    payload = json.load(handle)
-            except (OSError, ValueError):
-                continue
-            mode = payload.get("mode", "replay")
-            counts[mode] = counts.get(mode, 0) + 1
-        return counts
 
     # -- scenario tier (timeline aggregates, keyed by ScenarioEngine.run_key) ----------
 
@@ -589,21 +561,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.command == "stats":
         report = cache.summary()
         if args.json:
-            payload = {
-                "directory": str(cache.directory),
-                "tiers": report,
-                "measurement_modes": cache.measurement_mode_counts(),
-            }
+            payload = {"directory": str(cache.directory), "tiers": report}
             print(json.dumps(payload, indent=2, sort_keys=True))
             return 0
         print(f"cache {cache.directory}")
         for name, row in report.items():
             print(f"  {name:<18s} {row['entries']:>8d} entries  {row['bytes']:>12d} bytes")
-            if name == ResultCache.MEASUREMENTS_TIER:
-                # The measurement tier mixes replay and analytic entries
-                # (under distinct replay-keyed modes); break it down.
-                for mode, count in sorted(cache.measurement_mode_counts().items()):
-                    print(f"    mode={mode:<12s} {count:>8d} entries")
         return 0
     removed = cache.prune(max_bytes=args.max_bytes, tier=args.tier)
     print(f"cache {cache.directory}: removed {removed} files")

@@ -230,23 +230,6 @@ class ExperimentRunner:
         self._measurement_memory.clear()
         self._scenario_memory.clear()
 
-    def clear_scored_stats(self) -> None:
-        """Drop scored stats from every layer this runner uses, keeping measurements.
-
-        After this, the next run re-derives every result from cached
-        measurements — pure analytic scoring, zero replays.  Scenario-level
-        aggregates are dropped too (they are derived from scored stats, and
-        keeping them would let a warm timeline run skip the very scoring
-        path being timed).  Benchmarks use it between timed rounds.  The
-        on-disk stats/scenario tiers are only touched when this runner
-        actually uses them.
-        """
-        self._memory.clear()
-        self._scenario_memory.clear()
-        if self.use_disk_cache:
-            self.disk_cache.prune(tier=self.disk_cache.STATS_TIER)
-            self.disk_cache.prune(tier=self.disk_cache.SCENARIOS_TIER)
-
     def maybe_auto_prune(self) -> int:
         """Apply the ``$REPRO_CACHE_MAX_BYTES`` size cap, if one is configured.
 
@@ -333,15 +316,10 @@ class ExperimentRunner:
                 return loaded
         return None
 
-    def _store_measurement(
-        self,
-        replay_key: str,
-        measurement: ReplayMeasurement,
-        mode: str = "replay",
-    ) -> None:
+    def _store_measurement(self, replay_key: str, measurement: ReplayMeasurement) -> None:
         self._measurement_memory[replay_key] = measurement
         if self.use_disk_cache:
-            self.disk_cache.store_measurement(replay_key, measurement, mode=mode)
+            self.disk_cache.store_measurement(replay_key, measurement)
 
     @property
     def cache_suspended(self) -> bool:
@@ -404,7 +382,7 @@ class ExperimentRunner:
         if measurement is None:
             measurement = _traced_replay(profile, config, replay_key)
             self.replays += 1
-            self._store_measurement(replay_key, measurement, mode=config.replay_mode)
+            self._store_measurement(replay_key, measurement)
         return measurement
 
     def measurement_for(
@@ -603,9 +581,7 @@ class ExperimentRunner:
                 ]
             for key, measurement in zip(missing, computed):
                 self.replays += 1
-                self._store_measurement(
-                    key, measurement, mode=leaves[by_replay[key][0]][1].replay_mode
-                )
+                self._store_measurement(key, measurement)
                 measurements[key] = measurement
 
             # Score each replay group through one scorer: same key ⇒ same
@@ -697,7 +673,7 @@ class ExperimentRunner:
         from repro.systems.registry import evaluate_application
 
         profile = get_application(cell.application)
-        fidelity = cell.fidelity if cell.fidelity is not None else spec.fidelity
+        fidelity = spec.fidelity
         if cell.sm_count is not None:
             config = SimulationConfig(
                 gpu=spec.gpu,
@@ -707,7 +683,6 @@ class ExperimentRunner:
                 trace_accesses=fidelity.trace_accesses,
                 warmup_accesses=fidelity.warmup_accesses,
                 system_name=cell.system,
-                replay_mode=fidelity.mode,
                 seed=cell.seed,
             )
             return self.simulate(profile, config)
@@ -831,12 +806,7 @@ def _traced_replay(
     tel = telemetry()
     if not tel.enabled:
         return GPUSimulator(config).replay(profile)
-    with tel.span(
-        "runner.replay",
-        app=profile.name,
-        mode=config.replay_mode,
-        replay_key=replay_key,
-    ):
+    with tel.span("runner.replay", app=profile.name, replay_key=replay_key):
         return GPUSimulator(config).replay(profile)
 
 

@@ -42,12 +42,12 @@ from repro.workloads.applications import ApplicationProfile
 #: models) or the :class:`~repro.sim.performance_model.ReplayMeasurement`
 #: layout changes — this invalidates both cache tiers, because score keys
 #: embed the replay key.
-#: Version 2: the replay key gains the ``replay_mode`` config field (the
-#: ``"analytic"`` closed-form measurement tier vs the functional
-#: ``"replay"``).  Replay behaviour for ``replay_mode="replay"`` is
-#: unchanged — the bump only re-addresses existing entries so the two
-#: measurement tiers can never collide.
-REPLAY_SCHEMA_VERSION = 2
+#: Version 3: the replay key loses two fields no replay read — the
+#: config's replay-mode switch (with the closed-form analytic measurement
+#: tier it selected) and the conventional LLC's MSHR count.  Replay
+#: behaviour is unchanged; the bump records that every replay key, and
+#: with it every score and scenario key, changed with the key payload.
+REPLAY_SCHEMA_VERSION = 3
 
 #: Version of the cached scored-result schema.  Bump whenever the analytic
 #: scoring step (:class:`~repro.sim.performance_model.PerformanceModel`, the
@@ -155,11 +155,6 @@ class ExperimentCell:
     ``None`` keeps each system's default.  Only named Morpheus systems have
     a predictor, so the spec's predictor axis fans out Morpheus cells and
     leaves other systems at ``None``.
-
-    ``fidelity`` overrides the spec's fidelity for the cell (the
-    accuracy-calibration axis: the same system/application evaluated at
-    e.g. ``"analytic"`` and a replay fidelity side by side); ``None``
-    inherits the spec's fidelity.
     """
 
     system: str
@@ -167,7 +162,6 @@ class ExperimentCell:
     seed: int = 1
     sm_count: Optional[int] = None
     predictor: Optional[str] = None
-    fidelity: Optional[Fidelity] = None
 
 
 @dataclass(frozen=True)
@@ -190,13 +184,6 @@ class ExperimentSpec:
             axis).  Non-Morpheus systems have no predictor and get a single
             default cell regardless.  Incompatible with ``sm_counts``
             (direct sweeps run without a Morpheus controller).
-        fidelities: ``None`` runs every cell at ``fidelity``; a tuple of
-            fidelities (or preset names — ``"analytic"``, ``"fast"``,
-            ``"standard"``) fans *every* cell out across them.  This is the
-            accuracy-calibration axis: one spec sweeping
-            ``("analytic", "standard")`` evaluates the closed-form tier and
-            the trace replay side by side, and the replay-keyed ``mode``
-            keeps their cached measurements strictly separate.
     """
 
     systems: Tuple[str, ...]
@@ -206,7 +193,6 @@ class ExperimentSpec:
     seeds: Tuple[int, ...] = (1,)
     sm_counts: Optional[Tuple[int, ...]] = None
     predictors: Optional[Tuple[str, ...]] = None
-    fidelities: Optional[Tuple[Fidelity, ...]] = None
 
     def __post_init__(self) -> None:
         # Accept any sequences and normalize to tuples so specs stay hashable.
@@ -218,14 +204,6 @@ class ExperimentSpec:
             object.__setattr__(self, "sm_counts", tuple(self.sm_counts))
         if self.predictors is not None:
             object.__setattr__(self, "predictors", tuple(self.predictors))
-        if self.fidelities is not None:
-            object.__setattr__(
-                self,
-                "fidelities",
-                tuple(get_fidelity(fidelity) for fidelity in self.fidelities),
-            )
-            if not self.fidelities:
-                raise ValueError("fidelities must be None or a non-empty tuple")
         if not self.systems:
             raise ValueError("an experiment needs at least one system")
         if not self.applications:
@@ -253,9 +231,6 @@ class ExperimentSpec:
         sm_counts: Sequence[Optional[int]] = (
             (None,) if self.sm_counts is None else self.sm_counts
         )
-        fidelities: Sequence[Optional[Fidelity]] = (
-            (None,) if self.fidelities is None else self.fidelities
-        )
         for system in self.systems:
             predictors: Sequence[Optional[str]] = (
                 self.predictors
@@ -268,17 +243,15 @@ class ExperimentSpec:
                         if sm_count is not None and sm_count > self.gpu.num_sms:
                             continue
                         for predictor in predictors:
-                            for fidelity in fidelities:
-                                cells.append(
-                                    ExperimentCell(
-                                        system=system,
-                                        application=application,
-                                        seed=seed,
-                                        sm_count=sm_count,
-                                        predictor=predictor,
-                                        fidelity=fidelity,
-                                    )
+                            cells.append(
+                                ExperimentCell(
+                                    system=system,
+                                    application=application,
+                                    seed=seed,
+                                    sm_count=sm_count,
+                                    predictor=predictor,
                                 )
+                            )
         return ExperimentPlan(spec=self, cells=tuple(cells))
 
 

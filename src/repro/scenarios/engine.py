@@ -422,7 +422,6 @@ class ScenarioEngine:
             trace_accesses=self.fidelity.trace_accesses,
             warmup_accesses=self.fidelity.warmup_accesses,
             system_name=system,
-            replay_mode=self.fidelity.mode,
             seed=self.seed,
         )
 

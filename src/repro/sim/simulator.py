@@ -37,11 +37,6 @@ from repro.sim.stats import SimulationStats
 from repro.workloads.applications import ApplicationProfile
 from repro.workloads.generator import SHARED_TRACE_CACHE, TraceCache
 
-#: Valid values of :attr:`SimulationConfig.replay_mode` (and of
-#: :attr:`repro.systems.fidelity.Fidelity.mode`, which feeds it).
-REPLAY_MODES: Tuple[str, ...] = ("replay", "analytic")
-
-
 #: Config fields that determine the functional hierarchy replay (and hence
 #: the trace, the engine structures and the :class:`ReplayMeasurement`).
 REPLAY_FIELDS: Tuple[str, ...] = (
@@ -53,7 +48,6 @@ REPLAY_FIELDS: Tuple[str, ...] = (
     "trace_accesses",
     "warmup_accesses",
     "request_interval_cycles",
-    "replay_mode",
     "seed",
 )
 
@@ -100,14 +94,7 @@ class SimulationConfig:
             every channel in full; co-run contention scoring passes
             fractional shares.  Score-only: envelope sweeps re-score
             cached measurements without replaying.
-        replay_mode: How the measurement is produced.  ``"replay"`` drives
-            the functional trace replay; ``"analytic"`` predicts the
-            measurement from first-order occupancy/roofline math
-            (:func:`repro.sim.analytic.predict_measurement`) without
-            touching a trace.  Replay-keyed, so the two tiers of
-            measurements can never be served for each other.
-        seed: Trace generation seed (ignored by the analytic mode, but
-            still keyed for uniformity).
+        seed: Trace generation seed.
     """
 
     gpu: GPUConfig = RTX3080_CONFIG
@@ -123,7 +110,6 @@ class SimulationConfig:
     mlp_per_sm: float = 320.0
     system_name: str = "BL"
     envelope: ResourceEnvelope = DEFAULT_ENVELOPE
-    replay_mode: str = "replay"
     seed: int = 1
 
     def __post_init__(self) -> None:
@@ -144,10 +130,6 @@ class SimulationConfig:
             raise ValueError("warmup_accesses must be non-negative")
         if self.request_interval_cycles <= 0:
             raise ValueError("request_interval_cycles must be positive")
-        if self.replay_mode not in REPLAY_MODES:
-            raise ValueError(
-                f"replay_mode must be one of {REPLAY_MODES}, got {self.replay_mode!r}"
-            )
 
     def replay_params(self) -> Dict[str, Any]:
         """The replay-affecting half of the config (see :data:`REPLAY_FIELDS`)."""
@@ -216,16 +198,8 @@ class GPUSimulator:
         The returned :class:`ReplayMeasurement` can be scored (and re-scored)
         by a :class:`~repro.sim.performance_model.PerformanceModel` without
         re-running the replay.
-
-        In ``replay_mode="analytic"`` no trace is generated or replayed:
-        the measurement is predicted in closed form from the profile
-        (:func:`repro.sim.analytic.predict_measurement`).
         """
         cfg = self.config
-        if cfg.replay_mode == "analytic":
-            from repro.sim.analytic import predict_measurement
-
-            return predict_measurement(profile, cfg)
         engine = self._build_engine(profile)
         warmup, trace = self.trace_cache.traces(
             profile,

@@ -81,7 +81,6 @@ class EvaluatedSystem(abc.ABC):
                 fidelity.search_warmup_accesses if search_fidelity else fidelity.warmup_accesses
             ),
             system_name=self.name,
-            replay_mode=fidelity.mode,
             **kwargs,
         )
 

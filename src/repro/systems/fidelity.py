@@ -2,15 +2,20 @@
 
 Every evaluated system runs the same trace-driven model; fidelity presets
 control how long the replayed traces are and how aggressively capacities are
-downscaled.  ``FAST`` keeps unit/integration tests quick, ``STANDARD`` is
-used by the benchmark harness that regenerates the paper's figures.
+downscaled.  ``STANDARD`` is the library default: systems, sweeps,
+experiment specs and the scenario engine use it unless told otherwise.
+``FAST`` (1/32 capacities, shorter traces) is the design-space search's
+default and drives the examples, ``scripts/search.py``,
+``scripts/bench_report.py`` and ``scripts/warm_cache_check.py``.  The figure
+checks under ``benchmarks/`` define their own 1/32 ``BENCH_FIDELITY``
+(also the sizing of ``scripts/spotcheck_fig12.py`` and perfbench's fig12
+workload), and the tier-1 tests use an even smaller ``TINY_FIDELITY``
+(``tests/fidelity_utils.py``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-from repro.sim.simulator import REPLAY_MODES
 
 
 @dataclass(frozen=True)
@@ -24,12 +29,6 @@ class Fidelity:
         search_trace_accesses: Accesses used during best-SM-count searches
             (smaller, since only the argmax matters).
         search_warmup_accesses: Warm-up accesses used during searches.
-        mode: How measurements are produced.  ``"replay"`` drives the
-            functional trace replay; ``"analytic"`` predicts the
-            measurement from first-order occupancy/roofline math over the
-            application profile (no trace is generated or replayed).  The
-            mode is a replay-keyed config field, so analytic measurements
-            can never be served for replay-fidelity runs or vice versa.
     """
 
     capacity_scale: float = 1.0 / 16.0
@@ -37,7 +36,6 @@ class Fidelity:
     warmup_accesses: int = 7_000
     search_trace_accesses: int = 8_000
     search_warmup_accesses: int = 3_000
-    mode: str = "replay"
 
     def __post_init__(self) -> None:
         if not 0.0 < self.capacity_scale <= 1.0:
@@ -50,14 +48,10 @@ class Fidelity:
         ):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
-        if self.mode not in REPLAY_MODES:
-            raise ValueError(
-                f"mode must be one of {REPLAY_MODES}, got {self.mode!r}"
-            )
 
 
 STANDARD_FIDELITY = Fidelity()
-"""Default fidelity used by the benchmark harness."""
+"""Library-wide default fidelity."""
 
 FAST_FIDELITY = Fidelity(
     capacity_scale=1.0 / 32.0,
@@ -66,22 +60,12 @@ FAST_FIDELITY = Fidelity(
     search_trace_accesses=3_000,
     search_warmup_accesses=1_000,
 )
-"""Reduced fidelity for unit and integration tests."""
-
-ANALYTIC_FIDELITY = Fidelity(mode="analytic")
-"""First-order analytic tier: measurements come from closed-form math.
-
-Orders of magnitude cheaper than any replay fidelity (no trace generation,
-no hierarchy replay) and deterministic, at the cost of modelling accuracy —
-use it for wide design-space exploration and calibrate survivors against a
-replay fidelity (the :class:`~repro.runner.spec.ExperimentSpec` fidelity
-axis sweeps both sides in one plan)."""
+"""Reduced fidelity for the search, the examples and the quick CLI runs."""
 
 #: Named presets accepted wherever a fidelity is expected.
 FIDELITY_PRESETS = {
     "standard": STANDARD_FIDELITY,
     "fast": FAST_FIDELITY,
-    "analytic": ANALYTIC_FIDELITY,
 }
 
 
@@ -89,7 +73,7 @@ def get_fidelity(fidelity: "Fidelity | str") -> Fidelity:
     """Coerce a :class:`Fidelity` or preset name into a :class:`Fidelity`.
 
     Lets entry points (system constructors, the scenario engine, experiment
-    specs) accept ``fidelity="analytic"`` and friends directly.
+    specs) accept ``fidelity="fast"`` and friends directly.
     """
     if isinstance(fidelity, Fidelity):
         return fidelity

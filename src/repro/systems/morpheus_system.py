@@ -153,7 +153,6 @@ class MorpheusSystem(EvaluatedSystem):
                 fidelity.search_warmup_accesses if search_fidelity else fidelity.warmup_accesses
             ),
             system_name=self.name,
-            replay_mode=fidelity.mode,
             seed=self.seed,
         )
 

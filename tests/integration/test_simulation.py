@@ -17,7 +17,7 @@ from repro.memory.request import MemoryRequest
 from repro.sim.engine import REQUEST_BYTES, MemoryHierarchyEngine
 from repro.sim.simulator import GPUSimulator, SimulationConfig, simulate
 from repro.gpu.config import GPUConfig, RTX3080_CONFIG
-from repro.systems.fidelity import FAST_FIDELITY
+from repro.systems.fidelity import FAST_FIDELITY, get_fidelity
 from repro.systems.morpheus_system import MorpheusSystem, MorpheusVariant
 from repro.systems.registry import evaluate_application
 from repro.workloads.applications import get_application
@@ -253,3 +253,13 @@ class TestEvaluatedSystems:
     def test_ibl_uses_fewer_sms_for_thrashing_app(self):
         ibl = evaluate_application("IBL", "kmeans", fidelity=FAST_FIDELITY)
         assert ibl.num_compute_sms < 68
+
+
+class TestFidelityPresets:
+    def test_get_fidelity_coercion(self):
+        assert get_fidelity("fast") is FAST_FIDELITY
+        assert get_fidelity(FAST_FIDELITY) is FAST_FIDELITY
+        with pytest.raises(ValueError, match="unknown fidelity preset"):
+            get_fidelity("turbo")
+        with pytest.raises(TypeError):
+            get_fidelity(3)

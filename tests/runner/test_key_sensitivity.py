@@ -71,7 +71,6 @@ PERTURBATIONS = {
     "request_interval_cycles": lambda c: dataclasses.replace(
         c, request_interval_cycles=c.request_interval_cycles + 1.0
     ),
-    "replay_mode": lambda c: dataclasses.replace(c, replay_mode="analytic"),
     "seed": lambda c: dataclasses.replace(c, seed=c.seed + 1),
     "power_gate_unused": lambda c: dataclasses.replace(
         c, power_gate_unused=not c.power_gate_unused

@@ -284,27 +284,6 @@ class TestRescoringSweeps:
         with pytest.raises(AttributeError):
             runner.energy_model = EnergyModel()
 
-    def test_clear_scored_stats_keeps_measurements(self, runner, kmeans_profile):
-        config = tiny_config()
-        runner.simulate(kmeans_profile, config)
-        runner.clear_scored_stats()
-        assert len(runner.disk_cache) == 1  # stats gone, measurement kept
-        rescored = runner.simulate(kmeans_profile, config)
-        assert runner.replays == 1  # re-scored, not re-replayed
-        assert rescored.ipc > 0
-
-    def test_clear_scored_stats_without_disk_cache_keeps_memory_measurements(
-        self, tmp_path, kmeans_profile
-    ):
-        runner = ExperimentRunner(
-            cache_dir=tmp_path / "cache", max_workers=0, use_disk_cache=False
-        )
-        config = tiny_config()
-        runner.simulate(kmeans_profile, config)
-        runner.clear_scored_stats()
-        runner.simulate(kmeans_profile, config)
-        assert runner.replays == 1  # in-memory measurement survived the clear
-
     def test_energy_sweep_shares_measurements(self, runner, kmeans_profile):
         base = tiny_config()
         with using_runner(runner):

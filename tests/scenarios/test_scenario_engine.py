@@ -23,6 +23,7 @@ from repro.scenarios import (
     max_cache_mode_sms,
     steady,
 )
+from repro.systems.fidelity import FAST_FIDELITY
 from repro.systems.registry import SCENARIO_SYSTEMS, run_scenario
 from repro.workloads.applications import get_application
 from scenario_test_utils import TINY_FIDELITY
@@ -250,6 +251,19 @@ class TestEngineRun:
         )
         sibling = ScenarioEngine(runner=expensive, fidelity=TINY_FIDELITY)
         assert sibling.run_key(scenario, "Morpheus-Basic") != baseline
+
+    def test_engine_accepts_a_fidelity_preset_name(self, engine):
+        scenario = bursty(bursts=1)
+        fast = ScenarioEngine(runner=engine.runner, fidelity="fast")
+        assert fast.fidelity is FAST_FIDELITY
+        for lowered in fast.lower(scenario, "Morpheus-Basic"):
+            assert lowered.config.capacity_scale == FAST_FIDELITY.capacity_scale
+            assert lowered.config.trace_accesses == FAST_FIDELITY.trace_accesses
+        # The fidelity is part of the scenario run key, so aggregates at one
+        # preset never shadow another's.
+        assert fast.run_key(scenario, "Morpheus-Basic") != engine.run_key(
+            scenario, "Morpheus-Basic"
+        )
 
     def test_corun_phases_with_identical_configs_keep_their_own_stats(self, engine):
         # kmeans and cfd phases with equal demands lower to identical

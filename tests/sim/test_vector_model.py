@@ -387,9 +387,6 @@ class TestScorerFastPaths:
         assert not scorer.matches_replay(
             dataclasses.replace(MORPHEUS_CONFIG, seed=2)
         )
-        assert not scorer.matches_replay(
-            dataclasses.replace(MORPHEUS_CONFIG, replay_mode="analytic")
-        )
 
     def test_energy_batch_matches_per_model_scoring(
         self, kmeans, morpheus_measurement
