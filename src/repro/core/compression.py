@@ -24,6 +24,10 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
 
+#: Stored size in bytes of a 128-byte block, by compression level value.
+_COMPRESSED_SIZE = {"high": 32, "low": 64, "uncompressed": 128}
+
+
 class CompressionLevel(enum.Enum):
     """Compression level of one extended LLC block."""
 
@@ -31,22 +35,15 @@ class CompressionLevel(enum.Enum):
     LOW = "low"              # 2x -> 64 bytes
     UNCOMPRESSED = "uncompressed"
 
-    @property
-    def compressed_size(self) -> int:
-        """Stored size in bytes of a 128-byte block at this level."""
-        return _COMPRESSED_SIZE[self]
+    def __init__(self, value: str) -> None:
+        #: Stored size in bytes of a 128-byte block at this level: a plain
+        #: attribute, so reading it on every fill hashes no member.
+        self.compressed_size = _COMPRESSED_SIZE[value]
 
     @property
     def ratio(self) -> float:
         """Compression ratio (original / stored)."""
         return 128 / self.compressed_size
-
-
-_COMPRESSED_SIZE = {
-    CompressionLevel.HIGH: 32,
-    CompressionLevel.LOW: 64,
-    CompressionLevel.UNCOMPRESSED: 128,
-}
 
 
 @dataclass(frozen=True)

@@ -19,18 +19,21 @@ The controller performs the three tasks the paper assigns it:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Any, Callable, List, Optional
+from dataclasses import dataclass
+from typing import Any, Callable, List, Optional, Tuple
 
 from repro.core.address_separation import AddressSeparator
 from repro.core.config import MorpheusConfig
-from repro.core.extended_llc import ExtendedLLC
-from repro.core.hit_miss_predictor import HitMissPredictor
+from repro.core.extended_llc import NO_WRITEBACKS, ExtendedLLC, ExtendedLLCKernel
+from repro.core.hit_miss_predictor import HitMissPredictor, SetPredictor
 from repro.memory.llc import LLCPartition
 from repro.memory.request import MemoryRequest
 
 DramAccessFn = Callable[[MemoryRequest, float], float]
 NocRoundTripFn = Callable[[int, float], float]
+#: The kernel that owns an extended set, its local set there, and the set's
+#: predictor unit.
+_ExtendedSet = Tuple[ExtendedLLCKernel, int, SetPredictor]
 
 
 def _constant(latency: float) -> Callable[..., float]:
@@ -93,7 +96,8 @@ class AccessOutcome:
     latency_cycles: float
     predicted_miss: bool = False
     false_positive: bool = False
-    writebacks: List[int] = field(default_factory=list)
+    #: Block addresses of the dirty victims to write back to DRAM.
+    writebacks: Tuple[int, ...] = NO_WRITEBACKS
 
 
 class MorpheusController:
@@ -155,8 +159,11 @@ class MorpheusController:
             associativity=self.config.extended_llc_associativity,
             filter_bytes=self.config.bloom_filter_bytes,
         )
-        # Each partition's controller owns a disjoint slice of the extended
-        # LLC sets, so the full extended capacity is used across partitions.
+        # Extended set index -> (owning kernel, its local set, predictor
+        # unit), each resolved on the set's first access.  Each partition's
+        # controller owns a disjoint slice of the extended LLC sets, so the
+        # full extended capacity is used across partitions.
+        self._extended_sets: List[Optional[_ExtendedSet]] = [None] * extended_sets
         self._global_set_base = self.partition.partition_id * extended_sets
         self._block_size = self.config.block_size
         # A predicted miss skips the extended LLC and pays a quarter of the
@@ -178,6 +185,15 @@ class MorpheusController:
         per_partition = total // self.partition.config.num_partitions
         return min(self.config.max_extended_sets_per_partition, max(1, per_partition))
 
+    def _resolve_extended_set(self, set_index: int) -> _ExtendedSet:
+        """Fill in and return the table entry of extended set ``set_index``."""
+        assert self.extended_llc is not None
+        _, kernel, local_set = self.extended_llc.owner_of_set(self._global_set_base + set_index)
+        entry = self._extended_sets[set_index] = (
+            kernel, local_set, self.predictor.unit(set_index)
+        )
+        return entry
+
     # -- the LLC lookup procedure (Figure 3 / Figure 6a) ------------------------------
 
     def access(self, request: MemoryRequest, now_cycle: float = 0.0) -> AccessOutcome:
@@ -193,9 +209,9 @@ class MorpheusController:
         stats = self.stats
         stats.conventional_requests += 1
         hit, latency, writeback = self.partition.access(request, now_cycle)
-        writebacks = []
+        writebacks = NO_WRITEBACKS
         if writeback is not None:
-            writebacks.append(writeback)
+            writebacks = (writeback,)
             stats.writebacks += 1
         if hit:
             stats.conventional_hits += 1
@@ -207,23 +223,33 @@ class MorpheusController:
     def _access_extended(
         self, request: MemoryRequest, now_cycle: float, set_index: int
     ) -> AccessOutcome:
-        assert self.extended_llc is not None
+        """Serve one extended-LLC request in a single pass.
+
+        The block's store set is found and its residency read once; that
+        one read is the predictor's ground truth and decides the hit or
+        miss served (nothing touches the set in between).
+        """
         stats = self.stats
         stats.extended_requests += 1
-        address = request.address
-        tag = address // self._block_size
-        # The cache-mode SM kernel and local set that own this set, and the
-        # set's predictor unit, found once for the whole access.
-        _, kernel, local_set = self.extended_llc.owner_of_set(self._global_set_base + set_index)
-        unit = self.predictor.unit(set_index)
+        tag = request.address // self._block_size
+        entry = self._extended_sets[set_index]
+        if entry is None:
+            entry = self._resolve_extended_set(set_index)
+        kernel, local_set, unit = entry
+        route, llc_set = kernel.locate(local_set, tag)
+        meta = llc_set.metadata(tag)
+        resident = meta is not None
 
-        actual_resident = kernel.resident(local_set, address)
         if self._bloom:
             predicted_hit = unit.predict(tag)
-            self.predictor.record_outcome(predicted_hit, actual_resident)
+            if predicted_hit is not resident:  # only a wrong prediction is counted
+                self.predictor.record_outcome(predicted_hit, resident)
         else:
             # Without a predictor every request is forwarded, as on a hit.
-            predicted_hit = actual_resident if self._perfect else True
+            predicted_hit = resident if self._perfect else True
+        # Every access, hit or fill, enters the set's Bloom filters; nothing
+        # below reads them, so the update need not wait for the fill.
+        unit.record_access(tag)
 
         if not predicted_hit:
             # Predicted miss: go straight to DRAM (as fast as a conventional miss),
@@ -232,26 +258,25 @@ class MorpheusController:
             stats.extended_misses += 1
             stats.dram_accesses += 1
             dram_latency = self._dram_access(request, now_cycle)
-            fill = kernel.fill(local_set, address, request.is_write)
-            unit.record_access(tag)
-            stats.writebacks += len(fill.writebacks)
+            _, writebacks = kernel.install(route, llc_set, tag, request.is_write)
+            stats.writebacks += len(writebacks)
             return AccessOutcome(
                 "dram",
                 self._predicted_miss_latency + dram_latency,
                 predicted_miss=True,
-                writebacks=fill.writebacks,
+                writebacks=writebacks,
             )
 
         # Predicted hit: pay the NoC round trip to the cache-mode SM and run
         # the extended LLC kernel's lookup there.
         noc_latency = self._noc_round_trip(request.size_bytes, now_cycle)
-        result = kernel.access(local_set, address, request.is_write)
-        service_latency = result.service_latency_ns * self.core_clock_ghz
-
-        if result.hit:
+        if resident:
+            llc_set.touch(tag, meta, request.is_write)
             stats.extended_hits += 1
-            unit.record_access(tag)
-            return AccessOutcome("extended_llc", noc_latency + service_latency)
+            return AccessOutcome(
+                "extended_llc",
+                noc_latency + route.service_latency_ns(meta.compression) * self.core_clock_ghz,
+            )
 
         # False positive (or no-prediction miss): the round trip was wasted;
         # fetch from DRAM and fill the extended LLC.
@@ -259,15 +284,15 @@ class MorpheusController:
         if not self._perfect:
             stats.false_positive_trips += 1
         stats.dram_accesses += 1
+        service_latency = route.latency_ns * self.core_clock_ghz
         dram_latency = self._dram_access(request, now_cycle + noc_latency + service_latency)
-        fill = kernel.fill(local_set, address, request.is_write)
-        unit.record_access(tag)
-        stats.writebacks += len(fill.writebacks)
+        _, writebacks = kernel.install(route, llc_set, tag, request.is_write)
+        stats.writebacks += len(writebacks)
         return AccessOutcome(
             "dram",
             noc_latency + service_latency + dram_latency,
             false_positive=True,
-            writebacks=fill.writebacks,
+            writebacks=writebacks,
         )
 
     # -- overhead reporting (§7.5) ---------------------------------------------------
@@ -282,4 +307,6 @@ class MorpheusController:
     def reset(self) -> None:
         """Reset predictor and statistics (LLC contents preserved)."""
         self.predictor.reset()
+        # The table's entries hold the units that the reset replaced.
+        self._extended_sets = [None] * len(self._extended_sets)
         self.stats = ControllerStats()

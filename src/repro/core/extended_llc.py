@@ -7,7 +7,10 @@ Two classes model the software half of Morpheus:
   shared-memory stores, routes blocks between them with the same static
   address-separation principle as the Morpheus controller (proportional to
   each store's capacity), performs tag lookups, LRU fills/evictions,
-  Indirect-MOV data accesses and BDI compression.
+  Indirect-MOV data accesses and BDI compression.  :meth:`~ExtendedLLCKernel.locate`
+  finds a block's store set and :meth:`~ExtendedLLCKernel.install` fills it;
+  the kernel's own ``access``/``fill``/``resident`` and the Morpheus
+  controller's single pass over an extended access are built on them.
 * :class:`ExtendedLLC` — the aggregate extended LLC formed by all cache-mode
   SMs.  It maps a global extended LLC set index onto the owning SM and that
   SM's local warp/set, and exposes aggregate capacity to the address
@@ -17,7 +20,7 @@ Two classes model the software half of Morpheus:
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.address_separation import SPLIT_PERIOD, proportional_split_table
@@ -27,7 +30,7 @@ from repro.core.indirect_mov import IndirectMovImplementation, IndirectMovModel
 from repro.core.l1_store import L1Store
 from repro.core.register_file_store import RegisterFileStore
 from repro.core.shared_memory_store import SharedMemoryStore
-from repro.core.store_base import ExtendedLLCStore
+from repro.core.store_base import ExtendedLLCSet, ExtendedLLCStore
 
 
 @dataclass(frozen=True)
@@ -58,7 +61,11 @@ class Compressibility:
         return CompressionLevel.UNCOMPRESSED
 
 
-@dataclass(frozen=True)
+#: The writebacks of a fill that evicted no dirty block (shared, immutable).
+NO_WRITEBACKS: Tuple[int, ...] = ()
+
+
+@dataclass(frozen=True, slots=True)
 class _StoreRoute:
     """One store of a kernel with its access timings, fixed at construction."""
 
@@ -66,9 +73,16 @@ class _StoreRoute:
     store: ExtendedLLCStore
     #: Whether blocks routed here are BDI-compressed.
     compresses: bool
-    #: Service latency of a block stored uncompressed / compressed.
+    #: Service latency of a block stored uncompressed (and of a miss) /
+    #: compressed.
     latency_ns: float
     compressed_latency_ns: float
+
+    def service_latency_ns(self, compression: CompressionLevel) -> float:
+        """Service latency of a block stored here at ``compression``."""
+        if self.compresses and compression is not CompressionLevel.UNCOMPRESSED:
+            return self.compressed_latency_ns
+        return self.latency_ns
 
 
 @dataclass(slots=True)
@@ -78,7 +92,7 @@ class ExtendedAccessResult:
     hit: bool
     store_kind: str
     service_latency_ns: float
-    writebacks: List[int] = field(default_factory=list)
+    writebacks: Tuple[int, ...] = NO_WRITEBACKS
     compression: CompressionLevel = CompressionLevel.UNCOMPRESSED
 
 
@@ -189,6 +203,34 @@ class ExtendedLLCKernel:
             ),
         )
 
+    def locate(self, set_index: int, tag: int) -> Tuple[_StoreRoute, ExtendedLLCSet]:
+        """The route of block ``tag`` and the set of its store that holds it.
+
+        Blocks are split between the stores proportionally to capacity
+        (§4.2 task 3); each store folds ``set_index`` onto its own warps.
+        """
+        route = self._routes[tag % SPLIT_PERIOD]
+        store = route.store
+        return route, store.sets[set_index % store.num_warps]
+
+    def install(
+        self, route: _StoreRoute, llc_set: ExtendedLLCSet, tag: int, dirty: bool
+    ) -> Tuple[CompressionLevel, Tuple[int, ...]]:
+        """Fill block ``tag`` into ``llc_set``, found by :meth:`locate`.
+
+        The block is compressed when its store compresses, and installed
+        with LRU replacement.  Returns its compression level and the
+        writeback addresses of the dirty victims.
+        """
+        level = CompressionLevel.UNCOMPRESSED
+        if route.compresses:
+            level = self.compressibility.level_for_tag(tag)
+        writebacks = NO_WRITEBACKS
+        for victim_tag, was_dirty in llc_set.fill(tag, dirty, level):
+            if was_dirty:
+                writebacks += (victim_tag * self._block_size,)
+        return level, writebacks
+
     def access(self, set_index: int, address: int, is_write: bool = False) -> ExtendedAccessResult:
         """Serve one extended LLC request on this SM.
 
@@ -200,20 +242,14 @@ class ExtendedLLCKernel:
         (:meth:`fill`).
         """
         tag = address // self._block_size
-        route = self._routes[tag % SPLIT_PERIOD]
-        store = route.store
-        local_set = set_index % store.num_warps
-        hit = store.access(local_set, tag, is_write)
-
-        compression = CompressionLevel.UNCOMPRESSED
-        if hit:
-            compression = store.sets[local_set].metadata(tag).compression
-        compressed = route.compresses and compression is not CompressionLevel.UNCOMPRESSED
+        route, llc_set = self.locate(set_index, tag)
+        meta = llc_set.metadata(tag)
+        if meta is None:
+            return ExtendedAccessResult(False, route.kind, route.latency_ns)
+        llc_set.touch(tag, meta, is_write)
+        compression = meta.compression
         return ExtendedAccessResult(
-            hit=hit,
-            store_kind=route.kind,
-            service_latency_ns=route.compressed_latency_ns if compressed else route.latency_ns,
-            compression=compression,
+            True, route.kind, route.service_latency_ns(compression), compression=compression
         )
 
     def fill(self, set_index: int, address: int, dirty: bool = False) -> ExtendedAccessResult:
@@ -224,37 +260,17 @@ class ExtendedLLCKernel:
         as writeback addresses.
         """
         tag = address // self._block_size
-        route = self._routes[tag % SPLIT_PERIOD]
-        store = route.store
-
-        level = CompressionLevel.UNCOMPRESSED
-        if route.compresses:
-            level = self.compressibility.level_for_tag(tag)
-
-        evicted = store.fill(set_index % store.num_warps, tag, dirty=dirty, compression=level)
-        writebacks = [
-            victim_tag * self._block_size for victim_tag, was_dirty in evicted if was_dirty
-        ]
-
-        if level is CompressionLevel.UNCOMPRESSED:
-            latency = route.latency_ns
-        else:
-            latency = route.compressed_latency_ns
+        route, llc_set = self.locate(set_index, tag)
+        level, writebacks = self.install(route, llc_set, tag, dirty)
+        latency = route.service_latency_ns(level)
         if route.compresses:
             latency += self.config.timing.compression_overhead_ns
-        return ExtendedAccessResult(
-            hit=False,
-            store_kind=route.kind,
-            service_latency_ns=latency,
-            writebacks=writebacks,
-            compression=level,
-        )
+        return ExtendedAccessResult(False, route.kind, latency, writebacks, level)
 
     def resident(self, set_index: int, address: int) -> bool:
         """Whether the block containing ``address`` currently resides on this SM."""
         tag = address // self._block_size
-        store = self._routes[tag % SPLIT_PERIOD].store
-        return store.sets[set_index % store.num_warps].lookup(tag)
+        return self.locate(set_index, tag)[1].lookup(tag)
 
     def reset(self) -> None:
         """Drop all cached blocks."""

@@ -26,7 +26,7 @@ import dataclasses
 from dataclasses import dataclass, field
 from typing import Dict, Set
 
-from repro.core.bloom_filter import BloomFilter
+from repro.core.bloom_filter import _key_mask
 
 
 @dataclass
@@ -67,26 +67,38 @@ class PredictorStats:
 class SetPredictor:
     """Dual Bloom filter state for a single extended LLC set.
 
+    The two filters are int bit arrays hashed by the same masks as
+    :class:`~repro.core.bloom_filter.BloomFilter` (``_key_mask``), so a unit
+    predicts exactly what two such filters and the swap rule predict.
+
     Counts its predictions and filter swaps in ``stats``, its
     :class:`HitMissPredictor`'s :attr:`~HitMissPredictor.stats`.  It holds
     those stats rather than the predictor, which holds it: a unit pointing
     back at its predictor would make every predictor a reference cycle.
     """
 
+    __slots__ = (
+        "_stats", "associativity", "num_bits", "num_hashes", "bf1", "bf2", "_bf2_tags", "swaps"
+    )
+
     def __init__(
         self, stats: PredictorStats, associativity: int, filter_bytes: int, num_hashes: int
     ) -> None:
         self._stats = stats
         self.associativity = associativity
-        self.bf1 = BloomFilter(filter_bytes, num_hashes)
-        self.bf2 = BloomFilter(filter_bytes, num_hashes)
+        self.num_bits = filter_bytes * 8
+        self.num_hashes = num_hashes
+        #: BF1 (queried) and BF2 (the recent blocks) as bit arrays.
+        self.bf1 = 0
+        self.bf2 = 0
         # Tags known to be in BF2 since its last clear; len() is the paper's n.
         self._bf2_tags: Set[int] = set()
         self.swaps = 0
 
     def predict(self, tag: int) -> bool:
         """Predict whether ``tag`` currently resides in the set (query BF1)."""
-        hit = self.bf1.query(tag)
+        mask = _key_mask(tag, self.num_bits, self.num_hashes)
+        hit = self.bf1 & mask == mask
         stats = self._stats
         stats.predictions += 1
         if hit:
@@ -101,15 +113,20 @@ class SetPredictor:
         Maintains the two invariants and performs the BF1 <- BF2 swap when n
         reaches the associativity (flow diagram of Figure 6(b)).
         """
-        self.bf1.insert(tag)
-        self.bf2.insert(tag)
-        self._bf2_tags.add(tag)
-        if len(self._bf2_tags) >= self.associativity:
-            self.bf1.clear()
-            self.bf1, self.bf2 = self.bf2, self.bf1
-            self._bf2_tags.clear()
+        mask = _key_mask(tag, self.num_bits, self.num_hashes)
+        tags = self._bf2_tags
+        tags.add(tag)
+        if len(tags) >= self.associativity:
+            # Insert into both, clear BF1 and swap: BF2 becomes BF1, and the
+            # cleared BF1 the new, empty BF2.
+            self.bf1 = self.bf2 | mask
+            self.bf2 = 0
+            tags.clear()
             self.swaps += 1
             self._stats.swaps += 1
+        else:
+            self.bf1 |= mask
+            self.bf2 |= mask
 
 
 class HitMissPredictor:
@@ -134,6 +151,8 @@ class HitMissPredictor:
             raise ValueError("num_sets must be positive")
         if associativity <= 0:
             raise ValueError("associativity must be positive")
+        if filter_bytes <= 0 or num_hashes <= 0:
+            raise ValueError("filter_bytes and num_hashes must be positive")
         self.num_sets = num_sets
         self.associativity = associativity
         self.filter_bytes = filter_bytes

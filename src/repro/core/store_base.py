@@ -3,57 +3,44 @@
 Each cache-mode SM lends three kinds of on-chip memory to the extended LLC:
 its register file, its shared memory and its L1 cache.  All three behave as a
 collection of fully associative extended LLC *sets* (one set per extended LLC
-kernel warp) holding 128-byte blocks with valid/dirty bits, tags and LRU
-counters — exactly the structure the extended LLC kernel lays out in Figure 8
-and queries with Algorithm 1.  They differ in capacity, access latency,
+kernel warp) holding 128-byte blocks with dirty bits, tags and LRU counters —
+exactly the structure the extended LLC kernel lays out in Figure 8 and
+queries with Algorithm 1.  They differ in capacity, access latency,
 bandwidth and whether compression applies, which the concrete store classes
 (:mod:`repro.core.register_file_store`, :mod:`repro.core.shared_memory_store`,
 :mod:`repro.core.l1_store`) specialize.
+
+An :class:`ExtendedLLCSet` offers its lookup procedure in parts —
+:meth:`~ExtendedLLCSet.metadata` reads residency, :meth:`~ExtendedLLCSet.touch`
+serves a hit on the block read, :meth:`~ExtendedLLCSet.fill` installs — so
+the Morpheus controller reads a block's residency once per access and uses
+that one read both as its hit/miss predictor's ground truth and as the hit
+or miss it serves.  :meth:`~ExtendedLLCSet.access` composes the same parts.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.compression import BDICompressor, CompressionLevel
+from repro.core.compression import CompressionLevel
 
 
-@dataclass
+@dataclass(slots=True)
 class ExtendedBlockMetadata:
     """Metadata block for one extended LLC block (Figure 8, item 4).
 
-    Holds the tag, valid bit and dirty bit that the extended LLC kernel keeps
-    coalesced in the per-set metadata register, plus the block's compression
-    level when compression is enabled.  The per-block LRU counters of that
-    register are modelled by the recency order of :class:`ExtendedLLCSet`.
+    Holds the tag and dirty bit that the extended LLC kernel keeps coalesced
+    in the per-set metadata register, plus the block's compression level
+    and the bytes it occupies.  A block is valid while its set holds it; the
+    per-block LRU counters of that register are modelled by the recency
+    order of :class:`ExtendedLLCSet`.
     """
 
     tag: int = -1
-    valid: bool = False
     dirty: bool = False
     compression: CompressionLevel = CompressionLevel.UNCOMPRESSED
-
-
-@dataclass
-class StoreStats:
-    """Access statistics of one extended LLC store."""
-
-    hits: int = 0
-    misses: int = 0
-    fills: int = 0
-    evictions: int = 0
-    dirty_evictions: int = 0
-
-    @property
-    def accesses(self) -> int:
-        """Total lookups."""
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        """Hit rate over all lookups (0.0 with no accesses)."""
-        return self.hits / self.accesses if self.accesses else 0.0
+    stored_bytes: int = 0
 
 
 class ExtendedLLCSet:
@@ -81,9 +68,6 @@ class ExtendedLLCSet:
 
     # -- capacity accounting ----------------------------------------------------
 
-    def _bytes_for(self, level: CompressionLevel) -> int:
-        return level.compressed_size if self.compression_enabled else self.block_size
-
     def occupancy(self) -> int:
         """Number of logical blocks resident in the set."""
         return len(self._blocks)
@@ -96,18 +80,26 @@ class ExtendedLLCSet:
 
     def lookup(self, tag: int) -> bool:
         """Tag lookup without state changes (the warp's ballot over metadata)."""
-        meta = self._blocks.get(tag)
-        return meta is not None and meta.valid
+        return tag in self._blocks
+
+    def metadata(self, tag: int) -> Optional[ExtendedBlockMetadata]:
+        """Metadata of a resident block (or None): the lookup, without state changes."""
+        return self._blocks.get(tag)
+
+    def touch(self, tag: int, meta: ExtendedBlockMetadata, is_write: bool = False) -> None:
+        """Serve a hit on resident block ``meta``: most recently used, dirty on a write."""
+        blocks = self._blocks
+        del blocks[tag]
+        blocks[tag] = meta
+        if is_write:
+            meta.dirty = True
 
     def access(self, tag: int, is_write: bool = False) -> bool:
         """Look up ``tag``; on a hit update LRU (and dirty state for writes)."""
         meta = self._blocks.get(tag)
-        if meta is None or not meta.valid:
+        if meta is None:
             return False
-        del self._blocks[tag]
-        self._blocks[tag] = meta
-        if is_write:
-            meta.dirty = True
+        self.touch(tag, meta, is_write)
         return True
 
     # -- fills and evictions -------------------------------------------------------
@@ -118,32 +110,32 @@ class ExtendedLLCSet:
         dirty: bool = False,
         compression: CompressionLevel = CompressionLevel.UNCOMPRESSED,
     ) -> List[Tuple[int, bool]]:
-        """Insert ``tag``, evicting LRU victims until the block fits.
+        """Install ``tag`` as the most recently used block, evicting LRU victims until it fits.
 
+        Re-filling a resident block keeps its dirty bit and stores it at
+        ``compression``; if that makes it larger, other blocks make room.
         Returns a list of ``(victim_tag, was_dirty)`` pairs for every evicted
         block (empty when nothing had to be evicted).
         """
-        meta = self._blocks.get(tag)
-        if meta is not None:
-            meta.valid = True
+        blocks = self._blocks
+        needed = compression.compressed_size if self.compression_enabled else self.block_size
+        meta = blocks.pop(tag, None)
+        if meta is None:
+            meta = ExtendedBlockMetadata(tag, dirty, compression, needed)
+        else:
             meta.dirty = meta.dirty or dirty
-            self._stored_bytes += self._bytes_for(compression) - self._bytes_for(meta.compression)
             meta.compression = compression
-            del self._blocks[tag]
-            self._blocks[tag] = meta
-            return []
+            self._stored_bytes -= meta.stored_bytes
+            meta.stored_bytes = needed
 
-        needed = self._bytes_for(compression)
         evicted: List[Tuple[int, bool]] = []
-        while self._stored_bytes + needed > self.physical_bytes and self._blocks:
-            victim_tag = next(iter(self._blocks))
-            victim = self._blocks.pop(victim_tag)
-            self._stored_bytes -= self._bytes_for(victim.compression)
+        while self._stored_bytes + needed > self.physical_bytes and blocks:
+            victim_tag = next(iter(blocks))
+            victim = blocks.pop(victim_tag)
+            self._stored_bytes -= victim.stored_bytes
             evicted.append((victim_tag, victim.dirty))
 
-        self._blocks[tag] = ExtendedBlockMetadata(
-            tag=tag, valid=True, dirty=dirty, compression=compression
-        )
+        blocks[tag] = meta
         self._stored_bytes += needed
         return evicted
 
@@ -151,16 +143,12 @@ class ExtendedLLCSet:
         """Remove ``tag`` from the set, returning its metadata if present."""
         meta = self._blocks.pop(tag, None)
         if meta is not None:
-            self._stored_bytes -= self._bytes_for(meta.compression)
+            self._stored_bytes -= meta.stored_bytes
         return meta
 
     def tags(self) -> List[int]:
         """Tags of all resident blocks, least recently used first."""
         return list(self._blocks)
-
-    def metadata(self, tag: int) -> Optional[ExtendedBlockMetadata]:
-        """Metadata of a resident block (or None)."""
-        return self._blocks.get(tag)
 
 
 class ExtendedLLCStore:
@@ -196,8 +184,6 @@ class ExtendedLLCStore:
             ExtendedLLCSet(ways_per_set, self.compression_enabled, block_size)
             for _ in range(num_warps)
         ]
-        self.stats = StoreStats()
-        self._compressor = BDICompressor()
 
     # -- capacity ----------------------------------------------------------------
 
@@ -215,12 +201,7 @@ class ExtendedLLCStore:
 
     def access(self, set_index: int, tag: int, is_write: bool = False) -> bool:
         """Serve one extended LLC request against this store; True on a hit."""
-        hit = self.set_for(set_index).access(tag, is_write)
-        if hit:
-            self.stats.hits += 1
-        else:
-            self.stats.misses += 1
-        return hit
+        return self.set_for(set_index).access(tag, is_write)
 
     def fill(
         self,
@@ -232,21 +213,11 @@ class ExtendedLLCStore:
         """Install a block after a miss; returns evicted ``(tag, dirty)`` pairs."""
         if not self.compression_enabled:
             compression = CompressionLevel.UNCOMPRESSED
-        evicted = self.set_for(set_index).fill(tag, dirty=dirty, compression=compression)
-        self.stats.fills += 1
-        if evicted:
-            self.stats.evictions += len(evicted)
-            self.stats.dirty_evictions += sum(1 for _, was_dirty in evicted if was_dirty)
-        return evicted
-
-    def occupancy_blocks(self) -> int:
-        """Logical blocks resident across all sets."""
-        return sum(s.occupancy() for s in self.sets)
+        return self.set_for(set_index).fill(tag, dirty=dirty, compression=compression)
 
     def reset(self) -> None:
-        """Drop all contents and statistics."""
+        """Drop all contents."""
         self.sets = [
             ExtendedLLCSet(self.ways_per_set, self.compression_enabled, self.block_size)
             for _ in range(self.num_warps)
         ]
-        self.stats = StoreStats()

@@ -9,9 +9,12 @@ The Morpheus evaluation cares about three interconnect effects:
 * congestion: Morpheus roughly doubles NoC load (§7.4), inflating average
   latency by a few percent without saturating the network.
 
-:class:`CrossbarLink` models one direction of one port with a bandwidth
-account; :class:`~repro.interconnect.network.InterconnectNetwork` gives each
-LLC partition's port a request link and a response link.
+:class:`CrossbarLink` holds the state of one direction of one port: its
+bandwidth, its unloaded latency and its bandwidth account.
+:class:`~repro.interconnect.network.InterconnectNetwork` gives each LLC
+partition's port a request link and a response link, and its ``traverse``
+sends a request and its response over them in one call: it is the only
+code that moves a link's busy time and byte count.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 
-@dataclass
+@dataclass(slots=True)
 class CrossbarLink:
     """A single directed link with finite bandwidth.
 
@@ -30,9 +33,9 @@ class CrossbarLink:
 
     bytes_per_cycle: float
     base_latency_cycles: float
+    #: When the link finishes serializing the payloads sent so far.
     busy_until_cycle: float = 0.0
     bytes_transferred: int = 0
-    flits_transferred: int = 0
 
     def __post_init__(self) -> None:
         if self.bytes_per_cycle <= 0:
@@ -40,32 +43,7 @@ class CrossbarLink:
         if self.base_latency_cycles < 0:
             raise ValueError("base_latency_cycles must be non-negative")
 
-    def transfer(self, size_bytes: int, now_cycle: float) -> float:
-        """Send ``size_bytes`` over the link starting no earlier than ``now_cycle``.
-
-        Returns the total latency (queueing + traversal + serialization).
-        """
-        if size_bytes <= 0:
-            raise ValueError("size_bytes must be positive")
-        # max(now_cycle, busy), spelled out: the builtin costs several times
-        # more than the comparison, and this runs twice per NoC traversal.
-        busy = self.busy_until_cycle
-        start = busy if busy > now_cycle else now_cycle
-        queue_delay = start - now_cycle
-        serialization = size_bytes / self.bytes_per_cycle
-        self.busy_until_cycle = start + serialization
-        self.bytes_transferred += size_bytes
-        self.flits_transferred += 1
-        return queue_delay + self.base_latency_cycles + serialization
-
-    def utilization(self, elapsed_cycles: float) -> float:
-        """Fraction of link bandwidth consumed over ``elapsed_cycles``."""
-        if elapsed_cycles <= 0:
-            return 0.0
-        return min(1.0, self.bytes_transferred / (self.bytes_per_cycle * elapsed_cycles))
-
     def reset(self) -> None:
         """Clear link occupancy and counters."""
         self.busy_until_cycle = 0.0
         self.bytes_transferred = 0
-        self.flits_transferred = 0

