@@ -28,7 +28,6 @@ from repro.sim.simulator import GPUSimulator, SimulationConfig, simulate
 from repro.sim.stats import SimulationStats
 from repro.systems.registry import (
     EVALUATED_SYSTEMS,
-    evaluate_all_systems,
     evaluate_application,
     get_system,
 )
@@ -56,7 +55,6 @@ __all__ = [
     "RTX3080_CONFIG",
     "SimulationConfig",
     "SimulationStats",
-    "evaluate_all_systems",
     "evaluate_application",
     "get_application",
     "get_system",

@@ -84,10 +84,6 @@ class BloomFilter:
         """Fraction of bits currently set (a proxy for the false-positive rate)."""
         return bin(self._bits).count("1") / self.num_bits
 
-    def estimated_false_positive_rate(self) -> float:
-        """Estimated false-positive probability at the current fill level."""
-        return self.fill_ratio ** self.num_hashes
-
     def __contains__(self, key: int) -> bool:
         return self.query(key)
 

@@ -125,7 +125,6 @@ class MorpheusConfig:
     query_logic_storage_bytes: int = 5 * KIB
     max_cache_mode_fraction: float = 0.75
     registers_reserved_per_warp: int = 8
-    compression_epoch_cycles: int = 10_000
     timing: ExtendedLLCTiming = field(default_factory=ExtendedLLCTiming)
 
     def __post_init__(self) -> None:
@@ -160,24 +159,7 @@ class MorpheusConfig:
             * self.max_extended_sets_per_partition
         )
 
-    @property
-    def controller_storage_bytes_per_partition(self) -> int:
-        """Total Morpheus controller storage per LLC partition (21 KiB)."""
-        return self.bloom_filter_storage_bytes_per_partition + self.query_logic_storage_bytes
-
     # -- variant helpers -------------------------------------------------------
-
-    def with_optimizations(
-        self, compression: bool | None = None, indirect_mov: bool | None = None
-    ) -> "MorpheusConfig":
-        """Return a copy toggling the two optimizations (builds the four variants)."""
-        return replace(
-            self,
-            enable_compression=self.enable_compression if compression is None else compression,
-            enable_indirect_mov_isa=(
-                self.enable_indirect_mov_isa if indirect_mov is None else indirect_mov
-            ),
-        )
 
     def with_predictor(self, predictor: str) -> "MorpheusConfig":
         """Return a copy using a different hit/miss predictor flavour."""

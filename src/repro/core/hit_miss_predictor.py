@@ -47,13 +47,6 @@ class PredictorStats:
             return 0.0
         return self.false_positives / self.predictions
 
-    @property
-    def false_negative_rate(self) -> float:
-        """Fraction of predictions that wrongly predicted miss (must stay zero)."""
-        if self.predictions == 0:
-            return 0.0
-        return self.false_negatives / self.predictions
-
     def to_jsonable(self) -> Dict[str, int]:
         """Render the counters as a JSON-compatible field dict."""
         return dataclasses.asdict(self)

@@ -15,31 +15,24 @@ from repro.memory.dram import DRAMConfig
 from repro.memory.llc import LLCConfig
 
 KIB = 1024
-MIB = 1024 * 1024
-GIB = 1024 * 1024 * 1024
 
 
 @dataclass(frozen=True)
 class GPUConfig:
     """Top-level GPU configuration.
 
-    Attributes mirror Table 1 plus the per-component configs needed by the
-    simulator.  All latency values are in core cycles at ``core_clock_ghz``.
+    Attributes hold the Table 1 values the simulation reads plus the
+    per-component configs.  All latency values are in core cycles at
+    ``core_clock_ghz``.  Table 1 also gives each SM 48 warps and 1,536
+    threads, 128 CUDA cores, a 64 KiB L1 data cache and a two-level warp
+    scheduler; no model reads those, so they are not fields.
     """
 
     name: str = "rtx3080"
     num_sms: int = 68
     core_clock_ghz: float = 1.44
-    warps_per_sm: int = 48
-    threads_per_warp: int = 32
-    max_threads_per_sm: int = 1536
-    cuda_cores_per_sm: int = 128
     register_file_bytes_per_sm: int = 256 * KIB
-    registers_per_warp: int = 42
     l1_shared_bytes_per_sm: int = 128 * KIB
-    l1_cache_bytes_per_sm: int = 64 * KIB
-    l1_hit_latency_cycles: float = 32.0
-    warp_scheduler: str = "two-level"
     block_size: int = 128
 
     llc: LLCConfig = field(default_factory=LLCConfig)
@@ -49,37 +42,11 @@ class GPUConfig:
     def __post_init__(self) -> None:
         if self.num_sms <= 0:
             raise ValueError("num_sms must be positive")
-        if self.warps_per_sm <= 0:
-            raise ValueError("warps_per_sm must be positive")
-        if self.threads_per_warp <= 0:
-            raise ValueError("threads_per_warp must be positive")
         if self.llc.num_partitions != self.interconnect.num_partitions:
             raise ValueError(
                 "LLC and interconnect must agree on the number of partitions "
                 f"({self.llc.num_partitions} vs {self.interconnect.num_partitions})"
             )
-
-    # -- derived quantities --------------------------------------------------
-
-    @property
-    def num_llc_partitions(self) -> int:
-        """Number of LLC partitions / memory controllers."""
-        return self.llc.num_partitions
-
-    @property
-    def peak_ipc_per_sm(self) -> float:
-        """Peak instructions per cycle of one SM (one per CUDA core, SIMD width 32)."""
-        return self.cuda_cores_per_sm / self.threads_per_warp
-
-    @property
-    def peak_dram_bandwidth_gbps(self) -> float:
-        """Aggregate off-chip bandwidth."""
-        return self.dram.total_bandwidth_gbps
-
-    @property
-    def total_register_file_bytes(self) -> int:
-        """Register file capacity across all SMs."""
-        return self.register_file_bytes_per_sm * self.num_sms
 
     # -- derived configurations ----------------------------------------------
 
@@ -131,9 +98,7 @@ class GPUConfig:
         if extra_bytes_per_sm < 0:
             raise ValueError("extra_bytes_per_sm must be non-negative")
         return replace(
-            self,
-            l1_cache_bytes_per_sm=self.l1_cache_bytes_per_sm + extra_bytes_per_sm,
-            l1_shared_bytes_per_sm=self.l1_shared_bytes_per_sm + extra_bytes_per_sm,
+            self, l1_shared_bytes_per_sm=self.l1_shared_bytes_per_sm + extra_bytes_per_sm
         )
 
 

@@ -60,18 +60,6 @@ class NetworkStats:
             return 0.0
         return self.total_latency_cycles / self.traversals
 
-    def injection_rate(self, elapsed_cycles: float) -> float:
-        """Flits injected per cycle over ``elapsed_cycles``."""
-        if elapsed_cycles <= 0:
-            return 0.0
-        return self.flits_injected / elapsed_cycles
-
-    def throughput_bytes_per_cycle(self, elapsed_cycles: float) -> float:
-        """Payload bytes delivered per cycle over ``elapsed_cycles``."""
-        if elapsed_cycles <= 0:
-            return 0.0
-        return self.bytes_injected / elapsed_cycles
-
 
 class InterconnectNetwork:
     """Crossbar-style network between SMs and LLC partitions.

@@ -1,4 +1,4 @@
-"""Memory-hierarchy substrate: requests, caches, MSHRs, the banked LLC and DRAM.
+"""Memory-hierarchy substrate: requests, caches, the banked LLC and DRAM.
 
 This subpackage provides the building blocks of the baseline GPU memory
 hierarchy that Morpheus extends:
@@ -6,9 +6,7 @@ hierarchy that Morpheus extends:
 * :mod:`repro.memory.request` -- the memory request record that flows
   through every component of the simulated hierarchy.
 * :mod:`repro.memory.cache` -- a generic set-associative LRU cache model used
-  for the per-SM L1 caches and the conventional LLC slices.
-* :mod:`repro.memory.mshr` -- miss status holding registers used to merge
-  outstanding misses in the SM model's L1 (the LLC models none).
+  for the conventional LLC slices.
 * :mod:`repro.memory.address_mapping` -- static address interleaving across
   LLC partitions and DRAM channels.
 * :mod:`repro.memory.llc` -- the banked conventional last level cache.
@@ -19,7 +17,6 @@ from repro.memory.address_mapping import AddressMapping
 from repro.memory.cache import CacheSet, CacheStats, SetAssociativeCache
 from repro.memory.dram import DRAMConfig, DRAMModel
 from repro.memory.llc import LLCPartition, BankedLLC
-from repro.memory.mshr import MSHRFile
 from repro.memory.request import AccessType, MemoryRequest
 
 __all__ = [
@@ -31,7 +28,6 @@ __all__ = [
     "DRAMConfig",
     "DRAMModel",
     "LLCPartition",
-    "MSHRFile",
     "MemoryRequest",
     "SetAssociativeCache",
 ]

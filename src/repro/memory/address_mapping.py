@@ -50,10 +50,6 @@ class AddressMapping:
         """DRAM channel responsible for ``address``."""
         return self.block_number(address) % self.num_channels
 
-    def partition_local_block(self, address: int) -> int:
-        """Index of the block within its partition's slice of the address space."""
-        return self.block_number(address) // self.num_partitions
-
     def addresses_for_partition(self, partition: int, count: int, start_block: int = 0) -> list:
         """Generate ``count`` block addresses that map to ``partition``.
 

@@ -1,10 +1,9 @@
 """A generic set-associative cache model.
 
-This is the workhorse structure behind both the per-SM L1 caches and the
-conventional LLC slices.  It is a *functional* model: it tracks tags, dirty
-bits and LRU order, and reports hits, misses and dirty evictions.  Timing
-is layered on top by the components that own a cache
-(:mod:`repro.memory.llc`, :mod:`repro.gpu.sm`).
+This is the structure behind the conventional LLC slices.  It is a
+*functional* model: it tracks tags, dirty bits and LRU order, and reports
+hits, misses and dirty evictions.  Timing is layered on top by the LLC
+partition that owns it (:mod:`repro.memory.llc`).
 """
 
 from __future__ import annotations

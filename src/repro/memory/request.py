@@ -1,6 +1,6 @@
 """Memory requests that flow through the simulated hierarchy.
 
-Every component of the model (L1, interconnect, Morpheus controller,
+Every component of the model (interconnect, Morpheus controller,
 conventional LLC, extended LLC, DRAM) consumes :class:`MemoryRequest`
 objects.  A request carries the byte address, the access type, the issuing
 SM and the payload size.  A trace is a list of block-aligned requests

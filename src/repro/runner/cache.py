@@ -315,10 +315,6 @@ class ResultCache:
         """Scenario-tier (timeline aggregate) cache stores."""
         return self._scenarios.stores
 
-    def scenario_path_for(self, key: str) -> Path:
-        """File path of the aggregate addressed by scenario run key ``key``."""
-        return self._scenarios.path_for(key)
-
     def load_scenario(self, key: str) -> Optional[Dict]:
         """The cached scenario-aggregate payload for ``key``, or ``None`` on a miss.
 

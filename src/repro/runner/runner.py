@@ -224,12 +224,6 @@ class ExperimentRunner:
         sibling._scenario_memory = self._scenario_memory
         return sibling
 
-    def clear_memory_cache(self) -> None:
-        """Drop the in-process result/measurement layers (disk is untouched)."""
-        self._memory.clear()
-        self._measurement_memory.clear()
-        self._scenario_memory.clear()
-
     def maybe_auto_prune(self) -> int:
         """Apply the ``$REPRO_CACHE_MAX_BYTES`` size cap, if one is configured.
 

@@ -47,7 +47,13 @@ from repro.workloads.applications import ApplicationProfile
 #: tier it selected) and the conventional LLC's MSHR count.  Replay
 #: behaviour is unchanged; the bump records that every replay key, and
 #: with it every score and scenario key, changed with the key payload.
-REPLAY_SCHEMA_VERSION = 3
+#: Version 4: the replay key loses nine fields no replay read, which
+#: nothing reads once the per-SM core models are gone — the GPU config's
+#: warps per SM, threads per warp, maximum threads per SM, CUDA cores per
+#: SM, registers per warp, L1 data-cache bytes, L1 hit latency and
+#: warp-scheduler name, and the Morpheus config's compression epoch
+#: length.  Replay behaviour is unchanged again.
+REPLAY_SCHEMA_VERSION = 4
 
 #: Version of the cached scored-result schema.  Bump whenever the analytic
 #: scoring step (:class:`~repro.sim.performance_model.PerformanceModel`, the

@@ -58,16 +58,6 @@ class SimulationStats:
     average_power_watts: float = 0.0
     performance_per_watt: float = 0.0
 
-    @property
-    def execution_time_seconds(self) -> float:
-        """Execution time at a 1.44 GHz core clock."""
-        return self.execution_cycles / (1.44e9) if self.execution_cycles else 0.0
-
-    @property
-    def total_sms_active(self) -> int:
-        """SMs not power-gated."""
-        return self.num_compute_sms + self.num_cache_sms
-
     def speedup_over(self, baseline: "SimulationStats") -> float:
         """Speedup of this run relative to ``baseline`` (same application)."""
         if self.execution_cycles <= 0 or baseline.execution_cycles <= 0:

@@ -13,7 +13,6 @@ from repro.systems.registry import (
     SCENARIO_SYSTEMS,
     EvaluatedSystem,
     evaluate_application,
-    evaluate_all_systems,
     get_system,
     run_scenario,
 )
@@ -29,7 +28,6 @@ __all__ = [
     "MorpheusVariant",
     "SCENARIO_SYSTEMS",
     "UnifiedSMMemSystem",
-    "evaluate_all_systems",
     "evaluate_application",
     "get_system",
     "run_scenario",

@@ -15,8 +15,6 @@ re-scores the cached measurements without replaying a single trace.
 
 from __future__ import annotations
 
-from typing import Dict, Sequence
-
 from repro.gpu.config import GPUConfig, RTX3080_CONFIG
 from repro.sim.stats import SimulationStats
 from repro.systems.baseline import (
@@ -138,27 +136,6 @@ def evaluate_application(
         return system.evaluate(profile)
 
 
-def evaluate_all_systems(
-    application: str | ApplicationProfile,
-    systems: Sequence[str] = EVALUATED_SYSTEMS,
-    gpu: GPUConfig = RTX3080_CONFIG,
-    fidelity: Fidelity = STANDARD_FIDELITY,
-) -> Dict[str, SimulationStats]:
-    """Simulate one application across many systems (a one-row experiment plan)."""
-    from repro.runner.runner import active_runner
-    from repro.runner.spec import ExperimentSpec
-
-    profile = application if isinstance(application, ApplicationProfile) else get_application(application)
-    spec = ExperimentSpec(
-        systems=tuple(systems),
-        applications=(profile.name,),
-        fidelity=fidelity,
-        gpu=gpu,
-    )
-    result = active_runner().run_plan(spec)
-    return result.by_application(profile.name)
-
-
 def run_scenario(
     system_name: str,
     scenario,
@@ -206,15 +183,3 @@ def run_scenario(
     )
     return engine.run(scenario, system_name, policy)
 
-
-def clear_caches() -> None:
-    """Drop the runner's in-process result layer (used by tests).
-
-    The on-disk cache is content-addressed and never stale, so only the
-    in-memory layer is cleared.
-    """
-    from repro.runner.runner import active_runner
-    from repro.workloads.generator import SHARED_TRACE_CACHE
-
-    active_runner().clear_memory_cache()
-    SHARED_TRACE_CACHE.clear()

@@ -1,15 +1,10 @@
-"""Tests for the GPU substrate (config, warps, SMs, schedulers) and the interconnect."""
+"""Tests for the GPU configuration and the interconnect."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.gpu.config import GPUConfig, RTX3080_CONFIG
-from repro.gpu.kernel import KernelLaunch, ThreadBlock
-from repro.gpu.scheduler import CTAScheduler, TwoLevelWarpScheduler
-from repro.gpu.sm import CoreMode, StreamingMultiprocessor
-from repro.gpu.warp import Warp, WarpState
 from repro.interconnect.network import InterconnectConfig, InterconnectNetwork
-from repro.memory.request import AccessType, MemoryRequest
 
 
 class TestGPUConfig:
@@ -21,7 +16,6 @@ class TestGPUConfig:
         assert config.dram.capacity_bytes == 10 * 1024 ** 3
         assert config.l1_shared_bytes_per_sm == 128 * 1024
         assert config.register_file_bytes_per_sm == 256 * 1024
-        assert config.warps_per_sm == 48
 
     def test_with_num_sms(self):
         assert RTX3080_CONFIG.with_num_sms(20).num_sms == 20
@@ -47,116 +41,6 @@ class TestGPUConfig:
 
         with pytest.raises(ValueError):
             GPUConfig(llc=LLCConfig(num_partitions=5, capacity_bytes=5 * 1024 * 1024))
-
-
-class TestWarp:
-    def test_memory_request_lifecycle(self):
-        warp = Warp(warp_id=0)
-        warp.issue_memory_request(request_id=1, wakeup_cycle=100.0)
-        assert warp.state is WarpState.WAITING_MEMORY
-        warp.complete_memory_request(1)
-        assert warp.is_ready
-
-    def test_double_issue_rejected(self):
-        warp = Warp(warp_id=0)
-        warp.issue_memory_request(1, 10.0)
-        with pytest.raises(RuntimeError):
-            warp.issue_memory_request(2, 20.0)
-
-    def test_complete_wrong_request_rejected(self):
-        warp = Warp(warp_id=0)
-        warp.issue_memory_request(1, 10.0)
-        with pytest.raises(RuntimeError):
-            warp.complete_memory_request(99)
-
-    def test_finished_warp_cannot_execute(self):
-        warp = Warp(warp_id=0)
-        warp.finish()
-        with pytest.raises(RuntimeError):
-            warp.execute_instructions(1)
-
-
-class TestKernel:
-    def test_thread_block_warps(self):
-        assert ThreadBlock(0, 256).num_warps() == 8
-        assert ThreadBlock(0, 250).num_warps() == 8
-
-    def test_kernel_totals(self):
-        kernel = KernelLaunch(name="kmeans", grid_size=100, cta_threads=256)
-        assert kernel.total_threads == 25_600
-        assert kernel.total_warps() == 800
-        assert len(kernel.thread_blocks()) == 100
-
-    def test_invalid_grid_rejected(self):
-        with pytest.raises(ValueError):
-            KernelLaunch(name="x", grid_size=0)
-
-
-class TestSchedulers:
-    def test_two_level_scheduler_round_robin(self):
-        warps = [Warp(warp_id=i) for i in range(6)]
-        scheduler = TwoLevelWarpScheduler(warps, active_set_size=4)
-        picked = {scheduler.select_warp(0.0).warp_id for _ in range(8)}
-        assert picked  # some warps issue
-        assert len(scheduler.active_warps) <= 4
-
-    def test_waiting_warps_demoted_and_woken(self):
-        warps = [Warp(warp_id=i) for i in range(2)]
-        scheduler = TwoLevelWarpScheduler(warps, active_set_size=2)
-        first = scheduler.select_warp(0.0)
-        first.issue_memory_request(request_id=1, wakeup_cycle=50.0)
-        scheduler.select_warp(1.0)
-        assert first in scheduler.pending_warps or first.is_ready is False
-        woken = scheduler.select_warp(60.0)
-        assert woken is not None
-
-    def test_all_finished(self):
-        warps = [Warp(warp_id=i) for i in range(3)]
-        scheduler = TwoLevelWarpScheduler(warps)
-        for warp in warps:
-            warp.finish()
-        assert scheduler.all_finished()
-
-    def test_cta_scheduler_respects_capacity(self):
-        scheduler = CTAScheduler(compute_sm_ids=[0, 1], warps_per_sm=8)
-        kernel = KernelLaunch(name="k", grid_size=4, cta_threads=256)  # 8 warps per CTA
-        assignments = scheduler.assign(kernel)
-        assert len(assignments) == 2
-        assert set(scheduler.occupancy().values()) == {8}
-
-    def test_cta_scheduler_release(self):
-        scheduler = CTAScheduler(compute_sm_ids=[0], warps_per_sm=8)
-        kernel = KernelLaunch(name="k", grid_size=1, cta_threads=256)
-        scheduler.assign(kernel)
-        scheduler.release(0, 8)
-        assert scheduler.occupancy()[0] == 0
-
-
-class TestStreamingMultiprocessor:
-    def test_compute_mode_l1_access(self):
-        sm = StreamingMultiprocessor(0, RTX3080_CONFIG)
-        hit, _ = sm.access_l1(MemoryRequest(address=0))
-        assert not hit
-        hit, _ = sm.access_l1(MemoryRequest(address=0))
-        assert hit
-        assert sm.stats.l1_hit_rate == pytest.approx(0.5)
-
-    def test_cache_mode_rejects_application_accesses(self):
-        sm = StreamingMultiprocessor(0, RTX3080_CONFIG, mode=CoreMode.CACHE)
-        with pytest.raises(RuntimeError):
-            sm.access_l1(MemoryRequest(address=0))
-
-    def test_mode_switch_flushes_l1(self):
-        sm = StreamingMultiprocessor(0, RTX3080_CONFIG)
-        sm.access_l1(MemoryRequest(address=0))
-        sm.set_mode(CoreMode.CACHE)
-        assert sm.l1.occupancy() == 0
-        assert sm.is_cache_mode
-
-    def test_capacities_exposed(self):
-        sm = StreamingMultiprocessor(0, RTX3080_CONFIG)
-        assert sm.register_file_bytes() == 256 * 1024
-        assert sm.unified_l1_shared_bytes() == 128 * 1024
 
 
 class _ReferenceLink:
