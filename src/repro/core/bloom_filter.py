@@ -8,17 +8,15 @@ alternately (§4.1.2).
 
 from __future__ import annotations
 
-import functools
 import hashlib
 from typing import Iterable
 
 
-@functools.lru_cache(maxsize=8)
 def _key_mask(key: int, num_bits: int, num_hashes: int) -> int:
     """The filter bits of ``key``: double hashing over a blake2 digest.
 
-    One access queries and then inserts the same key into the two filters
-    of its set, so a small cache computes the digest once per access.
+    The hit/miss predictor keeps each tag's mask in a memo of its own
+    (:class:`~repro.core.hit_miss_predictor.HitMissPredictor`).
     """
     digest = hashlib.blake2b(
         int(key).to_bytes(16, "little", signed=False), digest_size=16

@@ -31,6 +31,9 @@ from repro.memory.request import MemoryRequest
 
 DramAccessFn = Callable[[MemoryRequest, float], float]
 NocRoundTripFn = Callable[[int, float], float]
+#: ``(hit_level, latency_cycles, predicted_miss, false_positive,
+#: writebacks)``, as :meth:`MorpheusController.access` returns it.
+_Outcome = Tuple[str, float, bool, bool, Tuple[int, ...]]
 #: The kernel that owns an extended set, its local set there, and the set's
 #: predictor unit.
 _ExtendedSet = Tuple[ExtendedLLCKernel, int, SetPredictor]
@@ -88,18 +91,6 @@ class ControllerStats:
         return self.llc_hits / self.requests
 
 
-@dataclass(slots=True)
-class AccessOutcome:
-    """Result of one LLC request processed by the Morpheus controller."""
-
-    hit_level: str                      # "llc", "extended_llc" or "dram"
-    latency_cycles: float
-    predicted_miss: bool = False
-    false_positive: bool = False
-    #: Block addresses of the dirty victims to write back to DRAM.
-    writebacks: Tuple[int, ...] = NO_WRITEBACKS
-
-
 class MorpheusController:
     """The per-partition Morpheus controller.
 
@@ -149,7 +140,7 @@ class MorpheusController:
         per_partition_extended = extended_capacity // num_partitions if num_partitions else 0
         extended_sets = self.extended_sets_per_partition()
         self.separator = AddressSeparator(
-            conventional_capacity_bytes=self.partition.cache.capacity_bytes,
+            conventional_capacity_bytes=self.partition.capacity_bytes,
             extended_capacity_bytes=per_partition_extended,
             block_size=self.config.block_size,
             num_extended_sets=extended_sets,
@@ -196,17 +187,25 @@ class MorpheusController:
 
     # -- the LLC lookup procedure (Figure 3 / Figure 6a) ------------------------------
 
-    def access(self, request: MemoryRequest, now_cycle: float = 0.0) -> AccessOutcome:
-        """Process one LLC request arriving at this partition."""
-        self.stats.requests += 1
-        decision = self.separator.route(request.address)
+    def access(self, request: MemoryRequest, now_cycle: float = 0.0) -> _Outcome:
+        """Process one LLC request arriving at this partition.
 
-        if decision.target == "conventional" or not self.extended_llc:
-            return self._access_conventional(request, now_cycle)
-        return self._access_extended(request, now_cycle, decision.extended_set)
-
-    def _access_conventional(self, request: MemoryRequest, now_cycle: float) -> AccessOutcome:
+        Returns ``(hit_level, latency_cycles, predicted_miss,
+        false_positive, writebacks)``: ``hit_level`` is ``"llc"``,
+        ``"extended_llc"`` or ``"dram"``; ``predicted_miss`` marks an
+        extended access the predictor sent straight to DRAM and
+        ``false_positive`` one that paid a wasted round trip to the extended
+        LLC; ``writebacks`` holds the block addresses of the dirty victims
+        to write back to DRAM.
+        """
         stats = self.stats
+        stats.requests += 1
+        decision = self.separator.route(request.address)
+        # Without an extended LLC the separator has no extended share, so
+        # every request takes the conventional path.
+        if decision.target != "conventional":
+            return self._access_extended(request, now_cycle, decision.extended_set)
+
         stats.conventional_requests += 1
         hit, latency, writeback = self.partition.access(request, now_cycle)
         writebacks = NO_WRITEBACKS
@@ -215,14 +214,14 @@ class MorpheusController:
             stats.writebacks += 1
         if hit:
             stats.conventional_hits += 1
-            return AccessOutcome("llc", latency, writebacks=writebacks)
+            return "llc", latency, False, False, writebacks
         stats.dram_accesses += 1
         dram_latency = self._dram_access(request, now_cycle + latency)
-        return AccessOutcome("dram", latency + dram_latency, writebacks=writebacks)
+        return "dram", latency + dram_latency, False, False, writebacks
 
     def _access_extended(
         self, request: MemoryRequest, now_cycle: float, set_index: int
-    ) -> AccessOutcome:
+    ) -> _Outcome:
         """Serve one extended-LLC request in a single pass.
 
         The block's store set is found and its residency read once; that
@@ -240,16 +239,14 @@ class MorpheusController:
         meta = llc_set.metadata(tag)
         resident = meta is not None
 
+        # Every access, hit or fill, enters the set's Bloom filters; nothing
+        # below reads them, so the update need not wait for the fill.
         if self._bloom:
-            predicted_hit = unit.predict(tag)
-            if predicted_hit is not resident:  # only a wrong prediction is counted
-                self.predictor.record_outcome(predicted_hit, resident)
+            predicted_hit = unit.predict_and_record(tag, resident)
         else:
             # Without a predictor every request is forwarded, as on a hit.
             predicted_hit = resident if self._perfect else True
-        # Every access, hit or fill, enters the set's Bloom filters; nothing
-        # below reads them, so the update need not wait for the fill.
-        unit.record_access(tag)
+            unit.record_access(tag)
 
         if not predicted_hit:
             # Predicted miss: go straight to DRAM (as fast as a conventional miss),
@@ -260,12 +257,7 @@ class MorpheusController:
             dram_latency = self._dram_access(request, now_cycle)
             _, writebacks = kernel.install(route, llc_set, tag, request.is_write)
             stats.writebacks += len(writebacks)
-            return AccessOutcome(
-                "dram",
-                self._predicted_miss_latency + dram_latency,
-                predicted_miss=True,
-                writebacks=writebacks,
-            )
+            return "dram", self._predicted_miss_latency + dram_latency, True, False, writebacks
 
         # Predicted hit: pay the NoC round trip to the cache-mode SM and run
         # the extended LLC kernel's lookup there.
@@ -273,10 +265,8 @@ class MorpheusController:
         if resident:
             llc_set.touch(tag, meta, request.is_write)
             stats.extended_hits += 1
-            return AccessOutcome(
-                "extended_llc",
-                noc_latency + route.service_latency_ns(meta.compression) * self.core_clock_ghz,
-            )
+            service_latency = route.service_latency_ns(meta.compression) * self.core_clock_ghz
+            return "extended_llc", noc_latency + service_latency, False, False, NO_WRITEBACKS
 
         # False positive (or no-prediction miss): the round trip was wasted;
         # fetch from DRAM and fill the extended LLC.
@@ -288,12 +278,7 @@ class MorpheusController:
         dram_latency = self._dram_access(request, now_cycle + noc_latency + service_latency)
         _, writebacks = kernel.install(route, llc_set, tag, request.is_write)
         stats.writebacks += len(writebacks)
-        return AccessOutcome(
-            "dram",
-            noc_latency + service_latency + dram_latency,
-            false_positive=True,
-            writebacks=writebacks,
-        )
+        return "dram", noc_latency + service_latency + dram_latency, False, True, writebacks
 
     # -- overhead reporting (§7.5) ---------------------------------------------------
 

@@ -62,7 +62,9 @@ class SetPredictor:
 
     The two filters are int bit arrays hashed by the same masks as
     :class:`~repro.core.bloom_filter.BloomFilter` (``_key_mask``), so a unit
-    predicts exactly what two such filters and the swap rule predict.
+    predicts exactly what two such filters and the swap rule predict.  A
+    tag's mask is computed once and kept in ``masks``, the memo its
+    :class:`HitMissPredictor` shares with all of its units.
 
     Counts its predictions and filter swaps in ``stats``, its
     :class:`HitMissPredictor`'s :attr:`~HitMissPredictor.stats`.  It holds
@@ -71,13 +73,20 @@ class SetPredictor:
     """
 
     __slots__ = (
-        "_stats", "associativity", "num_bits", "num_hashes", "bf1", "bf2", "_bf2_tags", "swaps"
+        "_stats", "_masks", "associativity", "num_bits", "num_hashes", "bf1", "bf2",
+        "_bf2_tags", "swaps",
     )
 
     def __init__(
-        self, stats: PredictorStats, associativity: int, filter_bytes: int, num_hashes: int
+        self,
+        stats: PredictorStats,
+        masks: Dict[int, int],
+        associativity: int,
+        filter_bytes: int,
+        num_hashes: int,
     ) -> None:
         self._stats = stats
+        self._masks = masks
         self.associativity = associativity
         self.num_bits = filter_bytes * 8
         self.num_hashes = num_hashes
@@ -88,9 +97,16 @@ class SetPredictor:
         self._bf2_tags: Set[int] = set()
         self.swaps = 0
 
+    def _mask(self, tag: int) -> int:
+        """The filter bits of ``tag``, from the memo (computed on first use)."""
+        mask = self._masks.get(tag)
+        if mask is None:
+            mask = self._masks[tag] = _key_mask(tag, self.num_bits, self.num_hashes)
+        return mask
+
     def predict(self, tag: int) -> bool:
         """Predict whether ``tag`` currently resides in the set (query BF1)."""
-        mask = _key_mask(tag, self.num_bits, self.num_hashes)
+        mask = self._mask(tag)
         hit = self.bf1 & mask == mask
         stats = self._stats
         stats.predictions += 1
@@ -106,7 +122,7 @@ class SetPredictor:
         Maintains the two invariants and performs the BF1 <- BF2 swap when n
         reaches the associativity (flow diagram of Figure 6(b)).
         """
-        mask = _key_mask(tag, self.num_bits, self.num_hashes)
+        mask = self._mask(tag)
         tags = self._bf2_tags
         tags.add(tag)
         if len(tags) >= self.associativity:
@@ -120,6 +136,44 @@ class SetPredictor:
         else:
             self.bf1 |= mask
             self.bf2 |= mask
+
+    def predict_and_record(self, tag: int, resident: bool) -> bool:
+        """One access's prediction, its scoring and the filter update, in one call.
+
+        Does what :meth:`predict`, then
+        :meth:`HitMissPredictor.record_outcome` with ``resident`` (whether
+        ``tag`` really is in the set) as ground truth, then
+        :meth:`record_access` do, in that order, on one mask.  Returns the
+        prediction.
+        """
+        # _mask(), inline: this runs once per extended-LLC access.
+        mask = self._masks.get(tag)
+        if mask is None:
+            mask = self._masks[tag] = _key_mask(tag, self.num_bits, self.num_hashes)
+        hit = self.bf1 & mask == mask
+        stats = self._stats
+        stats.predictions += 1
+        if hit:
+            stats.predicted_hits += 1
+            if not resident:
+                stats.false_positives += 1
+        else:
+            stats.predicted_misses += 1
+            if resident:
+                stats.false_negatives += 1
+        # record_access(), inline.
+        tags = self._bf2_tags
+        tags.add(tag)
+        if len(tags) >= self.associativity:
+            self.bf1 = self.bf2 | mask
+            self.bf2 = 0
+            tags.clear()
+            self.swaps += 1
+            stats.swaps += 1
+        else:
+            self.bf1 |= mask
+            self.bf2 |= mask
+        return hit
 
 
 class HitMissPredictor:
@@ -151,6 +205,9 @@ class HitMissPredictor:
         self.filter_bytes = filter_bytes
         self.num_hashes = num_hashes
         self._sets: Dict[int, SetPredictor] = {}
+        # Tag -> filter mask, shared by the set units.  A mask depends only
+        # on the tag and the filter geometry, so the memo outlives reset().
+        self._masks: Dict[int, int] = {}
         # The set units count into this object: zero it in place or call
         # reset(), never rebind it alone.
         self.stats = PredictorStats()
@@ -162,7 +219,7 @@ class HitMissPredictor:
             if not 0 <= set_index < self.num_sets:
                 raise ValueError(f"set_index {set_index} out of range [0, {self.num_sets})")
             predictor = self._sets[set_index] = SetPredictor(
-                self.stats, self.associativity, self.filter_bytes, self.num_hashes
+                self.stats, self._masks, self.associativity, self.filter_bytes, self.num_hashes
             )
         return predictor
 

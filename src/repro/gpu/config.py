@@ -28,7 +28,6 @@ class GPUConfig:
     scheduler; no model reads those, so they are not fields.
     """
 
-    name: str = "rtx3080"
     num_sms: int = 68
     core_clock_ghz: float = 1.44
     register_file_bytes_per_sm: int = 256 * KIB

@@ -2,9 +2,11 @@
 
 The RTX 3080 baseline has a 5 MiB LLC distributed over 10 partitions, each
 colocated with a memory controller.  Each :class:`LLCPartition` owns one
-set-associative slice plus a simple bandwidth model (~300 GB/s per
-partition per the paper's §5 discussion).  The :class:`BankedLLC`
-stitches partitions together using the block-interleaved
+set-associative, write-allocate LRU slice plus a simple bandwidth model
+(~300 GB/s per partition per the paper's §5 discussion).  The slice is a
+*functional* model: it tracks tags, dirty bits and LRU order, and reports
+hits, misses and dirty evictions.  The :class:`BankedLLC` stitches
+partitions together using the block-interleaved
 :class:`~repro.memory.address_mapping.AddressMapping`.
 """
 
@@ -14,8 +16,49 @@ from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
 from repro.memory.address_mapping import AddressMapping
-from repro.memory.cache import CacheStats, SetAssociativeCache
 from repro.memory.request import MemoryRequest
+
+
+@dataclass
+class CacheStats:
+    """Aggregate access statistics for one LLC partition's slice."""
+
+    hits: int = 0
+    misses: int = 0
+    evictions: int = 0
+    dirty_evictions: int = 0
+    fills: int = 0
+    writes: int = 0
+
+    @property
+    def accesses(self) -> int:
+        """Total number of lookups."""
+        return self.hits + self.misses
+
+    @property
+    def hit_rate(self) -> float:
+        """Fraction of lookups that hit (0.0 when there were no accesses)."""
+        if self.accesses == 0:
+            return 0.0
+        return self.hits / self.accesses
+
+    @property
+    def miss_rate(self) -> float:
+        """Fraction of lookups that missed (0.0 when there were no accesses)."""
+        if self.accesses == 0:
+            return 0.0
+        return self.misses / self.accesses
+
+    def merge(self, other: "CacheStats") -> "CacheStats":
+        """Return a new :class:`CacheStats` summing self and ``other``."""
+        return CacheStats(
+            hits=self.hits + other.hits,
+            misses=self.misses + other.misses,
+            evictions=self.evictions + other.evictions,
+            dirty_evictions=self.dirty_evictions + other.dirty_evictions,
+            fills=self.fills + other.fills,
+            writes=self.writes + other.writes,
+        )
 
 
 @dataclass(frozen=True)
@@ -37,6 +80,10 @@ class LLCConfig:
             raise ValueError("num_partitions must be positive")
         if self.capacity_bytes % self.num_partitions:
             raise ValueError("capacity_bytes must divide evenly across partitions")
+        if self.block_size <= 0 or self.block_size & (self.block_size - 1):
+            raise ValueError("block_size must be a positive power of two")
+        if self.associativity <= 0:
+            raise ValueError("associativity must be positive")
 
     @property
     def partition_capacity_bytes(self) -> int:
@@ -64,43 +111,80 @@ class LLCConfig:
 
 
 class LLCPartition:
-    """One LLC partition: a cache slice and a bandwidth account."""
+    """One LLC partition: a write-allocate LRU cache slice and a bandwidth account.
+
+    The slice's capacity is the partition's share of the LLC rounded down to
+    whole sets (at least one).  Each set is a dict from the tag of every
+    resident block to its dirty bit, in recency order, least recently used
+    first: a hit re-inserts its block, and a fill into a full set evicts the
+    first block of the dict.
+    """
 
     def __init__(self, partition_id: int, config: LLCConfig) -> None:
         self.partition_id = partition_id
         self.config = config
-        capacity = config.partition_capacity_bytes
-        granule = config.block_size * config.associativity
-        capacity = max(granule, (capacity // granule) * granule)
-        self.cache = SetAssociativeCache(
-            capacity_bytes=capacity,
-            block_size=config.block_size,
-            associativity=config.associativity,
-            name=f"llc-partition-{partition_id}",
-        )
+        block_size = config.block_size
+        granule = block_size * config.associativity
+        self.capacity_bytes = max(granule, (config.partition_capacity_bytes // granule) * granule)
+        self.num_sets = self.capacity_bytes // granule
+        #: Per set, the tag -> dirty bit of each resident block, least
+        #: recently used first.
+        self.sets: List[Dict[int, bool]] = [{} for _ in range(self.num_sets)]
+        self.stats = CacheStats()
+        self._block_size = block_size
+        self._set_span_bytes = block_size * self.num_sets
+        self._associativity = config.associativity
         self._bytes_per_cycle = config.bytes_per_cycle_per_partition
         self._hit_latency_cycles = config.hit_latency_cycles
         self._busy_until_cycle = 0.0
         self.bytes_served = 0
 
     def access(self, request: MemoryRequest, now_cycle: float) -> Tuple[bool, float, Optional[int]]:
-        """Look up ``request`` in this partition's slice.
+        """Look up ``request`` in this partition's slice, filling it on a miss.
 
-        Returns ``(hit, latency_cycles, writeback_address)`` where latency
-        includes the partition queueing delay and ``writeback_address`` is a
-        dirty victim needing writeback to DRAM (or ``None``).
+        A hit makes the block the most recently used (and dirty on a
+        write); a miss installs it, dirty for a write, evicting the least
+        recently used block of a full set.  Returns ``(hit, latency_cycles,
+        writeback_address)`` where latency includes the partition queueing
+        delay and ``writeback_address`` is the block address of a dirty
+        victim needing writeback to DRAM (or ``None``).
         """
         busy = self._busy_until_cycle
         start = busy if busy > now_cycle else now_cycle  # max(), without the builtin call
-        queue_delay = start - now_cycle
 
-        hit, writeback = self.cache.access(request.address, request.is_write)
+        address = request.address
+        is_write = request.is_write
+        stats = self.stats
+        if is_write:
+            stats.writes += 1
+        block_size = self._block_size
+        num_sets = self.num_sets
+        set_index = (address // block_size) % num_sets
+        tag = address // self._set_span_bytes
+        blocks = self.sets[set_index]
+        writeback = None
+        dirty = blocks.pop(tag, None)
+        if dirty is not None:
+            hit = True
+            blocks[tag] = dirty or is_write
+            stats.hits += 1
+        else:
+            hit = False
+            stats.misses += 1
+            stats.fills += 1
+            if len(blocks) >= self._associativity:
+                victim_tag = next(iter(blocks))
+                stats.evictions += 1
+                if blocks.pop(victim_tag):
+                    stats.dirty_evictions += 1
+                    writeback = (victim_tag * num_sets + set_index) * block_size
+            blocks[tag] = is_write
 
         size_bytes = request.size_bytes
         self._busy_until_cycle = start + size_bytes / self._bytes_per_cycle
         self.bytes_served += size_bytes
 
-        return hit, queue_delay + self._hit_latency_cycles, writeback
+        return hit, start - now_cycle + self._hit_latency_cycles, writeback
 
     def throughput_gbps(self, elapsed_cycles: float) -> float:
         """Achieved throughput of this partition in GB/s over ``elapsed_cycles``."""
@@ -111,8 +195,9 @@ class LLCPartition:
 
     def reset(self) -> None:
         """Clear contents and counters."""
-        self.cache.flush()
-        self.cache.reset_stats()
+        for blocks in self.sets:
+            blocks.clear()
+        self.stats = CacheStats()
         self._busy_until_cycle = 0.0
         self.bytes_served = 0
 
@@ -141,12 +226,12 @@ class BankedLLC:
         """Combined hit/miss statistics across all partitions."""
         stats = CacheStats()
         for partition in self.partitions:
-            stats = stats.merge(partition.cache.stats)
+            stats = stats.merge(partition.stats)
         return stats
 
     def total_capacity_bytes(self) -> int:
         """Actual modelled capacity (sum of partition slices)."""
-        return sum(p.cache.capacity_bytes for p in self.partitions)
+        return sum(p.capacity_bytes for p in self.partitions)
 
     def throughput_gbps(self, elapsed_cycles: float) -> float:
         """Aggregate achieved LLC throughput in GB/s."""

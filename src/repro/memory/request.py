@@ -55,9 +55,3 @@ class MemoryRequest:
         if self.size_bytes <= 0:
             raise ValueError(f"size_bytes must be positive, got {self.size_bytes}")
         self.is_write = self.access_type.is_write
-
-    def block_address(self, block_size: int) -> int:
-        """Return the address aligned down to ``block_size`` bytes."""
-        if block_size <= 0 or block_size & (block_size - 1):
-            raise ValueError(f"block_size must be a positive power of two, got {block_size}")
-        return self.address & ~(block_size - 1)

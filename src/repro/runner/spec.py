@@ -53,7 +53,9 @@ from repro.workloads.applications import ApplicationProfile
 #: SM, registers per warp, L1 data-cache bytes, L1 hit latency and
 #: warp-scheduler name, and the Morpheus config's compression epoch
 #: length.  Replay behaviour is unchanged again.
-REPLAY_SCHEMA_VERSION = 4
+#: Version 5: the replay key loses the GPU config's name, a label that no
+#: code read.  Replay behaviour is unchanged again.
+REPLAY_SCHEMA_VERSION = 5
 
 #: Version of the cached scored-result schema.  Bump whenever the analytic
 #: scoring step (:class:`~repro.sim.performance_model.PerformanceModel`, the

@@ -19,8 +19,7 @@ from repro.core.extended_llc import Compressibility, ExtendedLLC
 from repro.gpu.config import GPUConfig
 from repro.interconnect.network import InterconnectNetwork
 from repro.memory.dram import DRAMModel
-from repro.memory.llc import BankedLLC
-from repro.memory.request import MemoryRequest
+from repro.memory.llc import BankedLLC, CacheStats
 from repro.workloads.trace import MemoryTrace
 
 #: Bytes an SM sends to an LLC partition per request (one block comes back).
@@ -213,6 +212,8 @@ class MemoryHierarchyEngine:
         num_partitions = self._num_partitions
         traverse = self.network.traverse
         controllers = self.controllers
+        partitions = self.llc.partitions
+        dram_access = self.dram.access
         for index, request in enumerate(trace):
             # Time continues across run() calls so warm-up and measurement
             # share one continuous timeline (queue occupancies stay valid).
@@ -224,14 +225,30 @@ class MemoryHierarchyEngine:
             noc_latency = traverse(
                 partition_id, REQUEST_BYTES, now, block, now if now > 1.0 else 1.0
             )
+            size = request.size_bytes
 
             if not controllers:
-                self._access_baseline(request, partition_id, now, noc_latency)
+                # A conventional GPU: the partition's slice, then DRAM on a miss.
+                hit, latency, writeback = partitions[partition_id].access(request, now)
+                total = noc_latency + latency
+                if hit:
+                    counters.conventional_hits += 1
+                else:
+                    total += dram_access(request, now + latency)
+                    counters.dram_accesses += 1
+                    counters.dram_bytes += size
+                counters.conventional_bytes += size
+                if writeback is not None:
+                    # An evicted dirty block always moves one full cache block
+                    # to DRAM, regardless of the triggering request's size.
+                    counters.writebacks += 1
+                    counters.dram_bytes += block
+                counters.total_latency_cycles += total
                 continue
 
-            outcome = controllers[partition_id].access(request, now)
-            hit_level = outcome.hit_level
-            size = request.size_bytes
+            hit_level, latency, predicted_miss, false_positive, writebacks = (
+                controllers[partition_id].access(request, now)
+            )
             if hit_level == "llc":
                 counters.conventional_hits += 1
                 counters.conventional_bytes += size
@@ -244,47 +261,26 @@ class MemoryHierarchyEngine:
             else:  # served by DRAM
                 counters.dram_accesses += 1
                 counters.dram_bytes += size
-                if outcome.predicted_miss:
+                if predicted_miss:
                     counters.extended_requests += 1
                     counters.predicted_misses += 1
-                elif outcome.false_positive:
+                elif false_positive:
                     counters.extended_requests += 1
                     counters.false_positive_trips += 1
                     counters.noc_bytes += size + block  # the wasted round trip
                 else:
                     counters.conventional_bytes += size
-            writebacks = outcome.writebacks
             if writebacks:
                 counters.writebacks += len(writebacks)
                 # Each evicted dirty block writes one full cache block back to DRAM.
                 counters.dram_bytes += len(writebacks) * block
-            counters.total_latency_cycles += noc_latency + outcome.latency_cycles
+            counters.total_latency_cycles += noc_latency + latency
         # Every request's partition hop carried its request out and one block back.
         counters.noc_bytes += len(trace) * (REQUEST_BYTES + block)
         counters.llc_accesses += len(trace)
         self._start_cycle += len(trace) * interval
         counters.elapsed_cycles = max(1.0, counters.elapsed_cycles + len(trace) * interval)
         return counters
-
-    def _access_baseline(
-        self, request: MemoryRequest, partition_id: int, now: float, noc_latency: float
-    ) -> None:
-        counters = self.counters
-        hit, latency, writeback = self.llc.partitions[partition_id].access(request, now)
-        total = noc_latency + latency
-        if hit:
-            counters.conventional_hits += 1
-        else:
-            total += self.dram.access(request, now + latency)
-            counters.dram_accesses += 1
-            counters.dram_bytes += request.size_bytes
-        counters.conventional_bytes += request.size_bytes
-        if writeback is not None:
-            # An evicted dirty block always moves one full cache block to
-            # DRAM, regardless of the triggering request's size.
-            counters.writebacks += 1
-            counters.dram_bytes += self._block_size
-        counters.total_latency_cycles += total
 
     # -- derived metrics -----------------------------------------------------------------
 
@@ -320,7 +316,7 @@ class MemoryHierarchyEngine:
         self.dram.total_accesses = 0
         self.dram.total_bytes = 0
         for partition in self.llc.partitions:
-            partition.cache.reset_stats()
+            partition.stats = CacheStats()
             partition.bytes_served = 0
         for controller in self.controllers:
             controller.stats.__init__()

@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.bloom_filter import BloomFilter
+from repro.core.bloom_filter import BloomFilter, _key_mask
 from repro.core.hit_miss_predictor import HitMissPredictor, PredictorStats, SetPredictor
 
 
@@ -219,7 +219,11 @@ class TestSetPredictorMatchesTwoBloomFilters:
         st.integers(min_value=1, max_value=8),
         st.integers(min_value=1, max_value=6),
         st.lists(
-            st.tuples(st.booleans(), st.integers(min_value=0, max_value=40)),
+            st.tuples(
+                st.sampled_from(("predict", "record", "predict_and_record")),
+                st.integers(min_value=0, max_value=40),
+                st.booleans(),
+            ),
             min_size=1,
             max_size=200,
         ),
@@ -227,18 +231,32 @@ class TestSetPredictorMatchesTwoBloomFilters:
     @settings(max_examples=100, deadline=None)
     def test_same_predictions_and_swaps(self, associativity, filter_bytes, num_hashes, operations):
         stats = PredictorStats()
-        unit = SetPredictor(stats, associativity, filter_bytes, num_hashes)
+        masks = {}
+        unit = SetPredictor(stats, masks, associativity, filter_bytes, num_hashes)
         reference = _ReferenceSetPredictor(associativity, filter_bytes, num_hashes)
-        predictions = 0
-        for predict, tag in operations:
-            if predict:
-                assert unit.predict(tag) == reference.predict(tag)
-                predictions += 1
-            else:
+        predictions = false_positives = false_negatives = 0
+        for operation, tag, resident in operations:
+            if operation == "record":
                 unit.record_access(tag)
                 reference.record_access(tag)
+            else:
+                expected = reference.predict(tag)
+                predictions += 1
+                if operation == "predict":
+                    assert unit.predict(tag) == expected
+                else:
+                    # The fused call scores its prediction against ``resident``.
+                    assert unit.predict_and_record(tag, resident) == expected
+                    reference.record_access(tag)
+                    false_positives += expected and not resident
+                    false_negatives += resident and not expected
             for bits, bloom in ((unit.bf1, reference.bf1), (unit.bf2, reference.bf2)):
                 assert bin(bits).count("1") / (filter_bytes * 8) == bloom.fill_ratio
         assert unit.swaps == stats.swaps == reference.swaps
         assert stats.predictions == predictions
         assert stats.predicted_hits + stats.predicted_misses == predictions
+        assert (stats.false_positives, stats.false_negatives) == (false_positives, false_negatives)
+        # The memo holds exactly the tags seen, each with its _key_mask.
+        assert masks == {
+            tag: _key_mask(tag, filter_bytes * 8, num_hashes) for _, tag, _ in operations
+        }

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.address_separation import AddressSeparator
 from repro.core.config import MorpheusConfig
-from repro.core.controller import AccessOutcome, ControllerStats, MorpheusController, PredictorMode
+from repro.core.controller import ControllerStats, MorpheusController, PredictorMode
 from repro.core.extended_llc import Compressibility, ExtendedLLC
 from repro.core.hit_miss_predictor import HitMissPredictor
 from repro.interconnect.network import InterconnectNetwork
@@ -55,20 +55,20 @@ class TestControllerRouting:
         address = next(
             a for a in range(0, 1 << 22, 128) if controller.separator.is_extended(a)
         )
-        first = controller.access(MemoryRequest(address=address), 0.0)
-        second = controller.access(MemoryRequest(address=address), 100.0)
-        assert first.hit_level == "dram"
-        assert second.hit_level == "extended_llc"
+        first_level, *_ = controller.access(MemoryRequest(address=address), 0.0)
+        second_level, *_ = controller.access(MemoryRequest(address=address), 100.0)
+        assert first_level == "dram"
+        assert second_level == "extended_llc"
 
     def test_conventional_hit_latency_below_miss_latency(self):
         controller = make_controller()
         address = next(
             a for a in range(0, 1 << 22, 128) if not controller.separator.is_extended(a)
         )
-        miss = controller.access(MemoryRequest(address=address), 0.0)
-        hit = controller.access(MemoryRequest(address=address), 100.0)
-        assert hit.hit_level == "llc"
-        assert hit.latency_cycles < miss.latency_cycles
+        _, miss_latency, *_ = controller.access(MemoryRequest(address=address), 0.0)
+        hit_level, hit_latency, *_ = controller.access(MemoryRequest(address=address), 100.0)
+        assert hit_level == "llc"
+        assert hit_latency < miss_latency
 
 
 class TestPredictorModes:
@@ -108,8 +108,8 @@ class TestPredictorModes:
             count = 900
             for i in range(count):
                 address = rng.randrange(4096) * 128
-                outcome = controller.access(MemoryRequest(address=address), now_cycle=i * 4.0)
-                total += outcome.latency_cycles
+                _, latency, *_ = controller.access(MemoryRequest(address=address), now_cycle=i * 4.0)
+                total += latency
             return total / count
 
         assert average_latency("bloom") <= average_latency("none") * 1.02
@@ -122,10 +122,10 @@ class TestWritesAndOverheads:
         writebacks = 0
         for i in range(2500):
             address = rng.randrange(16384) * 128
-            outcome = controller.access(
+            *_, outcome_writebacks = controller.access(
                 MemoryRequest(address=address, access_type=AccessType.STORE), now_cycle=i * 4.0
             )
-            writebacks += len(outcome.writebacks)
+            writebacks += len(outcome_writebacks)
         assert writebacks > 0
 
     def test_storage_overhead_is_21_kib(self):
@@ -169,7 +169,7 @@ class _ReferenceController:
             max(1, extended.total_sets // num_partitions),
         )
         self.separator = AddressSeparator(
-            partition.cache.capacity_bytes,
+            partition.capacity_bytes,
             int(extended.effective_capacity_bytes()) // num_partitions,
             config.block_size,
             num_sets,
@@ -196,10 +196,10 @@ class _ReferenceController:
         stats.writebacks += len(writebacks)
         if hit:
             stats.conventional_hits += 1
-            return AccessOutcome("llc", latency, writebacks=writebacks)
+            return "llc", latency, False, False, writebacks
         stats.dram_accesses += 1
         latency += self.dram_access(request, now + latency)
-        return AccessOutcome("dram", latency, writebacks=writebacks)
+        return "dram", latency, False, False, writebacks
 
     def _access_extended(self, request, now, set_index):
         stats = self.stats
@@ -223,7 +223,7 @@ class _ReferenceController:
             self.predictor.record_access(set_index, tag)
             stats.writebacks += len(fill.writebacks)
             latency = self.partition.config.hit_latency_cycles * 0.25 + dram_latency
-            return AccessOutcome("dram", latency, predicted_miss=True, writebacks=fill.writebacks)
+            return "dram", latency, True, False, fill.writebacks
 
         noc_latency = self.noc_round_trip(request.size_bytes, now)
         result = self.extended.access(global_set, address, request.is_write)
@@ -231,7 +231,7 @@ class _ReferenceController:
         if result.hit:
             stats.extended_hits += 1
             self.predictor.record_access(set_index, tag)
-            return AccessOutcome("extended_llc", noc_latency + service_latency)
+            return "extended_llc", noc_latency + service_latency, False, False, ()
 
         stats.extended_misses += 1
         if self.mode != "perfect":
@@ -241,12 +241,7 @@ class _ReferenceController:
         fill = self.extended.fill(global_set, address, request.is_write)
         self.predictor.record_access(set_index, tag)
         stats.writebacks += len(fill.writebacks)
-        return AccessOutcome(
-            "dram",
-            noc_latency + service_latency + dram_latency,
-            false_positive=True,
-            writebacks=fill.writebacks,
-        )
+        return "dram", noc_latency + service_latency + dram_latency, False, True, fill.writebacks
 
 
 #: A conventional slice of 4 sets x 16 ways per partition, so misses and

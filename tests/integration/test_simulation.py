@@ -66,7 +66,7 @@ class TestEngine:
         engine.run(trace)
         partitions = range(RTX3080_CONFIG.llc.num_partitions)
         mapped = collections.Counter(engine.llc.mapping.partition_of(r.address) for r in trace)
-        served = [partition.cache.stats.accesses for partition in engine.llc.partitions]
+        served = [partition.stats.accesses for partition in engine.llc.partitions]
         assert served == [mapped[index] for index in partitions]
         # Each request's hop to its partition sends its request on that port.
         sent = [request_link.bytes_transferred for request_link, _ in engine.network.ports]
@@ -124,10 +124,11 @@ class TestEngine:
         engine = MemoryHierarchyEngine(RTX3080_CONFIG, capacity_scale=1 / 32)
         generator = TraceGenerator(profile, 20, scale=1 / 32, seed=1)
         engine.run(generator.generate(2000))
-        occupancy_before = sum(p.cache.occupancy() for p in engine.llc.partitions)
+        contents_before = [list(s.items()) for p in engine.llc.partitions for s in p.sets]
+        assert any(contents_before)
         engine.reset_counters()
         assert engine.counters.llc_accesses == 0
-        assert sum(p.cache.occupancy() for p in engine.llc.partitions) == occupancy_before
+        assert [list(s.items()) for p in engine.llc.partitions for s in p.sets] == contents_before
 
 
 class TestSimulatorBasics:

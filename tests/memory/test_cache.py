@@ -1,9 +1,33 @@
-"""Tests for the set-associative cache model."""
+"""Tests for the cache slice of a conventional LLC partition.
+
+:meth:`LLCPartition.access` is the whole lookup of a set-associative,
+write-allocate LRU cache: it updates recency and dirty state on a hit,
+fills on a miss and reports the block address of a dirty victim.
+"""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.memory.cache import CacheSet, CacheStats, SetAssociativeCache
+from repro.memory.llc import CacheStats, LLCConfig, LLCPartition
+from repro.memory.request import AccessType, MemoryRequest
+
+
+def make_slice(capacity_bytes, associativity, block_size=128):
+    """A lone partition whose slice holds ``capacity_bytes``."""
+    config = LLCConfig(
+        capacity_bytes=capacity_bytes,
+        num_partitions=1,
+        block_size=block_size,
+        associativity=associativity,
+    )
+    return LLCPartition(0, config)
+
+
+def access(partition, address, is_write=False):
+    """``(hit, writeback address)`` of one load or store to ``partition``."""
+    access_type = AccessType.STORE if is_write else AccessType.LOAD
+    hit, _, writeback = partition.access(MemoryRequest(address, access_type), 0.0)
+    return hit, writeback
 
 
 class TestCacheStats:
@@ -26,33 +50,28 @@ class TestCacheStats:
 
 
 class TestCacheSet:
+    """A slice of one set: block ``n`` is at address ``n * 128`` with tag ``n``."""
+
     def test_miss_then_hit(self):
-        cache_set = CacheSet(associativity=2)
-        assert not cache_set.access(1, is_write=False)
-        cache_set.fill(1)
-        assert cache_set.access(1, is_write=False)
+        partition = make_slice(2 * 128, associativity=2)
+        assert access(partition, 128) == (False, None)
+        assert access(partition, 128) == (True, None)
 
     def test_lru_eviction_order(self):
-        cache_set = CacheSet(associativity=2)
-        cache_set.fill(1)
-        cache_set.fill(2)
-        cache_set.access(1, is_write=False)  # 2 becomes LRU
-        assert cache_set.fill(3) == (2, False)
+        partition = make_slice(2 * 128, associativity=2)
+        access(partition, 1 * 128)
+        access(partition, 2 * 128)
+        access(partition, 1 * 128)  # 2 becomes LRU
+        assert access(partition, 3 * 128) == (False, None)
+        assert partition.sets[0] == {1: False, 3: False}
 
     def test_dirty_bit_set_on_write_hit(self):
-        cache_set = CacheSet(associativity=2)
-        cache_set.fill(1)
-        cache_set.access(1, is_write=True)
-        cache_set.fill(2)
-        # Tag 1 is the least recently used block and was written.
-        assert cache_set.fill(3) == (1, True)
-
-    def test_invalidate(self):
-        cache_set = CacheSet(associativity=2)
-        cache_set.fill(7)
-        assert cache_set.invalidate(7) == (7, False)
-        assert cache_set.invalidate(7) is None
-        assert cache_set.occupancy() == 0
+        partition = make_slice(2 * 128, associativity=2)
+        access(partition, 1 * 128)
+        access(partition, 1 * 128, is_write=True)
+        access(partition, 2 * 128)
+        # Block 1 is the least recently used block and was written.
+        assert access(partition, 3 * 128) == (False, 1 * 128)
 
 
 class _ReferenceLRUSet:
@@ -103,160 +122,166 @@ class _ReferenceLRUSet:
         self._touch(way)
         return victim
 
-    def invalidate(self, tag):
-        way = self.lookup(tag)
-        if way is None:
-            return None
-        block = tuple(self.ways[way])
-        self.ways[way] = None
-        self.last_use.pop(way, None)
-        return block
-
-    def tags_by_recency(self):
-        """Resident tags, least recently used first."""
+    def blocks_by_recency(self):
+        """Resident ``(tag, dirty)`` pairs, least recently used first."""
         ways = sorted(
             (way for way, block in enumerate(self.ways) if block is not None),
             key=lambda way: self.last_use[way],
         )
-        return [self.ways[way][0] for way in ways]
+        return [tuple(self.ways[way]) for way in ways]
 
 
-_SET_OPERATIONS = st.lists(
-    st.tuples(
-        st.sampled_from(("access", "fill", "invalidate")),
-        st.integers(min_value=0, max_value=11),
-        st.booleans(),
-    ),
+_ACCESSES = st.lists(
+    st.tuples(st.integers(min_value=0, max_value=23), st.booleans()),
     min_size=1,
     max_size=200,
 )
 
 
 class TestCacheSetMatchesReference:
-    @given(st.integers(min_value=1, max_value=6), _SET_OPERATIONS)
+    @given(
+        st.integers(min_value=1, max_value=6),
+        st.sampled_from((1, 2, 4)),
+        _ACCESSES,
+    )
     @settings(max_examples=200, deadline=None)
-    def test_same_hits_victims_and_tags(self, associativity, operations):
-        cache_set = CacheSet(associativity)
-        reference = _ReferenceLRUSet(associativity)
-        for operation, tag, flag in operations:
-            assert cache_set.lookup(tag) == (reference.lookup(tag) is not None)
-            if operation == "access":
-                assert cache_set.access(tag, is_write=flag) == reference.access(tag, flag)
-            elif operation == "fill":
-                assert cache_set.fill(tag, dirty=flag) == reference.fill(tag, flag)
-            else:
-                assert cache_set.invalidate(tag) == reference.invalidate(tag)
-            assert cache_set.tags() == reference.tags_by_recency()
-            assert cache_set.occupancy() == sum(1 for b in reference.ways if b)
+    def test_same_hits_victims_and_tags(self, associativity, num_sets, accesses):
+        partition = make_slice(num_sets * associativity * 128, associativity)
+        assert partition.num_sets == num_sets
+        references = [_ReferenceLRUSet(associativity) for _ in range(num_sets)]
+        for block, is_write in accesses:
+            set_index, tag = block % num_sets, block // num_sets
+            reference = references[set_index]
+            expected_hit = reference.access(tag, is_write)
+            expected_writeback = None
+            if not expected_hit:
+                victim = reference.fill(tag, is_write)
+                if victim is not None and victim[1]:
+                    # The dirty victim's block address, rebuilt from its tag and set.
+                    victim_tag = victim[0]
+                    expected_writeback = (victim_tag * num_sets + set_index) * 128
+            assert access(partition, block * 128, is_write) == (expected_hit, expected_writeback)
+            for blocks, reference in zip(partition.sets, references):
+                assert list(blocks.items()) == reference.blocks_by_recency()
 
 
 class TestSetAssociativeCache:
+    """The slice as a whole, addressed by byte address."""
+
     def test_capacity_validation(self):
         with pytest.raises(ValueError):
-            SetAssociativeCache(capacity_bytes=1000, block_size=128, associativity=4)
+            LLCConfig(capacity_bytes=0)
+        # A share that is not a whole number of sets is rounded down to one.
+        partition = make_slice(1000, associativity=4)
+        assert (partition.capacity_bytes, partition.num_sets) == (512, 1)
 
     def test_block_size_power_of_two(self):
         with pytest.raises(ValueError):
-            SetAssociativeCache(capacity_bytes=4096, block_size=100)
+            LLCConfig(block_size=100)
+
+    def test_associativity_must_be_positive(self):
+        with pytest.raises(ValueError):
+            LLCConfig(associativity=0)
 
     def test_num_sets(self):
-        cache = SetAssociativeCache(capacity_bytes=64 * 1024, block_size=128, associativity=16)
-        assert cache.num_sets == 32
+        partition = make_slice(64 * 1024, associativity=16)
+        assert partition.num_sets == 32
 
     def test_miss_then_hit_same_block(self):
-        cache = SetAssociativeCache(capacity_bytes=8 * 1024, block_size=128, associativity=4)
-        hit, _ = cache.access(0x1000)
+        partition = make_slice(8 * 1024, associativity=4)
+        hit, _ = access(partition, 0x1000)
         assert not hit
-        hit, _ = cache.access(0x1000)
+        hit, _ = access(partition, 0x1000)
         assert hit
         # Same block, different offset.
-        hit, _ = cache.access(0x1000 + 64)
+        hit, _ = access(partition, 0x1000 + 64)
         assert hit
 
     def test_hit_rate_tracked(self):
-        cache = SetAssociativeCache(capacity_bytes=8 * 1024, block_size=128, associativity=4)
-        cache.access(0)
-        cache.access(0)
-        assert cache.stats.hits == 1
-        assert cache.stats.misses == 1
+        partition = make_slice(8 * 1024, associativity=4)
+        access(partition, 0)
+        access(partition, 0)
+        assert partition.stats.hits == 1
+        assert partition.stats.misses == 1
 
     def test_dirty_eviction_produces_writeback_address(self):
-        cache = SetAssociativeCache(capacity_bytes=512, block_size=128, associativity=1)
-        cache.access(0, is_write=True)
-        # The cache has 4 sets; address 512 maps to set 0 as well.
-        hit, writeback = cache.access(512, is_write=False)
+        partition = make_slice(512, associativity=1)
+        access(partition, 0, is_write=True)
+        # The slice has 4 sets; address 512 maps to set 0 as well.
+        hit, writeback = access(partition, 512)
         assert not hit
         assert writeback == 0
 
     def test_clean_eviction_no_writeback(self):
-        cache = SetAssociativeCache(capacity_bytes=512, block_size=128, associativity=1)
-        cache.access(0, is_write=False)
-        _, writeback = cache.access(512, is_write=False)
+        partition = make_slice(512, associativity=1)
+        access(partition, 0)
+        _, writeback = access(partition, 512)
         assert writeback is None
 
     def test_working_set_within_capacity_all_hits_after_warmup(self):
-        cache = SetAssociativeCache(capacity_bytes=16 * 1024, block_size=128, associativity=8)
+        partition = make_slice(16 * 1024, associativity=8)
         addresses = [i * 128 for i in range(64)]  # 8 KiB working set
         for address in addresses:
-            cache.access(address)
-        cache.reset_stats()
+            access(partition, address)
+        partition.stats = CacheStats()
         for address in addresses:
-            hit, _ = cache.access(address)
+            hit, _ = access(partition, address)
             assert hit
-        assert cache.stats.hit_rate == 1.0
+        assert partition.stats.hit_rate == 1.0
 
     def test_working_set_exceeding_capacity_misses(self):
-        cache = SetAssociativeCache(capacity_bytes=4 * 1024, block_size=128, associativity=4)
+        partition = make_slice(4 * 1024, associativity=4)
         addresses = [i * 128 for i in range(256)]  # 32 KiB footprint
         for _ in range(2):
             for address in addresses:
-                cache.access(address)
-        assert cache.stats.miss_rate > 0.5
+                access(partition, address)
+        assert partition.stats.miss_rate > 0.5
 
     def test_flush(self):
-        cache = SetAssociativeCache(capacity_bytes=4 * 1024, block_size=128, associativity=4)
-        cache.access(0, is_write=True)
-        cache.access(128)
-        dirty = cache.flush()
-        assert dirty == 1
-        assert cache.occupancy() == 0
+        partition = make_slice(4 * 1024, associativity=4)
+        access(partition, 0, is_write=True)
+        access(partition, 128)
+        partition.reset()
+        assert not any(partition.sets)
+        assert partition.stats == CacheStats()
+        # The dirty block went with the rest: refilling its set writes nothing back.
+        assert access(partition, 0) == (False, None)
 
     def test_fill_and_probe(self):
-        cache = SetAssociativeCache(capacity_bytes=4 * 1024, block_size=128, associativity=4)
-        assert not cache.probe(0x200)
-        cache.fill(0x200)
-        assert cache.probe(0x200)
-
-    def test_invalidate(self):
-        cache = SetAssociativeCache(capacity_bytes=4 * 1024, block_size=128, associativity=4)
-        cache.fill(0x200)
-        assert cache.invalidate(0x200)
-        assert not cache.invalidate(0x200)
+        partition = make_slice(4 * 1024, associativity=4)
+        set_index, tag = (0x200 // 128) % partition.num_sets, 0x200 // (128 * partition.num_sets)
+        assert tag not in partition.sets[set_index]
+        # A miss fills its block, for a store as for a load (write-allocate).
+        access(partition, 0x200, is_write=True)
+        assert partition.sets[set_index] == {tag: True}
 
     def test_occupancy_bytes(self):
-        cache = SetAssociativeCache(capacity_bytes=4 * 1024, block_size=128, associativity=4)
-        cache.fill(0)
-        cache.fill(128)
-        assert cache.occupancy_bytes() == 256
+        partition = make_slice(4 * 1024, associativity=4)
+        access(partition, 0)
+        access(partition, 128)
+        assert sum(map(len, partition.sets)) * partition.config.block_size == 256
 
     @given(st.lists(st.integers(min_value=0, max_value=1 << 20), min_size=1, max_size=300))
     @settings(max_examples=25, deadline=None)
     def test_occupancy_never_exceeds_capacity(self, addresses):
-        cache = SetAssociativeCache(capacity_bytes=2 * 1024, block_size=128, associativity=2)
+        partition = make_slice(2 * 1024, associativity=2)
         for address in addresses:
-            cache.access(address, is_write=address % 3 == 0)
-        assert cache.occupancy_bytes() <= cache.capacity_bytes
+            access(partition, address, is_write=address % 3 == 0)
+        assert all(len(blocks) <= 2 for blocks in partition.sets)
+        assert sum(map(len, partition.sets)) * 128 <= partition.capacity_bytes
 
     @given(st.lists(st.integers(min_value=0, max_value=1 << 16), min_size=1, max_size=200))
     @settings(max_examples=25, deadline=None)
     def test_hits_plus_misses_equals_accesses(self, addresses):
-        cache = SetAssociativeCache(capacity_bytes=4 * 1024, block_size=128, associativity=4)
+        partition = make_slice(4 * 1024, associativity=4)
         for address in addresses:
-            cache.access(address)
-        assert cache.stats.accesses == len(addresses)
+            access(partition, address)
+        assert partition.stats.accesses == len(addresses)
 
     @given(st.integers(min_value=0, max_value=1 << 30))
     @settings(max_examples=50, deadline=None)
     def test_set_index_within_range(self, address):
-        cache = SetAssociativeCache(capacity_bytes=64 * 1024, block_size=128, associativity=16)
-        assert 0 <= cache.set_index(address) < cache.num_sets
+        partition = make_slice(64 * 1024, associativity=16)
+        access(partition, address)
+        set_index = (address // 128) % partition.num_sets
+        assert address // (128 * partition.num_sets) in partition.sets[set_index]

@@ -38,7 +38,7 @@ class TestLLCPartition:
     def test_dirty_eviction_reports_writeback(self):
         config = LLCConfig(capacity_bytes=10 * 2048, associativity=1, num_partitions=10)
         partition = LLCPartition(0, config)
-        sets = partition.cache.num_sets
+        sets = partition.num_sets
         store = MemoryRequest(address=0, access_type=AccessType.STORE)
         partition.access(store, 0.0)
         conflicting = MemoryRequest(address=sets * 128)
@@ -54,7 +54,7 @@ class TestLLCPartition:
         partition = LLCPartition(0, LLCConfig())
         partition.access(MemoryRequest(address=0), 0.0)
         partition.reset()
-        assert partition.cache.stats.accesses == 0
+        assert partition.stats.accesses == 0
 
 
 class TestBankedLLC:

@@ -1,39 +1,42 @@
 """Tests for LRU replacement and address mapping.
 
-The file name predates the removal of the MSHR model and is kept so the
-IDs of the tests in it stay the same.
+The file name predates the removal of the MSHR model and of the
+replacement-policy classes, and is kept so the IDs of the tests in it stay
+the same.
 """
 
 import pytest
 
 from repro.memory.address_mapping import AddressMapping
-from repro.memory.cache import CacheSet
+from repro.memory.llc import LLCConfig, LLCPartition
+from repro.memory.request import MemoryRequest
+
+
+def one_set_slice(associativity):
+    """A partition whose slice is one set of ``associativity`` ways (block n is tag n)."""
+    config = LLCConfig(capacity_bytes=associativity * 128, num_partitions=1, associativity=associativity)
+    return LLCPartition(0, config)
+
+
+def touch(partition, *blocks):
+    """Load ``blocks`` in order."""
+    for block in blocks:
+        partition.access(MemoryRequest(address=block * 128), 0.0)
 
 
 class TestLRUPolicy:
-    """LRU replacement as a :class:`CacheSet` applies it."""
+    """LRU replacement as an LLC partition's slice applies it."""
 
     def test_victim_is_least_recently_used(self):
-        cache_set = CacheSet(4)
-        for tag in range(4):
-            cache_set.fill(tag)
-        cache_set.access(0, is_write=False)
-        assert cache_set.fill(4) == (1, False)
+        partition = one_set_slice(4)
+        touch(partition, 0, 1, 2, 3, 0, 4)
+        # Block 0 was reused, so block 1 was the least recently used.
+        assert list(partition.sets[0]) == [2, 3, 0, 4]
 
     def test_insert_counts_as_use(self):
-        cache_set = CacheSet(2)
-        cache_set.fill(0)
-        cache_set.fill(1)
-        assert cache_set.fill(2) == (0, False)
-
-    def test_invalidate_makes_way_preferred_victim(self):
-        cache_set = CacheSet(2)
-        cache_set.fill(0)
-        cache_set.fill(1)
-        cache_set.invalidate(1)
-        # The invalidated block's way takes the fill: nothing is evicted.
-        assert cache_set.fill(2) is None
-        assert cache_set.tags() == [0, 2]
+        partition = one_set_slice(2)
+        touch(partition, 0, 1, 2)
+        assert list(partition.sets[0]) == [1, 2]
 
 
 class TestAddressMapping:

@@ -35,15 +35,6 @@ class TestMemoryRequest:
         with pytest.raises(ValueError):
             MemoryRequest(address=0, size_bytes=0)
 
-    def test_block_address_aligns_down(self):
-        request = MemoryRequest(address=1000)
-        assert request.block_address(128) == 896
-
-    def test_block_address_requires_power_of_two(self):
-        request = MemoryRequest(address=1000)
-        with pytest.raises(ValueError):
-            request.block_address(100)
-
     def test_store_is_write(self):
         request = MemoryRequest(address=0, access_type=AccessType.STORE)
         assert request.is_write

@@ -24,10 +24,10 @@ from repro.workloads.generator import TraceCache
 _SIZING = dict(capacity_scale=1.0 / 32.0, trace_accesses=8_000, warmup_accesses=3_000, seed=1)
 
 #: (config, Python calls per simulated access allowed).  Each budget is the
-#: replay's own count plus under 10%: BL makes 6.98 calls per access and
-#: Morpheus-ALL 14.01.
+#: replay's own count plus under 10%: BL makes 2.90 calls per access and
+#: Morpheus-ALL 10.81.
 BUDGETS = {
-    "BL": (SimulationConfig(num_compute_sms=68, system_name="BL", **_SIZING), 7.6),
+    "BL": (SimulationConfig(num_compute_sms=68, system_name="BL", **_SIZING), 3.1),
     "Morpheus-ALL": (
         SimulationConfig(
             morpheus=MORPHEUS_ALL,
@@ -36,7 +36,7 @@ BUDGETS = {
             system_name="Morpheus-ALL",
             **_SIZING,
         ),
-        15.3,
+        11.8,
     ),
 }
 
