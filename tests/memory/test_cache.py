@@ -2,7 +2,9 @@
 
 :meth:`LLCPartition.access` is the whole lookup of a set-associative,
 write-allocate LRU cache: it updates recency and dirty state on a hit,
-fills on a miss and reports the block address of a dirty victim.
+fills on a miss and reports the block address of a dirty victim.  The
+class names predate the deletion of the ``CacheSet`` and
+``SetAssociativeCache`` classes and are kept so the test IDs stay the same.
 """
 
 import pytest
