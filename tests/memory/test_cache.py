@@ -80,8 +80,7 @@ class _ReferenceLRUSet:
     """The straightforward model of an LRU set, kept as the reference.
 
     Lookups scan the ways in order, a fill takes the first empty way, and a
-    full set evicts the way with the smallest last-use stamp (never-used
-    ways count as -1).
+    full set evicts the way with the smallest last-use stamp.
     """
 
     def __init__(self, associativity):
@@ -109,17 +108,12 @@ class _ReferenceLRUSet:
         return True
 
     def fill(self, tag, dirty):
-        way = self.lookup(tag)
-        if way is not None:
-            self.ways[way][1] = self.ways[way][1] or dirty
-            self._touch(way)
-            return None
+        """Install absent ``tag``; return the evicted ``(tag, dirty)``, if any."""
         victim = None
         way = next((way for way, block in enumerate(self.ways) if block is None), None)
         if way is None:
-            way = min(range(len(self.ways)), key=lambda w: self.last_use.get(w, -1))
+            way = min(range(len(self.ways)), key=lambda w: self.last_use[w])
             victim = tuple(self.ways[way])
-            self.last_use.pop(way, None)
         self.ways[way] = [tag, dirty]
         self._touch(way)
         return victim
