@@ -19,6 +19,8 @@ def test_sec75_storage_and_power_overheads():
     ]
     print("\n" + format_table(["overhead", "value"], rows, title="[Sec 7.5] Morpheus overheads"))
 
+    assert overheads.bloom_filter_bytes_per_partition == 16 * 1024
+    assert overheads.query_logic_bytes_per_partition == 5 * 1024
     assert overheads.total_bytes_per_partition == 21 * 1024
     assert overheads.storage_fraction_of_llc_slice < 0.05
     assert overheads.power_fraction < 0.011

@@ -11,38 +11,32 @@ This subpackage implements both halves of the hardware/software co-design:
   (:class:`~repro.core.extended_llc.ExtendedLLCKernel`) that lays the extended
   LLC tag/data arrays out in the register file
   (:class:`~repro.core.register_file_store.RegisterFileStore`), shared memory
-  and L1 of cache-mode SMs, including the Indirect-MOV procedure and BDI
-  cache compression.
+  and L1 of cache-mode SMs.  Its two optimizations reach the replay as
+  follows: BDI compression as a per-block level drawn from the workload's
+  compressibility mix plus that mix's capacity factor
+  (:mod:`repro.core.compression`), and Indirect-MOV as a latency term of
+  :meth:`~repro.core.config.ExtendedLLCTiming.access_latency_ns`.
 """
 
 from repro.core.address_separation import AddressSeparator
 from repro.core.bloom_filter import BloomFilter
-from repro.core.compression import (
-    BDICompressor,
-    CompressionLevel,
-    CompressionLevelAllocator,
-)
+from repro.core.compression import CompressionLevel
 from repro.core.config import ExtendedLLCTiming, MorpheusConfig
 from repro.core.controller import MorpheusController, PredictorMode
 from repro.core.extended_llc import ExtendedLLC, ExtendedLLCKernel
 from repro.core.hit_miss_predictor import HitMissPredictor
-from repro.core.indirect_mov import IndirectMovImplementation, IndirectMovModel
 from repro.core.l1_store import L1Store
 from repro.core.register_file_store import RegisterFileStore
 from repro.core.shared_memory_store import SharedMemoryStore
 
 __all__ = [
     "AddressSeparator",
-    "BDICompressor",
     "BloomFilter",
     "CompressionLevel",
-    "CompressionLevelAllocator",
     "ExtendedLLC",
     "ExtendedLLCKernel",
     "ExtendedLLCTiming",
     "HitMissPredictor",
-    "IndirectMovImplementation",
-    "IndirectMovModel",
     "L1Store",
     "MorpheusConfig",
     "MorpheusController",

@@ -17,7 +17,7 @@ Numbers come from the paper:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 KIB = 1024
 
@@ -44,6 +44,10 @@ class ExtendedLLCTiming:
     shared_memory_bandwidth_gbps: float = 170.0
     l1_bandwidth_gbps: float = 170.0
     per_sm_extended_bandwidth_gbps: float = 34.0
+
+    def __post_init__(self) -> None:
+        if self.indirect_mov_software_ns <= 0 or self.indirect_mov_hardware_ns <= 0:
+            raise ValueError("Indirect-MOV latencies must be positive")
 
     def access_latency_ns(
         self,
@@ -158,12 +162,6 @@ class MorpheusConfig:
             * self.bloom_filters_per_set
             * self.max_extended_sets_per_partition
         )
-
-    # -- variant helpers -------------------------------------------------------
-
-    def with_predictor(self, predictor: str) -> "MorpheusConfig":
-        """Return a copy using a different hit/miss predictor flavour."""
-        return replace(self, predictor=predictor)
 
 
 BASIC_MORPHEUS = MorpheusConfig()

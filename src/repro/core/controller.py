@@ -280,15 +280,6 @@ class MorpheusController:
         stats.writebacks += len(writebacks)
         return "dram", noc_latency + service_latency + dram_latency, False, True, writebacks
 
-    # -- overhead reporting (§7.5) ---------------------------------------------------
-
-    def storage_overhead_bytes(self) -> int:
-        """On-chip storage added by this controller (Bloom filters + query logic)."""
-        return (
-            self.config.bloom_filter_storage_bytes_per_partition
-            + self.config.query_logic_storage_bytes
-        )
-
     def reset(self) -> None:
         """Reset predictor and statistics (LLC contents preserved)."""
         self.predictor.reset()

@@ -6,11 +6,17 @@ Two classes model the software half of Morpheus:
   single cache-mode SM.  It owns the SM's register-file, L1 and (optionally)
   shared-memory stores, routes blocks between them with the same static
   address-separation principle as the Morpheus controller (proportional to
-  each store's capacity), performs tag lookups, LRU fills/evictions,
-  Indirect-MOV data accesses and BDI compression.  :meth:`~ExtendedLLCKernel.locate`
-  finds a block's store set and :meth:`~ExtendedLLCKernel.install` fills it;
-  the kernel's own ``access``/``fill``/``resident`` and the Morpheus
-  controller's single pass over an extended access are built on them.
+  each store's capacity), and performs tag lookups and LRU fills/evictions.
+  Its two optimizations enter only as numbers: a compressing store draws
+  each filled block's BDI level from the workload's
+  :class:`Compressibility` mix (the block takes that many bytes of its set,
+  and a compressed hit pays the decompression latency), and Indirect-MOV is
+  the software or hardware term of
+  :meth:`~repro.core.config.ExtendedLLCTiming.access_latency_ns`.
+  :meth:`~ExtendedLLCKernel.locate` finds a block's store set and
+  :meth:`~ExtendedLLCKernel.install` fills it; the kernel's own
+  ``access``/``fill``/``resident`` and the Morpheus controller's single
+  pass over an extended access are built on them.
 * :class:`ExtendedLLC` — the aggregate extended LLC formed by all cache-mode
   SMs.  It maps a global extended LLC set index onto the owning SM and that
   SM's local warp/set, and exposes aggregate capacity to the address
@@ -21,12 +27,11 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.core.address_separation import SPLIT_PERIOD, proportional_split_table
 from repro.core.compression import CompressionLevel, effective_capacity_factor
 from repro.core.config import MorpheusConfig
-from repro.core.indirect_mov import IndirectMovImplementation, IndirectMovModel
 from repro.core.l1_store import L1Store
 from repro.core.register_file_store import RegisterFileStore
 from repro.core.shared_memory_store import SharedMemoryStore
@@ -119,11 +124,6 @@ class ExtendedLLCKernel:
         self.sm_id = sm_id
         self.config = config
         self.compressibility = compressibility or Compressibility()
-        self.indirect_mov = IndirectMovModel(
-            num_data_registers=config.extended_llc_associativity,
-            software_latency_ns=config.timing.indirect_mov_software_ns,
-            hardware_latency_ns=config.timing.indirect_mov_hardware_ns,
-        )
 
         self.register_file_store = RegisterFileStore(
             num_warps=max(1, config.rf_warps),
@@ -359,14 +359,6 @@ class ExtendedLLC:
         """Whether ``address`` is currently cached anywhere in the extended LLC."""
         _, kernel, local_set = self.owner_of_set(global_set_index)
         return kernel.resident(local_set, address)
-
-    def per_sm_bandwidth_gbps(self) -> float:
-        """Extended LLC bandwidth contributed by each cache-mode SM (GB/s)."""
-        return self.config.timing.per_sm_extended_bandwidth_gbps
-
-    def aggregate_bandwidth_gbps(self) -> float:
-        """Total extended LLC bandwidth across cache-mode SMs (GB/s)."""
-        return self.per_sm_bandwidth_gbps() * len(self.kernels)
 
     def reset(self) -> None:
         """Drop all cached blocks on every cache-mode SM."""

@@ -23,7 +23,7 @@ the false-positive build-up from evicted blocks lingering in BF1.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Set
 
 from repro.core.bloom_filter import _key_mask
@@ -237,10 +237,6 @@ class HitMissPredictor:
     def record_access(self, set_index: int, tag: int) -> None:
         """Inform the predictor that ``tag`` was inserted into / reused in its set."""
         self.unit(set_index).record_access(tag)
-
-    def storage_bytes(self) -> int:
-        """Total Bloom filter storage provisioned by this predictor."""
-        return self.num_sets * 2 * self.filter_bytes
 
     def reset(self) -> None:
         """Drop all per-set state and statistics."""

@@ -58,7 +58,3 @@ class L1Store(ExtendedLLCStore):
             raise ValueError("num_warps must be positive")
         blocks = l1_bytes // block_size
         return (blocks // num_warps) * num_warps * block_size
-
-    def fills_bypass_conventional_llc(self) -> bool:
-        """L1-region misses fetch from DRAM directly, bypassing the conventional LLC."""
-        return True

@@ -118,10 +118,3 @@ class RegisterFileStore(ExtendedLLCStore):
             block_size=block_size,
         )
         return num_warps * ways * block_size
-
-    def effective_capacity_bytes(self, compression_gain: float = 1.0) -> float:
-        """Capacity including the effective gain from BDI compression."""
-        if compression_gain < 1.0:
-            raise ValueError("compression_gain must be >= 1.0")
-        gain = compression_gain if self.compression_enabled else 1.0
-        return self.data_capacity_bytes() * gain

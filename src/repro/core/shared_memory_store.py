@@ -60,7 +60,3 @@ class SharedMemoryStore(ExtendedLLCStore):
         blocks = shared_memory_bytes // block_size
         # Round down to a whole number of blocks per set so sets are uniform.
         return (blocks // num_warps) * num_warps * block_size
-
-    def tag_storage_location(self) -> str:
-        """Where this store keeps its tags (the register file, per §4.2.2)."""
-        return "register_file"

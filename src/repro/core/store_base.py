@@ -15,7 +15,13 @@ An :class:`ExtendedLLCSet` offers its lookup procedure in parts —
 serves a hit on the block read, :meth:`~ExtendedLLCSet.fill` installs — so
 the Morpheus controller reads a block's residency once per access and uses
 that one read both as its hit/miss predictor's ground truth and as the hit
-or miss it serves.  :meth:`~ExtendedLLCSet.access` composes the same parts.
+or miss it serves.  A store only holds its sets: the kernel reaches a set
+through :meth:`repro.core.extended_llc.ExtendedLLCKernel.locate`.
+
+BDI compression enters as each block's drawn level: a compressing set
+charges a block the bytes of its level, so more blocks fit.  The
+Indirect-MOV procedure the register-file and shared-memory stores need is a
+latency term of :class:`repro.core.config.ExtendedLLCTiming`.
 """
 
 from __future__ import annotations
@@ -94,14 +100,6 @@ class ExtendedLLCSet:
         if is_write:
             meta.dirty = True
 
-    def access(self, tag: int, is_write: bool = False) -> bool:
-        """Look up ``tag``; on a hit update LRU (and dirty state for writes)."""
-        meta = self._blocks.get(tag)
-        if meta is None:
-            return False
-        self.touch(tag, meta, is_write)
-        return True
-
     # -- fills and evictions -------------------------------------------------------
 
     def fill(
@@ -138,13 +136,6 @@ class ExtendedLLCSet:
         blocks[tag] = meta
         self._stored_bytes += needed
         return evicted
-
-    def invalidate(self, tag: int) -> Optional[ExtendedBlockMetadata]:
-        """Remove ``tag`` from the set, returning its metadata if present."""
-        meta = self._blocks.pop(tag, None)
-        if meta is not None:
-            self._stored_bytes -= meta.stored_bytes
-        return meta
 
     def tags(self) -> List[int]:
         """Tags of all resident blocks, least recently used first."""
@@ -190,30 +181,6 @@ class ExtendedLLCStore:
     def data_capacity_bytes(self) -> int:
         """Physical data capacity offered to the extended LLC."""
         return self.num_warps * self.ways_per_set * self.block_size
-
-    # -- access path ----------------------------------------------------------------
-
-    def set_for(self, set_index: int) -> ExtendedLLCSet:
-        """The set owned by warp ``set_index`` (local to this store)."""
-        if not 0 <= set_index < self.num_warps:
-            raise ValueError(f"set_index {set_index} out of range [0, {self.num_warps})")
-        return self.sets[set_index]
-
-    def access(self, set_index: int, tag: int, is_write: bool = False) -> bool:
-        """Serve one extended LLC request against this store; True on a hit."""
-        return self.set_for(set_index).access(tag, is_write)
-
-    def fill(
-        self,
-        set_index: int,
-        tag: int,
-        dirty: bool = False,
-        compression: CompressionLevel = CompressionLevel.UNCOMPRESSED,
-    ) -> List[Tuple[int, bool]]:
-        """Install a block after a miss; returns evicted ``(tag, dirty)`` pairs."""
-        if not self.compression_enabled:
-            compression = CompressionLevel.UNCOMPRESSED
-        return self.set_for(set_index).fill(tag, dirty=dirty, compression=compression)
 
     def reset(self) -> None:
         """Drop all contents."""

@@ -49,12 +49,6 @@ class GPUConfig:
 
     # -- derived configurations ----------------------------------------------
 
-    def with_num_sms(self, num_sms: int) -> "GPUConfig":
-        """Return a copy restricted to ``num_sms`` SMs (core scaling studies)."""
-        if not 1 <= num_sms <= self.num_sms:
-            raise ValueError(f"num_sms must be in [1, {self.num_sms}], got {num_sms}")
-        return replace(self, num_sms=num_sms)
-
     def with_llc_scale(self, factor: float) -> "GPUConfig":
         """Return a copy with the conventional LLC scaled by ``factor`` (2x / 4x studies)."""
         return replace(self, llc=self.llc.scaled_capacity(factor))

@@ -6,7 +6,7 @@ hierarchy that Morpheus extends:
 * :mod:`repro.memory.request` -- the memory request record that flows
   through every component of the simulated hierarchy.
 * :mod:`repro.memory.address_mapping` -- static address interleaving across
-  LLC partitions and DRAM channels.
+  LLC partitions.
 * :mod:`repro.memory.llc` -- the banked conventional last level cache: one
   set-associative LRU slice per partition.
 * :mod:`repro.memory.dram` -- a GDDR6X-style off-chip DRAM model.

@@ -15,7 +15,7 @@ is modelled as a hit probability that shaves a fraction of the core latency.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List
 
 from repro.memory.request import MemoryRequest
@@ -113,17 +113,12 @@ class DRAMModel:
         self._access_latency_cycles = self.config.access_latency_cycles
         self._row_hit_latency_factor = self.config.row_buffer_hit_latency_factor
 
-    def channel_of(self, address: int) -> int:
-        """Channel serving ``address`` (block-interleaved)."""
-        return (address // self.config.block_size) % self.config.num_channels
-
     def access(self, request: MemoryRequest, now_cycle: float) -> float:
         """Serve ``request`` starting no earlier than ``now_cycle``.
 
         Returns the latency in cycles from ``now_cycle`` until the data is
         available (including any queueing delay on the channel).
         """
-        # channel_of(), inline: this runs once per DRAM access.
         channel = self._channels[(request.address // self._block_size) % self._num_channels]
 
         busy = channel.busy_until_cycle

@@ -10,7 +10,7 @@ requests as they are, so every replay of one trace shares its requests.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Sequence
+from typing import Iterable, Iterator, List, Sequence
 
 from repro.memory.request import AccessType, MemoryRequest
 
@@ -81,10 +81,3 @@ class MemoryTrace:
             return 0.0
         atomics = sum(1 for request in self._requests if request.access_type is AccessType.ATOMIC)
         return atomics / len(self._requests)
-
-    def split_by_sm(self) -> Dict[int, List[MemoryRequest]]:
-        """Group accesses by issuing SM."""
-        groups: Dict[int, List[MemoryRequest]] = {}
-        for request in self._requests:
-            groups.setdefault(request.sm_id, []).append(request)
-        return groups

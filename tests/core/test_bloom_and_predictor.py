@@ -159,10 +159,6 @@ class TestHitMissPredictor:
         predictor.unit(1).predict(7)
         assert (predictor.stats.predictions, predictor.stats.swaps) == (1, 0)
 
-    def test_storage_matches_paper(self):
-        predictor = HitMissPredictor(num_sets=256, filter_bytes=32)
-        assert predictor.storage_bytes() == 16 * 1024
-
     def test_invalid_set_index(self):
         predictor = HitMissPredictor(num_sets=2)
         with pytest.raises(ValueError):

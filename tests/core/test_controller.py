@@ -2,7 +2,6 @@
 
 import random
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.address_separation import AddressSeparator
@@ -127,10 +126,6 @@ class TestWritesAndOverheads:
             )
             writebacks += len(outcome_writebacks)
         assert writebacks > 0
-
-    def test_storage_overhead_is_21_kib(self):
-        controller = make_controller()
-        assert controller.storage_overhead_bytes() == 21 * 1024
 
     def test_extended_sets_per_partition_capped_at_256(self):
         controller = make_controller(cache_sms=60)

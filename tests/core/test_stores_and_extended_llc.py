@@ -17,14 +17,14 @@ class TestExtendedLLCSet:
     def test_fill_then_hit(self):
         llc_set = ExtendedLLCSet(base_ways=4)
         llc_set.fill(10)
-        assert llc_set.access(10)
-        assert not llc_set.access(11)
+        assert llc_set.metadata(10) is not None
+        assert llc_set.metadata(11) is None
 
     def test_lru_eviction(self):
         llc_set = ExtendedLLCSet(base_ways=2)
         llc_set.fill(1)
         llc_set.fill(2)
-        llc_set.access(1)
+        llc_set.touch(1, llc_set.metadata(1))
         evicted = llc_set.fill(3)
         assert evicted and evicted[0][0] == 2
 
@@ -52,7 +52,7 @@ class TestExtendedLLCSet:
         llc_set = ExtendedLLCSet(base_ways=1, compression_enabled=True)
         for tag in range(1, 5):
             llc_set.fill(tag, compression=CompressionLevel.HIGH)
-        llc_set.access(3, is_write=True)
+        llc_set.touch(3, llc_set.metadata(3), is_write=True)
         # Block 1 grows from 32 to 128 bytes: the least recently used other
         # blocks make room, and the dirty one is reported for writeback.
         evicted = llc_set.fill(1, compression=CompressionLevel.UNCOMPRESSED)
@@ -125,7 +125,7 @@ class TestExtendedLLCSetMatchesReference:
         st.booleans(),
         st.lists(
             st.tuples(
-                st.sampled_from(("access", "fill", "invalidate")),
+                st.sampled_from(("access", "fill")),
                 st.integers(min_value=0, max_value=15),
                 st.booleans(),
                 st.sampled_from(list(CompressionLevel)),
@@ -140,16 +140,18 @@ class TestExtendedLLCSetMatchesReference:
         reference = _ReferenceExtendedSet(base_ways, compression)
         for operation, tag, flag, level in operations:
             if operation == "access":
-                assert llc_set.access(tag, is_write=flag) == reference.access(tag, flag)
-            elif operation == "fill":
-                assert llc_set.fill(tag, dirty=flag, compression=level) == reference.fill(
-                    tag, flag, level
-                )
-            else:
-                meta = llc_set.invalidate(tag)
-                expected = reference.blocks.pop(tag, None)
+                # The controller's hit path: read the metadata, touch on a hit.
+                meta = llc_set.metadata(tag)
+                if meta is not None:
+                    llc_set.touch(tag, meta, flag)
+                assert (meta is not None) == reference.access(tag, flag)
+                expected = reference.blocks.get(tag)
                 assert (meta and (meta.dirty, meta.compression)) == (
                     expected and (expected[0], expected[2])
+                )
+            else:
+                assert llc_set.fill(tag, dirty=flag, compression=level) == reference.fill(
+                    tag, flag, level
                 )
             assert llc_set.occupancy_bytes() == reference.stored_bytes()
             assert llc_set.occupancy_bytes() <= llc_set.physical_bytes
@@ -174,17 +176,6 @@ class TestRegisterFileStore:
         capacities = {w: RegisterFileStore.capacity_bytes_for_warps(w) for w in (1, 8, 16, 32, 48)}
         assert max(capacities, key=capacities.get) == 8
 
-    def test_store_access_and_fill(self):
-        store = RegisterFileStore(num_warps=4)
-        assert not store.access(0, tag=7)
-        store.fill(0, tag=7)
-        assert store.access(0, tag=7)
-
-    def test_invalid_set_rejected(self):
-        store = RegisterFileStore(num_warps=2)
-        with pytest.raises(ValueError):
-            store.access(5, tag=0)
-
 
 class TestL1AndSharedStores:
     def test_l1_capacity_flat_with_warps(self):
@@ -200,12 +191,6 @@ class TestL1AndSharedStores:
     def test_l1_never_compresses(self):
         store = L1Store(num_warps=4, compression_enabled=True)
         assert not store.compression_enabled
-
-    def test_shared_memory_tags_live_in_register_file(self):
-        assert SharedMemoryStore(num_warps=4).tag_storage_location() == "register_file"
-
-    def test_l1_bypasses_conventional_llc(self):
-        assert L1Store(num_warps=4).fills_bypass_conventional_llc()
 
 
 class TestExtendedLLCKernel:
@@ -338,12 +323,6 @@ class TestExtendedLLC:
         extended = ExtendedLLC(cache_sm_ids=[0, 1], config=MorpheusConfig())
         extended.fill(10, 2048)
         assert extended.access(10, 2048).hit
-
-    def test_bandwidth_scales_with_cache_sms(self):
-        config = MorpheusConfig()
-        assert ExtendedLLC([0, 1], config).aggregate_bandwidth_gbps() == pytest.approx(
-            2 * config.timing.per_sm_extended_bandwidth_gbps
-        )
 
     def test_empty_extended_llc_disabled(self):
         extended = ExtendedLLC(cache_sm_ids=[], config=MorpheusConfig())

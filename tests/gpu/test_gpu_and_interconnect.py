@@ -17,11 +17,6 @@ class TestGPUConfig:
         assert config.l1_shared_bytes_per_sm == 128 * 1024
         assert config.register_file_bytes_per_sm == 256 * 1024
 
-    def test_with_num_sms(self):
-        assert RTX3080_CONFIG.with_num_sms(20).num_sms == 20
-        with pytest.raises(ValueError):
-            RTX3080_CONFIG.with_num_sms(100)
-
     def test_with_llc_scale(self):
         scaled = RTX3080_CONFIG.with_llc_scale(4)
         assert scaled.llc.capacity_bytes == pytest.approx(20 * 1024 * 1024, rel=0.01)

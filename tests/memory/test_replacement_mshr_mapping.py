@@ -50,21 +50,6 @@ class TestAddressMapping:
         mapping = AddressMapping(num_partitions=10, block_size=128)
         assert mapping.partition_of(1280) == mapping.partition_of(1280 + 127)
 
-    def test_channels_default_to_partitions(self):
-        mapping = AddressMapping(num_partitions=8)
-        assert mapping.num_channels == 8
-
-    def test_addresses_for_partition(self):
-        mapping = AddressMapping(num_partitions=10, block_size=128)
-        addresses = mapping.addresses_for_partition(3, count=5)
-        assert len(addresses) == 5
-        assert all(mapping.partition_of(address) == 3 for address in addresses)
-
-    def test_invalid_partition_rejected(self):
-        mapping = AddressMapping(num_partitions=4)
-        with pytest.raises(ValueError):
-            mapping.addresses_for_partition(7, count=1)
-
     def test_negative_address_rejected(self):
         mapping = AddressMapping()
         with pytest.raises(ValueError):

@@ -49,7 +49,7 @@ BASELINE = SimulationConfig(
 #: ``REPLAY_FIELDS + SCORE_FIELDS`` must have an entry — adding a config
 #: field without extending this table fails ``test_harness_covers_every_field``.
 PERTURBATIONS = {
-    "gpu": lambda c: dataclasses.replace(c, gpu=c.gpu.with_num_sms(60)),
+    "gpu": lambda c: dataclasses.replace(c, gpu=dataclasses.replace(c.gpu, num_sms=60)),
     "morpheus": lambda c: dataclasses.replace(
         c, morpheus=MorpheusConfig(enable_compression=True)
     ),

@@ -78,12 +78,12 @@ GOLDEN_CASES = {
         morpheus=MorpheusConfig(), system_name="Morpheus-Basic", **_MORPHEUS_SPLIT
     )),
     "Morpheus-ALL-predictor-none": ("kmeans", SimulationConfig(
-        morpheus=_MORPHEUS_ALL.with_predictor("none"),
+        morpheus=dataclasses.replace(_MORPHEUS_ALL, predictor="none"),
         system_name="Morpheus-ALL(none)",
         **_MORPHEUS_SPLIT,
     )),
     "Morpheus-ALL-predictor-perfect": ("kmeans", SimulationConfig(
-        morpheus=_MORPHEUS_ALL.with_predictor("perfect"),
+        morpheus=dataclasses.replace(_MORPHEUS_ALL, predictor="perfect"),
         system_name="Morpheus-ALL(perfect)",
         **_MORPHEUS_SPLIT,
     )),

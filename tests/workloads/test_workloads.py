@@ -87,12 +87,6 @@ class TestTrace:
         assert trace.write_fraction() == pytest.approx(2 / 3)
         assert trace.atomic_fraction() == pytest.approx(1 / 3)
 
-    def test_split_by_sm(self):
-        trace = MemoryTrace([MemoryRequest(address=0, sm_id=i % 2) for i in range(10)])
-        groups = trace.split_by_sm()
-        assert len(groups[0]) == 5
-        assert len(groups[1]) == 5
-
     def test_block_size_must_be_a_power_of_two(self):
         with pytest.raises(ValueError):
             MemoryTrace(block_size=96)
