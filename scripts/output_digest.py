@@ -7,8 +7,12 @@ number as it was.  This script runs each operation of the ``fig12`` and
 cache directory under a temporary directory, an empty trace cache), and
 prints one JSON line: the sha256 of
 ``repr(Workload.inspect(i, Workload.run(i, dir)).output)`` for every
-Figure-12 row, keyed by application, and for the fleet timeline.  Run it at
-two commits on the same seed; equal lines mean equal outputs.
+Figure-12 row, keyed by application, and for the fleet timeline, and under
+``"keys"`` the sha256 of the sorted relative paths of every cache entry the
+operations wrote.  An entry's path names its tier and its content key, so a
+change that moves a key changes the line even when every output stays the
+same.  Run it at two commits on the same seed; equal lines mean equal
+outputs under equal keys.
 
 A broken workload invariant is printed to stderr and makes the exit status 1.
 
@@ -40,6 +44,16 @@ def digest(workload, index: int, cache_dir: str):
     return hashlib.sha256(repr(outcome.output).encode()).hexdigest(), problems
 
 
+def keys_digest(scratch: str) -> str:
+    """sha256 of the sorted paths, relative to ``scratch``, of its cache entries."""
+    paths = sorted(
+        path.relative_to(scratch).as_posix()
+        for path in Path(scratch).rglob("*.json")
+        if not path.name.startswith(".")
+    )
+    return hashlib.sha256("\n".join(paths).encode()).hexdigest()
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, required=True, help="workload seed")
@@ -59,9 +73,12 @@ def main(argv=None) -> int:
             problems += row_problems
         fleet_digest, fleet_problems = digest(fleet, 0, os.path.join(scratch, "fleet"))
         problems += fleet_problems
+        keys = keys_digest(scratch)
     for problem in problems:
         print(problem, file=sys.stderr)
-    print(json.dumps({"seed": args.seed, "fig12": rows, "fleet": fleet_digest}))
+    print(
+        json.dumps({"seed": args.seed, "fig12": rows, "fleet": fleet_digest, "keys": keys})
+    )
     return 1 if problems else 0
 
 

@@ -21,10 +21,12 @@ turns that into the timeline-level numbers the scenario studies report:
 * :func:`phase_table` / :func:`corun_table` / :func:`compare_runs` —
   human-readable reports;
 * :class:`ScenarioAccumulator` — a **streaming** fold of the same
-  aggregates: one pass over ``result.phases`` in timeline order, O(distinct
+  aggregates: one pass over the phases in timeline order, O(distinct
   signatures) running state, bit-identical to the list-based functions
   above, plus weighted p50/p95/p99 per-application phase-slowdown
-  percentiles for fleet SLA reporting.
+  percentiles for fleet SLA reporting.  Folding a run result computes what
+  a phase adds once per distinct (signature, transition) pair and adds it
+  phase by phase.
 
 Everything here is pure post-processing of already-cached leaf results:
 re-running an analysis never touches the replay tier.
@@ -37,7 +39,12 @@ from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
 from repro.analysis.report import format_table
 from repro.energy.components import ComponentEnergies, DEFAULT_ENERGIES
-from repro.scenarios.engine import PhaseExecution, ScenarioRunResult
+from repro.scenarios.engine import (
+    PhaseExecution,
+    ResidentExecution,
+    ScenarioRunResult,
+)
+from repro.scenarios.policy import TransitionCost
 from repro.scenarios.spec import ScenarioSpec
 
 _PJ_TO_J = 1e-12
@@ -620,6 +627,124 @@ class ScenarioAggregates:
     slowdowns: Dict[str, SlowdownStats]
 
 
+#: What one resident adds to its application's aggregates in one phase:
+#: (application, energy in J or ``None``, instructions, phase cycles,
+#: weighted IPC, weighted uncontended IPC, duration weight, compute-SM
+#: cycles, cache-SM cycles, slowdown).
+_ResidentIncrement = Tuple[
+    str, Optional[float], float, float, float, float, float, float, float, float
+]
+
+#: What one phase adds to a timeline's aggregates: (instructions, compute
+#: cycles, transition stall, the non-zero transition's (flush cycles,
+#: warm-up cycles, flushed bytes, warm-up fill bytes) or ``None``, the
+#: residents' increments).
+_PhaseIncrement = Tuple[
+    float,
+    float,
+    float,
+    Optional[Tuple[float, float, float, float]],
+    Tuple[_ResidentIncrement, ...],
+]
+
+
+def _phase_increment(
+    instructions: float,
+    compute_cycles: float,
+    residents: Tuple[ResidentExecution, ...],
+    weight: float,
+    cost: TransitionCost,
+    reference_ipc: Optional[Mapping[str, float]],
+) -> _PhaseIncrement:
+    """Everything one phase adds to :class:`ScenarioAccumulator`'s sums.
+
+    Each term is the operand the list-based reductions add for the phase,
+    computed the same way, so adding the terms reproduces their sums bit
+    for bit.
+    """
+    stall = cost.total_cycles
+    cycles = compute_cycles + stall
+    terms = []
+    for resident in residents:
+        name = resident.application
+        stats = resident.stats
+        energy = None
+        if stats.energy is not None and stats.instructions > 0:
+            energy = stats.energy.total_j * (resident.instructions / stats.instructions)
+        reference = (
+            reference_ipc[name] if reference_ipc is not None else resident.uncontended_ipc
+        )
+        ipc = stats.ipc
+        terms.append(
+            (
+                name,
+                energy,
+                resident.instructions,
+                cycles,
+                weight * ipc,
+                weight * resident.uncontended_ipc,
+                weight,
+                resident.grant.compute_sms * cycles,
+                resident.grant.cache_sms * cycles,
+                reference / ipc if ipc > 0.0 and reference > 0.0 else 0.0,
+            )
+        )
+    transition = None
+    if not cost.is_zero:
+        transition = (
+            cost.flush_cycles,
+            cost.warmup_cycles,
+            cost.flushed_dirty_bytes,
+            cost.warmup_fill_bytes,
+        )
+    return instructions, compute_cycles, stall, transition, tuple(terms)
+
+
+def _add_increment(
+    accumulator: "ScenarioAccumulator", increment: _PhaseIncrement
+) -> None:
+    """Add one phase's :func:`_phase_increment` to ``accumulator``.
+
+    A function, not a method: it runs once per phase, and the benchmark's
+    tracer wraps every method of the accumulator.
+    """
+    instructions, compute_cycles, stall, transition, residents = increment
+    accumulator._phases += 1
+    accumulator._instructions += instructions
+    accumulator._compute_cycles += compute_cycles
+    accumulator._transition_cycles += stall
+    if transition is not None:
+        accumulator._transitions += 1
+        accumulator._flush_cycles += transition[0]
+        accumulator._warmup_cycles += transition[1]
+        accumulator._flushed += transition[2]
+        accumulator._filled += transition[3]
+    for (
+        name,
+        energy,
+        resident_instructions,
+        cycles,
+        weighted_ipc,
+        weighted_uncontended_ipc,
+        weight,
+        compute_sm_cycles,
+        cache_sm_cycles,
+        slowdown,
+    ) in residents:
+        if energy is not None:
+            accumulator._energy += energy
+        accumulator._app_instructions[name] += resident_instructions
+        accumulator._app_resident_cycles[name] += cycles
+        accumulator._app_transition_cycles[name] += stall
+        accumulator._app_weighted_ipc[name] += weighted_ipc
+        accumulator._app_weighted_uncontended_ipc[name] += weighted_uncontended_ipc
+        accumulator._app_resident_weight[name] += weight
+        accumulator._app_compute_sm_cycles[name] += compute_sm_cycles
+        accumulator._app_cache_sm_cycles[name] += cache_sm_cycles
+        grouped = accumulator._slowdowns[name]
+        grouped[slowdown] = grouped.get(slowdown, 0.0) + weight
+
+
 class ScenarioAccumulator:
     """Streaming one-pass aggregation of a timeline run.
 
@@ -627,9 +752,9 @@ class ScenarioAccumulator:
     order-sensitive; phase order is what the list-based reductions use),
     then read :meth:`aggregates`.  Running state is O(applications +
     distinct slowdown values) — for a signature-deduplicated fleet run
-    that is O(signatures), never O(phases), so folding a lazy
-    :class:`~repro.scenarios.engine.SignaturePhases` view aggregates a
-    10k-phase timeline without ever materializing a 10k-element list.
+    that is O(signatures), never O(phases).  :meth:`from_result` folds a
+    run without building a :class:`~repro.scenarios.engine.PhaseExecution`
+    per phase.
 
     ``reference_ipc`` selects the slowdown reference exactly as in
     :func:`phase_slowdowns`; every other aggregate ignores it.
@@ -641,10 +766,9 @@ class ScenarioAccumulator:
         energies: ComponentEnergies = DEFAULT_ENERGIES,
         reference_ipc: Optional[Mapping[str, float]] = None,
     ) -> None:
-        self._scenario = scenario
         self._energies = energies
         self._reference_ipc = reference_ipc
-        order = scenario.applications
+        self._order = order = scenario.applications
         self._phases = 0
         self._instructions = 0.0
         self._compute_cycles = 0.0
@@ -669,49 +793,17 @@ class ScenarioAccumulator:
 
     def add(self, execution: PhaseExecution) -> None:
         """Fold one phase into the running aggregates."""
-        self._phases += 1
-        self._instructions += execution.instructions
-        self._compute_cycles += execution.compute_cycles
-        cost = execution.decision.transition
-        stall = cost.total_cycles
-        self._transition_cycles += stall
-        if not cost.is_zero:
-            self._transitions += 1
-            self._flush_cycles += cost.flush_cycles
-            self._warmup_cycles += cost.warmup_cycles
-            self._flushed += cost.flushed_dirty_bytes
-            self._filled += cost.warmup_fill_bytes
-        cycles = execution.cycles
-        weight = execution.phase.duration_weight
-        for resident in execution.residents:
-            name = resident.application
-            breakdown = resident.stats.energy
-            if breakdown is not None and resident.stats.instructions > 0:
-                scale = resident.instructions / resident.stats.instructions
-                self._energy += breakdown.total_j * scale
-            self._app_instructions[name] += resident.instructions
-            self._app_resident_cycles[name] += cycles
-            self._app_transition_cycles[name] += stall
-            self._app_weighted_ipc[name] += weight * resident.stats.ipc
-            self._app_weighted_uncontended_ipc[name] += (
-                weight * resident.uncontended_ipc
-            )
-            self._app_resident_weight[name] += weight
-            self._app_compute_sm_cycles[name] += (
-                resident.grant.compute_sms * cycles
-            )
-            self._app_cache_sm_cycles[name] += resident.grant.cache_sms * cycles
-            reference = (
-                self._reference_ipc[name]
-                if self._reference_ipc is not None
-                else resident.uncontended_ipc
-            )
-            ipc = resident.stats.ipc
-            slowdown = (
-                reference / ipc if ipc > 0.0 and reference > 0.0 else 0.0
-            )
-            grouped = self._slowdowns[name]
-            grouped[slowdown] = grouped.get(slowdown, 0.0) + weight
+        _add_increment(
+            self,
+            _phase_increment(
+                execution.instructions,
+                execution.compute_cycles,
+                execution.residents,
+                execution.phase.duration_weight,
+                execution.decision.transition,
+                self._reference_ipc,
+            ),
+        )
 
     @classmethod
     def from_result(
@@ -720,12 +812,31 @@ class ScenarioAccumulator:
         energies: ComponentEnergies = DEFAULT_ENERGIES,
         reference_ipc: Optional[Mapping[str, float]] = None,
     ) -> "ScenarioAccumulator":
-        """Fold every phase of ``result`` (lazily — one phase at a time)."""
+        """Fold every phase of ``result``, in timeline order.
+
+        A phase's signature and transition determine what it adds, so each
+        distinct (signature id, transition id) pair's increment is computed
+        once; the phases then add those increments one by one.
+        """
         accumulator = cls(
             result.scenario, energies=energies, reference_ipc=reference_ipc
         )
-        for execution in result.phases:
-            accumulator.add(execution)
+        executions = result.signatures
+        transitions = result.phases.transitions
+        increments: Dict[Tuple[int, int], _PhaseIncrement] = {}
+        for pair in result.phases.phase_ids:
+            increment = increments.get(pair)
+            if increment is None:
+                execution = executions[pair[0]]
+                increment = increments[pair] = _phase_increment(
+                    execution.instructions,
+                    execution.compute_cycles,
+                    execution.residents,
+                    execution.signature.duration_weight,
+                    transitions[pair[1]],
+                    reference_ipc,
+                )
+            _add_increment(accumulator, increment)
         return accumulator
 
     def aggregates(self) -> ScenarioAggregates:
@@ -748,7 +859,7 @@ class ScenarioAccumulator:
             ),
         )
         timelines = {}
-        for name in self._scenario.applications:
+        for name in self._order:
             cycles = self._app_resident_cycles[name]
             weight = self._app_resident_weight[name]
             timelines[name] = AppTimeline(
@@ -794,7 +905,7 @@ class ScenarioAccumulator:
             timelines=timelines,
             slowdowns={
                 name: slowdown_stats(name, self._slowdowns[name])
-                for name in self._scenario.applications
+                for name in self._order
             },
         )
 

@@ -26,7 +26,6 @@ class L1Store(ExtendedLLCStore):
             LLC (128 KiB on the RTX 3080; flat with warp count).
     """
 
-    store_kind = "l1"
     supports_compression = False
 
     def __init__(

@@ -35,7 +35,6 @@ class RegisterFileStore(ExtendedLLCStore):
         compression_enabled: Apply BDI compression to stored blocks.
     """
 
-    store_kind = "register_file"
     supports_compression = True
 
     def __init__(

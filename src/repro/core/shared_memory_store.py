@@ -28,7 +28,6 @@ class SharedMemoryStore(ExtendedLLCStore):
         compression_enabled: Apply BDI compression to stored blocks.
     """
 
-    store_kind = "shared_memory"
     supports_compression = True
 
     def __init__(

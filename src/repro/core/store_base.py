@@ -145,13 +145,10 @@ class ExtendedLLCSet:
 class ExtendedLLCStore:
     """A set of extended LLC sets backed by one kind of on-chip memory.
 
-    Concrete subclasses provide the capacity model (how many block slots the
-    underlying memory offers per warp) and the timing label used by the
-    controller to pick access latencies.
+    Concrete subclasses provide the capacity model: how many block slots the
+    underlying memory offers per warp.
     """
 
-    #: Label used by :class:`repro.core.config.ExtendedLLCTiming`.
-    store_kind = "register_file"
     #: Whether BDI compression can be applied to blocks in this store
     #: (the L1 store handles blocks in hardware, so compression does not apply).
     supports_compression = True

@@ -20,6 +20,19 @@ Three layers:
 * :class:`ExperimentSpec` / :class:`ExperimentPlan` — the full matrix
   (systems x applications x SM counts x seeds at one fidelity) and its
   expansion into cells.
+
+Every key is :func:`content_hash`: the SHA-256 of a payload's canonical JSON
+text — dataclasses as objects of their fields, enums as their values, lists
+and tuples as arrays, dict keys converted with ``str``, every object's keys
+sorted, no spaces — byte for byte the text that copying the payload into
+dicts and lists and passing the copy to ``json.dumps(..., sort_keys=True,
+separators=(",", ":"))`` gives.  :func:`_render` writes that text in one
+recursive pass, encoding each leaf as :mod:`json` does, with no copy.
+Between calls it keeps only each dataclass type's sorted field names: it
+caches no text or hash of a payload, so every call renders its payload in
+full.  (:meth:`RunSpec.replay_key` and
+:meth:`~repro.scenarios.spec.ScenarioSpec.scenario_key` memoize their own
+keys on their instances.)
 """
 
 from __future__ import annotations
@@ -27,9 +40,12 @@ from __future__ import annotations
 import dataclasses
 import enum
 import hashlib
+import itertools
 import json
+import operator
 from dataclasses import dataclass
-from typing import Any, Iterator, Optional, Sequence, Tuple
+from json.encoder import encode_basestring_ascii
+from typing import Any, Callable, Dict, Iterator, Optional, Sequence, Tuple
 
 from repro.energy.components import ComponentEnergies, DEFAULT_ENERGIES
 from repro.gpu.config import GPUConfig, RTX3080_CONFIG
@@ -68,26 +84,92 @@ REPLAY_SCHEMA_VERSION = 5
 SCORE_SCHEMA_VERSION = 2
 
 
-def _jsonable(value: Any) -> Any:
-    """Render configs/profiles as canonical JSON-compatible structures."""
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return {
-            f.name: _jsonable(getattr(value, f.name))
-            for f in dataclasses.fields(value)
-        }
-    if isinstance(value, enum.Enum):
-        return value.value
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(item) for item in value]
-    if isinstance(value, dict):
-        return {str(key): _jsonable(item) for key, item in value.items()}
-    return value
+#: The JSON encoder of each exact leaf type (subclasses go to ``json.dumps``).
+#: ``float.__repr__`` writes the non-finite floats as ``nan``/``inf``/``-inf``;
+#: :data:`_FLOAT_NAMES` maps those three texts, which no other leaf encoding
+#: produces, to the names :mod:`json` writes.
+_LEAVES: Dict[type, Callable[[Any], str]] = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    float: float.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): {None: "null"}.__getitem__,
+}
+_FLOAT_NAMES = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+class _DataclassFields(dict):
+    """Per type: its fields' encoded ``"name":`` prefixes and a getter.
+
+    Both in sorted name order; the getter returns a dataclass instance's
+    field values as a tuple.  ``None`` for a type that is not a dataclass.
+    """
+
+    def __missing__(self, cls: type):
+        entry = None
+        if dataclasses.is_dataclass(cls) and not issubclass(cls, type):
+            names = tuple(sorted(field.name for field in dataclasses.fields(cls)))
+            if len(names) > 1:
+                getter = operator.attrgetter(*names)
+            else:  # attrgetter returns a bare value for one name
+                getter = lambda value: tuple(getattr(value, name) for name in names)
+            entry = (tuple(encode_basestring_ascii(name) + ":" for name in names), getter)
+        self[cls] = entry
+        return entry
+
+
+_FIELDS = _DataclassFields()
+
+#: The (empty) prefix of every item of a list or tuple.
+_NO_PREFIXES = itertools.repeat("")
+
+
+def _dumps(value: Any) -> str:
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
+def _render(value: Any) -> str:
+    """The canonical JSON text of ``value`` (see the module docstring).
+
+    The leaves of a dataclass, list, tuple or dict are encoded in place
+    rather than by a recursive call: a fleet timeline has tens of thousands.
+    """
+    cls = type(value)
+    leaf = _LEAVES.get(cls)
+    if leaf is not None:
+        text = leaf(value)
+        return _FLOAT_NAMES.get(text, text)
+    fields = _FIELDS[cls]
+    if fields is not None:
+        prefixes, getter = fields
+        items, opening, closing = getter(value), "{", "}"
+    elif isinstance(value, enum.Enum):
+        item = value.value
+        return _render(item) if type(item) in _LEAVES else _dumps(item)
+    elif isinstance(value, (list, tuple)):
+        prefixes, items, opening, closing = _NO_PREFIXES, value, "[", "]"
+    elif isinstance(value, dict):
+        # str() first: keys that convert equal collapse, the last one winning.
+        converted = {str(key): item for key, item in value.items()}
+        keys = sorted(converted)
+        prefixes = [encode_basestring_ascii(key) + ":" for key in keys]
+        items, opening, closing = map(converted.__getitem__, keys), "{", "}"
+    else:
+        return _dumps(value)
+    parts = []
+    for prefix, item in zip(prefixes, items):
+        leaf = _LEAVES.get(type(item))
+        if leaf is None:
+            parts.append(prefix + _render(item))
+        else:
+            text = leaf(item)
+            parts.append(prefix + _FLOAT_NAMES.get(text, text))
+    return opening + ",".join(parts) + closing
 
 
 def content_hash(payload: Any) -> str:
     """SHA-256 hex digest of ``payload`` rendered as canonical JSON."""
-    text = json.dumps(_jsonable(payload), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+    return hashlib.sha256(_render(payload).encode("utf-8")).hexdigest()
 
 
 @dataclass(frozen=True)

@@ -36,7 +36,7 @@ import dataclasses
 import time
 from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.energy.components import DEFAULT_ENERGIES
 from repro.gpu.config import GPUConfig, RTX3080_CONFIG
@@ -278,6 +278,21 @@ class SignaturePhases(SequenceABC):
     def __len__(self) -> int:
         return len(self._signature_ids)
 
+    @property
+    def transitions(self) -> Tuple[TransitionCost, ...]:
+        """The distinct transition costs, indexed by transition id."""
+        return self._transitions
+
+    @property
+    def phase_ids(self) -> Iterator[Tuple[int, int]]:
+        """Each phase's ``(signature id, transition id)``, in timeline order.
+
+        Signature ids index :attr:`ScenarioRunResult.signatures`, transition
+        ids :attr:`transitions`; the pair determines everything the phase
+        adds to a timeline aggregate.
+        """
+        return zip(self._signature_ids, self._transition_ids)
+
     def _decision(self, signature_id: int, transition_id: int) -> PhaseDecision:
         key = (signature_id, transition_id)
         decision = self._decisions.get(key)
@@ -316,13 +331,14 @@ class ScenarioRunResult:
 
     ``signatures`` holds the distinct :class:`SignatureExecution` records
     of the run; ``phases`` is the lazy per-phase :class:`SignaturePhases`
-    view over them (O(signatures) memory).
+    view over them (O(signatures) memory), on the cold and the warm path
+    alike.
     """
 
     scenario: ScenarioSpec
     system: str
     policy_name: str
-    phases: Sequence[PhaseExecution]
+    phases: SignaturePhases
     run_key: str
     signatures: Tuple[SignatureExecution, ...]
     elapsed_seconds: float = 0.0

@@ -28,7 +28,7 @@ aggregate derived from the leaves.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.runner.spec import (
     REPLAY_SCHEMA_VERSION,
@@ -206,11 +206,10 @@ class ScenarioSpec:
     @property
     def applications(self) -> Tuple[str, ...]:
         """Distinct applications appearing in the timeline, in first-seen order."""
-        seen = []
+        seen: Dict[str, None] = {}
         for phase in self.phases:
-            for name in phase.applications:
-                if name not in seen:
-                    seen.append(name)
+            for residency in phase.residents:
+                seen[residency.application] = None
         return tuple(seen)
 
     @property

@@ -89,14 +89,26 @@ class TestAccumulatorBitIdentity:
             for application, pairs in phase_slowdowns(result).items()
         }
 
-    def test_incremental_add_equals_from_result(self, tmp_path):
-        result = run_shape(tmp_path, "bursty")
-        accumulator = ScenarioAccumulator(result.scenario)
+    @pytest.mark.parametrize("with_reference", [False, True], ids=["own", "solo"])
+    @pytest.mark.parametrize("name", SHAPES)
+    def test_incremental_add_equals_from_result(self, tmp_path, name, with_reference):
+        # from_result adds each (signature, transition) pair's increment once
+        # per phase; add() works it out from every phase.
+        result = run_shape(tmp_path, name)
+        references = None
+        if with_reference:
+            references = {
+                application: 1.0 + 0.5 * index
+                for index, application in enumerate(result.scenario.applications)
+            }
+        accumulator = ScenarioAccumulator(result.scenario, reference_ipc=references)
         for execution in result.phases:
             accumulator.add(execution)
         assert (
             accumulator.aggregates()
-            == ScenarioAccumulator.from_result(result).aggregates()
+            == ScenarioAccumulator.from_result(
+                result, reference_ipc=references
+            ).aggregates()
         )
 
     def test_reference_ipc_drives_the_slowdowns(self, tmp_path):
