@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.analysis.scenarios import (
@@ -15,7 +17,12 @@ from repro.analysis.scenarios import (
     weighted_percentile,
 )
 from repro.runner import ExperimentRunner
-from repro.scenarios import SCENARIO_LIBRARY, ScenarioEngine, get_scenario
+from repro.scenarios import (
+    SCENARIO_LIBRARY,
+    SCENARIO_SYSTEMS,
+    ScenarioEngine,
+    get_scenario,
+)
 from fidelity_utils import TINY_FIDELITY
 
 SYSTEM = "Morpheus-Basic"
@@ -109,6 +116,32 @@ class TestAccumulatorBitIdentity:
             == ScenarioAccumulator.from_result(
                 result, reference_ipc=references
             ).aggregates()
+        )
+
+    @pytest.mark.parametrize("name", SHAPES)
+    @pytest.mark.parametrize("system", SCENARIO_SYSTEMS)
+    def test_warm_fold_equals_cold_add_on_every_system(self, tmp_path, system, name):
+        # A warm run rebuilds its per-phase ids from the stored aggregate.
+        # Folding those once per pair must equal adding every cold phase,
+        # whether the system's policy charges no transition or many.
+        scenario = get_scenario(name, **SHAPE_KWARGS.get(name, {}))
+        cold_runner = ExperimentRunner(cache_dir=tmp_path / "cache", max_workers=0)
+        cold = ScenarioEngine(runner=cold_runner, fidelity=TINY_FIDELITY).run(
+            scenario, system
+        )
+        accumulator = ScenarioAccumulator(cold.scenario)
+        for execution in cold.phases:
+            accumulator.add(execution)
+
+        warm_runner = ExperimentRunner(cache_dir=tmp_path / "cache", max_workers=0)
+        warm = ScenarioEngine(runner=warm_runner, fidelity=TINY_FIDELITY).run(
+            dataclasses.replace(scenario), system
+        )
+        assert warm_runner.disk_cache.scenario_hits == 1
+        assert warm_runner.replays == 0
+        assert (
+            ScenarioAccumulator.from_result(warm).aggregates()
+            == accumulator.aggregates()
         )
 
     def test_reference_ipc_drives_the_slowdowns(self, tmp_path):

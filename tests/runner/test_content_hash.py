@@ -181,24 +181,112 @@ def test_renders_the_reference_text(payload):
 @pytest.mark.parametrize(
     "payload",
     [
-        {1: "int key", "1": "str key"},
-        {10: "a", 9: "b", "x": [Level.HIGH, Mode.FAST]},
-        [Frozen(1, "a"), Frozen(1.0, "a"), Frozen(True, "a")],
-        (Frozen(0.0, None), Frozen(-0.0, None)),
-        [Mutable(mid={"k": (1, 2)}, zeta=[], alpha=Colour.PAIR)] * 3,
-        {"nan": float("nan"), "inf": [float("inf"), float("-inf")]},
-        ["\xe9\x00\u2028", Label("\xe9"), Count(7)],
-        object(),
-        {"nested": [object()]},
-        {1, 2},
-        b"bytes",
-        Frozen,
-        Frozen(zeta=Empty, alpha=1),
+        pytest.param({1: "int key", "1": "str key"}, id="colliding-keys"),
+        pytest.param({10: "a", 9: "b", "x": [Level.HIGH, Mode.FAST]}, id="int-keys"),
+        pytest.param([Frozen(1, "a"), Frozen(1.0, "a"), Frozen(True, "a")], id="one-twins"),
+        pytest.param((Frozen(0.0, None), Frozen(-0.0, None)), id="zero-twins"),
+        pytest.param(
+            [Mutable(mid={"k": (1, 2)}, zeta=[], alpha=Colour.PAIR)] * 3,
+            id="repeated-object",
+        ),
+        pytest.param(
+            {"nan": float("nan"), "inf": [float("inf"), float("-inf")]},
+            id="non-finite",
+        ),
+        pytest.param(["\xe9\x00\u2028", Label("\xe9"), Count(7)], id="subclasses"),
+        pytest.param(object(), id="object"),
+        pytest.param({"nested": [object()]}, id="nested-object"),
+        pytest.param({1, 2}, id="set"),
+        pytest.param(b"bytes", id="bytes"),
+        pytest.param(Frozen, id="dataclass-type"),
+        pytest.param(Frozen(zeta=Empty, alpha=1), id="dataclass-type-field"),
     ],
-    ids=repr,
 )
 def test_edge_payloads_render_or_raise_as_the_reference(payload):
     assert outcome(runner_spec._render, payload) == outcome(reference_text, payload)
+
+
+#: Leaves whose JSON encodings differ in some way from one another.
+LEAVES = [
+    pytest.param(None, id="none"),
+    pytest.param(True, id="true"),
+    pytest.param(False, id="false"),
+    pytest.param(0, id="int-zero"),
+    pytest.param(-1, id="int-negative"),
+    pytest.param(2**64, id="int-beyond-64-bits"),
+    pytest.param(-(2**70), id="int-negative-beyond-64-bits"),
+    pytest.param(0.0, id="float-zero"),
+    pytest.param(-0.0, id="float-negative-zero"),
+    pytest.param(0.1, id="float-inexact"),
+    pytest.param(1 / 3, id="float-seventeen-digits"),
+    pytest.param(1e16, id="float-exponent"),
+    pytest.param(1e-7, id="float-negative-exponent"),
+    pytest.param(5e-324, id="float-smallest-subnormal"),
+    pytest.param(1.7976931348623157e308, id="float-largest"),
+    pytest.param(float("nan"), id="float-nan"),
+    pytest.param(float("inf"), id="float-inf"),
+    pytest.param(float("-inf"), id="float-negative-inf"),
+    pytest.param("", id="str-empty"),
+    pytest.param("plain", id="str-plain"),
+    pytest.param('"', id="str-quote"),
+    pytest.param("\\", id="str-backslash"),
+    pytest.param("\b\f\n\r\t", id="str-short-escapes"),
+    pytest.param("\x00", id="str-nul"),
+    pytest.param("\x1f", id="str-unit-separator"),
+    pytest.param("\x7f", id="str-delete"),
+    pytest.param("\xe9", id="str-latin-1"),
+    pytest.param("\u2028\u2029", id="str-line-separators"),
+    pytest.param("\U0001f600", id="str-astral"),
+    pytest.param("\ud800", id="str-lone-surrogate"),
+    pytest.param("</script>", id="str-slash"),
+    pytest.param(Colour.RED, id="enum-str-value"),
+    pytest.param(Colour.GREEN, id="enum-int-value"),
+    pytest.param(Colour.BLUE, id="enum-float-value"),
+    pytest.param(Colour.PAIR, id="enum-tuple-value"),
+    pytest.param(Level.HIGH, id="int-enum"),
+    pytest.param(Mode.FAST, id="str-enum"),
+    pytest.param(Label("\xe9"), id="str-subclass"),
+    pytest.param(Count(7), id="int-subclass"),
+    pytest.param(Empty(), id="empty-dataclass"),
+]
+
+
+@pytest.mark.parametrize("leaf", LEAVES)
+def test_leaf_renders_as_the_reference_alone_and_nested(leaf):
+    # A payload that is itself a leaf is encoded on entry to _render; a leaf
+    # inside a list, tuple, dataclass or dict is encoded by that container's
+    # own loop.  Both must write what json writes.
+    assert runner_spec._render(leaf) == reference_text(leaf)
+    nested = [leaf, (leaf,), Single(leaf), {"key": leaf}]
+    assert runner_spec._render(nested) == reference_text(nested)
+
+
+@pytest.mark.parametrize(
+    "mapping",
+    [
+        pytest.param({True: 1, False: 0}, id="bool"),
+        pytest.param({None: 1}, id="none"),
+        pytest.param({1.5: 1, -0.0: 2}, id="float"),
+        pytest.param({float("nan"): 1, float("inf"): 2}, id="non-finite-float"),
+        pytest.param({Colour.RED: 1, Level.HIGH: 2}, id="enum"),
+        pytest.param({(1, "two"): 1}, id="tuple"),
+        pytest.param({Label("b"): 1, "a": 2}, id="str-subclass"),
+        pytest.param({"\xe9": 1, "e": 2, "\U0001f600": 3}, id="non-ascii"),
+        pytest.param({"\x00": 1, "\n": 2, "": 3}, id="control-and-empty"),
+        pytest.param({10: 1, 9: 2, 100: 3}, id="int-sorted-as-text"),
+        pytest.param({"b": 1, "a": 2, "B": 3}, id="case"),
+        pytest.param({"1": "str first", 1: "int last"}, id="int-overwrites-str"),
+        pytest.param({True: 1, "True": 2}, id="bool-collides-with-str"),
+        pytest.param({1: 1, 1.0: 2, "1.0": 3}, id="int-float-collapse"),
+    ],
+)
+def test_dict_keys_convert_collapse_and_sort_as_the_reference(mapping):
+    # Keys go through str() first, so keys that convert equal collapse, the
+    # last one winning, before the texts are sorted.
+    assert runner_spec._render(mapping) == reference_text(mapping)
+    assert runner_spec._render([mapping, Single(mapping)]) == reference_text(
+        [mapping, Single(mapping)]
+    )
 
 
 # -- the keys the repository derives ----------------------------------------------

@@ -9,14 +9,25 @@ the golden scenario fixtures (``test_golden_scenarios.py``).
 from __future__ import annotations
 
 import dataclasses
+from collections import Counter
+
+import pytest
 
 from repro.runner import ExperimentRunner
-from repro.scenarios import ScenarioEngine, fleet
+from repro.scenarios import (
+    SCENARIO_LIBRARY,
+    SCENARIO_SYSTEMS,
+    ScenarioEngine,
+    fleet,
+    get_scenario,
+)
 from repro.telemetry import Telemetry
 from repro.telemetry.report import summarize
 from scenario_test_utils import TINY_FIDELITY
 
 SYSTEM = "Morpheus-Basic"
+SHAPES = sorted(name for name in SCENARIO_LIBRARY if name != "diurnal")
+SHAPE_KWARGS = {"fleet": {"num_phases": 60, "seed": 2}}
 
 
 def engine_for(tmp_path, subdir):
@@ -70,3 +81,40 @@ class TestFleetScale:
         assert counters["scenario.dedup.misses"] == signatures
         histograms = summarize(trace_dir)["histograms"]
         assert histograms["scenario.signature_solve_seconds"]["count"] > 0
+
+
+class TestPhaseIds:
+    @pytest.mark.parametrize("name", SHAPES)
+    @pytest.mark.parametrize("system", SCENARIO_SYSTEMS)
+    def test_phase_ids_rebuild_every_phase_cold_and_warm(self, tmp_path, system, name):
+        scenario = get_scenario(name, **SHAPE_KWARGS.get(name, {}))
+        cold = engine_for(tmp_path, "cache").run(scenario, system)
+        warm_engine = engine_for(tmp_path, "cache")
+        warm = warm_engine.run(dataclasses.replace(scenario), system)
+        assert warm_engine.runner.disk_cache.scenario_hits == 1
+
+        for result in (cold, warm):
+            ids = list(result.phases.phase_ids)
+            assert len(ids) == len(result.phases) == len(scenario.phases)
+            # Each signature's count is the number of phases bearing its id.
+            assert Counter(signature for signature, _ in ids) == {
+                index: execution.count
+                for index, execution in enumerate(result.signatures)
+            }
+            transitions = result.phases.transitions
+            assert {transition for _, transition in ids} == set(range(len(transitions)))
+            for index, (signature, transition) in enumerate(ids):
+                phase = result.phases[index]
+                execution = result.signatures[signature]
+                assert phase.phase == scenario.phases[index]
+                assert phase.residents == execution.residents
+                assert phase.instructions == execution.instructions
+                assert phase.compute_cycles == execution.compute_cycles
+                assert phase.decision.split == execution.signature.split
+                assert phase.decision.grants == execution.signature.grants
+                assert phase.decision.transition == transitions[transition]
+
+        # The warm path stores and reloads the same ids, not a re-derivation.
+        assert list(warm.phases.phase_ids) == list(cold.phases.phase_ids)
+        assert warm.phases.transitions == cold.phases.transitions
+        assert snapshot(warm) == snapshot(cold)

@@ -111,6 +111,34 @@ class TestLibrary:
         assert demands == demands[::-1]
         assert demands[0] == 10 and max(demands) == 60
 
+    @pytest.mark.parametrize(
+        "name,kwargs",
+        [
+            pytest.param(name, {}, id=name)
+            for name in sorted(SCENARIO_LIBRARY)
+            if name != "fleet"
+        ]
+        + [
+            pytest.param("fleet", {"seed": seed}, id=f"fleet-seed{seed}")
+            for seed in (1, 2, 3)
+        ]
+        + [
+            pytest.param(
+                "fleet",
+                {"seed": 1, "applications": ("kmeans", "cfd", "spmv")},
+                id="fleet-reordered",
+            )
+        ],
+    )
+    def test_applications_are_distinct_in_first_seen_order(self, name, kwargs):
+        spec = get_scenario(name, **kwargs)
+        seen = []
+        for phase in spec.phases:
+            for application in phase.applications:
+                if application not in seen:
+                    seen.append(application)
+        assert spec.applications == tuple(seen)
+
     def test_get_scenario_lookup(self):
         assert get_scenario("bursty", bursts=1).name == "bursty"
         assert set(SCENARIO_LIBRARY) >= {"steady", "bursty", "corun_pair", "ramp", "diurnal"}
