@@ -22,7 +22,6 @@ from repro.scenarios import (
     ramp,
 )
 from repro.scenarios.contention import solve_scenario_contention
-from repro.sim.simulator import SimulationConfig
 from repro.workloads.applications import get_application
 
 #: A long diurnal timeline (2 * 24 - 1 = 47 phases) stresses per-phase work.
@@ -77,12 +76,9 @@ def test_corun_contention_solve():
 
 
 def _corun_leaves():
-    base = SimulationConfig(
+    base = BENCH_FIDELITY.config(
         num_compute_sms=28,
         power_gate_unused=True,
-        capacity_scale=BENCH_FIDELITY.capacity_scale,
-        trace_accesses=BENCH_FIDELITY.trace_accesses,
-        warmup_accesses=BENCH_FIDELITY.warmup_accesses,
         system_name="bench-contention",
         seed=1,
     )

@@ -2,10 +2,11 @@
 
 Analytic sweeps (envelope/MLP/peak-IPC/energy grids) and the co-run
 contention fixed point spend their time in the roofline of
-:class:`~repro.sim.vector_model.MeasurementScorer`.  These checks run
-:meth:`~repro.sim.performance_model.PerformanceModel.score_batch` over one
-measurement, plus the full envelope sweep (scoring + key derivation +
-cache plumbing) that experiment campaigns actually pay.
+:class:`~repro.sim.vector_model.MeasurementScorer`.  These checks score a
+grid over one measurement through one
+:meth:`~repro.sim.performance_model.PerformanceModel.scorer`, plus the full
+envelope sweep (scoring + key derivation + cache plumbing) that experiment
+campaigns actually pay.
 """
 
 from __future__ import annotations
@@ -17,18 +18,14 @@ from conftest import BENCH_FIDELITY
 from repro.analysis.rescoring import envelope_sweep
 from repro.runner import active_runner
 from repro.sim.performance_model import PerformanceModel, ResourceEnvelope
-from repro.sim.simulator import SimulationConfig
 from repro.workloads.applications import get_application
 
 #: Sweep width; ISSUE acceptance keys off a >= 64-point grid.
 GRID_POINTS = 128
 
-BASE_CONFIG = SimulationConfig(
+BASE_CONFIG = BENCH_FIDELITY.config(
     num_compute_sms=34,
     power_gate_unused=True,
-    capacity_scale=BENCH_FIDELITY.capacity_scale,
-    trace_accesses=BENCH_FIDELITY.trace_accesses,
-    warmup_accesses=BENCH_FIDELITY.warmup_accesses,
     system_name="bench-scoring",
     seed=1,
 )
@@ -53,7 +50,7 @@ def _variants():
     ]
 
 
-def test_score_batch_grid():
+def test_scorer_grid():
     """Score a 128-point envelope grid over one measurement (pure scoring)."""
     runner = active_runner()
     profile = get_application("kmeans")
@@ -61,7 +58,8 @@ def test_score_batch_grid():
     model = PerformanceModel()
     variants = _variants()
 
-    batched = model.score_batch(profile, variants, measurement, validate=False)
+    scorer = model.scorer(profile, BASE_CONFIG, measurement)
+    batched = [scorer.score_config(variant) for variant in variants]
 
     assert len(batched) == GRID_POINTS
     single = model.score(profile, variants[0], measurement)

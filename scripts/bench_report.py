@@ -55,14 +55,11 @@ def _config(fidelity: Fidelity, **kwargs) -> SimulationConfig:
     defaults = dict(
         num_compute_sms=34,
         power_gate_unused=True,
-        capacity_scale=fidelity.capacity_scale,
-        trace_accesses=fidelity.trace_accesses,
-        warmup_accesses=fidelity.warmup_accesses,
         system_name="bench-report",
         seed=1,
     )
     defaults.update(kwargs)
-    return SimulationConfig(**defaults)
+    return fidelity.config(**defaults)
 
 
 def _quartiles(samples):

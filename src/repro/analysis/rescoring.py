@@ -19,7 +19,6 @@ property the dense sensitivity figures rely on.
 from __future__ import annotations
 
 import dataclasses
-import functools
 from typing import Dict, Optional, Sequence, Tuple
 
 from repro.energy.components import ComponentEnergies
@@ -36,18 +35,10 @@ DEFAULT_MLP_GRID: Tuple[float, ...] = (80.0, 160.0, 240.0, 320.0, 480.0)
 DEFAULT_PEAK_IPC_GRID: Tuple[float, ...] = (2.0, 3.0, 4.0, 5.0, 6.0)
 
 
-@functools.lru_cache(maxsize=None)
-def _profile_by_name(name: str) -> ApplicationProfile:
-    return get_application(name)
-
-
 def _profile(application: str | ApplicationProfile) -> ApplicationProfile:
     if isinstance(application, ApplicationProfile):
         return application
-    # Memoized so every sweep point of a campaign sees the *same* profile
-    # object: RunSpec's per-instance replay-key memo and the batch scorer's
-    # identity-first replay checks both key off object identity.
-    return _profile_by_name(application)
+    return get_application(application)
 
 
 def mlp_sweep(
@@ -62,7 +53,7 @@ def mlp_sweep(
     configs = [
         dataclasses.replace(config, mlp_per_sm=value) for value in mlp_values
     ]
-    stats = runner.score_many(profile, configs)
+    stats = runner.run_configs(profile, configs)
     return dict(zip(mlp_values, stats))
 
 
@@ -79,7 +70,7 @@ def peak_ipc_sweep(
         dataclasses.replace(config, peak_warp_ipc_per_sm=value)
         for value in peak_ipc_values
     ]
-    stats = runner.score_many(profile, configs)
+    stats = runner.run_configs(profile, configs)
     return dict(zip(peak_ipc_values, stats))
 
 
@@ -103,7 +94,7 @@ def analytic_grid(
         dataclasses.replace(config, mlp_per_sm=mlp, peak_warp_ipc_per_sm=ipc)
         for mlp, ipc in points
     ]
-    stats = runner.score_many(profile, configs)
+    stats = runner.run_configs(profile, configs)
     return dict(zip(points, stats))
 
 
@@ -126,7 +117,7 @@ def envelope_sweep(
     configs = [
         dataclasses.replace(config, envelope=envelope) for envelope in envelopes
     ]
-    stats = runner.score_many(profile, configs)
+    stats = runner.run_configs(profile, configs)
     return dict(zip(envelopes, stats))
 
 
@@ -139,8 +130,7 @@ def energy_sweep(
     """Re-score ``config`` under each set of energy constants.
 
     Energy constants key the stats tier, not the replay tier, so the whole
-    grid shares one measurement fetch — and one roofline evaluation: the
-    cold points are batch-scored via
+    grid shares one measurement fetch: the cold points are scored via
     :meth:`~repro.runner.runner.ExperimentRunner.score_energy_grid` (an
     unexpectedly cold replay still lands on ``runner.replays``, keeping
     "replays has not moved" a truthful check).

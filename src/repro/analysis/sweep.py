@@ -38,13 +38,10 @@ def sweep_config(
     Public so analytic re-scoring sweeps (:mod:`repro.analysis.rescoring`)
     can address the very same replay keys the sweep populated.
     """
-    return SimulationConfig(
+    return fidelity.config(
         gpu=gpu,
         num_compute_sms=num_compute_sms,
         power_gate_unused=power_gate_unused,
-        capacity_scale=fidelity.capacity_scale,
-        trace_accesses=fidelity.trace_accesses,
-        warmup_accesses=fidelity.warmup_accesses,
         system_name=system_name,
         seed=seed,
     )

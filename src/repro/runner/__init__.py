@@ -10,7 +10,7 @@ measurements (keyed by :meth:`RunSpec.replay_key`) and scored results
 script that overlaps one) costs only JSON loads, a run restarted after a
 crash resumes from the entries its predecessor stored, and re-scoring
 under different analytic parameters (MLP, peak IPC, energy constants —
-e.g. via ``ExperimentRunner.score_many`` or :mod:`repro.analysis.rescoring`)
+e.g. via ``ExperimentRunner.run_configs`` or :mod:`repro.analysis.rescoring`)
 hits the measurement tier and never re-replays a trace.
 """
 

@@ -16,12 +16,18 @@ phases backed by the two tiers of the on-disk
    tier — the measurement tier hits and no trace is re-replayed.
 
 * ``simulate`` runs one leaf (profile, config) pair through both phases.
-* ``run_configs`` / ``score_many`` run a batch of leaf configs for one
-  profile: score-tier misses are grouped by replay key, the missing
-  *replays* (not whole simulations) are farmed out to a
+* ``run_configs`` / ``run_leaves`` run a batch of leaf configs (for one
+  profile, or mixing profiles): score-tier misses are grouped by replay
+  key, the missing *replays* (not whole simulations) are farmed out to a
   ``ProcessPoolExecutor`` (with a transparent serial fallback when
-  multiprocessing is unavailable or ``max_workers <= 1``), and scoring
-  happens in-process.
+  multiprocessing is unavailable or ``max_workers <= 1``), and each replay
+  group is scored in-process through one
+  :class:`~repro.sim.vector_model.MeasurementScorer`.  Analytic re-scoring
+  sweeps are plain ``run_configs`` batches that hit the measurement tier.
+* ``measurement_for`` / ``scorer_for`` split the two phases for callers
+  that score one measurement many times in-process (the contention solver,
+  the envelope search), and ``score_energy_grid`` scores one leaf under
+  many energy-constant variants.
 * ``run_plan`` executes a declarative :class:`~repro.runner.spec.ExperimentSpec`
   / :class:`~repro.runner.spec.ExperimentPlan` cell matrix in parallel; each
   worker shares the same on-disk cache, so a warm re-run of a plan costs
@@ -359,15 +365,6 @@ class ExperimentRunner:
     ) -> RunSpec:
         return RunSpec(profile, config, self._energies())
 
-    def _score(
-        self,
-        profile: ApplicationProfile,
-        config: SimulationConfig,
-        measurement: ReplayMeasurement,
-    ) -> SimulationStats:
-        """Phase 2: pure analytic scoring of one measurement."""
-        return self._performance_model.score(profile, config, measurement)
-
     def _obtain_measurement(
         self, profile: ApplicationProfile, config: SimulationConfig, replay_key: str
     ) -> ReplayMeasurement:
@@ -391,20 +388,6 @@ class ExperimentRunner:
         run = self._run_spec(profile, config)
         return self._obtain_measurement(profile, config, run.replay_key())
 
-    def score_measurement(
-        self,
-        profile: ApplicationProfile,
-        config: SimulationConfig,
-        measurement: ReplayMeasurement,
-    ) -> SimulationStats:
-        """Phase 2 alone: pure analytic scoring, no cache interaction.
-
-        The complement of :meth:`measurement_for`; bit-identical to what
-        :meth:`simulate` would produce for the same inputs because scoring
-        is a pure function of (profile, config, measurement, energies).
-        """
-        return self._score(profile, config, measurement)
-
     def scorer_for(
         self,
         profile: ApplicationProfile,
@@ -413,12 +396,14 @@ class ExperimentRunner:
     ) -> "MeasurementScorer":
         """A precomputed scorer over ``measurement`` (this runner's energy model).
 
-        For callers that score one measurement under many score-tier
-        variants in-process (the contention solver's per-iteration
-        envelopes): the replay-side invariants are hoisted once, and
-        :meth:`~repro.sim.vector_model.MeasurementScorer.score_envelope`
-        results equal what :meth:`score_measurement` returns for the same
-        config.
+        Phase 2 alone, the complement of :meth:`measurement_for`: for
+        callers that score one measurement under many score-tier variants
+        in-process (the contention solver's per-iteration envelopes, the
+        envelope search's candidates) with no cache interaction.  The
+        replay-side invariants are hoisted once, and the scorer's
+        ``score_config`` / ``score_envelope`` results equal what
+        :meth:`simulate` stores for the same config, because scoring is a
+        pure function of (profile, config, measurement, energies).
         """
         return self._performance_model.scorer(profile, config, measurement)
 
@@ -428,48 +413,32 @@ class ExperimentRunner:
         config: SimulationConfig,
         energies_grid: Sequence["ComponentEnergies"],
     ) -> List[SimulationStats]:
-        """Score one leaf under many energy-constant variants, batched.
+        """Score one leaf under many energy-constant variants.
 
         Each grid point has its own score key (energies are keyed), so warm
         points are served from the stats tier; the cold points share one
-        measurement fetch and one roofline evaluation
-        (:meth:`~repro.sim.vector_model.MeasurementScorer.score_energy_batch`).
-        Bit-identical to scoring each point through a
-        :meth:`with_energy_model` sibling's :meth:`simulate`, at a fraction
-        of the per-point key-derivation and cache traffic.
+        measurement fetch and are each scored by
+        ``PerformanceModel(EnergyModel(energies))``.  Bit-identical to
+        scoring each point through a :meth:`with_energy_model` sibling's
+        :meth:`simulate`.
         """
-        specs = []
-        replay_key: Optional[str] = None
+        results: List[SimulationStats] = []
+        measurement: Optional[ReplayMeasurement] = None
         for energies in energies_grid:
-            spec = RunSpec(profile, config, energies)
-            if replay_key is None:
-                replay_key = spec.replay_key()
-            else:
-                # All points share the replay inputs; reuse the memoized key
-                # instead of re-rendering the profile per point.
-                object.__setattr__(spec, "_replay_key", replay_key)
-            specs.append(spec)
-        results: List[Optional[SimulationStats]] = [None] * len(specs)
-        score_keys = [spec.score_key() for spec in specs]
-        pending = []
-        for index, key in enumerate(score_keys):
-            cached = self._lookup(key)
-            if cached is not None:
-                results[index] = cached
-            else:
-                pending.append(index)
-        if pending:
-            assert replay_key is not None
-            measurement = self._obtain_measurement(profile, config, replay_key)
-            scorer = self.scorer_for(profile, config, measurement)
-            scored = scorer.score_energy_batch(
-                config,
-                [EnergyModel(specs[index].energies) for index in pending],
-            )
-            for index, stats in zip(pending, scored):
-                self._store(score_keys[index], stats)
-                results[index] = stats
-        return [stats for stats in results if stats is not None]
+            run = RunSpec(profile, config, energies)
+            score_key = run.score_key()
+            stats = self._lookup(score_key)
+            if stats is None:
+                if measurement is None:
+                    measurement = self._obtain_measurement(
+                        profile, config, run.replay_key()
+                    )
+                stats = PerformanceModel(EnergyModel(energies)).score(
+                    profile, config, measurement
+                )
+                self._store(score_key, stats)
+            results.append(stats)
+        return results
 
     def simulate(
         self, profile: ApplicationProfile, config: SimulationConfig
@@ -484,10 +453,10 @@ class ExperimentRunner:
         tel = telemetry()
         if tel.enabled:
             start = time.perf_counter()
-            stats = self._score(profile, config, measurement)
+            stats = self._performance_model.score(profile, config, measurement)
             tel.observe("runner.score_seconds", time.perf_counter() - start)
         else:
-            stats = self._score(profile, config, measurement)
+            stats = self._performance_model.score(profile, config, measurement)
         self._store(score_key, stats)
         return stats
 
@@ -495,7 +464,6 @@ class ExperimentRunner:
         self,
         profile: ApplicationProfile,
         configs: Sequence[SimulationConfig],
-        parallel: bool = True,
     ) -> List[SimulationStats]:
         """Run many configs for one profile, parallelizing replay-tier misses.
 
@@ -503,14 +471,15 @@ class ExperimentRunner:
         only in analytic parameters share one replay; only the measurements
         that are missing from both the in-process layer and the on-disk
         measurement tier are farmed out to worker processes.  Scoring is
-        cheap and always happens in-process.
+        cheap and always happens in-process.  An analytic sweep over an
+        already-replayed config is served from the measurement tier at zero
+        replay cost; check :attr:`replays` afterwards to assert that.
         """
-        return self.run_leaves([(profile, config) for config in configs], parallel)
+        return self.run_leaves([(profile, config) for config in configs])
 
     def run_leaves(
         self,
         leaves: Sequence[Tuple[ApplicationProfile, SimulationConfig]],
-        parallel: bool = True,
     ) -> List[SimulationStats]:
         """Run many (profile, config) leaves in one replay-pooled batch.
 
@@ -522,15 +491,14 @@ class ExperimentRunner:
         """
         tel = telemetry()
         if not tel.enabled:
-            return self._run_leaves_impl(leaves, parallel)
+            return self._run_leaves_impl(leaves)
         with tel.span("runner.run_leaves", leaves=len(leaves)) as span:
-            results = self._run_leaves_impl(leaves, parallel, span)
+            results = self._run_leaves_impl(leaves, span)
         return results
 
     def _run_leaves_impl(
         self,
         leaves: Sequence[Tuple[ApplicationProfile, SimulationConfig]],
-        parallel: bool = True,
         span=None,
     ) -> List[SimulationStats]:
         runs = [self._run_spec(profile, config) for profile, config in leaves]
@@ -564,7 +532,7 @@ class ExperimentRunner:
 
             if span is not None:
                 span.set(pending=len(pending), replay_misses=len(missing))
-            workers = self._effective_workers(len(missing)) if parallel else 1
+            workers = self._effective_workers(len(missing))
             computed: Optional[List[ReplayMeasurement]] = None
             if missing and workers > 1:
                 jobs = [leaves[by_replay[key][0]] for key in missing]
@@ -579,38 +547,20 @@ class ExperimentRunner:
                 measurements[key] = measurement
 
             # Score each replay group through one scorer: same key ⇒ same
-            # replay parameters and profile content, so per-config
-            # validation is redundant.
+            # replay parameters and profile content.
             with telemetry().span(
                 "runner.score", groups=len(by_replay), leaves=len(pending)
             ):
                 for key, indices in by_replay.items():
-                    scored = self._performance_model.score_batch(
-                        leaves[indices[0]][0],
-                        [leaves[index][1] for index in indices],
-                        measurements[key],
-                        validate=False,
+                    profile, config = leaves[indices[0]]
+                    scorer = self._performance_model.scorer(
+                        profile, config, measurements[key]
                     )
-                    for index, stats in zip(indices, scored):
+                    for index in indices:
+                        stats = scorer.score_config(leaves[index][1])
                         self._store(score_keys[index], stats)
                         results[index] = stats
         return [stats for stats in results if stats is not None]
-
-    def score_many(
-        self,
-        profile: ApplicationProfile,
-        configs: Sequence[SimulationConfig],
-        parallel: bool = True,
-    ) -> List[SimulationStats]:
-        """Batch re-scoring API: score many analytic variants of one profile.
-
-        Semantically identical to :meth:`run_configs` — named for the common
-        case where every config shares its replay inputs with an
-        already-replayed run (an MLP/peak-IPC/energy sweep), so the whole
-        batch is served from the measurement tier at zero replay cost.
-        Check :attr:`replays` afterwards to assert that no replay happened.
-        """
-        return self.run_configs(profile, configs, parallel=parallel)
 
     # -- plan execution ---------------------------------------------------------------
 
@@ -658,24 +608,16 @@ class ExperimentRunner:
             computed = [self._execute_cell(cell, plan.spec) for cell in plan.cells]
         return dict(zip(plan.cells, computed))
 
-    def run(self, spec: ExperimentSpec) -> ExperimentResult:
-        """Expand and execute ``spec`` (convenience wrapper for ``run_plan``)."""
-        return self.run_plan(spec)
-
     def _execute_cell(self, cell: ExperimentCell, spec: ExperimentSpec) -> SimulationStats:
         # Imported lazily: repro.systems modules call back into the runner.
         from repro.systems.registry import evaluate_application
 
         profile = get_application(cell.application)
-        fidelity = spec.fidelity
         if cell.sm_count is not None:
-            config = SimulationConfig(
+            config = spec.fidelity.config(
                 gpu=spec.gpu,
                 num_compute_sms=cell.sm_count,
                 power_gate_unused=True,
-                capacity_scale=fidelity.capacity_scale,
-                trace_accesses=fidelity.trace_accesses,
-                warmup_accesses=fidelity.warmup_accesses,
                 system_name=cell.system,
                 seed=cell.seed,
             )
@@ -687,7 +629,7 @@ class ExperimentRunner:
                 cell.system,
                 profile,
                 spec.gpu,
-                fidelity,
+                spec.fidelity,
                 seed=cell.seed,
                 predictor=cell.predictor,
             )

@@ -225,10 +225,6 @@ class RunSpec:
             }
         )
 
-    def content_key(self) -> str:
-        """Alias for :meth:`score_key` (the full-input-set key)."""
-        return self.score_key()
-
 
 @dataclass(frozen=True)
 class ExperimentCell:

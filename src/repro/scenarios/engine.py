@@ -428,15 +428,12 @@ class ScenarioEngine:
         self, grant: ResidentGrant, morpheus: Optional[object], system: str
     ) -> SimulationConfig:
         """The leaf config one resident grant lowers to (pure function)."""
-        return SimulationConfig(
+        return self.fidelity.config(
             gpu=self.gpu,
             morpheus=morpheus if grant.cache_sms > 0 else None,
             num_compute_sms=grant.compute_sms,
             num_cache_sms=grant.cache_sms,
             power_gate_unused=system != "BL",
-            capacity_scale=self.fidelity.capacity_scale,
-            trace_accesses=self.fidelity.trace_accesses,
-            warmup_accesses=self.fidelity.warmup_accesses,
             system_name=system,
             seed=self.seed,
         )

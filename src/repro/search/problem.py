@@ -19,15 +19,15 @@ Both concrete problems ride the two-phase cache:
 * :class:`EnvelopeSearchProblem` — tunes one leaf's
   :class:`~repro.sim.performance_model.ResourceEnvelope` bandwidth shares
   under a total-share budget.  The single replay measurement is fetched
-  once and every candidate is scored analytically via
-  :meth:`~repro.runner.runner.ExperimentRunner.score_measurement` —
-  score-tier-only by construction, zero replays after the first fetch.
+  once, one :meth:`~repro.runner.runner.ExperimentRunner.scorer_for`
+  scorer hoists it, and every candidate is scored analytically via
+  :meth:`~repro.sim.vector_model.MeasurementScorer.score_envelope` — no
+  cache traffic per candidate, zero replays after the first fetch.
 """
 
 from __future__ import annotations
 
 import abc
-import dataclasses
 from dataclasses import dataclass, field
 from typing import Dict, Mapping, Optional, Union
 
@@ -40,6 +40,7 @@ from repro.scenarios.policy import DynamicCapacityManager, TransitionCostModel
 from repro.scenarios.spec import ScenarioSpec
 from repro.sim.performance_model import ResourceEnvelope
 from repro.sim.simulator import SimulationConfig
+from repro.sim.vector_model import MeasurementScorer
 from repro.systems.fidelity import FAST_FIDELITY, Fidelity, get_fidelity
 from repro.workloads.applications import get_application
 
@@ -209,9 +210,10 @@ class EnvelopeSearchProblem(SearchProblem):
     toward feasibility instead of a cliff).
 
     The replay measurement is fetched once (one replay-tier access for the
-    whole search) and every candidate is scored with
-    :meth:`ExperimentRunner.score_measurement` — pure analytic scoring,
-    zero cache traffic per step.
+    whole search) and hoisted into one
+    :meth:`ExperimentRunner.scorer_for` scorer; every candidate is scored
+    with its ``score_envelope`` — pure analytic scoring, zero cache
+    traffic per step.
     """
 
     def __init__(
@@ -238,15 +240,12 @@ class EnvelopeSearchProblem(SearchProblem):
         self.penalty = penalty
         self.space = space or envelope_space()
         self.profile = get_application(application)
-        self._measurement = None
+        self._scorer: Optional[MeasurementScorer] = None
 
     def _base_config(self) -> SimulationConfig:
-        return SimulationConfig(
+        return self.fidelity.config(
             num_compute_sms=self.num_compute_sms,
             power_gate_unused=True,
-            capacity_scale=self.fidelity.capacity_scale,
-            trace_accesses=self.fidelity.trace_accesses,
-            warmup_accesses=self.fidelity.warmup_accesses,
             system_name="envelope-search",
             seed=self.seed,
         )
@@ -272,12 +271,12 @@ class EnvelopeSearchProblem(SearchProblem):
     def _evaluate_envelope(
         self, envelope: ResourceEnvelope, candidate: Dict[str, object]
     ) -> Evaluation:
-        runner = self._active_runner()
-        base = self._base_config()
-        if self._measurement is None:
-            self._measurement = runner.measurement_for(self.profile, base)
-        config = dataclasses.replace(base, envelope=envelope)
-        stats = runner.score_measurement(self.profile, config, self._measurement)
+        if self._scorer is None:
+            runner = self._active_runner()
+            base = self._base_config()
+            measurement = runner.measurement_for(self.profile, base)
+            self._scorer = runner.scorer_for(self.profile, base, measurement)
+        stats = self._scorer.score_envelope(envelope)
         spent = (
             envelope.dram_bandwidth_share
             + envelope.llc_bandwidth_share

@@ -8,13 +8,16 @@ performance/watt.  This module holds the second half as a standalone, pure
 :class:`PerformanceModel`: given one :class:`ReplayMeasurement` it can be
 re-applied under different analytic parameters (peak IPC, MLP, energy
 constants) without re-running the replay — which is what makes disk-cached
-and batched experiment execution cheap.
+experiment execution cheap.  :meth:`PerformanceModel.score` scores one
+config; :meth:`PerformanceModel.scorer` hands out the
+:class:`~repro.sim.vector_model.MeasurementScorer` whose ``score_config`` /
+``score_envelope`` pair scores many variants of one measurement.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
+from typing import Any, Dict, Optional, Tuple, TYPE_CHECKING
 
 from repro.energy.model import EnergyModel
 from repro.sim.engine import HierarchyCounters
@@ -211,40 +214,9 @@ class PerformanceModel:
 
         The scorer hoists every replay-side invariant once; use it to score
         the same measurement under many score-tier parameter variants
-        (batch sweeps, per-iteration contention envelopes) without paying
-        that preamble per point.
+        (a replay group's sweep points, per-iteration contention envelopes)
+        without paying that preamble per point.
         """
         return MeasurementScorer(
             profile, config, measurement, energy_model=self.energy_model
         )
-
-    def score_batch(
-        self,
-        profile: ApplicationProfile,
-        configs: Sequence["SimulationConfig"],
-        measurement: ReplayMeasurement,
-        validate: bool = True,
-    ) -> List[SimulationStats]:
-        """Score ``measurement`` under every config through one scorer.
-
-        All configs must share the replay parameters the measurement was
-        produced under (they may differ in any
-        :data:`~repro.sim.simulator.SCORE_FIELDS` dimension); with
-        ``validate`` each config is checked against the first and a
-        mismatch raises :class:`ValueError`.  Callers that group configs by
-        ``replay_key`` (e.g. the runner) may pass ``validate=False``.
-
-        Bit-identical to calling :meth:`score` per config.
-        """
-        if not configs:
-            return []
-        scorer = self.scorer(profile, configs[0], measurement)
-        if validate:
-            for config in configs[1:]:
-                if not scorer.matches_replay(config):
-                    raise ValueError(
-                        "score_batch configs must share replay parameters; "
-                        f"{config!r} differs from {configs[0]!r} in a "
-                        "REPLAY_FIELDS dimension"
-                    )
-        return scorer.score_batch(configs)

@@ -58,12 +58,6 @@ class SimulationStats:
     average_power_watts: float = 0.0
     performance_per_watt: float = 0.0
 
-    def speedup_over(self, baseline: "SimulationStats") -> float:
-        """Speedup of this run relative to ``baseline`` (same application)."""
-        if self.execution_cycles <= 0 or baseline.execution_cycles <= 0:
-            return 0.0
-        return baseline.execution_cycles / self.execution_cycles
-
     def normalized_execution_time(self, baseline: "SimulationStats") -> float:
         """Execution time normalized to ``baseline`` (Fig. 12 top, lower is better)."""
         if baseline.execution_cycles <= 0:

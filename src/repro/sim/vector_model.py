@@ -11,19 +11,19 @@ implementation of that bottleneck (roofline-style) model, split in two:
 * :meth:`~MeasurementScorer.score_config` /
   :meth:`~MeasurementScorer.score_envelope` evaluate the few expressions
   that depend on the score-tier parameters over the hoisted state (the
-  contention solver calls ``score_envelope`` once per iteration);
-* :meth:`~MeasurementScorer.score_batch` scores a grid of score-parameter
-  variants, and :meth:`~MeasurementScorer.score_energy_batch` shares one
-  roofline evaluation across a grid of energy-constant variants.
+  contention solver calls ``score_envelope`` once per iteration).
 
+These two methods are the only way a measurement becomes
+:class:`~repro.sim.stats.SimulationStats`.
 :meth:`PerformanceModel.score <repro.sim.performance_model.PerformanceModel.score>`
-builds a scorer and calls ``score_config``, so a single leaf, a sweep and a
+builds a scorer and calls ``score_config``, and the runner scores each
+replay group through one scorer, so a single leaf, a sweep and a
 contention solve all run the same arithmetic.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, TYPE_CHECKING
+from typing import Dict, Optional, TYPE_CHECKING
 
 from repro.energy.model import EnergyModel
 from repro.sim.stats import SimulationStats
@@ -52,8 +52,7 @@ class MeasurementScorer:
 
     All replay-side quantities are hoisted in ``__init__``; the per-call
     work touches only the :data:`~repro.sim.simulator.SCORE_FIELDS`
-    parameters (power gating, peak IPC, MLP, system label, envelope) and —
-    for :meth:`score_energy_batch` — the energy constants.
+    parameters (power gating, peak IPC, MLP, system label, envelope).
 
     Args:
         profile: Application the measurement belongs to.
@@ -158,24 +157,6 @@ class MeasurementScorer:
             return None
         return bytes_per_ki / 1000.0
 
-    # -- replay-compatibility guard ----------------------------------------------------
-
-    def matches_replay(self, config: "SimulationConfig") -> bool:
-        """Whether ``config`` shares this scorer's replay parameters."""
-        from repro.sim.simulator import REPLAY_FIELDS
-
-        base = self.base_config
-        if config is base:
-            return True
-        for name in REPLAY_FIELDS:
-            ours = getattr(base, name)
-            theirs = getattr(config, name)
-            # Identity-first: sweeps share the same gpu/morpheus objects,
-            # so the nested dataclass comparison almost never runs.
-            if theirs is not ours and theirs != ours:
-                return False
-        return True
-
     # -- scoring -----------------------------------------------------------------------
 
     def _roofline(self, peak: float, mlp: float, envelope: "ResourceEnvelope"):
@@ -214,12 +195,10 @@ class MeasurementScorer:
         mlp: float,
         system_name: str,
         envelope: "ResourceEnvelope",
-        energy_model: Optional[EnergyModel] = None,
-        _limits: Optional[Dict[str, float]] = None,
     ) -> SimulationStats:
         """Full statistics for one score-parameter point over the hoisted state."""
-        energy_model = energy_model or self.energy_model
-        limits = dict(_limits) if _limits is not None else self._roofline(peak, mlp, envelope)
+        energy_model = self.energy_model
+        limits = self._roofline(peak, mlp, envelope)
         ipc = min(limits.values())
         bottleneck = min(limits, key=limits.get)
         execution_cycles = self._instructions / max(ipc, 1e-9)
@@ -313,39 +292,3 @@ class MeasurementScorer:
             base.system_name,
             envelope,
         )
-
-    def score_energy_batch(
-        self,
-        config: "SimulationConfig",
-        energy_models: Sequence[EnergyModel],
-    ) -> List[SimulationStats]:
-        """Score ``config`` under each energy model, sharing one roofline pass.
-
-        The roofline (limits, IPC, bottleneck) is independent of the energy
-        constants, so it is evaluated once; each grid point then runs only
-        the energy arithmetic — through the real :class:`EnergyModel`, so
-        results are bit-identical to scoring each point from scratch.
-        """
-        limits = self._roofline(
-            config.peak_warp_ipc_per_sm, config.mlp_per_sm, config.envelope
-        )
-        return [
-            self._score(
-                config.power_gate_unused,
-                config.peak_warp_ipc_per_sm,
-                config.mlp_per_sm,
-                config.system_name,
-                config.envelope,
-                energy_model=energy_model,
-                _limits=limits,
-            )
-            for energy_model in energy_models
-        ]
-
-    def score_batch(self, configs: Sequence["SimulationConfig"]) -> List[SimulationStats]:
-        """Score every config variant over the hoisted state.
-
-        Configs must share this scorer's replay parameters (the caller
-        guards that; see ``PerformanceModel.score_batch``).
-        """
-        return [self.score_config(config) for config in configs]

@@ -16,8 +16,7 @@
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, replace
-from typing import List, Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from repro.gpu.config import GPUConfig, RTX3080_CONFIG
 from repro.sim.simulator import SimulationConfig
@@ -67,19 +66,12 @@ class EvaluatedSystem(abc.ABC):
         search_fidelity: bool = False,
         **kwargs,
     ) -> SimulationConfig:
-        fidelity = self.fidelity
         kwargs.setdefault("seed", self.seed)
-        return SimulationConfig(
+        return self.fidelity.config(
+            search_fidelity,
             gpu=gpu,
             num_compute_sms=num_compute_sms,
             power_gate_unused=power_gate_unused,
-            capacity_scale=fidelity.capacity_scale,
-            trace_accesses=(
-                fidelity.search_trace_accesses if search_fidelity else fidelity.trace_accesses
-            ),
-            warmup_accesses=(
-                fidelity.search_warmup_accesses if search_fidelity else fidelity.warmup_accesses
-            ),
             system_name=self.name,
             **kwargs,
         )

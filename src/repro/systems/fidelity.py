@@ -10,12 +10,17 @@ default and drives the examples, ``scripts/search.py``,
 checks under ``benchmarks/`` define their own 1/32 ``BENCH_FIDELITY``
 (also the sizing of ``scripts/spotcheck_fig12.py`` and perfbench's fig12
 workload), and the tier-1 tests use an even smaller ``TINY_FIDELITY``
-(``tests/fidelity_utils.py``).
+(``tests/fidelity_utils.py``).  Every leaf config is sized through
+:meth:`Fidelity.config`, the one place that maps a preset onto a
+:class:`~repro.sim.simulator.SimulationConfig`'s capacity scale and trace
+and warm-up lengths.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+from repro.sim.simulator import SimulationConfig
 
 
 @dataclass(frozen=True)
@@ -48,6 +53,25 @@ class Fidelity:
         ):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
+
+    def config(self, search: bool = False, **fields) -> SimulationConfig:
+        """A leaf config sized by this fidelity.
+
+        Sets the capacity scale and the trace and warm-up sizing — the
+        search sizing when ``search`` is true — and passes ``fields`` (SM
+        split, system label, seed, ...) through to
+        :class:`~repro.sim.simulator.SimulationConfig`.
+        """
+        if search:
+            trace, warmup = self.search_trace_accesses, self.search_warmup_accesses
+        else:
+            trace, warmup = self.trace_accesses, self.warmup_accesses
+        return SimulationConfig(
+            capacity_scale=self.capacity_scale,
+            trace_accesses=trace,
+            warmup_accesses=warmup,
+            **fields,
+        )
 
 
 STANDARD_FIDELITY = Fidelity()

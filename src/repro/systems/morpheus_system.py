@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Sequence
 
 from repro.core.config import MorpheusConfig
 from repro.gpu.config import GPUConfig, RTX3080_CONFIG
@@ -138,22 +138,13 @@ class MorpheusSystem(EvaluatedSystem):
         num_cache_sms: int,
         search_fidelity: bool = False,
     ) -> SimulationConfig:
-        fidelity = self.fidelity
-        return SimulationConfig(
-            gpu=self.gpu,
-            morpheus=self.morpheus_config if num_cache_sms > 0 else None,
-            num_compute_sms=num_compute_sms,
-            num_cache_sms=num_cache_sms,
+        return self._config(
+            self.gpu,
+            num_compute_sms,
             power_gate_unused=True,
-            capacity_scale=fidelity.capacity_scale,
-            trace_accesses=(
-                fidelity.search_trace_accesses if search_fidelity else fidelity.trace_accesses
-            ),
-            warmup_accesses=(
-                fidelity.search_warmup_accesses if search_fidelity else fidelity.warmup_accesses
-            ),
-            system_name=self.name,
-            seed=self.seed,
+            search_fidelity=search_fidelity,
+            morpheus=self.morpheus_config if num_cache_sms > 0 else None,
+            num_cache_sms=num_cache_sms,
         )
 
     def _simulate_point(

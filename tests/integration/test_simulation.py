@@ -264,3 +264,14 @@ class TestFidelityPresets:
             get_fidelity("turbo")
         with pytest.raises(TypeError):
             get_fidelity(3)
+
+    def test_config_sizes_a_leaf_and_passes_fields_through(self):
+        full = FAST_FIDELITY.config(num_compute_sms=20, system_name="leaf", seed=3)
+        assert full.capacity_scale == FAST_FIDELITY.capacity_scale
+        assert full.trace_accesses == FAST_FIDELITY.trace_accesses
+        assert full.warmup_accesses == FAST_FIDELITY.warmup_accesses
+        assert (full.num_compute_sms, full.system_name, full.seed) == (20, "leaf", 3)
+        search = FAST_FIDELITY.config(search=True, num_compute_sms=20)
+        assert search.capacity_scale == FAST_FIDELITY.capacity_scale
+        assert search.trace_accesses == FAST_FIDELITY.search_trace_accesses
+        assert search.warmup_accesses == FAST_FIDELITY.search_warmup_accesses

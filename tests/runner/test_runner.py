@@ -33,23 +33,23 @@ def runner(tmp_path) -> ExperimentRunner:
 class TestContentKeys:
     def test_key_is_stable(self, kmeans_profile):
         spec = RunSpec(kmeans_profile, tiny_config())
-        assert spec.content_key() == spec.content_key()
-        assert spec.content_key() == RunSpec(kmeans_profile, tiny_config()).content_key()
+        assert spec.score_key() == spec.score_key()
+        assert spec.score_key() == RunSpec(kmeans_profile, tiny_config()).score_key()
 
     def test_key_changes_with_any_config_field(self, kmeans_profile):
-        base = RunSpec(kmeans_profile, tiny_config()).content_key()
-        assert RunSpec(kmeans_profile, tiny_config(seed=2)).content_key() != base
-        assert RunSpec(kmeans_profile, tiny_config(num_compute_sms=24)).content_key() != base
+        base = RunSpec(kmeans_profile, tiny_config()).score_key()
+        assert RunSpec(kmeans_profile, tiny_config(seed=2)).score_key() != base
+        assert RunSpec(kmeans_profile, tiny_config(num_compute_sms=24)).score_key() != base
         assert (
-            RunSpec(kmeans_profile, tiny_config(request_interval_cycles=3.0)).content_key()
+            RunSpec(kmeans_profile, tiny_config(request_interval_cycles=3.0)).score_key()
             != base
         )
 
     def test_key_changes_with_profile(self, kmeans_profile, cfd_profile):
         config = tiny_config()
         assert (
-            RunSpec(kmeans_profile, config).content_key()
-            != RunSpec(cfd_profile, config).content_key()
+            RunSpec(kmeans_profile, config).score_key()
+            != RunSpec(cfd_profile, config).score_key()
         )
 
     def test_key_changes_with_replay_schema_version(self, kmeans_profile, monkeypatch):

@@ -3,8 +3,9 @@
 Covers the JSON round-trip of :class:`ReplayMeasurement`, the measurement
 tier of the on-disk cache (replay-tier hits when only analytic parameters
 change, zero replays for re-scoring sweeps), bit-identicality between direct
-runs and cached-measurement re-scores, the batch ``score_many`` API and the
-cache maintenance CLI (temp-file handling, LRU size cap).
+runs and cached-measurement re-scores, analytic re-scoring batches through
+``run_configs`` and the cache maintenance CLI (temp-file handling, LRU size
+cap).
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ import pytest
 import repro.runner.spec as spec_module
 from repro.analysis.rescoring import analytic_grid, energy_sweep, mlp_sweep
 from repro.energy.components import ComponentEnergies
-from repro.runner import ExperimentRunner, ExperimentSpec, using_runner
+from repro.energy.model import EnergyModel
+from repro.runner import ExperimentRunner, ExperimentSpec, RunSpec, using_runner
 from repro.runner.cache import ResultCache
 from repro.runner.cache import main as cache_cli
 from repro.sim.performance_model import PerformanceModel, ReplayMeasurement
@@ -155,7 +157,7 @@ class TestReplayTierReuse:
             runner.simulate(kmeans_profile, config)
         assert runner.replays == 2
 
-    def test_measurement_for_and_score_measurement_split(self, runner, kmeans_profile):
+    def test_measurement_for_and_scorer_for_split(self, runner, kmeans_profile):
         # The public phase-1/phase-2 split (used by the contention solver):
         # one measurement fetch, any number of pure in-process scorings,
         # bit-identical to the full two-phase path.
@@ -171,16 +173,16 @@ class TestReplayTierReuse:
             config, envelope=ResourceEnvelope(dram_bandwidth_share=0.5)
         )
         stores_before = runner.disk_cache.stores
-        scored = runner.score_measurement(
-            kmeans_profile, contended_config, measurement
-        )
+        scored = runner.scorer_for(
+            kmeans_profile, config, measurement
+        ).score_config(contended_config)
         assert runner.disk_cache.stores == stores_before  # pure: no cache writes
         via_cache = runner.simulate(kmeans_profile, contended_config)
         assert runner.replays == 1
         assert dataclasses.asdict(scored) == dataclasses.asdict(via_cache)
 
 
-class TestScoreMany:
+class TestRunConfigs:
     def test_mlp_grid_over_warm_cache_does_zero_replays(self, runner, kmeans_profile):
         base = tiny_config()
         runner.simulate(kmeans_profile, base)
@@ -190,7 +192,7 @@ class TestScoreMany:
             dataclasses.replace(base, mlp_per_sm=value)
             for value in (40.0, 80.0, 160.0, 240.0, 480.0)
         ]
-        stats = runner.score_many(kmeans_profile, grid)
+        stats = runner.run_configs(kmeans_profile, grid)
         assert len(stats) == 5
         assert runner.replays == 1
         assert runner.disk_cache.replay_misses == misses_before
@@ -203,7 +205,7 @@ class TestScoreMany:
             dataclasses.replace(base, seed=2, mlp_per_sm=value)
             for value in (40.0, 80.0)
         ]
-        stats = runner.score_many(kmeans_profile, configs)
+        stats = runner.run_configs(kmeans_profile, configs)
         assert len(stats) == 4
         assert runner.replays == 2  # one per distinct replay key (seed 1, seed 2)
 
@@ -218,10 +220,10 @@ class TestScoreMany:
         ]
         serial = ExperimentRunner(
             cache_dir=tmp_path / "serial", max_workers=0
-        ).score_many(kmeans_profile, configs)
+        ).run_configs(kmeans_profile, configs)
         parallel = ExperimentRunner(
             cache_dir=tmp_path / "parallel", max_workers=2
-        ).score_many(kmeans_profile, configs)
+        ).run_configs(kmeans_profile, configs)
         assert [dataclasses.asdict(s) for s in serial] == [
             dataclasses.asdict(s) for s in parallel
         ]
@@ -300,6 +302,30 @@ class TestRescoringSweeps:
         default, expensive = list(sweep.values())
         assert dataclasses.asdict(default) == dataclasses.asdict(baseline)
         assert expensive.energy.dram_j > default.energy.dram_j
+
+    def test_cold_energy_sweep_replays_once_and_scores_every_point(
+        self, runner, kmeans_profile
+    ):
+        # Nothing is cached yet: the sweep itself fetches the measurement.
+        base = tiny_config()
+        energies_grid = (
+            ComponentEnergies(),
+            ComponentEnergies(dram_pj_per_byte=25.0),
+            ComponentEnergies(base_static_watts=40.0),
+        )
+        with using_runner(runner):
+            sweep = energy_sweep(kmeans_profile, base, energies_grid)
+        assert runner.replays == 1
+        assert runner.disk_cache.stores == len(energies_grid)
+        for energies in energies_grid:
+            assert RunSpec(kmeans_profile, base, energies).score_key() in runner.disk_cache
+        measurement = runner.measurement_for(kmeans_profile, base)
+        assert runner.replays == 1
+        for energies, stats in sweep.items():
+            expected = PerformanceModel(EnergyModel(energies)).score(
+                kmeans_profile, base, measurement
+            )
+            assert dataclasses.asdict(stats) == dataclasses.asdict(expected)
 
 
 class TestCacheMaintenance:

@@ -80,7 +80,7 @@ class TestScenarioDeterminism:
 
             profile = get_application(scenario.phases[0].application)
             configs = [dc.replace(leaf.config, mlp_per_sm=64.0) for leaf in lowered]
-            rescored = runner.score_many(profile, configs)
+            rescored = runner.run_configs(profile, configs)
         assert len(rescored) == len(scenario.phases)
         assert runner.replays == 0
         assert runner.disk_cache.replay_misses == 0

@@ -2,11 +2,12 @@
 
 The contract under test: for any grid of score-tier parameter variants
 (power gating, peak warp IPC, MLP, system label, resource envelope) over one
-replay measurement, :meth:`PerformanceModel.score`,
-:meth:`PerformanceModel.score_batch` and every
-:class:`~repro.sim.vector_model.MeasurementScorer` entry point produce
-``SimulationStats`` **bit-identical** to :func:`reference_score`, a
-straight-line evaluation of the roofline that hoists nothing.  Equality is
+replay measurement, :meth:`PerformanceModel.score` and the two
+:class:`~repro.sim.vector_model.MeasurementScorer` entry points
+(``score_config`` per config through one scorer, ``score_envelope`` per
+envelope) produce ``SimulationStats`` **bit-identical** to
+:func:`reference_score`, a straight-line evaluation of the roofline that
+hoists nothing.  Equality is
 asserted on ``dataclasses.asdict``, i.e. exact float equality over every
 field including the per-limit roofline dict and the energy breakdown.
 """
@@ -26,7 +27,6 @@ import pytest
 
 import repro
 from repro.core.config import MorpheusConfig
-from repro.energy.components import ComponentEnergies
 from repro.energy.model import EnergyModel
 from repro.gpu.config import RTX3080_CONFIG
 from repro.sim.performance_model import (
@@ -36,7 +36,6 @@ from repro.sim.performance_model import (
 )
 from repro.sim.simulator import GPUSimulator, SCORE_FIELDS, SimulationConfig
 from repro.sim.stats import SimulationStats
-from repro.sim.vector_model import MeasurementScorer
 from repro.workloads.applications import get_application
 
 #: Replay-side baseline the variants are scored against (Morpheus carries
@@ -89,7 +88,7 @@ def _random_variants(config: SimulationConfig, count: int, seed: int = 1234):
     return variants
 
 
-def reference_score(profile, config, measurement, energy_model=None):
+def reference_score(profile, config, measurement):
     """The roofline evaluated straight through, with nothing hoisted.
 
     IPC is the minimum of the compute limit, the DRAM bandwidth limit, the
@@ -99,7 +98,7 @@ def reference_score(profile, config, measurement, energy_model=None):
     performance/watt follow from the modelled IPC and the per-level traffic
     extrapolated to the application's full instruction count.
     """
-    energy_model = energy_model or EnergyModel()
+    energy_model = EnergyModel()
     cfg = config
     gpu = cfg.gpu
     counters = measurement.counters
@@ -266,10 +265,9 @@ def plain_measurement(kmeans):
 
 
 def _assert_every_entry_point_matches(profile, config, measurement, variants):
-    """``score``, ``score_config`` and ``score_batch`` equal the reference."""
+    """``score`` and one scorer's per-config ``score_config`` equal the reference."""
     model = PerformanceModel()
     expected = [reference_score(profile, variant, measurement) for variant in variants]
-    _assert_identical(model.score_batch(profile, variants, measurement), expected)
     _assert_identical(
         [model.score(profile, variant, measurement) for variant in variants], expected
     )
@@ -334,17 +332,6 @@ class TestBatchParity:
             values = {repr(getattr(config, field)) for config in variants}
             assert len(values) > 1, f"grid never varies score field {field!r}"
 
-    def test_empty_batch(self, kmeans, morpheus_measurement):
-        assert PerformanceModel().score_batch(kmeans, [], morpheus_measurement) == []
-
-    def test_validate_rejects_replay_mismatch(self, kmeans, morpheus_measurement):
-        model = PerformanceModel()
-        mismatched = dataclasses.replace(MORPHEUS_CONFIG, trace_accesses=801)
-        with pytest.raises(ValueError, match="replay"):
-            model.score_batch(
-                kmeans, [MORPHEUS_CONFIG, mismatched], morpheus_measurement
-            )
-
 
 class TestScorerFastPaths:
     def test_score_envelope_matches_scalar_score(self, kmeans, morpheus_measurement):
@@ -377,37 +364,6 @@ class TestScorerFastPaths:
             expected
         )
 
-    def test_matches_replay_guard(self, kmeans, morpheus_measurement):
-        scorer = MeasurementScorer(kmeans, MORPHEUS_CONFIG, morpheus_measurement)
-        assert scorer.matches_replay(MORPHEUS_CONFIG)
-        # Score-tier perturbations keep the replay parameters intact.
-        assert scorer.matches_replay(
-            dataclasses.replace(MORPHEUS_CONFIG, mlp_per_sm=80.0)
-        )
-        assert not scorer.matches_replay(
-            dataclasses.replace(MORPHEUS_CONFIG, seed=2)
-        )
-
-    def test_energy_batch_matches_per_model_scoring(
-        self, kmeans, morpheus_measurement
-    ):
-        energies_grid = [
-            ComponentEnergies(),
-            ComponentEnergies(dram_pj_per_byte=25.0),
-            ComponentEnergies(base_static_watts=40.0),
-        ]
-        scorer = MeasurementScorer(kmeans, MORPHEUS_CONFIG, morpheus_measurement)
-        batched = scorer.score_energy_batch(
-            MORPHEUS_CONFIG, [EnergyModel(energies) for energies in energies_grid]
-        )
-        expected = [
-            reference_score(
-                kmeans, MORPHEUS_CONFIG, morpheus_measurement, EnergyModel(energies)
-            )
-            for energies in energies_grid
-        ]
-        _assert_identical(batched, expected)
-
 
 def test_scoring_never_imports_numpy():
     """Every scoring entry point runs on the standard library alone."""
@@ -426,14 +382,10 @@ def test_scoring_never_imports_numpy():
         measurement = GPUSimulator(config).replay(profile)
         model = PerformanceModel()
         model.score(profile, config, measurement)
-        model.scorer(profile, config, measurement).score_envelope(
-            ResourceEnvelope(dram_bandwidth_share=0.5)
-        )
-        model.score_batch(
-            profile,
-            [dataclasses.replace(config, mlp_per_sm=mlp) for mlp in range(64, 80)],
-            measurement,
-        )
+        scorer = model.scorer(profile, config, measurement)
+        scorer.score_envelope(ResourceEnvelope(dram_bandwidth_share=0.5))
+        for mlp in range(64, 80):
+            scorer.score_config(dataclasses.replace(config, mlp_per_sm=mlp))
         loaded = sorted(name for name in sys.modules if name.split(".")[0] == "numpy")
         assert not loaded, loaded
         """
