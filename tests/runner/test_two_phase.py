@@ -209,6 +209,70 @@ class TestRunConfigs:
         assert len(stats) == 4
         assert runner.replays == 2  # one per distinct replay key (seed 1, seed 2)
 
+    def test_empty_batch_replays_and_stores_nothing(self, runner, kmeans_profile):
+        assert runner.run_configs(kmeans_profile, []) == []
+        assert runner.run_leaves([]) == []
+        assert runner.replays == 0
+        assert runner.disk_cache.stores == 0
+        assert runner.disk_cache.replay_stores == 0
+
+    def test_mixed_replay_keys_score_each_config_against_its_own_replay(
+        self, tmp_path, runner, kmeans_profile
+    ):
+        # A replay-tier field (trace length) splits the batch into two
+        # groups; no config may be scored against the other group's
+        # measurement, so each result is what simulating it alone gives.
+        base = tiny_config()
+        longer = dataclasses.replace(base, trace_accesses=base.trace_accesses + 1)
+        configs = [
+            base,
+            longer,
+            dataclasses.replace(base, mlp_per_sm=80.0),
+            dataclasses.replace(longer, mlp_per_sm=80.0),
+        ]
+        batched = runner.run_configs(kmeans_profile, configs)
+        assert runner.replays == 2
+        for index, config in enumerate(configs):
+            alone = ExperimentRunner(
+                cache_dir=tmp_path / f"alone-{index}", max_workers=0
+            ).simulate(kmeans_profile, config)
+            assert dataclasses.asdict(batched[index]) == dataclasses.asdict(alone)
+        assert batched[0].execution_cycles != batched[1].execution_cycles
+
+    def test_group_scores_do_not_depend_on_which_config_builds_the_scorer(
+        self, tmp_path, kmeans_profile
+    ):
+        # One replay group is scored through one scorer built from its first
+        # config, so every score-tier field must come from the config being
+        # scored: the same grid in reverse order gives the same results.
+        from repro.sim.performance_model import ResourceEnvelope
+
+        base = tiny_config()
+        grid = [
+            base,
+            dataclasses.replace(base, power_gate_unused=False),
+            dataclasses.replace(base, peak_warp_ipc_per_sm=2.0),
+            dataclasses.replace(base, mlp_per_sm=80.0),
+            dataclasses.replace(base, system_name="other"),
+            dataclasses.replace(
+                base, envelope=ResourceEnvelope(dram_bandwidth_share=0.5)
+            ),
+        ]
+        forward = ExperimentRunner(
+            cache_dir=tmp_path / "forward", max_workers=0
+        ).run_configs(kmeans_profile, grid)
+        reverse_runner = ExperimentRunner(cache_dir=tmp_path / "reverse", max_workers=0)
+        reverse = reverse_runner.run_configs(kmeans_profile, grid[::-1])[::-1]
+        assert reverse_runner.replays == 1
+        assert [dataclasses.asdict(s) for s in forward] == [
+            dataclasses.asdict(s) for s in reverse
+        ]
+        model = PerformanceModel()
+        measurement = reverse_runner.measurement_for(kmeans_profile, base)
+        for config, stats in zip(grid, forward):
+            alone = model.score(kmeans_profile, config, measurement)
+            assert dataclasses.asdict(stats) == dataclasses.asdict(alone)
+
     def test_serial_and_parallel_batches_are_bit_identical(
         self, tmp_path, kmeans_profile
     ):
