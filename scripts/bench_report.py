@@ -21,6 +21,11 @@ Usage::
 
 ``--smoke`` shrinks the trace and repeat counts so the whole script runs in
 a few seconds (the CI configuration).
+
+Both reports carry the same ``header``: the git sha of the checkout the
+script runs from (``null`` outside one), ``os.cpu_count()``, the Python
+version and the number of timed repeats, so a report names the code and
+the host it measured.
 """
 
 from __future__ import annotations
@@ -30,7 +35,9 @@ import contextlib
 import dataclasses
 import json
 import os
+import platform
 import statistics
+import subprocess
 import sys
 import tempfile
 import time
@@ -49,6 +56,31 @@ SMOKE_FIDELITY = Fidelity(
     search_trace_accesses=400,
     search_warmup_accesses=100,
 )
+
+
+def _git_sha():
+    """The sha of the checkout holding this script, or ``None`` outside one."""
+    try:
+        completed = subprocess.run(
+            ["git", "rev-parse", "HEAD"],
+            cwd=Path(__file__).resolve().parent,
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+    except (OSError, subprocess.CalledProcessError):
+        return None
+    return completed.stdout.strip() or None
+
+
+def _header(repeats: int):
+    """The header both reports share: the code, the host and the repeats."""
+    return {
+        "git_sha": _git_sha(),
+        "cpu_count": os.cpu_count(),
+        "python": platform.python_version(),
+        "repeats": repeats,
+    }
 
 
 def _config(fidelity: Fidelity, **kwargs) -> SimulationConfig:
@@ -309,6 +341,8 @@ def main(argv=None) -> int:
             steps = args.steps if args.steps is not None else (40 if args.smoke else 200)
             report = {
                 "benchmark": "search",
+                # One timed pass of the seeded search.
+                "header": _header(repeats=1),
                 "smoke": args.smoke,
                 "warm_search": benchmark_search(
                     fidelity, steps, seed=7, agent_name="genetic"
@@ -320,8 +354,8 @@ def main(argv=None) -> int:
             leaves = args.leaves if args.leaves is not None else (6 if args.smoke else 16)
             report = {
                 "benchmark": "runner",
+                "header": _header(repeats),
                 "smoke": args.smoke,
-                "repeats": repeats,
                 "rounds": rounds,
                 "cold_batch_throughput": benchmark_runner_pool(
                     fidelity, leaves, args.workers, repeats, rounds

@@ -208,10 +208,18 @@ class ExtendedLLCKernel:
 
         Blocks are split between the stores proportionally to capacity
         (§4.2 task 3); each store folds ``set_index`` onto its own warps.
+        A set is built the first time it is located.
         """
         route = self._routes[tag % SPLIT_PERIOD]
         store = route.store
-        return route, store.sets[set_index % store.num_warps]
+        sets = store.sets
+        index = set_index % store.num_warps
+        llc_set = sets[index]
+        if llc_set is None:
+            llc_set = sets[index] = ExtendedLLCSet(
+                store.ways_per_set, store.compression_enabled, store.block_size
+            )
+        return route, llc_set
 
     def install(
         self, route: _StoreRoute, llc_set: ExtendedLLCSet, tag: int, dirty: bool
@@ -318,6 +326,11 @@ class ExtendedLLC:
             for sm_id, kernel in self.kernels.items()
             for local_set in range(kernel.num_sets)
         ]
+        # Fixed by the kernels' configs, and read by every partition's
+        # controller: summed once here.
+        self._effective_capacity_bytes = sum(
+            kernel.effective_capacity_bytes() for kernel in self.kernels.values()
+        )
 
     @property
     def enabled(self) -> bool:
@@ -335,7 +348,7 @@ class ExtendedLLC:
 
     def effective_capacity_bytes(self) -> float:
         """Extended LLC capacity including compression gains."""
-        return sum(kernel.effective_capacity_bytes() for kernel in self.kernels.values())
+        return self._effective_capacity_bytes
 
     def owner_of_set(self, global_set_index: int) -> Tuple[int, ExtendedLLCKernel, int]:
         """Map a global extended set index to ``(sm_id, kernel, local_set_index)``."""

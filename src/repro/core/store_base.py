@@ -16,7 +16,8 @@ serves a hit on the block read, :meth:`~ExtendedLLCSet.fill` installs — so
 the Morpheus controller reads a block's residency once per access and uses
 that one read both as its hit/miss predictor's ground truth and as the hit
 or miss it serves.  A store only holds its sets: the kernel reaches a set
-through :meth:`repro.core.extended_llc.ExtendedLLCKernel.locate`.
+through :meth:`repro.core.extended_llc.ExtendedLLCKernel.locate`, which
+builds it the first time it is located.
 
 BDI compression enters as each block's drawn level: a compressing set
 charges a block the bytes of its level, so more blocks fit.  The
@@ -168,10 +169,10 @@ class ExtendedLLCStore:
         self.ways_per_set = ways_per_set
         self.block_size = block_size
         self.compression_enabled = compression_enabled and self.supports_compression
-        self.sets: List[ExtendedLLCSet] = [
-            ExtendedLLCSet(ways_per_set, self.compression_enabled, block_size)
-            for _ in range(num_warps)
-        ]
+        # One set per warp, each built (by the kernel's ``locate``) the first
+        # time a block is looked up in it: a replay touches a fraction of
+        # them.  ``None`` is a set that holds no blocks yet.
+        self.sets: List[Optional[ExtendedLLCSet]] = [None] * num_warps
 
     # -- capacity ----------------------------------------------------------------
 
@@ -180,8 +181,5 @@ class ExtendedLLCStore:
         return self.num_warps * self.ways_per_set * self.block_size
 
     def reset(self) -> None:
-        """Drop all contents."""
-        self.sets = [
-            ExtendedLLCSet(self.ways_per_set, self.compression_enabled, self.block_size)
-            for _ in range(self.num_warps)
-        ]
+        """Drop all contents: every set is unbuilt again."""
+        self.sets = [None] * self.num_warps

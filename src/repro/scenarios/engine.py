@@ -649,10 +649,12 @@ class ScenarioEngine:
         Phases are canonicalized to :class:`PhaseSignature` *after*
         planning (dynamic policies are history-dependent — hysteresis can
         make identical phases plan differently — so signatures must derive
-        from the decisions, not the raw phases).  Each distinct signature
-        lowers once, enters the leaf batch once, solves contention once and
-        builds its :class:`ResidentExecution` tuple once; the per-phase
-        view is reconstructed lazily.
+        from the decisions, not the raw phases).  Policies return one
+        decision object per distinct planning state, so a phase whose
+        (decision, residents, weight) was seen before only appends its ids.
+        Each distinct signature lowers once, enters the leaf batch once,
+        solves contention once and builds its :class:`ResidentExecution`
+        tuple once; the per-phase view is reconstructed lazily.
         """
         runner = self._runner()
         self._validate_demands(scenario)
@@ -671,40 +673,51 @@ class ScenarioEngine:
         transitions: List[TransitionCost] = []
         transition_index: Dict[TransitionCost, int] = {}
         transition_ids: List[int] = []
+        # (decision id, residents, duration weight) -> (signature id,
+        # transition id): each distinct triple lowers once.  ``decisions``
+        # keeps every decision alive, so no two of them share an id; a
+        # policy that builds a new decision per phase only misses here and
+        # falls through to the value-keyed signature dedup below.
+        lowered: Dict[Tuple[int, Tuple[Residency, ...], float], Tuple[int, int]] = {}
         with tel.span(
             "scenario.lower", system=system, phases=len(scenario.phases)
         ):
             for phase, decision in zip(scenario.phases, decisions):
-                grants = self._decision_grants(phase, decision)
-                signature = PhaseSignature(
-                    residents=phase.residents,
-                    duration_weight=phase.duration_weight,
-                    split=decision.split,
-                    grants=grants,
-                )
-                signature_id = signature_index.get(signature)
-                if signature_id is None:
-                    signature_id = len(signatures)
-                    signature_index[signature] = signature_id
-                    signatures.append(signature)
-                    signature_counts.append(0)
-                    signature_leaves.append(
-                        tuple(
-                            LoweredLeaf(
-                                grant=grant,
-                                config=self._leaf_config(grant, morpheus, system),
-                            )
-                            for grant in grants
-                        )
+                key = (id(decision), phase.residents, phase.duration_weight)
+                ids = lowered.get(key)
+                if ids is None:
+                    grants = self._decision_grants(phase, decision)
+                    signature = PhaseSignature(
+                        residents=phase.residents,
+                        duration_weight=phase.duration_weight,
+                        split=decision.split,
+                        grants=grants,
                     )
+                    signature_id = signature_index.get(signature)
+                    if signature_id is None:
+                        signature_id = len(signatures)
+                        signature_index[signature] = signature_id
+                        signatures.append(signature)
+                        signature_counts.append(0)
+                        signature_leaves.append(
+                            tuple(
+                                LoweredLeaf(
+                                    grant=grant,
+                                    config=self._leaf_config(grant, morpheus, system),
+                                )
+                                for grant in grants
+                            )
+                        )
+                    transition = decision.transition
+                    transition_id = transition_index.get(transition)
+                    if transition_id is None:
+                        transition_id = len(transitions)
+                        transition_index[transition] = transition_id
+                        transitions.append(transition)
+                    ids = lowered[key] = (signature_id, transition_id)
+                signature_id, transition_id = ids
                 signature_counts[signature_id] += 1
                 signature_ids.append(signature_id)
-                transition = decision.transition
-                transition_id = transition_index.get(transition)
-                if transition_id is None:
-                    transition_id = len(transitions)
-                    transition_index[transition] = transition_id
-                    transitions.append(transition)
                 transition_ids.append(transition_id)
         if tel.enabled:
             tel.count("scenario.dedup.hits", len(signature_ids) - len(signatures))

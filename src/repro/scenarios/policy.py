@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.config import MorpheusConfig
 from repro.gpu.config import GPUConfig
@@ -430,12 +430,36 @@ def _phase_grants(
     )
 
 
+#: A policy's per-phase choice: ``(previous pool, previous shares, phase)``
+#: to the phase's ``(pool, shares)``, where ``shares`` maps each resident
+#: to its granted cache-mode SMs.
+Choice = Callable[[int, Dict[str, int], ScenarioPhase], Tuple[int, Dict[str, int]]]
+
+
 class CapacityPolicy(abc.ABC):
-    """Chooses a (compute, cache, gated) split for every phase of a timeline."""
+    """Chooses a (compute, cache, gated) split for every phase of a timeline.
+
+    A policy supplies only its per-phase choice of pool and shares
+    (:meth:`chooser`); :meth:`plan` is the one planning loop that turns
+    those choices into transitions and :class:`PhaseDecision` objects.
+    """
 
     name: str = "policy"
 
     @abc.abstractmethod
+    def chooser(
+        self,
+        scenario: ScenarioSpec,
+        gpu: GPUConfig,
+        morpheus: MorpheusConfig,
+        profiles: Mapping[str, ApplicationProfile],
+    ) -> Choice:
+        """This policy's per-phase :data:`Choice` over ``scenario``.
+
+        The choice must be a function of its arguments alone, and must not
+        change the ``previous shares`` dict it is given.
+        """
+
     def plan(
         self,
         scenario: ScenarioSpec,
@@ -444,7 +468,43 @@ class CapacityPolicy(abc.ABC):
         profiles: Mapping[str, ApplicationProfile],
         transition_model: TransitionCostModel,
     ) -> List[PhaseDecision]:
-        """One :class:`PhaseDecision` per scenario phase, in timeline order."""
+        """One :class:`PhaseDecision` per scenario phase, in timeline order.
+
+        Each decision is a function of the previous phase's pool and shares
+        and of this phase's residents, so it is memoized on exactly those:
+        the shares in their insertion order (:func:`grant_transition` sums
+        its flush terms in that order) and the residents in theirs.  A
+        repeated state returns the same :class:`PhaseDecision` object, and
+        a timeline of thousands of phases makes only as many choices as it
+        has distinct states.  Entering the first phase is free.
+        """
+        choose = self.chooser(scenario, gpu, morpheus, profiles)
+        memo: Dict[tuple, Tuple[PhaseDecision, int, Dict[str, int], tuple]] = {}
+        decisions: List[PhaseDecision] = []
+        previous_pool = 0
+        previous_shares: Dict[str, int] = {}
+        previous_items: tuple = ()
+        for phase in scenario.phases:
+            key = (previous_pool, previous_items, phase.residents)
+            entry = memo.get(key)
+            if entry is None:
+                pool, shares = choose(previous_pool, previous_shares, phase)
+                transition = (
+                    grant_transition(
+                        transition_model, gpu, previous_shares, shares, profiles
+                    )
+                    if previous_shares
+                    else NO_TRANSITION
+                )
+                decision = PhaseDecision(
+                    split=self._split(gpu, phase.total_compute_sm_demand, pool),
+                    transition=transition,
+                    grants=_phase_grants(phase, shares),
+                )
+                entry = memo[key] = (decision, pool, shares, tuple(shares.items()))
+            decision, previous_pool, previous_shares, previous_items = entry
+            decisions.append(decision)
+        return decisions
 
     def _split(
         self, gpu: GPUConfig, compute_sms: int, cache_sms: int
@@ -492,37 +552,22 @@ class FixedSplitPolicy(CapacityPolicy):
     def __init__(self, arbitration: str = "proportional") -> None:
         self.arbitration = _validate_arbitration(arbitration)
 
-    def plan(
+    def chooser(
         self,
         scenario: ScenarioSpec,
         gpu: GPUConfig,
         morpheus: MorpheusConfig,
         profiles: Mapping[str, ApplicationProfile],
-        transition_model: TransitionCostModel,
-    ) -> List[PhaseDecision]:
+    ) -> Choice:
         worst_idle = gpu.num_sms - scenario.max_compute_sm_demand
         pool = max(0, min(worst_idle, max_cache_mode_sms(gpu, morpheus)))
-        decisions: List[PhaseDecision] = []
-        previous_shares: Dict[str, int] = {}
-        for index, phase in enumerate(scenario.phases):
-            shares = arbitrate_extended_llc(
+
+        def choose(previous_pool, previous_shares, phase):
+            return pool, arbitrate_extended_llc(
                 pool, phase.residents, profiles, self.arbitration
             )
-            if index == 0:
-                transition = NO_TRANSITION
-            else:
-                transition = grant_transition(
-                    transition_model, gpu, previous_shares, shares, profiles
-                )
-            decisions.append(
-                PhaseDecision(
-                    split=self._split(gpu, phase.total_compute_sm_demand, pool),
-                    transition=transition,
-                    grants=_phase_grants(phase, shares),
-                )
-            )
-            previous_shares = shares
-        return decisions
+
+        return choose
 
 
 class DynamicCapacityManager(CapacityPolicy):
@@ -572,21 +617,18 @@ class DynamicCapacityManager(CapacityPolicy):
         self.arbitration = _validate_arbitration(arbitration)
         self.pool_cap_sms = pool_cap_sms
 
-    def plan(
+    def chooser(
         self,
         scenario: ScenarioSpec,
         gpu: GPUConfig,
         morpheus: MorpheusConfig,
         profiles: Mapping[str, ApplicationProfile],
-        transition_model: TransitionCostModel,
-    ) -> List[PhaseDecision]:
+    ) -> Choice:
         cap = max_cache_mode_sms(gpu, morpheus)
         if self.pool_cap_sms is not None:
             cap = min(cap, self.pool_cap_sms)
-        decisions: List[PhaseDecision] = []
-        previous_pool = 0
-        previous_shares: Dict[str, int] = {}
-        for index, phase in enumerate(scenario.phases):
+
+        def choose(previous_pool, previous_shares, phase):
             idle = gpu.num_sms - phase.total_compute_sm_demand
             target = max(0, min(idle, cap))
             pool = target
@@ -614,19 +656,6 @@ class DynamicCapacityManager(CapacityPolicy):
                 # (With hysteresis 0 this only keeps slices that are
                 # already identical.)
                 shares = dict(previous_shares)
-            if index == 0:
-                transition = NO_TRANSITION
-            else:
-                transition = grant_transition(
-                    transition_model, gpu, previous_shares, shares, profiles
-                )
-            decisions.append(
-                PhaseDecision(
-                    split=self._split(gpu, phase.total_compute_sm_demand, pool),
-                    transition=transition,
-                    grants=_phase_grants(phase, shares),
-                )
-            )
-            previous_pool = pool
-            previous_shares = shares
-        return decisions
+            return pool, shares
+
+        return choose

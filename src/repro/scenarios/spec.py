@@ -27,6 +27,7 @@ aggregate derived from the leaves.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
@@ -58,6 +59,12 @@ from repro.runner.spec import (
 SCENARIO_SCHEMA_VERSION = 4
 
 
+def _check_weight(name: str, value: float) -> None:
+    """Reject a weight that is not positive and finite (NaN included)."""
+    if not value > 0 or not math.isfinite(value):
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Residency:
     """One application resident on the GPU during a phase.
@@ -75,7 +82,12 @@ class Residency:
     def __post_init__(self) -> None:
         if not self.application:
             raise ValueError("a residency needs an application name")
-        if self.compute_sm_demand <= 0:
+        # An SM count: a float or a bool would be accepted here and fail, or
+        # be stored as a flag, deep inside the run.
+        demand = self.compute_sm_demand
+        if not isinstance(demand, int) or isinstance(demand, bool):
+            raise ValueError(f"compute_sm_demand must be an int, got {demand!r}")
+        if demand <= 0:
             raise ValueError("compute_sm_demand must be positive")
 
 
@@ -113,8 +125,7 @@ class ScenarioPhase:
     residents: Tuple[Residency, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.duration_weight <= 0:
-            raise ValueError("duration_weight must be positive")
+        _check_weight("duration_weight", self.duration_weight)
         residents = tuple(self.residents)
         if residents:
             if self.application is not None or self.compute_sm_demand is not None:
@@ -192,8 +203,7 @@ class ScenarioSpec:
             raise ValueError("a scenario needs a name")
         if not self.phases:
             raise ValueError("a scenario needs at least one phase")
-        if self.instructions_per_weight <= 0:
-            raise ValueError("instructions_per_weight must be positive")
+        _check_weight("instructions_per_weight", self.instructions_per_weight)
 
     def __len__(self) -> int:
         return len(self.phases)

@@ -262,13 +262,17 @@ def _hierarchy(config, wrapping, partition_id):
 
 
 def _contents(extended):
-    """Every extended-LLC block as (SM, store, set, tag, dirty, compression)."""
+    """Every extended-LLC block as (SM, store, set, tag, dirty, compression).
+
+    A set no access has located yet is unbuilt (``None``) and holds no
+    blocks.
+    """
     return [
         (sm_id, kind, index, tag, meta.dirty, meta.compression)
         for sm_id, kernel in extended.kernels.items()
         for kind, store in kernel.stores.items()
         for index, llc_set in enumerate(store.sets)
-        for tag in llc_set.tags()
+        for tag in (llc_set.tags() if llc_set is not None else ())
         for meta in [llc_set.metadata(tag)]
     ]
 

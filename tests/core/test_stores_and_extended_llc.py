@@ -333,3 +333,98 @@ class TestExtendedLLC:
         extended.fill(0, 512)
         extended.reset()
         assert not extended.resident(0, 512)
+
+
+class TestSetsBuiltOnFirstTouch:
+    """A store's sets are built the first time ``locate`` reaches them."""
+
+    @staticmethod
+    def _built(extended):
+        """Every built set as ``(sm_id, store kind, index) -> set``."""
+        return {
+            (sm_id, kind, index): llc_set
+            for sm_id, kernel in extended.kernels.items()
+            for kind, store in kernel.stores.items()
+            for index, llc_set in enumerate(store.sets)
+            if llc_set is not None
+        }
+
+    def test_a_fresh_kernel_has_built_no_set(self):
+        config = MorpheusConfig(enable_compression=True, shared_memory_warps=4)
+        extended = ExtendedLLC([3, 5, 7], config, compressibility=Compressibility(0.3, 0.3))
+        for kernel in extended.kernels.values():
+            assert len(kernel.stores) == 3
+            for store in kernel.stores.values():
+                assert store.sets == [None] * store.num_warps
+        assert self._built(extended) == {}
+
+    def test_every_set_built_by_a_replay_was_located_by_it(self, monkeypatch):
+        from repro.core.config import MORPHEUS_ALL
+        from repro.sim.simulator import GPUSimulator
+        from repro.workloads.applications import get_application
+        from fidelity_utils import TINY_FIDELITY
+
+        located = []
+        locate = ExtendedLLCKernel.locate
+
+        def recording_locate(kernel, set_index, tag):
+            route, llc_set = locate(kernel, set_index, tag)
+            located.append(llc_set)
+            return route, llc_set
+
+        engines = []
+        build_engine = GPUSimulator._build_engine
+
+        def keeping_build_engine(simulator, profile):
+            engines.append(build_engine(simulator, profile))
+            return engines[-1]
+
+        monkeypatch.setattr(ExtendedLLCKernel, "locate", recording_locate)
+        monkeypatch.setattr(GPUSimulator, "_build_engine", keeping_build_engine)
+        config = TINY_FIDELITY.config(
+            morpheus=MORPHEUS_ALL, num_compute_sms=24, num_cache_sms=44, seed=3
+        )
+        GPUSimulator(config).replay(get_application("kmeans"))
+        (engine,) = engines
+        built = self._built(engine.extended_llc)
+        assert built, "the replay built no extended-LLC set"
+        located_ids = {id(llc_set) for llc_set in located}
+        assert all(id(llc_set) in located_ids for llc_set in built.values())
+        # Each located set is the one its store holds, built once.
+        assert located_ids == {id(llc_set) for llc_set in built.values()}
+        total = sum(
+            store.num_warps
+            for kernel in engine.extended_llc.kernels.values()
+            for store in kernel.stores.values()
+        )
+        assert len(built) < total
+
+    def test_reset_unbuilds_every_set(self):
+        extended = ExtendedLLC([0, 1], MorpheusConfig(shared_memory_warps=4))
+        for global_set in range(extended.total_sets):
+            _, kernel, local_set = extended.owner_of_set(global_set)
+            for address in range(0, 64 * 128, 128):
+                kernel.fill(local_set, address, dirty=True)
+        assert all(
+            llc_set is not None
+            for kernel in extended.kernels.values()
+            for store in kernel.stores.values()
+            for llc_set in store.sets
+        )
+        extended.reset()
+        assert self._built(extended) == {}
+        _, kernel, local_set = extended.owner_of_set(0)
+        assert not kernel.access(local_set, 0).hit
+
+    @pytest.mark.parametrize("compression", [False, True])
+    def test_effective_capacity_is_the_per_kernel_sum(self, compression):
+        config = MorpheusConfig(enable_compression=compression, shared_memory_warps=4)
+        extended = ExtendedLLC(
+            [2, 9, 4, 11], config, register_file_bytes=64 * 1024,
+            l1_shared_bytes=32 * 1024, compressibility=Compressibility(0.4, 0.2),
+        )
+        expected = 0.0
+        for kernel in extended.kernels.values():
+            expected += kernel.effective_capacity_bytes()
+        assert extended.effective_capacity_bytes() == expected
+        assert ExtendedLLC([], config).effective_capacity_bytes() == 0

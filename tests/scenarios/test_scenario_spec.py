@@ -8,6 +8,7 @@ import repro.runner.spec as runner_spec
 import repro.scenarios.spec as scenario_spec
 from repro.scenarios import (
     SCENARIO_LIBRARY,
+    Residency,
     ScenarioPhase,
     ScenarioSpec,
     bursty,
@@ -40,6 +41,34 @@ class TestScenarioSpec:
             ScenarioSpec(name="empty", phases=())
         with pytest.raises(ValueError):
             ScenarioSpec(name="bad", phases=(_phase(),), instructions_per_weight=0)
+
+    # Each of these was accepted and failed later: a float demand raised a
+    # TypeError inside every system's run, a bool one ran with
+    # ``num_compute_sms=True``, and a non-finite weight ran to a NaN
+    # time-weighted IPC that was then persisted.
+    def test_float_demand_rejected(self):
+        with pytest.raises(ValueError, match="must be an int"):
+            Residency("kmeans", 8.0)
+        with pytest.raises(ValueError, match="must be an int"):
+            _phase(compute_sm_demand=8.0)
+
+    def test_bool_demand_rejected(self):
+        with pytest.raises(ValueError, match="must be an int"):
+            Residency("kmeans", True)
+        with pytest.raises(ValueError, match="must be an int"):
+            _phase(compute_sm_demand=True)
+
+    @pytest.mark.parametrize("weight", [float("nan"), float("inf")])
+    def test_non_finite_duration_weight_rejected(self, weight):
+        with pytest.raises(ValueError, match="duration_weight"):
+            _phase(duration_weight=weight)
+        with pytest.raises(ValueError, match="duration_weight"):
+            ScenarioPhase(residents=(Residency("kmeans", 8),), duration_weight=weight)
+
+    @pytest.mark.parametrize("weight", [float("nan"), float("inf")])
+    def test_non_finite_instructions_per_weight_rejected(self, weight):
+        with pytest.raises(ValueError, match="instructions_per_weight"):
+            ScenarioSpec(name="bad", phases=(_phase(),), instructions_per_weight=weight)
 
     def test_derived_properties(self):
         spec = ScenarioSpec(
