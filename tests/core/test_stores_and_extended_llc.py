@@ -5,12 +5,15 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.address_separation import proportional_split
 from repro.core.compression import CompressionLevel
-from repro.core.config import MorpheusConfig
+from repro.core.config import MORPHEUS_ALL, MorpheusConfig
 from repro.core.extended_llc import Compressibility, ExtendedLLC, ExtendedLLCKernel
 from repro.core.l1_store import L1Store
 from repro.core.register_file_store import RegisterFileStore
 from repro.core.shared_memory_store import SharedMemoryStore
 from repro.core.store_base import ExtendedLLCSet
+from repro.sim.simulator import GPUSimulator
+from repro.workloads.applications import get_application
+from fidelity_utils import TINY_FIDELITY
 
 
 class TestExtendedLLCSet:
@@ -359,11 +362,6 @@ class TestSetsBuiltOnFirstTouch:
         assert self._built(extended) == {}
 
     def test_every_set_built_by_a_replay_was_located_by_it(self, monkeypatch):
-        from repro.core.config import MORPHEUS_ALL
-        from repro.sim.simulator import GPUSimulator
-        from repro.workloads.applications import get_application
-        from fidelity_utils import TINY_FIDELITY
-
         located = []
         locate = ExtendedLLCKernel.locate
 
