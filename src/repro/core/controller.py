@@ -27,10 +27,9 @@ from repro.core.config import MorpheusConfig
 from repro.core.extended_llc import NO_WRITEBACKS, ExtendedLLC, ExtendedLLCKernel
 from repro.core.hit_miss_predictor import HitMissPredictor, SetPredictor
 from repro.memory.llc import LLCPartition
-from repro.memory.request import MemoryRequest
 
-DramAccessFn = Callable[[MemoryRequest, float], float]
-NocRoundTripFn = Callable[[int, float], float]
+DramAccessFn = Callable[[int, float], float]
+NocRoundTripFn = Callable[[float], float]
 #: ``(hit_level, latency_cycles, predicted_miss, false_positive,
 #: writebacks)``, as :meth:`MorpheusController.access` returns it.
 _Outcome = Tuple[str, float, bool, bool, Tuple[int, ...]]
@@ -102,12 +101,13 @@ class MorpheusController:
         config: Morpheus configuration.
         core_clock_ghz: GPU core clock, used to convert the timing model's
             nanoseconds into cycles.
-        dram_access: Callback ``(request, at_cycle) -> latency_cycles`` used
-            to fetch blocks from DRAM.  A constant ~600 ns is used when the
-            simulator does not inject one.
-        noc_round_trip: Callback ``(size_bytes, at_cycle) -> latency_cycles``
-            for the extra controller <-> cache-mode-SM round trip.  Defaults
-            to twice the timing model's one-way latency.
+        dram_access: Callback ``(address, at_cycle) -> latency_cycles`` used
+            to fetch the block at byte ``address`` from DRAM.  A constant
+            ~600 ns is used when the simulator does not inject one.
+        noc_round_trip: Callback ``(at_cycle) -> latency_cycles`` for the
+            extra controller <-> cache-mode-SM round trip, which moves one
+            block each way.  Defaults to twice the timing model's one-way
+            latency.
 
     Neither callback may hold a reference back to whatever owns this
     controller: that would make a reference cycle, which only the cyclic
@@ -187,8 +187,8 @@ class MorpheusController:
 
     # -- the LLC lookup procedure (Figure 3 / Figure 6a) ------------------------------
 
-    def access(self, request: MemoryRequest, now_cycle: float = 0.0) -> _Outcome:
-        """Process one LLC request arriving at this partition.
+    def access(self, address: int, is_write: bool = False, now_cycle: float = 0.0) -> _Outcome:
+        """Process one LLC access to byte ``address`` arriving at this partition.
 
         Returns ``(hit_level, latency_cycles, predicted_miss,
         false_positive, writebacks)``: ``hit_level`` is ``"llc"``,
@@ -200,14 +200,14 @@ class MorpheusController:
         """
         stats = self.stats
         stats.requests += 1
-        decision = self.separator.route(request.address)
+        decision = self.separator.route(address)
         # Without an extended LLC the separator has no extended share, so
         # every request takes the conventional path.
         if decision.target != "conventional":
-            return self._access_extended(request, now_cycle, decision.extended_set)
+            return self._access_extended(address, is_write, now_cycle, decision.extended_set)
 
         stats.conventional_requests += 1
-        hit, latency, writeback = self.partition.access(request, now_cycle)
+        hit, latency, writeback = self.partition.access(address, is_write, now_cycle)
         writebacks = NO_WRITEBACKS
         if writeback is not None:
             writebacks = (writeback,)
@@ -216,11 +216,11 @@ class MorpheusController:
             stats.conventional_hits += 1
             return "llc", latency, False, False, writebacks
         stats.dram_accesses += 1
-        dram_latency = self._dram_access(request, now_cycle + latency)
+        dram_latency = self._dram_access(address, now_cycle + latency)
         return "dram", latency + dram_latency, False, False, writebacks
 
     def _access_extended(
-        self, request: MemoryRequest, now_cycle: float, set_index: int
+        self, address: int, is_write: bool, now_cycle: float, set_index: int
     ) -> _Outcome:
         """Serve one extended-LLC request in a single pass.
 
@@ -230,7 +230,7 @@ class MorpheusController:
         """
         stats = self.stats
         stats.extended_requests += 1
-        tag = request.address // self._block_size
+        tag = address // self._block_size
         entry = self._extended_sets[set_index]
         if entry is None:
             entry = self._resolve_extended_set(set_index)
@@ -254,16 +254,16 @@ class MorpheusController:
             stats.predicted_misses += 1
             stats.extended_misses += 1
             stats.dram_accesses += 1
-            dram_latency = self._dram_access(request, now_cycle)
-            _, writebacks = kernel.install(route, llc_set, tag, request.is_write)
+            dram_latency = self._dram_access(address, now_cycle)
+            _, writebacks = kernel.install(route, llc_set, tag, is_write)
             stats.writebacks += len(writebacks)
             return "dram", self._predicted_miss_latency + dram_latency, True, False, writebacks
 
         # Predicted hit: pay the NoC round trip to the cache-mode SM and run
         # the extended LLC kernel's lookup there.
-        noc_latency = self._noc_round_trip(request.size_bytes, now_cycle)
+        noc_latency = self._noc_round_trip(now_cycle)
         if resident:
-            llc_set.touch(tag, meta, request.is_write)
+            llc_set.touch(tag, meta, is_write)
             stats.extended_hits += 1
             service_latency = route.service_latency_ns(meta.compression) * self.core_clock_ghz
             return "extended_llc", noc_latency + service_latency, False, False, NO_WRITEBACKS
@@ -275,8 +275,8 @@ class MorpheusController:
             stats.false_positive_trips += 1
         stats.dram_accesses += 1
         service_latency = route.latency_ns * self.core_clock_ghz
-        dram_latency = self._dram_access(request, now_cycle + noc_latency + service_latency)
-        _, writebacks = kernel.install(route, llc_set, tag, request.is_write)
+        dram_latency = self._dram_access(address, now_cycle + noc_latency + service_latency)
+        _, writebacks = kernel.install(route, llc_set, tag, is_write)
         stats.writebacks += len(writebacks)
         return "dram", noc_latency + service_latency + dram_latency, False, True, writebacks
 

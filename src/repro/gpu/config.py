@@ -26,6 +26,10 @@ class GPUConfig:
     ``core_clock_ghz``.  Table 1 also gives each SM 48 warps and 1,536
     threads, 128 CUDA cores, a 64 KiB L1 data cache and a two-level warp
     scheduler; no model reads those, so they are not fields.
+
+    ``block_size`` is the GPU's one cache block size: the LLC and DRAM
+    configs must carry the same, and every layer of a replay moves one
+    block of it per access.
     """
 
     num_sms: int = 68
@@ -46,6 +50,12 @@ class GPUConfig:
                 "LLC and interconnect must agree on the number of partitions "
                 f"({self.llc.num_partitions} vs {self.interconnect.num_partitions})"
             )
+        for name, component in (("LLC", self.llc), ("DRAM", self.dram)):
+            if component.block_size != self.block_size:
+                raise ValueError(
+                    f"the {name} config has {component.block_size}-byte blocks, "
+                    f"the GPU has {self.block_size}-byte blocks"
+                )
 
     # -- derived configurations ----------------------------------------------
 

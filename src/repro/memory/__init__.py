@@ -1,10 +1,10 @@
-"""Memory-hierarchy substrate: requests, the banked LLC and DRAM.
+"""Memory-hierarchy substrate: the banked LLC and DRAM.
 
 This subpackage provides the building blocks of the baseline GPU memory
-hierarchy that Morpheus extends:
+hierarchy that Morpheus extends.  Each access reaches them as plain values
+(its byte address and, for the LLC, whether it writes) and moves one cache
+block:
 
-* :mod:`repro.memory.request` -- the memory request record that flows
-  through every component of the simulated hierarchy.
 * :mod:`repro.memory.address_mapping` -- static address interleaving across
   LLC partitions.
 * :mod:`repro.memory.llc` -- the banked conventional last level cache: one
@@ -15,15 +15,12 @@ hierarchy that Morpheus extends:
 from repro.memory.address_mapping import AddressMapping
 from repro.memory.dram import DRAMConfig, DRAMModel
 from repro.memory.llc import BankedLLC, CacheStats, LLCPartition
-from repro.memory.request import AccessType, MemoryRequest
 
 __all__ = [
-    "AccessType",
     "AddressMapping",
     "BankedLLC",
     "CacheStats",
     "DRAMConfig",
     "DRAMModel",
     "LLCPartition",
-    "MemoryRequest",
 ]

@@ -9,7 +9,8 @@ The model captures the two properties the Morpheus evaluation depends on:
 
 Bandwidth is modelled with per-channel token-bucket style accounting: each
 channel can serve ``bandwidth_bytes_per_cycle`` of payload per core cycle and
-requests queue behind earlier ones on the same channel.  Row-buffer locality
+requests queue behind earlier ones on the same channel.  Every access moves
+one cache block of the configured ``block_size``.  Row-buffer locality
 is modelled as a hit probability that shaves a fraction of the core latency.
 """
 
@@ -17,8 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Dict, List
-
-from repro.memory.request import MemoryRequest
 
 
 @dataclass(frozen=True)
@@ -48,6 +47,8 @@ class DRAMConfig:
             raise ValueError("bandwidth_gbps_per_channel must be positive")
         if not 0.0 <= self.row_buffer_hit_rate <= 1.0:
             raise ValueError("row_buffer_hit_rate must be in [0, 1]")
+        if self.block_size <= 0 or self.block_size & (self.block_size - 1):
+            raise ValueError("block_size must be a positive power of two")
 
     @property
     def bytes_per_cycle_per_channel(self) -> float:
@@ -107,19 +108,19 @@ class DRAMModel:
         self.total_bytes = 0
         self._row_toggle = 0
         self._row_hit_threshold = int(round(self.config.row_buffer_hit_rate * 100))
-        self._bytes_per_cycle = self.config.bytes_per_cycle_per_channel
         self._block_size = self.config.block_size
+        self._transfer_cycles = self._block_size / self.config.bytes_per_cycle_per_channel
         self._num_channels = self.config.num_channels
         self._access_latency_cycles = self.config.access_latency_cycles
         self._row_hit_latency_factor = self.config.row_buffer_hit_latency_factor
 
-    def access(self, request: MemoryRequest, now_cycle: float) -> float:
-        """Serve ``request`` starting no earlier than ``now_cycle``.
+    def access(self, address: int, now_cycle: float) -> float:
+        """Serve one block at byte ``address`` starting no earlier than ``now_cycle``.
 
         Returns the latency in cycles from ``now_cycle`` until the data is
         available (including any queueing delay on the channel).
         """
-        channel = self._channels[(request.address // self._block_size) % self._num_channels]
+        channel = self._channels[(address // self._block_size) % self._num_channels]
 
         busy = channel.busy_until_cycle
         start = busy if busy > now_cycle else now_cycle  # max(), without the builtin call
@@ -132,14 +133,13 @@ class DRAMModel:
         if (self._row_toggle * 37) % 100 < self._row_hit_threshold:
             core_latency *= self._row_hit_latency_factor
 
-        size_bytes = request.size_bytes
-        transfer_cycles = size_bytes / self._bytes_per_cycle
+        transfer_cycles = self._transfer_cycles
         channel.busy_until_cycle = start + transfer_cycles
-        channel.bytes_served += size_bytes
+        channel.bytes_served += self._block_size
         channel.accesses += 1
 
         self.total_accesses += 1
-        self.total_bytes += size_bytes
+        self.total_bytes += self._block_size
 
         return queue_delay + core_latency + transfer_cycles
 

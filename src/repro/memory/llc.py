@@ -16,7 +16,6 @@ from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
 from repro.memory.address_mapping import AddressMapping
-from repro.memory.request import MemoryRequest
 
 
 @dataclass
@@ -134,26 +133,27 @@ class LLCPartition:
         self._block_size = block_size
         self._set_span_bytes = block_size * self.num_sets
         self._associativity = config.associativity
-        self._bytes_per_cycle = config.bytes_per_cycle_per_partition
+        self._transfer_cycles = block_size / config.bytes_per_cycle_per_partition
         self._hit_latency_cycles = config.hit_latency_cycles
         self._busy_until_cycle = 0.0
         self.bytes_served = 0
 
-    def access(self, request: MemoryRequest, now_cycle: float) -> Tuple[bool, float, Optional[int]]:
-        """Look up ``request`` in this partition's slice, filling it on a miss.
+    def access(
+        self, address: int, is_write: bool, now_cycle: float
+    ) -> Tuple[bool, float, Optional[int]]:
+        """Look up the block at byte ``address`` in the slice, filling it on a miss.
 
         A hit makes the block the most recently used (and dirty on a
         write); a miss installs it, dirty for a write, evicting the least
-        recently used block of a full set.  Returns ``(hit, latency_cycles,
-        writeback_address)`` where latency includes the partition queueing
-        delay and ``writeback_address`` is the block address of a dirty
-        victim needing writeback to DRAM (or ``None``).
+        recently used block of a full set.  The access moves one block.
+        Returns ``(hit, latency_cycles, writeback_address)`` where latency
+        includes the partition queueing delay and ``writeback_address`` is
+        the block address of a dirty victim needing writeback to DRAM (or
+        ``None``).
         """
         busy = self._busy_until_cycle
         start = busy if busy > now_cycle else now_cycle  # max(), without the builtin call
 
-        address = request.address
-        is_write = request.is_write
         stats = self.stats
         if is_write:
             stats.writes += 1
@@ -180,9 +180,8 @@ class LLCPartition:
                     writeback = (victim_tag * num_sets + set_index) * block_size
             blocks[tag] = is_write
 
-        size_bytes = request.size_bytes
-        self._busy_until_cycle = start + size_bytes / self._bytes_per_cycle
-        self.bytes_served += size_bytes
+        self._busy_until_cycle = start + self._transfer_cycles
+        self.bytes_served += block_size
 
         return hit, start - now_cycle + self._hit_latency_cycles, writeback
 
@@ -218,9 +217,11 @@ class BankedLLC:
         """Partition responsible for ``address``."""
         return self.partitions[self.mapping.partition_of(address)]
 
-    def access(self, request: MemoryRequest, now_cycle: float = 0.0) -> Tuple[bool, float, Optional[int]]:
-        """Route ``request`` to its partition and access the slice there."""
-        return self.partition_for(request.address).access(request, now_cycle)
+    def access(
+        self, address: int, is_write: bool = False, now_cycle: float = 0.0
+    ) -> Tuple[bool, float, Optional[int]]:
+        """Route the access at byte ``address`` to its partition and access the slice there."""
+        return self.partition_for(address).access(address, is_write, now_cycle)
 
     def aggregate_stats(self) -> CacheStats:
         """Combined hit/miss statistics across all partitions."""

@@ -2,9 +2,11 @@
 
 The engine owns the banked conventional LLC, the optional Morpheus
 controllers (one per partition, sharing one aggregate extended LLC), the
-interconnect and the DRAM model.  It replays a trace of LLC-level requests
+interconnect and the DRAM model.  It replays a trace of LLC-level accesses,
+handing each layer an access's byte address and write flag as plain values,
 and collects the counts the performance model needs: hit rates per level,
 average access latency, per-level bytes, interconnect load and DRAM traffic.
+Every layer moves one block of the GPU's block size per access.
 """
 
 from __future__ import annotations
@@ -31,14 +33,14 @@ def _extended_round_trip(
 ) -> NocRoundTripFn:
     """The controllers' extra hop to a cache-mode SM, on ``network``.
 
-    The hop uses the port of a partition picked pseudo-randomly by time,
-    and its response carries one block back.
+    The hop uses the port of a partition picked pseudo-randomly by time;
+    it carries one block out and one block back.
     """
 
-    def round_trip(size_bytes: int, at_cycle: float) -> float:
+    def round_trip(at_cycle: float) -> float:
         # max(1.0, at_cycle) as elapsed time, without the builtin call.
         return network.traverse(
-            int(at_cycle) % num_partitions, size_bytes, at_cycle, block_size,
+            int(at_cycle) % num_partitions, block_size, at_cycle, block_size,
             at_cycle if at_cycle > 1.0 else 1.0,
         )
 
@@ -115,6 +117,7 @@ class MemoryHierarchyEngine:
     Args:
         gpu: GPU configuration (provides LLC, DRAM and interconnect configs).
         morpheus: Morpheus configuration; ``None`` models a conventional GPU.
+            Its block size must be the GPU's.
         cache_sm_ids: SMs in cache mode (ignored when ``morpheus`` is None).
         compressibility: Workload block-compressibility mix for the extended LLC.
         capacity_scale: Factor by which cache capacities are scaled down to
@@ -123,6 +126,9 @@ class MemoryHierarchyEngine:
         request_interval_cycles: Modelled gap between consecutive trace
             requests entering the memory system; sets the offered load for
             the bandwidth/queueing models.
+
+    Raises:
+        ValueError: if ``morpheus`` has another block size than ``gpu``.
     """
 
     def __init__(
@@ -138,6 +144,11 @@ class MemoryHierarchyEngine:
             raise ValueError("capacity_scale must be in (0, 1]")
         if request_interval_cycles <= 0:
             raise ValueError("request_interval_cycles must be positive")
+        if morpheus is not None and morpheus.block_size != gpu.block_size:
+            raise ValueError(
+                f"the Morpheus config has {morpheus.block_size}-byte blocks, "
+                f"the GPU has {gpu.block_size}-byte blocks"
+            )
         self.gpu = gpu
         self.morpheus_config = morpheus
         self.capacity_scale = capacity_scale
@@ -189,7 +200,6 @@ class MemoryHierarchyEngine:
         # Per-access constants of the replay loop.
         self._block_size = gpu.block_size
         self._num_partitions = self.llc.mapping.num_partitions
-        self._partition_block_size = self.llc.mapping.block_size
 
     # -- trace replay ------------------------------------------------------------------
 
@@ -208,74 +218,71 @@ class MemoryHierarchyEngine:
         interval = self.request_interval_cycles
         start_cycle = self._start_cycle
         counters = self.counters
-        partition_block = self._partition_block_size
         num_partitions = self._num_partitions
         traverse = self.network.traverse
         controllers = self.controllers
         partitions = self.llc.partitions
         dram_access = self.dram.access
-        for index, request in enumerate(trace):
+        accesses = zip(trace.addresses, map(bool, trace.writes))
+        for index, (address, is_write) in enumerate(accesses):
             # Time continues across run() calls so warm-up and measurement
             # share one continuous timeline (queue occupancies stay valid).
             now = start_cycle + index * interval
 
             # The SM -> LLC partition hop (all LLC traffic pays this).
-            partition_id = (request.address // partition_block) % num_partitions
+            partition_id = (address // block) % num_partitions
             # max(1.0, now) as elapsed time, without the builtin call.
             noc_latency = traverse(
                 partition_id, REQUEST_BYTES, now, block, now if now > 1.0 else 1.0
             )
-            size = request.size_bytes
 
             if not controllers:
                 # A conventional GPU: the partition's slice, then DRAM on a miss.
-                hit, latency, writeback = partitions[partition_id].access(request, now)
+                hit, latency, writeback = partitions[partition_id].access(address, is_write, now)
                 total = noc_latency + latency
                 if hit:
                     counters.conventional_hits += 1
                 else:
-                    total += dram_access(request, now + latency)
+                    total += dram_access(address, now + latency)
                     counters.dram_accesses += 1
-                    counters.dram_bytes += size
-                counters.conventional_bytes += size
+                    counters.dram_bytes += block
+                counters.conventional_bytes += block
                 if writeback is not None:
-                    # An evicted dirty block always moves one full cache block
-                    # to DRAM, regardless of the triggering request's size.
                     counters.writebacks += 1
                     counters.dram_bytes += block
                 counters.total_latency_cycles += total
                 continue
 
             hit_level, latency, predicted_miss, false_positive, writebacks = (
-                controllers[partition_id].access(request, now)
+                controllers[partition_id].access(address, is_write, now)
             )
             if hit_level == "llc":
                 counters.conventional_hits += 1
-                counters.conventional_bytes += size
+                counters.conventional_bytes += block
             elif hit_level == "extended_llc":
                 counters.extended_hits += 1
                 counters.extended_requests += 1
-                counters.extended_bytes += size
-                # The round trip to the cache-mode SM: the request out, one block back.
-                counters.noc_bytes += size + block
+                counters.extended_bytes += block
+                # The round trip to the cache-mode SM: one block out, one back.
+                counters.noc_bytes += 2 * block
             else:  # served by DRAM
                 counters.dram_accesses += 1
-                counters.dram_bytes += size
+                counters.dram_bytes += block
                 if predicted_miss:
                     counters.extended_requests += 1
                     counters.predicted_misses += 1
                 elif false_positive:
                     counters.extended_requests += 1
                     counters.false_positive_trips += 1
-                    counters.noc_bytes += size + block  # the wasted round trip
+                    counters.noc_bytes += 2 * block  # the wasted round trip
                 else:
-                    counters.conventional_bytes += size
+                    counters.conventional_bytes += block
             if writebacks:
                 counters.writebacks += len(writebacks)
-                # Each evicted dirty block writes one full cache block back to DRAM.
+                # Each evicted dirty block writes one block back to DRAM.
                 counters.dram_bytes += len(writebacks) * block
             counters.total_latency_cycles += noc_latency + latency
-        # Every request's partition hop carried its request out and one block back.
+        # Every access's partition hop carried its request out and one block back.
         counters.noc_bytes += len(trace) * (REQUEST_BYTES + block)
         counters.llc_accesses += len(trace)
         self._start_cycle += len(trace) * interval

@@ -1,9 +1,10 @@
 """Trace generation from application profiles.
 
 The :class:`TraceGenerator` turns an :class:`~repro.workloads.applications.ApplicationProfile`
-into an LLC-level memory trace: the stream of block-aligned requests that
-miss in the per-SM L1 caches and reach the LLC partitions.  The generator
-composes three components according to the profile:
+into an LLC-level memory trace: the stream of block-aligned accesses that
+miss in the per-SM L1 caches and reach the LLC partitions, held as a flat
+array of byte addresses and one of write flags.  The generator composes
+three components according to the profile:
 
 * a **hot region** (``hot_fraction`` of the footprint) receiving
   ``hot_probability`` of the reuse accesses,
@@ -21,11 +22,11 @@ from __future__ import annotations
 
 import hashlib
 import random
+from array import array
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Tuple
 
-from repro.memory.request import AccessType, MemoryRequest
 from repro.workloads.applications import ApplicationProfile
 from repro.workloads.trace import MemoryTrace
 
@@ -64,8 +65,8 @@ class TraceGenerator:
         scale: Downscaling factor applied to the footprint (must match the
             capacity scaling used by the simulator).
         seed: Seed for the deterministic random generator.
-        block_size: Cache block size of the generated requests (the
-            replaying GPU's ``block_size``).
+        block_size: Cache block size the generated addresses are aligned to
+            (the replaying GPU's ``block_size``).
     """
 
     def __init__(
@@ -107,7 +108,12 @@ class TraceGenerator:
         )
 
     def generate(self, num_accesses: int) -> MemoryTrace:
-        """Generate a trace of ``num_accesses`` LLC-level accesses."""
+        """Generate a trace of ``num_accesses`` LLC-level accesses.
+
+        Each access draws its block (streaming, hot or cold region), then
+        whether it writes: an atomic draw, and a store draw only when the
+        atomic draw fails.
+        """
         if num_accesses < 0:
             raise ValueError("num_accesses must be non-negative")
         params = self.parameters(num_accesses)
@@ -122,31 +128,31 @@ class TraceGenerator:
         hot_blocks = params.hot_blocks
         cold_blocks = max(1, params.footprint_blocks - hot_blocks)
         block_size = self.block_size
-        num_sms = self.num_compute_sms
 
-        requests: List[MemoryRequest] = []
-        append = requests.append
-        if self._streaming_cursor is None:
-            # The streaming region sits past the reuse footprint.
-            self._streaming_cursor = params.footprint_blocks
-        for index in range(num_accesses):
+        addresses = array("q")
+        writes = bytearray()
+        append_address = addresses.append
+        append_write = writes.append
+        # The streaming region sits past the reuse footprint.
+        cursor = self._streaming_cursor
+        if cursor is None:
+            cursor = params.footprint_blocks
+        for _ in range(num_accesses):
             if draw() < streaming_fraction:
-                block = self._streaming_cursor
-                self._streaming_cursor += 1
+                block = cursor
+                cursor += 1
             elif draw() < hot_probability:
                 block = randrange(hot_blocks)
             else:
                 block = hot_blocks + randrange(cold_blocks)
-
-            if draw() < atomic_fraction:
-                access_type = AccessType.ATOMIC
-            elif draw() < write_fraction:
-                access_type = AccessType.STORE
-            else:
-                access_type = AccessType.LOAD
-            append(MemoryRequest(block * block_size, access_type, index % num_sms, block_size))
+            append_address(block * block_size)
+            append_write(draw() < atomic_fraction or draw() < write_fraction)
+        self._streaming_cursor = cursor
         return MemoryTrace(
-            requests, name=f"{profile.name}-{num_sms}sm", block_size=block_size
+            addresses,
+            writes,
+            name=f"{profile.name}-{self.num_compute_sms}sm",
+            block_size=block_size,
         )
 
 
@@ -169,7 +175,8 @@ class TraceCache:
     across ``generate()`` calls: the measurement trace's fresh streaming
     addresses depend on the warm-up trace having been generated first.
 
-    Cached traces are treated as immutable; callers must not mutate them.
+    Every replay of a cached pair reads the same address and write-flag
+    arrays, so callers must not mutate them.
     """
 
     def __init__(self, max_entries: int = 32) -> None:

@@ -12,7 +12,6 @@ from repro.core.hit_miss_predictor import HitMissPredictor
 from repro.interconnect.network import InterconnectNetwork
 from repro.memory.dram import DRAMModel
 from repro.memory.llc import LLCConfig, LLCPartition
-from repro.memory.request import AccessType, MemoryRequest
 
 
 def make_controller(predictor: str = "bloom", cache_sms: int = 8, **config_kwargs):
@@ -32,7 +31,7 @@ class TestControllerRouting:
         rng = random.Random(5)
         for i in range(500):
             address = rng.randrange(0, 1 << 22) // 128 * 128
-            controller.access(MemoryRequest(address=address), now_cycle=i * 4.0)
+            controller.access(address, now_cycle=i * 4.0)
         assert controller.stats.conventional_requests > 0
         assert controller.stats.extended_requests > 0
         assert (
@@ -44,7 +43,7 @@ class TestControllerRouting:
         partition = LLCPartition(0, LLCConfig())
         controller = MorpheusController(partition, None, MorpheusConfig())
         for i in range(100):
-            controller.access(MemoryRequest(address=i * 128), now_cycle=float(i))
+            controller.access(i * 128, now_cycle=float(i))
         assert controller.stats.extended_requests == 0
         assert controller.stats.conventional_requests == 100
 
@@ -54,8 +53,8 @@ class TestControllerRouting:
         address = next(
             a for a in range(0, 1 << 22, 128) if controller.separator.is_extended(a)
         )
-        first_level, *_ = controller.access(MemoryRequest(address=address), 0.0)
-        second_level, *_ = controller.access(MemoryRequest(address=address), 100.0)
+        first_level, *_ = controller.access(address, now_cycle=0.0)
+        second_level, *_ = controller.access(address, now_cycle=100.0)
         assert first_level == "dram"
         assert second_level == "extended_llc"
 
@@ -64,8 +63,8 @@ class TestControllerRouting:
         address = next(
             a for a in range(0, 1 << 22, 128) if not controller.separator.is_extended(a)
         )
-        _, miss_latency, *_ = controller.access(MemoryRequest(address=address), 0.0)
-        hit_level, hit_latency, *_ = controller.access(MemoryRequest(address=address), 100.0)
+        _, miss_latency, *_ = controller.access(address, now_cycle=0.0)
+        hit_level, hit_latency, *_ = controller.access(address, now_cycle=100.0)
         assert hit_level == "llc"
         assert hit_latency < miss_latency
 
@@ -75,7 +74,7 @@ class TestPredictorModes:
         rng = random.Random(17)
         for i in range(accesses):
             address = rng.randrange(footprint_blocks) * 128
-            controller.access(MemoryRequest(address=address), now_cycle=i * 4.0)
+            controller.access(address, now_cycle=i * 4.0)
 
     def test_bloom_predictor_never_false_negative(self):
         controller = make_controller("bloom")
@@ -107,7 +106,7 @@ class TestPredictorModes:
             count = 900
             for i in range(count):
                 address = rng.randrange(4096) * 128
-                _, latency, *_ = controller.access(MemoryRequest(address=address), now_cycle=i * 4.0)
+                _, latency, *_ = controller.access(address, now_cycle=i * 4.0)
                 total += latency
             return total / count
 
@@ -121,9 +120,7 @@ class TestWritesAndOverheads:
         writebacks = 0
         for i in range(2500):
             address = rng.randrange(16384) * 128
-            *_, outcome_writebacks = controller.access(
-                MemoryRequest(address=address, access_type=AccessType.STORE), now_cycle=i * 4.0
-            )
+            *_, outcome_writebacks = controller.access(address, True, now_cycle=i * 4.0)
             writebacks += len(outcome_writebacks)
         assert writebacks > 0
 
@@ -133,7 +130,7 @@ class TestWritesAndOverheads:
 
     def test_reset_clears_stats(self):
         controller = make_controller()
-        controller.access(MemoryRequest(address=0), 0.0)
+        controller.access(0)
         controller.reset()
         assert controller.stats.requests == 0
 
@@ -175,31 +172,30 @@ class _ReferenceController:
         self.base = partition.partition_id * num_sets
         self.stats = ControllerStats()
 
-    def access(self, request, now):
+    def access(self, address, is_write, now):
         stats = self.stats
         stats.requests += 1
-        decision = self.separator.route(request.address)
+        decision = self.separator.route(address)
         if decision.target == "conventional":
-            return self._access_conventional(request, now)
-        return self._access_extended(request, now, decision.extended_set)
+            return self._access_conventional(address, is_write, now)
+        return self._access_extended(address, is_write, now, decision.extended_set)
 
-    def _access_conventional(self, request, now):
+    def _access_conventional(self, address, is_write, now):
         stats = self.stats
         stats.conventional_requests += 1
-        hit, latency, writeback = self.partition.access(request, now)
+        hit, latency, writeback = self.partition.access(address, is_write, now)
         writebacks = () if writeback is None else (writeback,)
         stats.writebacks += len(writebacks)
         if hit:
             stats.conventional_hits += 1
             return "llc", latency, False, False, writebacks
         stats.dram_accesses += 1
-        latency += self.dram_access(request, now + latency)
+        latency += self.dram_access(address, now + latency)
         return "dram", latency, False, False, writebacks
 
-    def _access_extended(self, request, now, set_index):
+    def _access_extended(self, address, is_write, now, set_index):
         stats = self.stats
         stats.extended_requests += 1
-        address = request.address
         tag = address // self.config.block_size
         global_set = self.base + set_index
         resident = self.extended.resident(global_set, address)
@@ -213,15 +209,15 @@ class _ReferenceController:
             stats.predicted_misses += 1
             stats.extended_misses += 1
             stats.dram_accesses += 1
-            dram_latency = self.dram_access(request, now)
-            fill = self.extended.fill(global_set, address, request.is_write)
+            dram_latency = self.dram_access(address, now)
+            fill = self.extended.fill(global_set, address, is_write)
             self.predictor.record_access(set_index, tag)
             stats.writebacks += len(fill.writebacks)
             latency = self.partition.config.hit_latency_cycles * 0.25 + dram_latency
             return "dram", latency, True, False, fill.writebacks
 
-        noc_latency = self.noc_round_trip(request.size_bytes, now)
-        result = self.extended.access(global_set, address, request.is_write)
+        noc_latency = self.noc_round_trip(now)
+        result = self.extended.access(global_set, address, is_write)
         service_latency = result.service_latency_ns * _CLOCK_GHZ
         if result.hit:
             stats.extended_hits += 1
@@ -232,8 +228,8 @@ class _ReferenceController:
         if self.mode != "perfect":
             stats.false_positive_trips += 1
         stats.dram_accesses += 1
-        dram_latency = self.dram_access(request, now + noc_latency + service_latency)
-        fill = self.extended.fill(global_set, address, request.is_write)
+        dram_latency = self.dram_access(address, now + noc_latency + service_latency)
+        fill = self.extended.fill(global_set, address, is_write)
         self.predictor.record_access(set_index, tag)
         stats.writebacks += len(fill.writebacks)
         return "dram", noc_latency + service_latency + dram_latency, False, True, fill.writebacks
@@ -255,8 +251,8 @@ def _hierarchy(config, wrapping, partition_id):
     )
     network = InterconnectNetwork()
 
-    def round_trip(size_bytes, at_cycle):
-        return network.traverse(partition_id, size_bytes, at_cycle, 128, at_cycle + 1.0)
+    def round_trip(at_cycle):
+        return network.traverse(partition_id, 128, at_cycle, 128, at_cycle + 1.0)
 
     return LLCPartition(partition_id, _SMALL_LLC), extended, DRAMModel().access, round_trip
 
@@ -277,7 +273,7 @@ def _contents(extended):
     ]
 
 
-#: (block, access type, cycles since the previous request) per request.
+#: (block, write flag, cycles since the previous request) per request.
 #: Blocks are the first 8 of each 64-block unit of the address separator's
 #: 16-unit period, so both LLCs see traffic, blocks are reused and evicted.
 _REQUEST_STREAMS = st.lists(
@@ -287,7 +283,7 @@ _REQUEST_STREAMS = st.lists(
             st.integers(min_value=0, max_value=15),
             st.integers(min_value=0, max_value=7),
         ),
-        st.sampled_from(list(AccessType)),
+        st.booleans(),
         st.floats(min_value=0.0, max_value=40.0, allow_nan=False),
     ),
     min_size=60,
@@ -330,10 +326,12 @@ class TestSinglePassMatchesReference:
         assert controller.separator.num_extended_sets == reference.separator.num_extended_sets
 
         now = 0.0
-        for block, access_type, gap in requests:
+        for block, is_write, gap in requests:
             now += gap
-            request = MemoryRequest(address=block * 128, access_type=access_type)
-            assert controller.access(request, now) == reference.access(request, now)
+            address = block * 128
+            assert controller.access(address, is_write, now) == reference.access(
+                address, is_write, now
+            )
         assert controller.stats == reference.stats
         assert controller.predictor.stats == reference.predictor.stats
         assert _contents(controller.extended_llc) == _contents(reference.extended)

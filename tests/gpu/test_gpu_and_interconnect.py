@@ -5,6 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.gpu.config import GPUConfig, RTX3080_CONFIG
 from repro.interconnect.network import InterconnectConfig, InterconnectNetwork
+from repro.memory.dram import DRAMConfig
+from repro.memory.llc import LLCConfig
 
 
 class TestGPUConfig:
@@ -32,10 +34,16 @@ class TestGPUConfig:
         assert bigger.l1_shared_bytes_per_sm == 228 * 1024
 
     def test_partition_mismatch_rejected(self):
-        from repro.memory.llc import LLCConfig
-
         with pytest.raises(ValueError):
             GPUConfig(llc=LLCConfig(num_partitions=5, capacity_bytes=5 * 1024 * 1024))
+
+    def test_llc_block_size_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="LLC config has 64-byte blocks"):
+            GPUConfig(llc=LLCConfig(block_size=64))
+
+    def test_dram_block_size_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="DRAM config has 256-byte blocks"):
+            GPUConfig(dram=DRAMConfig(block_size=256))
 
 
 class _ReferenceLink:

@@ -7,13 +7,13 @@ than exact figures.
 
 import collections
 import dataclasses
+from array import array
 
 import pytest
 
 from repro.core.config import MORPHEUS_ALL, MorpheusConfig
 from repro.memory.dram import DRAMConfig
 from repro.memory.llc import LLCConfig
-from repro.memory.request import MemoryRequest
 from repro.sim.engine import REQUEST_BYTES, MemoryHierarchyEngine
 from repro.sim.simulator import GPUSimulator, SimulationConfig, simulate
 from repro.gpu.config import GPUConfig, RTX3080_CONFIG
@@ -65,7 +65,7 @@ class TestEngine:
         trace = TraceGenerator(profile, 20, scale=1 / 32, seed=1).generate(2000)
         engine.run(trace)
         partitions = range(RTX3080_CONFIG.llc.num_partitions)
-        mapped = collections.Counter(engine.llc.mapping.partition_of(r.address) for r in trace)
+        mapped = collections.Counter(map(engine.llc.mapping.partition_of, trace.addresses))
         served = [partition.stats.accesses for partition in engine.llc.partitions]
         assert served == [mapped[index] for index in partitions]
         # Each request's hop to its partition sends its request on that port.
@@ -74,10 +74,17 @@ class TestEngine:
 
     def test_trace_of_another_block_size_rejected(self):
         engine = MemoryHierarchyEngine(RTX3080_CONFIG, capacity_scale=1 / 32)
-        trace = MemoryTrace([MemoryRequest(address=64, size_bytes=64)], block_size=64)
+        trace = MemoryTrace(array("q", [64]), b"\x00", block_size=64)
         with pytest.raises(ValueError, match="64-byte blocks"):
             engine.run(trace)
         assert engine.counters.llc_accesses == 0
+
+    def test_morpheus_block_size_must_be_the_gpus(self):
+        morpheus = dataclasses.replace(MORPHEUS_ALL, block_size=64)
+        with pytest.raises(ValueError, match="Morpheus config has 64-byte blocks"):
+            MemoryHierarchyEngine(
+                RTX3080_CONFIG, morpheus=morpheus, cache_sm_ids=[64, 65], capacity_scale=1 / 32
+            )
 
     @pytest.mark.parametrize("block_size", [128, 64])
     def test_noc_bytes_match_network_injection(self, block_size):

@@ -11,7 +11,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.memory.llc import CacheStats, LLCConfig, LLCPartition
-from repro.memory.request import AccessType, MemoryRequest
 
 
 def make_slice(capacity_bytes, associativity, block_size=128):
@@ -27,8 +26,7 @@ def make_slice(capacity_bytes, associativity, block_size=128):
 
 def access(partition, address, is_write=False):
     """``(hit, writeback address)`` of one load or store to ``partition``."""
-    access_type = AccessType.STORE if is_write else AccessType.LOAD
-    hit, _, writeback = partition.access(MemoryRequest(address, access_type), 0.0)
+    hit, _, writeback = partition.access(address, is_write, 0.0)
     return hit, writeback
 
 

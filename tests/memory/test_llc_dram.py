@@ -4,7 +4,6 @@ import pytest
 
 from repro.memory.dram import DRAMConfig, DRAMModel
 from repro.memory.llc import BankedLLC, LLCConfig, LLCPartition
-from repro.memory.request import AccessType, MemoryRequest
 
 
 class TestLLCConfig:
@@ -28,31 +27,28 @@ class TestLLCConfig:
 class TestLLCPartition:
     def test_miss_then_hit(self):
         partition = LLCPartition(0, LLCConfig())
-        request = MemoryRequest(address=0)
-        hit, latency, _ = partition.access(request, 0.0)
+        hit, latency, _ = partition.access(0, False, 0.0)
         assert not hit
         assert latency >= partition.config.hit_latency_cycles
-        hit, _, _ = partition.access(request, 10.0)
+        hit, _, _ = partition.access(0, False, 10.0)
         assert hit
 
     def test_dirty_eviction_reports_writeback(self):
         config = LLCConfig(capacity_bytes=10 * 2048, associativity=1, num_partitions=10)
         partition = LLCPartition(0, config)
         sets = partition.num_sets
-        store = MemoryRequest(address=0, access_type=AccessType.STORE)
-        partition.access(store, 0.0)
-        conflicting = MemoryRequest(address=sets * 128)
-        _, _, writeback = partition.access(conflicting, 1.0)
+        partition.access(0, True, 0.0)
+        _, _, writeback = partition.access(sets * 128, False, 1.0)
         assert writeback == 0
 
     def test_throughput_accounting(self):
         partition = LLCPartition(0, LLCConfig())
-        partition.access(MemoryRequest(address=0), 0.0)
+        partition.access(0, False, 0.0)
         assert partition.throughput_gbps(elapsed_cycles=100.0) > 0.0
 
     def test_reset(self):
         partition = LLCPartition(0, LLCConfig())
-        partition.access(MemoryRequest(address=0), 0.0)
+        partition.access(0, False, 0.0)
         partition.reset()
         assert partition.stats.accesses == 0
 
@@ -64,20 +60,19 @@ class TestBankedLLC:
 
     def test_requests_routed_by_address(self):
         llc = BankedLLC()
-        request = MemoryRequest(address=128 * 3)
-        assert llc.partition_for(request.address).partition_id == 3
+        assert llc.partition_for(128 * 3).partition_id == 3
 
     def test_aggregate_stats(self):
         llc = BankedLLC()
         for i in range(20):
-            llc.access(MemoryRequest(address=i * 128), now_cycle=float(i))
+            llc.access(i * 128, now_cycle=float(i))
         stats = llc.aggregate_stats()
         assert stats.accesses == 20
         assert stats.misses == 20
 
     def test_reset(self):
         llc = BankedLLC()
-        llc.access(MemoryRequest(address=0))
+        llc.access(0)
         llc.reset()
         assert llc.aggregate_stats().accesses == 0
 
@@ -101,36 +96,42 @@ class TestDRAMConfig:
         with pytest.raises(ValueError):
             DRAMConfig(row_buffer_hit_rate=1.5)
 
+    @pytest.mark.parametrize("block_size", [0, 96])
+    def test_block_size_must_be_a_positive_power_of_two(self, block_size):
+        # Every access moves one block of it, so it sizes each transfer.
+        with pytest.raises(ValueError, match="block_size"):
+            DRAMConfig(block_size=block_size)
+
 
 class TestDRAMModel:
     def test_latency_includes_core_latency(self):
         dram = DRAMModel()
-        latency = dram.access(MemoryRequest(address=0), now_cycle=0.0)
+        latency = dram.access(0, now_cycle=0.0)
         assert latency >= dram.config.access_latency_cycles * dram.config.row_buffer_hit_latency_factor
 
     def test_queueing_under_load(self):
         config = DRAMConfig(num_channels=1, bandwidth_gbps_per_channel=1.44)  # 1 B/cycle
         dram = DRAMModel(config)
         # Saturate the single channel: issue many requests at the same cycle.
-        latencies = [dram.access(MemoryRequest(address=0), now_cycle=0.0) for _ in range(10)]
+        latencies = [dram.access(0, now_cycle=0.0) for _ in range(10)]
         assert latencies[-1] > latencies[0]
 
     def test_channel_interleaving(self):
         dram = DRAMModel()
         for i in range(10):
-            dram.access(MemoryRequest(address=i * 128), now_cycle=0.0)
+            dram.access(i * 128, now_cycle=0.0)
         per_channel = dram.per_channel_accesses()
         assert all(count == 1 for count in per_channel.values())
 
     def test_bandwidth_utilization_bounded(self):
         dram = DRAMModel()
         for i in range(100):
-            dram.access(MemoryRequest(address=i * 128), now_cycle=float(i))
+            dram.access(i * 128, now_cycle=float(i))
         assert 0.0 < dram.bandwidth_utilization(elapsed_cycles=100.0) <= 1.0
 
     def test_reset(self):
         dram = DRAMModel()
-        dram.access(MemoryRequest(address=0), 0.0)
+        dram.access(0, 0.0)
         dram.reset()
         assert dram.total_accesses == 0
         assert dram.total_bytes == 0

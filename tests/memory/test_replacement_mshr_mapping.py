@@ -9,7 +9,6 @@ import pytest
 
 from repro.memory.address_mapping import AddressMapping
 from repro.memory.llc import LLCConfig, LLCPartition
-from repro.memory.request import MemoryRequest
 
 
 def one_set_slice(associativity):
@@ -21,7 +20,7 @@ def one_set_slice(associativity):
 def touch(partition, *blocks):
     """Load ``blocks`` in order."""
     for block in blocks:
-        partition.access(MemoryRequest(address=block * 128), 0.0)
+        partition.access(block * 128, False, 0.0)
 
 
 class TestLRUPolicy:

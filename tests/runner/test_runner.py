@@ -360,4 +360,4 @@ class TestDeterminism:
         assert _stable_seed(1, "kmeans", 20) == _stable_seed(1, "kmeans", 20)
         first = TraceGenerator(kmeans_profile, 20, scale=1 / 64, seed=1).generate(500)
         second = TraceGenerator(kmeans_profile, 20, scale=1 / 64, seed=1).generate(500)
-        assert [e.address for e in first] == [e.address for e in second]
+        assert first.addresses == second.addresses

@@ -1,6 +1,11 @@
 """Tests for workload profiles, traces and trace generation."""
 
+import random
+from array import array
+from typing import NamedTuple
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.workloads.applications import (
     APPLICATIONS,
@@ -10,8 +15,7 @@ from repro.workloads.applications import (
     WorkloadClass,
     get_application,
 )
-from repro.memory.request import AccessType, MemoryRequest
-from repro.workloads.generator import TraceGenerator
+from repro.workloads.generator import TraceGenerator, _stable_seed
 from repro.workloads.trace import MemoryTrace
 
 
@@ -66,30 +70,17 @@ class TestApplications:
 
 
 class TestTrace:
-    def test_footprint(self):
-        trace = MemoryTrace([MemoryRequest(address=i * 128) for i in range(10)])
-        assert trace.unique_blocks() == 10
-        assert trace.footprint_bytes() == 1280
+    def test_negative_address_rejected(self):
+        with pytest.raises(ValueError, match="negative address"):
+            MemoryTrace(array("q", [0, -128]), bytes(2))
 
-    def test_footprint_counts_blocks_of_the_trace_block_size(self):
-        requests = [MemoryRequest(address=i * 64, size_bytes=64) for i in range(10)]
-        trace = MemoryTrace(requests, block_size=64)
-        assert trace.unique_blocks() == 10
-        assert trace.footprint_bytes() == 640
-
-    def test_write_and_atomic_fractions(self):
-        requests = [
-            MemoryRequest(address=0, access_type=AccessType.STORE),
-            MemoryRequest(address=0),
-            MemoryRequest(address=0, access_type=AccessType.ATOMIC),
-        ]
-        trace = MemoryTrace(requests)
-        assert trace.write_fraction() == pytest.approx(2 / 3)
-        assert trace.atomic_fraction() == pytest.approx(1 / 3)
+    def test_unequal_lengths_rejected(self):
+        with pytest.raises(ValueError, match="2 addresses but 1 write flags"):
+            MemoryTrace(array("q", [0, 128]), b"\x01")
 
     def test_block_size_must_be_a_power_of_two(self):
         with pytest.raises(ValueError):
-            MemoryTrace(block_size=96)
+            MemoryTrace(array("q"), b"", block_size=96)
 
 
 class TestTraceGenerator:
@@ -97,23 +88,21 @@ class TestTraceGenerator:
         profile = get_application("cfd")
         first = TraceGenerator(profile, 20, scale=1 / 32, seed=3).generate(500)
         second = TraceGenerator(profile, 20, scale=1 / 32, seed=3).generate(500)
-        assert first.addresses() == second.addresses()
+        assert first.addresses == second.addresses
 
     @pytest.mark.parametrize("block_size", [128, 64])
     def test_emits_block_aligned_requests(self, block_size):
         profile = get_application("histo")  # stores and atomics next to loads
         trace = TraceGenerator(profile, 20, scale=1 / 32, seed=3, block_size=block_size).generate(500)
         assert trace.block_size == block_size
-        assert all(request.address % block_size == 0 for request in trace)
-        assert all(request.size_bytes == block_size for request in trace)
-        assert [request.sm_id for request in trace] == [index % 20 for index in range(500)]
-        assert {request.access_type for request in trace} == set(AccessType)
+        assert all(address % block_size == 0 for address in trace.addresses)
+        assert set(trace.writes) == {0, 1}
 
     def test_different_seeds_differ(self):
         profile = get_application("cfd")
         first = TraceGenerator(profile, 20, scale=1 / 32, seed=3).generate(500)
         second = TraceGenerator(profile, 20, scale=1 / 32, seed=4).generate(500)
-        assert first.addresses() != second.addresses()
+        assert first.addresses != second.addresses
 
     def test_footprint_scales_down(self):
         profile = get_application("cfd")
@@ -124,17 +113,17 @@ class TestTraceGenerator:
     def test_streaming_cursor_persists_across_calls(self):
         profile = get_application("stencil")  # high streaming fraction
         generator = TraceGenerator(profile, 20, scale=1 / 32, seed=1)
-        first_blocks = {a // 128 for a in generator.generate(2000).addresses()}
+        first_blocks = {a // 128 for a in generator.generate(2000).addresses}
         second = generator.generate(2000)
         footprint = generator.parameters(1).footprint_blocks
-        second_streaming = {a // 128 for a in second.addresses() if a // 128 >= footprint}
+        second_streaming = {a // 128 for a in second.addresses if a // 128 >= footprint}
         # Streaming blocks of the second trace must not repeat those of the first.
         assert not (second_streaming & {b for b in first_blocks if b >= footprint})
 
     def test_write_fraction_roughly_matches_profile(self):
         profile = get_application("lbm")
         trace = TraceGenerator(profile, 20, scale=1 / 32, seed=2).generate(4000)
-        assert trace.write_fraction() == pytest.approx(profile.write_fraction, abs=0.1)
+        assert sum(trace.writes) / len(trace) == pytest.approx(profile.write_fraction, abs=0.1)
 
     def test_invalid_arguments(self):
         profile = get_application("cfd")
@@ -142,3 +131,103 @@ class TestTraceGenerator:
             TraceGenerator(profile, 0)
         with pytest.raises(ValueError):
             TraceGenerator(profile, 10, scale=2.0)
+
+
+class _Request(NamedTuple):
+    """One access as the request-object generator built it."""
+
+    address: int
+    access_type: str  # "load", "store" or "atomic"
+    sm_id: int
+    size_bytes: int
+
+    @property
+    def is_write(self):
+        return self.access_type != "load"
+
+
+class _ReferenceGenerator:
+    """The request-object generation loop the flat arrays replaced, kept as the reference.
+
+    Each call reseeds its RNG from (seed, application, compute SMs), carries
+    the streaming cursor over from the previous call, and builds one request
+    per access: its block (streaming, hot or cold region), then its type from
+    an atomic draw and, only when that fails, a store draw.
+    """
+
+    def __init__(self, profile, num_compute_sms, scale, seed, block_size):
+        self.profile = profile
+        self.num_compute_sms = num_compute_sms
+        self.scale = scale
+        self.seed = seed
+        self.block_size = block_size
+        self._streaming_cursor = None
+
+    def generate(self, num_accesses):
+        profile = self.profile
+        num_sms = self.num_compute_sms
+        block_size = self.block_size
+        footprint_bytes = profile.footprint_bytes(num_sms) * self.scale
+        footprint_blocks = max(16, int(footprint_bytes / block_size))
+        hot_blocks = max(1, int(footprint_blocks * profile.hot_fraction))
+        cold_blocks = max(1, footprint_blocks - hot_blocks)
+        rng = random.Random(_stable_seed(self.seed, profile.name, num_sms))
+
+        requests = []
+        if self._streaming_cursor is None:
+            self._streaming_cursor = footprint_blocks
+        for index in range(num_accesses):
+            if rng.random() < profile.streaming_fraction:
+                block = self._streaming_cursor
+                self._streaming_cursor += 1
+            elif rng.random() < profile.hot_probability:
+                block = rng.randrange(hot_blocks)
+            else:
+                block = hot_blocks + rng.randrange(cold_blocks)
+
+            if rng.random() < profile.atomic_fraction:
+                access_type = "atomic"
+            elif rng.random() < profile.write_fraction:
+                access_type = "store"
+            else:
+                access_type = "load"
+            requests.append(_Request(block * block_size, access_type, index % num_sms, block_size))
+        return requests
+
+
+def assert_pairs_match(application, num_compute_sms, scale, seed, block_size, lengths):
+    """The flat (warm-up, measurement) pair equals the reference pair access by access."""
+    profile = get_application(application)
+    flat = TraceGenerator(profile, num_compute_sms, scale=scale, seed=seed, block_size=block_size)
+    reference = _ReferenceGenerator(profile, num_compute_sms, scale, seed, block_size)
+    for num_accesses in lengths:
+        trace = flat.generate(num_accesses)
+        requests = reference.generate(num_accesses)
+        assert len(trace) == num_accesses
+        assert trace.block_size == block_size
+        assert list(trace.addresses) == [request.address for request in requests]
+        assert [bool(flag) for flag in trace.writes] == [request.is_write for request in requests]
+
+
+class TestFlatGeneratorMatchesReference:
+    @pytest.mark.parametrize("application", sorted(APPLICATIONS))
+    def test_every_application(self, application):
+        for block_size in (64, 128):
+            assert_pairs_match(application, 24, 1 / 32, 1, block_size, (300, 700))
+
+    @given(
+        st.sampled_from(sorted(APPLICATIONS)),
+        st.integers(min_value=1, max_value=68),
+        st.sampled_from((1 / 64, 1 / 32, 1 / 16, 1 / 4, 1.0)),
+        st.integers(min_value=0, max_value=1_000),
+        st.sampled_from((64, 128)),
+        st.integers(min_value=0, max_value=400),
+        st.integers(min_value=0, max_value=400),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_warmup_and_measurement_pair(
+        self, application, num_compute_sms, scale, seed, block_size, warmup, measured
+    ):
+        assert_pairs_match(
+            application, num_compute_sms, scale, seed, block_size, (warmup, measured)
+        )
