@@ -39,12 +39,15 @@ def test_scenario_phase_lowering():
     engine = ScenarioEngine(fidelity=BENCH_FIDELITY)
     policy = DynamicCapacityManager(hysteresis_sms=2)
 
-    lowered = engine.lower(LOWERING_SCENARIO, "Morpheus-ALL", policy)
+    lowering = engine.lower(LOWERING_SCENARIO, "Morpheus-ALL", policy)
 
-    assert len(lowered) == len(LOWERING_SCENARIO)
+    assert len(lowering.signature_ids) == len(LOWERING_SCENARIO)
     # The ramp hands capacity back on every ascending step: the dynamic
     # manager must charge at least one non-zero transition.
-    assert any(not leaf.decision.transition.is_zero for leaf in lowered)
+    assert any(
+        not lowering.transitions[transition_id].is_zero
+        for transition_id in lowering.transition_ids
+    )
 
 
 def test_scenario_warm_timeline_run():

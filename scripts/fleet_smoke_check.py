@@ -14,7 +14,11 @@ directory, then asserts the fleet-scale contract:
   replay-tier misses, and loads exactly **one** ``scenarios/``-tier
   payload — the signature-keyed aggregate, not thousands of leaves;
 * the warm timeline is bit-identical to the cold one, resident by
-  resident, through the lazy signature-backed phase view.
+  resident, through the lazy signature-backed phase view;
+* after the run, each pass also computes the timeline's solo references
+  (``solo_reference_ipcs``): the cold pass lowers every application's solo
+  timeline, and the warm pass must return equal references with still
+  **zero** replays.
 
 Exits non-zero with a diagnostic if any of that regresses — e.g. the
 signature key accidentally including a cosmetic field (dedup rate
@@ -53,11 +57,15 @@ SYSTEM = "Morpheus-Basic"
 
 
 def run_pass(cache_dir: str):
+    """One pass on a fresh runner: the run, its scenario-tier counters, and
+    then the solo references."""
     runner = ExperimentRunner(cache_dir=cache_dir, max_workers=0)
     engine = ScenarioEngine(runner=runner, fidelity=FIDELITY)
     with using_runner(runner):
         result = engine.run(FLEET, SYSTEM)
-    return runner, result
+        run_tiers = runner.disk_cache.tier_counters()
+        references = engine.solo_reference_ipcs(FLEET, SYSTEM)
+    return runner, result, run_tiers, references
 
 
 def snapshot(result) -> list:
@@ -98,16 +106,16 @@ def main() -> int:
         stale.unlink()
 
     with Telemetry(directory=trace_dir, enabled=True):
-        cold_runner, cold_result = run_pass(cache_dir)
-        warm_runner, warm_result = run_pass(cache_dir)
+        cold_runner, cold_result, _, cold_references = run_pass(cache_dir)
+        warm_runner, warm_result, warm_tiers, warm_references = run_pass(cache_dir)
 
     signatures = len(cold_result.signatures)
     print(
         f"cold pass: {len(cold_result)} phases -> {signatures} signatures "
-        f"({cold_result.dedup_hits} dedup hits), {cold_runner.replays} replays"
+        f"({cold_result.dedup_hits} dedup hits), {cold_runner.replays} replays "
+        "for the run and the solo references"
     )
     warm_cache = warm_runner.disk_cache
-    warm_tiers = warm_cache.tier_counters()
     print(
         f"warm pass: {warm_runner.replays} replays, replay tier "
         f"{warm_cache.replay_hits} hits / {warm_cache.replay_misses} misses, "
@@ -139,6 +147,17 @@ def main() -> int:
         )
     if snapshot(cold_result) != snapshot(warm_result):
         failures.append("fleet timeline differs between cold and warm passes")
+    print(f"solo references: {cold_references}")
+    if set(cold_references) != set(FLEET.applications):
+        failures.append(
+            f"solo references cover {sorted(cold_references)}, not "
+            f"{sorted(FLEET.applications)}"
+        )
+    if warm_references != cold_references:
+        failures.append(
+            f"warm solo references {warm_references} differ from the cold "
+            f"ones {cold_references}"
+        )
 
     summary = summarize(trace_dir)
     counters = summary["counters"]
@@ -155,7 +174,8 @@ def main() -> int:
             "scenario.dedup.{hits,misses} counters missing from the trace"
         )
     else:
-        # Only the cold pass lowers phases; the warm one loads the aggregate.
+        # Only the cold run counts dedup (lowering the solo timelines does
+        # not); the warm one loads the aggregate.
         if dedup_hits + dedup_misses != PHASES:
             failures.append(
                 f"dedup counters account for {dedup_hits + dedup_misses} phases, "
@@ -179,8 +199,9 @@ def main() -> int:
     print(
         f"OK: {PHASES}-phase fleet collapsed to {signatures} signatures with "
         "dedup counters accounting for every phase, the per-signature "
-        "solve-time histogram populated, and the warm re-run served from a "
-        "single scenario-tier payload (zero replays, bit-identical)"
+        "solve-time histogram populated, the warm re-run served from a "
+        "single scenario-tier payload (zero replays, bit-identical), and "
+        "equal solo references on both passes"
     )
     return 0
 

@@ -17,7 +17,7 @@ is modelled as a hit probability that shaves a fraction of the core latency.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import List
 
 
 @dataclass(frozen=True)
@@ -80,15 +80,6 @@ class DRAMConfig:
         )
 
 
-@dataclass
-class _ChannelState:
-    """Bookkeeping for one DRAM channel."""
-
-    busy_until_cycle: float = 0.0
-    bytes_served: int = 0
-    accesses: int = 0
-
-
 class DRAMModel:
     """Latency/bandwidth model of the off-chip DRAM.
 
@@ -101,11 +92,8 @@ class DRAMModel:
 
     def __init__(self, config: DRAMConfig | None = None) -> None:
         self.config = config or DRAMConfig()
-        self._channels: List[_ChannelState] = [
-            _ChannelState() for _ in range(self.config.num_channels)
-        ]
-        self.total_accesses = 0
-        self.total_bytes = 0
+        #: Per channel, the cycle its last transfer finishes.
+        self._busy_until: List[float] = [0.0] * self.config.num_channels
         self._row_toggle = 0
         self._row_hit_threshold = int(round(self.config.row_buffer_hit_rate * 100))
         self._block_size = self.config.block_size
@@ -120,9 +108,9 @@ class DRAMModel:
         Returns the latency in cycles from ``now_cycle`` until the data is
         available (including any queueing delay on the channel).
         """
-        channel = self._channels[(address // self._block_size) % self._num_channels]
+        channel = (address // self._block_size) % self._num_channels
 
-        busy = channel.busy_until_cycle
+        busy = self._busy_until[channel]
         start = busy if busy > now_cycle else now_cycle  # max(), without the builtin call
         queue_delay = start - now_cycle
 
@@ -134,38 +122,11 @@ class DRAMModel:
             core_latency *= self._row_hit_latency_factor
 
         transfer_cycles = self._transfer_cycles
-        channel.busy_until_cycle = start + transfer_cycles
-        channel.bytes_served += self._block_size
-        channel.accesses += 1
-
-        self.total_accesses += 1
-        self.total_bytes += self._block_size
+        self._busy_until[channel] = start + transfer_cycles
 
         return queue_delay + core_latency + transfer_cycles
 
-    def bandwidth_utilization(self, elapsed_cycles: float) -> float:
-        """Fraction of peak bandwidth used over ``elapsed_cycles``."""
-        if elapsed_cycles <= 0:
-            return 0.0
-        peak_bytes = (
-            self.config.bytes_per_cycle_per_channel
-            * self.config.num_channels
-            * elapsed_cycles
-        )
-        if peak_bytes == 0:
-            return 0.0
-        return min(1.0, self.total_bytes / peak_bytes)
-
-    def per_channel_accesses(self) -> Dict[int, int]:
-        """Accesses served by each channel."""
-        return {i: ch.accesses for i, ch in enumerate(self._channels)}
-
     def reset(self) -> None:
-        """Clear all channel state and counters."""
-        for channel in self._channels:
-            channel.busy_until_cycle = 0.0
-            channel.bytes_served = 0
-            channel.accesses = 0
-        self.total_accesses = 0
-        self.total_bytes = 0
+        """Clear all channel queues and the row-buffer sequence."""
+        self._busy_until = [0.0] * self._num_channels
         self._row_toggle = 0

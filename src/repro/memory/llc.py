@@ -136,7 +136,6 @@ class LLCPartition:
         self._transfer_cycles = block_size / config.bytes_per_cycle_per_partition
         self._hit_latency_cycles = config.hit_latency_cycles
         self._busy_until_cycle = 0.0
-        self.bytes_served = 0
 
     def access(
         self, address: int, is_write: bool, now_cycle: float
@@ -181,16 +180,8 @@ class LLCPartition:
             blocks[tag] = is_write
 
         self._busy_until_cycle = start + self._transfer_cycles
-        self.bytes_served += block_size
 
         return hit, start - now_cycle + self._hit_latency_cycles, writeback
-
-    def throughput_gbps(self, elapsed_cycles: float) -> float:
-        """Achieved throughput of this partition in GB/s over ``elapsed_cycles``."""
-        if elapsed_cycles <= 0:
-            return 0.0
-        bytes_per_cycle = self.bytes_served / elapsed_cycles
-        return bytes_per_cycle * self.config.core_clock_ghz
 
     def reset(self) -> None:
         """Clear contents and counters."""
@@ -198,7 +189,6 @@ class LLCPartition:
             blocks.clear()
         self.stats = CacheStats()
         self._busy_until_cycle = 0.0
-        self.bytes_served = 0
 
 
 class BankedLLC:
@@ -217,12 +207,6 @@ class BankedLLC:
         """Partition responsible for ``address``."""
         return self.partitions[self.mapping.partition_of(address)]
 
-    def access(
-        self, address: int, is_write: bool = False, now_cycle: float = 0.0
-    ) -> Tuple[bool, float, Optional[int]]:
-        """Route the access at byte ``address`` to its partition and access the slice there."""
-        return self.partition_for(address).access(address, is_write, now_cycle)
-
     def aggregate_stats(self) -> CacheStats:
         """Combined hit/miss statistics across all partitions."""
         stats = CacheStats()
@@ -233,10 +217,6 @@ class BankedLLC:
     def total_capacity_bytes(self) -> int:
         """Actual modelled capacity (sum of partition slices)."""
         return sum(p.capacity_bytes for p in self.partitions)
-
-    def throughput_gbps(self, elapsed_cycles: float) -> float:
-        """Aggregate achieved LLC throughput in GB/s."""
-        return sum(p.throughput_gbps(elapsed_cycles) for p in self.partitions)
 
     def reset(self) -> None:
         """Reset every partition."""

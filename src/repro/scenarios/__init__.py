@@ -21,7 +21,6 @@ from repro.scenarios.contention import (
 )
 from repro.scenarios.engine import (
     LoweredLeaf,
-    LoweredPhase,
     PhaseExecution,
     PhaseSignature,
     ResidentExecution,
@@ -30,6 +29,7 @@ from repro.scenarios.engine import (
     ScenarioRunResult,
     SignatureExecution,
     SignaturePhases,
+    TimelineLowering,
 )
 from repro.scenarios.library import (
     SCENARIO_LIBRARY,
@@ -74,7 +74,6 @@ __all__ = [
     "FixedSplitPolicy",
     "LoweredLeaf",
     "PhaseContentionSolution",
-    "LoweredPhase",
     "NO_TRANSITION",
     "PhaseDecision",
     "PhaseExecution",
@@ -91,6 +90,7 @@ __all__ = [
     "ScenarioSpec",
     "SignatureExecution",
     "SignaturePhases",
+    "TimelineLowering",
     "TransitionCost",
     "TransitionCostModel",
     "arbitrate_extended_llc",

@@ -1,13 +1,17 @@
 """The scenario engine: lowering timelines to leaf runs and executing them.
 
 :class:`ScenarioEngine` turns a :class:`~repro.scenarios.spec.ScenarioSpec`
-into per-phase :class:`~repro.sim.simulator.SimulationConfig` leaves
+into :class:`~repro.sim.simulator.SimulationConfig` leaves
 (**lowering** — pure, no simulation) and executes them through the
 process-wide :class:`~repro.runner.runner.ExperimentRunner`'s two-phase
-cache (**running**).  Because leaves are addressed by the ordinary
-replay/score keys, repeated phases replay **at most once** per timeline,
-re-running a scenario over a warm cache replays nothing, and analytic
-re-scores of scenario leaves stay zero-replay-cost like any other run.
+cache (**running**).  :meth:`ScenarioEngine.lower` is the one place a
+timeline is planned and lowered: it returns a :class:`TimelineLowering`
+holding each distinct phase signature's leaves once, which both
+:meth:`ScenarioEngine.run` and :meth:`ScenarioEngine.solo_reference_ipcs`
+consume.  Because leaves are addressed by the ordinary replay/score keys,
+repeated phases replay **at most once** per timeline, re-running a
+scenario over a warm cache replays nothing, and analytic re-scores of
+scenario leaves stay zero-replay-cost like any other run.
 
 Co-run phases additionally solve **shared-bandwidth contention**: each
 resident's leaf is re-scored under fixed-point
@@ -89,7 +93,7 @@ def _report_recompute(key: str, reason: Exception) -> None:
 
 @dataclass(frozen=True)
 class LoweredLeaf:
-    """One resident's leaf simulation within a lowered phase."""
+    """One resident's leaf simulation within a lowered phase signature."""
 
     grant: ResidentGrant
     config: SimulationConfig
@@ -98,26 +102,6 @@ class LoweredLeaf:
     def application(self) -> str:
         """The resident application this leaf simulates."""
         return self.grant.application
-
-
-@dataclass(frozen=True)
-class LoweredPhase:
-    """One phase lowered to concrete leaf simulations (one per resident)."""
-
-    index: int
-    phase: ScenarioPhase
-    decision: PhaseDecision
-    leaves: Tuple[LoweredLeaf, ...]
-
-    @property
-    def config(self) -> SimulationConfig:
-        """The single leaf config of a single-tenant phase (convenience)."""
-        if len(self.leaves) != 1:
-            raise ValueError(
-                f"co-run phase {self.phase.describe()!r} lowers to "
-                f"{len(self.leaves)} leaves; use .leaves"
-            )
-        return self.leaves[0].config
 
 
 @dataclass(frozen=True)
@@ -218,6 +202,26 @@ class PhaseSignature:
     duration_weight: float
     split: MorpheusOperatingPoint
     grants: Tuple[ResidentGrant, ...]
+
+
+@dataclass(frozen=True)
+class TimelineLowering:
+    """A planned timeline lowered once per distinct phase signature.
+
+    ``signatures[i]`` lowers to ``leaves[i]`` (one :class:`LoweredLeaf` per
+    resident, in residency order) and is borne by ``counts[i]`` phases;
+    ``transitions`` holds the distinct transition costs.  Phase ``p`` of
+    the timeline is ``signatures[signature_ids[p]]``, entered through
+    ``transitions[transition_ids[p]]``.  Signatures and transitions are
+    numbered in the order their first phase appears.
+    """
+
+    signatures: Tuple[PhaseSignature, ...]
+    leaves: Tuple[Tuple[LoweredLeaf, ...], ...]
+    counts: Tuple[int, ...]
+    transitions: Tuple[TransitionCost, ...]
+    signature_ids: Tuple[int, ...]
+    transition_ids: Tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -445,43 +449,95 @@ class ScenarioEngine:
         scenario: ScenarioSpec,
         system: str,
         policy: Optional[CapacityPolicy] = None,
-    ) -> List[LoweredPhase]:
-        """Lower every phase of ``scenario`` to leaf configs (no simulation).
+    ) -> TimelineLowering:
+        """Plan ``scenario`` and lower it to leaf configs (no simulation).
 
-        A single-tenant phase lowers to one leaf; a co-run phase lowers to
-        **one leaf per resident**, each simulated at the resident's granted
-        compute-SM share and its arbitrated slice of the pooled extended-LLC
-        capacity.  This is the hot path of scenario execution bookkeeping:
-        policy planning plus config construction, benchmarked separately
-        from the (cached) leaf simulations.
+        The only place a timeline is validated, planned and lowered:
+        :meth:`run` and :meth:`solo_reference_ipcs` both consume its
+        :class:`TimelineLowering`.  A single-tenant phase lowers to one
+        leaf; a co-run phase lowers to **one leaf per resident**, each
+        simulated at the resident's granted compute-SM share and its
+        arbitrated slice of the pooled extended-LLC capacity.
+
+        Phases are canonicalized to :class:`PhaseSignature` *after*
+        planning (dynamic policies are history-dependent — hysteresis can
+        make identical phases plan differently — so signatures must derive
+        from the decisions, not the raw phases), and each distinct
+        signature lowers once.  Policies return one decision object per
+        distinct planning state, so a phase whose (decision, residents,
+        weight) was seen before only appends its ids.
         """
         self._validate_demands(scenario)
-        profiles = self._profiles(scenario)
-        with telemetry().span(
+        tel = telemetry()
+        with tel.span(
             "scenario.plan", system=system, phases=len(scenario.phases)
         ):
-            decisions, morpheus = self._plan(scenario, system, policy, profiles)
-        lowered = []
-        with telemetry().span(
+            decisions, morpheus = self._plan(
+                scenario, system, policy, self._profiles(scenario)
+            )
+
+        signatures: List[PhaseSignature] = []
+        signature_leaves: List[Tuple[LoweredLeaf, ...]] = []
+        signature_counts: List[int] = []
+        signature_index: Dict[PhaseSignature, int] = {}
+        signature_ids: List[int] = []
+        transitions: List[TransitionCost] = []
+        transition_index: Dict[TransitionCost, int] = {}
+        transition_ids: List[int] = []
+        # (decision id, residents, duration weight) -> (signature id,
+        # transition id): each distinct triple lowers once.  ``decisions``
+        # keeps every decision alive, so no two of them share an id; a
+        # policy that builds a new decision per phase only misses here and
+        # falls through to the value-keyed signature dedup below.
+        lowered: Dict[Tuple[int, Tuple[Residency, ...], float], Tuple[int, int]] = {}
+        with tel.span(
             "scenario.lower", system=system, phases=len(scenario.phases)
         ):
-            for index, (phase, decision) in enumerate(
-                zip(scenario.phases, decisions)
-            ):
-                grants = self._decision_grants(phase, decision)
-                leaves = tuple(
-                    LoweredLeaf(
-                        grant=grant,
-                        config=self._leaf_config(grant, morpheus, system),
+            for phase, decision in zip(scenario.phases, decisions):
+                key = (id(decision), phase.residents, phase.duration_weight)
+                ids = lowered.get(key)
+                if ids is None:
+                    grants = self._decision_grants(phase, decision)
+                    signature = PhaseSignature(
+                        residents=phase.residents,
+                        duration_weight=phase.duration_weight,
+                        split=decision.split,
+                        grants=grants,
                     )
-                    for grant in grants
-                )
-                lowered.append(
-                    LoweredPhase(
-                        index=index, phase=phase, decision=decision, leaves=leaves
-                    )
-                )
-        return lowered
+                    signature_id = signature_index.get(signature)
+                    if signature_id is None:
+                        signature_id = len(signatures)
+                        signature_index[signature] = signature_id
+                        signatures.append(signature)
+                        signature_counts.append(0)
+                        signature_leaves.append(
+                            tuple(
+                                LoweredLeaf(
+                                    grant=grant,
+                                    config=self._leaf_config(grant, morpheus, system),
+                                )
+                                for grant in grants
+                            )
+                        )
+                    transition = decision.transition
+                    transition_id = transition_index.get(transition)
+                    if transition_id is None:
+                        transition_id = len(transitions)
+                        transition_index[transition] = transition_id
+                        transitions.append(transition)
+                    ids = lowered[key] = (signature_id, transition_id)
+                signature_id, transition_id = ids
+                signature_counts[signature_id] += 1
+                signature_ids.append(signature_id)
+                transition_ids.append(transition_id)
+        return TimelineLowering(
+            signatures=tuple(signatures),
+            leaves=tuple(signature_leaves),
+            counts=tuple(signature_counts),
+            transitions=tuple(transitions),
+            signature_ids=tuple(signature_ids),
+            transition_ids=tuple(transition_ids),
+        )
 
     @staticmethod
     def _decision_grants(
@@ -489,26 +545,11 @@ class ScenarioEngine:
     ) -> Tuple[ResidentGrant, ...]:
         """The per-resident grants of one decision, validated against the phase.
 
-        Policies that predate co-run support may omit grants for
-        single-tenant phases; the engine synthesizes the obvious one-entry
-        breakdown from the aggregate split.  Explicit grants must cover
-        exactly the phase's residents at their demanded compute shares, and
-        their pooled cache SMs must match the aggregate split.
+        The grants must cover exactly the phase's residents at their
+        demanded compute shares (so a decision without grants is
+        rejected), and their pooled cache SMs must match the aggregate
+        split.
         """
-        split = decision.split
-        if not decision.grants:
-            if phase.is_corun:
-                raise ValueError(
-                    f"co-run phase {phase.describe()!r} needs per-resident "
-                    "grants, but the policy returned none"
-                )
-            return (
-                ResidentGrant(
-                    application=phase.application,
-                    compute_sms=split.num_compute_sms,
-                    cache_sms=split.num_cache_sms,
-                ),
-            )
         grants = decision.grants
         granted = {grant.application: grant for grant in grants}
         demanded = {r.application: r.compute_sm_demand for r in phase.residents}
@@ -520,6 +561,7 @@ class ScenarioEngine:
                 f"{[(g.application, g.compute_sms) for g in grants]} do not "
                 f"match the residency list {sorted(demanded.items())}"
             )
+        split = decision.split
         if sum(grant.cache_sms for grant in grants) != split.num_cache_sms:
             raise ValueError(
                 f"phase {phase.describe()!r}: resident cache grants sum to "
@@ -646,88 +688,27 @@ class ScenarioEngine:
     ) -> ScenarioRunResult:
         """The cold path of :meth:`run`: solve once per distinct signature.
 
-        Phases are canonicalized to :class:`PhaseSignature` *after*
-        planning (dynamic policies are history-dependent — hysteresis can
-        make identical phases plan differently — so signatures must derive
-        from the decisions, not the raw phases).  Policies return one
-        decision object per distinct planning state, so a phase whose
-        (decision, residents, weight) was seen before only appends its ids.
-        Each distinct signature lowers once, enters the leaf batch once,
-        solves contention once and builds its :class:`ResidentExecution`
-        tuple once; the per-phase view is reconstructed lazily.
+        Each distinct signature of :meth:`lower`'s :class:`TimelineLowering`
+        enters the leaf batch once, solves contention once and builds its
+        :class:`ResidentExecution` tuple once; the per-phase view is
+        reconstructed lazily.
         """
         runner = self._runner()
-        self._validate_demands(scenario)
-        profiles = self._profiles(scenario)
+        lowering = self.lower(scenario, system, policy)
         tel = telemetry()
-        with tel.span(
-            "scenario.plan", system=system, phases=len(scenario.phases)
-        ):
-            decisions, morpheus = self._plan(scenario, system, policy, profiles)
-
-        signatures: List[PhaseSignature] = []
-        signature_leaves: List[Tuple[LoweredLeaf, ...]] = []
-        signature_counts: List[int] = []
-        signature_index: Dict[PhaseSignature, int] = {}
-        signature_ids: List[int] = []
-        transitions: List[TransitionCost] = []
-        transition_index: Dict[TransitionCost, int] = {}
-        transition_ids: List[int] = []
-        # (decision id, residents, duration weight) -> (signature id,
-        # transition id): each distinct triple lowers once.  ``decisions``
-        # keeps every decision alive, so no two of them share an id; a
-        # policy that builds a new decision per phase only misses here and
-        # falls through to the value-keyed signature dedup below.
-        lowered: Dict[Tuple[int, Tuple[Residency, ...], float], Tuple[int, int]] = {}
-        with tel.span(
-            "scenario.lower", system=system, phases=len(scenario.phases)
-        ):
-            for phase, decision in zip(scenario.phases, decisions):
-                key = (id(decision), phase.residents, phase.duration_weight)
-                ids = lowered.get(key)
-                if ids is None:
-                    grants = self._decision_grants(phase, decision)
-                    signature = PhaseSignature(
-                        residents=phase.residents,
-                        duration_weight=phase.duration_weight,
-                        split=decision.split,
-                        grants=grants,
-                    )
-                    signature_id = signature_index.get(signature)
-                    if signature_id is None:
-                        signature_id = len(signatures)
-                        signature_index[signature] = signature_id
-                        signatures.append(signature)
-                        signature_counts.append(0)
-                        signature_leaves.append(
-                            tuple(
-                                LoweredLeaf(
-                                    grant=grant,
-                                    config=self._leaf_config(grant, morpheus, system),
-                                )
-                                for grant in grants
-                            )
-                        )
-                    transition = decision.transition
-                    transition_id = transition_index.get(transition)
-                    if transition_id is None:
-                        transition_id = len(transitions)
-                        transition_index[transition] = transition_id
-                        transitions.append(transition)
-                    ids = lowered[key] = (signature_id, transition_id)
-                signature_id, transition_id = ids
-                signature_counts[signature_id] += 1
-                signature_ids.append(signature_id)
-                transition_ids.append(transition_id)
         if tel.enabled:
-            tel.count("scenario.dedup.hits", len(signature_ids) - len(signatures))
-            tel.count("scenario.dedup.misses", len(signatures))
+            tel.count(
+                "scenario.dedup.hits",
+                len(lowering.signature_ids) - len(lowering.signatures),
+            )
+            tel.count("scenario.dedup.misses", len(lowering.signatures))
+        profiles = self._profiles(scenario)
 
         # One replay-pooled leaf batch over the distinct signatures' leaves,
         # in phase-order first-seen order.
         unique: List[Tuple[str, SimulationConfig]] = []
         seen = set()
-        for leaves in signature_leaves:
+        for leaves in lowering.leaves:
             for leaf in leaves:
                 key = (leaf.application, leaf.config)
                 if key not in seen:
@@ -745,7 +726,7 @@ class ScenarioEngine:
         # hoisted scorers and one persistence batch across all of them.
         signature_keys = [
             tuple((leaf.application, leaf.config) for leaf in leaves)
-            for leaves in signature_leaves
+            for leaves in lowering.leaves
         ]
         group_order: List[Tuple[Tuple[str, SimulationConfig], ...]] = []
         group_index: Dict[Tuple[Tuple[str, SimulationConfig], ...], int] = {}
@@ -776,7 +757,7 @@ class ScenarioEngine:
 
         executions: List[SignatureExecution] = []
         for signature, leaves, keys, count in zip(
-            signatures, signature_leaves, signature_keys, signature_counts
+            lowering.signatures, lowering.leaves, signature_keys, lowering.counts
         ):
             uncontended = [stats_by_leaf[key] for key in keys]
             if len(keys) > 1:
@@ -820,29 +801,30 @@ class ScenarioEngine:
                     phases=count,
                     compute_cycles=compute_cycles,
                 )
+        signature_executions = tuple(executions)
         result = ScenarioRunResult(
             scenario=scenario,
             system=system,
             policy_name=self._policy_name(system, policy),
             phases=SignaturePhases(
                 scenario,
-                tuple(executions),
-                tuple(signature_ids),
-                tuple(transitions),
-                tuple(transition_ids),
+                signature_executions,
+                lowering.signature_ids,
+                lowering.transitions,
+                lowering.transition_ids,
             ),
             run_key=run_key,
             elapsed_seconds=time.perf_counter() - start,
-            signatures=tuple(executions),
+            signatures=signature_executions,
         )
         runner.store_scenario_payload(
             run_key,
             self._signature_payload(
                 result.policy_name,
-                tuple(executions),
-                signature_ids,
-                transitions,
-                transition_ids,
+                signature_executions,
+                lowering.signature_ids,
+                lowering.transitions,
+                lowering.transition_ids,
             ),
         )
         return result
@@ -1048,14 +1030,15 @@ class ScenarioEngine:
         processes the computed references are persisted in the cache's
         scenario tier, so a warm call costs one payload load.
 
-        The cold path plans every application's solo timeline, then
-        deduplicates the per-(application, config) solo leaves **across
-        all applications** into one replay-pooled batch — residents whose
-        solo residencies overlap (the common case: every round of a co-run
+        The cold path lowers every application's solo timeline through
+        :meth:`lower`, once per distinct solo signature, then deduplicates
+        the per-(application, config) solo leaves **across all
+        applications** into one replay-pooled batch — residents whose solo
+        residencies overlap (the common case: every round of a co-run
         timeline grants the same shares) cost one leaf execution total,
-        not one per application per phase.  Each reference is the same
-        duration-weighted mean of the same leaf IPCs the per-app runs
-        computed, in the same order, so the values are bit-identical.
+        not one per application per phase.  Each reference sums its
+        weighted leaf IPCs over the solo phases in timeline order, so the
+        values are bit-identical to a phase-by-phase mean.
         """
         memo_key = self.run_key(scenario, system, policy)
         cached = self._solo_reference_memo.get(memo_key)
@@ -1080,46 +1063,41 @@ class ScenarioEngine:
             else:
                 self._solo_reference_memo[memo_key] = dict(references)
                 return references
-        # Cold: plan each solo timeline, dedup the leaves across every
+        # Cold: lower each solo timeline, dedup the leaves across every
         # application, execute one batch, and fold the references.
         unique: List[Tuple[str, SimulationConfig]] = []
         leaf_index: Dict[Tuple[str, SimulationConfig], int] = {}
-        per_app: Dict[str, List[Tuple[float, int]]] = {}
-        for application in scenario.applications:
-            phases = tuple(
-                ScenarioPhase(
-                    application=application,
-                    compute_sm_demand=next(
-                        residency.compute_sm_demand
-                        for residency in phase.residents
-                        if residency.application == application
-                    ),
-                    duration_weight=phase.duration_weight,
-                    label=phase.label,
+        solo_phases: Dict[str, List[ScenarioPhase]] = {
+            application: [] for application in scenario.applications
+        }
+        for phase in scenario.phases:
+            for residency in phase.residents:
+                solo_phases[residency.application].append(
+                    ScenarioPhase(
+                        residents=(residency,),
+                        duration_weight=phase.duration_weight,
+                        label=phase.label,
+                    )
                 )
-                for phase in scenario.phases
-                if application in phase.applications
-            )
+        solos: List[Tuple[str, TimelineLowering, List[int]]] = []
+        for application, phases in solo_phases.items():
             solo = ScenarioSpec(
                 name=f"{scenario.name}:{application}-solo",
-                phases=phases,
+                phases=tuple(phases),
                 instructions_per_weight=scenario.instructions_per_weight,
                 description=f"{application}'s residencies of {scenario.name!r}, alone",
             )
-            self._validate_demands(solo)
-            profiles = self._profiles(solo)
-            decisions, morpheus = self._plan(solo, system, policy, profiles)
-            entries: List[Tuple[float, int]] = []
-            for phase, decision in zip(solo.phases, decisions):
-                grant = self._decision_grants(phase, decision)[0]
-                key = (application, self._leaf_config(grant, morpheus, system))
+            lowering = self.lower(solo, system, policy)
+            # One leaf per solo signature -> its index in the shared batch.
+            indices = []
+            for (leaf,) in lowering.leaves:
+                key = (application, leaf.config)
                 index = leaf_index.get(key)
                 if index is None:
-                    index = len(unique)
-                    leaf_index[key] = index
+                    index = leaf_index[key] = len(unique)
                     unique.append(key)
-                entries.append((phase.duration_weight, index))
-            per_app[application] = entries
+                indices.append(index)
+            solos.append((application, lowering, indices))
         batch = runner.run_leaves(
             [
                 (get_application(application), config)
@@ -1127,10 +1105,14 @@ class ScenarioEngine:
             ]
         )
         references = {}
-        for application, entries in per_app.items():
-            total_weight = sum(weight for weight, _ in entries)
+        for application, lowering, indices in solos:
+            # Summed over the phases in timeline order, as a per-phase
+            # loop would, so each float sum keeps its order.
+            weights = [signature.duration_weight for signature in lowering.signatures]
+            ipcs = [batch[index].ipc for index in indices]
+            total_weight = sum([weights[i] for i in lowering.signature_ids])
             references[application] = (
-                sum(weight * batch[index].ipc for weight, index in entries)
+                sum([weights[i] * ipcs[i] for i in lowering.signature_ids])
                 / total_weight
                 if total_weight > 0
                 else 0.0

@@ -370,14 +370,15 @@ class PhaseDecision:
 
     ``grants`` carries the per-resident breakdown of the split: each
     resident's compute-SM share and its arbitrated slice of the pooled
-    extended-LLC capacity.  Policies that predate co-run support may leave
-    it empty for single-tenant phases — the engine synthesizes the obvious
-    one-entry breakdown — but a co-run phase requires explicit grants.
+    extended-LLC capacity, one grant per resident of the phase on every
+    phase, single-tenant ones included.  The engine rejects a decision
+    whose grants do not cover exactly the phase's residents at their
+    demands, or whose cache SMs do not sum to the split's.
     """
 
     split: MorpheusOperatingPoint
-    transition: TransitionCost = NO_TRANSITION
-    grants: Tuple[ResidentGrant, ...] = ()
+    transition: TransitionCost
+    grants: Tuple[ResidentGrant, ...]
 
 
 def max_cache_mode_sms(gpu: GPUConfig, morpheus: MorpheusConfig) -> int:

@@ -306,10 +306,6 @@ class MemoryHierarchyEngine:
             total.swaps += stats.swaps
         return total
 
-    def llc_throughput_gbps(self) -> float:
-        """Achieved conventional LLC throughput over the replayed trace."""
-        return self.llc.throughput_gbps(self.counters.elapsed_cycles)
-
     def reset_counters(self) -> None:
         """Zero all measurement counters while preserving cache contents.
 
@@ -320,11 +316,8 @@ class MemoryHierarchyEngine:
 
         self.counters = HierarchyCounters()
         self.network.stats = NetworkStats()
-        self.dram.total_accesses = 0
-        self.dram.total_bytes = 0
         for partition in self.llc.partitions:
             partition.stats = CacheStats()
-            partition.bytes_served = 0
         for controller in self.controllers:
             controller.stats.__init__()
 

@@ -14,7 +14,6 @@ from repro.systems.registry import (
     EvaluatedSystem,
     evaluate_application,
     get_system,
-    run_scenario,
 )
 
 __all__ = [
@@ -30,5 +29,4 @@ __all__ = [
     "UnifiedSMMemSystem",
     "evaluate_application",
     "get_system",
-    "run_scenario",
 ]

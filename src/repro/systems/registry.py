@@ -43,8 +43,7 @@ EVALUATED_SYSTEMS: tuple[str, ...] = (
 )
 
 #: Systems that can run under a workload timeline (the two baselines plus
-#: all four Morpheus variants) — see :mod:`repro.scenarios` and
-#: :func:`run_scenario`.
+#: all four Morpheus variants) — see :mod:`repro.scenarios`.
 SCENARIO_SYSTEMS: tuple[str, ...] = (
     "BL",
     "IBL",
@@ -134,52 +133,4 @@ def evaluate_application(
         return system.evaluate(profile)
     with active_runner().cache_bypassed():
         return system.evaluate(profile)
-
-
-def run_scenario(
-    system_name: str,
-    scenario,
-    gpu: GPUConfig = RTX3080_CONFIG,
-    fidelity: Fidelity = STANDARD_FIDELITY,
-    seed: int = 1,
-    policy=None,
-    predictor: str = "bloom",
-    arbitration: str | None = None,
-    contention=None,
-):
-    """Run one system through a workload timeline (see :mod:`repro.scenarios`).
-
-    ``scenario`` is a :class:`~repro.scenarios.spec.ScenarioSpec` or the name
-    of a library scenario (e.g. ``"bursty"``, or the multi-tenant
-    ``"corun_overlap"``/``"mixed_tenancy"`` shapes whose phases keep several
-    applications concurrently resident).  Baselines ignore ``policy``;
-    Morpheus systems default to the dynamic capacity manager.
-    ``arbitration`` (``"proportional"`` or ``"sensitivity"``) picks how the
-    default policy splits pooled extended-LLC capacity across a co-run
-    phase's residents — pass an explicit ``policy`` instead to control
-    every knob.  ``contention`` overrides the co-run shared-bandwidth
-    solver knobs (a :class:`~repro.scenarios.contention.ContentionModel`;
-    ``None`` uses the defaults).  Returns a
-    :class:`~repro.scenarios.engine.ScenarioRunResult`.
-    """
-    # Imported lazily: the scenario engine executes through the runner,
-    # which calls back into this module for named-system cells.
-    from repro.scenarios.engine import ScenarioEngine
-    from repro.scenarios.library import get_scenario
-    from repro.scenarios.policy import DynamicCapacityManager
-
-    if isinstance(scenario, str):
-        scenario = get_scenario(scenario)
-    if arbitration is not None:
-        if policy is not None:
-            raise ValueError(
-                "pass either arbitration (configures the default dynamic "
-                "manager) or an explicit policy, not both"
-            )
-        policy = DynamicCapacityManager(arbitration=arbitration)
-    engine = ScenarioEngine(
-        gpu=gpu, fidelity=fidelity, seed=seed, predictor=predictor,
-        contention=contention,
-    )
-    return engine.run(scenario, system_name, policy)
 

@@ -217,11 +217,12 @@ class TestSingleTenantUnchanged:
         scenario = bursty(bursts=1)
         with using_runner(engine.runner):
             result = engine.run(scenario, "Morpheus-Basic")
-            lowered = engine.lower(scenario, "Morpheus-Basic")
+            lowering = engine.lower(scenario, "Morpheus-Basic")
         profile = get_application("kmeans")
-        for execution, phase in zip(result.phases, lowered):
+        for execution, signature_id in zip(result.phases, lowering.signature_ids):
             resident = execution.residents[0]
-            direct = engine.runner.simulate(profile, phase.leaves[0].config)
+            (leaf,) = lowering.leaves[signature_id]
+            direct = engine.runner.simulate(profile, leaf.config)
             assert dataclasses.asdict(resident.stats) == dataclasses.asdict(direct)
             assert resident.envelope == DEFAULT_ENVELOPE
             assert resident.uncontended_ipc == resident.stats.ipc

@@ -24,8 +24,10 @@ from repro.core.config import MorpheusConfig
 from repro.gpu.config import RTX3080_CONFIG
 from repro.runner import ExperimentRunner, using_runner
 from repro.scenarios import (
+    NO_TRANSITION,
     DynamicCapacityManager,
     FixedSplitPolicy,
+    PhaseDecision,
     Residency,
     ScenarioEngine,
     ScenarioPhase,
@@ -38,6 +40,7 @@ from repro.scenarios import (
     max_cache_mode_sms,
     mixed_tenancy,
 )
+from repro.systems.morpheus_system import MorpheusOperatingPoint
 from repro.workloads.applications import get_application
 from scenario_test_utils import TINY_FIDELITY
 
@@ -345,26 +348,26 @@ class TestHysteresisEdges:
 class TestCorunEngine:
     def test_corun_phase_lowers_to_one_leaf_per_resident(self, engine):
         scenario = corun_overlap(sms_a=28, sms_b=24, dip_sms_b=8, rounds=1)
-        lowered = engine.lower(scenario, "Morpheus-ALL")
-        for phase in lowered:
-            assert len(phase.leaves) == 2
-            for leaf, grant in zip(phase.leaves, phase.decision.grants):
+        lowering = engine.lower(scenario, "Morpheus-ALL")
+        for signature_id in lowering.signature_ids:
+            leaves = lowering.leaves[signature_id]
+            assert len(leaves) == 2
+            for leaf, grant in zip(leaves, lowering.signatures[signature_id].grants):
                 assert leaf.config.num_compute_sms == grant.compute_sms
                 assert leaf.config.num_cache_sms == grant.cache_sms
                 assert (leaf.config.morpheus is not None) == (grant.cache_sms > 0)
-            with pytest.raises(ValueError, match="use .leaves"):
-                phase.config
 
     def test_baseline_corun_lowering(self, engine):
         scenario = corun_overlap(rounds=1)
         for system in ("BL", "IBL"):
-            lowered = engine.lower(scenario, system)
-            for phase in lowered:
-                assert len(phase.leaves) == 2
-                assert all(leaf.config.num_cache_sms == 0 for leaf in phase.leaves)
+            lowering = engine.lower(scenario, system)
+            for signature_id in lowering.signature_ids:
+                leaves = lowering.leaves[signature_id]
+                assert len(leaves) == 2
+                assert all(leaf.config.num_cache_sms == 0 for leaf in leaves)
                 assert all(
                     leaf.config.power_gate_unused == (system == "IBL")
-                    for leaf in phase.leaves
+                    for leaf in leaves
                 )
 
     def test_corun_policy_must_return_grants(self, engine):
@@ -398,10 +401,10 @@ class TestCorunEngine:
         with pytest.raises(ValueError, match="cache grants sum"):
             engine.lower(scenario, "Morpheus-Basic", SkimmingPolicy())
 
-    def test_single_tenant_grantless_policies_still_work(self, engine):
-        # Pre-co-run policies that fill only `split` keep working on
-        # single-tenant timelines: the engine synthesizes the grant.
-        class LegacyPolicy(FixedSplitPolicy):
+    def test_single_tenant_grantless_decision_rejected(self, engine):
+        # Every decision carries one grant per resident, single-tenant
+        # phases included: the engine makes none up from the split.
+        class GrantlessPolicy(FixedSplitPolicy):
             def plan(self, *args, **kwargs):
                 return [
                     dataclasses.replace(decision, grants=())
@@ -409,12 +412,21 @@ class TestCorunEngine:
                 ]
 
         scenario = ScenarioSpec(
-            name="legacy",
-            phases=(ScenarioPhase(application="kmeans", compute_sm_demand=24),),
+            name="grantless",
+            phases=(
+                ScenarioPhase(application="kmeans", compute_sm_demand=24, label="lull"),
+            ),
         )
-        lowered = engine.lower(scenario, "Morpheus-Basic", LegacyPolicy())
-        assert lowered[0].leaves[0].grant.application == "kmeans"
-        assert lowered[0].leaves[0].grant.cache_sms == lowered[0].decision.split.num_cache_sms
+        with pytest.raises(ValueError, match="phase 'lull'.*per-resident grants"):
+            engine.lower(scenario, "Morpheus-Basic", GrantlessPolicy())
+        # A decision cannot be built without its transition and grants.
+        split = MorpheusOperatingPoint(
+            num_compute_sms=24, num_cache_sms=0, num_gated_sms=GPU.num_sms - 24
+        )
+        with pytest.raises(TypeError):
+            PhaseDecision(split=split)
+        with pytest.raises(TypeError):
+            PhaseDecision(split=split, transition=NO_TRANSITION)
 
     def test_corun_run_accounts_concurrent_residents(self, engine):
         scenario = corun_overlap(sms_a=28, sms_b=24, dip_sms_b=8, rounds=1)

@@ -75,11 +75,14 @@ class TestScenarioDeterminism:
         runner = ExperimentRunner(cache_dir=tmp_path / "cache", max_workers=0)
         engine = ScenarioEngine(runner=runner, fidelity=TINY_FIDELITY)
         with using_runner(runner):
-            lowered = engine.lower(scenario, "Morpheus-Basic")
+            lowering = engine.lower(scenario, "Morpheus-Basic")
             from repro.workloads.applications import get_application
 
             profile = get_application(scenario.phases[0].application)
-            configs = [dc.replace(leaf.config, mlp_per_sm=64.0) for leaf in lowered]
+            configs = [
+                dc.replace(lowering.leaves[signature_id][0].config, mlp_per_sm=64.0)
+                for signature_id in lowering.signature_ids
+            ]
             rescored = runner.run_configs(profile, configs)
         assert len(rescored) == len(scenario.phases)
         assert runner.replays == 0

@@ -24,7 +24,7 @@ from repro.scenarios import (
     steady,
 )
 from repro.systems.fidelity import FAST_FIDELITY
-from repro.systems.registry import SCENARIO_SYSTEMS, run_scenario
+from repro.systems.registry import SCENARIO_SYSTEMS
 from repro.workloads.applications import get_application
 from scenario_test_utils import TINY_FIDELITY
 
@@ -158,20 +158,44 @@ class TestLowering:
     def test_baselines_have_no_cache_sms(self, engine):
         scenario = bursty(bursts=1)
         for system, gated_expected in (("BL", False), ("IBL", True)):
-            lowered = engine.lower(scenario, system)
-            for leaf in lowered:
+            lowering = engine.lower(scenario, system)
+            for phase, signature_id, transition_id in zip(
+                scenario.phases, lowering.signature_ids, lowering.transition_ids
+            ):
+                (leaf,) = lowering.leaves[signature_id]
                 assert leaf.config.num_cache_sms == 0
                 assert leaf.config.morpheus is None
                 assert leaf.config.power_gate_unused == gated_expected
-                assert leaf.config.num_compute_sms == leaf.phase.compute_sm_demand
-                assert leaf.decision.transition.is_zero
+                assert leaf.config.num_compute_sms == phase.compute_sm_demand
+                assert lowering.transitions[transition_id].is_zero
 
     def test_morpheus_lull_phases_borrow_idle_sms(self, engine):
-        lowered = engine.lower(bursty(low_sms=24, high_sms=60, bursts=1), "Morpheus-ALL")
-        lull = lowered[0]
+        lowering = engine.lower(bursty(low_sms=24, high_sms=60, bursts=1), "Morpheus-ALL")
+        (lull,) = lowering.leaves[lowering.signature_ids[0]]
         assert lull.config.num_cache_sms == GPU.num_sms - 24
         assert lull.config.morpheus is not None
         assert lull.config.morpheus.enable_compression  # the ALL variant
+
+    def test_phases_sharing_a_decision_keep_their_own_weights(self, engine):
+        # The plan memo hands phases two and three the same decision object
+        # (same previous split, same residents); their weights differ, so
+        # they lower to distinct signatures that share one leaf config.
+        scenario = ScenarioSpec(
+            name="weights",
+            phases=tuple(
+                ScenarioPhase(
+                    application="kmeans", compute_sm_demand=24, duration_weight=weight
+                )
+                for weight in (1.0, 2.0, 3.0)
+            ),
+        )
+        lowering = engine.lower(scenario, "Morpheus-Basic")
+        assert [
+            lowering.signatures[signature_id].duration_weight
+            for signature_id in lowering.signature_ids
+        ] == [1.0, 2.0, 3.0]
+        assert lowering.counts == (1, 1, 1)
+        assert len(set(lowering.leaves)) == 1
 
     def test_unknown_system_and_oversized_demand_raise(self, engine):
         with pytest.raises(ValueError, match="unknown scenario system"):
@@ -256,9 +280,11 @@ class TestEngineRun:
         scenario = bursty(bursts=1)
         fast = ScenarioEngine(runner=engine.runner, fidelity="fast")
         assert fast.fidelity is FAST_FIDELITY
-        for lowered in fast.lower(scenario, "Morpheus-Basic"):
-            assert lowered.config.capacity_scale == FAST_FIDELITY.capacity_scale
-            assert lowered.config.trace_accesses == FAST_FIDELITY.trace_accesses
+        lowering = fast.lower(scenario, "Morpheus-Basic")
+        for signature_id in lowering.signature_ids:
+            (leaf,) = lowering.leaves[signature_id]
+            assert leaf.config.capacity_scale == FAST_FIDELITY.capacity_scale
+            assert leaf.config.trace_accesses == FAST_FIDELITY.trace_accesses
         # The fidelity is part of the scenario run key, so aggregates at one
         # preset never shadow another's.
         assert fast.run_key(scenario, "Morpheus-Basic") != engine.run_key(
@@ -276,11 +302,3 @@ class TestEngineRun:
         assert result.phases[0].stats.application == "kmeans"
         assert result.phases[1].stats.application == "cfd"
         assert result.phases[0].stats.ipc != result.phases[1].stats.ipc
-
-    def test_registry_run_scenario_accepts_library_names(self, tmp_path):
-        runner = ExperimentRunner(cache_dir=tmp_path / "cache", max_workers=0)
-        with using_runner(runner):
-            result = run_scenario("Morpheus-Basic", "steady", fidelity=TINY_FIDELITY)
-        assert result.scenario.name == "steady"
-        assert result.system == "Morpheus-Basic"
-        assert result.total_cycles > 0
