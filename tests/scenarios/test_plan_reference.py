@@ -13,6 +13,10 @@ Random timelines miss the order case, so a fixed table covers it: after a
 co-run phase whose residents are reordered, the flush of a later handback
 sums the residents' flush terms in the shares' insertion order, and a memo
 key blind to that order hands one phase the other's sum.
+
+BL and IBL are held to the loop the engine ran for them on its own, one
+fresh decision per phase with no cache SMs and no transitions, on the same
+random timelines and the same table.
 """
 
 from __future__ import annotations
@@ -131,6 +135,34 @@ def reference_dynamic_plan(
     return decisions
 
 
+def reference_baseline_plan(system: str, scenario) -> List[PhaseDecision]:
+    """The engine's BL/IBL loop: no cache SMs, and nothing to transition."""
+    return [
+        PhaseDecision(
+            split=MorpheusOperatingPoint(
+                num_compute_sms=phase.total_compute_sm_demand,
+                num_cache_sms=0,
+                # BL keeps idle SMs active; IBL gates them.
+                num_gated_sms=(
+                    GPU.num_sms - phase.total_compute_sm_demand
+                    if system == "IBL"
+                    else 0
+                ),
+            ),
+            transition=NO_TRANSITION,
+            grants=tuple(
+                ResidentGrant(
+                    application=residency.application,
+                    compute_sms=residency.compute_sm_demand,
+                    cache_sms=0,
+                )
+                for residency in phase.residents
+            ),
+        )
+        for phase in scenario.phases
+    ]
+
+
 def _reference(policy, scenario):
     if isinstance(policy, FixedSplitPolicy):
         return reference_fixed_plan(policy, scenario)
@@ -145,6 +177,37 @@ def _mismatches(policy, scenario) -> List[int]:
     """Indices of the phases whose decision differs from the reference."""
     planned = _plan(policy, scenario)
     expected = _reference(policy, scenario)
+    assert len(planned) == len(expected)
+    return [
+        index
+        for index, (decision, reference) in enumerate(zip(planned, expected))
+        if repr(decision) != repr(reference) or decision != reference
+    ]
+
+
+#: The engine that plans and lowers BL and IBL timelines.
+ENGINE = ScenarioEngine(fidelity=TINY_FIDELITY)
+
+
+def baseline_plan(system: str, scenario) -> List[PhaseDecision]:
+    """Each phase's decision as the engine lowers ``scenario`` on ``system``."""
+    lowering = ENGINE.lower(scenario, system)
+    return [
+        PhaseDecision(
+            split=lowering.signatures[signature_id].split,
+            transition=lowering.transitions[transition_id],
+            grants=lowering.signatures[signature_id].grants,
+        )
+        for signature_id, transition_id in zip(
+            lowering.signature_ids, lowering.transition_ids
+        )
+    ]
+
+
+def _baseline_mismatches(system: str, scenario) -> List[int]:
+    """Indices of the phases whose BL/IBL decision differs from the reference."""
+    planned = baseline_plan(system, scenario)
+    expected = reference_baseline_plan(system, scenario)
     assert len(planned) == len(expected)
     return [
         index
@@ -208,6 +271,12 @@ def test_plan_matches_the_per_phase_reference(scenario, policy):
     assert _mismatches(policy, scenario) == []
 
 
+@given(timelines(), st.sampled_from(("BL", "IBL")))
+@settings(max_examples=300, deadline=None)
+def test_baseline_plan_matches_the_per_phase_reference(scenario, system):
+    assert _baseline_mismatches(system, scenario) == []
+
+
 # -- the order table -----------------------------------------------------------
 
 #: Every 3-of-6 trio, with each demand set assigned in trio order.
@@ -242,6 +311,17 @@ def test_plan_keeps_the_flush_order_of_every_reordered_trio(trio, demands):
             mismatched = _mismatches(policy, scenario)
             if mismatched:
                 failures.append((order, arbitration, policy.name, mismatched))
+    assert failures == []
+
+
+@pytest.mark.parametrize("demands", _DEMAND_SETS, ids=lambda d: "-".join(map(str, d)))
+@pytest.mark.parametrize("trio", _TRIOS, ids="+".join)
+def test_baseline_plan_matches_every_reordered_trio(trio, demands):
+    failures = []
+    for order, system in itertools.product(_REORDERS, ("BL", "IBL")):
+        mismatched = _baseline_mismatches(system, _order_timeline(trio, demands, order))
+        if mismatched:
+            failures.append((order, system, mismatched))
     assert failures == []
 
 
