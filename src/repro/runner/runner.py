@@ -205,30 +205,12 @@ class ExperimentRunner:
 
         Read-only: the scoring model and the score keys must agree on the
         energy constants, so swapping models mid-life would poison the
-        shared cache.  Use :meth:`with_energy_model` to re-score under
-        different constants instead.
+        shared cache.  To score under different constants, build a runner
+        with ``energy_model=`` on the same cache directory (cached
+        measurements are re-scored at zero replay cost) or call
+        :meth:`score_energy_grid`.
         """
         return self._energy_model
-
-    def with_energy_model(self, energy_model: Optional[EnergyModel]) -> "ExperimentRunner":
-        """A sibling runner scoring with ``energy_model`` but sharing caches.
-
-        The sibling shares this runner's on-disk cache object (both tiers,
-        including counters) and in-process layers, so re-scoring under
-        different energy constants is served from the measurement tier at
-        zero replay cost.  Used by :mod:`repro.analysis.rescoring`.
-        """
-        sibling = ExperimentRunner(
-            cache_dir=self.cache_dir,
-            max_workers=self.max_workers,
-            use_disk_cache=self.use_disk_cache,
-            energy_model=energy_model,
-        )
-        sibling.disk_cache = self.disk_cache
-        sibling._memory = self._memory
-        sibling._measurement_memory = self._measurement_memory
-        sibling._scenario_memory = self._scenario_memory
-        return sibling
 
     def maybe_auto_prune(self) -> int:
         """Apply the ``$REPRO_CACHE_MAX_BYTES`` size cap, if one is configured.
@@ -419,8 +401,8 @@ class ExperimentRunner:
         points are served from the stats tier; the cold points share one
         measurement fetch and are each scored by
         ``PerformanceModel(EnergyModel(energies))``.  Bit-identical to
-        scoring each point through a :meth:`with_energy_model` sibling's
-        :meth:`simulate`.
+        scoring each point through :meth:`simulate` on a runner built with
+        that point's ``energy_model``.
         """
         results: List[SimulationStats] = []
         measurement: Optional[ReplayMeasurement] = None

@@ -23,12 +23,14 @@ system.  Finished timeline aggregates are persisted under
 warm scenario re-run loads one JSON payload instead of re-scoring every
 leaf.
 
-Baselines and every Morpheus variant run under any scenario:
+Baselines and every Morpheus variant run under any scenario, each planned
+by a :class:`~repro.scenarios.policy.CapacityPolicy`:
 
-* ``BL`` keeps idle SMs active (burning static power),
-* ``IBL`` power-gates them,
-* ``Morpheus-*`` borrow them for the extended LLC under a
-  :class:`~repro.scenarios.policy.CapacityPolicy` — by default the
+* ``BL`` keeps idle SMs active (burning static power) and ``IBL``
+  power-gates them, each under its own baseline policy, which the engine
+  picks from the system name whatever policy the caller passes;
+* ``Morpheus-*`` borrow them for the extended LLC under the caller's
+  policy — by default the
   :class:`~repro.scenarios.policy.DynamicCapacityManager`, which replaces
   the offline per-application split search for timeline runs and charges
   flush/warm-up costs at every reconfiguration.
@@ -42,6 +44,7 @@ from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass
 from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
+from repro.core.config import MorpheusConfig
 from repro.energy.components import DEFAULT_ENERGIES
 from repro.gpu.config import GPUConfig, RTX3080_CONFIG
 from repro.runner.cache import stats_from_jsonable, stats_to_jsonable
@@ -55,11 +58,11 @@ from repro.scenarios.contention import (
 from repro.scenarios.policy import (
     CapacityPolicy,
     DynamicCapacityManager,
-    NO_TRANSITION,
     PhaseDecision,
     ResidentGrant,
     TransitionCost,
     TransitionCostModel,
+    _BaselinePolicy,
 )
 from repro.scenarios.spec import (
     Residency,
@@ -78,6 +81,12 @@ from repro.workloads.applications import ApplicationProfile, get_application
 
 _MORPHEUS_VARIANTS: Dict[str, MorpheusVariant] = {
     variant.value: variant for variant in MorpheusVariant
+}
+
+#: The policy that plans each baseline system's timelines.
+_BASELINE_POLICIES: Dict[str, CapacityPolicy] = {
+    "BL": _BaselinePolicy(gate_idle=False),
+    "IBL": _BaselinePolicy(gate_idle=True),
 }
 
 logger = get_logger(__name__)
@@ -419,17 +428,8 @@ class ScenarioEngine:
     def _profiles(self, scenario: ScenarioSpec) -> Dict[str, ApplicationProfile]:
         return {name: get_application(name) for name in scenario.applications}
 
-    def _validate_demands(self, scenario: ScenarioSpec) -> None:
-        for phase in scenario.phases:
-            if phase.total_compute_sm_demand > self.gpu.num_sms:
-                raise ValueError(
-                    f"phase {phase.describe()!r} demands "
-                    f"{phase.total_compute_sm_demand} SMs but the GPU has "
-                    f"{self.gpu.num_sms}"
-                )
-
     def _leaf_config(
-        self, grant: ResidentGrant, morpheus: Optional[object], system: str
+        self, grant: ResidentGrant, morpheus: Optional[MorpheusConfig], system: str
     ) -> SimulationConfig:
         """The leaf config one resident grant lowers to (pure function)."""
         return self.fidelity.config(
@@ -452,12 +452,14 @@ class ScenarioEngine:
     ) -> TimelineLowering:
         """Plan ``scenario`` and lower it to leaf configs (no simulation).
 
-        The only place a timeline is validated, planned and lowered:
-        :meth:`run` and :meth:`solo_reference_ipcs` both consume its
-        :class:`TimelineLowering`.  A single-tenant phase lowers to one
-        leaf; a co-run phase lowers to **one leaf per resident**, each
-        simulated at the resident's granted compute-SM share and its
-        arbitrated slice of the pooled extended-LLC capacity.
+        The only place a timeline is planned and lowered: :meth:`run` and
+        :meth:`solo_reference_ipcs` both consume its
+        :class:`TimelineLowering`.  The decisions come from the system's
+        policy's :meth:`~repro.scenarios.policy.CapacityPolicy.plan`, which
+        also checks each distinct planning state.  A single-tenant phase
+        lowers to one leaf; a co-run phase lowers to **one leaf per
+        resident**, each simulated at the resident's granted compute-SM
+        share and its arbitrated slice of the pooled extended-LLC capacity.
 
         Phases are canonicalized to :class:`PhaseSignature` *after*
         planning (dynamic policies are history-dependent — hysteresis can
@@ -467,7 +469,6 @@ class ScenarioEngine:
         distinct planning state, so a phase whose (decision, residents,
         weight) was seen before only appends its ids.
         """
-        self._validate_demands(scenario)
         tel = telemetry()
         with tel.span(
             "scenario.plan", system=system, phases=len(scenario.phases)
@@ -486,9 +487,9 @@ class ScenarioEngine:
         transition_ids: List[int] = []
         # (decision id, residents, duration weight) -> (signature id,
         # transition id): each distinct triple lowers once.  ``decisions``
-        # keeps every decision alive, so no two of them share an id; a
-        # policy that builds a new decision per phase only misses here and
-        # falls through to the value-keyed signature dedup below.
+        # keeps every decision alive, so no two of them share an id; two
+        # planning states with equal decisions only miss here and fall
+        # through to the value-keyed signature dedup below.
         lowered: Dict[Tuple[int, Tuple[Residency, ...], float], Tuple[int, int]] = {}
         with tel.span(
             "scenario.lower", system=system, phases=len(scenario.phases)
@@ -497,12 +498,11 @@ class ScenarioEngine:
                 key = (id(decision), phase.residents, phase.duration_weight)
                 ids = lowered.get(key)
                 if ids is None:
-                    grants = self._decision_grants(phase, decision)
                     signature = PhaseSignature(
                         residents=phase.residents,
                         duration_weight=phase.duration_weight,
                         split=decision.split,
-                        grants=grants,
+                        grants=decision.grants,
                     )
                     signature_id = signature_index.get(signature)
                     if signature_id is None:
@@ -516,7 +516,7 @@ class ScenarioEngine:
                                     grant=grant,
                                     config=self._leaf_config(grant, morpheus, system),
                                 )
-                                for grant in grants
+                                for grant in decision.grants
                             )
                         )
                     transition = decision.transition
@@ -540,35 +540,21 @@ class ScenarioEngine:
         )
 
     @staticmethod
-    def _decision_grants(
-        phase: ScenarioPhase, decision: PhaseDecision
-    ) -> Tuple[ResidentGrant, ...]:
-        """The per-resident grants of one decision, validated against the phase.
+    def _policy(system: str, policy: Optional[CapacityPolicy]) -> CapacityPolicy:
+        """The capacity policy that plans ``system``'s timelines.
 
-        The grants must cover exactly the phase's residents at their
-        demanded compute shares (so a decision without grants is
-        rejected), and their pooled cache SMs must match the aggregate
-        split.
+        BL and IBL always plan with their own baseline policy; a Morpheus
+        system plans with ``policy``, the dynamic manager by default.
         """
-        grants = decision.grants
-        granted = {grant.application: grant for grant in grants}
-        demanded = {r.application: r.compute_sm_demand for r in phase.residents}
-        if set(granted) != set(demanded) or any(
-            granted[app].compute_sms != demanded[app] for app in demanded
-        ):
+        baseline = _BASELINE_POLICIES.get(system)
+        if baseline is not None:
+            return baseline
+        if system not in _MORPHEUS_VARIANTS:
+            valid = ", ".join(SCENARIO_SYSTEMS)
             raise ValueError(
-                f"phase {phase.describe()!r}: per-resident grants "
-                f"{[(g.application, g.compute_sms) for g in grants]} do not "
-                f"match the residency list {sorted(demanded.items())}"
+                f"unknown scenario system {system!r}; expected one of: {valid}"
             )
-        split = decision.split
-        if sum(grant.cache_sms for grant in grants) != split.num_cache_sms:
-            raise ValueError(
-                f"phase {phase.describe()!r}: resident cache grants sum to "
-                f"{sum(g.cache_sms for g in grants)} but the split allocates "
-                f"{split.num_cache_sms} cache-mode SMs"
-            )
-        return grants
+        return policy or DynamicCapacityManager()
 
     def _plan(
         self,
@@ -576,50 +562,13 @@ class ScenarioEngine:
         system: str,
         policy: Optional[CapacityPolicy],
         profiles: Mapping[str, ApplicationProfile],
-    ) -> Tuple[List[PhaseDecision], Optional[object]]:
+    ) -> Tuple[List[PhaseDecision], Optional[MorpheusConfig]]:
         """Per-phase decisions plus the Morpheus config (``None`` for baselines)."""
-        if system in ("BL", "IBL"):
-            decisions = [
-                PhaseDecision(
-                    split=MorpheusOperatingPoint(
-                        num_compute_sms=phase.total_compute_sm_demand,
-                        num_cache_sms=0,
-                        # BL keeps idle SMs active; IBL gates them.
-                        num_gated_sms=(
-                            self.gpu.num_sms - phase.total_compute_sm_demand
-                            if system == "IBL"
-                            else 0
-                        ),
-                    ),
-                    transition=NO_TRANSITION,
-                    grants=tuple(
-                        ResidentGrant(
-                            application=residency.application,
-                            compute_sms=residency.compute_sm_demand,
-                            cache_sms=0,
-                        )
-                        for residency in phase.residents
-                    ),
-                )
-                for phase in scenario.phases
-            ]
-            return decisions, None
         variant = _MORPHEUS_VARIANTS.get(system)
-        if variant is None:
-            valid = ", ".join(SCENARIO_SYSTEMS)
-            raise ValueError(
-                f"unknown scenario system {system!r}; expected one of: {valid}"
-            )
-        morpheus = variant.to_config(self.predictor)
-        policy = policy or DynamicCapacityManager()
-        decisions = policy.plan(
+        morpheus = variant.to_config(self.predictor) if variant is not None else None
+        decisions = self._policy(system, policy).plan(
             scenario, self.gpu, morpheus, profiles, self.transition_model
         )
-        if len(decisions) != len(scenario.phases):
-            raise ValueError(
-                f"policy {policy.name!r} returned {len(decisions)} decisions "
-                f"for {len(scenario.phases)} phases"
-            )
         return decisions, morpheus
 
     # -- execution ---------------------------------------------------------------------
@@ -805,7 +754,7 @@ class ScenarioEngine:
         result = ScenarioRunResult(
             scenario=scenario,
             system=system,
-            policy_name=self._policy_name(system, policy),
+            policy_name=self._policy(system, policy).name,
             phases=SignaturePhases(
                 scenario,
                 signature_executions,
@@ -985,15 +934,6 @@ class ScenarioEngine:
             signatures=executions,
         )
 
-    @staticmethod
-    def _policy_name(system: str, policy: Optional[CapacityPolicy]) -> str:
-        """The label a run records for its capacity policy."""
-        if system == "BL":
-            return "all-active"
-        if system == "IBL":
-            return "power-gate"
-        return (policy or DynamicCapacityManager()).name
-
     def run_systems(
         self,
         scenario: ScenarioSpec,
@@ -1140,7 +1080,7 @@ class ScenarioEngine:
         ``scenarios/`` tier.
         """
         policy = policy if policy is not None else (
-            None if system in ("BL", "IBL") else DynamicCapacityManager()
+            None if system in _BASELINE_POLICIES else DynamicCapacityManager()
         )
         # Class name + instance fields, so parameterized policy subclasses
         # (a public extension point) never collide on a shared `name`.

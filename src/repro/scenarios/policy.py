@@ -18,6 +18,11 @@ Two policies model the ends of that spectrum:
   :class:`TransitionCostModel` costs on every reconfiguration (and on
   application changes, which orphan the extended LLC's contents).
 
+The paper's baselines are policies too, private ones the scenario engine
+picks from the system name: no idle SM ever caches, so no boundary costs
+anything, and BL keeps the idle SMs active while IBL power-gates them.
+Every system's decisions come from :meth:`CapacityPolicy.plan`.
+
 Costs are *analytic* and layered on top of the per-phase replay/score
 results: they never change a leaf simulation, so no cached measurement or
 stats entry is invalidated by tuning them.
@@ -47,6 +52,18 @@ def _validate_arbitration(mode: str) -> str:
         valid = ", ".join(ARBITRATION_MODES)
         raise ValueError(f"unknown arbitration mode {mode!r}; expected one of: {valid}")
     return mode
+
+
+def _check_sm_count(name: str, value: int) -> None:
+    """Reject an SM-count knob that is not a non-negative int.
+
+    A float or a bool would be accepted here and fail, or be planned as a
+    flag, deep inside the run.
+    """
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an int, got {value!r}")
+    if value < 0:
+        raise ValueError(f"{name} must be non-negative")
 
 
 def llc_capacity_sensitivity(profile: ApplicationProfile) -> float:
@@ -294,40 +311,6 @@ class TransitionCostModel:
             added_sms=added_sms,
         )
 
-    def transition(
-        self,
-        gpu: GPUConfig,
-        previous_cache_sms: int,
-        new_cache_sms: int,
-        outgoing_profile: ApplicationProfile,
-        application_changed: bool,
-    ) -> TransitionCost:
-        """Combined cost of moving from one phase's split/owner to the next.
-
-        A pure resize flushes only the reclaimed SMs and warms only the
-        added ones.  An application change orphans *all* retained contents:
-        the whole outgoing allocation is flushed and the whole incoming one
-        re-warmed, whatever the resize.
-        """
-        if application_changed:
-            flush_sms = previous_cache_sms
-            warm_sms = new_cache_sms
-        else:
-            flush_sms = max(0, previous_cache_sms - new_cache_sms)
-            warm_sms = max(0, new_cache_sms - previous_cache_sms)
-        flush = self.flush_cost(gpu, flush_sms, outgoing_profile)
-        warm = self.warmup_cost(gpu, warm_sms)
-        if flush.is_zero and warm.is_zero:
-            return NO_TRANSITION
-        return TransitionCost(
-            flush_cycles=flush.flush_cycles,
-            warmup_cycles=warm.warmup_cycles,
-            flushed_dirty_bytes=flush.flushed_dirty_bytes,
-            warmup_fill_bytes=warm.warmup_fill_bytes,
-            reclaimed_sms=flush.reclaimed_sms,
-            added_sms=warm.added_sms,
-        )
-
 
 def combine_costs(costs: Sequence[TransitionCost]) -> TransitionCost:
     """Sum several transition costs into one phase-boundary charge.
@@ -371,9 +354,9 @@ class PhaseDecision:
     ``grants`` carries the per-resident breakdown of the split: each
     resident's compute-SM share and its arbitrated slice of the pooled
     extended-LLC capacity, one grant per resident of the phase on every
-    phase, single-tenant ones included.  The engine rejects a decision
-    whose grants do not cover exactly the phase's residents at their
-    demands, or whose cache SMs do not sum to the split's.
+    phase, single-tenant ones included.  :meth:`CapacityPolicy.plan`
+    builds every decision, so the grants cover exactly the phase's
+    residents and their cache SMs sum to the split's.
     """
 
     split: MorpheusOperatingPoint
@@ -417,6 +400,22 @@ def grant_transition(
     return combine_costs(costs)
 
 
+def _check_shares(phase: ScenarioPhase, pool: int, shares: Mapping[str, int]) -> None:
+    """Reject a choice whose shares do not split ``pool`` across ``phase``'s residents."""
+    residents = {residency.application for residency in phase.residents}
+    if set(shares) != residents:
+        raise ValueError(
+            f"phase {phase.describe()!r}: per-resident grants {sorted(shares)} "
+            f"do not match the residency list {sorted(residents)}"
+        )
+    if sum(shares.values()) != pool:
+        raise ValueError(
+            f"phase {phase.describe()!r}: resident cache grants sum to "
+            f"{sum(shares.values())} but the split allocates {pool} "
+            f"cache-mode SMs"
+        )
+
+
 def _phase_grants(
     phase: ScenarioPhase, shares: Mapping[str, int]
 ) -> Tuple[ResidentGrant, ...]:
@@ -441,8 +440,10 @@ class CapacityPolicy(abc.ABC):
     """Chooses a (compute, cache, gated) split for every phase of a timeline.
 
     A policy supplies only its per-phase choice of pool and shares
-    (:meth:`chooser`); :meth:`plan` is the one planning loop that turns
-    those choices into transitions and :class:`PhaseDecision` objects.
+    (:meth:`chooser`); :meth:`plan` is the one planning loop that checks
+    those choices and turns them into transitions and
+    :class:`PhaseDecision` objects.  Subclasses implement :meth:`chooser`
+    and do not override :meth:`plan`.
     """
 
     name: str = "policy"
@@ -465,7 +466,7 @@ class CapacityPolicy(abc.ABC):
         self,
         scenario: ScenarioSpec,
         gpu: GPUConfig,
-        morpheus: MorpheusConfig,
+        morpheus: Optional[MorpheusConfig],
         profiles: Mapping[str, ApplicationProfile],
         transition_model: TransitionCostModel,
     ) -> List[PhaseDecision]:
@@ -478,6 +479,11 @@ class CapacityPolicy(abc.ABC):
         repeated state returns the same :class:`PhaseDecision` object, and
         a timeline of thousands of phases makes only as many choices as it
         has distinct states.  Entering the first phase is free.
+
+        Each distinct state is checked once, before its decision is built:
+        the phase must fit the GPU, and the chooser's shares must grant
+        exactly the phase's residents and sum to its pool.  Each of these
+        errors names the phase.  ``morpheus`` is ``None`` for the baselines.
         """
         choose = self.chooser(scenario, gpu, morpheus, profiles)
         memo: Dict[tuple, Tuple[PhaseDecision, int, Dict[str, int], tuple]] = {}
@@ -489,7 +495,14 @@ class CapacityPolicy(abc.ABC):
             key = (previous_pool, previous_items, phase.residents)
             entry = memo.get(key)
             if entry is None:
+                demand = phase.total_compute_sm_demand
+                if demand > gpu.num_sms:
+                    raise ValueError(
+                        f"phase {phase.describe()!r} demands {demand} SMs but "
+                        f"the GPU has {gpu.num_sms}"
+                    )
                 pool, shares = choose(previous_pool, previous_shares, phase)
+                _check_shares(phase, pool, shares)
                 transition = (
                     grant_transition(
                         transition_model, gpu, previous_shares, shares, profiles
@@ -498,7 +511,7 @@ class CapacityPolicy(abc.ABC):
                     else NO_TRANSITION
                 )
                 decision = PhaseDecision(
-                    split=self._split(gpu, phase.total_compute_sm_demand, pool),
+                    split=self._split(gpu, demand, pool),
                     transition=transition,
                     grants=_phase_grants(phase, shares),
                 )
@@ -518,6 +531,42 @@ class CapacityPolicy(abc.ABC):
             num_compute_sms=compute_sms,
             num_cache_sms=cache_sms,
             num_gated_sms=gpu.num_sms - compute_sms - cache_sms,
+        )
+
+
+class _BaselinePolicy(CapacityPolicy):
+    """BL or IBL under a timeline: no idle SM ever enters cache mode.
+
+    Every phase gets a pool of 0 and each resident 0 cache SMs, so no phase
+    boundary costs anything.  BL keeps the idle SMs active
+    (``"all-active"``); IBL power-gates them (``"power-gate"``).  The
+    scenario engine picks this policy from the system name; callers do not
+    pass it.
+    """
+
+    def __init__(self, gate_idle: bool) -> None:
+        self.gate_idle = gate_idle
+        self.name = "power-gate" if gate_idle else "all-active"
+
+    def chooser(
+        self,
+        scenario: ScenarioSpec,
+        gpu: GPUConfig,
+        morpheus: Optional[MorpheusConfig],
+        profiles: Mapping[str, ApplicationProfile],
+    ) -> Choice:
+        def choose(previous_pool, previous_shares, phase):
+            return 0, {residency.application: 0 for residency in phase.residents}
+
+        return choose
+
+    def _split(
+        self, gpu: GPUConfig, compute_sms: int, cache_sms: int
+    ) -> MorpheusOperatingPoint:
+        return MorpheusOperatingPoint(
+            num_compute_sms=compute_sms,
+            num_cache_sms=cache_sms,
+            num_gated_sms=gpu.num_sms - compute_sms - cache_sms if self.gate_idle else 0,
         )
 
 
@@ -610,10 +659,9 @@ class DynamicCapacityManager(CapacityPolicy):
         arbitration: str = "proportional",
         pool_cap_sms: Optional[int] = None,
     ) -> None:
-        if hysteresis_sms < 0:
-            raise ValueError("hysteresis_sms must be non-negative")
-        if pool_cap_sms is not None and pool_cap_sms < 0:
-            raise ValueError("pool_cap_sms must be non-negative")
+        _check_sm_count("hysteresis_sms", hysteresis_sms)
+        if pool_cap_sms is not None:
+            _check_sm_count("pool_cap_sms", pool_cap_sms)
         self.hysteresis_sms = hysteresis_sms
         self.arbitration = _validate_arbitration(arbitration)
         self.pool_cap_sms = pool_cap_sms

@@ -372,44 +372,36 @@ class TestCorunEngine:
 
     def test_corun_policy_must_return_grants(self, engine):
         class NoGrantsPolicy(FixedSplitPolicy):
-            def plan(self, *args, **kwargs):
-                return [
-                    dataclasses.replace(decision, grants=())
-                    for decision in super().plan(*args, **kwargs)
-                ]
+            def chooser(self, *args, **kwargs):
+                choose = super().chooser(*args, **kwargs)
+                return lambda *state: (choose(*state)[0], {})
 
         scenario = corun_overlap(rounds=1)
-        with pytest.raises(ValueError, match="per-resident grants"):
+        with pytest.raises(ValueError, match="phase .*per-resident grants"):
             engine.lower(scenario, "Morpheus-Basic", NoGrantsPolicy())
 
     def test_inconsistent_grants_rejected(self, engine):
         class SkimmingPolicy(FixedSplitPolicy):
-            def plan(self, *args, **kwargs):
-                decisions = super().plan(*args, **kwargs)
-                return [
-                    dataclasses.replace(
-                        decision,
-                        grants=tuple(
-                            dataclasses.replace(grant, cache_sms=grant.cache_sms + 1)
-                            for grant in decision.grants
-                        ),
-                    )
-                    for decision in decisions
-                ]
+            def chooser(self, *args, **kwargs):
+                choose = super().chooser(*args, **kwargs)
+
+                def skim(*state):
+                    pool, shares = choose(*state)
+                    return pool, {name: sms + 1 for name, sms in shares.items()}
+
+                return skim
 
         scenario = corun_overlap(rounds=1)
-        with pytest.raises(ValueError, match="cache grants sum"):
+        with pytest.raises(ValueError, match="phase .*cache grants sum"):
             engine.lower(scenario, "Morpheus-Basic", SkimmingPolicy())
 
     def test_single_tenant_grantless_decision_rejected(self, engine):
         # Every decision carries one grant per resident, single-tenant
-        # phases included: the engine makes none up from the split.
+        # phases included: planning makes none up from the pool.
         class GrantlessPolicy(FixedSplitPolicy):
-            def plan(self, *args, **kwargs):
-                return [
-                    dataclasses.replace(decision, grants=())
-                    for decision in super().plan(*args, **kwargs)
-                ]
+            def chooser(self, *args, **kwargs):
+                choose = super().chooser(*args, **kwargs)
+                return lambda *state: (choose(*state)[0], {})
 
         scenario = ScenarioSpec(
             name="grantless",

@@ -14,9 +14,10 @@ co-run phase whose residents are reordered, the flush of a later handback
 sums the residents' flush terms in the shares' insertion order, and a memo
 key blind to that order hands one phase the other's sum.
 
-BL and IBL are held to the loop the engine ran for them on its own, one
-fresh decision per phase with no cache SMs and no transitions, on the same
-random timelines and the same table.
+BL and IBL are planned by the baseline policy the engine picks for each.
+The loop the engine once ran for them on its own, one fresh decision per
+phase with no cache SMs and no transitions, is the reference for that
+policy's plan, on the same random timelines and the same table.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from repro.core.config import MorpheusConfig
 from repro.gpu.config import RTX3080_CONFIG
 from repro.runner import ExperimentRunner
 from repro.scenarios import ScenarioEngine, fleet
+from repro.scenarios.engine import _BASELINE_POLICIES
 from repro.scenarios.policy import (
     ARBITRATION_MODES,
     NO_TRANSITION,
@@ -185,28 +187,9 @@ def _mismatches(policy, scenario) -> List[int]:
     ]
 
 
-#: The engine that plans and lowers BL and IBL timelines.
-ENGINE = ScenarioEngine(fidelity=TINY_FIDELITY)
-
-
-def baseline_plan(system: str, scenario) -> List[PhaseDecision]:
-    """Each phase's decision as the engine lowers ``scenario`` on ``system``."""
-    lowering = ENGINE.lower(scenario, system)
-    return [
-        PhaseDecision(
-            split=lowering.signatures[signature_id].split,
-            transition=lowering.transitions[transition_id],
-            grants=lowering.signatures[signature_id].grants,
-        )
-        for signature_id, transition_id in zip(
-            lowering.signature_ids, lowering.transition_ids
-        )
-    ]
-
-
 def _baseline_mismatches(system: str, scenario) -> List[int]:
     """Indices of the phases whose BL/IBL decision differs from the reference."""
-    planned = baseline_plan(system, scenario)
+    planned = _BASELINE_POLICIES[system].plan(scenario, GPU, None, PROFILES, MODEL)
     expected = reference_baseline_plan(system, scenario)
     assert len(planned) == len(expected)
     return [
@@ -363,9 +346,10 @@ def test_a_fleet_plans_few_distinct_decisions(policy):
 
 
 def test_fresh_decision_objects_lower_to_the_same_run(tmp_path):
-    # A policy that builds a new decision object for every phase never hits
-    # the engine's per-decision lowering memo; the value-keyed signature
-    # dedup behind it must give the same executions, ids and transitions.
+    # Decision objects that are equal but not shared never hit the
+    # engine's per-decision lowering memo; the value-keyed signature dedup
+    # behind it must give the same executions, ids and transitions.  Only
+    # this test overrides ``plan``, to make every decision a fresh object.
     # (The subclass has its own run key, so its run is cold too.)
     class FreshDecisions(DynamicCapacityManager):
         def plan(self, *args, **kwargs):

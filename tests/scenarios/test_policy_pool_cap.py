@@ -59,6 +59,20 @@ def test_negative_cap_rejected():
         DynamicCapacityManager(pool_cap_sms=-1)
 
 
+@pytest.mark.parametrize("knob", ["pool_cap_sms", "hysteresis_sms"])
+@pytest.mark.parametrize("value", [10.5, 2.0, True, False, "4"], ids=repr)
+def test_non_int_sm_counts_rejected(knob, value):
+    # Each would construct and then fail, or plan a flag as an SM count,
+    # or key a run apart from its int twin, deep inside a run.
+    with pytest.raises(ValueError, match=f"{knob} must be an int"):
+        DynamicCapacityManager(**{knob: value})
+
+
+def test_negative_hysteresis_rejected():
+    with pytest.raises(ValueError, match="hysteresis_sms must be non-negative"):
+        DynamicCapacityManager(hysteresis_sms=-1)
+
+
 def test_cap_enters_the_policy_fields():
     # The scenario-tier run key hashes vars(policy); the knob must be there.
     assert "pool_cap_sms" in vars(DynamicCapacityManager(pool_cap_sms=8))

@@ -14,12 +14,14 @@ from repro.scenarios import (
     DynamicCapacityManager,
     FixedSplitPolicy,
     PhaseDecision,
+    Residency,
     ScenarioEngine,
     ScenarioPhase,
     ScenarioSpec,
     TransitionCostModel,
     bursty,
     corun_pair,
+    grant_transition,
     max_cache_mode_sms,
     steady,
 )
@@ -72,17 +74,20 @@ class TestTransitionCostModel:
         assert default.flushed_dirty_bytes == explicit.flushed_dirty_bytes
 
     def test_application_change_flushes_retained_capacity(self):
-        profile = get_application("kmeans")
-        unchanged = MODEL.transition(
-            GPU, previous_cache_sms=40, new_cache_sms=40,
-            outgoing_profile=profile, application_changed=False,
+        profiles = {name: get_application(name) for name in ("kmeans", "cfd")}
+        unchanged = grant_transition(
+            MODEL, GPU, {"kmeans": 40}, {"kmeans": 40}, profiles
         )
-        changed = MODEL.transition(
-            GPU, previous_cache_sms=40, new_cache_sms=40,
-            outgoing_profile=profile, application_changed=True,
-        )
+        changed = grant_transition(MODEL, GPU, {"kmeans": 40}, {"cfd": 40}, profiles)
         assert unchanged.is_zero
+        # The ownership change orphans all 40 SMs: every one is flushed
+        # with the outgoing application's write mix and re-warmed.
         assert changed.flush_cycles > 0 and changed.warmup_cycles > 0
+        assert changed.reclaimed_sms == changed.added_sms == 40
+        assert changed.flush_cycles == MODEL.flush_cost(
+            GPU, 40, profiles["kmeans"]
+        ).flush_cycles
+        assert changed.warmup_cycles == MODEL.warmup_cost(GPU, 40).warmup_cycles
 
 
 class TestPolicies:
@@ -200,20 +205,24 @@ class TestLowering:
     def test_unknown_system_and_oversized_demand_raise(self, engine):
         with pytest.raises(ValueError, match="unknown scenario system"):
             engine.lower(bursty(bursts=1), "IBL-4X-LLC")
+        # Every system's plan checks the demand of each distinct state,
+        # here the second phase's, and names the phase.
         too_big = ScenarioSpec(
             name="big",
-            phases=(ScenarioPhase(application="kmeans", compute_sm_demand=999),),
+            phases=(
+                ScenarioPhase(application="kmeans", compute_sm_demand=24),
+                ScenarioPhase(
+                    residents=(Residency("kmeans", 40), Residency("cfd", 40)),
+                    label="crowd",
+                ),
+            ),
         )
-        with pytest.raises(ValueError, match="demands"):
-            engine.lower(too_big, "BL")
-
-    def test_short_policy_plan_raises(self, engine):
-        class BrokenPolicy(FixedSplitPolicy):
-            def plan(self, *args, **kwargs):
-                return super().plan(*args, **kwargs)[:-1]
-
-        with pytest.raises(ValueError, match="decisions"):
-            engine.lower(bursty(bursts=1), "Morpheus-Basic", BrokenPolicy())
+        for system in SCENARIO_SYSTEMS:
+            with pytest.raises(
+                ValueError,
+                match=f"^phase 'crowd' demands 80 SMs but the GPU has {GPU.num_sms}$",
+            ):
+                engine.lower(too_big, system)
 
 
 class TestEngineRun:
@@ -270,8 +279,10 @@ class TestEngineRun:
 
         scenario = bursty(bursts=1)
         baseline = engine.run_key(scenario, "Morpheus-Basic")
-        expensive = engine.runner.with_energy_model(
-            EnergyModel(ComponentEnergies(dram_pj_per_byte=999.0))
+        expensive = ExperimentRunner(
+            cache_dir=engine.runner.cache_dir,
+            max_workers=0,
+            energy_model=EnergyModel(ComponentEnergies(dram_pj_per_byte=999.0)),
         )
         sibling = ScenarioEngine(runner=expensive, fidelity=TINY_FIDELITY)
         assert sibling.run_key(scenario, "Morpheus-Basic") != baseline
