@@ -39,12 +39,20 @@ SYSTEM_DIRS = {
     "BL": GOLDEN_DIR / "BL",
     "IBL": GOLDEN_DIR / "IBL",
 }
-BASELINES = ("BL", "IBL")
 
 #: Library shapes under test ("diurnal" is an alias of "ramp"); the fleet
 #: shape is shrunk so the fixtures stay small.
 SHAPES = sorted(name for name in SCENARIO_LIBRARY if name != "diurnal")
 SHAPE_KWARGS = {"fleet": {"num_phases": 60, "seed": 2}}
+
+#: Every (system, shape) case; Morpheus-Basic's keep the bare shape as id.
+CASES = [
+    pytest.param(
+        system, name, id=name if system == "Morpheus-Basic" else f"{system}-{name}"
+    )
+    for system in SYSTEM_DIRS
+    for name in SHAPES
+]
 
 
 def build(name):
@@ -63,7 +71,8 @@ def _persisted_payload(tmp_path, system, name):
     return payload
 
 
-def check_golden(tmp_path, system, name):
+@pytest.mark.parametrize("system, name", CASES)
+def test_golden_scenario(tmp_path, system, name):
     path = SYSTEM_DIRS[system] / f"{name}.json"
     actual = _persisted_payload(tmp_path, system, name)
     if os.environ.get(REGEN_ENV):
@@ -78,17 +87,6 @@ def check_golden(tmp_path, system, name):
         f"golden scenario aggregate changed for {name!r} on {system} at {path}:\n  "
         + "\n  ".join(mismatches)
     )
-
-
-@pytest.mark.parametrize("name", SHAPES)
-def test_golden_scenario(tmp_path, name):
-    check_golden(tmp_path, "Morpheus-Basic", name)
-
-
-@pytest.mark.parametrize("name", SHAPES)
-@pytest.mark.parametrize("system", BASELINES)
-def test_golden_baseline_scenario(tmp_path, system, name):
-    check_golden(tmp_path, system, name)
 
 
 def test_fixtures_cover_every_shape():
