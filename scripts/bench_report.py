@@ -1,31 +1,25 @@
-"""Machine-readable performance benchmarks: design-space search and the runner pool.
+"""Machine-readable performance benchmark of the runner pool.
 
-``--benchmark search`` (the default) times a fixed-seed warm design-space
-search (``repro.search``) over the scenario tier — steps/sec plus the
-scenario and in-loop memo hit rates, with the zero-replay-miss contract
-asserted — and writes ``BENCH_search.json``.
-
-``--benchmark runner`` times a cold batch of kmeans leaves on
-``ExperimentRunner`` at 1 worker (in-process) vs ``--workers`` pool workers
-(fresh cache and fresh pool per timed run, matched pairs), asserts the
-pooled run is bit-identical to a serial one with zero duplicate replays,
-and writes ``BENCH_runner.json`` with each side's median and quartiles.
-It records ``cpu_count``, because the pool never runs more workers than
-the host has cores.
+Times a cold batch of kmeans leaves on ``ExperimentRunner`` at 1 worker
+(in-process) vs ``--workers`` pool workers (fresh cache and fresh pool per
+timed run, matched pairs), asserts the pooled run is bit-identical to a
+serial one with zero duplicate replays, and writes ``BENCH_runner.json``
+with each side's median and quartiles.  It records ``cpu_count``, because
+the pool never runs more workers than the host has cores.
 
 Usage::
 
     PYTHONPATH=src python scripts/bench_report.py
-        [--benchmark search|runner] [--smoke] [--workers N] [--repeats N]
-        [--steps N] [--output FILE]
+        [--smoke] [--workers N] [--leaves N] [--repeats N] [--rounds N]
+        [--output FILE] [--trace [DIR]]
 
 ``--smoke`` shrinks the trace and repeat counts so the whole script runs in
 a few seconds (the CI configuration).
 
-Both reports carry the same ``header``: the git sha of the checkout the
-script runs from (``null`` outside one), ``os.cpu_count()``, the Python
-version and the number of timed repeats, so a report names the code and
-the host it measured.
+The report's ``header`` carries the git sha of the checkout the script
+runs from (``null`` outside one), ``os.cpu_count()``, the Python version
+and the number of timed repeats, so a report names the code and the host
+it measured.
 """
 
 from __future__ import annotations
@@ -74,7 +68,7 @@ def _git_sha():
 
 
 def _header(repeats: int):
-    """The header both reports share: the code, the host and the repeats."""
+    """The report's header: the code, the host and the repeats."""
     return {
         "git_sha": _git_sha(),
         "cpu_count": os.cpu_count(),
@@ -195,73 +189,8 @@ def benchmark_runner_pool(
     return report
 
 
-def benchmark_search(fidelity: Fidelity, steps: int, seed: int, agent_name: str):
-    """Warm-search throughput: steps/sec and cache hit rates of a fixed-seed run.
-
-    A warm-up pass pays every replay/score cost once; the timed pass then
-    re-runs the identical seeded search through a fresh runner sharing the
-    cache directory, so the measured rate is the steady-state cost of a
-    search step — scenario-tier JSON loads plus agent bookkeeping.  The
-    zero-replay-miss contract is asserted on the timed pass.
-    """
-    from repro.search import ScenarioSearchProblem, make_agent, run_search
-
-    with tempfile.TemporaryDirectory(prefix="repro-bench-search-") as cache_dir:
-        warm_started = time.perf_counter()
-        warm_runner = ExperimentRunner(cache_dir=cache_dir, max_workers=0)
-        warm_problem = ScenarioSearchProblem(runner=warm_runner, fidelity=fidelity)
-        warm_problem.baseline()
-        run_search(
-            warm_problem, make_agent(agent_name, warm_problem.space, seed=seed), steps
-        )
-        warmup_seconds = time.perf_counter() - warm_started
-
-        runner = ExperimentRunner(cache_dir=cache_dir, max_workers=0)
-        problem = ScenarioSearchProblem(runner=runner, fidelity=fidelity)
-        baseline = problem.baseline()
-        agent = make_agent(agent_name, problem.space, seed=seed)
-        started = time.perf_counter()
-        result = run_search(problem, agent, steps, baseline=baseline)
-        seconds = time.perf_counter() - started
-
-        if runner.replays or runner.disk_cache.replay_misses:
-            raise AssertionError(
-                f"warm search touched the replay tier ({runner.replays} replays, "
-                f"{runner.disk_cache.replay_misses} misses) — the score-tier-only "
-                "contract is broken"
-            )
-        counters = runner.disk_cache.tier_counters()
-
-    scenario_lookups = counters["scenario_hits"] + counters["scenario_misses"]
-    return {
-        "agent": agent_name,
-        "steps": steps,
-        "seed": seed,
-        "warmup_seconds": warmup_seconds,
-        "seconds": seconds,
-        "steps_per_second": steps / seconds,
-        "baseline_fitness": result.baseline_fitness,
-        "best_fitness": result.best_fitness,
-        "evaluations": result.evaluations,
-        "memo_hits": result.memo_hits,
-        "memo_hit_rate": result.memo_hit_rate,
-        "scenario_tier_hits": counters["scenario_hits"],
-        "scenario_tier_misses": counters["scenario_misses"],
-        "scenario_tier_hit_rate": (
-            counters["scenario_hits"] / scenario_lookups if scenario_lookups else 0.0
-        ),
-        "replay_misses": 0,
-    }
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--benchmark",
-        choices=("search", "runner"),
-        default="search",
-        help="which benchmark to run (default: search)",
-    )
     parser.add_argument(
         "--smoke",
         action="store_true",
@@ -271,39 +200,33 @@ def main(argv=None) -> int:
         "--workers",
         type=int,
         default=max(2, os.cpu_count() or 1),
-        help="runner: pool workers on the multi-worker side (default: CPU count, min 2)",
+        help="pool workers on the multi-worker side (default: CPU count, min 2)",
     )
     parser.add_argument(
         "--leaves",
         type=int,
         default=None,
-        help="runner: cold leaves per timed run (default 16; 6 with --smoke)",
+        help="cold leaves per timed run (default 16; 6 with --smoke)",
     )
     parser.add_argument(
         "--repeats",
         type=int,
         default=None,
-        help="runner: timing repeats (matched pairs; median ratio reported)",
-    )
-    parser.add_argument(
-        "--steps",
-        type=int,
-        default=None,
-        help="search: steps in the timed search (default 200; 40 with --smoke)",
+        help="timing repeats (matched pairs; median ratio reported)",
     )
     parser.add_argument(
         "--output",
         default=None,
         help=(
             "where to write the JSON report ('-' prints to stdout only; "
-            "default BENCH_<benchmark>.json)"
+            "default BENCH_runner.json)"
         ),
     )
     parser.add_argument(
         "--rounds",
         type=int,
         default=None,
-        help="runner: sleep-separated sampling bursts the repeats are spread over",
+        help="sleep-separated sampling bursts the repeats are spread over",
     )
     parser.add_argument(
         "--trace",
@@ -322,7 +245,7 @@ def main(argv=None) -> int:
     if args.workers < 2:
         parser.error("--workers must be >= 2 (it is compared against 1 worker)")
     fidelity = SMOKE_FIDELITY if args.smoke else FAST_FIDELITY
-    output = args.output if args.output is not None else f"BENCH_{args.benchmark}.json"
+    output = args.output if args.output is not None else "BENCH_runner.json"
 
     trace_dir = Path(args.trace) if args.trace else None
     if trace_dir is not None:
@@ -336,31 +259,19 @@ def main(argv=None) -> int:
     else:
         trace_context = contextlib.nullcontext()
 
+    repeats = args.repeats if args.repeats is not None else (3 if args.smoke else 15)
+    rounds = args.rounds if args.rounds is not None else (1 if args.smoke else 3)
+    leaves = args.leaves if args.leaves is not None else (6 if args.smoke else 16)
     with trace_context:
-        if args.benchmark == "search":
-            steps = args.steps if args.steps is not None else (40 if args.smoke else 200)
-            report = {
-                "benchmark": "search",
-                # One timed pass of the seeded search.
-                "header": _header(repeats=1),
-                "smoke": args.smoke,
-                "warm_search": benchmark_search(
-                    fidelity, steps, seed=7, agent_name="genetic"
-                ),
-            }
-        else:
-            repeats = args.repeats if args.repeats is not None else (3 if args.smoke else 15)
-            rounds = args.rounds if args.rounds is not None else (1 if args.smoke else 3)
-            leaves = args.leaves if args.leaves is not None else (6 if args.smoke else 16)
-            report = {
-                "benchmark": "runner",
-                "header": _header(repeats),
-                "smoke": args.smoke,
-                "rounds": rounds,
-                "cold_batch_throughput": benchmark_runner_pool(
-                    fidelity, leaves, args.workers, repeats, rounds
-                ),
-            }
+        report = {
+            "benchmark": "runner",
+            "header": _header(repeats),
+            "smoke": args.smoke,
+            "rounds": rounds,
+            "cold_batch_throughput": benchmark_runner_pool(
+                fidelity, leaves, args.workers, repeats, rounds
+            ),
+        }
 
     if trace_dir is not None:
         from repro.telemetry.report import summarize
@@ -379,25 +290,15 @@ def main(argv=None) -> int:
         with open(output, "w", encoding="utf-8") as handle:
             handle.write(rendered + "\n")
 
-    if args.benchmark == "search":
-        warm = report["warm_search"]
-        print(
-            f"\nwarm search: {warm['steps_per_second']:.0f} steps/s over "
-            f"{warm['steps']} steps (scenario-tier hit rate "
-            f"{warm['scenario_tier_hit_rate']:.2%}, memo hit rate "
-            f"{warm['memo_hit_rate']:.2%}, zero replay misses)",
-            file=sys.stderr,
-        )
-    else:
-        cold = report["cold_batch_throughput"]
-        print(
-            f"\ncold batch on the pool: {cold['speedup']:.2f}x at "
-            f"{cold['workers']} workers over 1 "
-            f"({cold['multi_worker_leaves_per_second']:.1f} vs "
-            f"{cold['single_worker_leaves_per_second']:.1f} leaves/s on a "
-            f"{cold['cpu_count']}-CPU host)",
-            file=sys.stderr,
-        )
+    cold = report["cold_batch_throughput"]
+    print(
+        f"\ncold batch on the pool: {cold['speedup']:.2f}x at "
+        f"{cold['workers']} workers over 1 "
+        f"({cold['multi_worker_leaves_per_second']:.1f} vs "
+        f"{cold['single_worker_leaves_per_second']:.1f} leaves/s on a "
+        f"{cold['cpu_count']}-CPU host)",
+        file=sys.stderr,
+    )
     return 0
 
 

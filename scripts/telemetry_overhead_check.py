@@ -5,8 +5,8 @@ publication behind one ``telemetry().enabled`` read — so the disabled cost
 must be indistinguishable from uninstrumented code.  This script regression
 -tests that promise: it times the warm scoring benchmark (a loop of
 score-tier lookups plus analytic re-scores through
-:meth:`~repro.runner.runner.ExperimentRunner.simulate`, the exact path a
-search trajectory hammers) twice as matched pairs —
+:meth:`~repro.runner.runner.ExperimentRunner.simulate`, the path an
+analytic sweep takes) twice as matched pairs —
 
 * **shipped** — the code as-is, telemetry disabled (the default),
 * **floor** — the same code with the ``telemetry`` accessor in every

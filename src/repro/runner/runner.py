@@ -25,9 +25,9 @@ phases backed by the two tiers of the on-disk
   :class:`~repro.sim.vector_model.MeasurementScorer`.  Analytic re-scoring
   sweeps are plain ``run_configs`` batches that hit the measurement tier.
 * ``measurement_for`` / ``scorer_for`` split the two phases for callers
-  that score one measurement many times in-process (the contention solver,
-  the envelope search), and ``score_energy_grid`` scores one leaf under
-  many energy-constant variants.
+  that score one measurement many times in-process (the contention
+  solver), and ``score_energy_grid`` scores one leaf under many
+  energy-constant variants.
 * ``run_plan`` executes a declarative :class:`~repro.runner.spec.ExperimentSpec`
   / :class:`~repro.runner.spec.ExperimentPlan` cell matrix in parallel; each
   worker shares the same on-disk cache, so a warm re-run of a plan costs
@@ -380,12 +380,11 @@ class ExperimentRunner:
 
         Phase 2 alone, the complement of :meth:`measurement_for`: for
         callers that score one measurement under many score-tier variants
-        in-process (the contention solver's per-iteration envelopes, the
-        envelope search's candidates) with no cache interaction.  The
-        replay-side invariants are hoisted once, and the scorer's
-        ``score_config`` / ``score_envelope`` results equal what
-        :meth:`simulate` stores for the same config, because scoring is a
-        pure function of (profile, config, measurement, energies).
+        in-process (the contention solver's per-iteration envelopes) with
+        no cache interaction.  The replay-side invariants are hoisted once,
+        and the scorer's ``score_config`` / ``score_envelope`` results equal
+        what :meth:`simulate` stores for the same config, because scoring is
+        a pure function of (profile, config, measurement, energies).
         """
         return self._performance_model.scorer(profile, config, measurement)
 

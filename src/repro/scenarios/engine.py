@@ -89,6 +89,9 @@ _BASELINE_POLICIES: Dict[str, CapacityPolicy] = {
     "IBL": _BaselinePolicy(gate_idle=True),
 }
 
+#: The flush/warm-up costs every capacity policy is planned with.
+_TRANSITION_MODEL = TransitionCostModel()
+
 logger = get_logger(__name__)
 
 
@@ -390,14 +393,15 @@ class ScenarioRunResult:
 class ScenarioEngine:
     """Lowers scenario timelines to leaf runs and executes them via the runner.
 
+    Morpheus systems use the Bloom hit/miss predictor, and every policy
+    is planned with the default :class:`TransitionCostModel`.
+
     Args:
         runner: Runner executing the leaves; ``None`` resolves the
             process-wide runner at call time.
         gpu: Baseline GPU configuration shared by all phases.
         fidelity: Trace sizing preset for the phase leaves.
         seed: Trace-generation seed shared by all phases.
-        transition_model: Flush/warm-up cost knobs for dynamic policies.
-        predictor: Hit/miss predictor flavour for Morpheus systems.
         contention: Shared-bandwidth fixed-point solver knobs for co-run
             phases (see :class:`~repro.scenarios.contention.ContentionModel`);
             ``None`` uses the defaults.
@@ -409,16 +413,12 @@ class ScenarioEngine:
         gpu: GPUConfig = RTX3080_CONFIG,
         fidelity: Fidelity = STANDARD_FIDELITY,
         seed: int = 1,
-        transition_model: Optional[TransitionCostModel] = None,
-        predictor: str = "bloom",
         contention: Optional[ContentionModel] = None,
     ) -> None:
         self.runner = runner
         self.gpu = gpu
         self.fidelity = get_fidelity(fidelity)
         self.seed = seed
-        self.transition_model = transition_model or TransitionCostModel()
-        self.predictor = predictor
         self.contention = contention or ContentionModel()
         self._solo_reference_memo: Dict[str, Dict[str, float]] = {}
 
@@ -565,9 +565,9 @@ class ScenarioEngine:
     ) -> Tuple[List[PhaseDecision], Optional[MorpheusConfig]]:
         """Per-phase decisions plus the Morpheus config (``None`` for baselines)."""
         variant = _MORPHEUS_VARIANTS.get(system)
-        morpheus = variant.to_config(self.predictor) if variant is not None else None
+        morpheus = variant.to_config() if variant is not None else None
         decisions = self._policy(system, policy).plan(
-            scenario, self.gpu, morpheus, profiles, self.transition_model
+            scenario, self.gpu, morpheus, profiles, _TRANSITION_MODEL
         )
         return decisions, morpheus
 
@@ -793,7 +793,8 @@ class ScenarioEngine:
         O(signatures) payload for an O(phases) timeline: the distinct
         signature executions and interned transitions are stored once, and
         each phase contributes one ``[signature_id, transition_id]`` pair.
-        This layout is what :data:`SCENARIO_SCHEMA_VERSION` 4 names.  The
+        This layout is the one :data:`SCENARIO_SCHEMA_VERSION` 4 introduced
+        and version 5 keeps.  The
         scenario spec itself is *not* stored: the aggregate is loaded by a
         caller holding the same spec (the run key proves it).  Floats
         survive JSON via repr, so a reloaded result is bit-identical to the
@@ -1073,19 +1074,14 @@ class ScenarioEngine:
 
         Extends :meth:`ScenarioSpec.scenario_key` — which already embeds the
         replay/score/scenario schema versions — with everything else that
-        shapes the result: system, policy, GPU, fidelity, seed, predictor,
-        the transition-cost knobs, the co-run contention-solver knobs and
-        the energy constants the runner scores (and keys) leaves with.
-        This key addresses the persisted scenario aggregates in the cache's
-        ``scenarios/`` tier.
+        shapes the result: system, the policy that plans it, GPU, fidelity,
+        seed, the co-run contention-solver knobs and the energy constants
+        the runner scores (and keys) leaves with.  The policy is the one
+        :meth:`_policy` resolves, so a BL or IBL run has one key whatever
+        ``policy`` the caller passes.  This key addresses the persisted
+        scenario aggregates in the cache's ``scenarios/`` tier.
         """
-        policy = policy if policy is not None else (
-            None if system in _BASELINE_POLICIES else DynamicCapacityManager()
-        )
-        # Class name + instance fields, so parameterized policy subclasses
-        # (a public extension point) never collide on a shared `name`.
-        policy_fields: Dict[str, object] = dict(vars(policy)) if policy is not None else {}
-        policy_class = type(policy).__name__ if policy is not None else None
+        policy = self._policy(system, policy)
         energy_model = self._runner().energy_model
         energies = energy_model.energies if energy_model is not None else DEFAULT_ENERGIES
         return content_hash(
@@ -1093,14 +1089,15 @@ class ScenarioEngine:
                 "schema": SCENARIO_SCHEMA_VERSION,
                 "scenario_key": scenario.scenario_key(),
                 "system": system,
-                "policy": policy.name if policy is not None else None,
-                "policy_class": policy_class,
-                "policy_fields": policy_fields,
+                # Class name + instance fields, so parameterized policy
+                # subclasses (a public extension point) never collide on a
+                # shared `name`.
+                "policy": policy.name,
+                "policy_class": type(policy).__name__,
+                "policy_fields": dict(vars(policy)),
                 "gpu": self.gpu,
                 "fidelity": self.fidelity,
                 "seed": self.seed,
-                "predictor": self.predictor,
-                "transition_model": self.transition_model,
                 "contention": self.contention,
                 "energies": energies,
             }

@@ -645,26 +645,16 @@ class DynamicCapacityManager(CapacityPolicy):
             own transition cost.
         arbitration: How the pool is split across a co-run phase's
             residents (``"proportional"`` or ``"sensitivity"``).
-        pool_cap_sms: Optional cap on the pooled cache-mode allocation,
-            *below* the architectural §4.1.3 cap — the tunable "split
-            point" a design-space search moves.  ``None`` (the default)
-            targets the full idle capacity, the original behaviour.
     """
 
     name = "dynamic"
 
     def __init__(
-        self,
-        hysteresis_sms: int = 0,
-        arbitration: str = "proportional",
-        pool_cap_sms: Optional[int] = None,
+        self, hysteresis_sms: int = 0, arbitration: str = "proportional"
     ) -> None:
         _check_sm_count("hysteresis_sms", hysteresis_sms)
-        if pool_cap_sms is not None:
-            _check_sm_count("pool_cap_sms", pool_cap_sms)
         self.hysteresis_sms = hysteresis_sms
         self.arbitration = _validate_arbitration(arbitration)
-        self.pool_cap_sms = pool_cap_sms
 
     def chooser(
         self,
@@ -674,8 +664,6 @@ class DynamicCapacityManager(CapacityPolicy):
         profiles: Mapping[str, ApplicationProfile],
     ) -> Choice:
         cap = max_cache_mode_sms(gpu, morpheus)
-        if self.pool_cap_sms is not None:
-            cap = min(cap, self.pool_cap_sms)
 
         def choose(previous_pool, previous_shares, phase):
             idle = gpu.num_sms - phase.total_compute_sm_demand

@@ -56,7 +56,12 @@ from repro.runner.spec import (
 #: scenario-tier entries, and an entry in any other layout is recomputed.
 #: Dedup itself changed no computed result — leaf replay/score keys and the
 #: per-phase results are unchanged.
-SCENARIO_SCHEMA_VERSION = 4
+#: Version 5: only the run key changed.  It hashes the policy that plans
+#: the run, so BL and IBL get one key whatever policy the caller passes;
+#: the dynamic manager lost its pool cap; and the predictor and the
+#: transition-cost model, now fixed for every run, left the key.  The
+#: payload layout and every computed result are those of version 4.
+SCENARIO_SCHEMA_VERSION = 5
 
 
 def _check_weight(name: str, value: float) -> None:

@@ -4,8 +4,7 @@ Every evaluated system runs the same trace-driven model; fidelity presets
 control how long the replayed traces are and how aggressively capacities are
 downscaled.  ``STANDARD`` is the library default: systems, sweeps,
 experiment specs and the scenario engine use it unless told otherwise.
-``FAST`` (1/32 capacities, shorter traces) is the design-space search's
-default and drives the examples, ``scripts/search.py``,
+``FAST`` (1/32 capacities, shorter traces) drives the examples,
 ``scripts/bench_report.py`` and ``scripts/warm_cache_check.py``.  The figure
 checks under ``benchmarks/`` define their own 1/32 ``BENCH_FIDELITY``
 (also the sizing of ``scripts/spotcheck_fig12.py`` and perfbench's fig12
@@ -84,7 +83,7 @@ FAST_FIDELITY = Fidelity(
     search_trace_accesses=3_000,
     search_warmup_accesses=1_000,
 )
-"""Reduced fidelity for the search, the examples and the quick CLI runs."""
+"""Reduced fidelity for the examples and the quick CLI runs."""
 
 #: Named presets accepted wherever a fidelity is expected.
 FIDELITY_PRESETS = {

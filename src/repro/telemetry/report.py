@@ -8,8 +8,7 @@
   processes (counters summed, gauges last-write-wins by snapshot time).
 * ``histograms`` — merged raw-value histograms with p50/p95/p99.
 * ``cache`` — per-tier hit/miss/store/byte counters folded into hit rates.
-* ``slowest`` — the slowest replay spans, the leaves a search should
-  look at first.
+* ``slowest`` — the slowest replay spans, the leaves to look at first.
 
 :func:`render` turns that dictionary into the human-readable text the
 ``python -m repro.telemetry report`` CLI prints; ``--json`` emits the

@@ -104,8 +104,6 @@ def reference_dynamic_plan(
     policy: DynamicCapacityManager, scenario
 ) -> List[PhaseDecision]:
     cap = max_cache_mode_sms(GPU, MORPHEUS)
-    if policy.pool_cap_sms is not None:
-        cap = min(cap, policy.pool_cap_sms)
     decisions = []
     previous_pool = 0
     previous_shares: Dict[str, int] = {}
@@ -237,7 +235,6 @@ POLICIES = st.one_of(
         DynamicCapacityManager,
         hysteresis_sms=st.integers(min_value=0, max_value=8),
         arbitration=st.sampled_from(ARBITRATION_MODES),
-        pool_cap_sms=st.none() | st.integers(min_value=0, max_value=60),
     ),
     st.sampled_from(list(_BASELINE_POLICIES.values())),
 )

@@ -21,6 +21,7 @@ from repro.scenarios import (
     TransitionCostModel,
     bursty,
     corun_pair,
+    get_scenario,
     grant_transition,
     max_cache_mode_sms,
     steady,
@@ -158,6 +159,17 @@ class TestPolicies:
         assert reactive[1].split.num_cache_sms != reactive[0].split.num_cache_sms
         assert not reactive[1].transition.is_zero
 
+    @pytest.mark.parametrize("value", [10.5, 2.0, True, False, "4"], ids=repr)
+    def test_non_int_hysteresis_rejected(self, value):
+        # Each would construct and then fail, or plan a flag as an SM count,
+        # or key a run apart from its int twin, deep inside a run.
+        with pytest.raises(ValueError, match="hysteresis_sms must be an int"):
+            DynamicCapacityManager(hysteresis_sms=value)
+
+    def test_negative_hysteresis_rejected(self):
+        with pytest.raises(ValueError, match="hysteresis_sms must be non-negative"):
+            DynamicCapacityManager(hysteresis_sms=-1)
+
 
 class TestLowering:
     def test_baselines_have_no_cache_sms(self, engine):
@@ -270,6 +282,34 @@ class TestEngineRun:
             engine.run_key(scenario, "IBL"),
         }
         assert len(keys) == 4
+
+    @pytest.mark.parametrize("system", ["BL", "IBL"])
+    def test_baseline_run_key_ignores_the_policy_argument(self, engine, system):
+        # BL and IBL plan with their own policy whatever the caller passes,
+        # so every policy argument names the one result they compute.
+        scenario = get_scenario("mixed_tenancy")
+        policies = (
+            None,
+            FixedSplitPolicy(),
+            DynamicCapacityManager(),
+            DynamicCapacityManager(hysteresis_sms=2),
+        )
+        keys = {engine.run_key(scenario, system, policy) for policy in policies}
+        assert len(keys) == 1
+        cache = engine.runner.disk_cache
+        with using_runner(engine.runner):
+            first = engine.run(scenario, system)
+            assert cache.scenario_stores == 1
+            for policy in policies[1:]:
+                result = engine.run(scenario, system, policy)
+                assert result.signatures == first.signatures
+            assert cache.scenario_stores == 1
+            references = [
+                engine.solo_reference_ipcs(scenario, system, policy)
+                for policy in policies
+            ]
+        assert all(reference == references[0] for reference in references)
+        assert cache.scenario_stores == 2
 
     def test_run_key_covers_the_energy_constants(self, engine):
         # Scenario aggregates depend on the energy model leaves are scored
