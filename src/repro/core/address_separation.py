@@ -12,28 +12,11 @@ each store's capacity.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Sequence, Tuple
 
-
-@dataclass(frozen=True)
-class SeparationDecision:
-    """Outcome of routing one address."""
-
-    target: str            # "conventional" or "extended"
-    extended_set: int = -1  # extended LLC set index when target == "extended"
-
-
-_CONVENTIONAL = SeparationDecision(target="conventional")
-
-
-@functools.lru_cache(maxsize=16)
-def _extended_decisions(num_extended_sets: int) -> Tuple[SeparationDecision, ...]:
-    """The (immutable) decision for each extended set, shared by separators."""
-    return tuple(
-        SeparationDecision(target="extended", extended_set=index)
-        for index in range(num_extended_sets)
-    )
+#: Granularity units in one period of the conventional/extended
+#: interleaving: 16 units give ~6 % resolution on the capacity split.
+_PERIOD_UNITS = 16
 
 
 class AddressSeparator:
@@ -89,19 +72,14 @@ class AddressSeparator:
         total = conventional_capacity_bytes + extended_capacity_bytes
         # Shares in granularity units, at least 1 unit for the conventional LLC.
         self._conventional_units = max(
-            1, round(self.conventional_capacity_bytes / total * self._total_units(total))
+            1, round(self.conventional_capacity_bytes / total * _PERIOD_UNITS)
         )
-        self._extended_units = self._total_units(total) - self._conventional_units
+        self._extended_units = _PERIOD_UNITS - self._conventional_units
         if extended_capacity_bytes == 0:
             self._conventional_units = 1
             self._extended_units = 0
         self._period = self._conventional_units + self._extended_units
-        self._extended_decisions = _extended_decisions(num_extended_sets)
-
-    def _total_units(self, total_bytes: int) -> int:
-        """Number of granularity units in the interleaving period (>= 2)."""
-        # A period of 16 units gives ~6 % resolution on the capacity split.
-        return 16
+        self._unit_bytes = block_size * granularity_blocks
 
     # -- public API -----------------------------------------------------------
 
@@ -110,22 +88,18 @@ class AddressSeparator:
         """Fraction of the address space routed to the extended LLC."""
         return self._extended_units / self._period
 
-    def route(self, address: int) -> SeparationDecision:
-        """Decide which LLC serves the block containing ``address``."""
+    def route(self, address: int) -> int:
+        """The extended LLC set of the block containing ``address``, or -1.
+
+        -1 means the conventional slice serves the block.  Without an
+        extended share the period is one conventional unit, so every block
+        lands there.
+        """
         if address < 0:
             raise ValueError("address must be non-negative")
-        if self._extended_units == 0:
-            return _CONVENTIONAL
-
-        block_index = address // self.block_size
-        position = (block_index // self.granularity_blocks) % self._period
-        if position < self._conventional_units:
-            return _CONVENTIONAL
-        return self._extended_decisions[block_index % self.num_extended_sets]
-
-    def is_extended(self, address: int) -> bool:
-        """Convenience wrapper: True when ``address`` belongs to the extended LLC."""
-        return self.route(address).target == "extended"
+        if (address // self._unit_bytes) % self._period < self._conventional_units:
+            return -1
+        return (address // self.block_size) % self.num_extended_sets
 
 
 #: Blocks in one period of :func:`proportional_split`: the split depends only

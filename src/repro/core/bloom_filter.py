@@ -15,17 +15,21 @@ from typing import Iterable
 def _key_mask(key: int, num_bits: int, num_hashes: int) -> int:
     """The filter bits of ``key``: double hashing over a blake2 digest.
 
-    The hit/miss predictor keeps each tag's mask in a memo of its own
-    (:class:`~repro.core.hit_miss_predictor.HitMissPredictor`).
+    Bit ``i`` of the ``num_hashes`` is ``(h1 + i * h2) % num_bits``, where
+    ``h1`` and ``h2`` (made odd) are the digest's low and high 64 bits.
+    Both are reduced modulo ``num_bits`` first, so each step adds two
+    small ints.  The hit/miss predictor keeps each tag's mask in a memo of
+    its own (:class:`~repro.core.hit_miss_predictor.HitMissPredictor`).
     """
-    digest = hashlib.blake2b(
-        int(key).to_bytes(16, "little", signed=False), digest_size=16
-    ).digest()
-    h1 = int.from_bytes(digest[:8], "little")
-    h2 = int.from_bytes(digest[8:], "little") | 1
+    digest = int.from_bytes(
+        hashlib.blake2b(key.to_bytes(16, "little"), digest_size=16).digest(), "little"
+    )
+    position = (digest & 0xFFFF_FFFF_FFFF_FFFF) % num_bits
+    step = (digest >> 64 | 1) % num_bits
     mask = 0
-    for i in range(num_hashes):
-        mask |= 1 << ((h1 + i * h2) % num_bits)
+    for _ in range(num_hashes):
+        mask |= 1 << position
+        position = (position + step) % num_bits
     return mask
 
 

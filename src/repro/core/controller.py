@@ -18,24 +18,91 @@ The controller performs the three tasks the paper assigns it:
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 from dataclasses import dataclass
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.address_separation import AddressSeparator
 from repro.core.config import MorpheusConfig
-from repro.core.extended_llc import NO_WRITEBACKS, ExtendedLLC, ExtendedLLCKernel
+from repro.core.extended_llc import ExtendedLLC, ExtendedLLCKernel
 from repro.core.hit_miss_predictor import HitMissPredictor, SetPredictor
 from repro.memory.llc import LLCPartition
 
 DramAccessFn = Callable[[int, float], float]
 NocRoundTripFn = Callable[[float], float]
-#: ``(hit_level, latency_cycles, predicted_miss, false_positive,
-#: writebacks)``, as :meth:`MorpheusController.access` returns it.
-_Outcome = Tuple[str, float, bool, bool, Tuple[int, ...]]
 #: The kernel that owns an extended set, its local set there, and the set's
 #: predictor unit.
 _ExtendedSet = Tuple[ExtendedLLCKernel, int, SetPredictor]
+
+
+@dataclass
+class HierarchyCounters:
+    """Counts accumulated by one engine run over a trace.
+
+    Each Morpheus controller counts the outcomes it decides into its
+    engine's counters; the engine counts the rest and sets every byte
+    counter to its count times its size once per run.
+    """
+
+    llc_accesses: int = 0
+    conventional_hits: int = 0
+    extended_hits: int = 0
+    extended_requests: int = 0
+    dram_accesses: int = 0
+    predicted_misses: int = 0
+    false_positive_trips: int = 0
+    writebacks: int = 0
+    total_latency_cycles: float = 0.0
+    conventional_bytes: float = 0.0
+    extended_bytes: float = 0.0
+    dram_bytes: float = 0.0
+    noc_bytes: float = 0.0
+    elapsed_cycles: float = 0.0
+
+    @property
+    def llc_hits(self) -> int:
+        """Hits in either LLC."""
+        return self.conventional_hits + self.extended_hits
+
+    @property
+    def llc_hit_rate(self) -> float:
+        """Overall LLC hit rate."""
+        return self.llc_hits / self.llc_accesses if self.llc_accesses else 0.0
+
+    @property
+    def conventional_hit_rate(self) -> float:
+        """Conventional LLC hit rate over all LLC accesses."""
+        return self.conventional_hits / self.llc_accesses if self.llc_accesses else 0.0
+
+    @property
+    def extended_hit_rate(self) -> float:
+        """Extended LLC hit rate over extended-routed accesses."""
+        return self.extended_hits / self.extended_requests if self.extended_requests else 0.0
+
+    @property
+    def extended_fraction(self) -> float:
+        """Fraction of LLC accesses routed to the extended LLC."""
+        return self.extended_requests / self.llc_accesses if self.llc_accesses else 0.0
+
+    @property
+    def dram_access_fraction(self) -> float:
+        """Fraction of LLC accesses that ended in DRAM."""
+        return self.dram_accesses / self.llc_accesses if self.llc_accesses else 0.0
+
+    @property
+    def average_latency_cycles(self) -> float:
+        """Average LLC-level access latency observed over the trace."""
+        return self.total_latency_cycles / self.llc_accesses if self.llc_accesses else 0.0
+
+    def to_jsonable(self) -> Dict[str, float]:
+        """Render the counters as a JSON-compatible field dict."""
+        return dataclasses.asdict(self)
+
+    @classmethod
+    def from_jsonable(cls, payload: Dict[str, float]) -> "HierarchyCounters":
+        """Rebuild counters from :meth:`to_jsonable` output (bit-identical)."""
+        return cls(**payload)
 
 
 def _constant(latency: float) -> Callable[..., float]:
@@ -53,41 +120,6 @@ class PredictorMode(enum.Enum):
     BLOOM = "bloom"
     NONE = "none"
     PERFECT = "perfect"
-
-
-@dataclass
-class ControllerStats:
-    """Per-controller (per-partition) statistics."""
-
-    requests: int = 0
-    conventional_requests: int = 0
-    extended_requests: int = 0
-    conventional_hits: int = 0
-    extended_hits: int = 0
-    extended_misses: int = 0
-    predicted_misses: int = 0
-    false_positive_trips: int = 0
-    dram_accesses: int = 0
-    writebacks: int = 0
-
-    @property
-    def extended_hit_rate(self) -> float:
-        """Hit rate of extended-LLC-bound requests."""
-        if self.extended_requests == 0:
-            return 0.0
-        return self.extended_hits / self.extended_requests
-
-    @property
-    def llc_hits(self) -> int:
-        """Hits in either LLC (conventional or extended)."""
-        return self.conventional_hits + self.extended_hits
-
-    @property
-    def llc_hit_rate(self) -> float:
-        """Overall LLC hit rate observed by this controller."""
-        if self.requests == 0:
-            return 0.0
-        return self.llc_hits / self.requests
 
 
 class MorpheusController:
@@ -109,9 +141,11 @@ class MorpheusController:
             block each way.  Defaults to twice the timing model's one-way
             latency.
 
-    Neither callback may hold a reference back to whatever owns this
-    controller: that would make a reference cycle, which only the cyclic
-    garbage collector frees.
+    Each access counts its outcome into :attr:`counters`, counters of the
+    controller's own until an engine hands it the engine's.  Neither
+    callback may hold a reference back to whatever owns this controller:
+    that would make a reference cycle, which only the cyclic garbage
+    collector frees.
     """
 
     def __init__(
@@ -164,7 +198,7 @@ class MorpheusController:
         self._noc_round_trip = noc_round_trip or _constant(
             2.0 * self.config.timing.noc_one_way_ns * core_clock_ghz
         )
-        self.stats = ControllerStats()
+        self.counters = HierarchyCounters()
 
     # -- helpers --------------------------------------------------------------
 
@@ -187,49 +221,42 @@ class MorpheusController:
 
     # -- the LLC lookup procedure (Figure 3 / Figure 6a) ------------------------------
 
-    def access(self, address: int, is_write: bool = False, now_cycle: float = 0.0) -> _Outcome:
+    def access(self, address: int, is_write: bool = False, now_cycle: float = 0.0) -> float:
         """Process one LLC access to byte ``address`` arriving at this partition.
 
-        Returns ``(hit_level, latency_cycles, predicted_miss,
-        false_positive, writebacks)``: ``hit_level`` is ``"llc"``,
-        ``"extended_llc"`` or ``"dram"``; ``predicted_miss`` marks an
-        extended access the predictor sent straight to DRAM and
-        ``false_positive`` one that paid a wasted round trip to the extended
-        LLC; ``writebacks`` holds the block addresses of the dirty victims
-        to write back to DRAM.
+        Returns the access's latency in cycles.  Counts into
+        :attr:`counters` a conventional hit or an extended request and its
+        outcome (an extended hit, a predicted miss or a false positive's
+        wasted round trip), every DRAM access and every dirty block written
+        back; the engine counts the accesses themselves.
         """
-        stats = self.stats
-        stats.requests += 1
-        decision = self.separator.route(address)
+        set_index = self.separator.route(address)
         # Without an extended LLC the separator has no extended share, so
         # every request takes the conventional path.
-        if decision.target != "conventional":
-            return self._access_extended(address, is_write, now_cycle, decision.extended_set)
+        if set_index >= 0:
+            return self._access_extended(address, is_write, now_cycle, set_index)
 
-        stats.conventional_requests += 1
         hit, latency, writeback = self.partition.access(address, is_write, now_cycle)
-        writebacks = NO_WRITEBACKS
+        counters = self.counters
         if writeback is not None:
-            writebacks = (writeback,)
-            stats.writebacks += 1
+            counters.writebacks += 1
         if hit:
-            stats.conventional_hits += 1
-            return "llc", latency, False, False, writebacks
-        stats.dram_accesses += 1
-        dram_latency = self._dram_access(address, now_cycle + latency)
-        return "dram", latency + dram_latency, False, False, writebacks
+            counters.conventional_hits += 1
+            return latency
+        counters.dram_accesses += 1
+        return latency + self._dram_access(address, now_cycle + latency)
 
     def _access_extended(
         self, address: int, is_write: bool, now_cycle: float, set_index: int
-    ) -> _Outcome:
+    ) -> float:
         """Serve one extended-LLC request in a single pass.
 
         The block's store set is found and its residency read once; that
         one read is the predictor's ground truth and decides the hit or
         miss served (nothing touches the set in between).
         """
-        stats = self.stats
-        stats.extended_requests += 1
+        counters = self.counters
+        counters.extended_requests += 1
         tag = address // self._block_size
         entry = self._extended_sets[set_index]
         if entry is None:
@@ -251,38 +278,34 @@ class MorpheusController:
         if not predicted_hit:
             # Predicted miss: go straight to DRAM (as fast as a conventional miss),
             # then install the block in the extended LLC.
-            stats.predicted_misses += 1
-            stats.extended_misses += 1
-            stats.dram_accesses += 1
+            counters.predicted_misses += 1
+            counters.dram_accesses += 1
             dram_latency = self._dram_access(address, now_cycle)
             _, writebacks = kernel.install(route, llc_set, tag, is_write)
-            stats.writebacks += len(writebacks)
-            return "dram", self._predicted_miss_latency + dram_latency, True, False, writebacks
+            counters.writebacks += len(writebacks)
+            return self._predicted_miss_latency + dram_latency
 
         # Predicted hit: pay the NoC round trip to the cache-mode SM and run
         # the extended LLC kernel's lookup there.
         noc_latency = self._noc_round_trip(now_cycle)
         if resident:
             llc_set.touch(tag, meta, is_write)
-            stats.extended_hits += 1
-            service_latency = route.service_latency_ns(meta.compression) * self.core_clock_ghz
-            return "extended_llc", noc_latency + service_latency, False, False, NO_WRITEBACKS
+            counters.extended_hits += 1
+            return noc_latency + route.service_latency_ns(meta.compression) * self.core_clock_ghz
 
-        # False positive (or no-prediction miss): the round trip was wasted;
-        # fetch from DRAM and fill the extended LLC.
-        stats.extended_misses += 1
-        if not self._perfect:
-            stats.false_positive_trips += 1
-        stats.dram_accesses += 1
+        # False positive (or no-prediction miss; the perfect predictor
+        # never forwards an absent block): the round trip was wasted; fetch
+        # from DRAM and fill the extended LLC.
+        counters.false_positive_trips += 1
+        counters.dram_accesses += 1
         service_latency = route.latency_ns * self.core_clock_ghz
         dram_latency = self._dram_access(address, now_cycle + noc_latency + service_latency)
         _, writebacks = kernel.install(route, llc_set, tag, is_write)
-        stats.writebacks += len(writebacks)
-        return "dram", noc_latency + service_latency + dram_latency, False, True, writebacks
+        counters.writebacks += len(writebacks)
+        return noc_latency + service_latency + dram_latency
 
     def reset(self) -> None:
-        """Reset predictor and statistics (LLC contents preserved)."""
+        """Reset the predictor (LLC contents and counters preserved)."""
         self.predictor.reset()
         # The table's entries hold the units that the reset replaced.
         self._extended_sets = [None] * len(self._extended_sets)
-        self.stats = ControllerStats()

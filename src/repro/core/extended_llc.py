@@ -57,7 +57,7 @@ class Compressibility:
 
     def level_for_tag(self, tag: int) -> CompressionLevel:
         """Deterministic per-block compression level consistent with the mix."""
-        digest = hashlib.blake2b(int(tag).to_bytes(16, "little"), digest_size=8).digest()
+        digest = hashlib.blake2b(tag.to_bytes(16, "little"), digest_size=8).digest()
         draw = int.from_bytes(digest, "little") / 2 ** 64
         if draw < self.high_fraction:
             return CompressionLevel.HIGH

@@ -46,12 +46,19 @@ class InterconnectConfig:
 
 @dataclass
 class NetworkStats:
-    """Aggregate interconnect statistics (the §7.4 metrics)."""
+    """Aggregate interconnect statistics (the §7.4 metrics).
 
-    flits_injected: int = 0
-    bytes_injected: int = 0
+    The bytes each port carried are its links' ``bytes_transferred``
+    (:meth:`InterconnectNetwork.total_load_bytes`).
+    """
+
     total_latency_cycles: float = 0.0
     traversals: int = 0
+
+    @property
+    def flits_injected(self) -> int:
+        """Flits injected: each traversal sends a request and a response."""
+        return 2 * self.traversals
 
     @property
     def average_latency_cycles(self) -> float:
@@ -79,6 +86,7 @@ class InterconnectNetwork:
             for _ in range(self.config.num_partitions)
         ]
         self.stats = NetworkStats()
+        self._num_ports = len(self.ports)
         self._bytes_per_cycle = bytes_per_cycle
         self._knee = self.config.congestion_knee
         self._knee_span = 1.0 - self._knee
@@ -100,7 +108,7 @@ class InterconnectNetwork:
         capacity over ``elapsed_cycles``, both directions' latencies are
         scaled by ``1 + (utilization - knee) / (1 - knee) * max_congestion_penalty``.
         """
-        if not 0 <= partition_id < len(self.ports):
+        if not 0 <= partition_id < self._num_ports:
             raise ValueError(f"partition_id {partition_id} out of range")
         request_link, response_link = self.ports[partition_id]
         penalty = 1.0
@@ -138,8 +146,6 @@ class InterconnectNetwork:
 
         total = request_latency + response_latency
         stats = self.stats
-        stats.flits_injected += 2
-        stats.bytes_injected += size_bytes + response_bytes
         stats.total_latency_cycles += total
         stats.traversals += 1
         return total

@@ -14,12 +14,11 @@ block:
 
 from repro.memory.address_mapping import AddressMapping
 from repro.memory.dram import DRAMConfig, DRAMModel
-from repro.memory.llc import BankedLLC, CacheStats, LLCPartition
+from repro.memory.llc import BankedLLC, LLCPartition
 
 __all__ = [
     "AddressMapping",
     "BankedLLC",
-    "CacheStats",
     "DRAMConfig",
     "DRAMModel",
     "LLCPartition",

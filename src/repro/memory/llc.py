@@ -18,48 +18,6 @@ from typing import Dict, List, Optional, Tuple
 from repro.memory.address_mapping import AddressMapping
 
 
-@dataclass
-class CacheStats:
-    """Aggregate access statistics for one LLC partition's slice."""
-
-    hits: int = 0
-    misses: int = 0
-    evictions: int = 0
-    dirty_evictions: int = 0
-    fills: int = 0
-    writes: int = 0
-
-    @property
-    def accesses(self) -> int:
-        """Total number of lookups."""
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of lookups that hit (0.0 when there were no accesses)."""
-        if self.accesses == 0:
-            return 0.0
-        return self.hits / self.accesses
-
-    @property
-    def miss_rate(self) -> float:
-        """Fraction of lookups that missed (0.0 when there were no accesses)."""
-        if self.accesses == 0:
-            return 0.0
-        return self.misses / self.accesses
-
-    def merge(self, other: "CacheStats") -> "CacheStats":
-        """Return a new :class:`CacheStats` summing self and ``other``."""
-        return CacheStats(
-            hits=self.hits + other.hits,
-            misses=self.misses + other.misses,
-            evictions=self.evictions + other.evictions,
-            dirty_evictions=self.dirty_evictions + other.dirty_evictions,
-            fills=self.fills + other.fills,
-            writes=self.writes + other.writes,
-        )
-
-
 @dataclass(frozen=True)
 class LLCConfig:
     """Configuration for the conventional LLC."""
@@ -129,7 +87,6 @@ class LLCPartition:
         #: Per set, the tag -> dirty bit of each resident block, least
         #: recently used first.
         self.sets: List[Dict[int, bool]] = [{} for _ in range(self.num_sets)]
-        self.stats = CacheStats()
         self._block_size = block_size
         self._set_span_bytes = block_size * self.num_sets
         self._associativity = config.associativity
@@ -152,42 +109,28 @@ class LLCPartition:
         """
         busy = self._busy_until_cycle
         start = busy if busy > now_cycle else now_cycle  # max(), without the builtin call
+        self._busy_until_cycle = start + self._transfer_cycles
+        latency = start - now_cycle + self._hit_latency_cycles
 
-        stats = self.stats
-        if is_write:
-            stats.writes += 1
-        block_size = self._block_size
-        num_sets = self.num_sets
-        set_index = (address // block_size) % num_sets
+        set_index = (address // self._block_size) % self.num_sets
         tag = address // self._set_span_bytes
         blocks = self.sets[set_index]
-        writeback = None
         dirty = blocks.pop(tag, None)
         if dirty is not None:
-            hit = True
             blocks[tag] = dirty or is_write
-            stats.hits += 1
-        else:
-            hit = False
-            stats.misses += 1
-            stats.fills += 1
-            if len(blocks) >= self._associativity:
-                victim_tag = next(iter(blocks))
-                stats.evictions += 1
-                if blocks.pop(victim_tag):
-                    stats.dirty_evictions += 1
-                    writeback = (victim_tag * num_sets + set_index) * block_size
-            blocks[tag] = is_write
-
-        self._busy_until_cycle = start + self._transfer_cycles
-
-        return hit, start - now_cycle + self._hit_latency_cycles, writeback
+            return True, latency, None
+        writeback = None
+        if len(blocks) >= self._associativity:
+            victim_tag = next(iter(blocks))
+            if blocks.pop(victim_tag):
+                writeback = (victim_tag * self.num_sets + set_index) * self._block_size
+        blocks[tag] = is_write
+        return False, latency, writeback
 
     def reset(self) -> None:
-        """Clear contents and counters."""
+        """Clear contents and the bandwidth account."""
         for blocks in self.sets:
             blocks.clear()
-        self.stats = CacheStats()
         self._busy_until_cycle = 0.0
 
 
@@ -206,13 +149,6 @@ class BankedLLC:
     def partition_for(self, address: int) -> LLCPartition:
         """Partition responsible for ``address``."""
         return self.partitions[self.mapping.partition_of(address)]
-
-    def aggregate_stats(self) -> CacheStats:
-        """Combined hit/miss statistics across all partitions."""
-        stats = CacheStats()
-        for partition in self.partitions:
-            stats = stats.merge(partition.stats)
-        return stats
 
     def total_capacity_bytes(self) -> int:
         """Actual modelled capacity (sum of partition slices)."""

@@ -1,6 +1,7 @@
 """Cycle-approximate, trace-driven GPU simulation."""
 
-from repro.sim.engine import HierarchyCounters, MemoryHierarchyEngine
+from repro.core.controller import HierarchyCounters
+from repro.sim.engine import MemoryHierarchyEngine
 from repro.sim.performance_model import (
     DEFAULT_ENVELOPE,
     PerformanceModel,

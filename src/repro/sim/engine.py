@@ -11,17 +11,15 @@ Every layer moves one block of the GPU's block size per access.
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.core.config import MorpheusConfig
-from repro.core.controller import MorpheusController, NocRoundTripFn
+from repro.core.controller import HierarchyCounters, MorpheusController, NocRoundTripFn
 from repro.core.extended_llc import Compressibility, ExtendedLLC
 from repro.gpu.config import GPUConfig
-from repro.interconnect.network import InterconnectNetwork
+from repro.interconnect.network import InterconnectNetwork, NetworkStats
 from repro.memory.dram import DRAMModel
-from repro.memory.llc import BankedLLC, CacheStats
+from repro.memory.llc import BankedLLC
 from repro.workloads.trace import MemoryTrace
 
 #: Bytes an SM sends to an LLC partition per request (one block comes back).
@@ -45,70 +43,6 @@ def _extended_round_trip(
         )
 
     return round_trip
-
-
-@dataclass
-class HierarchyCounters:
-    """Counts accumulated by one engine run over a trace."""
-
-    llc_accesses: int = 0
-    conventional_hits: int = 0
-    extended_hits: int = 0
-    extended_requests: int = 0
-    dram_accesses: int = 0
-    predicted_misses: int = 0
-    false_positive_trips: int = 0
-    writebacks: int = 0
-    total_latency_cycles: float = 0.0
-    conventional_bytes: float = 0.0
-    extended_bytes: float = 0.0
-    dram_bytes: float = 0.0
-    noc_bytes: float = 0.0
-    elapsed_cycles: float = 0.0
-
-    @property
-    def llc_hits(self) -> int:
-        """Hits in either LLC."""
-        return self.conventional_hits + self.extended_hits
-
-    @property
-    def llc_hit_rate(self) -> float:
-        """Overall LLC hit rate."""
-        return self.llc_hits / self.llc_accesses if self.llc_accesses else 0.0
-
-    @property
-    def conventional_hit_rate(self) -> float:
-        """Conventional LLC hit rate over all LLC accesses."""
-        return self.conventional_hits / self.llc_accesses if self.llc_accesses else 0.0
-
-    @property
-    def extended_hit_rate(self) -> float:
-        """Extended LLC hit rate over extended-routed accesses."""
-        return self.extended_hits / self.extended_requests if self.extended_requests else 0.0
-
-    @property
-    def extended_fraction(self) -> float:
-        """Fraction of LLC accesses routed to the extended LLC."""
-        return self.extended_requests / self.llc_accesses if self.llc_accesses else 0.0
-
-    @property
-    def dram_access_fraction(self) -> float:
-        """Fraction of LLC accesses that ended in DRAM."""
-        return self.dram_accesses / self.llc_accesses if self.llc_accesses else 0.0
-
-    @property
-    def average_latency_cycles(self) -> float:
-        """Average LLC-level access latency observed over the trace."""
-        return self.total_latency_cycles / self.llc_accesses if self.llc_accesses else 0.0
-
-    def to_jsonable(self) -> Dict[str, float]:
-        """Render the counters as a JSON-compatible field dict."""
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_jsonable(cls, payload: Dict[str, float]) -> "HierarchyCounters":
-        """Rebuild counters from :meth:`to_jsonable` output (bit-identical)."""
-        return cls(**payload)
 
 
 class MemoryHierarchyEngine:
@@ -178,8 +112,8 @@ class MemoryHierarchyEngine:
                 compressibility=compressibility,
             )
             # The controllers reach DRAM and the NoC directly, not through
-            # the engine, and the engine counts that traffic from each
-            # outcome: no controller points back at the engine, so reference
+            # the engine, and count what they decide into the engine's
+            # counters: no controller points back at the engine, so reference
             # counting frees it as soon as a replay drops it.
             round_trip = _extended_round_trip(
                 self.network, self.llc.mapping.num_partitions, gpu.block_size
@@ -195,7 +129,7 @@ class MemoryHierarchyEngine:
                 )
                 for partition in self.llc.partitions
             ]
-        self.counters = HierarchyCounters()
+        self.reset_counters()
         self._start_cycle = 0.0
         # Per-access constants of the replay loop.
         self._block_size = gpu.block_size
@@ -205,6 +139,10 @@ class MemoryHierarchyEngine:
 
     def run(self, trace: MemoryTrace) -> HierarchyCounters:
         """Replay ``trace`` and return the accumulated counters.
+
+        The Morpheus controllers count the outcomes they decide into the
+        counters themselves; a conventional GPU's outcomes are counted here.
+        Every byte counter is set from its counts once, at the end.
 
         Raises:
             ValueError: if the trace's block size is not the GPU's.
@@ -221,73 +159,71 @@ class MemoryHierarchyEngine:
         num_partitions = self._num_partitions
         traverse = self.network.traverse
         controllers = self.controllers
-        partitions = self.llc.partitions
-        dram_access = self.dram.access
-        accesses = zip(trace.addresses, map(bool, trace.writes))
-        for index, (address, is_write) in enumerate(accesses):
-            # Time continues across run() calls so warm-up and measurement
-            # share one continuous timeline (queue occupancies stay valid).
-            now = start_cycle + index * interval
-
-            # The SM -> LLC partition hop (all LLC traffic pays this).
-            partition_id = (address // block) % num_partitions
-            # max(1.0, now) as elapsed time, without the builtin call.
-            noc_latency = traverse(
-                partition_id, REQUEST_BYTES, now, block, now if now > 1.0 else 1.0
-            )
-
-            if not controllers:
-                # A conventional GPU: the partition's slice, then DRAM on a miss.
+        total_latency = counters.total_latency_cycles
+        # Time continues across run() calls so warm-up and measurement share
+        # one continuous timeline (queue occupancies stay valid).  Each
+        # access first pays the SM -> LLC partition hop; max(1.0, now) is its
+        # elapsed time, without the builtin call.
+        accesses = enumerate(zip(trace.addresses, map(bool, trace.writes)))
+        if controllers:
+            for index, (address, is_write) in accesses:
+                now = start_cycle + index * interval
+                partition_id = (address // block) % num_partitions
+                noc_latency = traverse(
+                    partition_id, REQUEST_BYTES, now, block, now if now > 1.0 else 1.0
+                )
+                total_latency += noc_latency + controllers[partition_id].access(
+                    address, is_write, now
+                )
+        else:
+            # A conventional GPU: the partition's slice, then DRAM on a miss.
+            partitions = self.llc.partitions
+            dram_access = self.dram.access
+            hits = misses = writebacks = 0
+            for index, (address, is_write) in accesses:
+                now = start_cycle + index * interval
+                partition_id = (address // block) % num_partitions
+                noc_latency = traverse(
+                    partition_id, REQUEST_BYTES, now, block, now if now > 1.0 else 1.0
+                )
                 hit, latency, writeback = partitions[partition_id].access(address, is_write, now)
-                total = noc_latency + latency
                 if hit:
-                    counters.conventional_hits += 1
+                    hits += 1
+                    total_latency += noc_latency + latency
                 else:
-                    total += dram_access(address, now + latency)
-                    counters.dram_accesses += 1
-                    counters.dram_bytes += block
-                counters.conventional_bytes += block
+                    misses += 1
+                    total_latency += noc_latency + latency + dram_access(address, now + latency)
                 if writeback is not None:
-                    counters.writebacks += 1
-                    counters.dram_bytes += block
-                counters.total_latency_cycles += total
-                continue
-
-            hit_level, latency, predicted_miss, false_positive, writebacks = (
-                controllers[partition_id].access(address, is_write, now)
-            )
-            if hit_level == "llc":
-                counters.conventional_hits += 1
-                counters.conventional_bytes += block
-            elif hit_level == "extended_llc":
-                counters.extended_hits += 1
-                counters.extended_requests += 1
-                counters.extended_bytes += block
-                # The round trip to the cache-mode SM: one block out, one back.
-                counters.noc_bytes += 2 * block
-            else:  # served by DRAM
-                counters.dram_accesses += 1
-                counters.dram_bytes += block
-                if predicted_miss:
-                    counters.extended_requests += 1
-                    counters.predicted_misses += 1
-                elif false_positive:
-                    counters.extended_requests += 1
-                    counters.false_positive_trips += 1
-                    counters.noc_bytes += 2 * block  # the wasted round trip
-                else:
-                    counters.conventional_bytes += block
-            if writebacks:
-                counters.writebacks += len(writebacks)
-                # Each evicted dirty block writes one block back to DRAM.
-                counters.dram_bytes += len(writebacks) * block
-            counters.total_latency_cycles += noc_latency + latency
-        # Every access's partition hop carried its request out and one block back.
-        counters.noc_bytes += len(trace) * (REQUEST_BYTES + block)
+                    writebacks += 1
+            counters.conventional_hits += hits
+            counters.dram_accesses += misses
+            counters.writebacks += writebacks
+        counters.total_latency_cycles = total_latency
         counters.llc_accesses += len(trace)
+        self._count_bytes(counters)
         self._start_cycle += len(trace) * interval
         counters.elapsed_cycles = max(1.0, counters.elapsed_cycles + len(trace) * interval)
         return counters
+
+    def _count_bytes(self, counters: HierarchyCounters) -> None:
+        """Set each byte counter of ``counters`` to its counts times its sizes.
+
+        Every layer moves one block per access.  Each access's partition hop
+        carries its request out and one block back; an extended hit or a
+        false positive's wasted trip adds the round trip to the cache-mode
+        SM, one block each way; each DRAM access and each writeback moves a
+        block to or from DRAM.  The counters stay floats.
+        """
+        block = self._block_size
+        counters.conventional_bytes = float(
+            (counters.llc_accesses - counters.extended_requests) * block
+        )
+        counters.extended_bytes = float(counters.extended_hits * block)
+        counters.dram_bytes = float((counters.dram_accesses + counters.writebacks) * block)
+        counters.noc_bytes = float(
+            counters.llc_accesses * (REQUEST_BYTES + block)
+            + 2 * block * (counters.extended_hits + counters.false_positive_trips)
+        )
 
     # -- derived metrics -----------------------------------------------------------------
 
@@ -307,28 +243,14 @@ class MemoryHierarchyEngine:
         return total
 
     def reset_counters(self) -> None:
-        """Zero all measurement counters while preserving cache contents.
+        """Start new counters while preserving cache contents.
 
         Used after a warm-up replay so that steady-state hit rates are
-        measured without the cold-start transient.
+        measured without the cold-start transient.  The counters a run
+        returned before stay as they were: the controllers count into the
+        new ones from here on.
         """
-        from repro.interconnect.network import NetworkStats
-
-        self.counters = HierarchyCounters()
+        self.counters = counters = HierarchyCounters()
         self.network.stats = NetworkStats()
-        for partition in self.llc.partitions:
-            partition.stats = CacheStats()
         for controller in self.controllers:
-            controller.stats.__init__()
-
-    def reset(self) -> None:
-        """Reset all components and counters (configuration preserved)."""
-        self.llc.reset()
-        self.dram.reset()
-        self.network.reset()
-        if self.extended_llc is not None:
-            self.extended_llc.reset()
-        for controller in self.controllers:
-            controller.reset()
-        self.counters = HierarchyCounters()
-        self._start_cycle = 0.0
+            controller.counters = counters

@@ -19,8 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple, TYPE_CHECKING
 
+from repro.core.controller import HierarchyCounters
 from repro.energy.model import EnergyModel
-from repro.sim.engine import HierarchyCounters
 from repro.sim.stats import SimulationStats
 from repro.sim.vector_model import MeasurementScorer
 from repro.workloads.applications import ApplicationProfile

@@ -6,9 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.address_separation import AddressSeparator
 from repro.core.config import MorpheusConfig
-from repro.core.controller import ControllerStats, MorpheusController, PredictorMode
+from repro.core.controller import HierarchyCounters, MorpheusController, PredictorMode
 from repro.core.extended_llc import Compressibility, ExtendedLLC
-from repro.core.hit_miss_predictor import HitMissPredictor
+from repro.core.hit_miss_predictor import HitMissPredictor, PredictorStats
 from repro.interconnect.network import InterconnectNetwork
 from repro.memory.dram import DRAMModel
 from repro.memory.llc import LLCConfig, LLCPartition
@@ -25,6 +25,11 @@ def make_controller(predictor: str = "bloom", cache_sms: int = 8, **config_kwarg
     return MorpheusController(partition, extended, config)
 
 
+def is_extended(controller, address):
+    """Whether ``controller``'s separator routes ``address`` to the extended LLC."""
+    return controller.separator.route(address) >= 0
+
+
 class TestControllerRouting:
     def test_requests_split_between_llcs(self):
         controller = make_controller()
@@ -32,40 +37,45 @@ class TestControllerRouting:
         for i in range(500):
             address = rng.randrange(0, 1 << 22) // 128 * 128
             controller.access(address, now_cycle=i * 4.0)
-        assert controller.stats.conventional_requests > 0
-        assert controller.stats.extended_requests > 0
-        assert (
-            controller.stats.conventional_requests + controller.stats.extended_requests
-            == controller.stats.requests
+        counters = controller.counters
+        # Both LLCs served some of the requests.
+        assert 0 < counters.extended_requests < 500
+        conventional_misses = counters.dram_accesses - (
+            counters.predicted_misses + counters.false_positive_trips
         )
+        assert counters.conventional_hits + conventional_misses > 0
+        assert counters.conventional_hits + conventional_misses + counters.extended_requests == 500
 
     def test_without_extended_llc_everything_is_conventional(self):
         partition = LLCPartition(0, LLCConfig())
         controller = MorpheusController(partition, None, MorpheusConfig())
         for i in range(100):
             controller.access(i * 128, now_cycle=float(i))
-        assert controller.stats.extended_requests == 0
-        assert controller.stats.conventional_requests == 100
+        counters = controller.counters
+        assert counters.extended_requests == 0
+        assert counters.conventional_hits + counters.dram_accesses == 100
 
     def test_repeated_extended_access_becomes_hit(self):
         controller = make_controller()
         # Find an address routed to the extended LLC.
-        address = next(
-            a for a in range(0, 1 << 22, 128) if controller.separator.is_extended(a)
+        address = next(a for a in range(0, 1 << 22, 128) if is_extended(controller, a))
+        controller.access(address, now_cycle=0.0)
+        counters = controller.counters
+        assert (counters.extended_requests, counters.dram_accesses, counters.extended_hits) == (
+            1, 1, 0
         )
-        first_level, *_ = controller.access(address, now_cycle=0.0)
-        second_level, *_ = controller.access(address, now_cycle=100.0)
-        assert first_level == "dram"
-        assert second_level == "extended_llc"
+        controller.access(address, now_cycle=100.0)
+        assert (counters.extended_requests, counters.dram_accesses, counters.extended_hits) == (
+            2, 1, 1
+        )
 
     def test_conventional_hit_latency_below_miss_latency(self):
         controller = make_controller()
-        address = next(
-            a for a in range(0, 1 << 22, 128) if not controller.separator.is_extended(a)
-        )
-        _, miss_latency, *_ = controller.access(address, now_cycle=0.0)
-        hit_level, hit_latency, *_ = controller.access(address, now_cycle=100.0)
-        assert hit_level == "llc"
+        address = next(a for a in range(0, 1 << 22, 128) if not is_extended(controller, a))
+        miss_latency = controller.access(address, now_cycle=0.0)
+        assert controller.counters.conventional_hits == 0
+        hit_latency = controller.access(address, now_cycle=100.0)
+        assert controller.counters.conventional_hits == 1
         assert hit_latency < miss_latency
 
 
@@ -84,18 +94,18 @@ class TestPredictorModes:
     def test_predicted_misses_skip_extended_roundtrip(self):
         controller = make_controller("bloom")
         self._run(controller)
-        assert controller.stats.predicted_misses > 0
+        assert controller.counters.predicted_misses > 0
 
     def test_no_prediction_forwards_everything(self):
         controller = make_controller("none")
         self._run(controller)
-        assert controller.stats.predicted_misses == 0
+        assert controller.counters.predicted_misses == 0
         assert controller.predictor_mode is PredictorMode.NONE
 
     def test_perfect_prediction_has_no_false_positive_trips(self):
         controller = make_controller("perfect")
         self._run(controller)
-        assert controller.stats.false_positive_trips == 0
+        assert controller.counters.false_positive_trips == 0
 
     def test_bloom_latency_not_worse_than_no_prediction(self):
         """Bloom prediction avoids wasted round trips, so average latency is lower."""
@@ -106,8 +116,7 @@ class TestPredictorModes:
             count = 900
             for i in range(count):
                 address = rng.randrange(4096) * 128
-                _, latency, *_ = controller.access(address, now_cycle=i * 4.0)
-                total += latency
+                total += controller.access(address, now_cycle=i * 4.0)
             return total / count
 
         assert average_latency("bloom") <= average_latency("none") * 1.02
@@ -117,22 +126,27 @@ class TestWritesAndOverheads:
     def test_write_requests_mark_dirty_and_cause_writebacks_eventually(self):
         controller = make_controller(cache_sms=1)
         rng = random.Random(3)
-        writebacks = 0
         for i in range(2500):
             address = rng.randrange(16384) * 128
-            *_, outcome_writebacks = controller.access(address, True, now_cycle=i * 4.0)
-            writebacks += len(outcome_writebacks)
-        assert writebacks > 0
+            controller.access(address, True, now_cycle=i * 4.0)
+        assert controller.counters.writebacks > 0
 
     def test_extended_sets_per_partition_capped_at_256(self):
         controller = make_controller(cache_sms=60)
         assert controller.extended_sets_per_partition() <= 256
 
     def test_reset_clears_stats(self):
+        # The predictor starts over; the counters, which belong to whoever
+        # reads them, keep what they counted.
         controller = make_controller()
-        controller.access(0)
+        extended = [a for a in range(0, 1 << 22, 128) if is_extended(controller, a)]
+        for i, address in enumerate(extended[:50]):
+            controller.access(address, now_cycle=float(i))
+        assert controller.predictor.stats.predictions == 50
+        counted = controller.counters.extended_requests
         controller.reset()
-        assert controller.stats.requests == 0
+        assert controller.predictor.stats == PredictorStats()
+        assert controller.counters.extended_requests == counted
 
 
 #: The core clock of a :class:`MorpheusController` built without one (GHz).
@@ -170,32 +184,28 @@ class _ReferenceController:
             num_sets, config.extended_llc_associativity, config.bloom_filter_bytes
         )
         self.base = partition.partition_id * num_sets
-        self.stats = ControllerStats()
+        self.counters = HierarchyCounters()
 
     def access(self, address, is_write, now):
-        stats = self.stats
-        stats.requests += 1
-        decision = self.separator.route(address)
-        if decision.target == "conventional":
+        set_index = self.separator.route(address)
+        if set_index < 0:
             return self._access_conventional(address, is_write, now)
-        return self._access_extended(address, is_write, now, decision.extended_set)
+        return self._access_extended(address, is_write, now, set_index)
 
     def _access_conventional(self, address, is_write, now):
-        stats = self.stats
-        stats.conventional_requests += 1
+        counters = self.counters
         hit, latency, writeback = self.partition.access(address, is_write, now)
-        writebacks = () if writeback is None else (writeback,)
-        stats.writebacks += len(writebacks)
+        if writeback is not None:
+            counters.writebacks += 1
         if hit:
-            stats.conventional_hits += 1
-            return "llc", latency, False, False, writebacks
-        stats.dram_accesses += 1
-        latency += self.dram_access(address, now + latency)
-        return "dram", latency, False, False, writebacks
+            counters.conventional_hits += 1
+            return latency
+        counters.dram_accesses += 1
+        return latency + self.dram_access(address, now + latency)
 
     def _access_extended(self, address, is_write, now, set_index):
-        stats = self.stats
-        stats.extended_requests += 1
+        counters = self.counters
+        counters.extended_requests += 1
         tag = address // self.config.block_size
         global_set = self.base + set_index
         resident = self.extended.resident(global_set, address)
@@ -206,33 +216,29 @@ class _ReferenceController:
             predicted_hit = resident if self.mode == "perfect" else True
 
         if not predicted_hit:
-            stats.predicted_misses += 1
-            stats.extended_misses += 1
-            stats.dram_accesses += 1
+            counters.predicted_misses += 1
+            counters.dram_accesses += 1
             dram_latency = self.dram_access(address, now)
             fill = self.extended.fill(global_set, address, is_write)
             self.predictor.record_access(set_index, tag)
-            stats.writebacks += len(fill.writebacks)
-            latency = self.partition.config.hit_latency_cycles * 0.25 + dram_latency
-            return "dram", latency, True, False, fill.writebacks
+            counters.writebacks += len(fill.writebacks)
+            return self.partition.config.hit_latency_cycles * 0.25 + dram_latency
 
         noc_latency = self.noc_round_trip(now)
         result = self.extended.access(global_set, address, is_write)
         service_latency = result.service_latency_ns * _CLOCK_GHZ
         if result.hit:
-            stats.extended_hits += 1
+            counters.extended_hits += 1
             self.predictor.record_access(set_index, tag)
-            return "extended_llc", noc_latency + service_latency, False, False, ()
+            return noc_latency + service_latency
 
-        stats.extended_misses += 1
-        if self.mode != "perfect":
-            stats.false_positive_trips += 1
-        stats.dram_accesses += 1
+        counters.false_positive_trips += 1
+        counters.dram_accesses += 1
         dram_latency = self.dram_access(address, now + noc_latency + service_latency)
         fill = self.extended.fill(global_set, address, is_write)
         self.predictor.record_access(set_index, tag)
-        stats.writebacks += len(fill.writebacks)
-        return "dram", noc_latency + service_latency + dram_latency, False, True, fill.writebacks
+        counters.writebacks += len(fill.writebacks)
+        return noc_latency + service_latency + dram_latency
 
 
 #: A conventional slice of 4 sets x 16 ways per partition, so misses and
@@ -332,6 +338,7 @@ class TestSinglePassMatchesReference:
             assert controller.access(address, is_write, now) == reference.access(
                 address, is_write, now
             )
-        assert controller.stats == reference.stats
+        assert controller.counters == reference.counters
         assert controller.predictor.stats == reference.predictor.stats
         assert _contents(controller.extended_llc) == _contents(reference.extended)
+        assert controller.partition.sets == reference.partition.sets

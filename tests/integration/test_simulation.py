@@ -63,11 +63,20 @@ class TestEngine:
         profile = get_application("cfd")
         engine = MemoryHierarchyEngine(RTX3080_CONFIG, capacity_scale=1 / 32)
         trace = TraceGenerator(profile, 20, scale=1 / 32, seed=1).generate(2000)
-        engine.run(trace)
+        # Each partition's slice records the hit flag of every access it serves.
+        served = [[] for _ in engine.llc.partitions]
+        for partition, hits in zip(engine.llc.partitions, served):
+            def access(*args, _access=partition.access, _hits=hits):
+                outcome = _access(*args)
+                _hits.append(outcome[0])
+                return outcome
+
+            partition.access = access
+        counters = engine.run(trace)
         partitions = range(RTX3080_CONFIG.llc.num_partitions)
         mapped = collections.Counter(map(engine.llc.mapping.partition_of, trace.addresses))
-        served = [partition.stats.accesses for partition in engine.llc.partitions]
-        assert served == [mapped[index] for index in partitions]
+        assert [len(hits) for hits in served] == [mapped[index] for index in partitions]
+        assert sum(map(sum, served)) == counters.conventional_hits
         # Each request's hop to its partition sends its request on that port.
         sent = [request_link.bytes_transferred for request_link, _ in engine.network.ports]
         assert sent == [REQUEST_BYTES * mapped[index] for index in partitions]
@@ -104,9 +113,11 @@ class TestEngine:
         )
         engine.run(generator.generate(1000))
         engine.reset_counters()
+        loaded = engine.network.total_load_bytes()
         counters = engine.run(generator.generate(4000))
         assert counters.extended_requests > counters.extended_hits > 0
-        assert counters.noc_bytes == engine.network.stats.bytes_injected
+        # The links' own byte counts over the measured run.
+        assert counters.noc_bytes == engine.network.total_load_bytes() - loaded
 
     def test_counters_returned_before_a_reset_stay_fixed(self):
         # The engine counts DRAM and NoC traffic into the counters of the
@@ -125,6 +136,23 @@ class TestEngine:
         assert measured is not warmup
         assert measured.dram_accesses > 0 and measured.noc_bytes > 0
         assert warmup.to_jsonable() == before
+
+    def test_controllers_count_into_the_engines_counters(self):
+        # Each Morpheus controller counts its outcomes into the counters the
+        # engine's run returns, before and after a reset.
+        engine = MemoryHierarchyEngine(
+            RTX3080_CONFIG,
+            morpheus=MORPHEUS_ALL,
+            cache_sm_ids=list(range(24, 68)),
+            capacity_scale=1 / 32,
+        )
+        generator = TraceGenerator(get_application("kmeans"), 24, scale=1 / 32, seed=1)
+        for _ in range(2):
+            assert engine.controllers
+            assert all(controller.counters is engine.counters for controller in engine.controllers)
+            counters = engine.run(generator.generate(500))
+            assert counters.extended_requests > 0
+            engine.reset_counters()
 
     def test_reset_counters_preserves_cache_contents(self):
         profile = get_application("cfd")

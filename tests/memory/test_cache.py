@@ -10,7 +10,7 @@ class names predate the deletion of the ``CacheSet`` and
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.memory.llc import CacheStats, LLCConfig, LLCPartition
+from repro.memory.llc import LLCConfig, LLCPartition
 
 
 def make_slice(capacity_bytes, associativity, block_size=128):
@@ -28,25 +28,6 @@ def access(partition, address, is_write=False):
     """``(hit, writeback address)`` of one load or store to ``partition``."""
     hit, _, writeback = partition.access(address, is_write, 0.0)
     return hit, writeback
-
-
-class TestCacheStats:
-    def test_empty_rates(self):
-        stats = CacheStats()
-        assert stats.hit_rate == 0.0
-        assert stats.miss_rate == 0.0
-
-    def test_rates(self):
-        stats = CacheStats(hits=3, misses=1)
-        assert stats.accesses == 4
-        assert stats.hit_rate == pytest.approx(0.75)
-        assert stats.miss_rate == pytest.approx(0.25)
-
-    def test_merge(self):
-        merged = CacheStats(hits=1, misses=2).merge(CacheStats(hits=3, misses=4, evictions=5))
-        assert merged.hits == 4
-        assert merged.misses == 6
-        assert merged.evictions == 5
 
 
 class TestCacheSet:
@@ -193,10 +174,8 @@ class TestSetAssociativeCache:
 
     def test_hit_rate_tracked(self):
         partition = make_slice(8 * 1024, associativity=4)
-        access(partition, 0)
-        access(partition, 0)
-        assert partition.stats.hits == 1
-        assert partition.stats.misses == 1
+        hits = [access(partition, 0)[0] for _ in range(2)]
+        assert hits == [False, True]
 
     def test_dirty_eviction_produces_writeback_address(self):
         partition = make_slice(512, associativity=1)
@@ -217,19 +196,15 @@ class TestSetAssociativeCache:
         addresses = [i * 128 for i in range(64)]  # 8 KiB working set
         for address in addresses:
             access(partition, address)
-        partition.stats = CacheStats()
         for address in addresses:
             hit, _ = access(partition, address)
             assert hit
-        assert partition.stats.hit_rate == 1.0
 
     def test_working_set_exceeding_capacity_misses(self):
         partition = make_slice(4 * 1024, associativity=4)
         addresses = [i * 128 for i in range(256)]  # 32 KiB footprint
-        for _ in range(2):
-            for address in addresses:
-                access(partition, address)
-        assert partition.stats.miss_rate > 0.5
+        hits = [access(partition, address)[0] for _ in range(2) for address in addresses]
+        assert hits.count(False) / len(hits) > 0.5
 
     def test_flush(self):
         partition = make_slice(4 * 1024, associativity=4)
@@ -237,7 +212,6 @@ class TestSetAssociativeCache:
         access(partition, 128)
         partition.reset()
         assert not any(partition.sets)
-        assert partition.stats == CacheStats()
         # The dirty block went with the rest: refilling its set writes nothing back.
         assert access(partition, 0) == (False, None)
 
@@ -267,10 +241,16 @@ class TestSetAssociativeCache:
     @given(st.lists(st.integers(min_value=0, max_value=1 << 16), min_size=1, max_size=200))
     @settings(max_examples=25, deadline=None)
     def test_hits_plus_misses_equals_accesses(self, addresses):
+        # Each access is one hit or one miss: a hit exactly when its block
+        # was resident, and either way the block is resident afterwards.
         partition = make_slice(4 * 1024, associativity=4)
         for address in addresses:
-            access(partition, address)
-        assert partition.stats.accesses == len(addresses)
+            blocks = partition.sets[(address // 128) % partition.num_sets]
+            tag = address // (128 * partition.num_sets)
+            resident = tag in blocks
+            hit, _ = access(partition, address)
+            assert hit == resident
+            assert tag in blocks
 
     @given(st.integers(min_value=0, max_value=1 << 30))
     @settings(max_examples=50, deadline=None)

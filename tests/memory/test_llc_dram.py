@@ -56,10 +56,14 @@ class TestLLCPartition:
         assert later == config.hit_latency_cycles
 
     def test_reset(self):
+        # The block and the partition's busy time go: the block misses again,
+        # at the unloaded latency.
         partition = LLCPartition(0, LLCConfig())
         partition.access(0, False, 0.0)
         partition.reset()
-        assert partition.stats.accesses == 0
+        hit, latency, _ = partition.access(0, False, 0.0)
+        assert not hit
+        assert latency == partition.config.hit_latency_cycles
 
 
 class TestBankedLLC:
@@ -73,19 +77,18 @@ class TestBankedLLC:
 
     def test_aggregate_stats(self):
         llc = BankedLLC()
-        for i in range(20):
-            llc.partition_for(i * 128).access(i * 128, False, float(i))
-        stats = llc.aggregate_stats()
-        assert stats.accesses == 20
-        assert stats.misses == 20
+        hits = [
+            llc.partition_for(i * 128).access(i * 128, False, float(i))[0] for i in range(20)
+        ]
+        assert hits == [False] * 20
         # Twenty consecutive blocks spread over the ten partitions.
-        assert all(partition.stats.accesses == 2 for partition in llc.partitions)
+        assert all(sum(map(len, partition.sets)) == 2 for partition in llc.partitions)
 
     def test_reset(self):
         llc = BankedLLC()
         llc.partition_for(0).access(0, False, 0.0)
         llc.reset()
-        assert llc.aggregate_stats().accesses == 0
+        assert not any(blocks for partition in llc.partitions for blocks in partition.sets)
         # Contents are gone too: the same block misses again.
         hit, _, _ = llc.partition_for(0).access(0, False, 0.0)
         assert not hit
