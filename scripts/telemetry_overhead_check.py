@@ -4,9 +4,10 @@ Telemetry is off by default, and the instrumented hot paths guard every
 publication behind one ``telemetry().enabled`` read — so the disabled cost
 must be indistinguishable from uninstrumented code.  This script regression
 -tests that promise: it times the warm scoring benchmark (a loop of
-score-tier lookups plus analytic re-scores through
-:meth:`~repro.runner.runner.ExperimentRunner.simulate`, the path an
-analytic sweep takes) twice as matched pairs —
+score-tier lookups through
+:meth:`~repro.runner.runner.ExperimentRunner.simulate`, which is a one-leaf
+:meth:`~repro.runner.runner.ExperimentRunner.run_leaves` batch, over the
+envelope variants of one replayed leaf) twice as matched pairs —
 
 * **shipped** — the code as-is, telemetry disabled (the default),
 * **floor** — the same code with the ``telemetry`` accessor in every

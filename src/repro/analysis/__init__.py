@@ -9,12 +9,7 @@ from repro.analysis.metrics import (
 )
 from repro.analysis.overheads import MorpheusOverheads, compute_overheads
 from repro.analysis.report import format_series, format_table
-from repro.analysis.rescoring import (
-    analytic_grid,
-    energy_sweep,
-    mlp_sweep,
-    peak_ipc_sweep,
-)
+from repro.analysis.rescoring import mlp_sweep
 from repro.analysis.scenarios import (
     ScenarioAccumulator,
     ScenarioAggregates,
@@ -38,10 +33,8 @@ __all__ = [
     "ScenarioAggregates",
     "SlowdownStats",
     "TransitionOverheads",
-    "analytic_grid",
     "compare_runs",
     "compute_overheads",
-    "energy_sweep",
     "format_series",
     "format_table",
     "geometric_mean",
@@ -50,7 +43,6 @@ __all__ = [
     "mlp_sweep",
     "normalize",
     "normalized_series",
-    "peak_ipc_sweep",
     "phase_slowdowns",
     "phase_table",
     "scenario_energy_j",

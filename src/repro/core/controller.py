@@ -303,9 +303,3 @@ class MorpheusController:
         _, writebacks = kernel.install(route, llc_set, tag, is_write)
         counters.writebacks += len(writebacks)
         return noc_latency + service_latency + dram_latency
-
-    def reset(self) -> None:
-        """Reset the predictor (LLC contents and counters preserved)."""
-        self.predictor.reset()
-        # The table's entries hold the units that the reset replaced.
-        self._extended_sets = [None] * len(self._extended_sets)

@@ -280,11 +280,6 @@ class ExtendedLLCKernel:
         tag = address // self._block_size
         return self.locate(set_index, tag)[1].lookup(tag)
 
-    def reset(self) -> None:
-        """Drop all cached blocks."""
-        for store in self.stores.values():
-            store.reset()
-
 
 class ExtendedLLC:
     """The aggregate extended LLC across every cache-mode SM.
@@ -372,8 +367,3 @@ class ExtendedLLC:
         """Whether ``address`` is currently cached anywhere in the extended LLC."""
         _, kernel, local_set = self.owner_of_set(global_set_index)
         return kernel.resident(local_set, address)
-
-    def reset(self) -> None:
-        """Drop all cached blocks on every cache-mode SM."""
-        for kernel in self.kernels.values():
-            kernel.reset()

@@ -206,10 +206,10 @@ class HitMissPredictor:
         self.num_hashes = num_hashes
         self._sets: Dict[int, SetPredictor] = {}
         # Tag -> filter mask, shared by the set units.  A mask depends only
-        # on the tag and the filter geometry, so the memo outlives reset().
+        # on the tag and the filter geometry.
         self._masks: Dict[int, int] = {}
-        # The set units count into this object: zero it in place or call
-        # reset(), never rebind it alone.
+        # The set units count into this object: zero it in place, never
+        # rebind it.
         self.stats = PredictorStats()
 
     def unit(self, set_index: int) -> SetPredictor:
@@ -237,8 +237,3 @@ class HitMissPredictor:
     def record_access(self, set_index: int, tag: int) -> None:
         """Inform the predictor that ``tag`` was inserted into / reused in its set."""
         self.unit(set_index).record_access(tag)
-
-    def reset(self) -> None:
-        """Drop all per-set state and statistics."""
-        self._sets.clear()
-        self.stats = PredictorStats()

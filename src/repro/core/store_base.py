@@ -179,7 +179,3 @@ class ExtendedLLCStore:
     def data_capacity_bytes(self) -> int:
         """Physical data capacity offered to the extended LLC."""
         return self.num_warps * self.ways_per_set * self.block_size
-
-    def reset(self) -> None:
-        """Drop all contents: every set is unbuilt again."""
-        self.sets = [None] * self.num_warps

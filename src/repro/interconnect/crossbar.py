@@ -42,8 +42,3 @@ class CrossbarLink:
             raise ValueError("bytes_per_cycle must be positive")
         if self.base_latency_cycles < 0:
             raise ValueError("base_latency_cycles must be non-negative")
-
-    def reset(self) -> None:
-        """Clear link occupancy and counters."""
-        self.busy_until_cycle = 0.0
-        self.bytes_transferred = 0

@@ -156,10 +156,3 @@ class InterconnectNetwork:
             request_link.bytes_transferred + response_link.bytes_transferred
             for request_link, response_link in self.ports
         )
-
-    def reset(self) -> None:
-        """Clear all ports and statistics."""
-        for request_link, response_link in self.ports:
-            request_link.reset()
-            response_link.reset()
-        self.stats = NetworkStats()

@@ -125,8 +125,3 @@ class DRAMModel:
         self._busy_until[channel] = start + transfer_cycles
 
         return queue_delay + core_latency + transfer_cycles
-
-    def reset(self) -> None:
-        """Clear all channel queues and the row-buffer sequence."""
-        self._busy_until = [0.0] * self._num_channels
-        self._row_toggle = 0

@@ -127,12 +127,6 @@ class LLCPartition:
         blocks[tag] = is_write
         return False, latency, writeback
 
-    def reset(self) -> None:
-        """Clear contents and the bandwidth account."""
-        for blocks in self.sets:
-            blocks.clear()
-        self._busy_until_cycle = 0.0
-
 
 class BankedLLC:
     """The full conventional LLC: all partitions plus the address mapping."""
@@ -153,8 +147,3 @@ class BankedLLC:
     def total_capacity_bytes(self) -> int:
         """Actual modelled capacity (sum of partition slices)."""
         return sum(p.capacity_bytes for p in self.partitions)
-
-    def reset(self) -> None:
-        """Reset every partition."""
-        for partition in self.partitions:
-            partition.reset()

@@ -15,19 +15,20 @@ phases backed by the two tiers of the on-disk
    parameters (peak IPC, MLP, energy constants) only misses this cheap
    tier — the measurement tier hits and no trace is re-replayed.
 
-* ``simulate`` runs one leaf (profile, config) pair through both phases.
-* ``run_configs`` / ``run_leaves`` run a batch of leaf configs (for one
-  profile, or mixing profiles): score-tier misses are grouped by replay
-  key, the missing *replays* (not whole simulations) are farmed out to a
+* ``run_leaves`` is the one leaf pipeline: it runs a batch of (profile,
+  config) leaves, groups the score-tier misses by replay key, farms the
+  missing *replays* (not whole simulations) out to a
   ``ProcessPoolExecutor`` (with a transparent serial fallback when
-  multiprocessing is unavailable or ``max_workers <= 1``), and each replay
-  group is scored in-process through one
-  :class:`~repro.sim.vector_model.MeasurementScorer`.  Analytic re-scoring
-  sweeps are plain ``run_configs`` batches that hit the measurement tier.
+  multiprocessing is unavailable or ``max_workers <= 1``), and scores each
+  replay group in-process through one
+  :class:`~repro.sim.vector_model.MeasurementScorer`.  ``run_configs`` is
+  a batch for one profile and ``simulate`` a batch of one leaf.  Analytic
+  re-scoring sweeps are plain ``run_configs`` batches that hit the
+  measurement tier; an energy sweep is one runner per ``energy_model=``
+  on a shared cache directory.
 * ``measurement_for`` / ``scorer_for`` split the two phases for callers
   that score one measurement many times in-process (the contention
-  solver), and ``score_energy_grid`` scores one leaf under many
-  energy-constant variants.
+  solver).
 * ``run_plan`` executes a declarative :class:`~repro.runner.spec.ExperimentSpec`
   / :class:`~repro.runner.spec.ExperimentPlan` cell matrix in parallel; each
   worker shares the same on-disk cache, so a warm re-run of a plan costs
@@ -47,7 +48,7 @@ import warnings
 import weakref
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
@@ -59,10 +60,9 @@ from repro.sim.performance_model import PerformanceModel, ReplayMeasurement
 from repro.sim.simulator import GPUSimulator, SimulationConfig
 from repro.sim.stats import SimulationStats
 from repro.telemetry import telemetry
-from repro.workloads.applications import ApplicationProfile, get_application
+from repro.workloads.applications import ApplicationProfile
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.energy.components import ComponentEnergies
     from repro.sim.vector_model import MeasurementScorer
 
 #: Environment variable setting the default worker count (0 = serial).
@@ -94,38 +94,28 @@ class ExperimentResult:
             yield cell, self.results[cell]
 
     def get(
-        self,
-        system: str,
-        application: str,
-        seed: Optional[int] = None,
-        sm_count: Optional[int] = None,
-        predictor: Optional[str] = None,
+        self, system: str, application: str, seed: Optional[int] = None
     ) -> SimulationStats:
-        """The stats of one cell (filters may be omitted when unambiguous)."""
+        """The stats of one cell (``seed`` may be omitted when unambiguous)."""
         matches = [
             stats
             for cell, stats in self.results.items()
             if cell.system == system
             and cell.application == application
             and (seed is None or cell.seed == seed)
-            and (sm_count is None or cell.sm_count == sm_count)
-            and (predictor is None or cell.predictor == predictor)
         ]
         if not matches:
             raise KeyError(f"no result for ({system!r}, {application!r})")
         if len(matches) > 1:
-            raise KeyError(
-                f"({system!r}, {application!r}) is ambiguous; "
-                "pass seed/sm_count/predictor"
-            )
+            raise KeyError(f"({system!r}, {application!r}) is ambiguous; pass seed")
         return matches[0]
 
     def by_application(self, application: str) -> Dict[str, SimulationStats]:
         """``{system: stats}`` for one application.
 
         Raises ``KeyError`` when the plan has several cells per system for
-        ``application`` (multiple seeds or SM counts) — use :meth:`get` with
-        ``seed``/``sm_count`` to disambiguate instead of silently collapsing.
+        ``application`` (multiple seeds) — use :meth:`get` with ``seed`` to
+        disambiguate instead of silently collapsing.
         """
         by_system: Dict[str, SimulationStats] = {}
         for cell, stats in self.results.items():
@@ -134,7 +124,7 @@ class ExperimentResult:
             if cell.system in by_system:
                 raise KeyError(
                     f"plan has multiple cells for ({cell.system!r}, {application!r}); "
-                    "use get(seed=..., sm_count=...)"
+                    "use get(seed=...)"
                 )
             by_system[cell.system] = stats
         return by_system
@@ -188,7 +178,6 @@ class ExperimentRunner:
         self._measurement_memory: Dict[str, ReplayMeasurement] = {}
         self._scenario_memory: Dict[str, Dict] = {}
         self._performance_model = PerformanceModel(energy_model)
-        self._cache_suspended = False
         self._pool: Optional[ProcessPoolExecutor] = None
         self._pool_finalizer = None
 
@@ -206,9 +195,8 @@ class ExperimentRunner:
         Read-only: the scoring model and the score keys must agree on the
         energy constants, so swapping models mid-life would poison the
         shared cache.  To score under different constants, build a runner
-        with ``energy_model=`` on the same cache directory (cached
-        measurements are re-scored at zero replay cost) or call
-        :meth:`score_energy_grid`.
+        with ``energy_model=`` on the same cache directory: cached
+        measurements are re-scored at zero replay cost.
         """
         return self._energy_model
 
@@ -243,19 +231,7 @@ class ExperimentRunner:
             span.set(removed=removed)
         return removed
 
-    @contextmanager
-    def cache_bypassed(self) -> Iterator[None]:
-        """Context manager: recompute results, but still store them."""
-        previous = self._cache_suspended
-        self._cache_suspended = True
-        try:
-            yield
-        finally:
-            self._cache_suspended = previous
-
     def _lookup(self, key: str) -> Optional[SimulationStats]:
-        if self._cache_suspended:
-            return None
         cached = self._memory.get(key)
         if cached is not None:
             self.memory_hits += 1
@@ -279,8 +255,6 @@ class ExperimentRunner:
             self.disk_cache.store(key, stats)
 
     def _lookup_measurement(self, replay_key: str) -> Optional[ReplayMeasurement]:
-        if self._cache_suspended:
-            return None
         cached = self._measurement_memory.get(replay_key)
         if cached is not None:
             self.measurement_memory_hits += 1
@@ -303,11 +277,6 @@ class ExperimentRunner:
         if self.use_disk_cache:
             self.disk_cache.store_measurement(replay_key, measurement)
 
-    @property
-    def cache_suspended(self) -> bool:
-        """True inside a :meth:`cache_bypassed` block (results are recomputed)."""
-        return self._cache_suspended
-
     def load_scenario_payload(self, run_key: str) -> Optional[Dict]:
         """The cached scenario-aggregate payload for ``run_key``, if any.
 
@@ -316,8 +285,6 @@ class ExperimentRunner:
         engine owns the payload schema and rebuilds a
         :class:`~repro.scenarios.engine.ScenarioRunResult` from it.
         """
-        if self._cache_suspended:
-            return None
         cached = self._scenario_memory.get(run_key)
         if cached is not None:
             return cached
@@ -347,17 +314,6 @@ class ExperimentRunner:
     ) -> RunSpec:
         return RunSpec(profile, config, self._energies())
 
-    def _obtain_measurement(
-        self, profile: ApplicationProfile, config: SimulationConfig, replay_key: str
-    ) -> ReplayMeasurement:
-        """Phase 1: the measurement for ``replay_key``, replaying only on a miss."""
-        measurement = self._lookup_measurement(replay_key)
-        if measurement is None:
-            measurement = _traced_replay(profile, config, replay_key)
-            self.replays += 1
-            self._store_measurement(replay_key, measurement)
-        return measurement
-
     def measurement_for(
         self, profile: ApplicationProfile, config: SimulationConfig
     ) -> ReplayMeasurement:
@@ -367,8 +323,13 @@ class ExperimentRunner:
         times in-process (e.g. the co-run contention solver's iterations)
         without touching the stats tier per variant.
         """
-        run = self._run_spec(profile, config)
-        return self._obtain_measurement(profile, config, run.replay_key())
+        replay_key = self._run_spec(profile, config).replay_key()
+        measurement = self._lookup_measurement(replay_key)
+        if measurement is None:
+            measurement = _traced_replay(profile, config, replay_key)
+            self.replays += 1
+            self._store_measurement(replay_key, measurement)
+        return measurement
 
     def scorer_for(
         self,
@@ -383,63 +344,20 @@ class ExperimentRunner:
         in-process (the contention solver's per-iteration envelopes) with
         no cache interaction.  The replay-side invariants are hoisted once,
         and the scorer's ``score_config`` / ``score_envelope`` results equal
-        what :meth:`simulate` stores for the same config, because scoring is
-        a pure function of (profile, config, measurement, energies).
+        what :meth:`run_leaves` stores for the same config, because scoring
+        is a pure function of (profile, config, measurement, energies).
         """
         return self._performance_model.scorer(profile, config, measurement)
-
-    def score_energy_grid(
-        self,
-        profile: ApplicationProfile,
-        config: SimulationConfig,
-        energies_grid: Sequence["ComponentEnergies"],
-    ) -> List[SimulationStats]:
-        """Score one leaf under many energy-constant variants.
-
-        Each grid point has its own score key (energies are keyed), so warm
-        points are served from the stats tier; the cold points share one
-        measurement fetch and are each scored by
-        ``PerformanceModel(EnergyModel(energies))``.  Bit-identical to
-        scoring each point through :meth:`simulate` on a runner built with
-        that point's ``energy_model``.
-        """
-        results: List[SimulationStats] = []
-        measurement: Optional[ReplayMeasurement] = None
-        for energies in energies_grid:
-            run = RunSpec(profile, config, energies)
-            score_key = run.score_key()
-            stats = self._lookup(score_key)
-            if stats is None:
-                if measurement is None:
-                    measurement = self._obtain_measurement(
-                        profile, config, run.replay_key()
-                    )
-                stats = PerformanceModel(EnergyModel(energies)).score(
-                    profile, config, measurement
-                )
-                self._store(score_key, stats)
-            results.append(stats)
-        return results
 
     def simulate(
         self, profile: ApplicationProfile, config: SimulationConfig
     ) -> SimulationStats:
-        """Run one leaf simulation through the two-phase cache."""
-        run = self._run_spec(profile, config)
-        score_key = run.score_key()
-        cached = self._lookup(score_key)
-        if cached is not None:
-            return cached
-        measurement = self._obtain_measurement(profile, config, run.replay_key())
-        tel = telemetry()
-        if tel.enabled:
-            start = time.perf_counter()
-            stats = self._performance_model.score(profile, config, measurement)
-            tel.observe("runner.score_seconds", time.perf_counter() - start)
-        else:
-            stats = self._performance_model.score(profile, config, measurement)
-        self._store(score_key, stats)
-        return stats
+        """Run one leaf simulation through the two-phase cache.
+
+        A batch of one: :meth:`run_leaves` looks it up, replays it on a
+        miss and scores it.
+        """
+        return self.run_leaves([(profile, config)])[0]
 
     def run_configs(
         self,
@@ -495,12 +413,9 @@ class ExperimentRunner:
 
         if pending:
             # One replay serves every pending analytic variant of its key.
-            replay_keys: Dict[int, str] = {}
             by_replay: Dict[str, List[int]] = {}
             for index in pending:
-                key = runs[index].replay_key()
-                replay_keys[index] = key
-                by_replay.setdefault(key, []).append(index)
+                by_replay.setdefault(runs[index].replay_key(), []).append(index)
 
             measurements: Dict[str, ReplayMeasurement] = {}
             missing: List[str] = []
@@ -513,15 +428,13 @@ class ExperimentRunner:
 
             if span is not None:
                 span.set(pending=len(pending), replay_misses=len(missing))
-            workers = self._effective_workers(len(missing))
+            jobs = [(*leaves[by_replay[key][0]], key) for key in missing]
+            workers = self._effective_workers(len(jobs))
             computed: Optional[List[ReplayMeasurement]] = None
-            if missing and workers > 1:
-                jobs = [leaves[by_replay[key][0]] for key in missing]
+            if workers > 1:
                 computed = self._pool_map(_replay_worker, jobs, workers)
             if computed is None:
-                computed = [
-                    _replay_worker(leaves[by_replay[key][0]]) for key in missing
-                ]
+                computed = [_replay_worker(job) for job in jobs]
             for key, measurement in zip(missing, computed):
                 self.replays += 1
                 self._store_measurement(key, measurement)
@@ -566,14 +479,7 @@ class ExperimentRunner:
         computed: Optional[List[SimulationStats]] = None
         if workers > 1:
             jobs = [
-                (
-                    cell,
-                    plan.spec,
-                    self.cache_dir,
-                    self.use_disk_cache,
-                    self.energy_model,
-                    self._cache_suspended,
-                )
+                (cell, plan.spec, self.cache_dir, self.use_disk_cache, self.energy_model)
                 for cell in plan.cells
             ]
             pooled = self._pool_map(_cell_worker, jobs, workers)
@@ -593,26 +499,11 @@ class ExperimentRunner:
         # Imported lazily: repro.systems modules call back into the runner.
         from repro.systems.registry import evaluate_application
 
-        profile = get_application(cell.application)
-        if cell.sm_count is not None:
-            config = spec.fidelity.config(
-                gpu=spec.gpu,
-                num_compute_sms=cell.sm_count,
-                power_gate_unused=True,
-                system_name=cell.system,
-                seed=cell.seed,
-            )
-            return self.simulate(profile, config)
         # Systems resolve the process-wide runner internally; scope it to
         # this runner so their leaf runs use this cache and energy model.
         with using_runner(self):
             return evaluate_application(
-                cell.system,
-                profile,
-                spec.gpu,
-                spec.fidelity,
-                seed=cell.seed,
-                predictor=cell.predictor,
+                cell.system, cell.application, spec.gpu, spec.fidelity, seed=cell.seed
             )
 
     # -- worker-pool plumbing ---------------------------------------------------------
@@ -715,11 +606,13 @@ def _shutdown_pool(pool: ProcessPoolExecutor) -> None:
 
 
 def _traced_replay(
-    profile: ApplicationProfile,
-    config: SimulationConfig,
-    replay_key: str = "",
+    profile: ApplicationProfile, config: SimulationConfig, replay_key: str
 ) -> ReplayMeasurement:
-    """One trace replay under a ``runner.replay`` span (no-op when disabled)."""
+    """One trace replay under a ``runner.replay`` span (no-op when disabled).
+
+    ``replay_key`` is the leaf's :meth:`~repro.runner.spec.RunSpec.replay_key`,
+    which the span carries.
+    """
     tel = telemetry()
     if not tel.enabled:
         return GPUSimulator(config).replay(profile)
@@ -728,15 +621,15 @@ def _traced_replay(
 
 
 def _replay_worker(
-    job: Tuple[ApplicationProfile, SimulationConfig]
+    job: Tuple[ApplicationProfile, SimulationConfig, str]
 ) -> ReplayMeasurement:
     """Worker-process entry point for one trace replay (phase 1 only).
 
-    Scoring happens in the parent, so the worker needs no energy model and
-    ships back only the compact measurement.
+    ``job`` is a leaf and its replay key.  Scoring happens in the parent,
+    so the worker needs no energy model and ships back only the compact
+    measurement.
     """
-    profile, config = job
-    measurement = _traced_replay(profile, config)
+    measurement = _traced_replay(*job)
     # Pool workers may be torn down without running exit handlers; flush
     # the span before handing the result back.
     telemetry().flush()
@@ -744,20 +637,18 @@ def _replay_worker(
 
 
 def _cell_worker(
-    job: Tuple[ExperimentCell, ExperimentSpec, str, bool, Optional[EnergyModel], bool]
+    job: Tuple[ExperimentCell, ExperimentSpec, str, bool, Optional[EnergyModel]]
 ) -> Tuple[SimulationStats, int, Dict[str, int]]:
     """Worker-process entry point for one plan cell.
 
     Each worker installs its own serial runner pointed at the shared cache
     directory, so the leaf simulations behind a system evaluation (including
-    SM-count searches) land in the same on-disk cache as the parent's.  A
-    parent inside :meth:`ExperimentRunner.cache_bypassed` passes
-    ``cache_suspended``, and the worker recomputes the cell as the serial
-    path would.  Returns the cell's stats plus the worker's trace-replay
-    count and cache tier counters, which the parent folds into its own
-    ``replays`` and ``disk_cache`` counters.
+    SM-count searches) land in the same on-disk cache as the parent's.
+    Returns the cell's stats plus the worker's trace-replay count and cache
+    tier counters, which the parent folds into its own ``replays`` and
+    ``disk_cache`` counters.
     """
-    cell, spec, cache_dir, use_disk_cache, energy_model, cache_suspended = job
+    cell, spec, cache_dir, use_disk_cache, energy_model = job
     runner = ExperimentRunner(
         cache_dir=cache_dir,
         max_workers=0,
@@ -765,10 +656,7 @@ def _cell_worker(
         energy_model=energy_model,
     )
     set_active_runner(runner)
-    bypass = runner.cache_bypassed() if cache_suspended else nullcontext()
-    with bypass, telemetry().span(
-        "runner.cell", system=cell.system, app=cell.application
-    ):
+    with telemetry().span("runner.cell", system=cell.system, app=cell.application):
         stats = runner._execute_cell(cell, spec)
     telemetry().flush()
     return stats, runner.replays, runner.disk_cache.tier_counters()

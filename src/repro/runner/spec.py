@@ -16,10 +16,10 @@ Three layers:
   analytic parameter therefore changes only the score key — the replay tier
   still hits and no trace is re-replayed.
 * :class:`ExperimentCell` — one cell of a run matrix: a named evaluated
-  system (or a fixed SM count) on one application with one seed.
+  system on one application with one seed.
 * :class:`ExperimentSpec` / :class:`ExperimentPlan` — the full matrix
-  (systems x applications x SM counts x seeds at one fidelity) and its
-  expansion into cells.
+  (systems x applications x seeds at one fidelity) and its expansion into
+  cells.
 
 Every key is :func:`content_hash`: the SHA-256 of a payload's canonical JSON
 text — dataclasses as objects of their fields, enums as their values, lists
@@ -45,7 +45,7 @@ import json
 import operator
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
-from typing import Any, Callable, Dict, Iterator, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterator, Tuple
 
 from repro.energy.components import ComponentEnergies, DEFAULT_ENERGIES
 from repro.gpu.config import GPUConfig, RTX3080_CONFIG
@@ -228,48 +228,29 @@ class RunSpec:
 
 @dataclass(frozen=True)
 class ExperimentCell:
-    """One cell of a run matrix.
+    """One cell of a run matrix: a named system on one application with one seed.
 
-    ``sm_count is None`` means "evaluate the named system at its own
-    operating point" (registry semantics, including per-application SM-count
-    searches).  A concrete ``sm_count`` instead requests a direct power-gated
-    run at that compute-SM count, labelled with ``system`` — the mode the
-    Figure-1/2 sweeps use.
-
-    ``predictor`` overrides the Morpheus hit/miss-predictor flavour for the
-    cell (``"bloom"``, ``"none"``, ``"perfect"`` — the Figure 13 axis);
-    ``None`` keeps each system's default.  Only named Morpheus systems have
-    a predictor, so the spec's predictor axis fans out Morpheus cells and
-    leaves other systems at ``None``.
+    The system is evaluated at its own operating point (registry semantics,
+    including per-application SM-count searches).
     """
 
     system: str
     application: str
     seed: int = 1
-    sm_count: Optional[int] = None
-    predictor: Optional[str] = None
 
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """A declarative run matrix: systems x applications x SM counts x seeds.
+    """A declarative run matrix: systems x applications x seeds.
 
     Attributes:
         systems: Evaluated-system names (see
-            :data:`repro.systems.registry.EVALUATED_SYSTEMS`) or, when
-            ``sm_counts`` is given, labels for the direct sweep runs.
+            :data:`repro.systems.registry.EVALUATED_SYSTEMS`; a Morpheus
+            variant may name its predictor, as in ``"Morpheus-Basic(none)"``).
         applications: Application names (Table 2).
         fidelity: Trace sizing preset shared by all cells.
         gpu: Baseline GPU configuration.
         seeds: Trace-generation seeds; each seed is an independent cell.
-        sm_counts: ``None`` for named-system evaluation, or explicit compute
-            SM counts for sweep-style direct runs.
-        predictors: ``None`` keeps each system's default hit/miss predictor;
-            a tuple of flavours (``"bloom"``, ``"none"``, ``"perfect"``)
-            fans every *Morpheus* system out across them (the Figure 13
-            axis).  Non-Morpheus systems have no predictor and get a single
-            default cell regardless.  Incompatible with ``sm_counts``
-            (direct sweeps run without a Morpheus controller).
     """
 
     systems: Tuple[str, ...]
@@ -277,8 +258,6 @@ class ExperimentSpec:
     fidelity: Fidelity = STANDARD_FIDELITY
     gpu: GPUConfig = RTX3080_CONFIG
     seeds: Tuple[int, ...] = (1,)
-    sm_counts: Optional[Tuple[int, ...]] = None
-    predictors: Optional[Tuple[str, ...]] = None
 
     def __post_init__(self) -> None:
         # Accept any sequences and normalize to tuples so specs stay hashable.
@@ -286,59 +265,22 @@ class ExperimentSpec:
         object.__setattr__(self, "applications", tuple(self.applications))
         object.__setattr__(self, "seeds", tuple(self.seeds))
         object.__setattr__(self, "fidelity", get_fidelity(self.fidelity))
-        if self.sm_counts is not None:
-            object.__setattr__(self, "sm_counts", tuple(self.sm_counts))
-        if self.predictors is not None:
-            object.__setattr__(self, "predictors", tuple(self.predictors))
         if not self.systems:
             raise ValueError("an experiment needs at least one system")
         if not self.applications:
             raise ValueError("an experiment needs at least one application")
         if not self.seeds:
             raise ValueError("an experiment needs at least one seed")
-        if self.predictors is not None and not self.predictors:
-            raise ValueError("predictors must be None or a non-empty tuple")
-        if self.predictors is not None and self.sm_counts is not None:
-            raise ValueError(
-                "the predictor axis applies to named Morpheus systems; "
-                "direct sm_counts sweeps run without a Morpheus controller"
-            )
-        if self.predictors is not None:
-            for system in self.systems:
-                if system.startswith("Morpheus") and "(" in system:
-                    raise ValueError(
-                        f"system {system!r} already names a predictor; "
-                        "use the bare variant name with the predictors axis"
-                    )
 
     def expand(self) -> "ExperimentPlan":
         """Expand the matrix into one :class:`ExperimentCell` per run."""
-        cells = []
-        sm_counts: Sequence[Optional[int]] = (
-            (None,) if self.sm_counts is None else self.sm_counts
+        cells = tuple(
+            ExperimentCell(system, application, seed)
+            for system in self.systems
+            for application in self.applications
+            for seed in self.seeds
         )
-        for system in self.systems:
-            predictors: Sequence[Optional[str]] = (
-                self.predictors
-                if self.predictors is not None and system.startswith("Morpheus")
-                else (None,)
-            )
-            for application in self.applications:
-                for seed in self.seeds:
-                    for sm_count in sm_counts:
-                        if sm_count is not None and sm_count > self.gpu.num_sms:
-                            continue
-                        for predictor in predictors:
-                            cells.append(
-                                ExperimentCell(
-                                    system=system,
-                                    application=application,
-                                    seed=seed,
-                                    sm_count=sm_count,
-                                    predictor=predictor,
-                                )
-                            )
-        return ExperimentPlan(spec=self, cells=tuple(cells))
+        return ExperimentPlan(spec=self, cells=cells)
 
 
 @dataclass(frozen=True)
@@ -353,13 +295,3 @@ class ExperimentPlan:
 
     def __iter__(self) -> Iterator[ExperimentCell]:
         return iter(self.cells)
-
-    def content_key(self) -> str:
-        """Stable content-hash key of the whole plan (spec + cells)."""
-        return content_hash(
-            {
-                "schema": (REPLAY_SCHEMA_VERSION, SCORE_SCHEMA_VERSION),
-                "spec": self.spec,
-                "cells": list(self.cells),
-            }
-        )

@@ -75,13 +75,9 @@ from repro.telemetry import get_logger, telemetry
 from repro.sim.simulator import SimulationConfig
 from repro.sim.stats import SimulationStats
 from repro.systems.fidelity import Fidelity, STANDARD_FIDELITY, get_fidelity
-from repro.systems.morpheus_system import MorpheusOperatingPoint, MorpheusVariant
-from repro.systems.registry import SCENARIO_SYSTEMS
+from repro.systems.morpheus_system import MorpheusOperatingPoint
+from repro.systems.registry import MORPHEUS_VARIANTS, SCENARIO_SYSTEMS
 from repro.workloads.applications import ApplicationProfile, get_application
-
-_MORPHEUS_VARIANTS: Dict[str, MorpheusVariant] = {
-    variant.value: variant for variant in MorpheusVariant
-}
 
 #: The policy that plans each baseline system's timelines.
 _BASELINE_POLICIES: Dict[str, CapacityPolicy] = {
@@ -549,7 +545,7 @@ class ScenarioEngine:
         baseline = _BASELINE_POLICIES.get(system)
         if baseline is not None:
             return baseline
-        if system not in _MORPHEUS_VARIANTS:
+        if system not in MORPHEUS_VARIANTS:
             valid = ", ".join(SCENARIO_SYSTEMS)
             raise ValueError(
                 f"unknown scenario system {system!r}; expected one of: {valid}"
@@ -564,7 +560,7 @@ class ScenarioEngine:
         profiles: Mapping[str, ApplicationProfile],
     ) -> Tuple[List[PhaseDecision], Optional[MorpheusConfig]]:
         """Per-phase decisions plus the Morpheus config (``None`` for baselines)."""
-        variant = _MORPHEUS_VARIANTS.get(system)
+        variant = MORPHEUS_VARIANTS.get(system)
         morpheus = variant.to_config() if variant is not None else None
         decisions = self._policy(system, policy).plan(
             scenario, self.gpu, morpheus, profiles, _TRANSITION_MODEL
@@ -934,15 +930,6 @@ class ScenarioEngine:
             elapsed_seconds=elapsed_seconds,
             signatures=executions,
         )
-
-    def run_systems(
-        self,
-        scenario: ScenarioSpec,
-        systems: Sequence[str] = SCENARIO_SYSTEMS,
-        policy: Optional[CapacityPolicy] = None,
-    ) -> Dict[str, ScenarioRunResult]:
-        """Run ``scenario`` on several systems; ``{system: result}``."""
-        return {system: self.run(scenario, system, policy) for system in systems}
 
     def solo_reference_ipcs(
         self,

@@ -45,7 +45,7 @@ class EvaluatedSystem(abc.ABC):
     def __init__(
         self,
         gpu: GPUConfig = RTX3080_CONFIG,
-        fidelity: Fidelity | str = STANDARD_FIDELITY,
+        fidelity: Fidelity = STANDARD_FIDELITY,
         seed: int = 1,
     ) -> None:
         self.gpu = gpu

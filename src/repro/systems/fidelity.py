@@ -85,27 +85,14 @@ FAST_FIDELITY = Fidelity(
 )
 """Reduced fidelity for the examples and the quick CLI runs."""
 
-#: Named presets accepted wherever a fidelity is expected.
-FIDELITY_PRESETS = {
-    "standard": STANDARD_FIDELITY,
-    "fast": FAST_FIDELITY,
-}
 
+def get_fidelity(fidelity: Fidelity) -> Fidelity:
+    """``fidelity``, checked to be a :class:`Fidelity`.
 
-def get_fidelity(fidelity: "Fidelity | str") -> Fidelity:
-    """Coerce a :class:`Fidelity` or preset name into a :class:`Fidelity`.
-
-    Lets entry points (system constructors, the scenario engine, experiment
-    specs) accept ``fidelity="fast"`` and friends directly.
+    Entry points (system constructors, the scenario engine, experiment
+    specs) pass their ``fidelity`` argument through here, so anything else
+    fails at construction with a ``TypeError``.
     """
     if isinstance(fidelity, Fidelity):
         return fidelity
-    if isinstance(fidelity, str):
-        try:
-            return FIDELITY_PRESETS[fidelity]
-        except KeyError:
-            valid = ", ".join(sorted(FIDELITY_PRESETS))
-            raise ValueError(
-                f"unknown fidelity preset {fidelity!r}; expected one of: {valid}"
-            ) from None
-    raise TypeError(f"expected a Fidelity or preset name, got {type(fidelity).__name__}")
+    raise TypeError(f"expected a Fidelity, got {type(fidelity).__name__}")

@@ -53,61 +53,48 @@ SCENARIO_SYSTEMS: tuple[str, ...] = (
     "Morpheus-ALL",
 )
 
+#: The five non-Morpheus systems by name.
+_BASELINE_SYSTEMS: dict[str, type[EvaluatedSystem]] = {
+    "BL": BaselineSystem,
+    "IBL": ImprovedBaselineSystem,
+    "IBL-4X-LLC": IBL4xLLCSystem,
+    "Unified-SM-Mem": UnifiedSMMemSystem,
+    "Frequency-Boost": FrequencyBoostSystem,
+}
+
+#: The four Morpheus variants by name.
+MORPHEUS_VARIANTS: dict[str, MorpheusVariant] = {
+    variant.value: variant for variant in MorpheusVariant
+}
+
 
 def get_system(
     name: str,
     gpu: GPUConfig = RTX3080_CONFIG,
     fidelity: Fidelity = STANDARD_FIDELITY,
     seed: int = 1,
-    predictor: str | None = None,
 ) -> EvaluatedSystem:
     """Construct an evaluated system by its Figure-12 name.
 
+    A Morpheus variant's name may end in ``(<predictor>)`` to pick its
+    hit/miss predictor, as in ``"Morpheus-Basic(none)"`` (the Figure 13
+    form); without the suffix it runs the Bloom predictor.  So every name a
+    :class:`MorpheusSystem` gives itself resolves to its variant and
+    predictor.
+
     Systems are cheap to construct; the expensive part — their simulations —
     is cached by the runner, so no instance memoization is needed.
-
-    ``predictor`` overrides the hit/miss-predictor flavour of a Morpheus
-    system (the declarative form of the ``"Morpheus-Basic(<predictor>)"``
-    name syntax, used by the :class:`~repro.runner.spec.ExperimentSpec`
-    predictor axis).  Non-Morpheus systems have no predictor to override.
     """
-    if predictor is not None:
-        variant = {v.value: v for v in MorpheusVariant}.get(name)
-        if variant is None:
-            raise ValueError(
-                f"system {name!r} has no hit/miss predictor to override"
-            )
+    baseline = _BASELINE_SYSTEMS.get(name)
+    if baseline is not None:
+        return baseline(gpu, fidelity, seed=seed)
+    variant_name, paren, suffix = name.partition("(")
+    variant = MORPHEUS_VARIANTS.get(variant_name)
+    if variant is not None and (not paren or suffix.endswith(")")):
+        predictor = suffix[:-1] if paren else "bloom"
         return MorpheusSystem(variant, gpu, fidelity, predictor=predictor, seed=seed)
-    if name == "BL":
-        system: EvaluatedSystem = BaselineSystem(gpu, fidelity, seed=seed)
-    elif name == "IBL":
-        system = ImprovedBaselineSystem(gpu, fidelity, seed=seed)
-    elif name == "IBL-4X-LLC":
-        system = IBL4xLLCSystem(gpu, fidelity, seed=seed)
-    elif name == "IBL-2X-LLC":
-        system = IBL4xLLCSystem(gpu, fidelity, scale_factor=2.0, seed=seed)
-        system.name = "IBL-2X-LLC"
-    elif name == "Unified-SM-Mem":
-        system = UnifiedSMMemSystem(gpu, fidelity, seed=seed)
-    elif name == "Frequency-Boost":
-        system = FrequencyBoostSystem(gpu, fidelity, seed=seed)
-    elif name == "Morpheus-Basic":
-        system = MorpheusSystem(MorpheusVariant.BASIC, gpu, fidelity, seed=seed)
-    elif name == "Morpheus-Compression":
-        system = MorpheusSystem(MorpheusVariant.COMPRESSION, gpu, fidelity, seed=seed)
-    elif name == "Morpheus-Indirect-MOV":
-        system = MorpheusSystem(MorpheusVariant.INDIRECT_MOV, gpu, fidelity, seed=seed)
-    elif name == "Morpheus-ALL":
-        system = MorpheusSystem(MorpheusVariant.ALL, gpu, fidelity, seed=seed)
-    elif name.startswith("Morpheus-Basic(") and name.endswith(")"):
-        predictor = name[len("Morpheus-Basic("):-1]
-        system = MorpheusSystem(
-            MorpheusVariant.BASIC, gpu, fidelity, predictor=predictor, seed=seed
-        )
-    else:
-        valid = ", ".join(EVALUATED_SYSTEMS)
-        raise ValueError(f"unknown system {name!r}; expected one of: {valid}")
-    return system
+    valid = ", ".join(EVALUATED_SYSTEMS)
+    raise ValueError(f"unknown system {name!r}; expected one of: {valid}")
 
 
 def evaluate_application(
@@ -115,22 +102,8 @@ def evaluate_application(
     application: str | ApplicationProfile,
     gpu: GPUConfig = RTX3080_CONFIG,
     fidelity: Fidelity = STANDARD_FIDELITY,
-    use_cache: bool = True,
     seed: int = 1,
-    predictor: str | None = None,
 ) -> SimulationStats:
-    """Simulate one application on one named system (runner-cached).
-
-    With ``use_cache=False`` the underlying leaf simulations are recomputed
-    (and the cache refreshed) instead of being served from it.  ``predictor``
-    overrides a Morpheus system's hit/miss predictor (see :func:`get_system`).
-    """
-    from repro.runner.runner import active_runner
-
+    """Simulate one application on one named system (runner-cached)."""
     profile = application if isinstance(application, ApplicationProfile) else get_application(application)
-    system = get_system(system_name, gpu, fidelity, seed=seed, predictor=predictor)
-    if use_cache:
-        return system.evaluate(profile)
-    with active_runner().cache_bypassed():
-        return system.evaluate(profile)
-
+    return get_system(system_name, gpu, fidelity, seed=seed).evaluate(profile)

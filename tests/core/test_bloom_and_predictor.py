@@ -154,23 +154,17 @@ class TestHitMissPredictor:
         unit.record_access(7)
         unit.record_access(8)
         assert (predictor.stats.predictions, predictor.stats.swaps) == (1, 1)
-        predictor.reset()
-        assert predictor.unit(1) is not unit
-        predictor.unit(1).predict(7)
-        assert (predictor.stats.predictions, predictor.stats.swaps) == (1, 0)
+        # A fresh predictor's units count into its own stats, not these.
+        fresh = HitMissPredictor(num_sets=2, associativity=2)
+        assert fresh.unit(1) is not unit
+        fresh.unit(1).predict(7)
+        assert (fresh.stats.predictions, fresh.stats.swaps) == (1, 0)
+        assert (predictor.stats.predictions, predictor.stats.swaps) == (1, 1)
 
     def test_invalid_set_index(self):
         predictor = HitMissPredictor(num_sets=2)
         with pytest.raises(ValueError):
             predictor.predict(5, 1)
-
-    def test_reset(self):
-        predictor = HitMissPredictor(num_sets=2)
-        predictor.record_access(0, 1)
-        predictor.predict(0, 1)
-        predictor.reset()
-        assert predictor.stats.predictions == 0
-        assert not predictor.predict(0, 1)
 
     @given(st.lists(st.integers(min_value=0, max_value=63), min_size=10, max_size=400))
     @settings(max_examples=20, deadline=None)

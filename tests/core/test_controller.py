@@ -8,7 +8,7 @@ from repro.core.address_separation import AddressSeparator
 from repro.core.config import MorpheusConfig
 from repro.core.controller import HierarchyCounters, MorpheusController, PredictorMode
 from repro.core.extended_llc import Compressibility, ExtendedLLC
-from repro.core.hit_miss_predictor import HitMissPredictor, PredictorStats
+from repro.core.hit_miss_predictor import HitMissPredictor
 from repro.interconnect.network import InterconnectNetwork
 from repro.memory.dram import DRAMModel
 from repro.memory.llc import LLCConfig, LLCPartition
@@ -134,19 +134,6 @@ class TestWritesAndOverheads:
     def test_extended_sets_per_partition_capped_at_256(self):
         controller = make_controller(cache_sms=60)
         assert controller.extended_sets_per_partition() <= 256
-
-    def test_reset_clears_stats(self):
-        # The predictor starts over; the counters, which belong to whoever
-        # reads them, keep what they counted.
-        controller = make_controller()
-        extended = [a for a in range(0, 1 << 22, 128) if is_extended(controller, a)]
-        for i, address in enumerate(extended[:50]):
-            controller.access(address, now_cycle=float(i))
-        assert controller.predictor.stats.predictions == 50
-        counted = controller.counters.extended_requests
-        controller.reset()
-        assert controller.predictor.stats == PredictorStats()
-        assert controller.counters.extended_requests == counted
 
 
 #: The core clock of a :class:`MorpheusController` built without one (GHz).

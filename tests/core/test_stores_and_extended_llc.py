@@ -331,12 +331,6 @@ class TestExtendedLLC:
         extended = ExtendedLLC(cache_sm_ids=[], config=MorpheusConfig())
         assert not extended.enabled
 
-    def test_reset_clears_contents(self):
-        extended = ExtendedLLC(cache_sm_ids=[0], config=MorpheusConfig())
-        extended.fill(0, 512)
-        extended.reset()
-        assert not extended.resident(0, 512)
-
 
 class TestSetsBuiltOnFirstTouch:
     """A store's sets are built the first time ``locate`` reaches them."""
@@ -396,23 +390,6 @@ class TestSetsBuiltOnFirstTouch:
             for store in kernel.stores.values()
         )
         assert len(built) < total
-
-    def test_reset_unbuilds_every_set(self):
-        extended = ExtendedLLC([0, 1], MorpheusConfig(shared_memory_warps=4))
-        for global_set in range(extended.total_sets):
-            _, kernel, local_set = extended.owner_of_set(global_set)
-            for address in range(0, 64 * 128, 128):
-                kernel.fill(local_set, address, dirty=True)
-        assert all(
-            llc_set is not None
-            for kernel in extended.kernels.values()
-            for store in kernel.stores.values()
-            for llc_set in store.sets
-        )
-        extended.reset()
-        assert self._built(extended) == {}
-        _, kernel, local_set = extended.owner_of_set(0)
-        assert not kernel.access(local_set, 0).hit
 
     @pytest.mark.parametrize("compression", [False, True])
     def test_effective_capacity_is_the_per_kernel_sum(self, compression):

@@ -177,10 +177,3 @@ class TestInterconnect:
             network.traverse(0, 32, 0.0, elapsed_cycles=10.0)
         loaded = network.traverse(0, 32, 0.0, elapsed_cycles=10.0)
         assert loaded > unloaded
-
-    def test_reset(self):
-        network = InterconnectNetwork()
-        network.traverse(0, 32, 0.0)
-        network.reset()
-        assert network.stats.traversals == 0
-        assert network.total_load_bytes() == 0

@@ -292,13 +292,11 @@ class TestEvaluatedSystems:
 
 
 class TestFidelityPresets:
-    def test_get_fidelity_coercion(self):
-        assert get_fidelity("fast") is FAST_FIDELITY
+    def test_get_fidelity_accepts_only_a_fidelity(self):
         assert get_fidelity(FAST_FIDELITY) is FAST_FIDELITY
-        with pytest.raises(ValueError, match="unknown fidelity preset"):
-            get_fidelity("turbo")
-        with pytest.raises(TypeError):
-            get_fidelity(3)
+        for other in ("fast", 3):
+            with pytest.raises(TypeError, match="expected a Fidelity"):
+                get_fidelity(other)
 
     def test_config_sizes_a_leaf_and_passes_fields_through(self):
         full = FAST_FIDELITY.config(num_compute_sms=20, system_name="leaf", seed=3)

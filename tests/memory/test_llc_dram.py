@@ -55,16 +55,6 @@ class TestLLCPartition:
         _, later, _ = partition.access(0, False, 2 * transfer)
         assert later == config.hit_latency_cycles
 
-    def test_reset(self):
-        # The block and the partition's busy time go: the block misses again,
-        # at the unloaded latency.
-        partition = LLCPartition(0, LLCConfig())
-        partition.access(0, False, 0.0)
-        partition.reset()
-        hit, latency, _ = partition.access(0, False, 0.0)
-        assert not hit
-        assert latency == partition.config.hit_latency_cycles
-
 
 class TestBankedLLC:
     def test_total_capacity_close_to_config(self):
@@ -83,15 +73,6 @@ class TestBankedLLC:
         assert hits == [False] * 20
         # Twenty consecutive blocks spread over the ten partitions.
         assert all(sum(map(len, partition.sets)) == 2 for partition in llc.partitions)
-
-    def test_reset(self):
-        llc = BankedLLC()
-        llc.partition_for(0).access(0, False, 0.0)
-        llc.reset()
-        assert not any(blocks for partition in llc.partitions for blocks in partition.sets)
-        # Contents are gone too: the same block misses again.
-        hit, _, _ = llc.partition_for(0).access(0, False, 0.0)
-        assert not hit
 
 
 class TestDRAMConfig:
@@ -165,14 +146,3 @@ class TestDRAMModel:
             == config.access_latency_cycles + transfer
             for i in range(100)
         )
-
-    def test_reset(self):
-        dram = DRAMModel()
-        busy = [dram.access(0, 0.0) for _ in range(5)]
-        dram.reset()
-        # Queues and the row-buffer sequence restart: the model answers as
-        # a fresh one does.
-        fresh = DRAMModel()
-        assert [dram.access(0, 0.0) for _ in range(5)] == [
-            fresh.access(0, 0.0) for _ in range(5)
-        ] == busy

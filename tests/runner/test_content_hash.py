@@ -24,7 +24,7 @@ import repro.runner.spec as runner_spec
 import repro.scenarios.engine as scenario_engine
 import repro.scenarios.spec as scenario_spec
 from repro.energy.model import EnergyModel
-from repro.runner import ExperimentRunner, ExperimentSpec, RunSpec, content_hash
+from repro.runner import ExperimentRunner, RunSpec, content_hash
 from repro.scenarios import SCENARIO_LIBRARY, ScenarioEngine, get_scenario
 from repro.workloads.applications import get_application
 from fidelity_utils import TINY_FIDELITY
@@ -335,14 +335,3 @@ def test_golden_replay_and_score_keys_match_the_reference(checked_hashes, system
     run.replay_key()
     run.score_key()
     assert len(checked_hashes) == 2
-
-
-def test_plan_key_matches_the_reference(checked_hashes):
-    spec = ExperimentSpec(
-        systems=("BL", "Morpheus-ALL"),
-        applications=("kmeans", "spmv"),
-        seeds=(1, 2),
-        predictors=("bloom", "none"),
-    )
-    spec.expand().content_key()
-    assert len(checked_hashes) == 1

@@ -4,9 +4,10 @@ One ``ProcessPoolExecutor`` serves every batch for the life of the runner
 (worker startup is paid once, not per ``run_leaves``/``run_plan`` call); it
 is torn down by ``close()``/garbage collection, recreated after a
 ``BrokenProcessPool``, and never created at all for serial runners — with a
-serial fallback identical in results to pooled execution.  Pooled plans
-honour ``cache_bypassed()`` like serial ones, and a pooled run restarted on
-the same cache resumes from what its predecessor stored.
+serial fallback identical in results to pooled execution.  Pool workers
+use their parent's cache directory, so a plan re-run on a second directory
+recomputes every cell, and a pooled run restarted on the same cache resumes
+from what its predecessor stored.
 """
 
 from __future__ import annotations
@@ -118,25 +119,27 @@ class TestPooledCacheBypass:
     def test_bypassed_plan_recomputes_every_cell(
         self, tmp_path, monkeypatch, max_workers
     ):
-        # Pool workers build their own runners; a bypassed parent must make
-        # them recompute too, instead of replaying the cells from disk.
+        # Pool workers build their own runners on the parent's cache
+        # directory; a parent on a second directory must make them
+        # recompute every cell instead of loading the first one's entries.
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         spec = ExperimentSpec(
             systems=("BL", "IBL"),
             applications=("kmeans",),
             seeds=(1, 2),
-            sm_counts=(34, 68),
             fidelity=TINY_FIDELITY,
         )
-        with ExperimentRunner(
-            cache_dir=tmp_path / "cache", max_workers=max_workers
-        ) as runner:
-            cold = runner.run_plan(spec)
-            cold_replays = runner.replays
-            with runner.cache_bypassed():
-                again = runner.run_plan(spec)
-        assert len(cold) == 8
-        assert runner.replays - cold_replays == 8
+        runs = []
+        for directory in ("cache", "again"):
+            with ExperimentRunner(
+                cache_dir=tmp_path / directory, max_workers=max_workers
+            ) as runner:
+                runs.append((runner.run_plan(spec), runner.replays))
+            measurements = tmp_path / directory / "measurements"
+            assert len(list(measurements.rglob("*.json"))) == runner.replays
+        (cold, cold_replays), (again, replays) = runs
+        assert len(cold) == 4
+        assert replays == cold_replays > len(cold)
         assert _stats_dicts(stats for _, stats in again) == _stats_dicts(
             stats for _, stats in cold
         )

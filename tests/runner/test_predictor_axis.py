@@ -1,104 +1,60 @@
-"""Tests for the declarative predictor axis on ExperimentSpec/ExperimentCell."""
+"""Tests for Figure 13's predictor axis: Morpheus systems named with a predictor.
+
+A plan spans the axis by naming each predictor as a system, as in
+``"Morpheus-Basic(none)"``; :func:`get_system` resolves every name a
+:class:`MorpheusSystem` gives itself.
+"""
 
 from __future__ import annotations
-
-import dataclasses
 
 import pytest
 
 from repro.runner import ExperimentRunner, ExperimentSpec, using_runner
-from repro.systems.registry import evaluate_application, get_system
+from repro.systems.morpheus_system import MorpheusSystem, MorpheusVariant
+from repro.systems.registry import get_system
 from runner_test_utils import TINY_FIDELITY
 
-
-class TestSpecExpansion:
-    def test_predictor_axis_fans_out_morpheus_systems_only(self):
-        spec = ExperimentSpec(
-            systems=("BL", "Morpheus-Basic"),
-            applications=("kmeans",),
-            predictors=("bloom", "none", "perfect"),
-        )
-        plan = spec.expand()
-        by_system = {}
-        for cell in plan.cells:
-            by_system.setdefault(cell.system, []).append(cell.predictor)
-        # Baselines have no predictor: one default cell.
-        assert by_system["BL"] == [None]
-        assert by_system["Morpheus-Basic"] == ["bloom", "none", "perfect"]
-
-    def test_default_expansion_keeps_predictor_none(self):
-        plan = ExperimentSpec(
-            systems=("Morpheus-Basic",), applications=("kmeans",)
-        ).expand()
-        assert [cell.predictor for cell in plan.cells] == [None]
-
-    def test_predictors_with_sm_counts_raises(self):
-        with pytest.raises(ValueError, match="predictor axis"):
-            ExperimentSpec(
-                systems=("sweep",),
-                applications=("kmeans",),
-                sm_counts=(10, 20),
-                predictors=("bloom",),
-            )
-
-    def test_empty_predictors_raises(self):
-        with pytest.raises(ValueError, match="non-empty"):
-            ExperimentSpec(
-                systems=("Morpheus-Basic",),
-                applications=("kmeans",),
-                predictors=(),
-            )
-
-    def test_paren_named_system_with_predictors_raises(self):
-        # "Morpheus-Basic(perfect)" already pins a predictor; combining it
-        # with the axis would specify the predictor twice.
-        with pytest.raises(ValueError, match="already names a predictor"):
-            ExperimentSpec(
-                systems=("Morpheus-Basic(perfect)",),
-                applications=("kmeans",),
-                predictors=("bloom",),
-            )
+#: Every (variant, predictor) pair, identified by the name its system takes.
+MORPHEUS_NAMES = {
+    MorpheusSystem(variant, predictor=predictor).name: (variant, predictor)
+    for variant in MorpheusVariant
+    for predictor in ("bloom", "none", "perfect")
+}
 
 
 class TestPredictorExecution:
-    def test_declarative_sweep_matches_name_syntax(self, tmp_path):
-        # The predictor axis must be equivalent to the hand-built
-        # "Morpheus-Basic(<predictor>)" construction the Fig. 13 code used.
-        spec = ExperimentSpec(
-            systems=("Morpheus-Basic",),
-            applications=("kmeans",),
-            fidelity=TINY_FIDELITY,
-            predictors=("bloom", "none"),
-        )
-        runner = ExperimentRunner(cache_dir=tmp_path / "cache", max_workers=0)
-        with using_runner(runner):
-            result = runner.run_plan(spec)
-            by_name = evaluate_application(
-                "Morpheus-Basic(none)", "kmeans", fidelity=TINY_FIDELITY
-            )
-        declarative = result.get("Morpheus-Basic", "kmeans", predictor="none")
-        assert dataclasses.asdict(declarative) == dataclasses.asdict(by_name)
-        # Different predictors genuinely produce different cells.
-        bloom = result.get("Morpheus-Basic", "kmeans", predictor="bloom")
-        assert bloom.system == "Morpheus-Basic"
-        assert declarative.system == "Morpheus-Basic(none)"
-
     def test_result_get_requires_disambiguation(self, tmp_path):
         spec = ExperimentSpec(
-            systems=("Morpheus-Basic",),
+            systems=("Morpheus-Basic(none)",),
             applications=("kmeans",),
             fidelity=TINY_FIDELITY,
-            predictors=("bloom", "none"),
+            seeds=(1, 2),
         )
         runner = ExperimentRunner(cache_dir=tmp_path / "cache", max_workers=0)
         with using_runner(runner):
             result = runner.run_plan(spec)
         with pytest.raises(KeyError, match="ambiguous"):
-            result.get("Morpheus-Basic", "kmeans")
+            result.get("Morpheus-Basic(none)", "kmeans")
+        assert result.get("Morpheus-Basic(none)", "kmeans", seed=2).system == (
+            "Morpheus-Basic(none)"
+        )
 
     def test_get_system_predictor_override(self):
-        system = get_system("Morpheus-ALL", predictor="perfect")
+        system = get_system("Morpheus-ALL(perfect)")
         assert system.predictor == "perfect"
         assert system.name == "Morpheus-ALL(perfect)"
-        with pytest.raises(ValueError, match="predictor"):
-            get_system("BL", predictor="bloom")
+        with pytest.raises(ValueError, match="unknown system"):
+            get_system("BL(bloom)")
+        with pytest.raises(ValueError, match="unknown system"):
+            get_system("Morpheus-ALL(none")
+
+
+@pytest.mark.parametrize("name", sorted(MORPHEUS_NAMES))
+def test_get_system_round_trips_every_morpheus_name(name):
+    variant, predictor = MORPHEUS_NAMES[name]
+    system = get_system(name, fidelity=TINY_FIDELITY, seed=3)
+    assert isinstance(system, MorpheusSystem)
+    assert system.name == name
+    assert (system.variant, system.predictor) == (variant, predictor)
+    assert system.morpheus_config == variant.to_config(predictor)
+    assert (system.fidelity, system.seed) == (TINY_FIDELITY, 3)

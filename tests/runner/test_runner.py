@@ -129,14 +129,6 @@ class TestRunnerCaching:
         runner.simulate(kmeans_profile, tiny_config(request_interval_cycles=4.0))
         assert runner.disk_cache.stores == 2
 
-    def test_cache_bypass_recomputes(self, runner, kmeans_profile):
-        config = tiny_config()
-        runner.simulate(kmeans_profile, config)
-        with runner.cache_bypassed():
-            runner.simulate(kmeans_profile, config)
-        assert runner.disk_cache.stores == 2
-        assert runner.memory_hits == 0
-
     def test_only_the_local_backend_exists(self, tmp_path):
         ExperimentRunner(cache_dir=tmp_path / "cache", backend="local")
         with pytest.raises(ValueError, match="service was removed"):
@@ -266,34 +258,6 @@ class TestPlanExpansion:
             seeds=(1, 2),
         )
         assert len(spec.expand()) == 12
-
-    def test_sm_count_cells_skip_oversized(self):
-        spec = ExperimentSpec(
-            systems=("sweep",),
-            applications=("kmeans",),
-            sm_counts=(10, 68, 96),
-        )
-        plan = spec.expand()
-        assert [cell.sm_count for cell in plan] == [10, 68]
-
-    def test_plan_key_stable_and_sensitive(self):
-        spec = ExperimentSpec(systems=("BL",), applications=("kmeans",))
-        assert spec.expand().content_key() == spec.expand().content_key()
-        other = ExperimentSpec(systems=("IBL",), applications=("kmeans",))
-        assert spec.expand().content_key() != other.expand().content_key()
-
-    def test_sm_count_plan_runs_direct_configs(self, tmp_path):
-        spec = ExperimentSpec(
-            systems=("sweep",),
-            applications=("kmeans",),
-            fidelity=TINY_FIDELITY,
-            sm_counts=(10, 20),
-        )
-        runner = ExperimentRunner(cache_dir=tmp_path / "cache", max_workers=0)
-        with using_runner(runner):
-            result = runner.run_plan(spec)
-        stats = result.get("sweep", "kmeans", sm_count=10)
-        assert stats.num_compute_sms == 10
 
 
 class TestTraceCache:

@@ -3,7 +3,8 @@
 Covers the JSON round-trip of :class:`ReplayMeasurement`, the measurement
 tier of the on-disk cache (replay-tier hits when only analytic parameters
 change, zero replays for re-scoring sweeps), bit-identicality between direct
-runs and cached-measurement re-scores, analytic re-scoring batches through
+runs and cached-measurement re-scores, ``simulate`` as a batch of one against
+the two-phase procedure it replaced, analytic re-scoring batches through
 ``run_configs`` and the cache maintenance CLI (temp-file handling, LRU size
 cap).
 """
@@ -16,7 +17,7 @@ import json
 import pytest
 
 import repro.runner.spec as spec_module
-from repro.analysis.rescoring import analytic_grid, energy_sweep, mlp_sweep
+from repro.analysis.rescoring import mlp_sweep
 from repro.energy.components import ComponentEnergies
 from repro.energy.model import EnergyModel
 from repro.runner import ExperimentRunner, ExperimentSpec, RunSpec, using_runner
@@ -32,6 +33,28 @@ from runner_test_utils import TINY_FIDELITY, tiny_config
 @pytest.fixture
 def runner(tmp_path) -> ExperimentRunner:
     return ExperimentRunner(cache_dir=tmp_path / "cache", max_workers=0)
+
+
+def reference_simulate(runner, profile, config):
+    """``simulate`` as it was before it became a batch of one ``run_leaves``.
+
+    Score-tier lookup, then the measurement (replaying only on a miss),
+    then one ``PerformanceModel.score``, on the runner's own cache layers.
+    """
+    run = RunSpec(profile, config, runner._energies())
+    score_key = run.score_key()
+    cached = runner._lookup(score_key)
+    if cached is not None:
+        return cached
+    replay_key = run.replay_key()
+    measurement = runner._lookup_measurement(replay_key)
+    if measurement is None:
+        measurement = GPUSimulator(config).replay(profile)
+        runner.replays += 1
+        runner._store_measurement(replay_key, measurement)
+    stats = runner._performance_model.score(profile, config, measurement)
+    runner._store(score_key, stats)
+    return stats
 
 
 class TestMeasurementRoundTrip:
@@ -150,13 +173,6 @@ class TestReplayTierReuse:
         assert bumped.disk_cache.misses == 1  # stats tier invalidated...
         assert bumped.replays == 0  # ...but the measurement tier still serves
 
-    def test_cache_bypass_also_replays_again(self, runner, kmeans_profile):
-        config = tiny_config()
-        runner.simulate(kmeans_profile, config)
-        with runner.cache_bypassed():
-            runner.simulate(kmeans_profile, config)
-        assert runner.replays == 2
-
     def test_measurement_for_and_scorer_for_split(self, runner, kmeans_profile):
         # The public phase-1/phase-2 split (used by the contention solver):
         # one measurement fetch, any number of pure in-process scorings,
@@ -180,6 +196,47 @@ class TestReplayTierReuse:
         via_cache = runner.simulate(kmeans_profile, contended_config)
         assert runner.replays == 1
         assert dataclasses.asdict(scored) == dataclasses.asdict(via_cache)
+
+
+class TestOneLeafSimulate:
+    @pytest.mark.parametrize(
+        "warmth", ["cold", "memory_warm", "disk_warm", "measurement_only_warm"]
+    )
+    def test_simulate_matches_the_reference(self, tmp_path, kmeans_profile, warmth):
+        # Each side prepares its own cache the same way, then simulates the
+        # leaf and an analytic variant of it (same replay key); the stats
+        # and every counter must agree after each call.
+        config = tiny_config()
+        variant = tiny_config(mlp_per_sm=40.0)
+        sides = {}
+        for side, simulate in (
+            ("one_leaf", ExperimentRunner.simulate),
+            ("reference", reference_simulate),
+        ):
+            directory = tmp_path / side
+            runner = ExperimentRunner(cache_dir=directory, max_workers=0)
+            if warmth == "memory_warm":
+                simulate(runner, kmeans_profile, config)
+            elif warmth == "disk_warm":
+                primer = ExperimentRunner(cache_dir=directory, max_workers=0)
+                simulate(primer, kmeans_profile, config)
+            elif warmth == "measurement_only_warm":
+                primer = ExperimentRunner(cache_dir=directory, max_workers=0)
+                primer.measurement_for(kmeans_profile, config)
+            sides[side] = [
+                (
+                    dataclasses.asdict(simulate(runner, kmeans_profile, leaf)),
+                    runner.replays,
+                    runner.memory_hits,
+                    runner.measurement_memory_hits,
+                    runner.disk_cache.tier_counters(),
+                )
+                for leaf in (config, variant)
+            ]
+        assert sides["one_leaf"] == sides["reference"]
+        # One replay in all, by the runner that met a cold cache.
+        replays = sides["one_leaf"][-1][1]
+        assert replays == (1 if warmth in ("cold", "memory_warm") else 0)
 
 
 class TestRunConfigs:
@@ -332,14 +389,17 @@ class TestRescoringSweeps:
         assert sweep[80.0].limits["latency"] <= sweep[320.0].limits["latency"]
 
     def test_analytic_grid_zero_replays_when_warm(self, runner, kmeans_profile):
+        # A dense (MLP, peak IPC) grid is one run_configs batch: every point
+        # is scored and stored under its own key off the one measurement.
         base = tiny_config()
-        with using_runner(runner):
-            runner.simulate(kmeans_profile, base)
-            grid = analytic_grid(
-                kmeans_profile, base, mlp_values=(160.0, 320.0),
-                peak_ipc_values=(2.0, 4.0),
-            )
-        assert len(grid) == 4
+        runner.simulate(kmeans_profile, base)
+        grid = [
+            dataclasses.replace(base, mlp_per_sm=mlp, peak_warp_ipc_per_sm=ipc)
+            for mlp in (80.0, 320.0)
+            for ipc in (2.0, 6.0)
+        ]
+        runner.run_configs(kmeans_profile, grid)
+        assert runner.disk_cache.stores == 1 + len(grid)
         assert runner.replays == 1
 
     def test_energy_model_is_read_only(self, runner):
@@ -351,45 +411,60 @@ class TestRescoringSweeps:
             runner.energy_model = EnergyModel()
 
     def test_energy_sweep_shares_measurements(self, runner, kmeans_profile):
+        # An energy sweep is one runner per energy model on a shared cache:
+        # each re-scores the measurement the first runner replayed.
         base = tiny_config()
-        with using_runner(runner):
-            baseline = runner.simulate(kmeans_profile, base)
-            sweep = energy_sweep(
-                kmeans_profile,
-                base,
-                (
-                    ComponentEnergies(),
-                    ComponentEnergies(dram_pj_per_byte=999.0),
-                ),
+        baseline = runner.simulate(kmeans_profile, base)
+        sweep = [
+            ExperimentRunner(
+                cache_dir=runner.cache_dir,
+                max_workers=0,
+                energy_model=EnergyModel(energies),
             )
+            for energies in (
+                ComponentEnergies(),
+                ComponentEnergies(dram_pj_per_byte=999.0),
+            )
+        ]
+        default, expensive = (point.simulate(kmeans_profile, base) for point in sweep)
         assert runner.replays == 1
-        default, expensive = list(sweep.values())
+        assert [point.replays for point in sweep] == [0, 0]
         assert dataclasses.asdict(default) == dataclasses.asdict(baseline)
         assert expensive.energy.dram_j > default.energy.dram_j
 
     def test_cold_energy_sweep_replays_once_and_scores_every_point(
-        self, runner, kmeans_profile
+        self, tmp_path, kmeans_profile
     ):
-        # Nothing is cached yet: the sweep itself fetches the measurement.
+        # Nothing is cached yet: the first point's runner replays, and the
+        # others re-score its measurement from the shared cache.
         base = tiny_config()
         energies_grid = (
             ComponentEnergies(),
             ComponentEnergies(dram_pj_per_byte=25.0),
             ComponentEnergies(base_static_watts=40.0),
         )
-        with using_runner(runner):
-            sweep = energy_sweep(kmeans_profile, base, energies_grid)
-        assert runner.replays == 1
-        assert runner.disk_cache.stores == len(energies_grid)
-        for energies in energies_grid:
-            assert RunSpec(kmeans_profile, base, energies).score_key() in runner.disk_cache
-        measurement = runner.measurement_for(kmeans_profile, base)
-        assert runner.replays == 1
-        for energies, stats in sweep.items():
+        sweep = {
+            energies: ExperimentRunner(
+                cache_dir=tmp_path / "cache",
+                max_workers=0,
+                energy_model=EnergyModel(energies),
+            )
+            for energies in energies_grid
+        }
+        stats = {
+            energies: point.simulate(kmeans_profile, base)
+            for energies, point in sweep.items()
+        }
+        assert [point.replays for point in sweep.values()] == [1, 0, 0]
+        assert [point.disk_cache.stores for point in sweep.values()] == [1, 1, 1]
+        for energies, point in sweep.items():
+            assert RunSpec(kmeans_profile, base, energies).score_key() in point.disk_cache
+        measurement = sweep[energies_grid[0]].measurement_for(kmeans_profile, base)
+        for energies, point_stats in stats.items():
             expected = PerformanceModel(EnergyModel(energies)).score(
                 kmeans_profile, base, measurement
             )
-            assert dataclasses.asdict(stats) == dataclasses.asdict(expected)
+            assert dataclasses.asdict(point_stats) == dataclasses.asdict(expected)
 
 
 class TestCacheMaintenance:

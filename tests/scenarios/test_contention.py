@@ -389,15 +389,6 @@ class TestScenarioAggregateStore:
         assert engine.runner.disk_cache.scenario_hits == disk_hits
         assert _snapshot(first) == _snapshot(second)
 
-    def test_cache_bypass_recomputes_the_aggregate(self, tmp_path):
-        engine = _engine(tmp_path)
-        with using_runner(engine.runner):
-            engine.run(SATURATING, "Morpheus-Basic")
-            stores = engine.runner.disk_cache.scenario_stores
-            with engine.runner.cache_bypassed():
-                engine.run(SATURATING, "Morpheus-Basic")
-        assert engine.runner.disk_cache.scenario_stores == stores + 1
-
     @pytest.mark.parametrize(
         "corruption",
         [

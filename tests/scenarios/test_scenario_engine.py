@@ -266,12 +266,12 @@ class TestEngineRun:
         assert lull.instructions == pytest.approx(2.0 * scenario.instructions_per_weight)
         assert lull.compute_cycles == pytest.approx(lull.instructions / lull.stats.ipc)
 
-    def test_run_systems_covers_baselines_and_all_variants(self, engine):
+    def test_run_covers_baselines_and_all_variants(self, engine):
         scenario = steady(application="kmeans", compute_sms=34, num_phases=1)
         with using_runner(engine.runner):
-            results = engine.run_systems(scenario)
-        assert set(results) == set(SCENARIO_SYSTEMS)
-        assert all(len(result) == 1 for result in results.values())
+            results = [engine.run(scenario, system) for system in SCENARIO_SYSTEMS]
+        assert [result.system for result in results] == list(SCENARIO_SYSTEMS)
+        assert all(len(result) == 1 for result in results)
 
     def test_run_key_distinguishes_policies_and_systems(self, engine):
         scenario = bursty(bursts=1)
@@ -327,9 +327,9 @@ class TestEngineRun:
         sibling = ScenarioEngine(runner=expensive, fidelity=TINY_FIDELITY)
         assert sibling.run_key(scenario, "Morpheus-Basic") != baseline
 
-    def test_engine_accepts_a_fidelity_preset_name(self, engine):
+    def test_engine_sizes_its_leaves_at_its_fidelity(self, engine):
         scenario = bursty(bursts=1)
-        fast = ScenarioEngine(runner=engine.runner, fidelity="fast")
+        fast = ScenarioEngine(runner=engine.runner, fidelity=FAST_FIDELITY)
         assert fast.fidelity is FAST_FIDELITY
         lowering = fast.lower(scenario, "Morpheus-Basic")
         for signature_id in lowering.signature_ids:

@@ -1,4 +1,4 @@
-"""The report pipeline on a real 16-leaf pooled trace (acceptance run).
+"""The report pipeline on a real 16-cell pooled trace (acceptance run).
 
 One module-scoped fixture runs the acceptance-criterion workload — a
 16-cell plan on a runner with two pool workers under an active
@@ -23,19 +23,18 @@ from repro.telemetry.__main__ import main as telemetry_main
 from repro.telemetry.report import percentile, render, summarize
 from fidelity_utils import TINY_FIDELITY
 
-#: 2 systems x 2 applications x 2 seeds x 2 SM splits = 16 cells.
+#: 2 systems x 2 applications x 4 seeds = 16 cells.
 SPEC = ExperimentSpec(
     systems=("BL", "IBL"),
     applications=("kmeans", "cfd"),
-    seeds=(1, 2),
-    sm_counts=(34, 68),
+    seeds=(1, 2, 3, 4),
     fidelity=TINY_FIDELITY,
 )
 
 
 @pytest.fixture(scope="module")
 def traced_run(tmp_path_factory):
-    """(trace_dir, cache_dir, results) of a traced 16-leaf pooled plan."""
+    """(trace_dir, cache_dir, results) of a traced 16-cell pooled plan."""
     base = tmp_path_factory.mktemp("accept")
     trace_dir = base / "trace"
     cache_dir = base / "cache"
