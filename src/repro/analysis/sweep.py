@@ -83,12 +83,19 @@ def best_configuration(
     fidelity: Fidelity = STANDARD_FIDELITY,
     runner: Optional[ExperimentRunner] = None,
 ) -> Tuple[int, SimulationStats]:
-    """Best SM count and its stats for ``application`` on ``gpu``."""
-    sweep = sm_count_sweep(application, sm_candidates, gpu, fidelity, runner=runner)
-    if not sweep:
+    """Best SM count and its stats for ``application`` on ``gpu``.
+
+    The first of ``sm_candidates`` with the highest IPC, scored at the
+    configs :func:`sm_count_sweep` runs; a candidate that cannot win is not
+    replayed (:meth:`~repro.runner.runner.ExperimentRunner.best_ipc_index`).
+    """
+    profile = application if isinstance(application, ApplicationProfile) else get_application(application)
+    runner = runner or active_runner()
+    configs = [sweep_config(gpu, count, fidelity) for count in sm_candidates if count <= gpu.num_sms]
+    best = runner.best_ipc_index(profile, configs)
+    if best is None:
         raise ValueError("no SM candidate fits the GPU")
-    best_count = max(sweep, key=lambda count: sweep[count].ipc)
-    return best_count, sweep[best_count]
+    return configs[best].num_compute_sms, runner.simulate(profile, configs[best])
 
 
 def llc_scaling_sweep(

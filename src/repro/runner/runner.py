@@ -26,6 +26,10 @@ phases backed by the two tiers of the on-disk
   re-scoring sweeps are plain ``run_configs`` batches that hit the
   measurement tier; an energy sweep is one runner per ``energy_model=``
   on a shared cache directory.
+* ``best_ipc_index`` is the operating-point search of every evaluated
+  system and of Figure 2's best configuration: the first of a batch of
+  configs with the highest IPC, found by branch and bound over the compute
+  roof, so a candidate that cannot win is never replayed.
 * ``measurement_for`` / ``scorer_for`` split the two phases for callers
   that score one measurement many times in-process (the contention
   solver).
@@ -59,6 +63,7 @@ from repro.runner.spec import ExperimentCell, ExperimentPlan, ExperimentSpec, Ru
 from repro.sim.performance_model import PerformanceModel, ReplayMeasurement
 from repro.sim.simulator import GPUSimulator, SimulationConfig
 from repro.sim.stats import SimulationStats
+from repro.sim.vector_model import compute_limit
 from repro.telemetry import telemetry
 from repro.workloads.applications import ApplicationProfile
 
@@ -455,6 +460,41 @@ class ExperimentRunner:
                         self._store(score_keys[index], stats)
                         results[index] = stats
         return [stats for stats in results if stats is not None]
+
+    def best_ipc_index(
+        self,
+        profile: ApplicationProfile,
+        configs: Sequence[SimulationConfig],
+    ) -> Optional[int]:
+        """Index of the first of ``configs`` with the highest IPC (``None`` if empty).
+
+        The same pick as the first maximum of ``run_configs(profile,
+        configs)``, by branch and bound: a scored IPC is the minimum of
+        limits that include the compute roof
+        (:func:`~repro.sim.vector_model.compute_limit`), which needs no
+        replay, so a config whose roof is below the best IPC scored so far
+        can neither beat nor tie it and is never run.  Configs are scored in
+        descending roof order, in batches of this runner's effective worker
+        count (one at a time when serial), until the next roof is below the
+        best IPC.
+        """
+        efficiency = profile.compute_efficiency
+        roofs = [
+            compute_limit(config.num_compute_sms, config.peak_warp_ipc_per_sm, efficiency)
+            for config in configs
+        ]
+        # Stable: equal roofs keep their original order.
+        pending = sorted(range(len(configs)), key=roofs.__getitem__, reverse=True)
+        batch_size = self._effective_workers(len(configs))
+        ipcs: Dict[int, float] = {}
+        best = -float("inf")
+        while pending and roofs[pending[0]] >= best:
+            batch = [index for index in pending[:batch_size] if roofs[index] >= best]
+            pending = pending[batch_size:]
+            scored = self.run_configs(profile, [configs[index] for index in batch])
+            ipcs.update(zip(batch, (stats.ipc for stats in scored)))
+            best = max(ipcs.values())
+        return min((index for index, ipc in ipcs.items() if ipc == best), default=None)
 
     # -- plan execution ---------------------------------------------------------------
 

@@ -81,7 +81,12 @@ REPLAY_SCHEMA_VERSION = 5
 #: :class:`~repro.sim.performance_model.ResourceEnvelope` (a new
 #: score-keyed ``SimulationConfig`` field; the default envelope scores
 #: bit-identically to version 1).
-SCORE_SCHEMA_VERSION = 2
+#: Version 3: no scored number changed.  Operating-point searches stopped
+#: scoring the candidates whose compute roof is below the best IPC already
+#: scored, so a search stores fewer stats entries, and no key covers which
+#: leaves a search scores; the bump marks that change in the stats tier.
+#: Cached measurements stay valid and re-score at zero replay cost.
+SCORE_SCHEMA_VERSION = 3
 
 
 #: The JSON encoder of each exact leaf type (subclasses go to ``json.dumps``).

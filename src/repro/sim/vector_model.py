@@ -36,6 +36,19 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 _INF = float("inf")
 
 
+def compute_limit(
+    num_compute_sms: int, peak_warp_ipc_per_sm: float, compute_efficiency: float
+) -> float:
+    """The compute roof: the ``"compute"`` entry of every scored ``limits``.
+
+    It reads no replay measurement, so it bounds a leaf's IPC (the minimum
+    of its limits) before the leaf is replayed;
+    :meth:`~repro.runner.runner.ExperimentRunner.best_ipc_index` skips the
+    operating-point candidates whose roof is below an IPC already scored.
+    """
+    return num_compute_sms * peak_warp_ipc_per_sm * compute_efficiency
+
+
 class MeasurementScorer:
     """Scores one measurement under many score-tier parameter variants.
 
@@ -162,7 +175,7 @@ class MeasurementScorer:
     def _roofline(self, peak: float, mlp: float, envelope: "ResourceEnvelope"):
         """The IPC limits for one score-parameter point."""
         limits: Dict[str, float] = {}
-        limits["compute"] = self._num_compute * peak * self._compute_eff
+        limits["compute"] = compute_limit(self._num_compute, peak, self._compute_eff)
         limits["dram_bandwidth"] = (
             _INF
             if self._dram_div is None

@@ -16,7 +16,7 @@
 from __future__ import annotations
 
 import abc
-from typing import Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from repro.gpu.config import GPUConfig, RTX3080_CONFIG
 from repro.sim.simulator import SimulationConfig
@@ -34,10 +34,13 @@ class EvaluatedSystem(abc.ABC):
 
     All simulations route through the process-wide
     :class:`~repro.runner.runner.ExperimentRunner`, so every leaf run —
-    including the best-SM-count searches — is cached on disk (replay
+    including the operating-point searches — is cached on disk (replay
     measurements and scored stats in separate tiers) and can be executed by
     parallel workers; analytic-parameter changes re-score the search's
-    cached measurements instead of re-replaying its traces.
+    cached measurements instead of re-replaying its traces.  A search keeps
+    the first of its candidates with the highest IPC, and replays only the
+    candidates whose compute roof can still reach the best IPC scored so far
+    (:meth:`~repro.runner.runner.ExperimentRunner.best_ipc_index`).
     """
 
     name: str = "system"
@@ -55,6 +58,14 @@ class EvaluatedSystem(abc.ABC):
     @abc.abstractmethod
     def evaluate(self, profile: ApplicationProfile) -> SimulationStats:
         """Simulate ``profile`` on this system and return its statistics."""
+
+    def search_configs(self, profile: ApplicationProfile) -> List[SimulationConfig]:
+        """The search-sized candidate configs of ``profile``'s operating point.
+
+        In candidate order; empty when the system searches nothing for
+        ``profile``.
+        """
+        return []
 
     # -- shared helpers ----------------------------------------------------------
 
@@ -82,39 +93,20 @@ class EvaluatedSystem(abc.ABC):
         gpu: GPUConfig,
         num_compute_sms: int,
         power_gate_unused: bool,
-        search_fidelity: bool = False,
         **kwargs,
     ) -> SimulationStats:
         from repro.runner.runner import active_runner
 
-        config = self._config(
-            gpu, num_compute_sms, power_gate_unused, search_fidelity, **kwargs
-        )
+        config = self._config(gpu, num_compute_sms, power_gate_unused, **kwargs)
         return active_runner().simulate(profile, config)
 
-    def _best_sm_count(
-        self,
-        profile: ApplicationProfile,
-        gpu: GPUConfig,
-        candidates: Sequence[int] = DEFAULT_SM_CANDIDATES,
-        power_gate_unused: bool = True,
-    ) -> int:
-        """Find the SM count maximizing IPC for ``profile`` on ``gpu``."""
+    def _search(self, profile: ApplicationProfile) -> Optional[SimulationConfig]:
+        """The first best-IPC config of :meth:`search_configs` (``None`` if none)."""
         from repro.runner.runner import active_runner
 
-        counts = [count for count in candidates if count <= gpu.num_sms]
-        configs = [
-            self._config(gpu, count, power_gate_unused, search_fidelity=True)
-            for count in counts
-        ]
-        all_stats = active_runner().run_configs(profile, configs)
-        best_count = counts[0]
-        best_ipc = -1.0
-        for count, stats in zip(counts, all_stats):
-            if stats.ipc > best_ipc:
-                best_ipc = stats.ipc
-                best_count = count
-        return best_count
+        configs = self.search_configs(profile)
+        best = active_runner().best_ipc_index(profile, configs)
+        return None if best is None else configs[best]
 
 
 class BaselineSystem(EvaluatedSystem):
@@ -141,20 +133,45 @@ class BaselineSystem(EvaluatedSystem):
 
 
 class ImprovedBaselineSystem(EvaluatedSystem):
-    """IBL: per-application best SM count, unused SMs power-gated."""
+    """IBL: per-application best SM count, unused SMs power-gated.
+
+    The other three IBL-family systems search and run the same way on the
+    GPU they change (``_gpu``); Frequency-Boost also boosts the memory
+    clocks of the GPU it runs the chosen count on.
+    """
 
     name = "IBL"
 
+    def __init__(
+        self,
+        gpu: GPUConfig = RTX3080_CONFIG,
+        fidelity: Fidelity = STANDARD_FIDELITY,
+        seed: int = 1,
+    ) -> None:
+        super().__init__(gpu, fidelity, seed)
+        self._gpu = gpu
+
+    def search_configs(self, profile: ApplicationProfile) -> List[SimulationConfig]:
+        return [
+            self._config(self._gpu, count, power_gate_unused=True, search_fidelity=True)
+            for count in DEFAULT_SM_CANDIDATES
+            if count <= self._gpu.num_sms
+        ]
+
     def best_sm_count(self, profile: ApplicationProfile) -> int:
-        """Per-application best SM count (Table 3, row 'IBL')."""
-        return self._best_sm_count(profile, self.gpu)
+        """Per-application best SM count (Table 3, row 'IBL').
+
+        Every SM when no candidate fits the GPU.
+        """
+        best = self._search(profile)
+        return self._gpu.num_sms if best is None else best.num_compute_sms
 
     def evaluate(self, profile: ApplicationProfile) -> SimulationStats:
         best = self.best_sm_count(profile)
-        return self._simulate(profile, self.gpu, best, power_gate_unused=True)
+        return self._simulate(profile, self._gpu, best, power_gate_unused=True)
 
 
-class IBL4xLLCSystem(EvaluatedSystem):
+class IBL4xLLCSystem(ImprovedBaselineSystem):
     """IBL-4x-LLC: the idealized baseline with a quadruple-sized conventional LLC."""
 
     name = "IBL-4X-LLC"
@@ -163,19 +180,13 @@ class IBL4xLLCSystem(EvaluatedSystem):
         self,
         gpu: GPUConfig = RTX3080_CONFIG,
         fidelity: Fidelity = STANDARD_FIDELITY,
-        scale_factor: float = 4.0,
         seed: int = 1,
     ) -> None:
         super().__init__(gpu, fidelity, seed)
-        self.scale_factor = scale_factor
-        self._gpu = gpu.with_llc_scale(scale_factor)
-
-    def evaluate(self, profile: ApplicationProfile) -> SimulationStats:
-        best = self._best_sm_count(profile, self._gpu)
-        return self._simulate(profile, self._gpu, best, power_gate_unused=True)
+        self._gpu = gpu.with_llc_scale(4.0)
 
 
-class FrequencyBoostSystem(EvaluatedSystem):
+class FrequencyBoostSystem(ImprovedBaselineSystem):
     """Frequency-Boost: IBL with 10-20 % faster memory-system clocks.
 
     The boost factor grows with the number of power-gated SMs, mirroring the
@@ -192,16 +203,16 @@ class FrequencyBoostSystem(EvaluatedSystem):
         return 1.0 + min(0.20, 0.10 + 0.10 * fraction_gated)
 
     def evaluate(self, profile: ApplicationProfile) -> SimulationStats:
-        best = self._best_sm_count(profile, self.gpu)
+        best = self.best_sm_count(profile)
         gated = self.gpu.num_sms - best
         boosted = self.gpu.with_frequency_boost(self.boost_factor(gated))
         return self._simulate(profile, boosted, best, power_gate_unused=True)
 
 
-class UnifiedSMMemSystem(EvaluatedSystem):
+class UnifiedSMMemSystem(ImprovedBaselineSystem):
     """Unified-SM-Mem: IBL with unused register-file space folded into the L1.
 
-    The application is assumed to leave ~60 % of the register file unused
+    The application is assumed to leave 60 % of the register file unused
     (typical occupancy-limited kernels), which is added to the unified
     L1/shared capacity with no latency penalty.
     """
@@ -212,16 +223,7 @@ class UnifiedSMMemSystem(EvaluatedSystem):
         self,
         gpu: GPUConfig = RTX3080_CONFIG,
         fidelity: Fidelity = STANDARD_FIDELITY,
-        unused_register_fraction: float = 0.6,
         seed: int = 1,
     ) -> None:
         super().__init__(gpu, fidelity, seed)
-        if not 0.0 <= unused_register_fraction <= 1.0:
-            raise ValueError("unused_register_fraction must be in [0, 1]")
-        self.unused_register_fraction = unused_register_fraction
-        extra = int(gpu.register_file_bytes_per_sm * unused_register_fraction)
-        self._gpu = gpu.with_extra_l1(extra)
-
-    def evaluate(self, profile: ApplicationProfile) -> SimulationStats:
-        best = self._best_sm_count(profile, self._gpu)
-        return self._simulate(profile, self._gpu, best, power_gate_unused=True)
+        self._gpu = gpu.with_extra_l1(int(gpu.register_file_bytes_per_sm * 0.6))

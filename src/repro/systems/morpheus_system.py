@@ -9,14 +9,17 @@ not disturb them (Fig. 12).
 The search's candidate runs execute through the process-wide runner's
 two-phase pipeline, so each (compute, cache) split is replayed at most once
 per fidelity/seed; repeating a search under different analytic parameters
-re-scores the cached measurements at zero replay cost.
+re-scores the cached measurements at zero replay cost.  A split whose
+compute roof is below the best IPC already scored cannot win, and is not
+replayed at all
+(:meth:`~repro.runner.runner.ExperimentRunner.best_ipc_index`).
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, Sequence
+from typing import Dict, List
 
 from repro.core.config import MorpheusConfig
 from repro.gpu.config import GPUConfig, RTX3080_CONFIG
@@ -62,8 +65,7 @@ class MorpheusSystem(EvaluatedSystem):
         fidelity: Trace sizing preset.
         predictor: Hit/miss predictor flavour (``"bloom"``, ``"none"``,
             ``"perfect"``) — Figure 13 varies this on Morpheus-Basic.
-        compute_sm_candidates: Candidate compute-mode SM counts searched per
-            application.
+        seed: Trace-generation seed of every leaf.
     """
 
     def __init__(
@@ -72,14 +74,12 @@ class MorpheusSystem(EvaluatedSystem):
         gpu: GPUConfig = RTX3080_CONFIG,
         fidelity: Fidelity = STANDARD_FIDELITY,
         predictor: str = "bloom",
-        compute_sm_candidates: Sequence[int] = DEFAULT_SM_CANDIDATES,
         seed: int = 1,
     ) -> None:
         super().__init__(gpu, fidelity, seed)
         self.variant = variant
         self.predictor = predictor
         self.morpheus_config = variant.to_config(predictor)
-        self.compute_sm_candidates = tuple(compute_sm_candidates)
         self.name = variant.value
         if predictor != "bloom":
             self.name = f"{variant.value}({predictor})"
@@ -96,39 +96,36 @@ class MorpheusSystem(EvaluatedSystem):
         max_cache = int(self.gpu.num_sms * self.morpheus_config.max_cache_mode_fraction)
         return max(0, min(self.gpu.num_sms - num_compute_sms, max_cache))
 
-    def operating_point(self, profile: ApplicationProfile) -> MorpheusOperatingPoint:
-        """The per-application best compute/cache split (Table 3 rows)."""
-        cached = self._operating_points.get(profile.name)
-        if cached is not None:
-            return cached
+    def search_configs(self, profile: ApplicationProfile) -> List[SimulationConfig]:
+        """One split per candidate compute-SM count that fits the GPU.
 
+        Empty for a compute-bound application, which keeps every SM computing.
+        """
         if profile.workload_class == WorkloadClass.COMPUTE_BOUND:
-            point = MorpheusOperatingPoint(self.gpu.num_sms, 0, 0)
-            self._operating_points[profile.name] = point
-            return point
-
-        from repro.runner.runner import active_runner
-
-        candidates = [
-            (compute, self._cache_sms_for(compute))
-            for compute in self.compute_sm_candidates
+            return []
+        return [
+            self._point_config(compute, self._cache_sms_for(compute), search_fidelity=True)
+            for compute in DEFAULT_SM_CANDIDATES
             if compute <= self.gpu.num_sms
         ]
-        configs = [
-            self._point_config(compute, cache, search_fidelity=True)
-            for compute, cache in candidates
-        ]
-        all_stats = active_runner().run_configs(profile, configs)
-        best_point = MorpheusOperatingPoint(self.gpu.num_sms, 0, 0)
-        best_ipc = -1.0
-        for (compute, cache), stats in zip(candidates, all_stats):
-            if stats.ipc > best_ipc:
-                best_ipc = stats.ipc
-                best_point = MorpheusOperatingPoint(
+
+    def operating_point(self, profile: ApplicationProfile) -> MorpheusOperatingPoint:
+        """The per-application best compute/cache split (Table 3 rows).
+
+        Every SM computes when the search has no candidate.
+        """
+        point = self._operating_points.get(profile.name)
+        if point is None:
+            best = self._search(profile)
+            if best is None:
+                point = MorpheusOperatingPoint(self.gpu.num_sms, 0, 0)
+            else:
+                compute, cache = best.num_compute_sms, best.num_cache_sms
+                point = MorpheusOperatingPoint(
                     compute, cache, self.gpu.num_sms - compute - cache
                 )
-        self._operating_points[profile.name] = best_point
-        return best_point
+            self._operating_points[profile.name] = point
+        return point
 
     # -- simulation ------------------------------------------------------------------------
 
@@ -147,18 +144,9 @@ class MorpheusSystem(EvaluatedSystem):
             num_cache_sms=num_cache_sms,
         )
 
-    def _simulate_point(
-        self,
-        profile: ApplicationProfile,
-        num_compute_sms: int,
-        num_cache_sms: int,
-        search_fidelity: bool = False,
-    ) -> SimulationStats:
+    def evaluate(self, profile: ApplicationProfile) -> SimulationStats:
         from repro.runner.runner import active_runner
 
-        config = self._point_config(num_compute_sms, num_cache_sms, search_fidelity)
-        return active_runner().simulate(profile, config)
-
-    def evaluate(self, profile: ApplicationProfile) -> SimulationStats:
         point = self.operating_point(profile)
-        return self._simulate_point(profile, point.num_compute_sms, point.num_cache_sms)
+        config = self._point_config(point.num_compute_sms, point.num_cache_sms)
+        return active_runner().simulate(profile, config)

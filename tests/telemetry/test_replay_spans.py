@@ -11,6 +11,7 @@ through every entry point that replays.
 from __future__ import annotations
 
 import os
+from pathlib import Path
 from typing import Callable, Dict, List, Tuple
 
 import pytest
@@ -62,17 +63,25 @@ def _measurement_for(runner: ExperimentRunner) -> List[Leaf]:
 
 
 def _plan_cells(runner: ExperimentRunner) -> List[Leaf]:
-    # Each IBL cell searches every candidate SM count at the search sizing,
-    # then runs the count it chose at the full sizing.
+    # Each IBL cell scores the candidate SM counts whose compute roof can
+    # still win at the search sizing, then runs the count it chose at the
+    # full sizing.  The stats tier holds one entry per scored leaf.
     spec = ExperimentSpec(
         systems=("IBL",), applications=("kmeans",), seeds=(1, 2), fidelity=TINY_FIDELITY
     )
+    result = runner.run_plan(spec)
+    scored = {path.stem for path in (Path(runner.cache_dir) / "stats").rglob("*.json")}
     leaves = []
-    for cell, stats in runner.run_plan(spec):
+    for cell, stats in result:
         fields = dict(power_gate_unused=True, system_name="IBL", seed=cell.seed)
-        leaves += [
+        candidates = [
             _leaf(num_compute_sms=count, search=True, **fields)
             for count in DEFAULT_SM_CANDIDATES
+        ]
+        leaves += [
+            leaf
+            for leaf in candidates
+            if RunSpec(*leaf, DEFAULT_ENERGIES).score_key() in scored
         ]
         leaves.append(_leaf(num_compute_sms=stats.num_compute_sms, **fields))
     return leaves
