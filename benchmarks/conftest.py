@@ -23,22 +23,12 @@ import os
 import pytest
 
 from repro.runner import ExperimentRunner, set_active_runner
-from repro.systems.fidelity import Fidelity
+from repro.systems.fidelity import BENCH_FIDELITY
 from repro.workloads.applications import COMPUTE_BOUND_APPS, MEMORY_BOUND_APPS
 
 #: Benchmark-owned cache directory (deliberately NOT ``REPRO_CACHE_DIR``,
 #: which users export for normal runs).
 BENCH_CACHE_DIR = os.environ.get("REPRO_BENCH_CACHE_DIR", ".repro_cache-bench")
-
-#: Fidelity used by the benchmark harness (kept modest so the whole suite
-#: completes in minutes; raise for higher-precision reproductions).
-BENCH_FIDELITY = Fidelity(
-    capacity_scale=1.0 / 32.0,
-    trace_accesses=8_000,
-    warmup_accesses=3_000,
-    search_trace_accesses=4_000,
-    search_warmup_accesses=1_500,
-)
 
 FULL_SWEEP = os.environ.get("REPRO_BENCH_FULL", "0") == "1"
 

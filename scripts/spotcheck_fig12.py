@@ -7,15 +7,7 @@ import time
 
 from repro.analysis.metrics import geometric_mean
 from repro.runner import ExperimentRunner, ExperimentSpec, using_runner
-from repro.systems.fidelity import Fidelity
-
-FIDELITY = Fidelity(
-    capacity_scale=1.0 / 32.0,
-    trace_accesses=8_000,
-    warmup_accesses=3_000,
-    search_trace_accesses=4_000,
-    search_warmup_accesses=1_500,
-)
+from repro.systems.fidelity import BENCH_FIDELITY
 
 APPS = ["cfd", "kmeans", "p-bfs", "sgem", "spmv", "page-r"]
 SYSTEMS = ["BL", "IBL", "IBL-4X-LLC", "Unified-SM-Mem", "Morpheus-Basic", "Morpheus-ALL"]
@@ -23,7 +15,7 @@ SYSTEMS = ["BL", "IBL", "IBL-4X-LLC", "Unified-SM-Mem", "Morpheus-Basic", "Morph
 
 def main() -> None:
     start = time.time()
-    spec = ExperimentSpec(systems=tuple(SYSTEMS), applications=tuple(APPS), fidelity=FIDELITY)
+    spec = ExperimentSpec(systems=tuple(SYSTEMS), applications=tuple(APPS), fidelity=BENCH_FIDELITY)
     runner = ExperimentRunner(max_workers=os.cpu_count() or 1)
     with using_runner(runner):
         result = runner.run_plan(spec)

@@ -17,12 +17,7 @@ re-exported here:
 """
 
 from repro.core.config import MorpheusConfig
-from repro.runner import (
-    ExperimentPlan,
-    ExperimentRunner,
-    ExperimentSpec,
-    active_runner,
-)
+from repro.runner import ExperimentRunner, ExperimentSpec, active_runner
 from repro.gpu.config import GPUConfig, RTX3080_CONFIG
 from repro.sim.simulator import GPUSimulator, SimulationConfig, simulate
 from repro.sim.stats import SimulationStats
@@ -44,7 +39,6 @@ __all__ = [
     "APPLICATIONS",
     "COMPUTE_BOUND_APPS",
     "EVALUATED_SYSTEMS",
-    "ExperimentPlan",
     "ExperimentRunner",
     "ExperimentSpec",
     "active_runner",

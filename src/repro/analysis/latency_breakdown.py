@@ -27,13 +27,6 @@ class LatencyBreakdown:
         """End-to-end latency of the timeline."""
         return sum(duration for _, duration in self.segments)
 
-    def segment(self, label: str) -> float:
-        """Duration of one named segment (0.0 if absent)."""
-        for segment_label, duration in self.segments:
-            if segment_label == label:
-                return duration
-        return 0.0
-
 
 def llc_latency_timelines(
     config: MorpheusConfig | None = None,

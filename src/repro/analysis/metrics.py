@@ -1,9 +1,9 @@
-"""Metric helpers shared by the benchmark harness and tests."""
+"""The geometric mean of the paper's gmean rows."""
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Mapping, Sequence
+from typing import Iterable
 
 
 def geometric_mean(values: Iterable[float]) -> float:
@@ -18,51 +18,3 @@ def geometric_mean(values: Iterable[float]) -> float:
     if any(v <= 0 for v in values):
         raise ValueError("geometric_mean() requires strictly positive values")
     return math.exp(sum(math.log(v) for v in values) / len(values))
-
-
-def speedup(baseline_time: float, improved_time: float) -> float:
-    """Speedup of ``improved_time`` over ``baseline_time`` (both execution times)."""
-    if baseline_time <= 0 or improved_time <= 0:
-        raise ValueError("execution times must be positive")
-    return baseline_time / improved_time
-
-
-def normalize(value: float, baseline: float) -> float:
-    """Normalize ``value`` to ``baseline``."""
-    if baseline == 0:
-        raise ValueError("baseline must be non-zero")
-    return value / baseline
-
-
-def normalized_series(values: Sequence[float], baseline: float | None = None) -> List[float]:
-    """Normalize a series to its first element (or an explicit baseline)."""
-    if not values:
-        return []
-    base = values[0] if baseline is None else baseline
-    if base == 0:
-        raise ValueError("baseline must be non-zero")
-    return [v / base for v in values]
-
-
-def normalized_map(values: Mapping[str, float], baseline_key: str) -> Dict[str, float]:
-    """Normalize a mapping of values to the entry at ``baseline_key``."""
-    if baseline_key not in values:
-        raise KeyError(f"baseline key {baseline_key!r} missing from values")
-    base = values[baseline_key]
-    if base == 0:
-        raise ValueError("baseline value must be non-zero")
-    return {key: value / base for key, value in values.items()}
-
-
-def percent_improvement(baseline: float, improved: float) -> float:
-    """Percent improvement of ``improved`` over ``baseline`` (higher is better)."""
-    if baseline == 0:
-        raise ValueError("baseline must be non-zero")
-    return (improved - baseline) / baseline * 100.0
-
-
-def within_percent(value: float, reference: float, percent: float) -> bool:
-    """True when ``value`` is within ``percent`` % of ``reference``."""
-    if reference == 0:
-        raise ValueError("reference must be non-zero")
-    return abs(value - reference) / abs(reference) * 100.0 <= percent

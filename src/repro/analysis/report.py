@@ -7,7 +7,7 @@ pytest output.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Sequence
+from typing import List, Mapping, Sequence
 
 
 def format_table(
@@ -58,21 +58,3 @@ def format_series(
         f"{key}: {float_format.format(value)}" for key, value in series.items()
     )
     return f"{name}: {points}"
-
-
-def format_normalized_map(
-    title: str,
-    values: Mapping[str, float],
-    baseline_key: str,
-    float_format: str = "{:.3f}",
-) -> str:
-    """Format a mapping normalized to one of its keys."""
-    if baseline_key not in values:
-        raise KeyError(f"baseline key {baseline_key!r} missing")
-    base = values[baseline_key]
-    if base == 0:
-        raise ValueError("baseline value must be non-zero")
-    lines = [title]
-    for key, value in values.items():
-        lines.append(f"  {key:<24s} {float_format.format(value / base)}")
-    return "\n".join(lines)

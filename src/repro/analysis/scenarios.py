@@ -369,11 +369,6 @@ class ContentionBreakdown:
     fairness: float
 
     @property
-    def contention_cycles(self) -> float:
-        """Total extra cycles across applications vs their solo references."""
-        return sum(app.contention_cycles for app in self.per_app)
-
-    @property
     def capacity_grant_cycles(self) -> float:
         """Total cycles lost to arbitrated extended-LLC grants (vs solo pools)."""
         return sum(app.capacity_grant_cycles for app in self.per_app)
@@ -531,38 +526,6 @@ def weighted_percentile(
     return values[-1]
 
 
-def phase_slowdowns(
-    result: ScenarioRunResult,
-    reference_ipc: Optional[Mapping[str, float]] = None,
-) -> Dict[str, List[Tuple[float, float]]]:
-    """Per-application (slowdown, duration weight) pairs, in phase order.
-
-    A resident's phase slowdown is ``reference IPC / contended IPC`` —
-    how much slower the phase ran than its reference.  With
-    ``reference_ipc`` (solo references from
-    :meth:`~repro.scenarios.engine.ScenarioEngine.solo_reference_ipcs`)
-    the slowdown is relative to running alone; without it, relative to the
-    resident's own **uncontended** IPC, isolating shared-bandwidth
-    interference.  This is the O(phases) reference the streaming
-    accumulator's grouped slowdown state is tested against.
-    """
-    pairs: Dict[str, List[Tuple[float, float]]] = {
-        name: [] for name in result.scenario.applications
-    }
-    for execution in result.phases:
-        weight = execution.phase.duration_weight
-        for resident in execution.residents:
-            reference = (
-                reference_ipc[resident.application]
-                if reference_ipc is not None
-                else resident.uncontended_ipc
-            )
-            ipc = resident.stats.ipc
-            slowdown = reference / ipc if ipc > 0.0 and reference > 0.0 else 0.0
-            pairs[resident.application].append((slowdown, weight))
-    return pairs
-
-
 @dataclass(frozen=True)
 class SlowdownStats:
     """Weighted phase-slowdown percentiles of one application.
@@ -571,8 +534,9 @@ class SlowdownStats:
         application: The application name.
         weight: Total duration weight of the phases it was resident in.
         p50/p95/p99: Weighted nearest-rank percentiles of its per-phase
-            slowdown (see :func:`phase_slowdowns`) — the fleet SLA view:
-            p99 is the slowdown its worst 1% of resident time exceeded.
+            slowdown (see :class:`ScenarioAccumulator`) — the fleet SLA
+            view: p99 is the slowdown its worst 1% of resident time
+            exceeded.
         max: The worst per-phase slowdown.
     """
 
@@ -756,8 +720,12 @@ class ScenarioAccumulator:
     run without building a :class:`~repro.scenarios.engine.PhaseExecution`
     per phase.
 
-    ``reference_ipc`` selects the slowdown reference exactly as in
-    :func:`phase_slowdowns`; every other aggregate ignores it.
+    A resident's phase slowdown is ``reference IPC / contended IPC``.
+    With ``reference_ipc`` (solo references from
+    :meth:`~repro.scenarios.engine.ScenarioEngine.solo_reference_ipcs`)
+    the slowdown is relative to running alone; without it, relative to the
+    resident's own **uncontended** IPC, isolating shared-bandwidth
+    interference.  Every other aggregate ignores ``reference_ipc``.
     """
 
     def __init__(

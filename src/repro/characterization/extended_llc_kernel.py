@@ -6,8 +6,10 @@ for the three implementation alternatives (register file, shared memory, L1)
 and five warp counts (1, 8, 16, 32, 48).  We reproduce the curves from the
 same first principles the paper cites:
 
-* **Capacity** follows the per-store capacity models
-  (:class:`~repro.core.register_file_store.RegisterFileStore` & co.).
+* **Capacity** follows the register-file and L1 stores' capacity models
+  (:class:`~repro.core.register_file_store.RegisterFileStore`,
+  :class:`~repro.core.l1_store.L1Store`), and for shared memory, which the
+  replay does not model as a store, :func:`shared_memory_capacity_bytes`.
 * **Latency** is the kernel dispatch + tag lookup + data-array access +
   Indirect-MOV cost, plus the NoC round trip, plus a warp-scheduling wait
   that grows with the number of kernel warps (the paper's explanation of why
@@ -31,13 +33,28 @@ from typing import Dict, List, Sequence, Tuple
 from repro.core.config import ExtendedLLCTiming
 from repro.core.l1_store import L1Store
 from repro.core.register_file_store import RegisterFileStore
-from repro.core.shared_memory_store import SharedMemoryStore
 
 #: The warp counts evaluated in Figure 11.
 WARP_COUNTS: Tuple[int, ...] = (1, 8, 16, 32, 48)
 
 #: The three implementation alternatives of §5.
 STORE_KINDS: Tuple[str, ...] = ("register_file", "shared_memory", "l1")
+
+
+def shared_memory_capacity_bytes(
+    num_warps: int, shared_memory_bytes: int = 128 * 1024, block_size: int = 128
+) -> int:
+    """Shared-memory extended LLC capacity at ``num_warps`` warps (§4.2.2).
+
+    Shared memory has no hardware tag store, so the tags stay in the
+    register file and the whole shared memory holds data, whatever the warp
+    count: Figure 11(a)'s shared-memory curve is flat, up to rounding to a
+    whole number of blocks per warp's set.
+    """
+    if num_warps <= 0:
+        raise ValueError("num_warps must be positive")
+    blocks = shared_memory_bytes // block_size
+    return (blocks // num_warps) * num_warps * block_size
 
 
 @dataclass(frozen=True)
@@ -87,7 +104,7 @@ class ExtendedLLCCharacterization:
                 num_warps, register_file_bytes=self.register_file_bytes, block_size=self.block_size
             )
         if store == "shared_memory":
-            return SharedMemoryStore.capacity_bytes_for_warps(
+            return shared_memory_capacity_bytes(
                 num_warps, shared_memory_bytes=self.l1_shared_bytes, block_size=self.block_size
             )
         if store == "l1":

@@ -10,8 +10,10 @@ This subpackage implements both halves of the hardware/software co-design:
 * **Software** — the extended LLC kernel
   (:class:`~repro.core.extended_llc.ExtendedLLCKernel`) that lays the extended
   LLC tag/data arrays out in the register file
-  (:class:`~repro.core.register_file_store.RegisterFileStore`), shared memory
-  and L1 of cache-mode SMs.  Its two optimizations reach the replay as
+  (:class:`~repro.core.register_file_store.RegisterFileStore`) and L1
+  (:class:`~repro.core.l1_store.L1Store`) of cache-mode SMs, the paper's
+  combined configuration (§5: shared memory shares the L1's array on the
+  RTX 3080).  Its two optimizations reach the replay as
   follows: BDI compression as a per-block level drawn from the workload's
   compressibility mix plus that mix's capacity factor
   (:mod:`repro.core.compression`), and Indirect-MOV as a latency term of
@@ -19,7 +21,6 @@ This subpackage implements both halves of the hardware/software co-design:
 """
 
 from repro.core.address_separation import AddressSeparator
-from repro.core.bloom_filter import BloomFilter
 from repro.core.compression import CompressionLevel
 from repro.core.config import ExtendedLLCTiming, MorpheusConfig
 from repro.core.controller import MorpheusController, PredictorMode
@@ -27,11 +28,9 @@ from repro.core.extended_llc import ExtendedLLC, ExtendedLLCKernel
 from repro.core.hit_miss_predictor import HitMissPredictor
 from repro.core.l1_store import L1Store
 from repro.core.register_file_store import RegisterFileStore
-from repro.core.shared_memory_store import SharedMemoryStore
 
 __all__ = [
     "AddressSeparator",
-    "BloomFilter",
     "CompressionLevel",
     "ExtendedLLC",
     "ExtendedLLCKernel",
@@ -42,5 +41,4 @@ __all__ = [
     "MorpheusController",
     "PredictorMode",
     "RegisterFileStore",
-    "SharedMemoryStore",
 ]

@@ -5,8 +5,8 @@ exactly one of them.  Morpheus divides the (partition-local) address space
 *statically* into two regions whose sizes are proportional to the capacities
 of the conventional slice and of the extended LLC served by that partition.
 The same principle is reused *inside* the extended LLC kernel to split blocks
-between the register file, shared memory and L1 stores — proportionally to
-each store's capacity.
+between the register file and L1 stores — proportionally to each store's
+capacity.
 """
 
 from __future__ import annotations
@@ -83,11 +83,6 @@ class AddressSeparator:
 
     # -- public API -----------------------------------------------------------
 
-    @property
-    def extended_fraction(self) -> float:
-        """Fraction of the address space routed to the extended LLC."""
-        return self._extended_units / self._period
-
     def route(self, address: int) -> int:
         """The extended LLC set of the block containing ``address``, or -1.
 
@@ -113,8 +108,8 @@ def proportional_split(
     """Split an address across named regions proportionally to their capacities.
 
     This is the intra-SM analogue of :class:`AddressSeparator` used by the
-    extended LLC kernel to pick the register file, shared memory or L1 store
-    for a given block (§4.2, task 3).
+    extended LLC kernel to pick the register-file or L1 store for a given
+    block (§4.2, task 3).
 
     Args:
         capacities: ``(name, capacity_bytes)`` pairs; zero-capacity regions

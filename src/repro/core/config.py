@@ -99,9 +99,10 @@ class MorpheusConfig:
             ``"perfect"``); Fig. 13 compares these.
         rf_warps: Warps of the extended LLC kernel assigned to the register
             file store (32 in the paper's combined configuration).
-        l1_warps: Warps assigned to the L1 store (16 in the paper).
-        shared_memory_warps: Warps assigned to the shared-memory store
-            (0 by default; L1 and shared memory are unified on the RTX 3080).
+        l1_warps: Warps assigned to the L1 store (16 in the paper).  The
+            kernel has no shared-memory store: L1 and shared memory are one
+            array on the RTX 3080, so the paper combines only these two
+            (§5).
         extended_llc_associativity: Blocks per extended LLC set (32).
         block_size: Cache block size in bytes (128).
         bloom_filter_bytes: Size of each Bloom filter (32 B).
@@ -120,7 +121,6 @@ class MorpheusConfig:
     predictor: str = "bloom"
     rf_warps: int = 32
     l1_warps: int = 16
-    shared_memory_warps: int = 0
     extended_llc_associativity: int = 32
     block_size: int = 128
     bloom_filter_bytes: int = 32
@@ -134,9 +134,9 @@ class MorpheusConfig:
     def __post_init__(self) -> None:
         if self.predictor not in ("bloom", "none", "perfect"):
             raise ValueError(f"unknown predictor {self.predictor!r}")
-        if self.rf_warps < 0 or self.l1_warps < 0 or self.shared_memory_warps < 0:
+        if self.rf_warps < 0 or self.l1_warps < 0:
             raise ValueError("warp allocations must be non-negative")
-        if self.rf_warps + self.l1_warps + self.shared_memory_warps == 0:
+        if self.rf_warps + self.l1_warps == 0:
             raise ValueError("the extended LLC kernel needs at least one warp")
         if not 0.0 < self.max_cache_mode_fraction <= 1.0:
             raise ValueError("max_cache_mode_fraction must be in (0, 1]")
@@ -152,7 +152,7 @@ class MorpheusConfig:
     @property
     def total_warps(self) -> int:
         """Warps used by the extended LLC kernel per cache-mode SM."""
-        return self.rf_warps + self.l1_warps + self.shared_memory_warps
+        return self.rf_warps + self.l1_warps
 
     @property
     def bloom_filter_storage_bytes_per_partition(self) -> int:

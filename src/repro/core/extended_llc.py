@@ -3,8 +3,9 @@
 Two classes model the software half of Morpheus:
 
 * :class:`ExtendedLLCKernel` — one instance of the helper kernel running on a
-  single cache-mode SM.  It owns the SM's register-file, L1 and (optionally)
-  shared-memory stores, routes blocks between them with the same static
+  single cache-mode SM.  It owns the SM's register-file and L1 stores (the
+  paper's combination: shared memory shares the L1's array on the
+  RTX 3080, §5), routes blocks between them with the same static
   address-separation principle as the Morpheus controller (proportional to
   each store's capacity), and performs tag lookups and LRU fills/evictions.
   Its two optimizations enter only as numbers: a compressing store draws
@@ -34,7 +35,6 @@ from repro.core.compression import CompressionLevel, effective_capacity_factor
 from repro.core.config import MorpheusConfig
 from repro.core.l1_store import L1Store
 from repro.core.register_file_store import RegisterFileStore
-from repro.core.shared_memory_store import SharedMemoryStore
 from repro.core.store_base import ExtendedLLCSet, ExtendedLLCStore
 
 
@@ -139,22 +139,11 @@ class ExtendedLLCKernel:
             block_size=config.block_size,
         ) if config.l1_warps > 0 else None
 
-        self.shared_memory_store = SharedMemoryStore(
-            num_warps=max(1, config.shared_memory_warps),
-            shared_memory_bytes=l1_shared_bytes,
-            compression_enabled=config.enable_compression,
-            block_size=config.block_size,
-        ) if config.shared_memory_warps > 0 else None
-
         self.stores: Dict[str, ExtendedLLCStore] = {}
         if self.register_file_store is not None:
             self.stores["register_file"] = self.register_file_store
         if self.l1_store is not None:
             self.stores["l1"] = self.l1_store
-        if self.shared_memory_store is not None:
-            self.stores["shared_memory"] = self.shared_memory_store
-        if not self.stores:
-            raise ValueError("the extended LLC kernel needs at least one store")
 
         # The store capacities never change, so the proportional split is
         # resolved once per position of its period instead of on every access:
@@ -174,10 +163,6 @@ class ExtendedLLCKernel:
     def num_sets(self) -> int:
         """Extended LLC sets this SM contributes (one per kernel warp)."""
         return self.config.total_warps
-
-    def physical_capacity_bytes(self) -> int:
-        """Raw data capacity contributed by this SM (no compression)."""
-        return sum(store.data_capacity_bytes() for store in self.stores.values())
 
     def effective_capacity_bytes(self) -> float:
         """Capacity including the compression gain on compressible stores."""
@@ -243,11 +228,10 @@ class ExtendedLLCKernel:
         """Serve one extended LLC request on this SM.
 
         Performs the tag lookup (Algorithm 1) in the responsible store's set;
-        on a hit, the block is retrieved via Indirect-MOV (register file /
-        shared memory) or an ordinary L1 access, with decompression if the
-        block was stored compressed.  On a miss nothing is filled — the caller
-        decides whether to fill after fetching the block from DRAM
-        (:meth:`fill`).
+        on a hit, the block is retrieved via Indirect-MOV (register file) or
+        an ordinary L1 access, with decompression if the block was stored
+        compressed.  On a miss nothing is filled — the caller decides
+        whether to fill after fetching the block from DRAM (:meth:`fill`).
         """
         tag = address // self._block_size
         route, llc_set = self.locate(set_index, tag)
@@ -336,10 +320,6 @@ class ExtendedLLC:
     def total_sets(self) -> int:
         """Total extended LLC sets across all cache-mode SMs."""
         return len(self._set_owners)
-
-    def physical_capacity_bytes(self) -> int:
-        """Raw extended LLC capacity (no compression gain)."""
-        return sum(kernel.physical_capacity_bytes() for kernel in self.kernels.values())
 
     def effective_capacity_bytes(self) -> float:
         """Extended LLC capacity including compression gains."""

@@ -18,15 +18,40 @@ Every access inserts the block into both filters.  Once *n* reaches the set's
 associativity, BF2 is guaranteed (under LRU) to contain every resident block,
 so BF1 is cleared, the filters swap roles and the scheme repeats — bounding
 the false-positive build-up from evicted blocks lingering in BF1.
+
+Each filter is an int bit array (32 bytes, 256 bits, in the paper), and a
+tag sets the bits :func:`_key_mask` derives from one blake2 digest by
+double hashing.  The tests keep a standard Bloom filter class as the
+reference these arrays must match.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 from dataclasses import dataclass
 from typing import Dict, Set
 
-from repro.core.bloom_filter import _key_mask
+
+def _key_mask(key: int, num_bits: int, num_hashes: int) -> int:
+    """The Bloom filter bits of ``key``: double hashing over a blake2 digest.
+
+    Bit ``i`` of the ``num_hashes`` is ``(h1 + i * h2) % num_bits``, where
+    ``h1`` and ``h2`` (made odd) are the digest's low and high 64 bits.
+    Both are reduced modulo ``num_bits`` first, so each step adds two
+    small ints.  A :class:`HitMissPredictor` keeps each tag's mask in a
+    memo shared by its set units.
+    """
+    digest = int.from_bytes(
+        hashlib.blake2b(key.to_bytes(16, "little"), digest_size=16).digest(), "little"
+    )
+    position = (digest & 0xFFFF_FFFF_FFFF_FFFF) % num_bits
+    step = (digest >> 64 | 1) % num_bits
+    mask = 0
+    for _ in range(num_hashes):
+        mask |= 1 << position
+        position = (position + step) % num_bits
+    return mask
 
 
 @dataclass
@@ -60,10 +85,10 @@ class PredictorStats:
 class SetPredictor:
     """Dual Bloom filter state for a single extended LLC set.
 
-    The two filters are int bit arrays hashed by the same masks as
-    :class:`~repro.core.bloom_filter.BloomFilter` (``_key_mask``), so a unit
-    predicts exactly what two such filters and the swap rule predict.  A
-    tag's mask is computed once and kept in ``masks``, the memo its
+    The two filters are int bit arrays of ``filter_bytes * 8`` bits, and
+    a tag sets the bits of its :func:`_key_mask`, so a unit predicts exactly
+    what two standard Bloom filters and the swap rule predict.  A tag's
+    mask is computed once and kept in ``masks``, the memo its
     :class:`HitMissPredictor` shares with all of its units.
 
     Counts its predictions and filter swaps in ``stats``, its

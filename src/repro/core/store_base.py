@@ -1,14 +1,15 @@
 """Common machinery shared by the extended LLC's on-chip memory stores.
 
-Each cache-mode SM lends three kinds of on-chip memory to the extended LLC:
-its register file, its shared memory and its L1 cache.  All three behave as a
-collection of fully associative extended LLC *sets* (one set per extended LLC
-kernel warp) holding 128-byte blocks with dirty bits, tags and LRU counters —
+Each cache-mode SM lends two kinds of on-chip memory to the extended LLC:
+its register file and its L1 cache (the paper's combination; shared memory
+shares the L1's array on the RTX 3080, §5).  Both behave as a collection of
+fully associative extended LLC *sets* (one set per extended LLC kernel
+warp) holding 128-byte blocks with dirty bits, tags and LRU counters —
 exactly the structure the extended LLC kernel lays out in Figure 8 and
 queries with Algorithm 1.  They differ in capacity, access latency,
 bandwidth and whether compression applies, which the concrete store classes
-(:mod:`repro.core.register_file_store`, :mod:`repro.core.shared_memory_store`,
-:mod:`repro.core.l1_store`) specialize.
+(:mod:`repro.core.register_file_store`, :mod:`repro.core.l1_store`)
+specialize.
 
 An :class:`ExtendedLLCSet` offers its lookup procedure in parts —
 :meth:`~ExtendedLLCSet.metadata` reads residency, :meth:`~ExtendedLLCSet.touch`
@@ -21,8 +22,8 @@ builds it the first time it is located.
 
 BDI compression enters as each block's drawn level: a compressing set
 charges a block the bytes of its level, so more blocks fit.  The
-Indirect-MOV procedure the register-file and shared-memory stores need is a
-latency term of :class:`repro.core.config.ExtendedLLCTiming`.
+Indirect-MOV procedure the register-file store needs is a latency term of
+:class:`repro.core.config.ExtendedLLCTiming`.
 """
 
 from __future__ import annotations
@@ -74,10 +75,6 @@ class ExtendedLLCSet:
         self._stored_bytes = 0
 
     # -- capacity accounting ----------------------------------------------------
-
-    def occupancy(self) -> int:
-        """Number of logical blocks resident in the set."""
-        return len(self._blocks)
 
     def occupancy_bytes(self) -> int:
         """Physical bytes consumed by resident blocks."""

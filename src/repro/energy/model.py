@@ -11,7 +11,6 @@ long it runs, both of which the model captures.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
 
 from repro.energy.components import ComponentEnergies, DEFAULT_ENERGIES
 
@@ -42,19 +41,6 @@ class EnergyBreakdown:
             + self.static_j
             + self.morpheus_controller_j
         )
-
-    def as_dict(self) -> Dict[str, float]:
-        """Breakdown as a plain dictionary (for reports)."""
-        return {
-            "dram": self.dram_j,
-            "llc": self.llc_j,
-            "extended_llc": self.extended_llc_j,
-            "l1": self.l1_j,
-            "noc": self.noc_j,
-            "core_dynamic": self.core_dynamic_j,
-            "static": self.static_j,
-            "morpheus_controller": self.morpheus_controller_j,
-        }
 
 
 class EnergyModel:

@@ -48,17 +48,12 @@ class InterconnectConfig:
 class NetworkStats:
     """Aggregate interconnect statistics (the §7.4 metrics).
 
-    The bytes each port carried are its links' ``bytes_transferred``
-    (:meth:`InterconnectNetwork.total_load_bytes`).
+    The bytes each port carried are the ``bytes_transferred`` of its two
+    links (:attr:`InterconnectNetwork.ports`).
     """
 
     total_latency_cycles: float = 0.0
     traversals: int = 0
-
-    @property
-    def flits_injected(self) -> int:
-        """Flits injected: each traversal sends a request and a response."""
-        return 2 * self.traversals
 
     @property
     def average_latency_cycles(self) -> float:
@@ -149,10 +144,3 @@ class InterconnectNetwork:
         stats.total_latency_cycles += total
         stats.traversals += 1
         return total
-
-    def total_load_bytes(self) -> int:
-        """Total payload carried by the network in both directions."""
-        return sum(
-            request_link.bytes_transferred + response_link.bytes_transferred
-            for request_link, response_link in self.ports
-        )

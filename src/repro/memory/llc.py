@@ -5,17 +5,16 @@ colocated with a memory controller.  Each :class:`LLCPartition` owns one
 set-associative, write-allocate LRU slice plus a simple bandwidth model
 (~300 GB/s per partition per the paper's §5 discussion).  The slice is a
 *functional* model: it tracks tags, dirty bits and LRU order, and reports
-hits, misses and dirty evictions.  The :class:`BankedLLC` stitches
-partitions together using the block-interleaved
-:class:`~repro.memory.address_mapping.AddressMapping`.
+hits, misses and dirty evictions.  The :class:`BankedLLC` holds one
+partition per bank; the replay engine
+(:class:`~repro.sim.engine.MemoryHierarchyEngine`) interleaves blocks across
+them, sending block ``b`` to partition ``b % num_partitions``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
-
-from repro.memory.address_mapping import AddressMapping
 
 
 @dataclass(frozen=True)
@@ -129,21 +128,10 @@ class LLCPartition:
 
 
 class BankedLLC:
-    """The full conventional LLC: all partitions plus the address mapping."""
+    """The full conventional LLC: one :class:`LLCPartition` per bank."""
 
     def __init__(self, config: LLCConfig | None = None) -> None:
         self.config = config or LLCConfig()
-        self.mapping = AddressMapping(
-            num_partitions=self.config.num_partitions, block_size=self.config.block_size
-        )
         self.partitions: List[LLCPartition] = [
             LLCPartition(i, self.config) for i in range(self.config.num_partitions)
         ]
-
-    def partition_for(self, address: int) -> LLCPartition:
-        """Partition responsible for ``address``."""
-        return self.partitions[self.mapping.partition_of(address)]
-
-    def total_capacity_bytes(self) -> int:
-        """Actual modelled capacity (sum of partition slices)."""
-        return sum(p.capacity_bytes for p in self.partitions)

@@ -1,12 +1,11 @@
 """Parallel, disk-cached, two-phase experiment execution.
 
 This package is the single execution path for every simulation in the
-repository.  Describe a run matrix with :class:`ExperimentSpec`, expand it
-to an :class:`ExperimentPlan` of cells, and execute it with an
-:class:`ExperimentRunner` — the workers of its persistent process pool
-share one content-addressed on-disk cache with two tiers: raw replay
-measurements (keyed by :meth:`RunSpec.replay_key`) and scored results
-(keyed by :meth:`RunSpec.score_key`).  Every scored leaf runs through
+repository.  Describe a run matrix with :class:`ExperimentSpec` and execute
+its cells with an :class:`ExperimentRunner` — the workers of its persistent
+process pool share one content-addressed on-disk cache with two tiers: raw
+replay measurements (keyed by :meth:`RunSpec.replay_key`) and scored
+results (keyed by :meth:`RunSpec.score_key`).  Every scored leaf runs through
 :meth:`ExperimentRunner.run_leaves`.  Re-running a plan (or any figure
 script that overlaps one) costs only JSON loads, a run restarted after a
 crash resumes from the entries its predecessor stored, and re-scoring
@@ -29,7 +28,6 @@ from repro.runner.spec import (
     REPLAY_SCHEMA_VERSION,
     SCORE_SCHEMA_VERSION,
     ExperimentCell,
-    ExperimentPlan,
     ExperimentSpec,
     RunSpec,
     content_hash,
@@ -39,7 +37,6 @@ __all__ = [
     "CACHE_MAX_BYTES_ENV",
     "DEFAULT_CACHE_DIR",
     "ExperimentCell",
-    "ExperimentPlan",
     "ExperimentResult",
     "ExperimentRunner",
     "ExperimentSpec",

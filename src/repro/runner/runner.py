@@ -33,8 +33,8 @@ phases backed by the two tiers of the on-disk
 * ``measurement_for`` / ``scorer_for`` split the two phases for callers
   that score one measurement many times in-process (the contention
   solver).
-* ``run_plan`` executes a declarative :class:`~repro.runner.spec.ExperimentSpec`
-  / :class:`~repro.runner.spec.ExperimentPlan` cell matrix in parallel; each
+* ``run_plan`` executes the cells of a declarative
+  :class:`~repro.runner.spec.ExperimentSpec` matrix in parallel; each
   worker shares the same on-disk cache, so a warm re-run of a plan costs
   only JSON loads.
 
@@ -59,7 +59,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple, TYPE_CHECKIN
 from repro.energy.components import DEFAULT_ENERGIES
 from repro.energy.model import EnergyModel
 from repro.runner.cache import ResultCache
-from repro.runner.spec import ExperimentCell, ExperimentPlan, ExperimentSpec, RunSpec
+from repro.runner.spec import ExperimentCell, ExperimentSpec, RunSpec
 from repro.sim.performance_model import PerformanceModel, ReplayMeasurement
 from repro.sim.simulator import GPUSimulator, SimulationConfig
 from repro.sim.stats import SimulationStats
@@ -85,9 +85,9 @@ CACHE_MAX_BYTES_ENV = "REPRO_CACHE_MAX_BYTES"
 
 @dataclass
 class ExperimentResult:
-    """Results of one executed plan, keyed by cell."""
+    """Results of one executed spec, keyed by cell."""
 
-    plan: ExperimentPlan
+    spec: ExperimentSpec
     results: Dict[ExperimentCell, SimulationStats]
     elapsed_seconds: float = 0.0
 
@@ -95,7 +95,7 @@ class ExperimentResult:
         return len(self.results)
 
     def __iter__(self) -> Iterator[Tuple[ExperimentCell, SimulationStats]]:
-        for cell in self.plan.cells:
+        for cell in self.spec.cells:
             yield cell, self.results[cell]
 
     def get(
@@ -498,29 +498,28 @@ class ExperimentRunner:
 
     # -- plan execution ---------------------------------------------------------------
 
-    def run_plan(self, plan: ExperimentPlan | ExperimentSpec) -> ExperimentResult:
-        """Execute every cell of ``plan`` and return the collected results."""
-        if isinstance(plan, ExperimentSpec):
-            plan = plan.expand()
+    def run_plan(self, spec: ExperimentSpec) -> ExperimentResult:
+        """Execute every cell of ``spec`` and return the collected results."""
         start = time.perf_counter()
-        with telemetry().span("runner.run_plan", cells=len(plan.cells)):
-            results = self._run_plan_cells(plan)
+        cells = spec.cells
+        with telemetry().span("runner.run_plan", cells=len(cells)):
+            results = self._run_plan_cells(spec, cells)
         self.maybe_auto_prune()
         return ExperimentResult(
-            plan=plan,
+            spec=spec,
             results=results,
             elapsed_seconds=time.perf_counter() - start,
         )
 
     def _run_plan_cells(
-        self, plan: ExperimentPlan
+        self, spec: ExperimentSpec, cells: Tuple[ExperimentCell, ...]
     ) -> Dict[ExperimentCell, SimulationStats]:
-        workers = self._effective_workers(len(plan.cells))
+        workers = self._effective_workers(len(cells))
         computed: Optional[List[SimulationStats]] = None
         if workers > 1:
             jobs = [
-                (cell, plan.spec, self.cache_dir, self.use_disk_cache, self.energy_model)
-                for cell in plan.cells
+                (cell, spec, self.cache_dir, self.use_disk_cache, self.energy_model)
+                for cell in cells
             ]
             pooled = self._pool_map(_cell_worker, jobs, workers)
             if pooled is not None:
@@ -532,8 +531,8 @@ class ExperimentRunner:
                 for _, _, counters in pooled:
                     self.disk_cache.absorb_counters(counters)
         if computed is None:
-            computed = [self._execute_cell(cell, plan.spec) for cell in plan.cells]
-        return dict(zip(plan.cells, computed))
+            computed = [self._execute_cell(cell, spec) for cell in cells]
+        return dict(zip(cells, computed))
 
     def _execute_cell(self, cell: ExperimentCell, spec: ExperimentSpec) -> SimulationStats:
         # Imported lazily: repro.systems modules call back into the runner.

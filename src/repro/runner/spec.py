@@ -17,9 +17,8 @@ Three layers:
   still hits and no trace is re-replayed.
 * :class:`ExperimentCell` — one cell of a run matrix: a named evaluated
   system on one application with one seed.
-* :class:`ExperimentSpec` / :class:`ExperimentPlan` — the full matrix
-  (systems x applications x seeds at one fidelity) and its expansion into
-  cells.
+* :class:`ExperimentSpec` — the full matrix (systems x applications x
+  seeds at one fidelity) and its :attr:`~ExperimentSpec.cells`.
 
 Every key is :func:`content_hash`: the SHA-256 of a payload's canonical JSON
 text — dataclasses as objects of their fields, enums as their values, lists
@@ -45,7 +44,7 @@ import json
 import operator
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
-from typing import Any, Callable, Dict, Iterator, Tuple
+from typing import Any, Callable, Dict, Tuple
 
 from repro.energy.components import ComponentEnergies, DEFAULT_ENERGIES
 from repro.gpu.config import GPUConfig, RTX3080_CONFIG
@@ -71,7 +70,11 @@ from repro.workloads.applications import ApplicationProfile
 #: length.  Replay behaviour is unchanged again.
 #: Version 5: the replay key loses the GPU config's name, a label that no
 #: code read.  Replay behaviour is unchanged again.
-REPLAY_SCHEMA_VERSION = 5
+#: Version 6: the replay key loses the Morpheus config's shared-memory warp
+#: count, a field with one value in use (0: the kernel combines only the
+#: register-file and L1 stores, as the paper does).  Replay behaviour is
+#: unchanged again.
+REPLAY_SCHEMA_VERSION = 6
 
 #: Version of the cached scored-result schema.  Bump whenever the analytic
 #: scoring step (:class:`~repro.sim.performance_model.PerformanceModel`, the
@@ -276,27 +279,25 @@ class ExperimentSpec:
             raise ValueError("an experiment needs at least one application")
         if not self.seeds:
             raise ValueError("an experiment needs at least one seed")
+        # A repeated entry would name one cell twice: results are keyed by
+        # cell, so the result would hold fewer cells than it iterates.
+        for axis, values in (
+            ("system", self.systems),
+            ("application", self.applications),
+            ("seed", self.seeds),
+        ):
+            seen = set()
+            for value in values:
+                if value in seen:
+                    raise ValueError(f"an experiment lists {axis} {value!r} twice")
+                seen.add(value)
 
-    def expand(self) -> "ExperimentPlan":
-        """Expand the matrix into one :class:`ExperimentCell` per run."""
-        cells = tuple(
+    @property
+    def cells(self) -> Tuple[ExperimentCell, ...]:
+        """One :class:`ExperimentCell` per run, systems outermost, seeds innermost."""
+        return tuple(
             ExperimentCell(system, application, seed)
             for system in self.systems
             for application in self.applications
             for seed in self.seeds
         )
-        return ExperimentPlan(spec=self, cells=cells)
-
-
-@dataclass(frozen=True)
-class ExperimentPlan:
-    """An expanded experiment: the spec plus its concrete cells."""
-
-    spec: ExperimentSpec
-    cells: Tuple[ExperimentCell, ...]
-
-    def __len__(self) -> int:
-        return len(self.cells)
-
-    def __iter__(self) -> Iterator[ExperimentCell]:
-        return iter(self.cells)

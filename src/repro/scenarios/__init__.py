@@ -51,7 +51,6 @@ from repro.scenarios.policy import (
     PhaseDecision,
     ResidentGrant,
     TransitionCost,
-    TransitionCostModel,
     arbitrate_extended_llc,
     combine_costs,
     contended_llc_sensitivity,
@@ -92,7 +91,6 @@ __all__ = [
     "SignaturePhases",
     "TimelineLowering",
     "TransitionCost",
-    "TransitionCostModel",
     "arbitrate_extended_llc",
     "bursty",
     "combine_costs",

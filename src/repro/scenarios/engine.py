@@ -61,7 +61,6 @@ from repro.scenarios.policy import (
     PhaseDecision,
     ResidentGrant,
     TransitionCost,
-    TransitionCostModel,
     _BaselinePolicy,
 )
 from repro.scenarios.spec import (
@@ -84,9 +83,6 @@ _BASELINE_POLICIES: Dict[str, CapacityPolicy] = {
     "BL": _BaselinePolicy(gate_idle=False),
     "IBL": _BaselinePolicy(gate_idle=True),
 }
-
-#: The flush/warm-up costs every capacity policy is planned with.
-_TRANSITION_MODEL = TransitionCostModel()
 
 logger = get_logger(__name__)
 
@@ -139,18 +135,6 @@ class ResidentExecution:
     def application(self) -> str:
         """The resident application."""
         return self.grant.application
-
-    @property
-    def ipc(self) -> float:
-        """The resident's modelled (contended) IPC at its granted shares."""
-        return self.stats.ipc
-
-    @property
-    def bandwidth_interference_fraction(self) -> float:
-        """IPC lost to shared-bandwidth contention, relative to uncontended."""
-        if self.uncontended_ipc <= 0.0:
-            return 0.0
-        return max(0.0, 1.0 - self.stats.ipc / self.uncontended_ipc)
 
 
 @dataclass(frozen=True)
@@ -390,7 +374,9 @@ class ScenarioEngine:
     """Lowers scenario timelines to leaf runs and executes them via the runner.
 
     Morpheus systems use the Bloom hit/miss predictor, and every policy
-    is planned with the default :class:`TransitionCostModel`.
+    charges the flush and warm-up costs of
+    :func:`~repro.scenarios.policy.flush_cost` and
+    :func:`~repro.scenarios.policy.warmup_cost`.
 
     Args:
         runner: Runner executing the leaves; ``None`` resolves the
@@ -563,7 +549,7 @@ class ScenarioEngine:
         variant = MORPHEUS_VARIANTS.get(system)
         morpheus = variant.to_config() if variant is not None else None
         decisions = self._policy(system, policy).plan(
-            scenario, self.gpu, morpheus, profiles, _TRANSITION_MODEL
+            scenario, self.gpu, morpheus, profiles
         )
         return decisions, morpheus
 

@@ -15,8 +15,8 @@ Two policies model the ends of that spectrum:
   waste idle SMs (they are gated instead of caching).
 * :class:`DynamicCapacityManager` — tracks each phase's idle capacity,
   deriving phase *i*'s split from phase *i-1*'s and charging
-  :class:`TransitionCostModel` costs on every reconfiguration (and on
-  application changes, which orphan the extended LLC's contents).
+  :func:`flush_cost` and :func:`warmup_cost` on every reconfiguration (and
+  on application changes, which orphan the extended LLC's contents).
 
 The paper's baselines are policies too, private ones the scenario engine
 picks from the system name: no idle SM ever caches, so no boundary costs
@@ -222,94 +222,64 @@ class TransitionCost:
 NO_TRANSITION = TransitionCost()
 
 
-@dataclass(frozen=True)
-class TransitionCostModel:
-    """Analytic model of extended-LLC flush and warm-up costs.
+#: Extended-LLC capacity one cache-mode SM contributes: the paper's combined
+#: RF + L1 configuration (328 KiB, §5).
+EXTENDED_BYTES_PER_CACHE_SM = 328 * KIB
 
-    Attributes:
-        extended_bytes_per_cache_sm: Extended-LLC capacity contributed by one
-            cache-mode SM.  Defaults to the paper's combined RF+L1
-            configuration (328 KiB, §5).
-        dirty_fraction: Fraction of flushed capacity that is dirty and must
-            be written back.  ``None`` uses the outgoing application's
-            ``write_fraction`` (its steady-state mix of writes).
-        warmup_fill_fraction: Fraction of grown capacity that is re-fetched
-            from DRAM before the extended LLC reaches steady state.
-        flush_bandwidth_gbps_per_sm: Rate at which one cache-mode SM can
-            drain its stores during a flush, in **gigabytes** per second
-            (the repo-wide ``*_gbps`` convention, e.g.
-            ``ExtendedLLCTiming.per_sm_extended_bandwidth_gbps``); defaults
-            to the extended LLC kernel's per-SM bandwidth (34 GB/s, §5).
+#: Fraction of grown capacity re-fetched from DRAM before the extended LLC
+#: reaches steady state.
+WARMUP_FILL_FRACTION = 0.85
+
+#: Rate at which one cache-mode SM drains its stores during a flush, in
+#: gigabytes per second (the repo-wide ``*_gbps`` convention): the extended
+#: LLC kernel's per-SM bandwidth (34 GB/s, §5).
+FLUSH_BANDWIDTH_GBPS_PER_SM = 34.0
+
+
+def _dram_bytes_per_cycle(gpu: GPUConfig) -> float:
+    return gpu.dram.bytes_per_cycle_per_channel * gpu.dram.num_channels
+
+
+def flush_cost(
+    gpu: GPUConfig, reclaimed_sms: int, outgoing_profile: ApplicationProfile
+) -> TransitionCost:
+    """Cost of draining ``reclaimed_sms`` cache-mode SMs' extended LLC.
+
+    The dirty fraction of the drained capacity is the outgoing
+    application's ``write_fraction`` (its steady-state mix of writes).
+    Clean blocks are dropped for free; dirty blocks are written back to
+    DRAM, limited by the slower of the SMs' aggregate drain rate and the
+    DRAM write bandwidth.
     """
+    if reclaimed_sms <= 0:
+        return NO_TRANSITION
+    capacity = float(reclaimed_sms * EXTENDED_BYTES_PER_CACHE_SM)
+    dirty = capacity * outgoing_profile.write_fraction
+    drain_bpc = FLUSH_BANDWIDTH_GBPS_PER_SM / gpu.core_clock_ghz * reclaimed_sms
+    bandwidth = min(drain_bpc, _dram_bytes_per_cycle(gpu))
+    return TransitionCost(
+        flush_cycles=dirty / bandwidth if dirty else 0.0,
+        flushed_dirty_bytes=dirty,
+        reclaimed_sms=reclaimed_sms,
+    )
 
-    extended_bytes_per_cache_sm: int = 328 * KIB
-    dirty_fraction: Optional[float] = None
-    warmup_fill_fraction: float = 0.85
-    flush_bandwidth_gbps_per_sm: float = 34.0
 
-    def __post_init__(self) -> None:
-        if self.extended_bytes_per_cache_sm <= 0:
-            raise ValueError("extended_bytes_per_cache_sm must be positive")
-        if self.dirty_fraction is not None and not 0.0 <= self.dirty_fraction <= 1.0:
-            raise ValueError("dirty_fraction must be in [0, 1]")
-        if not 0.0 <= self.warmup_fill_fraction <= 1.0:
-            raise ValueError("warmup_fill_fraction must be in [0, 1]")
-        if self.flush_bandwidth_gbps_per_sm <= 0:
-            raise ValueError("flush_bandwidth_gbps_per_sm must be positive")
+def warmup_cost(gpu: GPUConfig, added_sms: int) -> TransitionCost:
+    """Cost of warming ``added_sms`` freshly borrowed cache-mode SMs.
 
-    # -- cost primitives ---------------------------------------------------------------
-
-    def _dram_bytes_per_cycle(self, gpu: GPUConfig) -> float:
-        return gpu.dram.bytes_per_cycle_per_channel * gpu.dram.num_channels
-
-    def flush_cost(
-        self,
-        gpu: GPUConfig,
-        reclaimed_sms: int,
-        outgoing_profile: ApplicationProfile,
-    ) -> TransitionCost:
-        """Cost of draining ``reclaimed_sms`` cache-mode SMs' extended LLC.
-
-        Clean blocks are dropped for free; dirty blocks are written back to
-        DRAM, limited by the slower of the SMs' aggregate drain rate and the
-        DRAM write bandwidth.
-        """
-        if reclaimed_sms <= 0:
-            return NO_TRANSITION
-        capacity = float(reclaimed_sms * self.extended_bytes_per_cache_sm)
-        dirty_fraction = (
-            outgoing_profile.write_fraction
-            if self.dirty_fraction is None
-            else self.dirty_fraction
-        )
-        dirty = capacity * dirty_fraction
-        drain_bpc = self.flush_bandwidth_gbps_per_sm / gpu.core_clock_ghz * reclaimed_sms
-        bandwidth = min(drain_bpc, self._dram_bytes_per_cycle(gpu))
-        return TransitionCost(
-            flush_cycles=dirty / bandwidth if dirty else 0.0,
-            flushed_dirty_bytes=dirty,
-            reclaimed_sms=reclaimed_sms,
-        )
-
-    def warmup_cost(self, gpu: GPUConfig, added_sms: int) -> TransitionCost:
-        """Cost of warming ``added_sms`` freshly borrowed cache-mode SMs.
-
-        The new capacity starts cold; its working set streams in from DRAM.
-        Charging the fill serially (instead of folding it into the phase's
-        miss rate) is a deliberate pessimistic bound — the per-phase replay
-        measures steady state, so the fill must be accounted somewhere.
-        """
-        if added_sms <= 0:
-            return NO_TRANSITION
-        fill = (
-            float(added_sms * self.extended_bytes_per_cache_sm)
-            * self.warmup_fill_fraction
-        )
-        return TransitionCost(
-            warmup_cycles=fill / self._dram_bytes_per_cycle(gpu) if fill else 0.0,
-            warmup_fill_bytes=fill,
-            added_sms=added_sms,
-        )
+    The new capacity starts cold; its working set streams in from DRAM.
+    Charging the fill serially (instead of folding it into the phase's
+    miss rate) is a deliberate pessimistic bound — the per-phase replay
+    measures steady state, so the fill must be accounted somewhere.
+    """
+    if added_sms <= 0:
+        return NO_TRANSITION
+    fill = float(added_sms * EXTENDED_BYTES_PER_CACHE_SM) * WARMUP_FILL_FRACTION
+    return TransitionCost(
+        warmup_cycles=fill / _dram_bytes_per_cycle(gpu) if fill else 0.0,
+        warmup_fill_bytes=fill,
+        added_sms=added_sms,
+    )
 
 
 def combine_costs(costs: Sequence[TransitionCost]) -> TransitionCost:
@@ -317,7 +287,7 @@ def combine_costs(costs: Sequence[TransitionCost]) -> TransitionCost:
 
     Cycles are summed (flushes and warm-ups of different residents share the
     DRAM channels, so charging them serially is the same deliberately
-    pessimistic bound :meth:`TransitionCostModel.warmup_cost` documents).
+    pessimistic bound :func:`warmup_cost` documents).
     """
     costs = [cost for cost in costs if not cost.is_zero]
     if not costs:
@@ -370,7 +340,6 @@ def max_cache_mode_sms(gpu: GPUConfig, morpheus: MorpheusConfig) -> int:
 
 
 def grant_transition(
-    model: TransitionCostModel,
     gpu: GPUConfig,
     previous: Mapping[str, int],
     current: Mapping[str, int],
@@ -391,12 +360,12 @@ def grant_transition(
     for application, previous_sms in previous.items():
         shrink = previous_sms - current.get(application, 0)
         if shrink > 0:
-            costs.append(model.flush_cost(gpu, shrink, profiles[application]))
+            costs.append(flush_cost(gpu, shrink, profiles[application]))
     warm_sms = sum(
         max(0, granted - previous.get(application, 0))
         for application, granted in current.items()
     )
-    costs.append(model.warmup_cost(gpu, warm_sms))
+    costs.append(warmup_cost(gpu, warm_sms))
     return combine_costs(costs)
 
 
@@ -468,7 +437,6 @@ class CapacityPolicy(abc.ABC):
         gpu: GPUConfig,
         morpheus: Optional[MorpheusConfig],
         profiles: Mapping[str, ApplicationProfile],
-        transition_model: TransitionCostModel,
     ) -> List[PhaseDecision]:
         """One :class:`PhaseDecision` per scenario phase, in timeline order.
 
@@ -504,9 +472,7 @@ class CapacityPolicy(abc.ABC):
                 pool, shares = choose(previous_pool, previous_shares, phase)
                 _check_shares(phase, pool, shares)
                 transition = (
-                    grant_transition(
-                        transition_model, gpu, previous_shares, shares, profiles
-                    )
+                    grant_transition(gpu, previous_shares, shares, profiles)
                     if previous_shares
                     else NO_TRANSITION
                 )

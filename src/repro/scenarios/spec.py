@@ -161,16 +161,6 @@ class ScenarioPhase:
             object.__setattr__(self, "compute_sm_demand", None)
 
     @property
-    def is_corun(self) -> bool:
-        """True when several applications are resident concurrently."""
-        return len(self.residents) > 1
-
-    @property
-    def applications(self) -> Tuple[str, ...]:
-        """The resident applications, in residency order."""
-        return tuple(residency.application for residency in self.residents)
-
-    @property
     def total_compute_sm_demand(self) -> int:
         """Aggregate compute-SM demand of every resident."""
         return sum(residency.compute_sm_demand for residency in self.residents)
@@ -179,7 +169,7 @@ class ScenarioPhase:
         """Compact human-readable tag for error messages and tables."""
         if self.label:
             return self.label
-        return "+".join(self.applications)
+        return "+".join(residency.application for residency in self.residents)
 
 
 @dataclass(frozen=True)
@@ -214,11 +204,6 @@ class ScenarioSpec:
         return len(self.phases)
 
     @property
-    def total_weight(self) -> float:
-        """Sum of the phases' duration weights."""
-        return sum(phase.duration_weight for phase in self.phases)
-
-    @property
     def applications(self) -> Tuple[str, ...]:
         """Distinct applications appearing in the timeline, in first-seen order."""
         seen: Dict[str, None] = {}
@@ -231,11 +216,6 @@ class ScenarioSpec:
     def max_compute_sm_demand(self) -> int:
         """The largest aggregate compute demand of any phase (sizes worst-case splits)."""
         return max(phase.total_compute_sm_demand for phase in self.phases)
-
-    @property
-    def has_corun_phases(self) -> bool:
-        """True when any phase carries several concurrent residents."""
-        return any(phase.is_corun for phase in self.phases)
 
     def scenario_key(self) -> str:
         """Content-hash key of the timeline for scenario-level artifacts.

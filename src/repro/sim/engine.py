@@ -6,7 +6,8 @@ interconnect and the DRAM model.  It replays a trace of LLC-level accesses,
 handing each layer an access's byte address and write flag as plain values,
 and collects the counts the performance model needs: hit rates per level,
 average access latency, per-level bytes, interconnect load and DRAM traffic.
-Every layer moves one block of the GPU's block size per access.
+Every layer moves one block of the GPU's block size per access, and block
+``b`` goes to LLC partition ``b % num_partitions``.
 """
 
 from __future__ import annotations
@@ -116,7 +117,7 @@ class MemoryHierarchyEngine:
             # counters: no controller points back at the engine, so reference
             # counting frees it as soon as a replay drops it.
             round_trip = _extended_round_trip(
-                self.network, self.llc.mapping.num_partitions, gpu.block_size
+                self.network, llc_config.num_partitions, gpu.block_size
             )
             self.controllers = [
                 MorpheusController(
@@ -133,7 +134,7 @@ class MemoryHierarchyEngine:
         self._start_cycle = 0.0
         # Per-access constants of the replay loop.
         self._block_size = gpu.block_size
-        self._num_partitions = self.llc.mapping.num_partitions
+        self._num_partitions = llc_config.num_partitions
 
     # -- trace replay ------------------------------------------------------------------
 

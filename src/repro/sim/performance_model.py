@@ -69,15 +69,6 @@ class ResourceEnvelope:
             if not 0.0 < share <= 1.0:
                 raise ValueError(f"{name} must be in (0, 1], got {share}")
 
-    @property
-    def is_default(self) -> bool:
-        """True for the whole-GPU envelope (every share exactly 1)."""
-        return (
-            self.dram_bandwidth_share == 1.0
-            and self.llc_bandwidth_share == 1.0
-            and self.noc_bandwidth_share == 1.0
-        )
-
 
 #: The whole-GPU envelope: every shared channel granted in full.
 DEFAULT_ENVELOPE = ResourceEnvelope()

@@ -165,11 +165,6 @@ class GPUSimulator:
         self.performance_model = PerformanceModel(energy_model)
         self.trace_cache = trace_cache if trace_cache is not None else SHARED_TRACE_CACHE
 
-    @property
-    def energy_model(self) -> EnergyModel:
-        """The energy model used by the scoring step."""
-        return self.performance_model.energy_model
-
     # -- internal helpers ------------------------------------------------------------
 
     def _build_engine(self, profile: ApplicationProfile) -> MemoryHierarchyEngine:

@@ -5,10 +5,11 @@ control how long the replayed traces are and how aggressively capacities are
 downscaled.  ``STANDARD`` is the library default: systems, sweeps,
 experiment specs and the scenario engine use it unless told otherwise.
 ``FAST`` (1/32 capacities, shorter traces) drives the examples,
-``scripts/bench_report.py`` and ``scripts/warm_cache_check.py``.  The figure
-checks under ``benchmarks/`` define their own 1/32 ``BENCH_FIDELITY``
-(also the sizing of ``scripts/spotcheck_fig12.py`` and perfbench's fig12
-workload), and the tier-1 tests use an even smaller ``TINY_FIDELITY``
+``scripts/bench_report.py`` and ``scripts/warm_cache_check.py``.  ``BENCH``
+(1/32, longer traces than ``FAST``) sizes the figure checks under
+``benchmarks/`` and ``scripts/spotcheck_fig12.py``; perfbench's fig12
+workload keeps a copy of it, which a tier-1 test holds equal to this one.
+The tier-1 tests use an even smaller ``TINY_FIDELITY``
 (``tests/fidelity_utils.py``).  Every leaf config is sized through
 :meth:`Fidelity.config`, the one place that maps a preset onto a
 :class:`~repro.sim.simulator.SimulationConfig`'s capacity scale and trace
@@ -28,10 +29,12 @@ class Fidelity:
 
     Attributes:
         capacity_scale: Factor applied to cache capacities and footprints.
-        trace_accesses: Measured LLC-level accesses per simulation.
-        warmup_accesses: Warm-up accesses replayed before measurement.
+        trace_accesses: Measured LLC-level accesses per simulation
+            (positive).
+        warmup_accesses: Warm-up accesses replayed before measurement
+            (0 replays none).
         search_trace_accesses: Accesses used during best-SM-count searches
-            (smaller, since only the argmax matters).
+            (positive; smaller, since only the argmax matters).
         search_warmup_accesses: Warm-up accesses used during searches.
     """
 
@@ -44,12 +47,12 @@ class Fidelity:
     def __post_init__(self) -> None:
         if not 0.0 < self.capacity_scale <= 1.0:
             raise ValueError("capacity_scale must be in (0, 1]")
-        for name in (
-            "trace_accesses",
-            "warmup_accesses",
-            "search_trace_accesses",
-            "search_warmup_accesses",
-        ):
+        # Every config this fidelity builds replays a trace of one of these
+        # lengths, and SimulationConfig rejects an empty one.
+        for name in ("trace_accesses", "search_trace_accesses"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive")
+        for name in ("warmup_accesses", "search_warmup_accesses"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
 
@@ -84,6 +87,16 @@ FAST_FIDELITY = Fidelity(
     search_warmup_accesses=1_000,
 )
 """Reduced fidelity for the examples and the quick CLI runs."""
+
+BENCH_FIDELITY = Fidelity(
+    capacity_scale=1.0 / 32.0,
+    trace_accesses=8_000,
+    warmup_accesses=3_000,
+    search_trace_accesses=4_000,
+    search_warmup_accesses=1_500,
+)
+"""The figure checks' fidelity (kept modest so the whole suite completes in
+minutes; raise it for higher-precision reproductions)."""
 
 
 def get_fidelity(fidelity: Fidelity) -> Fidelity:

@@ -13,10 +13,9 @@ Three instrument families:
   context manager.  Each span records its start timestamp (``time.time``,
   comparable across processes), its duration (``time.perf_counter``,
   monotonic), its thread, and its parent span on the same thread.
-* **Counters / gauges** — monotonic totals and last-value measurements,
-  accumulated in-process and emitted as cumulative snapshots on flush (the
-  report keeps only each file's last snapshot, so repeated flushes never
-  double-count).
+* **Counters** — monotonic totals, accumulated in-process and emitted as
+  cumulative snapshots on flush (the report keeps only each file's last
+  snapshot, so repeated flushes never double-count).
 * **Duration histograms** — raw observation lists (bounded; overflow is
   counted, never silently dropped) so the report can compute exact
   percentiles across processes.
@@ -60,7 +59,9 @@ DEFAULT_TELEMETRY_DIR = ".repro_telemetry"
 
 #: Version stamped into every sink file's ``meta`` line.  Bump when the
 #: event layout changes so the report/validator can reject stale traces.
-TELEMETRY_SCHEMA_VERSION = 1
+#: Version 2: metrics snapshots lose the ``gauges`` map; no instrument set
+#: a gauge.
+TELEMETRY_SCHEMA_VERSION = 2
 
 #: Buffered events per sink before an automatic flush.
 FLUSH_EVERY = 256
@@ -208,7 +209,6 @@ class Telemetry:
         self._local = threading.local()
         self._events: List[Dict[str, Any]] = []
         self._counters: Dict[str, float] = {}
-        self._gauges: Dict[str, float] = {}
         self._histograms: Dict[str, _Histogram] = {}
         self._seq = 0
         self._pid = os.getpid()
@@ -245,13 +245,6 @@ class Telemetry:
             return
         with self._lock:
             self._counters[name] = self._counters.get(name, 0) + value
-
-    def gauge(self, name: str, value: float) -> None:
-        """Set the gauge ``name`` to its latest ``value``."""
-        if not self.enabled:
-            return
-        with self._lock:
-            self._gauges[name] = value
 
     def observe(self, name: str, value: float) -> None:
         """Record one observation into the histogram ``name``."""
@@ -305,7 +298,7 @@ class Telemetry:
                 }
             )
         lines.extend(self._events)
-        if self._counters or self._gauges or self._histograms:
+        if self._counters or self._histograms:
             self._seq += 1
             lines.append(
                 {
@@ -314,7 +307,6 @@ class Telemetry:
                     "seq": self._seq,
                     "ts": time.time(),
                     "counters": dict(self._counters),
-                    "gauges": dict(self._gauges),
                     "histograms": {
                         name: histogram.to_jsonable()
                         for name, histogram in self._histograms.items()
@@ -343,7 +335,6 @@ class Telemetry:
         self._local = threading.local()
         self._events = []
         self._counters = {}
-        self._gauges = {}
         self._histograms = {}
         self._seq = 0
         self._pid = os.getpid()

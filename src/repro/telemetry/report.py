@@ -4,8 +4,7 @@
 
 * ``stages`` — span durations aggregated by name (count / total / mean /
   max seconds), the per-stage wall-clock breakdown.
-* ``counters`` / ``gauges`` — the metrics registries merged across
-  processes (counters summed, gauges last-write-wins by snapshot time).
+* ``counters`` — the counter registries merged across processes (summed).
 * ``histograms`` — merged raw-value histograms with p50/p95/p99.
 * ``cache`` — per-tier hit/miss/store/byte counters folded into hit rates.
 * ``slowest`` — the slowest replay spans, the leaves to look at first.
@@ -79,19 +78,12 @@ def _load(directory: Path) -> Tuple[
 
 def _merge_metrics(
     snapshots: List[Dict[str, Any]],
-) -> Tuple[Dict[str, float], Dict[str, float], Dict[str, Dict[str, Any]]]:
+) -> Tuple[Dict[str, float], Dict[str, Dict[str, Any]]]:
     counters: Dict[str, float] = {}
-    gauges: Dict[str, float] = {}
-    gauge_ts: Dict[str, float] = {}
     histograms: Dict[str, Dict[str, Any]] = {}
     for snapshot in snapshots:
         for name, value in snapshot.get("counters", {}).items():
             counters[name] = counters.get(name, 0) + value
-        snapshot_ts = snapshot.get("ts", 0.0)
-        for name, value in snapshot.get("gauges", {}).items():
-            if name not in gauge_ts or snapshot_ts >= gauge_ts[name]:
-                gauges[name] = value
-                gauge_ts[name] = snapshot_ts
         for name, histogram in snapshot.get("histograms", {}).items():
             merged = histograms.setdefault(
                 name,
@@ -114,7 +106,7 @@ def _merge_metrics(
         merged["p50"] = percentile(values, 0.50)
         merged["p95"] = percentile(values, 0.95)
         merged["p99"] = percentile(values, 0.99)
-    return counters, gauges, histograms
+    return counters, histograms
 
 
 def _stage_breakdown(spans: List[Dict[str, Any]]) -> Dict[str, Dict[str, float]]:
@@ -187,7 +179,7 @@ def _slowest(spans: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
 def summarize(directory: Path) -> Dict[str, Any]:
     """The merged per-run summary of every sink file under ``directory``."""
     spans, events, snapshots = _load(directory)
-    counters, gauges, histograms = _merge_metrics(snapshots)
+    counters, histograms = _merge_metrics(snapshots)
     wall: Dict[str, float] = {}
     if spans or events:
         timestamps = [record["ts"] for record in spans + events]
@@ -202,7 +194,6 @@ def summarize(directory: Path) -> Dict[str, Any]:
         "wall": wall,
         "stages": _stage_breakdown(spans),
         "counters": counters,
-        "gauges": gauges,
         "histograms": histograms,
         "cache": _cache_summary(counters),
         "scenario": _scenario_summary(counters, histograms),

@@ -20,8 +20,8 @@ participating process.  Four record types, discriminated by ``type``:
 ``metrics``
     A cumulative snapshot of the process's registry: ``pid``, ``seq``
     (monotonic per file; the report keeps only the highest), ``ts``,
-    ``counters`` (name → number), ``gauges`` (name → number),
-    ``histograms`` (name → ``{count, sum, min, max, values, dropped}``).
+    ``counters`` (name → number), ``histograms`` (name → ``{count, sum,
+    min, max, values, dropped}``).
 
 The validator is deliberately structural (types and required fields, not
 a catalog of known names) so new instruments never require a schema bump.
@@ -63,7 +63,6 @@ _REQUIRED_FIELDS: Dict[str, Dict[str, Tuple[type, ...]]] = {
         "seq": (int,),
         "ts": (int, float),
         "counters": (dict,),
-        "gauges": (dict,),
         "histograms": (dict,),
     },
 }

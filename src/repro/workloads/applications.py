@@ -125,11 +125,6 @@ class ApplicationProfile:
     # -- derived quantities ----------------------------------------------------
 
     @property
-    def is_memory_bound(self) -> bool:
-        """True for the 14 memory-bound applications."""
-        return self.workload_class == WorkloadClass.MEMORY_BOUND
-
-    @property
     def l1_apki(self) -> float:
         """L1 accesses per kilo-instruction."""
         return self.memory_fraction * 1000.0

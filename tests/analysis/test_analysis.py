@@ -3,17 +3,9 @@
 import pytest
 
 from repro.analysis.latency_breakdown import llc_latency_timelines
-from repro.analysis.metrics import (
-    geometric_mean,
-    normalize,
-    normalized_map,
-    normalized_series,
-    percent_improvement,
-    speedup,
-    within_percent,
-)
+from repro.analysis.metrics import geometric_mean
 from repro.analysis.overheads import compute_overheads
-from repro.analysis.report import format_normalized_map, format_series, format_table
+from repro.analysis.report import format_series, format_table
 
 
 class TestMetrics:
@@ -26,29 +18,6 @@ class TestMetrics:
             geometric_mean([])
         with pytest.raises(ValueError):
             geometric_mean([1.0, 0.0])
-
-    def test_speedup(self):
-        assert speedup(baseline_time=10.0, improved_time=5.0) == pytest.approx(2.0)
-        with pytest.raises(ValueError):
-            speedup(0.0, 1.0)
-
-    def test_normalized_series(self):
-        assert normalized_series([2.0, 4.0, 6.0]) == pytest.approx([1.0, 2.0, 3.0])
-        assert normalized_series([]) == []
-
-    def test_normalize_and_percent(self):
-        assert normalize(3.0, 2.0) == pytest.approx(1.5)
-        assert percent_improvement(10.0, 13.9) == pytest.approx(39.0)
-
-    def test_normalized_map(self):
-        result = normalized_map({"BL": 2.0, "Morpheus": 3.0}, "BL")
-        assert result["Morpheus"] == pytest.approx(1.5)
-        with pytest.raises(KeyError):
-            normalized_map({"a": 1.0}, "missing")
-
-    def test_within_percent(self):
-        assert within_percent(103.0, 100.0, 3.0)
-        assert not within_percent(110.0, 100.0, 3.0)
 
 
 class TestLatencyBreakdown:
@@ -86,8 +55,8 @@ class TestLatencyBreakdown:
 
     def test_extended_miss_includes_extra_noc_segments(self):
         timelines = llc_latency_timelines()
-        assert timelines["extended_miss"].segment("noc_to_cache_sm") > 0
-        assert timelines["predicted_extended_miss"].segment("noc_to_cache_sm") == 0
+        assert dict(timelines["extended_miss"].segments)["noc_to_cache_sm"] > 0
+        assert "noc_to_cache_sm" not in dict(timelines["predicted_extended_miss"].segments)
 
 
 class TestOverheads:
@@ -120,11 +89,3 @@ class TestReportFormatting:
         line = format_series("kmeans", {10: 1.0, 20: 1.6})
         assert "kmeans" in line
         assert "1.600" in line
-
-    def test_format_normalized_map(self):
-        text = format_normalized_map("perf", {"BL": 2.0, "Morpheus-ALL": 2.8}, "BL")
-        assert "1.400" in text
-
-    def test_format_normalized_map_missing_baseline(self):
-        with pytest.raises(KeyError):
-            format_normalized_map("perf", {"a": 1.0}, "BL")

@@ -3,13 +3,13 @@
 from __future__ import annotations
 
 import dataclasses
+from typing import Dict, List, Mapping, Optional, Tuple
 
 import pytest
 
 from repro.analysis.scenarios import (
     ScenarioAccumulator,
     per_app_timelines,
-    phase_slowdowns,
     scenario_energy_j,
     slowdown_stats,
     time_weighted_ipc,
@@ -21,9 +21,38 @@ from repro.scenarios import (
     SCENARIO_LIBRARY,
     SCENARIO_SYSTEMS,
     ScenarioEngine,
+    ScenarioRunResult,
     get_scenario,
 )
 from fidelity_utils import TINY_FIDELITY
+
+
+def phase_slowdowns(
+    result: ScenarioRunResult,
+    reference_ipc: Optional[Mapping[str, float]] = None,
+) -> Dict[str, List[Tuple[float, float]]]:
+    """Per-application (slowdown, duration weight) pairs, in phase order.
+
+    The O(phases) reference for the accumulator's grouped slowdown state: a
+    resident's phase slowdown is ``reference IPC / contended IPC``, against
+    ``reference_ipc`` when given and the resident's own uncontended IPC
+    otherwise.
+    """
+    pairs: Dict[str, List[Tuple[float, float]]] = {
+        name: [] for name in result.scenario.applications
+    }
+    for execution in result.phases:
+        weight = execution.phase.duration_weight
+        for resident in execution.residents:
+            reference = (
+                reference_ipc[resident.application]
+                if reference_ipc is not None
+                else resident.uncontended_ipc
+            )
+            ipc = resident.stats.ipc
+            slowdown = reference / ipc if ipc > 0.0 and reference > 0.0 else 0.0
+            pairs[resident.application].append((slowdown, weight))
+    return pairs
 
 SYSTEM = "Morpheus-Basic"
 SHAPES = sorted(name for name in SCENARIO_LIBRARY if name != "diurnal")

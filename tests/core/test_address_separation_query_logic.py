@@ -71,8 +71,12 @@ class TestAddressSeparator:
             assert separator.route(address) == _reference_route(separator_args, address)
 
     def test_extended_fraction_property(self):
+        # Equal capacities: half of every 16-unit period of 64 blocks goes
+        # to the extended LLC.
         separator = AddressSeparator(1024 * 1024, 1024 * 1024)
-        assert 0.3 < separator.extended_fraction < 0.7
+        blocks = 16 * 64 * 3
+        extended = sum(separator.route(i * 128) >= 0 for i in range(blocks))
+        assert extended / blocks == 0.5
 
     def test_negative_address_rejected(self):
         separator = AddressSeparator(1024, 1024)

@@ -1,13 +1,81 @@
-"""Tests for the Bloom filter and the dual-filter hit/miss predictor."""
+"""Tests for the dual-filter hit/miss predictor, against a Bloom filter reference.
+
+:class:`BloomFilter` is a standard Bloom filter over the predictor's
+:func:`~repro.core.hit_miss_predictor._key_mask` hashes.  The predictor
+keeps its two filters per set as int bit arrays; two of these filters plus
+the paper's swap rule are the reference it must match.
+"""
 
 import hashlib
 import random
+from typing import Iterable
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.bloom_filter import BloomFilter, _key_mask
-from repro.core.hit_miss_predictor import HitMissPredictor, PredictorStats, SetPredictor
+from repro.core.hit_miss_predictor import (
+    HitMissPredictor,
+    PredictorStats,
+    SetPredictor,
+    _key_mask,
+)
+
+
+class BloomFilter:
+    """A standard (non-counting) Bloom filter over integer keys.
+
+    Args:
+        size_bytes: Bit-array size in bytes (32 in the paper).
+        num_hashes: Number of hash functions.
+    """
+
+    def __init__(self, size_bytes: int = 32, num_hashes: int = 4) -> None:
+        if size_bytes <= 0:
+            raise ValueError("size_bytes must be positive")
+        if num_hashes <= 0:
+            raise ValueError("num_hashes must be positive")
+        self.size_bytes = size_bytes
+        self.num_bits = size_bytes * 8
+        self.num_hashes = num_hashes
+        self._bits = 0
+        self._insertions = 0
+
+    def insert(self, key: int) -> None:
+        """Insert ``key`` into the filter."""
+        if key < 0:
+            raise ValueError("keys must be non-negative")
+        self._bits |= _key_mask(key, self.num_bits, self.num_hashes)
+        self._insertions += 1
+
+    def query(self, key: int) -> bool:
+        """Return True if ``key`` *may* be in the set (never a false negative)."""
+        if key < 0:
+            raise ValueError("keys must be non-negative")
+        mask = _key_mask(key, self.num_bits, self.num_hashes)
+        return (self._bits & mask) == mask
+
+    def insert_all(self, keys: Iterable[int]) -> None:
+        """Insert every key in ``keys``."""
+        for key in keys:
+            self.insert(key)
+
+    def clear(self) -> None:
+        """Reset the filter to empty."""
+        self._bits = 0
+        self._insertions = 0
+
+    @property
+    def insertions(self) -> int:
+        """Number of insert operations since the last clear."""
+        return self._insertions
+
+    @property
+    def fill_ratio(self) -> float:
+        """Fraction of bits currently set (a proxy for the false-positive rate)."""
+        return bin(self._bits).count("1") / self.num_bits
+
+    def __contains__(self, key: int) -> bool:
+        return self.query(key)
 
 
 class TestBloomFilter:

@@ -3,13 +3,13 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.characterization.extended_llc_kernel import shared_memory_capacity_bytes
 from repro.core.address_separation import proportional_split
 from repro.core.compression import CompressionLevel
 from repro.core.config import MORPHEUS_ALL, MorpheusConfig
 from repro.core.extended_llc import Compressibility, ExtendedLLC, ExtendedLLCKernel
 from repro.core.l1_store import L1Store
 from repro.core.register_file_store import RegisterFileStore
-from repro.core.shared_memory_store import SharedMemoryStore
 from repro.core.store_base import ExtendedLLCSet
 from repro.sim.simulator import GPUSimulator
 from repro.workloads.applications import get_application
@@ -42,7 +42,7 @@ class TestExtendedLLCSet:
         for tag in range(8):
             llc_set.fill(tag, compression=CompressionLevel.HIGH)
         # 2 ways x 128 B can hold 8 blocks of 32 B each.
-        assert llc_set.occupancy() == 8
+        assert len(llc_set.tags()) == 8
 
     def test_occupancy_bytes_never_exceeds_physical(self):
         llc_set = ExtendedLLCSet(base_ways=4, compression_enabled=True)
@@ -158,7 +158,7 @@ class TestExtendedLLCSetMatchesReference:
                 )
             assert llc_set.occupancy_bytes() == reference.stored_bytes()
             assert llc_set.occupancy_bytes() <= llc_set.physical_bytes
-            assert llc_set.occupancy() == len(reference.blocks)
+            assert len(llc_set.tags()) == len(reference.blocks)
             assert llc_set.lookup(tag) == (tag in reference.blocks)
 
 
@@ -187,8 +187,8 @@ class TestL1AndSharedStores:
         )
 
     def test_shared_capacity_flat_with_warps(self):
-        assert SharedMemoryStore.capacity_bytes_for_warps(8) == pytest.approx(
-            SharedMemoryStore.capacity_bytes_for_warps(48), rel=0.05
+        assert shared_memory_capacity_bytes(8) == pytest.approx(
+            shared_memory_capacity_bytes(48), rel=0.05
         )
 
     def test_l1_never_compresses(self):
@@ -199,15 +199,18 @@ class TestL1AndSharedStores:
 class TestExtendedLLCKernel:
     def test_capacity_combines_stores(self):
         kernel = ExtendedLLCKernel(sm_id=0, config=MorpheusConfig())
-        total = kernel.physical_capacity_bytes()
+        assert set(kernel.stores) == {"register_file", "l1"}
+        total = sum(store.data_capacity_bytes() for store in kernel.stores.values())
         assert total > 256 * 1024  # register file portion plus L1 portion
+        assert kernel.effective_capacity_bytes() == total
 
     def test_compression_raises_effective_capacity(self):
         config = MorpheusConfig(enable_compression=True)
         kernel = ExtendedLLCKernel(
             sm_id=0, config=config, compressibility=Compressibility(0.5, 0.3)
         )
-        assert kernel.effective_capacity_bytes() > kernel.physical_capacity_bytes()
+        raw = sum(store.data_capacity_bytes() for store in kernel.stores.values())
+        assert kernel.effective_capacity_bytes() > raw
 
     def test_miss_then_fill_then_hit(self):
         kernel = ExtendedLLCKernel(sm_id=0, config=MorpheusConfig())
@@ -237,21 +240,19 @@ class TestExtendedLLCKernel:
 
     def test_needs_at_least_one_store(self):
         with pytest.raises(ValueError):
-            MorpheusConfig(rf_warps=0, l1_warps=0, shared_memory_warps=0)
+            MorpheusConfig(rf_warps=0, l1_warps=0)
 
 
+#: Register-file and L1 warps, the two stores a kernel builds.
 _WARP_SPLITS = st.tuples(
-    st.integers(min_value=0, max_value=12),
     st.integers(min_value=0, max_value=12),
     st.integers(min_value=0, max_value=12),
 ).filter(lambda warps: sum(warps) > 0)
 
 
 def _small_config(warps):
-    rf_warps, l1_warps, shared_memory_warps = warps
-    return MorpheusConfig(
-        rf_warps=rf_warps, l1_warps=l1_warps, shared_memory_warps=shared_memory_warps
-    )
+    rf_warps, l1_warps = warps
+    return MorpheusConfig(rf_warps=rf_warps, l1_warps=l1_warps)
 
 
 class TestSetOwnershipAndRoutingMatchReference:
@@ -307,7 +308,8 @@ class TestExtendedLLC:
         config = MorpheusConfig()
         small = ExtendedLLC(cache_sm_ids=[0, 1], config=config)
         large = ExtendedLLC(cache_sm_ids=list(range(8)), config=config)
-        assert large.physical_capacity_bytes() == 4 * small.physical_capacity_bytes()
+        # Without compression the effective capacity is the raw one.
+        assert large.effective_capacity_bytes() == 4 * small.effective_capacity_bytes()
 
     def test_set_ownership_round_trips(self):
         extended = ExtendedLLC(cache_sm_ids=[3, 7, 9], config=MorpheusConfig())
@@ -347,10 +349,10 @@ class TestSetsBuiltOnFirstTouch:
         }
 
     def test_a_fresh_kernel_has_built_no_set(self):
-        config = MorpheusConfig(enable_compression=True, shared_memory_warps=4)
+        config = MorpheusConfig(enable_compression=True)
         extended = ExtendedLLC([3, 5, 7], config, compressibility=Compressibility(0.3, 0.3))
         for kernel in extended.kernels.values():
-            assert len(kernel.stores) == 3
+            assert len(kernel.stores) == 2
             for store in kernel.stores.values():
                 assert store.sets == [None] * store.num_warps
         assert self._built(extended) == {}
@@ -393,7 +395,7 @@ class TestSetsBuiltOnFirstTouch:
 
     @pytest.mark.parametrize("compression", [False, True])
     def test_effective_capacity_is_the_per_kernel_sum(self, compression):
-        config = MorpheusConfig(enable_compression=compression, shared_memory_warps=4)
+        config = MorpheusConfig(enable_compression=compression)
         extended = ExtendedLLC(
             [2, 9, 4, 11], config, register_file_bytes=64 * 1024,
             l1_shared_bytes=32 * 1024, compressibility=Compressibility(0.4, 0.2),

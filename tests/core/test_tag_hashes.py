@@ -1,7 +1,7 @@
 """The replay's two per-tag hashes against the bodies they replaced.
 
 A streaming application's Morpheus replay hashes nearly every tag it fills
-into the extended LLC: :func:`~repro.core.bloom_filter._key_mask` gives a
+into the extended LLC: :func:`~repro.core.hit_miss_predictor._key_mask` gives a
 tag's Bloom filter bits, and :meth:`Compressibility.level_for_tag` a filled
 block's compression level.  Both were made cheaper without changing a
 result: the mask reduces its two hashes modulo the filter size before its
@@ -18,9 +18,9 @@ import hashlib
 
 from hypothesis import given, settings, strategies as st
 
-from repro.core.bloom_filter import _key_mask
 from repro.core.compression import CompressionLevel
 from repro.core.extended_llc import Compressibility
+from repro.core.hit_miss_predictor import _key_mask
 
 
 def reference_key_mask(key: int, num_bits: int, num_hashes: int) -> int:

@@ -1,5 +1,7 @@
 """Tests for the energy model."""
 
+import dataclasses
+
 import pytest
 
 from repro.energy.components import ComponentEnergies, DEFAULT_ENERGIES
@@ -38,7 +40,7 @@ class TestEnergyModel:
 
     def test_total_is_sum_of_components(self):
         breakdown = self._compute()
-        assert breakdown.total_j == pytest.approx(sum(breakdown.as_dict().values()))
+        assert breakdown.total_j == pytest.approx(sum(dataclasses.astuple(breakdown)))
 
     def test_more_dram_traffic_costs_more_energy(self):
         low = self._compute(dram_bytes=1e10)

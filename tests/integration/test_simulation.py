@@ -17,7 +17,7 @@ from repro.memory.llc import LLCConfig
 from repro.sim.engine import REQUEST_BYTES, MemoryHierarchyEngine
 from repro.sim.simulator import GPUSimulator, SimulationConfig, simulate
 from repro.gpu.config import GPUConfig, RTX3080_CONFIG
-from repro.systems.fidelity import FAST_FIDELITY, get_fidelity
+from repro.systems.fidelity import FAST_FIDELITY, Fidelity, get_fidelity
 from repro.systems.morpheus_system import MorpheusSystem, MorpheusVariant
 from repro.systems.registry import evaluate_application
 from repro.workloads.applications import get_application
@@ -35,6 +35,11 @@ def run(profile_name: str, **kwargs) -> "SimulationStats":
     profile = get_application(profile_name)
     merged = {**FAST_KWARGS, **kwargs}
     return simulate(profile, SimulationConfig(**merged))
+
+
+def network_load_bytes(network) -> int:
+    """Bytes every link of ``network`` has carried, requests and responses."""
+    return sum(link.bytes_transferred for port in network.ports for link in port)
 
 
 class TestEngine:
@@ -74,7 +79,7 @@ class TestEngine:
             partition.access = access
         counters = engine.run(trace)
         partitions = range(RTX3080_CONFIG.llc.num_partitions)
-        mapped = collections.Counter(map(engine.llc.mapping.partition_of, trace.addresses))
+        mapped = collections.Counter((address // 128) % 10 for address in trace.addresses)
         assert [len(hits) for hits in served] == [mapped[index] for index in partitions]
         assert sum(map(sum, served)) == counters.conventional_hits
         # Each request's hop to its partition sends its request on that port.
@@ -113,11 +118,11 @@ class TestEngine:
         )
         engine.run(generator.generate(1000))
         engine.reset_counters()
-        loaded = engine.network.total_load_bytes()
+        loaded = network_load_bytes(engine.network)
         counters = engine.run(generator.generate(4000))
         assert counters.extended_requests > counters.extended_hits > 0
         # The links' own byte counts over the measured run.
-        assert counters.noc_bytes == engine.network.total_load_bytes() - loaded
+        assert counters.noc_bytes == network_load_bytes(engine.network) - loaded
 
     def test_counters_returned_before_a_reset_stay_fixed(self):
         # The engine counts DRAM and NoC traffic into the counters of the
@@ -292,6 +297,17 @@ class TestEvaluatedSystems:
 
 
 class TestFidelityPresets:
+    @pytest.mark.parametrize("field", ["trace_accesses", "search_trace_accesses"])
+    def test_trace_lengths_must_be_positive(self, field):
+        # Every config a fidelity builds replays a trace of one of these
+        # lengths, and SimulationConfig rejects an empty trace.
+        with pytest.raises(ValueError, match=f"{field} must be positive"):
+            Fidelity(**{field: 0})
+        # Warm-ups may be empty.
+        empty_warmups = Fidelity(warmup_accesses=0, search_warmup_accesses=0)
+        assert empty_warmups.config().warmup_accesses == 0
+        assert empty_warmups.config(search=True).warmup_accesses == 0
+
     def test_get_fidelity_accepts_only_a_fidelity(self):
         assert get_fidelity(FAST_FIDELITY) is FAST_FIDELITY
         for other in ("fast", 3):

@@ -1,9 +1,21 @@
 """Tests for the banked LLC and the DRAM model."""
 
+from array import array
+
 import pytest
 
+from repro.gpu.config import RTX3080_CONFIG
 from repro.memory.dram import DRAMConfig, DRAMModel
 from repro.memory.llc import BankedLLC, LLCConfig, LLCPartition
+from repro.sim.engine import MemoryHierarchyEngine
+from repro.workloads.trace import MemoryTrace
+
+
+def replayed_llc(addresses):
+    """The conventional LLC of a BL engine (full size) after replaying ``addresses``."""
+    engine = MemoryHierarchyEngine(RTX3080_CONFIG)
+    counters = engine.run(MemoryTrace(array("q", addresses), bytes(len(addresses))))
+    return engine.llc, counters
 
 
 class TestLLCConfig:
@@ -59,18 +71,19 @@ class TestLLCPartition:
 class TestBankedLLC:
     def test_total_capacity_close_to_config(self):
         llc = BankedLLC()
-        assert llc.total_capacity_bytes() == pytest.approx(5 * 1024 * 1024, rel=0.05)
+        total = sum(partition.capacity_bytes for partition in llc.partitions)
+        assert total == pytest.approx(5 * 1024 * 1024, rel=0.05)
+        assert [partition.partition_id for partition in llc.partitions] == list(range(10))
 
     def test_requests_routed_by_address(self):
-        llc = BankedLLC()
-        assert llc.partition_for(128 * 3).partition_id == 3
+        llc, _ = replayed_llc([128 * 3])
+        resident = [sum(map(len, partition.sets)) for partition in llc.partitions]
+        assert resident == [0, 0, 0, 1, 0, 0, 0, 0, 0, 0]
 
     def test_aggregate_stats(self):
-        llc = BankedLLC()
-        hits = [
-            llc.partition_for(i * 128).access(i * 128, False, float(i))[0] for i in range(20)
-        ]
-        assert hits == [False] * 20
+        llc, counters = replayed_llc([i * 128 for i in range(20)])
+        assert counters.conventional_hits == 0
+        assert counters.dram_accesses == 20
         # Twenty consecutive blocks spread over the ten partitions.
         assert all(sum(map(len, partition.sets)) == 2 for partition in llc.partitions)
 

@@ -1,14 +1,24 @@
-"""Tests for LRU replacement and address mapping.
+"""Tests for LRU replacement and the interleaving of blocks across partitions.
 
-The file name predates the removal of the MSHR model and of the
-replacement-policy classes, and is kept so the IDs of the tests in it stay
-the same.
+The file name predates the removal of the MSHR model, of the
+replacement-policy classes and of the address-mapping class, and is kept so
+the IDs of the tests in it stay the same.  The replay engine interleaves
+blocks itself: block ``b`` goes to partition ``b % num_partitions``.
 """
+
+import random
+from array import array
 
 import pytest
 
-from repro.memory.address_mapping import AddressMapping
+from repro.core.config import MorpheusConfig
+from repro.gpu.config import RTX3080_CONFIG
 from repro.memory.llc import LLCConfig, LLCPartition
+from repro.sim.engine import MemoryHierarchyEngine
+from repro.workloads.trace import MemoryTrace
+
+BLOCK = RTX3080_CONFIG.block_size
+PARTITIONS = RTX3080_CONFIG.llc.num_partitions
 
 
 def one_set_slice(associativity):
@@ -38,18 +48,49 @@ class TestLRUPolicy:
         assert list(partition.sets[0]) == [1, 2]
 
 
+def served_partitions(addresses, morpheus=None):
+    """The partition that served each of ``addresses`` in one replay, in order.
+
+    On a conventional GPU a partition serves an access in its LLC slice; on
+    a Morpheus GPU, in its controller.
+    """
+    engine = MemoryHierarchyEngine(
+        RTX3080_CONFIG,
+        morpheus=morpheus,
+        cache_sm_ids=[60, 61] if morpheus is not None else None,
+        capacity_scale=1 / 32,
+    )
+    served = []
+    servers = engine.controllers or engine.llc.partitions
+    for partition_id, server in enumerate(servers):
+        def access(address, is_write, now, _access=server.access, _id=partition_id):
+            served.append((_id, address))
+            return _access(address, is_write, now)
+
+        server.access = access
+    engine.run(MemoryTrace(array("q", addresses), bytes(len(addresses))))
+    assert [address for _, address in served] == list(addresses)
+    return [partition_id for partition_id, _ in served]
+
+
 class TestAddressMapping:
     def test_round_robin_partitioning(self):
-        mapping = AddressMapping(num_partitions=10, block_size=128)
-        partitions = [mapping.partition_of(i * 128) for i in range(20)]
-        assert partitions[:10] == list(range(10))
-        assert partitions[10:] == list(range(10))
+        partitions = served_partitions([i * BLOCK for i in range(2 * PARTITIONS)])
+        assert partitions[:PARTITIONS] == list(range(PARTITIONS))
+        assert partitions[PARTITIONS:] == list(range(PARTITIONS))
 
     def test_same_block_same_partition(self):
-        mapping = AddressMapping(num_partitions=10, block_size=128)
-        assert mapping.partition_of(1280) == mapping.partition_of(1280 + 127)
+        # Block 13 starts at byte 1664; all its addresses go to partition 3.
+        assert served_partitions([13 * BLOCK, 13 * BLOCK + BLOCK - 1]) == [3, 3]
 
-    def test_negative_address_rejected(self):
-        mapping = AddressMapping()
-        with pytest.raises(ValueError):
-            mapping.partition_of(-1)
+    @pytest.mark.parametrize(
+        "morpheus", [None, MorpheusConfig()], ids=["conventional", "morpheus"]
+    )
+    def test_every_partition_serves_exactly_its_blocks(self, morpheus):
+        # Random blocks, each partition's blocks among them, any order.
+        blocks = random.Random(5).sample(range(1 << 20), 400) + list(range(PARTITIONS))
+        random.Random(6).shuffle(blocks)
+        partitions = served_partitions([block * BLOCK for block in blocks], morpheus)
+        for partition in range(PARTITIONS):
+            served = {block for block, p in zip(blocks, partitions) if p == partition}
+            assert served == {block for block in blocks if block % PARTITIONS == partition}

@@ -13,6 +13,7 @@ import pytest
 
 import repro.runner.spec as spec_module
 from repro.runner import (
+    ExperimentCell,
     ExperimentRunner,
     ExperimentSpec,
     RunSpec,
@@ -257,7 +258,27 @@ class TestPlanExpansion:
             applications=("kmeans", "cfd", "spmv"),
             seeds=(1, 2),
         )
-        assert len(spec.expand()) == 12
+        cells = spec.cells
+        assert len(cells) == 12
+        assert cells[0] == ExperimentCell("BL", "kmeans", 1)
+        assert cells[1] == ExperimentCell("BL", "kmeans", 2)
+        assert cells[-1] == ExperimentCell("IBL", "spmv", 2)
+
+    @pytest.mark.parametrize(
+        "axis, values, repeated",
+        [
+            ("systems", ("BL", "IBL", "BL"), "system 'BL'"),
+            ("applications", ("kmeans", "kmeans"), "application 'kmeans'"),
+            ("seeds", (1, 2, 2), "seed 2"),
+        ],
+    )
+    def test_a_repeated_entry_is_rejected(self, axis, values, repeated):
+        # Results are keyed by cell: a repeated entry would give a result
+        # whose length disagrees with the cells it iterates.
+        fields = {"systems": ("BL",), "applications": ("kmeans",), "seeds": (1,)}
+        fields[axis] = values
+        with pytest.raises(ValueError, match=f"lists {repeated} twice"):
+            ExperimentSpec(**fields)
 
 
 class TestTraceCache:

@@ -106,8 +106,7 @@ class TestResourceEnvelope:
             ResourceEnvelope(llc_bandwidth_share=1.5)
         with pytest.raises(ValueError, match="noc_bandwidth_share"):
             ResourceEnvelope(noc_bandwidth_share=-0.1)
-        assert DEFAULT_ENVELOPE.is_default
-        assert not ResourceEnvelope(dram_bandwidth_share=0.5).is_default
+        assert DEFAULT_ENVELOPE == ResourceEnvelope(1.0, 1.0, 1.0)
 
     def test_envelope_scales_the_shared_limits(self, tmp_path, kmeans_profile):
         runner = ExperimentRunner(cache_dir=tmp_path / "cache", max_workers=0)
@@ -226,7 +225,6 @@ class TestSingleTenantUnchanged:
             assert dataclasses.asdict(resident.stats) == dataclasses.asdict(direct)
             assert resident.envelope == DEFAULT_ENVELOPE
             assert resident.uncontended_ipc == resident.stats.ipc
-            assert resident.bandwidth_interference_fraction == 0.0
 
 
 class TestFixedPoint:

@@ -32,7 +32,6 @@ from repro.scenarios import (
     ScenarioEngine,
     ScenarioPhase,
     ScenarioSpec,
-    TransitionCostModel,
     arbitrate_extended_llc,
     corun_overlap,
     get_scenario,
@@ -40,19 +39,19 @@ from repro.scenarios import (
     max_cache_mode_sms,
     mixed_tenancy,
 )
+from repro.scenarios.policy import flush_cost
 from repro.systems.morpheus_system import MorpheusOperatingPoint
 from repro.workloads.applications import get_application
 from scenario_test_utils import TINY_FIDELITY
 
 GPU = RTX3080_CONFIG
 MORPHEUS = MorpheusConfig()
-MODEL = TransitionCostModel()
 PROFILES = {name: get_application(name) for name in ("kmeans", "cfd", "spmv")}
 
 
 def _plan(policy, scenario):
     profiles = {name: get_application(name) for name in scenario.applications}
-    return policy.plan(scenario, GPU, MORPHEUS, profiles, MODEL)
+    return policy.plan(scenario, GPU, MORPHEUS, profiles)
 
 
 def _corun_phase(sms_a=28, sms_b=24, **overrides):
@@ -96,14 +95,13 @@ class TestCorunSpec:
         assert legacy == modern
         assert legacy.application == "kmeans"
         assert legacy.compute_sm_demand == 24
-        assert not legacy.is_corun
+        assert len(legacy.residents) == 1
 
     def test_corun_phase_properties(self):
         phase = _corun_phase(sms_a=28, sms_b=24)
-        assert phase.is_corun
         assert phase.application is None
         assert phase.compute_sm_demand is None
-        assert phase.applications == ("kmeans", "cfd")
+        assert [residency.application for residency in phase.residents] == ["kmeans", "cfd"]
         assert phase.total_compute_sm_demand == 52
         assert phase.describe() == "kmeans+cfd"
 
@@ -117,14 +115,13 @@ class TestCorunSpec:
         )
         assert spec.applications == ("spmv", "kmeans", "cfd")
         assert spec.max_compute_sm_demand == 60
-        assert spec.has_corun_phases
 
     def test_library_shapes(self):
         overlap = corun_overlap(rounds=2)
         assert len(overlap) == 4
-        assert all(phase.is_corun for phase in overlap.phases)
+        assert all(len(phase.residents) == 2 for phase in overlap.phases)
         tenancy = mixed_tenancy(rounds=1)
-        assert [phase.is_corun for phase in tenancy.phases] == [False, True, False]
+        assert [len(phase.residents) for phase in tenancy.phases] == [1, 2, 1]
         assert get_scenario("corun_overlap", rounds=1).name == "corun_overlap"
         assert get_scenario("mixed_tenancy").name == "mixed_tenancy"
         with pytest.raises(ValueError):
@@ -293,8 +290,8 @@ class TestHysteresisEdges:
         # Each boundary flushes exactly the outgoing application's whole
         # grant (with *its* write mix) and re-warms the incoming one — no
         # double-charging, no carry-over.
-        first = MODEL.flush_cost(GPU, pool, PROFILES["kmeans"])
-        second = MODEL.flush_cost(GPU, pool, PROFILES["cfd"])
+        first = flush_cost(GPU, pool, PROFILES["kmeans"])
+        second = flush_cost(GPU, pool, PROFILES["cfd"])
         assert decisions[1].transition.flushed_dirty_bytes == pytest.approx(
             first.flushed_dirty_bytes
         )
@@ -437,7 +434,8 @@ class TestCorunEngine:
             assert execution.compute_cycles == pytest.approx(
                 execution.instructions / aggregate_ipc
             )
-        expected = scenario.total_weight * scenario.instructions_per_weight
+        total_weight = sum(phase.duration_weight for phase in scenario.phases)
+        expected = total_weight * scenario.instructions_per_weight
         assert result.total_instructions == pytest.approx(expected)
 
     def test_corun_serial_equals_parallel(self, tmp_path):

@@ -41,7 +41,6 @@ from repro.scenarios.policy import (
     FixedSplitPolicy,
     PhaseDecision,
     ResidentGrant,
-    TransitionCostModel,
     arbitrate_extended_llc,
     grant_transition,
     max_cache_mode_sms,
@@ -53,7 +52,6 @@ from scenario_test_utils import TINY_FIDELITY
 
 GPU = RTX3080_CONFIG
 MORPHEUS = MorpheusConfig()
-MODEL = TransitionCostModel()
 #: The memory-bound applications of the figure benchmarks.
 APPS = ("p-bfs", "cfd", "sgem", "kmeans", "spmv", "page-r")
 PROFILES = {name: get_application(name) for name in APPS}
@@ -94,7 +92,7 @@ def reference_fixed_plan(policy: FixedSplitPolicy, scenario) -> List[PhaseDecisi
         if index == 0:
             transition = NO_TRANSITION
         else:
-            transition = grant_transition(MODEL, GPU, previous_shares, shares, PROFILES)
+            transition = grant_transition(GPU, previous_shares, shares, PROFILES)
         decisions.append(_decision(phase, pool, shares, transition))
         previous_shares = shares
     return decisions
@@ -128,7 +126,7 @@ def reference_dynamic_plan(
         if index == 0:
             transition = NO_TRANSITION
         else:
-            transition = grant_transition(MODEL, GPU, previous_shares, shares, PROFILES)
+            transition = grant_transition(GPU, previous_shares, shares, PROFILES)
         decisions.append(_decision(phase, pool, shares, transition))
         previous_pool = pool
         previous_shares = shares
@@ -176,7 +174,7 @@ def _reference(policy, scenario):
 
 
 def _plan(policy, scenario):
-    return policy.plan(scenario, GPU, MORPHEUS, PROFILES, MODEL)
+    return policy.plan(scenario, GPU, MORPHEUS, PROFILES)
 
 
 def _mismatches(policy, scenario) -> List[int]:

@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Optional
 
 import pytest
 
 from repro.core.config import MorpheusConfig
-from repro.gpu.config import RTX3080_CONFIG
+from repro.gpu.config import GPUConfig, RTX3080_CONFIG
 from repro.runner import ExperimentRunner, using_runner
 from repro.scenarios import (
     CapacityPolicy,
@@ -18,7 +18,7 @@ from repro.scenarios import (
     ScenarioEngine,
     ScenarioPhase,
     ScenarioSpec,
-    TransitionCostModel,
+    TransitionCost,
     bursty,
     corun_pair,
     get_scenario,
@@ -26,14 +26,14 @@ from repro.scenarios import (
     max_cache_mode_sms,
     steady,
 )
+from repro.scenarios.policy import NO_TRANSITION, flush_cost, warmup_cost
 from repro.systems.fidelity import FAST_FIDELITY
 from repro.systems.registry import SCENARIO_SYSTEMS
-from repro.workloads.applications import get_application
+from repro.workloads.applications import APPLICATIONS, ApplicationProfile, get_application
 from scenario_test_utils import TINY_FIDELITY
 
 GPU = RTX3080_CONFIG
 MORPHEUS = MorpheusConfig()
-MODEL = TransitionCostModel()
 
 
 def _profiles(scenario: ScenarioSpec):
@@ -41,7 +41,7 @@ def _profiles(scenario: ScenarioSpec):
 
 
 def _plan(policy: CapacityPolicy, scenario: ScenarioSpec) -> List[PhaseDecision]:
-    return policy.plan(scenario, GPU, MORPHEUS, _profiles(scenario), MODEL)
+    return policy.plan(scenario, GPU, MORPHEUS, _profiles(scenario))
 
 
 @pytest.fixture
@@ -50,45 +50,112 @@ def engine(tmp_path):
     return ScenarioEngine(runner=runner, fidelity=TINY_FIDELITY)
 
 
+class _ReferenceTransitionCostModel:
+    """The flush and warm-up costs as a model with four fields, as they were.
+
+    The defaults are the only values any caller planned with; the
+    functions in :mod:`repro.scenarios.policy` must give the same costs bit
+    for bit.
+    """
+
+    def __init__(
+        self,
+        extended_bytes_per_cache_sm: int = 328 * 1024,
+        dirty_fraction: Optional[float] = None,
+        warmup_fill_fraction: float = 0.85,
+        flush_bandwidth_gbps_per_sm: float = 34.0,
+    ) -> None:
+        self.extended_bytes_per_cache_sm = extended_bytes_per_cache_sm
+        self.dirty_fraction = dirty_fraction
+        self.warmup_fill_fraction = warmup_fill_fraction
+        self.flush_bandwidth_gbps_per_sm = flush_bandwidth_gbps_per_sm
+
+    def _dram_bytes_per_cycle(self, gpu: GPUConfig) -> float:
+        return gpu.dram.bytes_per_cycle_per_channel * gpu.dram.num_channels
+
+    def flush_cost(
+        self,
+        gpu: GPUConfig,
+        reclaimed_sms: int,
+        outgoing_profile: ApplicationProfile,
+    ) -> TransitionCost:
+        if reclaimed_sms <= 0:
+            return NO_TRANSITION
+        capacity = float(reclaimed_sms * self.extended_bytes_per_cache_sm)
+        dirty_fraction = (
+            outgoing_profile.write_fraction
+            if self.dirty_fraction is None
+            else self.dirty_fraction
+        )
+        dirty = capacity * dirty_fraction
+        drain_bpc = self.flush_bandwidth_gbps_per_sm / gpu.core_clock_ghz * reclaimed_sms
+        bandwidth = min(drain_bpc, self._dram_bytes_per_cycle(gpu))
+        return TransitionCost(
+            flush_cycles=dirty / bandwidth if dirty else 0.0,
+            flushed_dirty_bytes=dirty,
+            reclaimed_sms=reclaimed_sms,
+        )
+
+    def warmup_cost(self, gpu: GPUConfig, added_sms: int) -> TransitionCost:
+        if added_sms <= 0:
+            return NO_TRANSITION
+        fill = (
+            float(added_sms * self.extended_bytes_per_cache_sm)
+            * self.warmup_fill_fraction
+        )
+        return TransitionCost(
+            warmup_cycles=fill / self._dram_bytes_per_cycle(gpu) if fill else 0.0,
+            warmup_fill_bytes=fill,
+            added_sms=added_sms,
+        )
+
+
+REFERENCE_MODEL = _ReferenceTransitionCostModel()
+
+
 class TestTransitionCostModel:
     def test_no_cost_for_zero_sms(self):
         profile = get_application("kmeans")
-        assert MODEL.flush_cost(GPU, 0, profile).is_zero
-        assert MODEL.warmup_cost(GPU, 0).is_zero
+        assert flush_cost(GPU, 0, profile).is_zero
+        assert warmup_cost(GPU, 0).is_zero
 
     def test_flush_scales_with_reclaimed_sms(self):
         profile = get_application("kmeans")
-        small = MODEL.flush_cost(GPU, 4, profile)
-        large = MODEL.flush_cost(GPU, 40, profile)
+        small = flush_cost(GPU, 4, profile)
+        large = flush_cost(GPU, 40, profile)
         assert 0 < small.flushed_dirty_bytes < large.flushed_dirty_bytes
         assert 0 < small.flush_cycles
         # Beyond the point where the SMs' aggregate drain rate saturates
         # DRAM, more reclaimed SMs mean strictly more writeback cycles.
         assert large.flush_cycles > small.flush_cycles
 
-    def test_dirty_fraction_defaults_to_write_fraction(self):
-        profile = get_application("kmeans")
-        default = MODEL.flush_cost(GPU, 8, profile)
-        explicit = TransitionCostModel(dirty_fraction=profile.write_fraction).flush_cost(
-            GPU, 8, profile
-        )
-        assert default.flushed_dirty_bytes == explicit.flushed_dirty_bytes
+    @pytest.mark.parametrize("application", sorted(APPLICATIONS))
+    def test_costs_match_the_model_they_replaced(self, application):
+        # Every cache-mode SM count the §4.1.3 cap allows (0-51 on the
+        # RTX 3080), bit for bit, each field of each cost.
+        profile = get_application(application)
+        cap = max_cache_mode_sms(GPU, MORPHEUS)
+        assert cap == 51
+        for sms in range(cap + 1):
+            assert flush_cost(GPU, sms, profile) == REFERENCE_MODEL.flush_cost(
+                GPU, sms, profile
+            )
+            assert warmup_cost(GPU, sms) == REFERENCE_MODEL.warmup_cost(GPU, sms)
+        # The dirty fraction is the outgoing application's write fraction.
+        explicit = _ReferenceTransitionCostModel(dirty_fraction=profile.write_fraction)
+        assert flush_cost(GPU, 8, profile) == explicit.flush_cost(GPU, 8, profile)
 
     def test_application_change_flushes_retained_capacity(self):
         profiles = {name: get_application(name) for name in ("kmeans", "cfd")}
-        unchanged = grant_transition(
-            MODEL, GPU, {"kmeans": 40}, {"kmeans": 40}, profiles
-        )
-        changed = grant_transition(MODEL, GPU, {"kmeans": 40}, {"cfd": 40}, profiles)
+        unchanged = grant_transition(GPU, {"kmeans": 40}, {"kmeans": 40}, profiles)
+        changed = grant_transition(GPU, {"kmeans": 40}, {"cfd": 40}, profiles)
         assert unchanged.is_zero
         # The ownership change orphans all 40 SMs: every one is flushed
         # with the outgoing application's write mix and re-warmed.
         assert changed.flush_cycles > 0 and changed.warmup_cycles > 0
         assert changed.reclaimed_sms == changed.added_sms == 40
-        assert changed.flush_cycles == MODEL.flush_cost(
-            GPU, 40, profiles["kmeans"]
-        ).flush_cycles
-        assert changed.warmup_cycles == MODEL.warmup_cost(GPU, 40).warmup_cycles
+        assert changed.flush_cycles == flush_cost(GPU, 40, profiles["kmeans"]).flush_cycles
+        assert changed.warmup_cycles == warmup_cost(GPU, 40).warmup_cycles
 
 
 class TestPolicies:
@@ -260,7 +327,8 @@ class TestEngineRun:
         scenario = bursty(low_weight=2.0, high_weight=1.0, bursts=1)
         with using_runner(engine.runner):
             result = engine.run(scenario, "IBL")
-        expected = scenario.total_weight * scenario.instructions_per_weight
+        total_weight = sum(phase.duration_weight for phase in scenario.phases)
+        expected = total_weight * scenario.instructions_per_weight
         assert result.total_instructions == pytest.approx(expected)
         lull = result.phases[0]
         assert lull.instructions == pytest.approx(2.0 * scenario.instructions_per_weight)

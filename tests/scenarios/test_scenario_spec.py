@@ -80,7 +80,6 @@ class TestScenarioSpec:
             ),
         )
         assert len(spec) == 3
-        assert spec.total_weight == pytest.approx(4.0)
         assert spec.applications == ("kmeans", "cfd")
         assert spec.max_compute_sm_demand == 60
 
@@ -163,9 +162,9 @@ class TestLibrary:
         spec = get_scenario(name, **kwargs)
         seen = []
         for phase in spec.phases:
-            for application in phase.applications:
-                if application not in seen:
-                    seen.append(application)
+            for residency in phase.residents:
+                if residency.application not in seen:
+                    seen.append(residency.application)
         assert spec.applications == tuple(seen)
 
     def test_get_scenario_lookup(self):

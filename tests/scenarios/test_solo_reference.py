@@ -78,7 +78,7 @@ def reference_solo_ipcs(
                 label=phase.label,
             )
             for phase in scenario.phases
-            if application in phase.applications
+            if any(residency.application == application for residency in phase.residents)
         )
         solo = ScenarioSpec(
             name=f"{scenario.name}:{application}-solo",

@@ -35,6 +35,11 @@ SCALE = 1.0 / 64.0
 PREDICTORS = ("bloom", "none", "perfect")
 
 
+def network_load_bytes(network) -> int:
+    """Bytes every link of ``network`` has carried, requests and responses."""
+    return sum(link.bytes_transferred for port in network.ports for link in port)
+
+
 def replay(application, morpheus, compute_sms, cache_sms, seed, warmup, measured):
     """The leaf's measured counters, and the bytes the NoC's links carried meanwhile."""
     profile = get_application(application)
@@ -54,9 +59,9 @@ def replay(application, morpheus, compute_sms, cache_sms, seed, warmup, measured
     if warmup:
         engine.run(warmup_trace)
         engine.reset_counters()
-    loaded = engine.network.total_load_bytes()
+    loaded = network_load_bytes(engine.network)
     counters = engine.run(trace)
-    return counters, engine.network.total_load_bytes() - loaded
+    return counters, network_load_bytes(engine.network) - loaded
 
 
 def check_accounting(counters, noc_load_bytes) -> None:

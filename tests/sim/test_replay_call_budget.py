@@ -30,7 +30,7 @@ _SIZING = dict(capacity_scale=1.0 / 32.0, trace_accesses=8_000, warmup_accesses=
 
 #: (config, Python calls per simulated access allowed).  Each budget is the
 #: replay's own count plus under 10%: BL makes 2.90 calls per access and
-#: Morpheus-ALL 10.51 (10.80 when the engine built every extended-LLC set
+#: Morpheus-ALL 10.46 (10.80 when the engine built every extended-LLC set
 #: up front; engine construction runs inside the counted replay).
 BUDGETS = {
     "BL": (SimulationConfig(num_compute_sms=68, system_name="BL", **_SIZING), 3.1),
@@ -50,7 +50,7 @@ BUDGETS = {
 #: Bytecodes executed per simulated access allowed, counted on CPython 3.11
 #: (other versions compile to other bytecode).  Each budget is the replay's
 #: own count plus under 10%: BL executes 345.9 bytecodes per access and
-#: Morpheus-ALL 608.8.  On CPython 3.11.7 they executed 422.5 and 730.6 while
+#: Morpheus-ALL 607.9.  On CPython 3.11.7 they executed 422.5 and 730.6 while
 #: the engine, the controllers, each LLC slice and the network all counted
 #: every access.
 OPCODE_BUDGETS = {"BL": 379.0, "Morpheus-ALL": 656.0}

@@ -88,7 +88,6 @@ class TestEnabled:
     def test_metrics_snapshots_are_cumulative_with_seq(self, tmp_path):
         tel = Telemetry(directory=tmp_path, enabled=True)
         tel.count("jobs")
-        tel.gauge("depth", 3)
         tel.observe("latency", 0.5)
         tel.flush()
         tel.count("jobs", 2)
@@ -98,7 +97,7 @@ class TestEnabled:
         assert [s["seq"] for s in snapshots] == [1, 2]
         last = snapshots[-1]
         assert last["counters"]["jobs"] == 3
-        assert last["gauges"]["depth"] == 3
+        assert "gauges" not in last
         histogram = last["histograms"]["latency"]
         assert histogram["count"] == 2
         assert histogram["values"] == [0.5, 1.5]

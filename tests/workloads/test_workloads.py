@@ -30,8 +30,8 @@ class TestApplications:
             assert name in APPLICATIONS
 
     def test_classification(self):
-        assert get_application("kmeans").is_memory_bound
-        assert not get_application("mri-q").is_memory_bound
+        assert get_application("kmeans").workload_class == WorkloadClass.MEMORY_BOUND
+        assert get_application("mri-q").workload_class != WorkloadClass.MEMORY_BOUND
 
     def test_unknown_application(self):
         with pytest.raises(KeyError):
